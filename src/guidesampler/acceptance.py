@@ -66,7 +66,6 @@ from .sampling import (
     guide_rates,
     lemma1_density,
     sample_jump_times,
-    unguided_rates,
 )
 
 DEFAULT_SEED = 20250801
@@ -294,9 +293,9 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
         if not (toks == S).any():
             toks[int(gen.integers(0, D))] = S
         xt = MaskedSequence(toks, alpha)
-        rates = unguided_rates(den, xt, float(gen.random() * 0.8), sched)
-        ex = guide_rates(rates, GuidanceConfig(mode="exact", gamma=1.7, predictor=pred_ss))
-        tg = guide_rates(rates, GuidanceConfig(mode="tag", gamma=1.7, predictor=pred_ss))
+        t = float(gen.random() * 0.8)
+        ex = guide_rates(den, xt, t, sched, GuidanceConfig(mode="exact", gamma=1.7, predictor=pred_ss))
+        tg = guide_rates(den, xt, t, sched, GuidanceConfig(mode="tag", gamma=1.7, predictor=pred_ss))
         for key, r_ex in ex.entries.items():
             if r_ex == 0.0:
                 worst_rel = max(worst_rel, abs(tg.entries[key]))
@@ -432,9 +431,9 @@ def check_gamma_limits(seed: int = DEFAULT_SEED) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
-def check_campaign(seed: int = DEFAULT_SEED, threads: int = 1) -> CheckResult:
+def check_campaign(seed: int = DEFAULT_SEED) -> CheckResult:
     t0 = time.perf_counter()
-    results, summary = run_campaign(None, RandomSource(seed, 8), threads=threads)
+    results, summary = run_campaign(None, RandomSource(seed, 8))
     arms = summary["arms"]
     anchor = f"guidance_g{summary['config']['acceptance_gamma']:g}"
     s_guid = arms[anchor]["success_rate"]["mean"]

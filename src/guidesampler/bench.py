@@ -14,7 +14,6 @@ import csv
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -564,17 +563,11 @@ def run_campaign_seed(cfg: dict, master: RandomSource, seed: int) -> list:
     return results
 
 
-def run_campaign(config: Optional[dict], master: RandomSource, threads: int = 1):
-    """All arms over all seeds; returns (results, summary). Seeds may run
-    concurrently; results merge deterministically by (arm, seed)."""
+def run_campaign(config: Optional[dict], master: RandomSource):
+    """All arms over all seeds; returns (results, summary), the results
+    ordered by (arm, seed)."""
     cfg = resolve_campaign_config(config)
-    seeds = list(cfg["seeds"])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(lambda s: run_campaign_seed(cfg, master, s), seeds))
-    else:
-        chunks = [run_campaign_seed(cfg, master, s) for s in seeds]
-    results = [r for chunk in chunks for r in chunk]
+    results = [r for s in cfg["seeds"] for r in run_campaign_seed(cfg, master, s)]
     results.sort(key=lambda r: (r.arm, r.seed))
     return results, summarize_campaign(cfg, results)
 

@@ -1,6 +1,7 @@
 """Config-driven command line: verify suites, sampling runs, campaigns.
 
-Exit codes: 0 success, 1 check failure, 2 config error, 3 runtime error.
+Exit codes: 0 success, 1 check failure, 2 config error (a sampler size the
+int64 context codes cannot represent included), 3 runtime error.
 Seed precedence: GUIDESAMPLER_SEED env var > --seed flag > config file >
 built-in default. Every run writes a resolved-config copy next to its
 outputs. Primary outputs (samples, paths, results CSV/JSON) are
@@ -33,12 +34,14 @@ from .denoising import (
     ModifiedDenoiser,
     ParametricDenoiser,
 )
-from .errors import ConfigError, GuideSamplerError
+from .errors import ConfigError, GuideSamplerError, SizeCapError
 from .predictors import CleanPredictor, ExactMarginalPredictor, PairwiseInteractionPredictor
 from .sampling import (
     GuidanceConfig,
     SamplerDiagnostics,
     aoarm_sample,
+    check_dt,
+    check_route,
     euler_sample,
     write_paths_jsonl,
 )
@@ -57,7 +60,7 @@ SAMPLER_DEFAULTS = {
 }
 
 _TOP_KEYS = {"command", "seed", "output_dir", "model", "predictor", "sampler", "only",
-             "campaign", "threads"}
+             "campaign"}
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -100,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--predictor", help="predictor JSON (for guided modes)")
     ps.add_argument("--n", type=int, dest="n_samples", help="number of sequences")
     ps.add_argument("--route", choices=["aoarm", "euler"])
-    ps.add_argument("--mode", choices=["none", "exact", "tag", "deg", "predictor_free"])
+    ps.add_argument("--mode", choices=["none", "exact", "tag", "deg"])
     ps.add_argument("--gamma", type=float)
     ps.add_argument("--dt", type=float)
     ps.add_argument("--temperature", type=float)
@@ -111,7 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     pc = sub.add_parser("campaign", help="run the benchmark campaign")
     common(pc)
-    pc.add_argument("--threads", type=int, help="worker pool size for campaign seeds")
     return parser
 
 
@@ -154,12 +156,19 @@ def resolve_config(args: argparse.Namespace) -> dict:
         cfg["predictor"] = args.predictor or file_cfg.get("predictor")
         if not cfg["model"]:
             raise ConfigError("sample requires a --model file")
+        try:
+            if int(sampler["n_samples"]) < 1:
+                raise ValueError(f"n_samples (--n) must be >= 1, got {sampler['n_samples']}")
+            check_route(sampler["route"], sampler["mode"])
+            if sampler["route"] == "euler":
+                check_dt(float(sampler["dt"]))
+        except (ValueError, TypeError) as e:
+            raise ConfigError(str(e)) from e
     else:  # campaign
         try:
             cfg["campaign"] = resolve_campaign_config(file_cfg.get("campaign"))
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        cfg["threads"] = int(args.threads or file_cfg.get("threads", 1))
     if args.seed is not None:
         cfg["seed"] = int(args.seed)
     env_seed = os.environ.get("GUIDESAMPLER_SEED")
@@ -310,11 +319,7 @@ def cmd_sample(cfg: dict) -> int:
             x, path, diag = aoarm_sample(denoiser, gcfg, rng, schedule=_identity(), attach_times=True)
         sequences.append(x)
         paths.append(path)
-        agg.n_steps += diag.n_steps
-        agg.overflow_renormalizations += diag.overflow_renormalizations
-        agg.denoiser_evals += diag.denoiser_evals
-        agg.predictor_evals += diag.predictor_evals
-        agg.wall_time_s += diag.wall_time_s
+        agg.add(diag)
     (out / "samples.txt").write_text("".join(str(x) + "\n" for x in sequences))
     with open(out / "paths.jsonl", "w") as fh:
         if sampler["record_paths"]:
@@ -334,9 +339,7 @@ def cmd_campaign(cfg: dict) -> int:
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(cfg, out / "resolved_config.json")
-    results, summary = run_campaign(
-        cfg["campaign"], RandomSource(cfg["seed"], 8), threads=cfg.get("threads", 1)
-    )
+    results, summary = run_campaign(cfg["campaign"], RandomSource(cfg["seed"], 8))
     write_campaign_csv(results, out / "campaign.csv")
     write_campaign_timing_csv(results, out / "campaign_timing.csv")
     wall = {
@@ -371,7 +374,7 @@ def main(argv=None) -> int:
         if cfg["command"] == "sample":
             return cmd_sample(cfg)
         return cmd_campaign(cfg)
-    except ConfigError as e:
+    except (ConfigError, SizeCapError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - the CLI boundary reports and exits 3

@@ -285,38 +285,58 @@ class ModifiedDenoiser(Denoiser):
 
 
 # ---------------------------------------------------------------------------
-# exact loss enumeration
+# the context cache and exact loss enumeration
 # ---------------------------------------------------------------------------
 
 
-class _PosteriorCache:
-    """Lazy per-context posterior rows keyed by the base-(S+1) context code."""
+#: Context codes are int64; (S+1)**D at or above this bound wraps.
+CODE_LIMIT = 2**63
 
-    def __init__(self, denoiser: Denoiser):
+
+class CodeCache:
+    """Lazy per-context posterior rows keyed by the base-(S+1) context code.
+
+    This is the one context cache: the loss evaluators use it as is and the
+    samplers extend it with predictor memos and the guidance kernel. Codes are
+    int64, so a size whose codes would wrap raises SizeCapError instead of
+    evaluating the model on the wrong context. ``diag``, when given, counts
+    denoiser evaluations in its ``denoiser_evals`` field.
+    """
+
+    def __init__(self, denoiser: Denoiser, diag=None):
         self.denoiser = denoiser
+        self.diag = diag
         self.D, self.S = denoiser.D, denoiser.S
+        if (self.S + 1) ** self.D >= CODE_LIMIT:
+            raise SizeCapError(
+                f"context codes (S+1)**D = {self.S + 1}**{self.D} do not fit in int64"
+            )
         self.pows = (self.S + 1) ** np.arange(self.D, dtype=np.int64)
-        self._rows: dict = {}
+        self.full_mask = int(self.S * self.pows.sum())
+        self._post: dict = {}
 
     def decode(self, code: int) -> np.ndarray:
         toks = np.empty(self.D, dtype=np.int64)
+        base = self.S + 1
         for i in range(self.D):
-            toks[i] = code % (self.S + 1)
-            code //= self.S + 1
+            toks[i] = code % base
+            code //= base
         return toks
 
-    def get(self, code: int) -> np.ndarray:
-        hit = self._rows.get(code)
+    def posterior(self, code: int) -> np.ndarray:
+        hit = self._post.get(code)
         if hit is None:
             hit = self.denoiser.posterior_array(self.decode(code))
-            self._rows[code] = hit
+            if self.diag is not None:
+                self.diag.denoiser_evals += 1
+            self._post[code] = hit
         return hit
 
     def gather(self, codes: np.ndarray, position: int, symbols: np.ndarray) -> np.ndarray:
         """probs[k] = posterior(context codes[k])[position, symbols[k]]."""
         out = np.empty(codes.size)
         for k in range(codes.size):
-            out[k] = self.get(int(codes[k]))[position, symbols[k]]
+            out[k] = self.posterior(int(codes[k]))[position, symbols[k]]
         return out
 
 
@@ -331,7 +351,7 @@ def _pattern_ce_loss(denoiser: Denoiser, p: TabularDistribution, pattern_weight)
     masked-position cross-entropies under p."""
     D, S = p.D, p.S
     toks, w = _support(p)
-    cache = _PosteriorCache(denoiser)
+    cache = CodeCache(denoiser)
     pows = cache.pows
     clean_codes = toks @ pows
     loss = 0.0
@@ -377,13 +397,12 @@ def aoarm_loss_exact(denoiser: Denoiser, p: TabularDistribution) -> float:
     if D > AOARM_ENUM_CAP_D:
         raise SizeCapError(f"aoarm_loss_exact enumerates D! orders; D={D} exceeds {AOARM_ENUM_CAP_D}")
     toks, w = _support(p)
-    cache = _PosteriorCache(denoiser)
+    cache = CodeCache(denoiser)
     pows = cache.pows
-    full_mask = int(sum(S * pows))
     total = 0.0
     n_perm = 0
     for sigma in itertools.permutations(range(D)):
-        codes = np.full(toks.shape[0], full_mask, dtype=np.int64)
+        codes = np.full(toks.shape[0], cache.full_mask, dtype=np.int64)
         nll = np.zeros(toks.shape[0])
         for pos in sigma:
             nll -= np.log(cache.gather(codes, pos, toks[:, pos]))

@@ -46,9 +46,5 @@ class TimeHorizonError(GuideSamplerError):
     """Rates were requested too close to the t=1 singularity."""
 
 
-class UnsupportedFeatureError(GuideSamplerError):
-    """A documented but intentionally unimplemented feature was requested."""
-
-
 class ConfigError(GuideSamplerError):
     """Invalid run configuration (CLI exit code 2)."""

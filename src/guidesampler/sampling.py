@@ -22,12 +22,14 @@ Guidance modes:
 * ``predictor_free``: geometric interpolation of conditional and
   unconditional rates from two denoisers.
 
-The many-chain drivers memoize posterior rows and predictor likelihoods per
-masked context when every component is deterministic; this is a pure-function
-cache and leaves the sampled law unchanged. Diagnostics report both the
-number of requests and the number of actual model evaluations. Chains are
-independent given their RandomSource, so N-chain generation may run chains
-concurrently on substreams and merge results order-independently.
+One kernel, :meth:`_ContextCache.guided_weights`, forms the guided weights
+of every mode for both routes: one unnormalized row over the real symbols per
+requested masked position. The any-order route draws from a row; the Euler
+route and :func:`guide_rates` scale rows by kappa_dot/(1-kappa). It reads one
+pure-function context cache keyed by the base-(S+1) context code, which the
+many-chain drivers share across chains when every component is deterministic
+(otherwise they run single chains on substreams). Diagnostics report both
+weight requests and actual model evaluations.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -51,12 +53,8 @@ from .core import (
     TokenSequence,
     as_generator,
 )
-from .denoising import Denoiser
-from .errors import (
-    DegenerateStepError,
-    TimeHorizonError,
-    UnsupportedFeatureError,
-)
+from .denoising import CODE_LIMIT, CodeCache, Denoiser
+from .errors import DegenerateStepError, SizeCapError, TimeHorizonError
 from .predictors import LIKELIHOOD_FLOOR, TimePredictor
 
 TIME_HORIZON_EPS = 1e-9
@@ -64,6 +62,7 @@ TIME_HORIZON_EPS = 1e-9
 GUIDANCE_MODES = ("none", "exact", "tag", "deg", "predictor_free")
 EULER_MODES = ("none", "exact", "tag", "predictor_free")
 AOARM_MODES = ("none", "deg", "tag", "predictor_free")
+ROUTE_MODES = {"aoarm": AOARM_MODES, "euler": EULER_MODES}
 
 
 # ---------------------------------------------------------------------------
@@ -83,7 +82,6 @@ class GuidanceConfig:
     predictor: Optional[TimePredictor] = None
     second_denoiser: Optional[Denoiser] = None
     t0: float = 0.0
-    eta: float = 0.0
 
     def __post_init__(self):
         if self.mode not in GUIDANCE_MODES:
@@ -92,10 +90,6 @@ class GuidanceConfig:
             raise ValueError("guidance strength gamma must be >= 0")
         if not 0.0 <= self.t0 <= 1.0:
             raise ValueError("switch time t0 must lie in [0, 1]")
-        if self.eta != 0.0:
-            raise UnsupportedFeatureError(
-                "stochasticity eta != 0 is not supported (no rate formula here)"
-            )
         if self.mode in ("exact", "tag", "deg") and self.predictor is None:
             raise ValueError(f"mode {self.mode!r} requires a predictor")
         if self.mode == "predictor_free" and self.second_denoiser is None:
@@ -104,6 +98,17 @@ class GuidanceConfig:
     @property
     def guided(self) -> bool:
         return self.mode != "none"
+
+
+def check_route(route: str, mode: str) -> None:
+    """Raise ValueError unless ``mode`` is a guidance mode of ``route``."""
+    if route not in ROUTE_MODES:
+        raise ValueError(f"unknown route {route!r}; known: {', '.join(ROUTE_MODES)}")
+    if mode not in ROUTE_MODES[route]:
+        raise ValueError(
+            f"the {route} route supports guidance modes {ROUTE_MODES[route]} (got {mode!r}); "
+            "'deg' belongs to the aoarm route and 'exact' to the euler route"
+        )
 
 
 @dataclass
@@ -119,17 +124,14 @@ class SamplerDiagnostics:
     step_weight_requests: int = 0
     wall_time_s: float = 0.0
 
+    def add(self, other: "SamplerDiagnostics") -> None:
+        """Accumulate another run's counts and wall time."""
+        for name in ("n_steps", "overflow_renormalizations", "denoiser_evals",
+                     "predictor_evals", "step_weight_requests", "wall_time_s"):
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+
     def to_json(self) -> dict:
-        return {
-            "sampler": self.sampler,
-            "n_chains": self.n_chains,
-            "n_steps": self.n_steps,
-            "overflow_renormalizations": self.overflow_renormalizations,
-            "denoiser_evals": self.denoiser_evals,
-            "predictor_evals": self.predictor_evals,
-            "step_weight_requests": self.step_weight_requests,
-            "wall_time_s": self.wall_time_s,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -175,32 +177,31 @@ def write_paths_jsonl(paths: Sequence[DecodePath], fh) -> None:
 class RateSet:
     """Sparse single-position transition rates at one time.
 
-    ``entries[(d, s)]`` is the rate of position d jumping to real symbol s;
-    entries exist only at masked positions of ``source`` (there are no
-    transitions out of unmasked positions and none into the mask). ``coef``
+    The rate of position d jumping to real symbol s is ``coef * weights[d, s]``
+    at masked positions of ``source``; there are no transitions out of
+    unmasked positions (their rows are zero) and none into the mask. ``coef``
     is the shared prefactor kappa_dot(t) / (1 - kappa(t)).
     """
 
-    entries: dict
+    weights: np.ndarray
     t: float
     coef: float
     source: MaskedSequence
 
+    @property
+    def entries(self) -> dict:
+        """{(d, s): rate} over masked positions d and real symbols s."""
+        return {
+            (int(d), s): self.coef * float(self.weights[d, s])
+            for d in self.source.masked_positions()
+            for s in range(self.weights.shape[1])
+        }
+
     def validate(self) -> "RateSet":
-        S = self.source.alphabet.size
-        masked = set(int(d) for d in self.source.masked_positions())
         for (d, s), r in self.entries.items():
-            if d not in masked:
-                raise ValueError(f"rate entry at unmasked position {d}")
-            if not 0 <= s < S:
-                raise ValueError(f"rate entry targets non-real symbol {s}")
             if not (np.isfinite(r) and r >= 0):
                 raise ValueError(f"rate ({d},{s}) = {r} is not finite and nonnegative")
         return self
-
-    def row(self, d: int) -> np.ndarray:
-        S = self.source.alphabet.size
-        return np.array([self.entries.get((d, s), 0.0) for s in range(S)])
 
 
 def rate_coefficient(t: float, schedule: InterpolationSchedule) -> float:
@@ -212,57 +213,23 @@ def rate_coefficient(t: float, schedule: InterpolationSchedule) -> float:
     return schedule.kappa_dot(t) / (1.0 - schedule.kappa(t))
 
 
-def unguided_rates(
-    denoiser: Denoiser, xt: MaskedSequence, t: float, schedule: InterpolationSchedule
+def guide_rates(
+    denoiser: Denoiser,
+    xt: MaskedSequence,
+    t: float,
+    schedule: InterpolationSchedule,
+    cfg: GuidanceConfig = GuidanceConfig(),
 ) -> RateSet:
-    """Masking-process generative rates: coef * posterior at masked positions,
-    no entries elsewhere."""
+    """Masking-process generative rates at time t, guided by ``cfg`` (an
+    Euler-route mode; 'none' gives coef * posterior), from the same kernel
+    the Euler samplers use."""
+    check_route("euler", cfg.mode)
     coef = rate_coefficient(t, schedule)
-    post = denoiser.posterior_array(xt.tokens)
-    entries = {}
-    for d in xt.masked_positions():
-        for s in range(denoiser.S):
-            entries[(int(d), s)] = coef * float(post[d, s])
-    return RateSet(entries=entries, t=t, coef=coef, source=xt).validate()
-
-
-def guide_rates(rates: RateSet, cfg: GuidanceConfig, diagnostics: Optional[SamplerDiagnostics] = None) -> RateSet:
-    """Predictor-conditioned rates (modes: exact, tag, predictor_free)."""
-    if cfg.mode not in ("exact", "tag", "predictor_free"):
-        raise ValueError(f"guide_rates handles exact/tag/predictor_free, not {cfg.mode!r}")
-    xt = rates.source
-    S = xt.alphabet.size
-    tokens = xt.tokens
-    out = {}
-    if cfg.mode == "exact":
-        src = _clamped(cfg.predictor.likelihood_array(tokens))
-        if diagnostics:
-            diagnostics.predictor_evals += 1
-        for (d, s), r in rates.entries.items():
-            child = np.array(tokens)
-            child[d] = s
-            tgt = _clamped(cfg.predictor.likelihood_array(child))
-            if diagnostics:
-                diagnostics.predictor_evals += 1
-            out[(d, s)] = r * (tgt / src) ** cfg.gamma
-    elif cfg.mode == "tag":
-        g = cfg.predictor.gradient_surface_array(tokens)
-        if diagnostics:
-            diagnostics.predictor_evals += 1
-        for (d, s), r in rates.entries.items():
-            out[(d, s)] = r * math.exp(cfg.gamma * (g[d, s] - g[d, S]))
-    else:  # predictor_free
-        post_cond = cfg.second_denoiser.posterior_array(tokens)
-        if diagnostics:
-            diagnostics.denoiser_evals += 1
-        for (d, s), r in rates.entries.items():
-            cond_rate = rates.coef * float(post_cond[d, s])
-            out[(d, s)] = cond_rate**cfg.gamma * r ** (1.0 - cfg.gamma)
-    return RateSet(entries=out, t=rates.t, coef=rates.coef, source=xt).validate()
-
-
-def _clamped(v: float) -> float:
-    return min(max(v, LIKELIHOOD_FLOOR), 1.0)
+    cache = _ContextCache(denoiser, cfg, SamplerDiagnostics())
+    masked = xt.masked_positions()
+    weights = np.zeros((denoiser.D, denoiser.S))
+    weights[masked] = cache.guided_weights(int(xt.tokens @ cache.pows), masked, True)
+    return RateSet(weights=weights, t=t, coef=coef, source=xt).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -299,21 +266,18 @@ def lemma1_density(i: int, tau_i: float, tau_prev: float, D: int, schedule: Inte
 
 
 # ---------------------------------------------------------------------------
-# per-context evaluation caches (pure-function memoization)
+# the context cache and the guidance kernel
 # ---------------------------------------------------------------------------
 
 
-class _ContextCache:
-    """Memoized posterior rows and predictor likelihoods keyed by the
-    base-(S+1) context code. Only used when the components are deterministic."""
+class _ContextCache(CodeCache):
+    """The posterior memo of CodeCache plus memoized conditional-model rows,
+    clamped predictor likelihoods and gradient surfaces, all keyed by the
+    context code, and the guidance kernel that reads them."""
 
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
-        self.denoiser = denoiser
+        super().__init__(denoiser, diagnostics)
         self.cfg = cfg
-        self.diag = diagnostics
-        self.D, self.S = denoiser.D, denoiser.S
-        self.pows = (self.S + 1) ** np.arange(self.D, dtype=np.int64)
-        self._post: dict = {}
         self._post2: dict = {}
         self._lik: dict = {}
         self._grad: dict = {}
@@ -324,22 +288,6 @@ class _ContextCache:
         if self.cfg.guided and self.cfg.predictor is not None:
             parts.append(self.cfg.predictor)
         return all(getattr(p, "deterministic", True) for p in parts if p is not None)
-
-    def decode(self, code: int) -> np.ndarray:
-        toks = np.empty(self.D, dtype=np.int64)
-        base = self.S + 1
-        for i in range(self.D):
-            toks[i] = code % base
-            code //= base
-        return toks
-
-    def posterior(self, code: int) -> np.ndarray:
-        hit = self._post.get(code)
-        if hit is None:
-            hit = self.denoiser.posterior_array(self.decode(code))
-            self.diag.denoiser_evals += 1
-            self._post[code] = hit
-        return hit
 
     def posterior_cond(self, code: int) -> np.ndarray:
         hit = self._post2.get(code)
@@ -352,7 +300,8 @@ class _ContextCache:
     def likelihood(self, code: int) -> float:
         hit = self._lik.get(code)
         if hit is None:
-            hit = _clamped(self.cfg.predictor.likelihood_array(self.decode(code)))
+            hit = self.cfg.predictor.likelihood_array(self.decode(code))
+            hit = min(max(hit, LIKELIHOOD_FLOOR), 1.0)
             self.diag.predictor_evals += 1
             self._lik[code] = hit
         return hit
@@ -365,67 +314,66 @@ class _ContextCache:
             self._grad[code] = hit
         return hit
 
-    # -- guided step weights (any-order route) ------------------------------
-
-    def decode_weights(self, code: int, d: int, active: bool) -> np.ndarray:
-        """Unnormalized guided weights over real symbols for unmasking
-        position d of the context ``code``."""
+    def guided_weights(self, code: int, positions, active: bool) -> np.ndarray:
+        """Unnormalized guided weights, shape (len(positions), S): row j
+        weighs the real symbols for unmasking ``positions[j]`` of the context
+        ``code``. Without guidance, or before the switch point (``active``
+        false), the rows are the denoiser posterior."""
         self.diag.step_weight_requests += 1
-        post_row = self.posterior(code)[d]
-        cfg = self.cfg
+        post = self.posterior(code).take(positions, axis=0)
+        cfg, S = self.cfg, self.S
         if not (cfg.guided and active):
-            return post_row
-        if cfg.mode == "deg":
-            lik = np.array(
-                [self.likelihood(int(code + (s - self.S) * self.pows[d])) for s in range(self.S)]
-            )
-            return post_row * lik**cfg.gamma
+            return post
         if cfg.mode == "tag":
-            g = self.gradient(code)
-            return post_row * np.exp(cfg.gamma * (g[d, : self.S] - g[d, self.S]))
+            g = self.gradient(code).take(positions, axis=0)
+            return post * np.exp(cfg.gamma * (g[:, :S] - g[:, S:]))
         if cfg.mode == "predictor_free":
-            cond_row = self.posterior_cond(code)[d]
-            return cond_row**cfg.gamma * post_row ** (1.0 - cfg.gamma)
-        raise ValueError(f"mode {cfg.mode!r} is not an any-order guidance mode")
-
-    # -- guided rate rows (Euler route) --------------------------------------
-
-    def rate_weight_rows(self, code: int, active: bool):
-        """(weights (D,S), row sums (D,)) such that the guided rate of
-        (d, s) is coef * weights[d, s]; rows at unmasked positions are
-        meaningless and never consulted."""
-        post = self.posterior(code)
-        cfg = self.cfg
-        if not (cfg.guided and active):
-            return post, post.sum(axis=1)
-        if cfg.mode == "exact":
-            src = self.likelihood(code)
-            w = post.copy()
-            toks = self.decode(code)
-            for d in range(self.D):
-                if toks[d] != self.S:
-                    continue
-                for s in range(self.S):
-                    child = int(code + (s - self.S) * self.pows[d])
-                    w[d, s] *= (self.likelihood(child) / src) ** cfg.gamma
-            return w, w.sum(axis=1)
-        if cfg.mode == "tag":
-            g = self.gradient(code)
-            w = post * np.exp(cfg.gamma * (g[:, : self.S] - g[:, self.S][:, None]))
-            return w, w.sum(axis=1)
-        if cfg.mode == "predictor_free":
-            cond = self.posterior_cond(code)
-            w = cond**cfg.gamma * post ** (1.0 - cfg.gamma)
-            return w, w.sum(axis=1)
-        raise ValueError(f"mode {cfg.mode!r} is not an Euler guidance mode")
+            cond = self.posterior_cond(code).take(positions, axis=0)
+            return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
+        # exact and deg: tilt by the child likelihoods; deg omits the source
+        # divisor, which the per-row normalization of a decode draw absorbs
+        src = self.likelihood(code) if cfg.mode == "exact" else 1.0
+        lik = np.array([
+            [self.likelihood(int(code + (s - S) * self.pows[d])) for s in range(S)]
+            for d in positions
+        ])
+        return post * (lik / src) ** cfg.gamma
 
 
-def _draw_from_weights(weights: np.ndarray, u: float, step: int, position: int) -> int:
+def _check_pair_keys(D: int, S: int) -> None:
+    """The many-chain drivers key a (context, position) pair as the int64
+    ``code * D + d``; refuse sizes where that key wraps."""
+    if (S + 1) ** D * D >= CODE_LIMIT:
+        raise SizeCapError(
+            f"(context, position) keys (S+1)**D * D = {S + 1}**{D} * {D} do not fit in int64"
+        )
+
+
+def _normalized_cdf(weights: np.ndarray, step: int, position: int):
+    """(total, cumulative distribution) of a nonnegative weight row."""
     total = float(weights.sum())
     if not (math.isfinite(total) and total > 0.0):
         raise DegenerateStepError(step, position)
-    cdf = np.cumsum(weights) / total
+    return total, np.cumsum(weights) / total
+
+
+def _draw_from_weights(weights: np.ndarray, u: float, step: int, position: int) -> int:
+    _, cdf = _normalized_cdf(weights, step, position)
     return min(int(np.searchsorted(cdf, u, side="right")), weights.size - 1)
+
+
+def _per_chain(n: int, D: int, rng, diag: SamplerDiagnostics, sample_one) -> np.ndarray:
+    """Many-chain fallback for nondeterministic components: chain k is one
+    single-chain run on substream k, so no model output is shared across
+    chains. Returns the (n, D) token matrix; counts accumulate in ``diag``."""
+    if not hasattr(rng, "substream"):
+        raise ValueError("nondeterministic components require a RandomSource")
+    rows = np.empty((n, D), dtype=np.int64)
+    for k in range(n):
+        x, _, one = sample_one(rng.substream(k))
+        rows[k] = x.tokens
+        diag.add(one)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -447,23 +395,18 @@ def aoarm_sample(
     Jump times are attached afterwards (requires ``schedule``) and do not
     perturb the sequence draw.
     """
-    if cfg.mode not in AOARM_MODES:
-        raise ValueError(
-            f"any-order sampling supports modes {AOARM_MODES}; "
-            f"use mode 'deg' for exact Bayes conditioning (got {cfg.mode!r})"
-        )
+    check_route("aoarm", cfg.mode)
     gen = as_generator(rng)
     D, S = denoiser.D, denoiser.S
     diag = SamplerDiagnostics(sampler="aoarm", n_chains=1)
     cache = _ContextCache(denoiser, cfg, diag)
     sigma = gen.permutation(D)
     tokens = np.full(D, S, dtype=np.int64)
-    code = int(sum(S * cache.pows))
+    code = cache.full_mask
     states = [tokens.copy()]
     t_start = time.perf_counter()
     for i, d in enumerate(sigma):
-        active = (i / D) >= cfg.t0
-        w = cache.decode_weights(code, int(d), active)
+        w = cache.guided_weights(code, [d], (i / D) >= cfg.t0)[0]
         s = _draw_from_weights(w, gen.random(), step=i, position=int(d))
         tokens[d] = s
         code += (s - S) * int(cache.pows[d])
@@ -473,8 +416,7 @@ def aoarm_sample(
     if attach_times:
         if schedule is None:
             raise ValueError("attach_times requires a schedule")
-        u = gen.random(D)
-        jump_times = np.sort(np.array([schedule.inverse(float(v)) for v in u]))
+        jump_times, _ = sample_jump_times(D, schedule, gen)
     diag.wall_time_s = time.perf_counter() - t_start
     path = DecodePath(permutation=np.asarray(sigma), jump_times=jump_times, states=states, S=S)
     return TokenSequence(tokens, Alphabet(S)), path, diag
@@ -487,47 +429,32 @@ def aoarm_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng):
     both a uniform permutation and the jump-time construction. Falls back to
     per-chain sampling on substreams when any component is nondeterministic.
     """
-    if cfg.mode not in AOARM_MODES:
-        raise ValueError(f"any-order sampling supports modes {AOARM_MODES} (got {cfg.mode!r})")
+    check_route("aoarm", cfg.mode)
     D, S = denoiser.D, denoiser.S
     diag = SamplerDiagnostics(sampler="aoarm_many", n_chains=n)
     cache = _ContextCache(denoiser, cfg, diag)
     t_start = time.perf_counter()
     if not cache.cacheable:
-        if not hasattr(rng, "substream"):
-            raise ValueError("nondeterministic components require a RandomSource")
-        rows = np.empty((n, D), dtype=np.int64)
-        for k in range(n):
-            x, _, d1 = aoarm_sample(denoiser, cfg, rng.substream(k))
-            rows[k] = x.tokens
-            diag.n_steps += d1.n_steps
-            diag.denoiser_evals += d1.denoiser_evals
-            diag.predictor_evals += d1.predictor_evals
+        rows = _per_chain(n, D, rng, diag, lambda r: aoarm_sample(denoiser, cfg, r))
         diag.wall_time_s = time.perf_counter() - t_start
         return rows, diag
 
+    _check_pair_keys(D, S)
     gen = as_generator(rng)
     order = np.argsort(gen.random((n, D)), axis=1, kind="stable")
     pows = cache.pows
-    codes = np.full(n, int(sum(S * pows)), dtype=np.int64)
-    probs_cache: dict = {}
+    codes = np.full(n, cache.full_mask, dtype=np.int64)
     for i in range(D):
         active = (i / D) >= cfg.t0
         d_vec = order[:, i]
-        pair_keys = codes * D + d_vec
-        uniq, inv = np.unique(pair_keys, return_inverse=True)
+        # a step-i context has exactly i unmasked positions, so pairs never
+        # recur across steps and the CDF rows are not worth keeping
+        uniq, inv = np.unique(codes * D + d_vec, return_inverse=True)
         cdf_rows = np.empty((uniq.size, S))
         for j, key in enumerate(uniq):
-            hit = probs_cache.get((int(key), active))
-            if hit is None:
-                code, d = divmod(int(key), D)
-                w = cache.decode_weights(code, d, active)
-                total = float(w.sum())
-                if not (math.isfinite(total) and total > 0.0):
-                    raise DegenerateStepError(i, d)
-                hit = np.cumsum(w) / total
-                probs_cache[(int(key), active)] = hit
-            cdf_rows[j] = hit
+            code, d = divmod(int(key), D)
+            w = cache.guided_weights(code, [d], active)[0]
+            _, cdf_rows[j] = _normalized_cdf(w, i, d)
         u = gen.random(n)
         draws = (cdf_rows[inv] < u[:, None]).sum(axis=1).clip(max=S - 1)
         codes += (draws - S) * pows[d_vec]
@@ -546,7 +473,7 @@ def aoarm_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng):
 # ---------------------------------------------------------------------------
 
 
-def _check_dt(dt: float) -> int:
+def check_dt(dt: float) -> int:
     """Number of integration steps: t = k*dt while the step stays at or
     below the 1-dt horizon; residual masks are force-completed there."""
     if not 0.0 < dt <= 0.1:
@@ -568,39 +495,34 @@ def euler_sample(
     draw each from the final guided per-position distribution (recorded at
     time 1.0). Returns (TokenSequence, DecodePath, SamplerDiagnostics).
     """
-    if cfg.mode not in EULER_MODES:
-        raise ValueError(
-            f"Euler integration supports modes {EULER_MODES}; "
-            f"mode 'deg' belongs to the any-order route (got {cfg.mode!r})"
-        )
-    n_int = _check_dt(dt)
+    check_route("euler", cfg.mode)
+    n_int = check_dt(dt)
     gen = as_generator(rng)
     D, S = denoiser.D, denoiser.S
     diag = SamplerDiagnostics(sampler="euler", n_chains=1)
     cache = _ContextCache(denoiser, cfg, diag)
     pows = cache.pows
     tokens = np.full(D, S, dtype=np.int64)
-    code = int(sum(S * pows))
-    states = [tokens.copy()]
+    code = cache.full_mask
     perm: list = []
     times: list = []
     t_start = time.perf_counter()
     for k in range(n_int):
         t = k * dt
         coef_dt = rate_coefficient(t, schedule) * dt
-        active = t >= cfg.t0
         masked = np.flatnonzero(tokens == S)
         if masked.size == 0:
             break
-        w, wsum = cache.rate_weight_rows(code, active)
+        w = cache.guided_weights(code, masked, t >= cfg.t0)
+        wsum = w.sum(axis=1)
         diag.n_steps += 1
-        for d in masked:
-            outflow = coef_dt * float(wsum[d])
+        for j, d in enumerate(masked):
+            outflow = coef_dt * float(wsum[j])
             if outflow > 1.0:
                 diag.overflow_renormalizations += 1
                 outflow = 1.0
             if gen.random() < outflow:
-                s = _draw_from_weights(w[d], gen.random(), step=k, position=int(d))
+                s = _draw_from_weights(w[j], gen.random(), step=k, position=int(d))
                 tokens[d] = s
                 code += (s - S) * int(pows[d])
                 perm.append(int(d))
@@ -608,12 +530,9 @@ def euler_sample(
     # force-complete residual masks from the final per-position distribution
     masked = np.flatnonzero(tokens == S)
     if masked.size:
-        active = (1.0 - dt) >= cfg.t0
-        w, _ = cache.rate_weight_rows(code, active)
-        for d in masked:
-            s = _draw_from_weights(w[d], gen.random(), step=n_int, position=int(d))
-            tokens[d] = s
-            code += (s - S) * int(pows[d])
+        w = cache.guided_weights(code, masked, (1.0 - dt) >= cfg.t0)
+        for j, d in enumerate(masked):
+            tokens[d] = _draw_from_weights(w[j], gen.random(), step=n_int, position=int(d))
             perm.append(int(d))
             times.append(1.0)
     # rebuild the one-unmask-per-step state trace
@@ -645,40 +564,31 @@ def euler_sample_many(
     Maintains the still-masked (chain, position) pairs as flat arrays; each
     step draws one Bernoulli per pair and one categorical per jumper.
     """
-    if cfg.mode not in EULER_MODES:
-        raise ValueError(f"Euler integration supports modes {EULER_MODES} (got {cfg.mode!r})")
-    n_int = _check_dt(dt)
+    check_route("euler", cfg.mode)
+    n_int = check_dt(dt)
     D, S = denoiser.D, denoiser.S
     diag = SamplerDiagnostics(sampler="euler_many", n_chains=n)
     cache = _ContextCache(denoiser, cfg, diag)
     t_start = time.perf_counter()
     if not cache.cacheable:
-        if not hasattr(rng, "substream"):
-            raise ValueError("nondeterministic components require a RandomSource")
-        rows = np.empty((n, D), dtype=np.int64)
-        for k in range(n):
-            x, _, d1 = euler_sample(denoiser, cfg, schedule, dt, rng.substream(k))
-            rows[k] = x.tokens
-            diag.n_steps += d1.n_steps
-            diag.denoiser_evals += d1.denoiser_evals
-            diag.predictor_evals += d1.predictor_evals
-            diag.overflow_renormalizations += d1.overflow_renormalizations
+        rows = _per_chain(n, D, rng, diag, lambda r: euler_sample(denoiser, cfg, schedule, dt, r))
         diag.wall_time_s = time.perf_counter() - t_start
         return rows, diag
 
+    _check_pair_keys(D, S)
     gen = as_generator(rng)
     pows = cache.pows
     tokens = np.full((n, D), S, dtype=np.int64)
-    codes = np.full(n, int(sum(S * pows)), dtype=np.int64)
+    codes = np.full(n, cache.full_mask, dtype=np.int64)
     chain_idx = np.repeat(np.arange(n), D)
     pos_idx = np.tile(np.arange(D), n)
     unguided = not cfg.guided
+    # a chain that does not jump keeps its context, so (pair, active) recurs
     cdf_cache: dict = {}
 
     def pair_tables(codes_now, pos_now, active):
-        """(jump weights sums, cdf matrix indices) for the given pairs."""
-        keys = codes_now * D + pos_now
-        uniq, inv = np.unique(keys, return_inverse=True)
+        """(jump weight sums, cdf matrix, indices into it) for the given pairs."""
+        uniq, inv = np.unique(codes_now * D + pos_now, return_inverse=True)
         sums = np.empty(uniq.size)
         cdfs = np.empty((uniq.size, S))
         for j, key in enumerate(uniq):
@@ -686,14 +596,9 @@ def euler_sample_many(
             got = cdf_cache.get((k, active))
             if got is None:
                 code, d = divmod(k, D)
-                w, ws = cache.rate_weight_rows(code, active)
-                total = float(ws[d])
-                if not (math.isfinite(total) and total > 0.0):
-                    raise DegenerateStepError(-1, d)
-                got = (total, np.cumsum(w[d]) / total)
+                got = _normalized_cdf(cache.guided_weights(code, [d], active)[0], -1, d)
                 cdf_cache[(k, active)] = got
-            sums[j] = got[0]
-            cdfs[j] = got[1]
+            sums[j], cdfs[j] = got
         return sums[inv], cdfs, inv
 
     for k in range(n_int):

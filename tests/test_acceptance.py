@@ -53,24 +53,10 @@ class TestAcceptance:
             "cross-entropy (weight 1/(1-t), pattern weights (m-1)!(D-m)!/D!) to 1e-9 on "
             "every instance. " + r.details
         )
+        assert r.metrics["max_true_identity_gap"] <= 1e-9, r.details
         # the retired relation aoarm == D * fm_loss is false for these losses
         # (D=1 fair coin: ln 2 vs (1/2) ln 2); its gap must stay visible
         assert r.metrics["max_claimed_gap"] >= 0.1, r.details
-
-    def test_criterion_3_supplement_true_identity(self, report):
-        # companion view of the same check: reads the asserted identity's
-        # gap (aoarm == rate-weighted CE) straight from the metrics, on the
-        # same instance family
-        r = check_loss_identity(DEFAULT_SEED)
-        gap = r.metrics["max_true_identity_gap"]
-        report(
-            type(r)(
-                name="loss_identity(true)",
-                passed=gap <= 1e-9,
-                details=f"max |aoarm - rate_weighted| = {gap:.3e} (<= 1e-9)",
-            )
-        )
-        assert gap <= 1e-9
 
     def test_criterion_4_jump_time_law(self, report):
         r = report(check_jump_time_law(DEFAULT_SEED))

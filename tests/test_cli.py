@@ -45,6 +45,7 @@ class TestSampleCommand:
         assert sorted(paths[0]["permutation"]) == [0, 1, 2]
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["n_chains"] == 4
+        assert diag["step_weight_requests"] == diag["n_steps"] == 4 * 3
         cfg = json.loads((out / "resolved_config.json").read_text())
         assert cfg["command"] == "sample" and cfg["seed"] == 1
 
@@ -176,6 +177,41 @@ class TestSampleCommand:
         cfg.write_text(json.dumps({"command": "sample", "model": str(model_file),
                                    "sampler": {"weird": 1}}))
         assert main(["sample", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+
+    def test_route_mode_mismatch_is_config_error(self, tmp_path, model_file, predictor_file):
+        base = ["sample", "--model", str(model_file), "--predictor", str(predictor_file),
+                "--n", "2", "--out", str(tmp_path / "o")]
+        assert main(base + ["--route", "aoarm", "--mode", "exact"]) == 2
+        assert main(base + ["--route", "euler", "--mode", "deg"]) == 2
+        assert not (tmp_path / "o").exists()
+        # no flag supplies predictor_free's second model, so it is no choice
+        with pytest.raises(SystemExit) as exc:
+            main(base + ["--mode", "predictor_free"])
+        assert exc.value.code == 2
+
+    def test_dt_out_of_range_is_config_error(self, tmp_path, model_file):
+        assert main(["sample", "--model", str(model_file), "--route", "euler", "--dt", "0.5",
+                     "--n", "2", "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_n_is_config_error(self, tmp_path, model_file):
+        assert main(["sample", "--model", str(model_file), "--n", "-1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_n_is_config_error(self, tmp_path, model_file):
+        assert main(["sample", "--model", str(model_file), "--n", "0",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o").exists()
+
+    def test_unrepresentable_size_is_config_error(self, tmp_path):
+        from guidesampler.denoising import ParametricDenoiser
+
+        model = tmp_path / "big.json"
+        model.write_text(json.dumps({"kind": "parametric", **ParametricDenoiser(30, 4).to_json()}))
+        assert main(["sample", "--model", str(model), "--n", "1",
+                     "--out", str(tmp_path / "o")]) == 2
+        assert not (tmp_path / "o" / "samples.txt").exists()
 
     def test_command_mismatch_rejected(self, tmp_path, model_file):
         cfg = tmp_path / "cfg.json"

@@ -15,12 +15,12 @@ from guidesampler.core import (
     power_schedule,
     sequence_from_str,
 )
-from guidesampler.denoising import ExactDenoiser
+from guidesampler.denoising import ExactDenoiser, ParametricDenoiser
 from guidesampler.errors import (
     CapabilityError,
     DegenerateStepError,
+    SizeCapError,
     TimeHorizonError,
-    UnsupportedFeatureError,
 )
 from guidesampler.oracle import EmpiricalDistribution, brute_force_posterior, chi_square_gof, ks_uniform, tv_distance
 from guidesampler.predictors import (
@@ -38,7 +38,6 @@ from guidesampler.sampling import (
     guide_rates,
     lemma1_density,
     sample_jump_times,
-    unguided_rates,
 )
 
 AB = Alphabet(2)
@@ -51,10 +50,6 @@ def random_dist(D, S, seed, floor=0.05):
 
 
 class TestGuidanceConfig:
-    def test_eta_rejected(self):
-        with pytest.raises(UnsupportedFeatureError):
-            GuidanceConfig(mode="none", eta=0.5)
-
     def test_modes_validated(self):
         with pytest.raises(ValueError):
             GuidanceConfig(mode="both")
@@ -71,25 +66,28 @@ class TestGuidanceConfig:
             euler_sample(den, GuidanceConfig(mode="deg", predictor=pred), IDENT, 0.1, RandomSource(0))
         with pytest.raises(ValueError):
             aoarm_sample(den, GuidanceConfig(mode="exact", predictor=pred), RandomSource(0))
+        with pytest.raises(ValueError):
+            guide_rates(den, masked_from_str("??", AB), 0.5, IDENT,
+                        GuidanceConfig(mode="deg", predictor=pred))
 
 
 class TestUnguidedRates:
     def test_half_half_posterior_at_t_half(self):
         p = TabularDistribution(1, 2, [0.5, 0.5])
-        rates = unguided_rates(ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
+        rates = guide_rates(ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
         assert rates.entries[(0, 0)] == pytest.approx(1.0)
         assert rates.entries[(0, 1)] == pytest.approx(1.0)
 
     def test_no_entries_at_unmasked(self):
         p = random_dist(2, 2, 1)
-        rates = unguided_rates(ExactDenoiser(p), masked_from_str("A?", AB), 0.3, IDENT)
+        rates = guide_rates(ExactDenoiser(p), masked_from_str("A?", AB), 0.3, IDENT)
         assert all(d == 1 for d, _ in rates.entries)
 
     def test_t0_rates_equal_posterior(self):
         p = random_dist(2, 2, 2)
         den = ExactDenoiser(p)
         xt = masked_from_str("??", AB)
-        rates = unguided_rates(den, xt, 0.0, IDENT)
+        rates = guide_rates(den, xt, 0.0, IDENT)
         post = den.posterior_array(xt.tokens)
         for (d, s), r in rates.entries.items():
             assert r == pytest.approx(post[d, s])
@@ -97,13 +95,13 @@ class TestUnguidedRates:
     def test_time_horizon_error(self):
         p = random_dist(1, 2, 3)
         with pytest.raises(TimeHorizonError):
-            unguided_rates(ExactDenoiser(p), masked_from_str("?", AB), 1.0 - 1e-12, IDENT)
+            guide_rates(ExactDenoiser(p), masked_from_str("?", AB), 1.0 - 1e-12, IDENT)
 
     def test_single_transition_sparsity(self):
         # entries only at masked positions, only real target symbols
         p = random_dist(3, 3, 4)
         xt = masked_from_str("A??", Alphabet(3))
-        rates = unguided_rates(ExactDenoiser(p), xt, 0.4, IDENT)
+        rates = guide_rates(ExactDenoiser(p), xt, 0.4, IDENT)
         rates.validate()
         assert set(d for d, _ in rates.entries) == {1, 2}
         assert all(0 <= s < 3 for _, s in rates.entries)
@@ -116,12 +114,13 @@ class TestGuideRates:
         clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x.tokens[0] == 1)))
         pred = ExactMarginalPredictor(clean, p)
         xt = masked_from_str("??", AB)
-        return unguided_rates(den, xt, 0.25, IDENT), pred
+        return den, xt, pred
 
     def test_gamma_zero_bitwise(self):
-        rates, pred = self.setup_rates()
+        den, xt, pred = self.setup_rates()
+        rates = guide_rates(den, xt, 0.25, IDENT)
         cfg = GuidanceConfig(mode="exact", gamma=0.0, predictor=pred)
-        guided = guide_rates(rates, cfg)
+        guided = guide_rates(den, xt, 0.25, IDENT, cfg)
         for key in rates.entries:
             assert guided.entries[key] == rates.entries[key]
 
@@ -135,9 +134,9 @@ class TestGuideRates:
                 return 0.4 if (tokens == 2).any() else 0.8
 
         p = TabularDistribution(1, 2, [0.5, 0.5])
-        rates = unguided_rates(ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
-        assert rates.entries[(0, 0)] == pytest.approx(1.0)
-        guided = guide_rates(rates, GuidanceConfig(mode="exact", gamma=1.0, predictor=Fixed()))
+        args = (ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
+        assert guide_rates(*args).entries[(0, 0)] == pytest.approx(1.0)
+        guided = guide_rates(*args, GuidanceConfig(mode="exact", gamma=1.0, predictor=Fixed()))
         assert guided.entries[(0, 0)] == pytest.approx(2.0)
 
     def test_tag_equals_exact_for_affine_single_site(self):
@@ -151,9 +150,9 @@ class TestGuideRates:
             xt = masked_from_str(text, Alphabet(S))
             if xt.masked_positions().size == 0:
                 continue
-            rates = unguided_rates(den, xt, 0.35, IDENT)
-            ex = guide_rates(rates, GuidanceConfig(mode="exact", gamma=1.3, predictor=pred))
-            tg = guide_rates(rates, GuidanceConfig(mode="tag", gamma=1.3, predictor=pred))
+            rates = guide_rates(den, xt, 0.35, IDENT)
+            ex = guide_rates(den, xt, 0.35, IDENT, GuidanceConfig(mode="exact", gamma=1.3, predictor=pred))
+            tg = guide_rates(den, xt, 0.35, IDENT, GuidanceConfig(mode="tag", gamma=1.3, predictor=pred))
             for key in rates.entries:
                 if ex.entries[key] == 0.0:
                     assert tg.entries[key] == 0.0
@@ -161,20 +160,20 @@ class TestGuideRates:
                     assert tg.entries[key] == pytest.approx(ex.entries[key], rel=1e-9)
 
     def test_tag_without_surface_is_capability_error(self):
-        rates, pred = self.setup_rates()
+        den, xt, pred = self.setup_rates()
         cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=pred)
         with pytest.raises(CapabilityError):
-            guide_rates(rates, cfg)
+            guide_rates(den, xt, 0.25, IDENT, cfg)
 
     def test_predictor_free_geometric_mix(self):
         p1 = random_dist(2, 2, 9)
         p2 = random_dist(2, 2, 10)
         den1, den2 = ExactDenoiser(p1), ExactDenoiser(p2)
         xt = masked_from_str("??", AB)
-        base = unguided_rates(den1, xt, 0.2, IDENT)
-        cond = unguided_rates(den2, xt, 0.2, IDENT)
+        base = guide_rates(den1, xt, 0.2, IDENT)
+        cond = guide_rates(den2, xt, 0.2, IDENT)
         cfg = GuidanceConfig(mode="predictor_free", gamma=0.3, second_denoiser=den2)
-        mixed = guide_rates(base, cfg)
+        mixed = guide_rates(den1, xt, 0.2, IDENT, cfg)
         for key in base.entries:
             want = cond.entries[key] ** 0.3 * base.entries[key] ** 0.7
             assert mixed.entries[key] == pytest.approx(want, rel=1e-12)
@@ -277,7 +276,9 @@ class TestEulerSampler:
 
     def test_path_records_one_unmask_per_step(self):
         p = random_dist(4, 2, 17)
-        out, path, _ = euler_sample(ExactDenoiser(p), GuidanceConfig(), IDENT, 0.02, RandomSource(3))
+        out, path, diag = euler_sample(ExactDenoiser(p), GuidanceConfig(), IDENT, 0.02, RandomSource(3))
+        # one weight request per integration step, plus one to force-complete
+        assert diag.step_weight_requests == diag.n_steps + int(1.0 in path.jump_times)
         assert len(path.states) == len(path.permutation) + 1
         assert sorted(path.permutation.tolist()) == list(range(4))
         for a, b, d in zip(path.states, path.states[1:], path.permutation):
@@ -410,6 +411,8 @@ class TestAOARMSampler:
         rows, diag = aoarm_sample_many(den, cfg, 50, RandomSource(35))
         assert rows.shape == (50, 2)
         assert (rows < 2).all()
+        # the fallback aggregates every per-chain count: one request per step
+        assert diag.step_weight_requests == diag.n_steps == 50 * 2
 
     def test_monotone_guidance_in_gamma(self):
         # increasing gamma never decreases the mean clean-predictor value
@@ -480,3 +483,55 @@ class TestSamplerEquivalence:
             tvs[dt] = tv_distance(EmpiricalDistribution.from_token_rows(rows, 3, 2), target)
         assert tvs[0.005] <= 0.02
         assert tvs[0.1] > tvs[0.005]
+
+
+class ContextSpy(ParametricDenoiser):
+    """Parametric denoiser that records every context it is evaluated on."""
+
+    def __init__(self, D, S):
+        super().__init__(D, S)
+        self.contexts = []
+
+    def posterior_array(self, tokens):
+        self.contexts.append(np.array(tokens))
+        return super().posterior_array(tokens)
+
+
+class TestContextCodeOverflow:
+    """Sizes whose int64 context codes or (context, position) keys would wrap
+    raise SizeCapError before the denoiser sees a context. Without the guards
+    each case below sampled from wrong contexts without raising."""
+
+    def test_single_chain_code_overflow(self):
+        # 5**30 wraps int64; unguarded, the first call saw 6 of 30 masked
+        den = ContextSpy(30, 4)
+        with pytest.raises(SizeCapError):
+            aoarm_sample(den, GuidanceConfig(), RandomSource(0))
+        assert den.contexts == []
+
+    def test_many_chain_code_overflow(self):
+        # 5**28 wraps int64; unguarded, 129 of the 1,400 tokens were invalid
+        den = ContextSpy(28, 4)
+        with pytest.raises(SizeCapError):
+            aoarm_sample_many(den, GuidanceConfig(), 50, RandomSource(0))
+        assert den.contexts == []
+
+    def test_many_chain_pair_key_overflow(self):
+        # 21**14 fits int64 but 21**14 * 14 does not; unguarded, the
+        # denoiser was called on contexts with no masked position
+        den = ContextSpy(14, 20)
+        with pytest.raises(SizeCapError):
+            aoarm_sample_many(den, GuidanceConfig(), 4, RandomSource(0))
+        with pytest.raises(SizeCapError):
+            euler_sample_many(den, GuidanceConfig(), IDENT, 0.1, 4, RandomSource(0))
+        assert den.contexts == []
+        # the single-chain sampler keys by context code alone, which fits
+        x, _, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(0))
+        assert (x.tokens < 20).all()
+        assert [int((c == 20).sum()) for c in den.contexts] == list(range(14, 0, -1))
+
+    def test_largest_fitting_pair_key_samples_correct_contexts(self):
+        den = ContextSpy(13, 20)
+        rows, _ = aoarm_sample_many(den, GuidanceConfig(), 3, RandomSource(1))
+        assert rows.shape == (3, 13) and (rows < 20).all()
+        assert all((c == 20).any() for c in den.contexts)
