@@ -124,13 +124,17 @@ def chi_square_gof(
     """Pearson goodness-of-fit with small-cell pooling.
 
     Degrees of freedom = (#cells after pooling) - 1. Requires at least 80% of
-    pooled cells to carry expected count >= 5.
+    pooled cells to carry expected count >= 5, and raises the same error when
+    pooling merges two or more cells of positive expected mass into a lone
+    cell, which would pass any sample. A lone cell that no pooling of live
+    cells made (a point-mass target) passes: the fit is exact.
     """
     if emp.n == 0:
         raise ValueError("empirical distribution holds no samples")
     if (emp.D, emp.S) != (expected.D, expected.S):
         raise ValueError("distributions live on different index sets")
     exp_counts = expected.weights * emp.n
+    pooled_live = int(((exp_counts > 0) & (exp_counts < MIN_EXPECTED_CELL)).sum())
     exp, obs = _pool_cells(exp_counts, emp.counts.astype(float))
     # drop structurally-empty cells (zero expected mass and zero observations)
     dead = (exp == 0) & (obs == 0)
@@ -138,10 +142,10 @@ def chi_square_gof(
     if (exp == 0).any():
         # mass observed where none was expected: certain rejection
         return TestVerdict(float("inf"), 0.0, alpha, False, dof=exp.size - 1, name="chi_square_gof")
-    if exp.size < 2:
+    if exp.size < 2 and pooled_live < 2:
         # a single live cell: the fit is exact by construction
         return TestVerdict(0.0, 1.0, alpha, True, dof=0, name="chi_square_gof")
-    if (exp >= MIN_EXPECTED_CELL).mean() < 0.8:
+    if exp.size < 2 or (exp >= MIN_EXPECTED_CELL).mean() < 0.8:
         raise ValueError(
             "chi-square validity violated: fewer than 80% of pooled cells have "
             "expected count >= 5; increase N"

@@ -18,6 +18,7 @@ encoding augmented with pairwise interaction terms. It supports two links:
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -187,6 +188,13 @@ class PomPredictor(TimePredictor):
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_pairs(D: int):
+    """The position pairs (d, e) with d < e, in the row-major order in which
+    score_array adds their terms."""
+    return np.triu_indices(D, 1)
+
+
 class PairwiseInteractionPredictor(TimePredictor):
     """Linear + pairwise-interaction model over the mask-extended one-hot
     encoding; see module docstring for the two links."""
@@ -246,6 +254,23 @@ class PairwiseInteractionPredictor(TimePredictor):
     def likelihood_relaxed(self, X: np.ndarray) -> float:
         return clamp_likelihood(float(self._prob_from_score(self.score_relaxed(X))))
 
+    def child_likelihoods(self, tokens: np.ndarray, d: int) -> np.ndarray:
+        """Clamped likelihoods of the S children of ``tokens`` at position d,
+        shape (S,): child s sets position d to symbol s. One gather scores
+        them all, and a running sum adds the pair terms in the order
+        score_array does, so child s equals ``likelihood_array(child)`` bit
+        for bit."""
+        children = np.repeat(tokens[None, :], self.S, axis=0)
+        children[:, d] = np.arange(self.S)
+        first, second = _upper_pairs(self.D)
+        head = self.bias + self.single[np.arange(self.D), children].sum(axis=1)
+        terms = self.pair[first, second, children[:, first], children[:, second]]
+        scores = np.concatenate([head[:, None], terms], axis=1).cumsum(axis=1)[:, -1]
+        probs = self._prob_from_score(scores)
+        if not np.isfinite(probs).all():
+            raise ValueError(f"predictor produced a non-finite likelihood: {probs}")
+        return np.clip(probs, LIKELIHOOD_FLOOR, 1.0)
+
     # -- gradient surface ---------------------------------------------------
 
     @property
@@ -254,14 +279,15 @@ class PairwiseInteractionPredictor(TimePredictor):
 
     def _affine_part(self, tokens: np.ndarray) -> np.ndarray:
         """d score / d x_{d,c} at the one-hot of tokens, shape (D, S+1)."""
-        A = self.single.copy()
-        for d in range(self.D):
-            for e in range(self.D):
-                if e == d:
-                    continue
-                block = self.pair[d, e] if d < e else self.pair[e, d].T
-                A[d] += block[:, tokens[e]]
-        return A
+        # terms[e, d] = pair[d, e, :, x_e] for d < e and pair[e, d, x_e, :]
+        # for e < d; summing them over e in order keeps the rounding of the
+        # position-by-position accumulation
+        e = np.arange(self.D)
+        upper = self.pair[:, e, :, tokens]
+        lower = self.pair[e, :, tokens, :]
+        terms = np.where((e[None, :] < e[:, None])[:, :, None], upper, lower)
+        terms[e, e] = 0.0
+        return np.concatenate([self.single[None], terms]).cumsum(axis=0)[-1]
 
     def gradient_surface_array(self, tokens: np.ndarray) -> np.ndarray:
         """d log p(y|x) / d x_{d,c} at the one-hot encoding of the input."""

@@ -28,8 +28,11 @@ requested masked position. The any-order route draws from a row; the Euler
 route and :func:`guide_rates` scale rows by kappa_dot/(1-kappa). It reads one
 pure-function context cache keyed by the base-(S+1) context code, which the
 many-chain drivers share across chains when every component is deterministic
-(otherwise they run single chains on substreams). Diagnostics report both
-weight requests and actual model evaluations.
+(otherwise they run single chains on substreams). ``exact`` and ``deg`` make
+one predictor call per (context, position) when the predictor scores the S
+children of a position at once (``child_likelihoods``), and one call per
+child otherwise. Diagnostics report both weight requests and actual model
+evaluations; a predictor evaluation is one newly memoized child.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -306,6 +309,26 @@ class _ContextCache(CodeCache):
             self._lik[code] = hit
         return hit
 
+    def child_likelihoods(self, code: int, d: int) -> np.ndarray:
+        """Clamped likelihoods of the S children of context ``code`` at
+        masked position d, memoized per child code. A predictor with
+        ``child_likelihoods`` scores a row with any unmemoized child in one
+        call; any other gets one ``likelihood_array`` call per such child.
+        Each newly memoized child counts as one predictor evaluation."""
+        step = int(self.pows[d])
+        keys = range(code - self.S * step, code, step)
+        batched = getattr(self.cfg.predictor, "child_likelihoods", None)
+        if batched is None:
+            return np.array([self.likelihood(k) for k in keys])
+        memo = self._lik
+        fresh = sum(k not in memo for k in keys)
+        if not fresh:
+            return np.array([memo[k] for k in keys])
+        row = batched(self.decode(code), d)
+        memo.update(zip(keys, row.tolist()))
+        self.diag.predictor_evals += fresh
+        return row
+
     def gradient(self, code: int) -> np.ndarray:
         hit = self._grad.get(code)
         if hit is None:
@@ -333,10 +356,7 @@ class _ContextCache(CodeCache):
         # exact and deg: tilt by the child likelihoods; deg omits the source
         # divisor, which the per-row normalization of a decode draw absorbs
         src = self.likelihood(code) if cfg.mode == "exact" else 1.0
-        lik = np.array([
-            [self.likelihood(int(code + (s - S) * self.pows[d])) for s in range(S)]
-            for d in positions
-        ])
+        lik = np.array([self.child_likelihoods(code, d) for d in positions])
         return post * (lik / src) ** cfg.gamma
 
 

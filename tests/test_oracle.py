@@ -135,6 +135,16 @@ class TestChiSquare:
         verdict = chi_square_gof(EmpiricalDistribution(counts, 1, 2), p)
         assert verdict.passed and verdict.statistic == 0.0
 
+    def test_pooling_every_live_cell_is_invalid(self):
+        # uniform over 65,536 states at n=2000: every expected count is below
+        # 5, so pooling would leave one cell and pass any sample, even one
+        # with all 2000 draws on 5 states
+        p = TabularDistribution.uniform(8, 4)
+        counts = np.zeros(4**8, dtype=np.int64)
+        counts[:5] = 400
+        with pytest.raises(ValueError, match="validity"):
+            chi_square_gof(EmpiricalDistribution(counts, 8, 4), p)
+
     def test_empty_empirical_rejected(self):
         p = TabularDistribution.uniform(1, 2)
         with pytest.raises(ValueError):

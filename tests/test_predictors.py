@@ -222,6 +222,73 @@ class TestPairwiseInteractionPredictor:
     def test_likelihood_floor(self):
         m = PairwiseInteractionPredictor(2, 2, link="exp", bias=-1000.0)
         assert m.likelihood_array(np.array([0, 0])) == LIKELIHOOD_FLOOR
+        assert (m.child_likelihoods(np.array([0, 2]), 1) == LIKELIHOOD_FLOOR).all()
+
+
+def full_random_model(D, S, link, seed):
+    """Pairwise model with every block random, the ignored d >= e ones too."""
+    gen = RandomSource(seed).generator()
+    return PairwiseInteractionPredictor(
+        D, S, link=link, bias=float(gen.normal(0, 1.0)),
+        single=gen.normal(0, 1.0, (D, S + 1)),
+        pairwise=gen.normal(0, 0.7, (D, D, S + 1, S + 1)),
+    )
+
+
+def loop_affine_part(m, tokens):
+    """Reference: d score / d x_{d,c}, accumulated position by position."""
+    A = m.single.copy()
+    for d in range(m.D):
+        for e in range(m.D):
+            if e != d:
+                A[d] += m.pair[d, e][:, tokens[e]] if d < e else m.pair[e, d][tokens[e], :]
+    return A
+
+
+class TestBatchedChildScoring:
+    """child_likelihoods and _affine_part equal their scalar references bit
+    for bit, so the samplers' outputs do not depend on which one they use."""
+
+    CASES = [(1, 3), (2, 2), (5, 4), (12, 20)]
+
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    @pytest.mark.parametrize("D,S", CASES)
+    def test_children_equal_scalar_likelihoods(self, link, D, S):
+        m = full_random_model(D, S, link, seed=D * 100 + S)
+        gen = RandomSource(D + S).generator()
+        for trial in range(20):
+            toks = gen.integers(0, S + 1, size=D)
+            for d in sorted({0, D - 1, int(gen.integers(0, D))}):
+                toks[d] = S
+                got = m.child_likelihoods(toks, d)
+                want = []
+                for s in range(S):
+                    child = toks.copy()
+                    child[d] = s
+                    want.append(m.likelihood_array(child))
+                assert got.shape == (S,)
+                assert np.array_equal(got, np.array(want))
+                assert ((got >= LIKELIHOOD_FLOOR) & (got <= 1.0)).all()
+
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    @pytest.mark.parametrize("D,S", CASES)
+    def test_affine_part_equals_loop(self, link, D, S):
+        m = full_random_model(D, S, link, seed=D * 100 + S + 1)
+        gen = RandomSource(D * S).generator()
+        for _ in range(20):
+            toks = gen.integers(0, S + 1, size=D)
+            assert np.array_equal(m._affine_part(toks), loop_affine_part(m, toks))
+
+    def test_lower_triangle_blocks_ignored(self):
+        m = full_random_model(4, 3, "logistic", seed=5)
+        kept = PairwiseInteractionPredictor(
+            4, 3, bias=m.bias, single=m.single, pairwise=np.triu(
+                np.ones((4, 4)), 1)[:, :, None, None] * m.pair,
+        )
+        toks = np.array([3, 1, 3, 0])
+        for d in (0, 2):
+            assert np.array_equal(m.child_likelihoods(toks, d), kept.child_likelihoods(toks, d))
+        assert np.array_equal(m._affine_part(toks), kept._affine_part(toks))
 
 
 class TestTrainNoisyClassifier:

@@ -1,0 +1,218 @@
+"""Byte reproducibility of the primary outputs at fixed seeds.
+
+Each case runs one sampler (route x guidance mode x {single, many}, on a
+small tabular and a small parametric model) or one ``guidesampler sample``
+call, and hashes what it returns: the token rows, the decode path and the
+diagnostics counts, or ``samples.txt`` and ``paths.jsonl``. The digests are
+pinned, so a change that moves a sampled token, a path, a model-call count
+or RNG consumption fails here. A change that means to move them updates
+``PINNED`` and says why. To print the digests of the current tree:
+
+    PYTHONPATH=src python tests/test_reproducibility.py
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from guidesampler.cli import main
+from guidesampler.core import RandomSource, TabularDistribution, identity_schedule
+from guidesampler.denoising import ExactDenoiser, ParametricDenoiser
+from guidesampler.oracle import brute_force_posterior
+from guidesampler.predictors import (
+    CleanPredictor,
+    ExactMarginalPredictor,
+    PairwiseInteractionPredictor,
+)
+from guidesampler.sampling import (
+    GuidanceConfig,
+    aoarm_sample,
+    aoarm_sample_many,
+    euler_sample,
+    euler_sample_many,
+)
+
+ROUTE_MODES = {
+    "aoarm": ("none", "deg", "tag", "predictor_free"),
+    "euler": ("none", "exact", "tag", "predictor_free"),
+}
+COUNTS = ("n_steps", "overflow_renormalizations", "denoiser_evals", "predictor_evals",
+          "step_weight_requests")
+DT = 0.05
+N_MANY = 40
+
+
+def pairwise_predictor(D, S, seed):
+    gen = RandomSource(seed).generator()
+    return PairwiseInteractionPredictor(
+        D, S, link="logistic", bias=float(gen.normal(0, 0.5)),
+        single=gen.normal(0, 0.8, (D, S + 1)),
+        pairwise=np.triu(np.ones((D, D)), 1)[:, :, None, None]
+        * gen.normal(0, 0.4, (D, D, S + 1, S + 1)),
+    )
+
+
+def tabular_models():
+    """D=4, S=3: exact denoiser, exact marginal predictor, pairwise predictor
+    for tag and the exact tilted posterior as the second denoiser."""
+    gen = RandomSource(101).generator()
+    p = TabularDistribution.from_unnormalized(4, 3, np.exp(gen.normal(0, 0.8, 81)))
+    table = 0.05 + 0.9 * gen.random(81)
+    clean = CleanPredictor(lambda x: float(table[int(x.tokens @ 3 ** np.arange(4))]))
+    return {
+        "denoiser": ExactDenoiser(p),
+        "likelihood": ExactMarginalPredictor(clean, p),
+        "gradient": pairwise_predictor(4, 3, 102),
+        "second": ExactDenoiser(brute_force_posterior(p, clean, 1.0)),
+    }
+
+
+def parametric_models():
+    """D=6, S=5: parametric denoisers and one pairwise predictor."""
+    pred = pairwise_predictor(6, 5, 202)
+    return {
+        "denoiser": ParametricDenoiser.random(6, 5, RandomSource(201), scale=0.5),
+        "likelihood": pred,
+        "gradient": pred,
+        "second": ParametricDenoiser.random(6, 5, RandomSource(203), scale=0.5),
+    }
+
+
+MODELS = {"tabular": tabular_models, "parametric": parametric_models}
+
+
+def guidance(models, mode):
+    if mode == "none":
+        return GuidanceConfig()
+    if mode == "predictor_free":
+        return GuidanceConfig(mode=mode, gamma=1.5, second_denoiser=models["second"])
+    key = "gradient" if mode == "tag" else "likelihood"
+    return GuidanceConfig(mode=mode, gamma=1.5, predictor=models[key])
+
+
+def sha(*parts) -> str:
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(len(part).to_bytes(8, "little"))
+        h.update(part)
+    return h.hexdigest()
+
+
+def counts(diag) -> bytes:
+    return json.dumps([getattr(diag, f) for f in COUNTS]).encode()
+
+
+def sampler_digest(model, route, mode, kind) -> str:
+    models = MODELS[model]()
+    den, cfg = models["denoiser"], guidance(models, mode)
+    rng = RandomSource(7)
+    if kind == "many":
+        if route == "aoarm":
+            rows, diag = aoarm_sample_many(den, cfg, N_MANY, rng)
+        else:
+            rows, diag = euler_sample_many(den, cfg, identity_schedule(), DT, N_MANY, rng)
+        return sha(np.ascontiguousarray(rows, dtype=np.int64).tobytes(), counts(diag))
+    if route == "aoarm":
+        x, path, diag = aoarm_sample(den, cfg, rng, schedule=identity_schedule(), attach_times=True)
+    else:
+        x, path, diag = euler_sample(den, cfg, identity_schedule(), DT, rng)
+    path_json = json.dumps(path.to_json(), sort_keys=True).encode()
+    return sha(x.tokens.astype(np.int64).tobytes(), path_json, counts(diag))
+
+
+def cli_digest(route, workdir: Path) -> str:
+    """``guidesampler sample`` on the parametric model with paths recorded."""
+    models = parametric_models()
+    (workdir / "model.json").write_text(
+        json.dumps({"kind": "parametric", **models["denoiser"].to_json()})
+    )
+    (workdir / "pred.json").write_text(json.dumps(models["likelihood"].to_json()))
+    mode = "deg" if route == "aoarm" else "exact"
+    out = workdir / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main([
+            "sample", "--model", str(workdir / "model.json"),
+            "--predictor", str(workdir / "pred.json"), "--route", route, "--mode", mode,
+            "--gamma", "1.5", "--dt", str(DT), "--n", "6", "--seed", "11", "--out", str(out),
+        ])
+    assert rc == 0
+    return sha((out / "samples.txt").read_bytes(), (out / "paths.jsonl").read_bytes())
+
+
+SAMPLER_CASES = [
+    f"{model}/{route}/{mode}/{kind}"
+    for model in MODELS
+    for route, modes in ROUTE_MODES.items()
+    for mode in modes
+    for kind in ("single", "many")
+]
+CLI_CASES = ["cli/aoarm/deg", "cli/euler/exact"]
+
+#: computed on the tree before the batched child scoring, whose outputs it keeps
+PINNED = {
+    "tabular/aoarm/none/single": "ab954913b34c9fb8dc2d8f15d29cefedaae35ebd61cc82665d244fc76206f61a",
+    "tabular/aoarm/none/many": "a40eca8bef70e70f1d212517adf1a7afabb9b385f078f99af11d9c265618e4e3",
+    "tabular/aoarm/deg/single": "b11e0d923902ec9ef5bd11f0cc8ec41533020bfdc844559898dddeb5071d010b",
+    "tabular/aoarm/deg/many": "0cb3ccf315debac13746dd9166427120a0e9a05c1af3d6c9bd07a33bef6dc3ac",
+    "tabular/aoarm/tag/single": "de671af3361cedec12cd5474cda88258c28d1a9fe0781d6b4d110ac0a2b52384",
+    "tabular/aoarm/tag/many": "372af3ccb074a6b17aefbf4a38c9ddb2ebcc1cde9dbd51a0f1a17c31308d8907",
+    "tabular/aoarm/predictor_free/single": "37d73be1158ab5cb40c7ffd843ec9045ea6eacb8b4f71f07c2b14523a55ce593",
+    "tabular/aoarm/predictor_free/many": "49ad3046d0c3bc9d0c12d942ed3dc1b8e3c126df27ae1e740c07c8fd661e4920",
+    "tabular/euler/none/single": "a2afec5a212b8ed17bf4bf87b9db814a31029cb59192581e36df1107c8841756",
+    "tabular/euler/none/many": "8956103230b629e32a6de75c18c489fba94aa364e0814e5128e97620b3c1e8f0",
+    "tabular/euler/exact/single": "49a4f0fe5f413b0a8b9e252e4f1b5ab325b700b10295790c89638213c0f450cb",
+    "tabular/euler/exact/many": "9fd426ad2c4ca31bc32f991cf15c9a8b74bd56054cf5524ba1eb4990008eb455",
+    "tabular/euler/tag/single": "ff415480f95729a41b8504ccb0b430acdf6a7a71e6052aec7f1663a2d1540f55",
+    "tabular/euler/tag/many": "3ab3de360731be7b2be7b53375e8e1184b27708b58c71eb6dacb117742101f73",
+    "tabular/euler/predictor_free/single": "0531f09d782e6f3051a7c794c42003167f15e779830f5d667f742def46c11721",
+    "tabular/euler/predictor_free/many": "53c568b8b1032d53615b4bb1427afca71dc30a65c298003905347bd29fd4c612",
+    "parametric/aoarm/none/single": "51d7810f70789962c969c45c2667147bd9673c102d4ec237679c1a1b2af7cd14",
+    "parametric/aoarm/none/many": "524879ef9ad197f5c0b278b8b95d04439b02932b34b35ce5d147184597502f4b",
+    "parametric/aoarm/deg/single": "ecc5415198c493c50c4156e0d1e184c5472759fe4cee7532f0ec8df7e8563eab",
+    "parametric/aoarm/deg/many": "5face5cb1297a95de48f6c68f9b7931ba1ca5b8aaf3e061952989f7d2773ba4b",
+    "parametric/aoarm/tag/single": "201c8e68073a51e5e4841090ff9e6beab0de9065e4d0f80dd0f632f64a9b4f13",
+    "parametric/aoarm/tag/many": "4c87993650377b4f2e06cb03327cecb863502cb3201b23ef08c045c5a2c8af57",
+    "parametric/aoarm/predictor_free/single": "a2ffce4c6da829babebe97703bc9192244a962faf0612d551044cb5968294ee9",
+    "parametric/aoarm/predictor_free/many": "5901676241ad013e3d46837f769210b6d5de44dae01c1b5a03eec78e2fe11987",
+    "parametric/euler/none/single": "d23391fd57a239094113d0beb7e568b19deb816749928b7711f57533fee2b195",
+    "parametric/euler/none/many": "6146c141f4c306d7196448cc7064a00317a307962c8f443a6d61a73ce31992c5",
+    "parametric/euler/exact/single": "dcd1a2b5b052661eef928e31fb539e7b5b4ca47c51fbb22c744cf6c839e9a107",
+    "parametric/euler/exact/many": "2defb3a714d94b1cac18b69b538dedf8b885dbbe4903425e9d4285f5445e9951",
+    "parametric/euler/tag/single": "251c9517940ad926041c5d907f3461302f997e99243fbbefd10cd9d140bfa924",
+    "parametric/euler/tag/many": "499592a0273876c0d1762511101d629357a606557a00ad69151ea0e68c080e7e",
+    "parametric/euler/predictor_free/single": "eee382f650986006237206bc2c1cdc620593e033bcc274f4a31b1fadb79c1e11",
+    "parametric/euler/predictor_free/many": "05b8709dee3faa6cf65ea182551dbf66d822f07ed676742ebd8a69d1e1883925",
+    "cli/aoarm/deg": "a9f29426828781c24d88045069481b03fe635bf94f6ff2797264fa8611a6c2f6",
+    "cli/euler/exact": "492e46e67ec2263f43f84167d891297f614b9e01e3057a9bef37dbef0324c69a",
+}
+
+
+def digest_of(case: str, workdir: Path) -> str:
+    parts = case.split("/")
+    if parts[0] == "cli":
+        return cli_digest(parts[1], workdir)
+    return sampler_digest(*parts)
+
+
+@pytest.mark.parametrize("case", SAMPLER_CASES + CLI_CASES)
+def test_digest_pinned(case, tmp_path):
+    assert digest_of(case, tmp_path) == PINNED[case]
+
+
+def test_every_case_pinned():
+    assert sorted(PINNED) == sorted(SAMPLER_CASES + CLI_CASES)
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in SAMPLER_CASES + CLI_CASES:
+            work = Path(tmp) / case.replace("/", "_")
+            work.mkdir()
+            sys.stdout.write(f'    "{case}": "{digest_of(case, work)}",\n')

@@ -485,6 +485,62 @@ class TestSamplerEquivalence:
         assert tvs[0.1] > tvs[0.005]
 
 
+class ScalarOnly:
+    """A predictor seen only through ``likelihood_array``, so the samplers
+    score each child with its own call."""
+
+    deterministic = True
+    has_gradient_surface = False
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def likelihood_array(self, tokens):
+        return self.inner.likelihood_array(tokens)
+
+
+class TestBatchedChildLikelihoods:
+    """A predictor's batched child scoring changes no sample and no count:
+    the rows, paths and diagnostics equal those of the one-call-per-child
+    loop at a fixed seed."""
+
+    def models(self, link):
+        gen = RandomSource(70).generator()
+        D, S = 5, 4
+        den = ParametricDenoiser.random(D, S, RandomSource(71), scale=0.5)
+        pred = PairwiseInteractionPredictor(
+            D, S, link=link, bias=-1.0, single=gen.normal(0, 0.5, (D, S + 1)),
+            pairwise=gen.normal(0, 0.3, (D, D, S + 1, S + 1)),
+        )
+        return den, pred
+
+    @staticmethod
+    def counts(diag):
+        out = diag.to_json()
+        out.pop("wall_time_s")
+        return out
+
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    def test_same_outputs_and_counts(self, route, link):
+        den, pred = self.models(link)
+        runs = []
+        for p in (pred, ScalarOnly(pred)):
+            if route == "aoarm":
+                cfg = GuidanceConfig(mode="deg", gamma=1.5, predictor=p)
+                rows, diag = aoarm_sample_many(den, cfg, 200, RandomSource(72))
+                x, path, one = aoarm_sample(den, cfg, RandomSource(73))
+            else:
+                cfg = GuidanceConfig(mode="exact", gamma=1.0, predictor=p)
+                rows, diag = euler_sample_many(den, cfg, IDENT, 0.05, 100, RandomSource(74))
+                x, path, one = euler_sample(den, cfg, IDENT, 0.05, RandomSource(75))
+            runs.append((rows, x.tokens, path.to_json(), self.counts(diag), self.counts(one)))
+        batched, scalar = runs
+        assert np.array_equal(batched[0], scalar[0]) and np.array_equal(batched[1], scalar[1])
+        assert batched[2:] == scalar[2:]
+        assert batched[3]["predictor_evals"] > 0
+
+
 class ContextSpy(ParametricDenoiser):
     """Parametric denoiser that records every context it is evaluated on."""
 
