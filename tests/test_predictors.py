@@ -25,6 +25,7 @@ from guidesampler.predictors import (
     PomPredictor,
     ThresholdPredictor,
     ThresholdRegressor,
+    clamp_likelihood,
     load_labeled_csv,
     product_predictor,
     save_labeled_csv,
@@ -235,6 +236,16 @@ def full_random_model(D, S, link, seed):
     )
 
 
+def loop_likelihood(m, tokens):
+    """Reference: the score accumulated pair by pair in row-major order,
+    then the link and the clamp."""
+    s = m.bias + float(m.single[np.arange(m.D), tokens].sum())
+    for d in range(m.D):
+        for e in range(d + 1, m.D):
+            s += m.pair[d, e, tokens[d], tokens[e]]
+    return clamp_likelihood(float(m._prob_from_score(s)))
+
+
 def loop_affine_part(m, tokens):
     """Reference: d score / d x_{d,c}, accumulated position by position."""
     A = m.single.copy()
@@ -246,8 +257,9 @@ def loop_affine_part(m, tokens):
 
 
 class TestBatchedChildScoring:
-    """child_likelihoods and _affine_part equal their scalar references bit
-    for bit, so the samplers' outputs do not depend on which one they use."""
+    """likelihood_array on one or many rows, child_likelihoods and
+    _affine_part equal their loop references bit for bit, so the samplers'
+    outputs do not depend on which one they use."""
 
     CASES = [(1, 3), (2, 2), (5, 4), (12, 20)]
 
@@ -265,10 +277,20 @@ class TestBatchedChildScoring:
                 for s in range(S):
                     child = toks.copy()
                     child[d] = s
-                    want.append(m.likelihood_array(child))
+                    want.append(loop_likelihood(m, child))
+                    assert m.likelihood_array(child) == want[-1]
                 assert got.shape == (S,)
                 assert np.array_equal(got, np.array(want))
                 assert ((got >= LIKELIHOOD_FLOOR) & (got <= 1.0)).all()
+
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    @pytest.mark.parametrize("D,S", CASES)
+    def test_row_scores_equal_batch_and_loop(self, link, D, S):
+        m = full_random_model(D, S, link, seed=D * 100 + S + 2)
+        rows = RandomSource(D + S + 1).generator().integers(0, S + 1, size=(30, D))
+        want = np.array([loop_likelihood(m, r) for r in rows])
+        assert np.array_equal(m.likelihood_array(rows), want)
+        assert np.array_equal(m.score_array(rows), m.score_batch(rows))
 
     @pytest.mark.parametrize("link", ["logistic", "exp"])
     @pytest.mark.parametrize("D,S", CASES)
