@@ -352,20 +352,38 @@ def train_noisy_classifier(
     ``two_stage=True`` reproduces the freeze protocol: first fit on clean
     inputs, then freeze every parameter not involving a mask token and adapt
     only the mask-facing terms on noised inputs. Default off.
+
+    The single-site gradient and the gradients of all (d, e) pairs are one
+    ``np.bincount`` each, which adds each cell's examples in row order
+    starting from 0.0, exactly as ``np.add.at`` into zeros does. Keep that
+    order: ``np.add.reduceat`` and a one-hot matmul (whose order follows the
+    BLAS blocking) add in other orders and move the weights in the last bits.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not lr > 0:
+        raise ValueError(f"lr must be > 0, got {lr}")
+    if not l2_pairwise >= 0:
+        raise ValueError(f"l2_pairwise must be >= 0, got {l2_pairwise}")
     pairs = list(labeled)
     if not pairs:
         raise ValueError("labeled data must be nonempty")
     ys = np.array([bool(y) for _, y in pairs])
     if ys.all() or not ys.any():
         raise ValueError("need at least one positive and one negative example")
-    seqs = np.stack([x.tokens for x, _ in pairs])
-    D = seqs.shape[1]
+    D = pairs[0][0].D
     S = pairs[0][0].alphabet.size
+    if any(x.D != D or x.alphabet.size != S for x, _ in pairs):
+        raise ValueError("labeled sequences must share one length and one alphabet")
+    seqs = np.stack([x.tokens for x, _ in pairs])
     gen = as_generator(rng)
     model = PairwiseInteractionPredictor(D, S, link="logistic")
     y = ys.astype(float)
     n = len(pairs)
+    V = S + 1
+    first, second = _upper_pairs(D)
+    single_offset = np.arange(D) * V
+    pair_offset = np.arange(first.size) * (V * V)
 
     def epoch_step(tokens, mask_only: bool):
         scores = model.score_batch(tokens)
@@ -373,19 +391,21 @@ def train_noisy_classifier(
         resid = (p - y) / n
         if not mask_only:
             model.bias -= lr * resid.sum()
-        g_single = np.zeros_like(model.single)
-        np.add.at(g_single, (np.arange(D)[None, :].repeat(n, 0), tokens), resid[:, None])
+        g_single = np.bincount(
+            (tokens + single_offset).ravel(), weights=np.repeat(resid, D), minlength=D * V
+        ).reshape(D, V)
         if mask_only:
             g_single[:, :S] = 0.0
         model.single -= lr * g_single
-        for d in range(D):
-            for e in range(d + 1, D):
-                g = np.zeros((S + 1, S + 1))
-                np.add.at(g, (tokens[:, d], tokens[:, e]), resid)
-                g += (l2_pairwise / n) * model.pair[d, e]
-                if mask_only:
-                    g[:S, :S] = 0.0
-                model.pair[d, e] -= lr * g
+        if first.size:  # at D = 1 there are no pairs, and bincount of nothing is int
+            cell = (tokens[:, first] * V + tokens[:, second] + pair_offset).ravel()
+            g = np.bincount(
+                cell, weights=np.repeat(resid, first.size), minlength=first.size * V * V
+            ).reshape(first.size, V, V)
+            g += (l2_pairwise / n) * model.pair[first, second]
+            if mask_only:
+                g[:, :S, :S] = 0.0
+            model.pair[first, second] -= lr * g
         return float(-(y * np.log(np.clip(p, 1e-300, 1)) + (1 - y) * np.log(np.clip(1 - p, 1e-300, 1))).mean())
 
     loss = math.nan

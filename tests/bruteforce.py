@@ -100,3 +100,115 @@ def brute_noisy_likelihood(pdict, clean_fn, xt_tokens, D, S):
     }
     Z = sum(cons.values())
     return sum(w * clean_fn(x) for x, w in cons.items()) / Z
+
+
+
+def _softmax_rows(logits):
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    return ex / ex.sum(axis=-1, keepdims=True)
+
+
+def loop_train_denoiser(variant, rows, S, steps, gen, probs, lr, batch_size):
+    """train_denoiser with the pair gradient summed one (position, context
+    token) group at a time and one example at a time. Its forward pass is
+    the trainer's numpy expression and it makes the same draws in the same
+    order, so it returns the trainer's (single, pair, loss) bytes."""
+    D = rows.shape[1]
+    single = np.zeros((D, S))
+    pair_t = np.zeros((D, S + 1, D, S))  # [e, context token of e, d, s]
+    pos = np.arange(D)
+    running = None
+    for _ in range(steps):
+        x1 = rows[gen.choice(len(rows), size=batch_size, p=probs)]
+        if variant == "AOARM":
+            order = np.argsort(gen.random((batch_size, D)), axis=1)
+            k = gen.integers(0, D, size=batch_size)
+            keep = np.zeros((batch_size, D), dtype=bool)
+            scored = np.zeros((batch_size, D), dtype=bool)
+            for b in range(batch_size):
+                keep[b, order[b, :k[b]]] = True
+                scored[b, order[b, k[b]]] = True
+        else:
+            t = gen.random((batch_size, 1))
+            keep = gen.random((batch_size, D)) < t
+            scored = ~keep
+        xt = np.where(keep, x1, S)
+        ctx = pair_t[pos[None, :], xt]
+        grad = _softmax_rows(single + ctx.sum(axis=1) - ctx[:, pos, pos, :])
+        truth = np.empty((batch_size, D))
+        for b in range(batch_size):
+            for d in range(D):
+                truth[b, d] = grad[b, d, x1[b, d]]
+                grad[b, d, x1[b, d]] -= 1.0
+        batch_loss = float(-(np.log(np.clip(truth, 1e-300, None)) * scored).sum()) / batch_size
+        grad *= scored[..., None]
+        scale = lr / batch_size
+        single -= scale * grad.sum(axis=0)
+        for e in range(D):
+            for c in range(S + 1):
+                group = [b for b in range(batch_size) if xt[b, e] == c]
+                if group:
+                    total = grad[group[0]].copy()
+                    for b in group[1:]:
+                        total = total + grad[b]
+                    pair_t[e, c] -= scale * total
+        pair_t[pos, :, pos, :] = 0.0
+        running = batch_loss if running is None else 0.99 * running + 0.01 * batch_loss
+    return single, pair_t.transpose(2, 0, 1, 3), (running if running is not None else 0.0)
+
+
+def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise, two_stage):
+    """train_noisy_classifier with every gradient cell summed one example at
+    a time; returns its (bias, single, pair, loss) bytes. The scores are
+    added term by term in the order score_batch adds them."""
+    n, D = rows.shape
+    V = S + 1
+    bias = 0.0
+    single = np.zeros((D, V))
+    pair = np.zeros((D, D, V, V))
+
+    def step(tokens, mask_only):
+        nonlocal bias
+        scores = np.full(n, bias) + single[np.arange(D), tokens].sum(axis=1)
+        for d in range(D):
+            for e in range(d + 1, D):
+                scores = scores + pair[d, e, tokens[:, d], tokens[:, e]]
+        p = 1.0 / (1.0 + np.exp(-scores))
+        resid = (p - y) / n
+        if not mask_only:
+            bias -= lr * resid.sum()
+        g_single = np.zeros((D, V))
+        for b in range(n):
+            for d in range(D):
+                g_single[d, tokens[b, d]] += resid[b]
+        if mask_only:
+            g_single[:, :S] = 0.0
+        single[...] -= lr * g_single
+        for d in range(D):
+            for e in range(d + 1, D):
+                g = np.zeros((V, V))
+                for b in range(n):
+                    g[tokens[b, d], tokens[b, e]] += resid[b]
+                g += (l2_pairwise / n) * pair[d, e]
+                if mask_only:
+                    g[:S, :S] = 0.0
+                pair[d, e] -= lr * g
+        return float(-(y * np.log(np.clip(p, 1e-300, 1))
+                       + (1 - y) * np.log(np.clip(1 - p, 1e-300, 1))).mean())
+
+    def noised():
+        t = gen.random((n, 1))
+        keep = gen.random((n, D)) < t
+        return np.where(keep, rows, S)
+
+    loss = math.nan
+    if two_stage:
+        for _ in range(epochs):
+            loss = step(rows, mask_only=False)
+        for _ in range(epochs):
+            loss = step(noised(), mask_only=True)
+    else:
+        for _ in range(epochs):
+            loss = step(noised(), mask_only=False)
+    return bias, single, pair, loss

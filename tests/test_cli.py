@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -232,6 +233,20 @@ class TestVerifyCommand:
         # --only runs exactly the named check
         assert len(results["checks"]) == 1
         assert results["checks"][0]["pass"] is True
+
+    def test_results_do_not_depend_on_the_clock(self, tmp_path, monkeypatch):
+        # elapsed time belongs in verify_diagnostics.json only
+        written = []
+        for start, tick in ((0.0, 1.0), (5000.0, 13.0)):
+            monkeypatch.setattr(
+                acceptance.time, "perf_counter", itertools.count(start, tick).__next__
+            )
+            out = tmp_path / f"v{start:g}"
+            rc = main(["verify", "--only", "posterior_exactness", "--seed", "20250801",
+                       "--out", str(out)])
+            assert rc == 0
+            written.append((out / "verify_results.json").read_bytes())
+        assert written[0] == written[1]
 
     def test_unknown_check_is_config_error(self, tmp_path):
         assert main(["verify", "--only", "nonsense", "--out", str(tmp_path / "v")]) == 2

@@ -32,6 +32,7 @@ from bruteforce import (
     brute_fm_loss,
     brute_posterior_rows,
     dist_as_dict,
+    loop_train_denoiser,
 )
 
 AB = Alphabet(2)
@@ -317,6 +318,53 @@ class TestTraining:
     def test_empty_data_rejected(self):
         with pytest.raises(ValueError):
             train_denoiser("FM", [], 10, RandomSource(0))
+
+    @pytest.mark.parametrize("variant", ["FM", "AOARM"])
+    @pytest.mark.parametrize("D, S", [(3, 2), (8, 4), (6, 5)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_loop_reference_bit_for_bit(self, variant, D, S, weighted):
+        # the bincount scatter must add each cell's rows in row order; a
+        # pairwise (reduceat) or BLAS (one-hot matmul) order fails here
+        gen = RandomSource(D * 10 + S).generator()
+        rows = gen.integers(0, S, (23, D))
+        w = gen.random(23) + 0.1 if weighted else None
+        probs = w / w.sum() if weighted else np.full(23, 1 / 23)
+        data = [TokenSequence(r, Alphabet(S)) for r in rows]
+        model, loss = train_denoiser(
+            variant, data, 30, RandomSource(8), weights=w, lr=0.5, batch_size=17
+        )
+        single, pair, ref_loss = loop_train_denoiser(
+            variant, rows, S, 30, RandomSource(8).generator(), probs, 0.5, 17
+        )
+        assert model.single.tobytes() == single.tobytes()
+        assert model.pair.tobytes() == pair.tobytes()
+        assert loss == ref_loss
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"batch_size": 0}, "batch_size"),
+        ({"steps": -1}, "steps"),
+        ({"lr": 0.0}, "lr"),
+        ({"lr": -1.0}, "lr"),
+        ({"lr": float("nan")}, "lr"),
+        ({"weights": [1.0, 1.0]}, "weights"),
+        ({"weights": [1.0, -0.5, 1.0]}, "weights"),
+        ({"weights": [0.0, 0.0, 0.0]}, "weights"),
+        ({"weights": [1.0, float("nan"), 1.0]}, "weights"),
+    ])
+    def test_bad_argument_is_named_before_any_draw(self, kwargs, name):
+        data = [sequence_from_str(t, AB) for t in ("AB", "BA", "BB")]
+        args = {"steps": 5, **kwargs}
+        gen = RandomSource(4).generator()
+        with pytest.raises(ValueError, match=name):
+            train_denoiser("FM", data, args.pop("steps"), gen, **args)
+        assert gen.random() == RandomSource(4).generator().random()
+
+    @pytest.mark.parametrize("other", ["ABA", "AC"])
+    def test_mixed_samples_rejected(self, other):
+        alpha = Alphabet(3) if other == "AC" else AB
+        data = [sequence_from_str("AB", AB), sequence_from_str(other, alpha)]
+        with pytest.raises(ValueError, match="samples"):
+            train_denoiser("FM", data, 5, RandomSource(0))
 
     def test_divergence_reports_step(self):
         x = sequence_from_str("AB", AB)

@@ -33,7 +33,7 @@ from guidesampler.predictors import (
     train_noisy_classifier,
 )
 
-from bruteforce import brute_noisy_likelihood, dist_as_dict
+from bruteforce import brute_noisy_likelihood, dist_as_dict, loop_train_noisy_classifier
 
 AB = Alphabet(2)
 
@@ -323,6 +323,45 @@ class TestTrainNoisyClassifier:
     def test_single_class_rejected(self):
         data = [(sequence_from_str("A", AB), True)]
         with pytest.raises(ValueError):
+            train_noisy_classifier(data, RandomSource(0))
+
+    @pytest.mark.parametrize("D, S", [(1, 2), (3, 2), (6, 5)])
+    @pytest.mark.parametrize("two_stage", [False, True])
+    def test_matches_loop_reference_bit_for_bit(self, D, S, two_stage):
+        # np.bincount adds in row order from 0.0, as the per-cell loop does
+        gen = RandomSource(D * 10 + S).generator()
+        rows = gen.integers(0, S, (30, D))
+        y = np.arange(30) % 3 == 0
+        labeled = [(TokenSequence(r, Alphabet(S)), bool(v)) for r, v in zip(rows, y)]
+        model, loss = train_noisy_classifier(
+            labeled, RandomSource(9), epochs=15, two_stage=two_stage
+        )
+        bias, single, pair, ref_loss = loop_train_noisy_classifier(
+            rows, y.astype(float), S, 15, RandomSource(9).generator(), 0.2, 10.0, two_stage
+        )
+        assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
+        assert model.single.tobytes() == single.tobytes()
+        assert model.pair.tobytes() == pair.tobytes()
+        assert loss == ref_loss
+
+    @pytest.mark.parametrize("kwargs, name", [
+        ({"epochs": -1}, "epochs"),
+        ({"lr": 0.0}, "lr"),
+        ({"lr": float("nan")}, "lr"),
+        ({"l2_pairwise": -1.0}, "l2_pairwise"),
+    ])
+    def test_bad_argument_is_named_before_any_draw(self, kwargs, name):
+        data = [(sequence_from_str("AB", AB), False), (sequence_from_str("BA", AB), True)]
+        gen = RandomSource(4).generator()
+        with pytest.raises(ValueError, match=name):
+            train_noisy_classifier(data, gen, **kwargs)
+        assert gen.random() == RandomSource(4).generator().random()
+
+    @pytest.mark.parametrize("other", ["ABA", "AC"])
+    def test_mixed_sequences_rejected(self, other):
+        alpha = Alphabet(3) if other == "AC" else AB
+        data = [(sequence_from_str("AB", AB), False), (sequence_from_str(other, alpha), True)]
+        with pytest.raises(ValueError, match="labeled"):
             train_noisy_classifier(data, RandomSource(0))
 
     def test_planted_signal_auroc(self):

@@ -3,9 +3,12 @@
 Each case runs one sampler (route x guidance mode x {single, many}, on a
 small tabular and a small parametric model) or one ``guidesampler sample``
 call, and hashes what it returns: the token rows, the decode path and the
-diagnostics counts, or ``samples.txt`` and ``paths.jsonl``. The digests are
-pinned, so a change that moves a sampled token, a path, a model-call count
-or RNG consumption fails here. A change that means to move them updates
+diagnostics counts, or ``samples.txt`` and ``paths.jsonl``. Training cases
+hash the trained weights and the returned loss of ``train_denoiser`` and
+``train_noisy_classifier``, and one reduced campaign seed hashes its
+``campaign.csv`` rows. The digests are pinned, so a change that moves a
+sampled token, a path, a model-call count, a trained weight or RNG
+consumption fails here. A change that means to move them updates
 ``PINNED`` and says why. To print the digests of the current tree:
 
     PYTHONPATH=src python tests/test_reproducibility.py
@@ -22,14 +25,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from guidesampler.bench import resolve_campaign_config, run_campaign_seed
 from guidesampler.cli import main
-from guidesampler.core import RandomSource, TabularDistribution, identity_schedule
-from guidesampler.denoising import ExactDenoiser, ParametricDenoiser
+from guidesampler.core import (
+    Alphabet,
+    RandomSource,
+    TabularDistribution,
+    TokenSequence,
+    identity_schedule,
+)
+from guidesampler.denoising import ExactDenoiser, ParametricDenoiser, train_denoiser
 from guidesampler.oracle import brute_force_posterior
 from guidesampler.predictors import (
     CleanPredictor,
     ExactMarginalPredictor,
     PairwiseInteractionPredictor,
+    train_noisy_classifier,
 )
 from guidesampler.sampling import (
     GuidanceConfig,
@@ -146,6 +157,47 @@ def cli_digest(route, workdir: Path) -> str:
     return sha((out / "samples.txt").read_bytes(), (out / "paths.jsonl").read_bytes())
 
 
+def training_data(D, S, n, seed):
+    alpha = Alphabet(S)
+    rows = RandomSource(seed).generator().integers(0, S, (n, D))
+    return [TokenSequence(r, alpha) for r in rows]
+
+
+def denoiser_digest(variant, weighting, D) -> str:
+    """``train_denoiser`` at S=3 with a batch size that divides nothing."""
+    data = training_data(int(D[1:]), 3, 23, 301)
+    weights = None
+    if weighting == "weighted":
+        weights = RandomSource(302).generator().random(len(data)) + 0.1
+    model, loss = train_denoiser(
+        variant, data, 40, RandomSource(303), weights=weights, lr=0.3, batch_size=17
+    )
+    return sha(model.single.tobytes(), model.pair.tobytes(), np.float64(loss).tobytes())
+
+
+def classifier_digest(D, stages) -> str:
+    """``train_noisy_classifier`` at S=3; the label depends on two positions."""
+    data = training_data(int(D[1:]), 3, 30, 401)
+    labeled = [(x, bool(x.tokens[0] + x.tokens[-1] >= 2)) for x in data]
+    model, loss = train_noisy_classifier(
+        labeled, RandomSource(402), epochs=25, two_stage=stages == "two_stage"
+    )
+    return sha(
+        np.float64(model.bias).tobytes(), model.single.tobytes(), model.pair.tobytes(),
+        np.float64(loss).tobytes(),
+    )
+
+
+def campaign_digest(seed) -> str:
+    """One campaign seed at reduced sizes: its ``campaign.csv`` rows."""
+    cfg = resolve_campaign_config({
+        "n_labeled": 400, "k": 30, "n_filter_total": 200,
+        "classifier_epochs": 20, "refit_train_steps": 60,
+    })
+    results = run_campaign_seed(cfg, RandomSource(2025), int(seed))
+    return sha(json.dumps([r.csv_row() for r in results]).encode())
+
+
 SAMPLER_CASES = [
     f"{model}/{route}/{mode}/{kind}"
     for model in MODELS
@@ -154,6 +206,14 @@ SAMPLER_CASES = [
     for kind in ("single", "many")
 ]
 CLI_CASES = ["cli/aoarm/deg", "cli/euler/exact"]
+TRAIN_CASES = [
+    f"denoiser/{variant}/{weighting}/D{D}"
+    for variant in ("FM", "AOARM")
+    for weighting in ("uniform", "weighted")
+    for D in (1, 4)
+] + [f"classifier/D{D}/{stages}" for D in (1, 5) for stages in ("one_stage", "two_stage")]
+CAMPAIGN_CASES = ["campaign/3"]
+CASES = SAMPLER_CASES + CLI_CASES + TRAIN_CASES + CAMPAIGN_CASES
 
 #: computed on the tree before the batched child scoring, whose outputs it keeps
 PINNED = {
@@ -191,6 +251,20 @@ PINNED = {
     "parametric/euler/predictor_free/many": "05b8709dee3faa6cf65ea182551dbf66d822f07ed676742ebd8a69d1e1883925",
     "cli/aoarm/deg": "a9f29426828781c24d88045069481b03fe635bf94f6ff2797264fa8611a6c2f6",
     "cli/euler/exact": "492e46e67ec2263f43f84167d891297f614b9e01e3057a9bef37dbef0324c69a",
+    # computed on the tree before the bincount trainer updates, whose weights it keeps
+    "denoiser/FM/uniform/D1": "dbd85ef3938b441f922f3619608aef3160b3d0e8e8d7200123dd48f2a730586d",
+    "denoiser/FM/uniform/D4": "a416a020da56c20705ff840bbe4f5f52534cc30ecac04ba92f8b1d856c72d521",
+    "denoiser/FM/weighted/D1": "c5ce44289395eed5e1d74c969ce7bec85ccee453d937b7f7d59276e03f29541e",
+    "denoiser/FM/weighted/D4": "b41c3604122952263afffd3806f6fe403c12459f1ae5fcf4c5c9ee09f7075900",
+    "denoiser/AOARM/uniform/D1": "3a752d782ccf384c7260a0ae5369eb55fc1e4dc1a8e54472b56b8c296fae50d4",
+    "denoiser/AOARM/uniform/D4": "4802b3d925225f44a88d28ddffeb4427e1165f1e3989c63427b6118b43bdb967",
+    "denoiser/AOARM/weighted/D1": "a7274e755861dfae6b0a3df967b3078a42f750d541fa34ace41d2d877f2b62f6",
+    "denoiser/AOARM/weighted/D4": "cabcda8ab72fca13a11567f289403a7085abf266a1765637e83182a8e2e68c7b",
+    "classifier/D1/one_stage": "a751f1182c767956e47dda18ee3c424dc512b80a31c018fe126ebc0a9ea62312",
+    "classifier/D1/two_stage": "07399cd1da5c8e57dce08d76850ad64786ea735546e55ec3335a7857c5424822",
+    "classifier/D5/one_stage": "600799c4e7ca885ed7d3252180105b094697cfecacdd01d634755c1324926b58",
+    "classifier/D5/two_stage": "c42dcaa17e812523d0d60e242ea48da2bf48eaf16bdc1c374146a962d045a68c",
+    "campaign/3": "37fa99dc82d60e1f79d31fe271c1148a7ac1f5ca110ebf59152ce76aa4446936",
 }
 
 
@@ -198,21 +272,27 @@ def digest_of(case: str, workdir: Path) -> str:
     parts = case.split("/")
     if parts[0] == "cli":
         return cli_digest(parts[1], workdir)
+    if parts[0] == "denoiser":
+        return denoiser_digest(*parts[1:])
+    if parts[0] == "classifier":
+        return classifier_digest(*parts[1:])
+    if parts[0] == "campaign":
+        return campaign_digest(parts[1])
     return sampler_digest(*parts)
 
 
-@pytest.mark.parametrize("case", SAMPLER_CASES + CLI_CASES)
+@pytest.mark.parametrize("case", CASES)
 def test_digest_pinned(case, tmp_path):
     assert digest_of(case, tmp_path) == PINNED[case]
 
 
 def test_every_case_pinned():
-    assert sorted(PINNED) == sorted(SAMPLER_CASES + CLI_CASES)
+    assert sorted(PINNED) == sorted(CASES)
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        for case in SAMPLER_CASES + CLI_CASES:
+        for case in CASES:
             work = Path(tmp) / case.replace("/", "_")
             work.mkdir()
             sys.stdout.write(f'    "{case}": "{digest_of(case, work)}",\n')
