@@ -27,7 +27,7 @@ from .bench import (
     write_campaign_csv,
     write_campaign_timing_csv,
 )
-from .core import Alphabet, RandomSource, TabularDistribution, sequence_from_str
+from .core import Alphabet, RandomSource, TabularDistribution, TokenSequence, sequence_from_str
 from .denoising import (
     ExactDenoiser,
     LogitModifier,
@@ -38,11 +38,10 @@ from .errors import ConfigError, GuideSamplerError, SizeCapError
 from .predictors import CleanPredictor, ExactMarginalPredictor, PairwiseInteractionPredictor
 from .sampling import (
     GuidanceConfig,
-    SamplerDiagnostics,
-    aoarm_sample,
+    aoarm_sample_many,
     check_dt,
     check_route,
-    euler_sample,
+    euler_sample_many,
     write_paths_jsonl,
 )
 
@@ -278,6 +277,10 @@ def cmd_verify(cfg: dict) -> int:
 
 
 def cmd_sample(cfg: dict) -> int:
+    """Sample every chain in one call of the route's batched driver, on one
+    random stream and one context cache shared by the chains, and write
+    ``samples.txt``, ``paths.jsonl`` (empty without ``record_paths``) and
+    ``diagnostics.json``."""
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(cfg, out / "resolved_config.json")
@@ -309,22 +312,19 @@ def cmd_sample(cfg: dict) -> int:
 
     root = RandomSource(cfg["seed"])
     n = int(sampler["n_samples"])
-    sequences, paths = [], []
-    agg = SamplerDiagnostics(sampler=sampler["route"], n_chains=n)
-    for k in range(n):
-        rng = root.substream(k)
-        if sampler["route"] == "euler":
-            x, path, diag = euler_sample(denoiser, gcfg, _identity(), float(sampler["dt"]), rng)
-        else:
-            x, path, diag = aoarm_sample(denoiser, gcfg, rng, schedule=_identity(), attach_times=True)
-        sequences.append(x)
-        paths.append(path)
-        agg.add(diag)
-    (out / "samples.txt").write_text("".join(str(x) + "\n" for x in sequences))
+    record = bool(sampler["record_paths"])
+    if sampler["route"] == "euler":
+        dt = float(sampler["dt"])
+        result = euler_sample_many(denoiser, gcfg, _identity(), dt, n, root, paths=record)
+    else:
+        result = aoarm_sample_many(denoiser, gcfg, n, root, paths=record)
+    rows, diag = result[0], result[-1]
+    alpha = Alphabet(denoiser.S)
+    (out / "samples.txt").write_text("".join(str(TokenSequence(r, alpha)) + "\n" for r in rows))
     with open(out / "paths.jsonl", "w") as fh:
-        if sampler["record_paths"]:
-            write_paths_jsonl(paths, fh)
-    _dump_json(agg.to_json(), out / "diagnostics.json")
+        if record:
+            write_paths_jsonl(result[1], fh)
+    _dump_json(diag.to_json(), out / "diagnostics.json")
     print(f"wrote {n} samples to {out / 'samples.txt'}")
     return 0
 

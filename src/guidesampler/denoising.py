@@ -455,7 +455,8 @@ def train_denoiser(
     FM and MLM draw a uniform time per example and score every masked
     position; they coincide exactly here because the model has no time input.
     AOARM reveals a uniformly random subset and scores one uniformly chosen
-    hidden position. Returns (model, final running loss).
+    hidden position. Returns (model, loss): the running loss after the last
+    step, an exponential average of the step losses; 0.0 when none ran.
 
     The pair gradient of a step is one ``np.bincount`` over the flat cell
     index (e, context token, d, s), which adds each cell's batch rows in row

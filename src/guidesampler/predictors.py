@@ -353,6 +353,8 @@ def train_noisy_classifier(
     inputs, then freeze every parameter not involving a mask token and adapt
     only the mask-facing terms on noised inputs. Default off.
 
+    Returns (model, loss): the loss of the last step; 0.0 when none ran.
+
     The single-site gradient and the gradients of all (d, e) pairs are one
     ``np.bincount`` each, which adds each cell's examples in row order
     starting from 0.0, exactly as ``np.add.at`` into zeros does. Keep that
@@ -408,7 +410,7 @@ def train_noisy_classifier(
             model.pair[first, second] -= lr * g
         return float(-(y * np.log(np.clip(p, 1e-300, 1)) + (1 - y) * np.log(np.clip(1 - p, 1e-300, 1))).mean())
 
-    loss = math.nan
+    loss = 0.0
     if two_stage:
         for _ in range(epochs):
             loss = epoch_step(seqs, mask_only=False)

@@ -1,14 +1,21 @@
 """Unconditional and guided generation over the masking noise process.
 
-Two sampling routes produce draws from the same law:
+Two sampling routes produce draws from the same law. Each route has one
+core that samples n chains at once over one context cache:
 
-* :func:`euler_sample`: numerical CTMC integration with step ``dt``; carries
-  an O(dt) bias and a diagnostics counter for outflow renormalizations;
-* :func:`aoarm_sample`: exact any-order autoregressive sampling: a uniform
-  permutation fixes the unmask order, one categorical draw per position; the
-  per-step state conditional never reads the clock (it takes no time
-  argument), and jump times, when requested, are attached afterwards by
-  sorting independent draws from the schedule.
+* :func:`aoarm_sample_many`: exact any-order autoregressive sampling.
+  Sorting i.i.d. uniforms gives each chain a uniform unmask order, and the
+  sorted uniforms are its jump times under the identity schedule. Each step
+  makes one categorical draw per chain; the per-step state conditional never
+  reads the clock (it takes no time argument).
+* :func:`euler_sample_many`: numerical CTMC integration with step ``dt``.
+  It carries an O(dt) bias and counts outflow renormalizations. Positions
+  still masked at the 1-dt horizon are force-completed at time 1.0.
+
+A core forms one guided row per distinct (context, position) pair of a step
+and returns the token rows, each chain's unmask order and its jump times.
+With ``paths=True`` the drivers turn these into one :class:`DecodePath` per
+chain. :func:`aoarm_sample` and :func:`euler_sample` are the n=1 case.
 
 Guidance modes:
 
@@ -26,13 +33,12 @@ One kernel, :meth:`_ContextCache.guided_weights`, forms the guided weights
 of every mode for both routes: one unnormalized row over the real symbols per
 requested masked position. The any-order route draws from a row; the Euler
 route and :func:`guide_rates` scale rows by kappa_dot/(1-kappa). It reads one
-pure-function context cache keyed by the base-(S+1) context code, which the
-many-chain drivers share across chains when every component is deterministic
-(otherwise they run single chains on substreams). ``exact`` and ``deg`` make
-one predictor call per (context, position) when the predictor scores the S
-children of a position at once (``child_likelihoods``), and one call per
-child otherwise. Diagnostics report both weight requests and actual model
-evaluations; a predictor evaluation is one newly memoized child.
+pure-function context cache keyed by the base-(S+1) context code, shared by
+the chains of a call when every component is deterministic (otherwise each
+chain runs the core alone on its own substream and cache). ``exact`` and
+``deg`` make one predictor call per (context, position) when the predictor
+scores the S children of a position at once (``child_likelihoods``), and one
+call per child otherwise.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -42,6 +48,7 @@ model and never a separate normalizer.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -56,8 +63,8 @@ from .core import (
     TokenSequence,
     as_generator,
 )
-from .denoising import CODE_LIMIT, CodeCache, Denoiser
-from .errors import DegenerateStepError, SizeCapError, TimeHorizonError
+from .denoising import CodeCache, Denoiser
+from .errors import DegenerateStepError, TimeHorizonError
 from .predictors import LIKELIHOOD_FLOOR, TimePredictor
 
 TIME_HORIZON_EPS = 1e-9
@@ -116,7 +123,23 @@ def check_route(route: str, mode: str) -> None:
 
 @dataclass
 class SamplerDiagnostics:
-    """Run accounting, emitted as a JSON summary."""
+    """Counts and wall time of one sampler call, emitted as a JSON summary.
+
+    * ``sampler``: the route name, ``aoarm`` or ``euler``.
+    * ``n_chains``: chains sampled.
+    * ``n_steps``: chain-steps on the any-order route (D per chain);
+      integration steps on the Euler route, summed per chain when chains run
+      one by one on substreams.
+    * ``overflow_renormalizations``: Euler outflows above 1 clipped to 1,
+      one per (chain, position, step).
+    * ``denoiser_evals``: posterior evaluations of either denoiser, one per
+      newly cached context.
+    * ``predictor_evals``: newly memoized likelihoods (one per child or
+      source context) and gradient surfaces.
+    * ``step_weight_requests``: distinct (context, position, active) guided
+      weight rows formed.
+    * ``wall_time_s``: seconds spent in the call.
+    """
 
     sampler: str = ""
     n_chains: int = 0
@@ -127,12 +150,6 @@ class SamplerDiagnostics:
     step_weight_requests: int = 0
     wall_time_s: float = 0.0
 
-    def add(self, other: "SamplerDiagnostics") -> None:
-        """Accumulate another run's counts and wall time."""
-        for name in ("n_steps", "overflow_renormalizations", "denoiser_evals",
-                     "predictor_evals", "step_weight_requests", "wall_time_s"):
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def to_json(self) -> dict:
         return asdict(self)
 
@@ -142,13 +159,13 @@ class DecodePath:
     """Realized generation trace: one unmask event per step.
 
     ``permutation[i]`` is the position unmasked at step i, ``jump_times[i]``
-    the time it happened (Euler paths may carry tied times at dt resolution;
-    forced terminal unmasks carry time 1.0), ``states`` the D+1 progressively
-    unmasked token arrays.
+    the time it happened (nondecreasing; Euler paths may carry tied times at
+    dt resolution, and forced terminal unmasks carry time 1.0), ``states``
+    the D+1 progressively unmasked token arrays.
     """
 
     permutation: np.ndarray
-    jump_times: Optional[np.ndarray]
+    jump_times: np.ndarray
     states: list
     S: int
 
@@ -159,7 +176,7 @@ class DecodePath:
         alpha = Alphabet(self.S)
         return {
             "permutation": [int(d) for d in self.permutation],
-            "jump_times": None if self.jump_times is None else [float(t) for t in self.jump_times],
+            "jump_times": [float(t) for t in self.jump_times],
             "states": ["".join(alpha.letter(int(t)) for t in s) for s in self.states],
         }
 
@@ -360,40 +377,68 @@ class _ContextCache(CodeCache):
         return post * (lik / src) ** cfg.gamma
 
 
-def _check_pair_keys(D: int, S: int) -> None:
-    """The many-chain drivers key a (context, position) pair as the int64
-    ``code * D + d``; refuse sizes where that key wraps."""
-    if (S + 1) ** D * D >= CODE_LIMIT:
-        raise SizeCapError(
-            f"(context, position) keys (S+1)**D * D = {S + 1}**{D} * {D} do not fit in int64"
-        )
-
-
 def _normalized_cdf(weights: np.ndarray, step: int, position: int):
-    """(total, cumulative distribution) of a nonnegative weight row."""
+    """(total, cumulative distribution) of a nonnegative weight row. A row
+    whose total is zero or not finite raises DegenerateStepError."""
     total = float(weights.sum())
     if not (math.isfinite(total) and total > 0.0):
         raise DegenerateStepError(step, position)
     return total, np.cumsum(weights) / total
 
 
-def _draw_from_weights(weights: np.ndarray, u: float, step: int, position: int) -> int:
-    _, cdf = _normalized_cdf(weights, step, position)
-    return min(int(np.searchsorted(cdf, u, side="right")), weights.size - 1)
+def _pairs(codes: np.ndarray, positions: np.ndarray, D: int):
+    """Distinct (context code, position) pairs in ascending (code, position)
+    order, as (codes, positions, index of each input pair among them). A
+    pair is keyed by the rank of its code among the distinct codes times D
+    plus the position: below ``codes.size * D`` at every size whose context
+    codes fit in int64."""
+    distinct, rank = np.unique(codes, return_inverse=True)
+    keys, inv = np.unique(rank * D + positions, return_inverse=True)
+    return distinct[keys // D], keys % D, inv
 
 
-def _per_chain(n: int, D: int, rng, diag: SamplerDiagnostics, sample_one) -> np.ndarray:
-    """Many-chain fallback for nondeterministic components: chain k is one
-    single-chain run on substream k, so no model output is shared across
-    chains. Returns the (n, D) token matrix; counts accumulate in ``diag``."""
-    if not hasattr(rng, "substream"):
-        raise ValueError("nondeterministic components require a RandomSource")
-    rows = np.empty((n, D), dtype=np.int64)
-    for k in range(n):
-        x, _, one = sample_one(rng.substream(k))
-        rows[k] = x.tokens
-        diag.add(one)
-    return rows
+def _draw(cdfs: np.ndarray, inv: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: the symbol of uniform u[k] under row cdfs[inv[k]]."""
+    return (cdfs[inv] < u[:, None]).sum(axis=1).clip(max=cdfs.shape[1] - 1)
+
+
+def _decode_paths(rows: np.ndarray, order: np.ndarray, times: np.ndarray, S: int) -> list:
+    """One DecodePath per chain: step i reveals row[order[i]] at times[i]."""
+    paths = []
+    for row, perm, tau in zip(rows, order, times):
+        state = np.full(row.size, S, dtype=np.int64)
+        states = [state.copy()]
+        for d in perm:
+            state[d] = row[d]
+            states.append(state.copy())
+        paths.append(DecodePath(permutation=perm, jump_times=tau, states=states, S=S))
+    return paths
+
+
+def _run(route: str, core, denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng, paths: bool):
+    """Run ``core(cache, n, generator)`` for a route's driver and time it.
+
+    Deterministic components share one cache across the n chains. Otherwise
+    chain k runs the core alone on substream k with a fresh cache, so no
+    model output is shared across chains; a single chain runs on ``rng``
+    itself. Returns (rows, diagnostics), or (rows, paths, diagnostics).
+    """
+    check_route(route, cfg.mode)
+    diag = SamplerDiagnostics(sampler=route, n_chains=n)
+    cache = _ContextCache(denoiser, cfg, diag)
+    t_start = time.perf_counter()
+    if cache.cacheable or n <= 1:
+        rows, order, times = core(cache, n, as_generator(rng))
+    else:
+        if not hasattr(rng, "substream"):
+            raise ValueError("nondeterministic components require a RandomSource")
+        runs = [core(_ContextCache(denoiser, cfg, diag), 1, rng.substream(k).generator())
+                for k in range(n)]
+        rows, order, times = (np.concatenate(parts) for parts in zip(*runs))
+    diag.wall_time_s = time.perf_counter() - t_start
+    if not paths:
+        return rows, diag
+    return rows, _decode_paths(rows, order, times, denoiser.S), diag
 
 
 # ---------------------------------------------------------------------------
@@ -401,91 +446,51 @@ def _per_chain(n: int, D: int, rng, diag: SamplerDiagnostics, sample_one) -> np.
 # ---------------------------------------------------------------------------
 
 
-def aoarm_sample(
-    denoiser: Denoiser,
-    cfg: GuidanceConfig,
-    rng,
-    schedule: Optional[InterpolationSchedule] = None,
-    attach_times: bool = False,
-):
-    """Draw one sequence by unmasking positions in a uniformly random order.
+def _aoarm_core(cache: _ContextCache, n: int, gen):
+    """n any-order chains on one cache; returns (rows, order, jump times).
 
-    Returns (TokenSequence, DecodePath). With mode 'deg', gamma=1, and exact
-    denoiser/predictor the output is an exact draw from the tilted posterior.
-    Jump times are attached afterwards (requires ``schedule``) and do not
-    perturb the sequence draw.
+    Sorting i.i.d. uniforms gives each chain a uniform unmask order, and the
+    sorted uniforms are its jump times under the identity schedule. Step i
+    draws one symbol per chain from the guided row of its (context,
+    position) pair, formed once per distinct pair.
     """
-    check_route("aoarm", cfg.mode)
-    gen = as_generator(rng)
-    D, S = denoiser.D, denoiser.S
-    diag = SamplerDiagnostics(sampler="aoarm", n_chains=1)
-    cache = _ContextCache(denoiser, cfg, diag)
-    sigma = gen.permutation(D)
-    tokens = np.full(D, S, dtype=np.int64)
-    code = cache.full_mask
-    states = [tokens.copy()]
-    t_start = time.perf_counter()
-    for i, d in enumerate(sigma):
-        w = cache.guided_weights(code, [d], (i / D) >= cfg.t0)[0]
-        s = _draw_from_weights(w, gen.random(), step=i, position=int(d))
-        tokens[d] = s
-        code += (s - S) * int(cache.pows[d])
-        states.append(tokens.copy())
-        diag.n_steps += 1
-    jump_times = None
-    if attach_times:
-        if schedule is None:
-            raise ValueError("attach_times requires a schedule")
-        jump_times, _ = sample_jump_times(D, schedule, gen)
-    diag.wall_time_s = time.perf_counter() - t_start
-    path = DecodePath(permutation=np.asarray(sigma), jump_times=jump_times, states=states, S=S)
-    return TokenSequence(tokens, Alphabet(S)), path, diag
-
-
-def aoarm_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng):
-    """Vectorized n-chain any-order sampling; returns (token matrix, diagnostics).
-
-    The unmask order per chain comes from sorting i.i.d. uniforms, which is
-    both a uniform permutation and the jump-time construction. Falls back to
-    per-chain sampling on substreams when any component is nondeterministic.
-    """
-    check_route("aoarm", cfg.mode)
-    D, S = denoiser.D, denoiser.S
-    diag = SamplerDiagnostics(sampler="aoarm_many", n_chains=n)
-    cache = _ContextCache(denoiser, cfg, diag)
-    t_start = time.perf_counter()
-    if not cache.cacheable:
-        rows = _per_chain(n, D, rng, diag, lambda r: aoarm_sample(denoiser, cfg, r))
-        diag.wall_time_s = time.perf_counter() - t_start
-        return rows, diag
-
-    _check_pair_keys(D, S)
-    gen = as_generator(rng)
-    order = np.argsort(gen.random((n, D)), axis=1, kind="stable")
-    pows = cache.pows
+    D, S, cfg = cache.D, cache.S, cache.cfg
+    u = gen.random((n, D))
+    order = np.argsort(u, axis=1, kind="stable")
+    rows = np.full((n, D), S, dtype=np.int64)
     codes = np.full(n, cache.full_mask, dtype=np.int64)
     for i in range(D):
         active = (i / D) >= cfg.t0
         d_vec = order[:, i]
         # a step-i context has exactly i unmasked positions, so pairs never
         # recur across steps and the CDF rows are not worth keeping
-        uniq, inv = np.unique(codes * D + d_vec, return_inverse=True)
-        cdf_rows = np.empty((uniq.size, S))
-        for j, key in enumerate(uniq):
-            code, d = divmod(int(key), D)
-            w = cache.guided_weights(code, [d], active)[0]
-            _, cdf_rows[j] = _normalized_cdf(w, i, d)
-        u = gen.random(n)
-        draws = (cdf_rows[inv] < u[:, None]).sum(axis=1).clip(max=S - 1)
-        codes += (draws - S) * pows[d_vec]
-        diag.n_steps += n
-    rows = np.empty((n, D), dtype=np.int64)
-    rest = codes.copy()
-    for i in range(D):
-        rows[:, i] = rest % (S + 1)
-        rest //= S + 1
-    diag.wall_time_s = time.perf_counter() - t_start
-    return rows, diag
+        ctx, pos, inv = _pairs(codes, d_vec, D)
+        cdfs = np.empty((ctx.size, S))
+        for j, (code, d) in enumerate(zip(ctx.tolist(), pos.tolist())):
+            _, cdfs[j] = _normalized_cdf(cache.guided_weights(code, [d], active)[0], i, d)
+        draws = _draw(cdfs, inv, gen.random(n))
+        rows[np.arange(n), d_vec] = draws
+        codes += (draws - S) * cache.pows[d_vec]
+        cache.diag.n_steps += n
+    return rows, order, np.take_along_axis(u, order, axis=1)
+
+
+def aoarm_sample(denoiser: Denoiser, cfg: GuidanceConfig, rng):
+    """Draw one sequence: the n=1 case of :func:`aoarm_sample_many`.
+
+    Returns (TokenSequence, DecodePath, SamplerDiagnostics). The path's jump
+    times are the sorted uniforms that fixed the unmask order. With mode
+    'deg', gamma=1 and an exact denoiser and predictor, the output is an
+    exact draw from the tilted posterior.
+    """
+    rows, paths, diag = aoarm_sample_many(denoiser, cfg, 1, rng, paths=True)
+    return TokenSequence(rows[0], Alphabet(denoiser.S)), paths[0], diag
+
+
+def aoarm_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng, paths: bool = False):
+    """n any-order chains; returns (token matrix, diagnostics), or (token
+    matrix, decode paths, diagnostics) with ``paths``."""
+    return _run("aoarm", _aoarm_core, denoiser, cfg, n, rng, paths)
 
 
 # ---------------------------------------------------------------------------
@@ -501,123 +506,36 @@ def check_dt(dt: float) -> int:
     return max(1, int(math.floor((1.0 - 2.0 * dt) / dt + 1e-9)) + 1)
 
 
-def euler_sample(
-    denoiser: Denoiser,
-    cfg: GuidanceConfig,
-    schedule: InterpolationSchedule,
-    dt: float,
-    rng,
-):
-    """Integrate the (guided) masking CTMC from the fully masked state.
+def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedule,
+                dt: float, n_int: int):
+    """n Euler chains on one cache; returns (rows, order, jump times).
 
-    Steps from t=0 to t=1-dt; outflow above 1 is renormalized and counted;
-    residual masked positions at the horizon are force-completed with one
-    draw each from the final guided per-position distribution (recorded at
-    time 1.0). Returns (TokenSequence, DecodePath, SamplerDiagnostics).
+    The still-masked (chain, position) pairs are flat arrays. Integration
+    step k draws one Bernoulli per pair and one symbol per jumper, which
+    jumps at time (k+1)*dt. Pairs still masked at the horizon are
+    force-completed from their guided rows (step ``n_int``) at time 1.0. A
+    chain's order sorts its positions by jump time, ties by position.
     """
-    check_route("euler", cfg.mode)
-    n_int = check_dt(dt)
-    gen = as_generator(rng)
-    D, S = denoiser.D, denoiser.S
-    diag = SamplerDiagnostics(sampler="euler", n_chains=1)
-    cache = _ContextCache(denoiser, cfg, diag)
-    pows = cache.pows
-    tokens = np.full(D, S, dtype=np.int64)
-    code = cache.full_mask
-    perm: list = []
-    times: list = []
-    t_start = time.perf_counter()
-    for k in range(n_int):
-        t = k * dt
-        coef_dt = rate_coefficient(t, schedule) * dt
-        masked = np.flatnonzero(tokens == S)
-        if masked.size == 0:
-            break
-        w = cache.guided_weights(code, masked, t >= cfg.t0)
-        wsum = w.sum(axis=1)
-        diag.n_steps += 1
-        for j, d in enumerate(masked):
-            outflow = coef_dt * float(wsum[j])
-            if outflow > 1.0:
-                diag.overflow_renormalizations += 1
-                outflow = 1.0
-            if gen.random() < outflow:
-                s = _draw_from_weights(w[j], gen.random(), step=k, position=int(d))
-                tokens[d] = s
-                code += (s - S) * int(pows[d])
-                perm.append(int(d))
-                times.append(t + dt)
-    # force-complete residual masks from the final per-position distribution
-    masked = np.flatnonzero(tokens == S)
-    if masked.size:
-        w = cache.guided_weights(code, masked, (1.0 - dt) >= cfg.t0)
-        for j, d in enumerate(masked):
-            tokens[d] = _draw_from_weights(w[j], gen.random(), step=n_int, position=int(d))
-            perm.append(int(d))
-            times.append(1.0)
-    # rebuild the one-unmask-per-step state trace
-    trace: list = [np.full(D, S, dtype=np.int64)]
-    for d in perm:
-        nxt = trace[-1].copy()
-        nxt[d] = tokens[d]
-        trace.append(nxt)
-    diag.wall_time_s = time.perf_counter() - t_start
-    path = DecodePath(
-        permutation=np.array(perm, dtype=np.int64),
-        jump_times=np.array(times),
-        states=trace,
-        S=S,
-    )
-    return TokenSequence(tokens, Alphabet(S)), path, diag
-
-
-def euler_sample_many(
-    denoiser: Denoiser,
-    cfg: GuidanceConfig,
-    schedule: InterpolationSchedule,
-    dt: float,
-    n: int,
-    rng,
-):
-    """Vectorized n-chain Euler integration; returns (token matrix, diagnostics).
-
-    Maintains the still-masked (chain, position) pairs as flat arrays; each
-    step draws one Bernoulli per pair and one categorical per jumper.
-    """
-    check_route("euler", cfg.mode)
-    n_int = check_dt(dt)
-    D, S = denoiser.D, denoiser.S
-    diag = SamplerDiagnostics(sampler="euler_many", n_chains=n)
-    cache = _ContextCache(denoiser, cfg, diag)
-    t_start = time.perf_counter()
-    if not cache.cacheable:
-        rows = _per_chain(n, D, rng, diag, lambda r: euler_sample(denoiser, cfg, schedule, dt, r))
-        diag.wall_time_s = time.perf_counter() - t_start
-        return rows, diag
-
-    _check_pair_keys(D, S)
-    gen = as_generator(rng)
-    pows = cache.pows
-    tokens = np.full((n, D), S, dtype=np.int64)
+    D, S, cfg, diag = cache.D, cache.S, cache.cfg, cache.diag
+    rows = np.full((n, D), S, dtype=np.int64)
+    times = np.ones((n, D))
     codes = np.full(n, cache.full_mask, dtype=np.int64)
     chain_idx = np.repeat(np.arange(n), D)
     pos_idx = np.tile(np.arange(D), n)
     unguided = not cfg.guided
     # a chain that does not jump keeps its context, so (pair, active) recurs
-    cdf_cache: dict = {}
+    memo: dict = {}
 
-    def pair_tables(codes_now, pos_now, active):
+    def pair_tables(chains, positions, active, step):
         """(jump weight sums, cdf matrix, indices into it) for the given pairs."""
-        uniq, inv = np.unique(codes_now * D + pos_now, return_inverse=True)
-        sums = np.empty(uniq.size)
-        cdfs = np.empty((uniq.size, S))
-        for j, key in enumerate(uniq):
-            k = int(key)
-            got = cdf_cache.get((k, active))
+        ctx, pos, inv = _pairs(codes[chains], positions, D)
+        sums = np.empty(ctx.size)
+        cdfs = np.empty((ctx.size, S))
+        for j, (code, d) in enumerate(zip(ctx.tolist(), pos.tolist())):
+            got = memo.get((code, d, active))
             if got is None:
-                code, d = divmod(k, D)
-                got = _normalized_cdf(cache.guided_weights(code, [d], active)[0], -1, d)
-                cdf_cache[(k, active)] = got
+                got = _normalized_cdf(cache.guided_weights(code, [d], active)[0], step, d)
+                memo[(code, d, active)] = got
             sums[j], cdfs[j] = got
         return sums[inv], cdfs, inv
 
@@ -631,29 +549,47 @@ def euler_sample_many(
         if unguided:
             outflow = np.full(chain_idx.size, coef_dt)
         else:
-            sums, cdfs, inv = pair_tables(codes[chain_idx], pos_idx, active)
+            sums, cdfs, inv = pair_tables(chain_idx, pos_idx, active, k)
             outflow = coef_dt * sums
-        over = outflow > 1.0
-        diag.overflow_renormalizations += int(over.sum())
+        diag.overflow_renormalizations += int((outflow > 1.0).sum())
         np.clip(outflow, None, 1.0, out=outflow)
         jump = gen.random(chain_idx.size) < outflow
         if jump.any():
             jc, jp = chain_idx[jump], pos_idx[jump]
             if unguided:
-                _, cdfs, inv_j = pair_tables(codes[jc], jp, active)
+                _, cdfs, inv_j = pair_tables(jc, jp, active, k)
             else:
                 inv_j = inv[jump]
-            u = gen.random(jc.size)
-            draws = (cdfs[inv_j] < u[:, None]).sum(axis=1).clip(max=S - 1)
-            tokens[jc, jp] = draws
+            draws = _draw(cdfs, inv_j, gen.random(jc.size))
+            rows[jc, jp] = draws
+            times[jc, jp] = t + dt
             # one chain can jump at several positions in a single step
-            np.add.at(codes, jc, (draws - S) * pows[jp])
+            np.add.at(codes, jc, (draws - S) * cache.pows[jp])
             chain_idx, pos_idx = chain_idx[~jump], pos_idx[~jump]
     if chain_idx.size:
-        active = (1.0 - dt) >= cfg.t0
-        _, cdfs, inv_j = pair_tables(codes[chain_idx], pos_idx, active)
-        u = gen.random(chain_idx.size)
-        draws = (cdfs[inv_j] < u[:, None]).sum(axis=1).clip(max=S - 1)
-        tokens[chain_idx, pos_idx] = draws
-    diag.wall_time_s = time.perf_counter() - t_start
-    return tokens, diag
+        _, cdfs, inv = pair_tables(chain_idx, pos_idx, (1.0 - dt) >= cfg.t0, n_int)
+        rows[chain_idx, pos_idx] = _draw(cdfs, inv, gen.random(chain_idx.size))
+    order = np.argsort(times, axis=1, kind="stable")
+    return rows, order, np.take_along_axis(times, order, axis=1)
+
+
+def euler_sample(denoiser: Denoiser, cfg: GuidanceConfig, schedule: InterpolationSchedule,
+                 dt: float, rng):
+    """Integrate one chain of the (guided) masking CTMC from the fully masked
+    state: the n=1 case of :func:`euler_sample_many`.
+
+    Returns (TokenSequence, DecodePath, SamplerDiagnostics); forced terminal
+    unmasks carry time 1.0 in the path.
+    """
+    rows, paths, diag = euler_sample_many(denoiser, cfg, schedule, dt, 1, rng, paths=True)
+    return TokenSequence(rows[0], Alphabet(denoiser.S)), paths[0], diag
+
+
+def euler_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, schedule: InterpolationSchedule,
+                      dt: float, n: int, rng, paths: bool = False):
+    """n Euler chains stepped from t=0 to the 1-dt horizon; an outflow above
+    1 is clipped and counted, and residual masks are force-completed.
+    Returns (token matrix, diagnostics), or (token matrix, decode paths,
+    diagnostics) with ``paths``."""
+    core = functools.partial(_euler_core, schedule=schedule, dt=dt, n_int=check_dt(dt))
+    return _run("euler", core, denoiser, cfg, n, rng, paths)

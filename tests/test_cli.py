@@ -45,10 +45,31 @@ class TestSampleCommand:
         assert len(paths) == 4
         assert sorted(paths[0]["permutation"]) == [0, 1, 2]
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["n_chains"] == 4
-        assert diag["step_weight_requests"] == diag["n_steps"] == 4 * 3
+        assert diag["n_chains"] == 4 and diag["n_steps"] == 4 * 3
+        # one weight row per distinct (context, position) pair of a step
+        pairs = {(p["states"][i], p["permutation"][i]) for p in paths for i in range(3)}
+        assert diag["step_weight_requests"] == len(pairs)
         cfg = json.loads((out / "resolved_config.json").read_text())
         assert cfg["command"] == "sample" and cfg["seed"] == 1
+
+    def test_chains_share_one_context_cache(self, tmp_path, model_file, monkeypatch):
+        # every context is evaluated once, however many chains reach it
+        from guidesampler.denoising import ExactDenoiser
+
+        seen = []
+        posterior = ExactDenoiser.posterior_array
+
+        def spy(self, tokens):
+            seen.append(tokens.tobytes())
+            return posterior(self, tokens)
+
+        monkeypatch.setattr(ExactDenoiser, "posterior_array", spy)
+        out = tmp_path / "run"
+        assert main(["sample", "--model", str(model_file), "--n", "20", "--seed", "2",
+                     "--out", str(out)]) == 0
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["denoiser_evals"] == len(seen) == len(set(seen))
+        assert len(seen) < 20 * 3
 
     def test_guided_sampling_with_predictor(self, tmp_path, model_file, predictor_file):
         out = tmp_path / "guided"

@@ -320,6 +320,14 @@ class TestTrainNoisyClassifier:
         assert model.likelihood_array(np.array([1])) > 0.5
         assert model.likelihood_array(np.array([0])) < 0.5
 
+    @pytest.mark.parametrize("two_stage", [False, True])
+    def test_zero_epochs_loss_is_zero(self, two_stage):
+        # as train_denoiser(steps=0): no step ran, so the loss is 0.0, not nan
+        data = [(sequence_from_str("A", AB), False), (sequence_from_str("B", AB), True)]
+        model, loss = train_noisy_classifier(data, RandomSource(0), epochs=0, two_stage=two_stage)
+        assert loss == 0.0
+        assert model.bias == 0.0 and not model.single.any()
+
     def test_single_class_rejected(self):
         data = [(sequence_from_str("A", AB), True)]
         with pytest.raises(ValueError):

@@ -9,9 +9,11 @@ hash the trained weights and the returned loss of ``train_denoiser`` and
 ``campaign.csv`` rows. The digests are pinned, so a change that moves a
 sampled token, a path, a model-call count, a trained weight or RNG
 consumption fails here. A change that means to move them updates
-``PINNED`` and says why. To print the digests of the current tree:
+``PINNED`` and says why. To print the digests of the current tree, or
+only the cases whose digest differs from ``PINNED``:
 
     PYTHONPATH=src python tests/test_reproducibility.py
+    PYTHONPATH=src python tests/test_reproducibility.py --diff
 """
 
 import contextlib
@@ -131,7 +133,7 @@ def sampler_digest(model, route, mode, kind) -> str:
             rows, diag = euler_sample_many(den, cfg, identity_schedule(), DT, N_MANY, rng)
         return sha(np.ascontiguousarray(rows, dtype=np.int64).tobytes(), counts(diag))
     if route == "aoarm":
-        x, path, diag = aoarm_sample(den, cfg, rng, schedule=identity_schedule(), attach_times=True)
+        x, path, diag = aoarm_sample(den, cfg, rng)
     else:
         x, path, diag = euler_sample(den, cfg, identity_schedule(), DT, rng)
     path_json = json.dumps(path.to_json(), sort_keys=True).encode()
@@ -215,42 +217,47 @@ TRAIN_CASES = [
 CAMPAIGN_CASES = ["campaign/3"]
 CASES = SAMPLER_CASES + CLI_CASES + TRAIN_CASES + CAMPAIGN_CASES
 
-#: computed on the tree before the batched child scoring, whose outputs it keeps
+#: the batched-sampler digests were computed on the tree before the batched
+#: child scoring, whose outputs it keeps
 PINNED = {
-    "tabular/aoarm/none/single": "ab954913b34c9fb8dc2d8f15d29cefedaae35ebd61cc82665d244fc76206f61a",
     "tabular/aoarm/none/many": "a40eca8bef70e70f1d212517adf1a7afabb9b385f078f99af11d9c265618e4e3",
-    "tabular/aoarm/deg/single": "b11e0d923902ec9ef5bd11f0cc8ec41533020bfdc844559898dddeb5071d010b",
     "tabular/aoarm/deg/many": "0cb3ccf315debac13746dd9166427120a0e9a05c1af3d6c9bd07a33bef6dc3ac",
-    "tabular/aoarm/tag/single": "de671af3361cedec12cd5474cda88258c28d1a9fe0781d6b4d110ac0a2b52384",
     "tabular/aoarm/tag/many": "372af3ccb074a6b17aefbf4a38c9ddb2ebcc1cde9dbd51a0f1a17c31308d8907",
-    "tabular/aoarm/predictor_free/single": "37d73be1158ab5cb40c7ffd843ec9045ea6eacb8b4f71f07c2b14523a55ce593",
     "tabular/aoarm/predictor_free/many": "49ad3046d0c3bc9d0c12d942ed3dc1b8e3c126df27ae1e740c07c8fd661e4920",
-    "tabular/euler/none/single": "a2afec5a212b8ed17bf4bf87b9db814a31029cb59192581e36df1107c8841756",
     "tabular/euler/none/many": "8956103230b629e32a6de75c18c489fba94aa364e0814e5128e97620b3c1e8f0",
-    "tabular/euler/exact/single": "49a4f0fe5f413b0a8b9e252e4f1b5ab325b700b10295790c89638213c0f450cb",
     "tabular/euler/exact/many": "9fd426ad2c4ca31bc32f991cf15c9a8b74bd56054cf5524ba1eb4990008eb455",
-    "tabular/euler/tag/single": "ff415480f95729a41b8504ccb0b430acdf6a7a71e6052aec7f1663a2d1540f55",
     "tabular/euler/tag/many": "3ab3de360731be7b2be7b53375e8e1184b27708b58c71eb6dacb117742101f73",
-    "tabular/euler/predictor_free/single": "0531f09d782e6f3051a7c794c42003167f15e779830f5d667f742def46c11721",
     "tabular/euler/predictor_free/many": "53c568b8b1032d53615b4bb1427afca71dc30a65c298003905347bd29fd4c612",
-    "parametric/aoarm/none/single": "51d7810f70789962c969c45c2667147bd9673c102d4ec237679c1a1b2af7cd14",
     "parametric/aoarm/none/many": "524879ef9ad197f5c0b278b8b95d04439b02932b34b35ce5d147184597502f4b",
-    "parametric/aoarm/deg/single": "ecc5415198c493c50c4156e0d1e184c5472759fe4cee7532f0ec8df7e8563eab",
     "parametric/aoarm/deg/many": "5face5cb1297a95de48f6c68f9b7931ba1ca5b8aaf3e061952989f7d2773ba4b",
-    "parametric/aoarm/tag/single": "201c8e68073a51e5e4841090ff9e6beab0de9065e4d0f80dd0f632f64a9b4f13",
     "parametric/aoarm/tag/many": "4c87993650377b4f2e06cb03327cecb863502cb3201b23ef08c045c5a2c8af57",
-    "parametric/aoarm/predictor_free/single": "a2ffce4c6da829babebe97703bc9192244a962faf0612d551044cb5968294ee9",
     "parametric/aoarm/predictor_free/many": "5901676241ad013e3d46837f769210b6d5de44dae01c1b5a03eec78e2fe11987",
-    "parametric/euler/none/single": "d23391fd57a239094113d0beb7e568b19deb816749928b7711f57533fee2b195",
     "parametric/euler/none/many": "6146c141f4c306d7196448cc7064a00317a307962c8f443a6d61a73ce31992c5",
-    "parametric/euler/exact/single": "dcd1a2b5b052661eef928e31fb539e7b5b4ca47c51fbb22c744cf6c839e9a107",
     "parametric/euler/exact/many": "2defb3a714d94b1cac18b69b538dedf8b885dbbe4903425e9d4285f5445e9951",
-    "parametric/euler/tag/single": "251c9517940ad926041c5d907f3461302f997e99243fbbefd10cd9d140bfa924",
     "parametric/euler/tag/many": "499592a0273876c0d1762511101d629357a606557a00ad69151ea0e68c080e7e",
-    "parametric/euler/predictor_free/single": "eee382f650986006237206bc2c1cdc620593e033bcc274f4a31b1fadb79c1e11",
     "parametric/euler/predictor_free/many": "05b8709dee3faa6cf65ea182551dbf66d822f07ed676742ebd8a69d1e1883925",
-    "cli/aoarm/deg": "a9f29426828781c24d88045069481b03fe635bf94f6ff2797264fa8611a6c2f6",
-    "cli/euler/exact": "492e46e67ec2263f43f84167d891297f614b9e01e3057a9bef37dbef0324c69a",
+    # re-pinned when single chains and `guidesampler sample` became calls of the
+    # batched drivers, which moved RNG order: permutation(D) became
+    # argsort(random((1, D))), per-position Euler draws became vector draws, and
+    # the CLI's per-chain substreams became one stream for all chains
+    "tabular/aoarm/none/single": "31c2660747a6b270c443343d4ef869640e8eb52c36f892ca55e0984ef200052c",
+    "tabular/aoarm/deg/single": "68bd513726715a4acbc8a4623ba24c4d39936b04c74abfe08c72080d074dae29",
+    "tabular/aoarm/tag/single": "062beabdfd924439e59384d3348b9092b800f50dc67834a1dfa4059414fefedc",
+    "tabular/aoarm/predictor_free/single": "6717bf0e9082200d5889f01747e2fb298a1c0d170550500e11345928f136678b",
+    "tabular/euler/none/single": "0d6b5d1b9fad613e517a977b2d20b6a0e720cab537ff7e43e2d43f1363481ec6",
+    "tabular/euler/exact/single": "ee104ab28690ce63c4a66d1954ec45744aa1ac6fb177b498813c5f669272f5d1",
+    "tabular/euler/tag/single": "be02ace45cd836ea73bedddb4cf900d528fa4fdf85083cd1260fbe3b358a8609",
+    "tabular/euler/predictor_free/single": "2e761fb437ef261733f0c4038ecbe48ccb3662f64efbf33e691a5a0b0165bf2c",
+    "parametric/aoarm/none/single": "716179e0ef746304542fa6e21386f8032d8083ae0124121d7a2f97e5bd4d6078",
+    "parametric/aoarm/deg/single": "a01201171121bc7007fd50d74d4c52b3cb742d3fa199a8cf97b7d1d1c2de0b9e",
+    "parametric/aoarm/tag/single": "c48d106703e003911f33021b8beeb581ef3cb0d47f5d380d512d619b1bd3e8d6",
+    "parametric/aoarm/predictor_free/single": "f792ab89eb3fd304afafc76f7d98bf24de6d65028d5d74cb746b9bc09ae20e0b",
+    "parametric/euler/none/single": "d0912e060010caf0062136b1d2c0e3a01b5a1d4f714e5a7c06bc801f2863b764",
+    "parametric/euler/exact/single": "b5a08b45ee4e9dcf25c29847a1a3fe26e1847e30845dabb73291a4deae25fe7d",
+    "parametric/euler/tag/single": "07571ad27f0dd7cb4c8ab537a6bf76e56bdfb8198bb4b53dbd176ea230e92eb8",
+    "parametric/euler/predictor_free/single": "69a6efda4543df588cb6b65c04e9a62f7a6176689ddae0b042ea33c891fa7611",
+    "cli/aoarm/deg": "4b58e922e7196c4c1ceaeee6978b330418aab2e3e7988a60bbaa7da2cc28a792",
+    "cli/euler/exact": "3850489d32e486ca4505017baa4a5d38ad8437885bce538d6a3197154cc7252c",
     # computed on the tree before the bincount trainer updates, whose weights it keeps
     "denoiser/FM/uniform/D1": "dbd85ef3938b441f922f3619608aef3160b3d0e8e8d7200123dd48f2a730586d",
     "denoiser/FM/uniform/D4": "a416a020da56c20705ff840bbe4f5f52534cc30ecac04ba92f8b1d856c72d521",
@@ -291,8 +298,15 @@ def test_every_case_pinned():
 
 
 if __name__ == "__main__":
+    only_diff = sys.argv[1:] == ["--diff"]
+    if sys.argv[1:] and not only_diff:
+        sys.exit("usage: test_reproducibility.py [--diff]")
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
             work = Path(tmp) / case.replace("/", "_")
             work.mkdir()
-            sys.stdout.write(f'    "{case}": "{digest_of(case, work)}",\n')
+            digest = digest_of(case, work)
+            if not only_diff:
+                sys.stdout.write(f'    "{case}": "{digest}",\n')
+            elif digest != PINNED.get(case):
+                sys.stdout.write(f"{case}\n  pinned  {PINNED.get(case)}\n  current {digest}\n")

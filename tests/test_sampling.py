@@ -277,8 +277,9 @@ class TestEulerSampler:
     def test_path_records_one_unmask_per_step(self):
         p = random_dist(4, 2, 17)
         out, path, diag = euler_sample(ExactDenoiser(p), GuidanceConfig(), IDENT, 0.02, RandomSource(3))
-        # one weight request per integration step, plus one to force-complete
-        assert diag.step_weight_requests == diag.n_steps + int(1.0 in path.jump_times)
+        # unguided, a weight row is formed only for a position that jumps or
+        # is force-completed, each from its own (context, position) pair
+        assert diag.step_weight_requests == 4
         assert len(path.states) == len(path.permutation) + 1
         assert sorted(path.permutation.tolist()) == list(range(4))
         for a, b, d in zip(path.states, path.states[1:], path.permutation):
@@ -343,7 +344,10 @@ class TestAOARMSampler:
     def test_single_chain_matches_p_data(self):
         p = random_dist(2, 3, 55)
         den = ExactDenoiser(p)
-        root = RandomSource(56)
+        # root 56 gives p = 6.4e-4 < alpha on this stream, a false rejection:
+        # over roots 56-95 the p-values fit U(0, 1) (KS p = 0.69), and
+        # 60,000 chains at root 999 give p = 0.94
+        root = RandomSource(57)
         rows = np.stack(
             [aoarm_sample(den, GuidanceConfig(), root.substream(k))[0].tokens for k in range(6000)]
         )
@@ -379,14 +383,14 @@ class TestAOARMSampler:
         emp = EmpiricalDistribution.from_token_rows(rows, 3, 2)
         assert chi_square_gof(emp, p).passed
 
-    def test_sampled_sequence_unchanged_by_attach_times(self):
-        p = random_dist(3, 2, 31)
-        den = ExactDenoiser(p)
-        a, pa, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(7))
-        b, pb, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(7), schedule=IDENT, attach_times=True)
-        assert a == b
-        assert pa.jump_times is None
-        assert pb.jump_times is not None and (np.diff(pb.jump_times) >= 0).all()
+    def test_jump_times_are_the_sorted_order_uniforms(self):
+        # the uniforms whose argsort fixed the unmask order, sorted: the jump
+        # times under the identity schedule
+        den = ExactDenoiser(random_dist(3, 2, 31))
+        _, path, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(7))
+        u = RandomSource(7).generator().random((1, 3))[0]
+        assert path.permutation.tolist() == np.argsort(u).tolist()
+        assert np.array_equal(path.jump_times, np.sort(u))
 
     def test_degenerate_step_error_names_step(self):
         class Zero:
@@ -408,11 +412,15 @@ class TestAOARMSampler:
         clean = CleanPredictor(lambda x: float(0.3 + 0.4 * (x.tokens[0] == 1)))
         pom = PomPredictor(clean, den, 16, RandomSource(34))
         cfg = GuidanceConfig(mode="deg", gamma=1.0, predictor=pom)
-        rows, diag = aoarm_sample_many(den, cfg, 50, RandomSource(35))
+        rows, paths, diag = aoarm_sample_many(den, cfg, 50, RandomSource(35), paths=True)
         assert rows.shape == (50, 2)
         assert (rows < 2).all()
+        assert all(np.array_equal(p.states[-1], r) for p, r in zip(paths, rows))
         # the fallback aggregates every per-chain count: one request per step
         assert diag.step_weight_requests == diag.n_steps == 50 * 2
+        # one chain runs on the generator it is given
+        x, _, _ = aoarm_sample(den, cfg, np.random.default_rng(0))
+        assert x.D == 2
 
     def test_monotone_guidance_in_gamma(self):
         # increasing gamma never decreases the mean clean-predictor value
@@ -454,6 +462,85 @@ class TestAOARMSampler:
         cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=pred)
         rows, _ = aoarm_sample_many(ExactDenoiser(p), cfg, 2000, RandomSource(40))
         assert rows.shape == (2000, 3)
+
+
+class Certain:
+    """Likelihood 1 on a fully unmasked sequence of S=2 symbols and 0 (the
+    clamp floor) on any masked one: the exact-mode ratio of a last unmask is
+    1e12, and at gamma=30 the guided weights overflow to inf."""
+
+    deterministic = True
+    has_gradient_surface = False
+
+    def likelihood_array(self, tokens):
+        return 0.0 if (tokens == 2).any() else 1.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestEulerDegenerateStep:
+    def test_integration_step_named(self):
+        den = ExactDenoiser(random_dist(1, 2, 46))
+        cfg = GuidanceConfig(mode="exact", gamma=30.0, predictor=Certain())
+        with pytest.raises(DegenerateStepError) as exc:
+            euler_sample_many(den, cfg, IDENT, 0.1, 20, RandomSource(47))
+        assert (exc.value.step, exc.value.position) == (0, 0)
+
+    def test_force_completion_named(self):
+        # guidance starts after the last integration step (t = 0.8), so the
+        # weights first overflow when the horizon force-completes a chain
+        # with one masked position, at step n_int = 9
+        den = ExactDenoiser(random_dist(2, 2, 48))
+        cfg = GuidanceConfig(mode="exact", gamma=30.0, predictor=Certain(), t0=0.85)
+        with pytest.raises(DegenerateStepError) as exc:
+            euler_sample_many(den, cfg, IDENT, 0.1, 200, RandomSource(49))
+        assert exc.value.step == 9
+
+
+class TestDecodePaths:
+    """Paths of the batched drivers at n > 1: each step reveals exactly the
+    permuted position, and the final state is the sampled row."""
+
+    N, D, S = 40, 5, 3
+
+    def check(self, rows, paths):
+        assert len(paths) == self.N
+        for row, path in zip(rows, paths):
+            assert sorted(path.permutation.tolist()) == list(range(self.D))
+            assert len(path.states) == self.D + 1 and (path.states[0] == self.S).all()
+            for a, b, d in zip(path.states, path.states[1:], path.permutation):
+                assert np.flatnonzero(a != b).tolist() == [d]
+            assert np.array_equal(path.states[-1], row)
+
+    def test_aoarm_paths(self):
+        den = ParametricDenoiser.random(self.D, self.S, RandomSource(80), scale=0.5)
+        rows, paths, _ = aoarm_sample_many(den, GuidanceConfig(), self.N, RandomSource(81), paths=True)
+        self.check(rows, paths)
+        for path in paths:
+            assert (np.diff(path.jump_times) > 0).all()
+            assert 0.0 <= path.jump_times[0] and path.jump_times[-1] < 1.0
+        plain, _ = aoarm_sample_many(den, GuidanceConfig(), self.N, RandomSource(81))
+        assert np.array_equal(plain, rows)
+
+    def test_euler_paths(self):
+        den = ParametricDenoiser.random(self.D, self.S, RandomSource(82), scale=0.5)
+        dt = 0.1
+        rows, paths, _ = euler_sample_many(
+            den, GuidanceConfig(), IDENT, dt, self.N, RandomSource(83), paths=True
+        )
+        self.check(rows, paths)
+        forced = 0
+        for path in paths:
+            events = list(zip(path.jump_times.tolist(), path.permutation.tolist()))
+            # sorted by jump time, ties by ascending position
+            assert events == sorted(events)
+            # a jump at integration step k = 0..8 happens at (k+1)*dt
+            steps = np.array([t / dt for t, _ in events if t < 1.0])
+            assert np.allclose(steps, np.round(steps))
+            assert ((steps > 1 - 1e-9) & (steps < 9 + 1e-9)).all()
+            forced += sum(t == 1.0 for t, _ in events)
+        assert forced > 0
+        plain, _ = euler_sample_many(den, GuidanceConfig(), IDENT, dt, self.N, RandomSource(83))
+        assert np.array_equal(plain, rows)
 
 
 class TestSamplerEquivalence:
@@ -554,9 +641,10 @@ class ContextSpy(ParametricDenoiser):
 
 
 class TestContextCodeOverflow:
-    """Sizes whose int64 context codes or (context, position) keys would wrap
-    raise SizeCapError before the denoiser sees a context. Without the guards
-    each case below sampled from wrong contexts without raising."""
+    """Sizes whose int64 context codes would wrap raise SizeCapError before
+    the denoiser sees a context; without the guard each overflow case below
+    sampled from wrong contexts without raising. Every size whose codes fit
+    samples on every driver."""
 
     def test_single_chain_code_overflow(self):
         # 5**30 wraps int64; unguarded, the first call saw 6 of 30 masked
@@ -572,16 +660,22 @@ class TestContextCodeOverflow:
             aoarm_sample_many(den, GuidanceConfig(), 50, RandomSource(0))
         assert den.contexts == []
 
-    def test_many_chain_pair_key_overflow(self):
-        # 21**14 fits int64 but 21**14 * 14 does not; unguarded, the
-        # denoiser was called on contexts with no masked position
+    def test_batched_drivers_sample_d14_s20(self):
+        # 21**14 fits int64 but 21**14 * 14 does not, so a pair key of
+        # code * D + d would wrap; the drivers key a pair by its context's
+        # rank among the step's distinct contexts instead
+        drivers = (
+            lambda den: aoarm_sample_many(den, GuidanceConfig(), 4, RandomSource(0)),
+            lambda den: euler_sample_many(den, GuidanceConfig(), IDENT, 0.1, 4, RandomSource(0)),
+        )
+        for run in drivers:
+            den = ContextSpy(14, 20)
+            rows, _ = run(den)
+            assert rows.shape == (4, 14) and (rows < 20).all()
+            assert den.contexts and all((c == 20).any() for c in den.contexts)
+            with pytest.raises(SizeCapError):
+                run(ContextSpy(15, 20))
         den = ContextSpy(14, 20)
-        with pytest.raises(SizeCapError):
-            aoarm_sample_many(den, GuidanceConfig(), 4, RandomSource(0))
-        with pytest.raises(SizeCapError):
-            euler_sample_many(den, GuidanceConfig(), IDENT, 0.1, 4, RandomSource(0))
-        assert den.contexts == []
-        # the single-chain sampler keys by context code alone, which fits
         x, _, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(0))
         assert (x.tokens < 20).all()
         assert [int((c == 20).sum()) for c in den.contexts] == list(range(14, 0, -1))
