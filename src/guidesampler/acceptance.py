@@ -57,7 +57,7 @@ from .predictors import (
     CleanPredictor,
     ExactMarginalPredictor,
     PairwiseInteractionPredictor,
-    product_predictor,
+    ProductPredictor,
 )
 from .sampling import (
     GuidanceConfig,
@@ -91,11 +91,7 @@ def _gibbs(D, S, rng, scale=0.8):
 
 def _bounded_clean(D, S, rng, lo=0.05, hi=0.95):
     gen = rng.generator()
-    table = lo + (hi - lo) * gen.random(S**D)
-    return CleanPredictor(
-        lambda x: float(table[encode_rows(x.tokens[None, :], S)[0]]),
-        batch_fn=lambda rows: table[encode_rows(rows, S)],
-    )
+    return CleanPredictor.from_table(lo + (hi - lo) * gen.random(S**D), S)
 
 
 # ---------------------------------------------------------------------------
@@ -308,10 +304,7 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
     # (b) pairwise predictor: TAG-DEG degradation factor vs exact-DEG
     pred_pw = _pairwise_exp_predictor(D, S, root.substream(3))
     clean_table = pred_pw.likelihood_batch(sequence_table(D, S))
-    clean = CleanPredictor(
-        lambda x: float(clean_table[encode_rows(x.tokens[None, :], S)[0]]),
-        batch_fn=lambda rows: clean_table[encode_rows(rows, S)],
-    )
+    clean = CleanPredictor.from_table(clean_table, S)
     target = brute_force_posterior(p, clean, 1.0)
     n = 100_000
     rows_ex, _ = aoarm_sample_many(
@@ -367,9 +360,7 @@ def check_multi_property(seed: int = DEFAULT_SEED) -> CheckResult:
         lambda x: c1.likelihood(x) * c2.likelihood(x),
         batch_fn=lambda rows: ta[rows[:, 0] + S * rows[:, 1]] * tb[rows[:, 2] + S * rows[:, 3]],
     )
-    pred = product_predictor(
-        [ExactMarginalPredictor(c1, p), ExactMarginalPredictor(c2, p)], S
-    )
+    pred = ProductPredictor([ExactMarginalPredictor(c1, p), ExactMarginalPredictor(c2, p)], S)
     cfg = GuidanceConfig(mode="deg", gamma=1.0, predictor=pred)
     rows, _ = aoarm_sample_many(ExactDenoiser(p), cfg, n, root.substream(1))
     emp = EmpiricalDistribution.from_token_rows(rows, D, S)

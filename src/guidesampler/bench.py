@@ -32,7 +32,7 @@ from .errors import SizeCapError
 from .predictors import (
     CleanPredictor,
     ExactMarginalPredictor,
-    product_predictor,
+    ProductPredictor,
     train_noisy_classifier,
 )
 from .sampling import GuidanceConfig, aoarm_sample_many
@@ -496,7 +496,7 @@ def prepare_campaign_seed(cfg: dict, master: RandomSource, seed: int):
         pairs1 = [(TokenSequence(r, alpha), bool(v <= thr1)) for r, v in zip(rows, fvals[:, 1])]
         clf0, _ = train_noisy_classifier(pairs0, rng.substream(2), epochs=cfg["classifier_epochs"])
         clf1, _ = train_noisy_classifier(pairs1, rng.substream(3), epochs=cfg["classifier_epochs"])
-        classifier = product_predictor([clf0, clf1], landscape.S)
+        classifier = ProductPredictor([clf0, clf1], landscape.S)
         refit_scores = np.argsort(np.argsort(fvals[:, 0])) - np.argsort(np.argsort(fvals[:, 1]))
     else:
         labels = fvals[:, 0]
@@ -523,11 +523,7 @@ def _target_indicator_predictor(landscape: Landscape, eps: float = 0.01):
     smoothed target-region indicator."""
     fvals = np.stack(landscape.fitness_tables, axis=1)
     ctable = eps + (1.0 - 2.0 * eps) * landscape.target(fvals)
-    clean = CleanPredictor(
-        lambda x: float(ctable[int(encode_rows(x.tokens[None, :], landscape.S)[0])]),
-        batch_fn=lambda rows: ctable[encode_rows(rows, landscape.S)],
-        name="target_indicator",
-    )
+    clean = CleanPredictor.from_table(ctable, landscape.S, name="target_indicator")
     return ExactMarginalPredictor(clean, landscape.p_data)
 
 

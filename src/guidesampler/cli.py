@@ -212,13 +212,7 @@ def load_predictor(path, denoiser, p_tab):
             table = np.asarray(obj["clean_table"], dtype=float)
             if table.shape != (p_tab.S**p_tab.D,):
                 raise ConfigError("clean_table length must be S**D of the model")
-            from .core import encode_rows
-
-            clean = CleanPredictor(
-                lambda x: float(table[encode_rows(x.tokens[None, :], p_tab.S)[0]]),
-                batch_fn=lambda rows: table[encode_rows(rows, p_tab.S)],
-            )
-            pred = ExactMarginalPredictor(clean, p_tab)
+            pred = ExactMarginalPredictor(CleanPredictor.from_table(table, p_tab.S), p_tab)
         else:
             raise ConfigError(
                 f"predictor kind must be 'pairwise_interaction' or 'exact_marginal', got {kind!r}"

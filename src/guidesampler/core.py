@@ -147,11 +147,6 @@ class MaskedSequence:
             raise ValueError("sequence still contains masked positions")
         return TokenSequence(self.tokens, self.alphabet)
 
-    def with_token(self, position: int, token: int) -> "MaskedSequence":
-        arr = np.array(self.tokens)
-        arr[position] = token
-        return MaskedSequence(arr, self.alphabet)
-
     def __len__(self):
         return self.tokens.size
 
@@ -232,11 +227,6 @@ def encode_rows(rows: np.ndarray, S: int) -> np.ndarray:
     D = rows.shape[1]
     radix = S ** np.arange(D, dtype=np.int64)
     return rows @ radix
-
-
-def context_code(tokens: np.ndarray, S: int) -> int:
-    """Little-endian code of a masked context in base S+1 (mask digit = S)."""
-    return encode_tokens(tokens, S + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +445,44 @@ def mask_forward(x1: TokenSequence, t: float, schedule: InterpolationSchedule, r
 # ---------------------------------------------------------------------------
 
 
+def _zero_mass(tokens: np.ndarray, S: int) -> UnsupportedContextError:
+    """The error for a masked context without a completion of positive mass;
+    it names the observed positions as ints."""
+    observed = [int(d) for d in np.flatnonzero(tokens != S)]
+    text = "".join(Alphabet(S).letter(int(t)) for t in tokens)
+    return UnsupportedContextError(
+        f"no completion of {text} has positive mass (observed positions {observed})",
+        positions=observed,
+    )
+
+
+class ContextTables:
+    """Tables over the S**D clean sequences, sliced by masked context.
+
+    Each table (indexed in encode_index order) is viewed as a position-major
+    tensor: axis j indexes position j's token. The first table is the mass
+    that decides whether a context is supported.
+    """
+
+    def __init__(self, D: int, S: int, *tables: np.ndarray):
+        axes = tuple(reversed(range(D)))
+        self.S = S
+        self.tensors = tuple(np.transpose(t.reshape((S,) * D), axes=axes) for t in tables)
+
+    def blocks(self, tokens: np.ndarray):
+        """(mass, blocks) of a masked context: each table's block over its
+        completions, with one axis per masked position in position order, and
+        the first block's total. Raises UnsupportedContextError when that
+        total is not positive."""
+        S = self.S
+        index = tuple(slice(None) if t == S else t for t in tokens.tolist())
+        blocks = [tensor[index] for tensor in self.tensors]
+        mass = float(blocks[0].sum())
+        if mass <= 0.0:
+            raise _zero_mass(tokens, S)
+        return mass, blocks
+
+
 def consistent_mass(xt: MaskedSequence, p: TabularDistribution):
     """Indices and renormalized weights of clean sequences agreeing with xt on
     its unmasked positions. Raises UnsupportedContextError on zero mass."""
@@ -469,9 +497,7 @@ def consistent_mass(xt: MaskedSequence, p: TabularDistribution):
         ok = np.flatnonzero(match & (p.weights > 0))
     total = p.weights[ok].sum()
     if ok.size == 0 or total <= 0.0:
-        raise UnsupportedContextError(
-            f"no completion of {xt} has positive mass", positions=xt.masked_positions()
-        )
+        raise _zero_mass(xt.tokens, p.S)
     return ok, p.weights[ok] / total
 
 

@@ -37,13 +37,14 @@ import numpy as np
 
 from .core import (
     Alphabet,
+    ContextTables,
     MaskedSequence,
     TabularDistribution,
     TokenSequence,
     as_generator,
     sequence_table,
 )
-from .errors import SizeCapError, TrainingDivergedError, UnsupportedContextError
+from .errors import SizeCapError, TrainingDivergedError
 
 FM_ENUM_CAP_D = 12
 AOARM_ENUM_CAP_D = 8
@@ -112,35 +113,18 @@ class ExactDenoiser(Denoiser):
     """Enumeration-backed posterior for a tabular distribution.
 
     ``probs[d, s] = sum over consistent completions with x1^d = s of
-    p(x1 | x_t)``; results are cached per context.
+    p(x1 | x_t)``.
     """
 
     def __init__(self, p: TabularDistribution):
         self.p = p
         self.D, self.S = p.D, p.S
-        # axis j of the tensor indexes position j's token
-        reshaped = p.weights.reshape((p.S,) * p.D)
-        self._tensor = np.transpose(reshaped, axes=tuple(reversed(range(p.D))))
-        self._cache: dict = {}
+        self._tables = ContextTables(p.D, p.S, p.weights)
 
     def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
-        key = tokens.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         S = self.S
+        total, (sub,) = self._tables.blocks(tokens)
         masked = [d for d in range(self.D) if tokens[d] == S]
-        index = tuple(slice(None) if tokens[d] == S else int(tokens[d]) for d in range(self.D))
-        sub = self._tensor[index]
-        total = float(sub.sum())
-        if total <= 0.0:
-            observed = [d for d in range(self.D) if tokens[d] != S]
-            raise UnsupportedContextError(
-                "no completion has positive mass for context "
-                f"{''.join(self.alphabet.letter(int(t)) for t in tokens)} "
-                f"(observed positions {observed})",
-                positions=observed,
-            )
         out = np.zeros((self.D, S))
         for k, d in enumerate(masked):
             axes = tuple(a for a in range(len(masked)) if a != k)
@@ -149,7 +133,6 @@ class ExactDenoiser(Denoiser):
             if tokens[d] != S:
                 out[d, tokens[d]] = 1.0
         out.setflags(write=False)
-        self._cache[key] = out
         return out
 
 

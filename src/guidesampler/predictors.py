@@ -29,15 +29,17 @@ from scipy import stats
 
 from .core import (
     Alphabet,
+    ContextTables,
     MaskedSequence,
     RandomSource,
     TabularDistribution,
     TokenSequence,
     as_generator,
+    encode_rows,
     sequence_table,
 )
 from .denoising import Denoiser
-from .errors import CapabilityError, UnsupportedContextError
+from .errors import CapabilityError
 
 #: Likelihoods are clamped below by this before forming guidance ratios.
 LIKELIHOOD_FLOOR = 1e-12
@@ -65,6 +67,15 @@ class CleanPredictor:
         self._fn = fn
         self._batch_fn = batch_fn
         self.name = name
+
+    @classmethod
+    def from_table(cls, table: np.ndarray, S: int, name: str = "clean") -> "CleanPredictor":
+        """Clean predictor whose likelihood at x is ``table[encode_index(x)]``."""
+        return cls(
+            lambda x: float(table[encode_rows(x.tokens[None, :], S)[0]]),
+            batch_fn=lambda rows: table[encode_rows(rows, S)],
+            name=name,
+        )
 
     def likelihood(self, x: TokenSequence) -> float:
         v = float(self._fn(x))
@@ -108,9 +119,6 @@ class TimePredictor:
     def gradient_surface_array(self, tokens: np.ndarray) -> np.ndarray:
         raise CapabilityError(f"{type(self).__name__} exposes no gradient surface")
 
-    def gradient_surface(self, xt: MaskedSequence) -> np.ndarray:
-        return self.gradient_surface_array(xt.tokens)
-
 
 class ExactMarginalPredictor(TimePredictor):
     """The true noisy predictor E[p(y | x1) | x_t] under a tabular prior,
@@ -120,35 +128,14 @@ class ExactMarginalPredictor(TimePredictor):
         self.clean = clean
         self.p = p
         self.D, self.S = p.D, p.S
-        ctable = clean.table(p.D, p.S)
-        shape = (p.S,) * p.D
-        axes = tuple(reversed(range(p.D)))
-        self._w = np.transpose(p.weights.reshape(shape), axes=axes)
-        self._wc = np.transpose((p.weights * ctable).reshape(shape), axes=axes)
+        self._tables = ContextTables(p.D, p.S, p.weights, p.weights * clean.table(p.D, p.S))
         self._alpha = Alphabet(p.S)
-        self._cache: dict = {}
 
     def likelihood_array(self, tokens: np.ndarray) -> float:
-        key = tokens.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
         if (tokens != self.S).all():
-            val = clamp_likelihood(self.clean.likelihood(TokenSequence(tokens, self._alpha)))
-        else:
-            index = tuple(
-                slice(None) if tokens[d] == self.S else int(tokens[d]) for d in range(self.D)
-            )
-            denom = float(self._w[index].sum())
-            if denom <= 0.0:
-                observed = [d for d in range(self.D) if tokens[d] != self.S]
-                raise UnsupportedContextError(
-                    f"no completion has positive mass (observed positions {observed})",
-                    positions=observed,
-                )
-            val = clamp_likelihood(float(self._wc[index].sum()) / denom)
-        self._cache[key] = val
-        return val
+            return clamp_likelihood(self.clean.likelihood(TokenSequence(tokens, self._alpha)))
+        denom, (_, wc) = self._tables.blocks(tokens)
+        return clamp_likelihood(float(wc.sum()) / denom)
 
 
 class PomPredictor(TimePredictor):
@@ -508,11 +495,6 @@ class ProductPredictor(TimePredictor):
             D = tokens.size
             return np.zeros((D, self.S + 1))
         return np.sum([p.gradient_surface_array(tokens) for p in active], axis=0)
-
-
-def product_predictor(parts: Sequence[TimePredictor], S: int,
-                      switch_fractions: Optional[Sequence[float]] = None) -> ProductPredictor:
-    return ProductPredictor(parts, S, switch_fractions)
 
 
 # ---------------------------------------------------------------------------

@@ -379,9 +379,17 @@ class _ContextCache(CodeCache):
 
 def _normalized_cdf(weights: np.ndarray, step: int, position: int):
     """(total, cumulative distribution) of a nonnegative weight row. A row
-    whose total is zero or not finite raises DegenerateStepError."""
+    whose total is zero or not finite raises DegenerateStepError, whose
+    message tells the two apart."""
     total = float(weights.sum())
-    if not (math.isfinite(total) and total > 0.0):
+    if not math.isfinite(total):
+        raise DegenerateStepError(
+            step,
+            position,
+            f"guided symbol weights overflowed (total {total}) at decode step {step} "
+            f"(position {position})",
+        )
+    if not total > 0.0:
         raise DegenerateStepError(step, position)
     return total, np.cumsum(weights) / total
 

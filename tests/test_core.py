@@ -6,6 +6,7 @@ from scipy import stats
 
 from guidesampler.core import (
     Alphabet,
+    ContextTables,
     MaskedSequence,
     RandomSource,
     TabularDistribution,
@@ -204,6 +205,19 @@ class TestConsistentCompletions:
         with pytest.raises(UnsupportedContextError):
             consistent_completions(masked_from_str("BA", AB), p)  # BA has zero mass
 
+    def test_zero_mass_names_observed_positions(self):
+        # the error names the observed positions, as Python ints
+        p = TabularDistribution.point_mass(seq("AA"))
+        for text, observed in (("B?", (0,)), ("BA", (0, 1)), ("?B", (1,))):
+            with pytest.raises(UnsupportedContextError) as exc:
+                consistent_completions(masked_from_str(text, AB), p)
+            assert exc.value.positions == observed
+            assert all(type(d) is int for d in exc.value.positions)
+            assert str(exc.value) == (
+                f"no completion of {text} has positive mass "
+                f"(observed positions {list(observed)})"
+            )
+
     def test_weights_depend_only_on_context(self):
         # the operation takes no time argument; identical contexts from
         # different forward times must give identical output by construction
@@ -222,6 +236,22 @@ class TestConsistentCompletions:
             ws = np.array([w for _, w in out])
             assert (ws >= 0).all()
             assert ws.sum() == pytest.approx(1.0, abs=1e-9)
+
+
+class TestContextTables:
+    def test_blocks_are_position_major(self):
+        # table entry i belongs to decode_index(i): axis j of a block indexes
+        # the token at the j-th masked position
+        D, S = 3, 3
+        w = np.arange(S**D, dtype=float) / 351.0
+        other = 2.0 * w + 1.0
+        mass, (block, block2) = ContextTables(D, S, w, other).blocks(np.array([3, 1, 3]))
+        assert block.shape == block2.shape == (S, S)
+        for a in range(S):
+            for c in range(S):
+                i = encode_index(TokenSequence([a, 1, c], ABC))
+                assert block[a, c] == w[i] and block2[a, c] == other[i]
+        assert mass == block.sum()
 
 
 class TestRandomSource:

@@ -16,18 +16,18 @@ from guidesampler.core import (
     sequence_table,
 )
 from guidesampler.denoising import ExactDenoiser
-from guidesampler.errors import CapabilityError
+from guidesampler.errors import CapabilityError, UnsupportedContextError
 from guidesampler.predictors import (
     LIKELIHOOD_FLOOR,
     CleanPredictor,
     ExactMarginalPredictor,
     PairwiseInteractionPredictor,
     PomPredictor,
+    ProductPredictor,
     ThresholdPredictor,
     ThresholdRegressor,
     clamp_likelihood,
     load_labeled_csv,
-    product_predictor,
     save_labeled_csv,
     threshold_likelihood,
     train_noisy_classifier,
@@ -44,6 +44,18 @@ def uniform_over(texts, D, S):
     for t in texts:
         w[encode_index(sequence_from_str(t, alpha))] = 1.0
     return TabularDistribution(D, S, w / w.sum())
+
+
+class TestCleanPredictorFromTable:
+    def test_reads_table_in_encode_order(self):
+        table = np.linspace(0.05, 0.95, 27)
+        clean = CleanPredictor.from_table(table, 3, name="ramp")
+        assert clean.name == "ramp"
+        assert np.array_equal(clean.table(3, 3), table)
+        for i in (0, 5, 26):
+            x = TokenSequence(sequence_table(3, 3)[i], Alphabet(3))
+            assert clean.likelihood(x) == table[i]
+        assert CleanPredictor.from_table(table, 3).name == "clean"
 
 
 class TestExactMarginalPredictor:
@@ -82,6 +94,17 @@ class TestExactMarginalPredictor:
         for i in range(8):
             x = TokenSequence(sequence_table(3, 2)[i], AB)
             assert pred.likelihood(x.as_masked()) == pytest.approx(clean.likelihood(x), abs=1e-9)
+
+    def test_zero_mass_error_matches_denoiser(self):
+        p = uniform_over(["AA"], 2, 2)
+        pred = ExactMarginalPredictor(CleanPredictor(lambda x: 0.5), p)
+        errors = []
+        for evaluate in (pred.likelihood_array, ExactDenoiser(p).posterior_array):
+            with pytest.raises(UnsupportedContextError) as exc:
+                evaluate(np.array([1, 2]))
+            errors.append((str(exc.value), exc.value.positions))
+        assert errors[0] == errors[1]
+        assert errors[0][1] == (0,)
 
     def test_matches_brute_force(self):
         gen = RandomSource(3).generator()
@@ -440,16 +463,16 @@ class TestProductPredictor:
             return self.c
 
     def test_single_part_identity(self):
-        p = product_predictor([self.Const(0.42)], S=2)
+        p = ProductPredictor([self.Const(0.42)], S=2)
         assert p.likelihood_array(np.array([0, 2])) == pytest.approx(0.42)
 
     def test_two_constants_multiply(self):
-        p = product_predictor([self.Const(0.5), self.Const(0.25)], S=2)
+        p = ProductPredictor([self.Const(0.5), self.Const(0.25)], S=2)
         assert p.likelihood_array(np.array([2, 2])) == pytest.approx(0.125)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            product_predictor([], S=2)
+            ProductPredictor([], S=2)
 
     def test_gradient_surface_sums_when_available(self):
         gen = RandomSource(41).generator()
@@ -457,7 +480,7 @@ class TestProductPredictor:
         b = PairwiseInteractionPredictor(2, 2, link="exp", bias=-2.0)
         a.single[:] = gen.normal(0, 0.1, a.single.shape)
         b.single[:] = gen.normal(0, 0.1, b.single.shape)
-        prod = product_predictor([a, b], S=2)
+        prod = ProductPredictor([a, b], S=2)
         toks = np.array([2, 1])
         np.testing.assert_allclose(
             prod.gradient_surface_array(toks),
@@ -466,13 +489,13 @@ class TestProductPredictor:
 
     def test_gradient_absent_when_any_part_lacks_it(self):
         a = PairwiseInteractionPredictor(2, 2, link="exp", bias=-1.0)
-        prod = product_predictor([a, self.Const(0.5)], S=2)
+        prod = ProductPredictor([a, self.Const(0.5)], S=2)
         assert not prod.has_gradient_surface
         with pytest.raises(CapabilityError):
             prod.gradient_surface_array(np.array([2, 2]))
 
     def test_staged_part_activates_with_unmasked_fraction(self):
-        prod = product_predictor([self.Const(0.5), self.Const(0.25)], S=2, switch_fractions=[0.0, 0.6])
+        prod = ProductPredictor([self.Const(0.5), self.Const(0.25)], S=2, switch_fractions=[0.0, 0.6])
         assert prod.likelihood_array(np.array([2, 2])) == pytest.approx(0.5)  # 0% unmasked
         assert prod.likelihood_array(np.array([0, 2])) == pytest.approx(0.5)  # 50%
         assert prod.likelihood_array(np.array([0, 1])) == pytest.approx(0.125)  # 100%

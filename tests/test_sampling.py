@@ -405,6 +405,7 @@ class TestAOARMSampler:
         with pytest.raises(DegenerateStepError) as exc:
             aoarm_sample(ExactDenoiser(p), cfg, RandomSource(1))
         assert exc.value.step == 0
+        assert str(exc.value).startswith("all guided symbol weights vanished at decode step 0")
 
     def test_nondeterministic_predictor_uses_fallback(self):
         p = random_dist(2, 2, 33)
@@ -484,6 +485,9 @@ class TestEulerDegenerateStep:
         with pytest.raises(DegenerateStepError) as exc:
             euler_sample_many(den, cfg, IDENT, 0.1, 20, RandomSource(47))
         assert (exc.value.step, exc.value.position) == (0, 0)
+        assert str(exc.value) == (
+            "guided symbol weights overflowed (total inf) at decode step 0 (position 0)"
+        )
 
     def test_force_completion_named(self):
         # guidance starts after the last integration step (t = 0.8), so the
@@ -494,6 +498,7 @@ class TestEulerDegenerateStep:
         with pytest.raises(DegenerateStepError) as exc:
             euler_sample_many(den, cfg, IDENT, 0.1, 200, RandomSource(49))
         assert exc.value.step == 9
+        assert str(exc.value).startswith("guided symbol weights overflowed (total inf)")
 
 
 class TestDecodePaths:
@@ -626,6 +631,34 @@ class TestBatchedChildLikelihoods:
         assert np.array_equal(batched[0], scalar[0]) and np.array_equal(batched[1], scalar[1])
         assert batched[2:] == scalar[2:]
         assert batched[3]["predictor_evals"] > 0
+
+
+def sized_state(obj, depth=2):
+    """Lengths of the container attributes of obj, and of the objects it
+    holds, down to ``depth`` levels."""
+    out = {}
+    for name, value in vars(obj).items():
+        if isinstance(value, (dict, list, set, tuple)):
+            out[name] = len(value)
+        elif depth and hasattr(value, "__dict__") and not callable(value):
+            out[name] = sized_state(value, depth - 1)
+    return out
+
+
+class TestModelsHoldNoMemo:
+    """The per-call context cache is the only memo: a sampler call leaves
+    the tabular models as they were built."""
+
+    def test_deg_call_leaves_models_unchanged(self):
+        p = random_dist(4, 3, 50)
+        den = ExactDenoiser(p)
+        clean = CleanPredictor.from_table(np.linspace(0.05, 0.95, 81), 3)
+        pred = ExactMarginalPredictor(clean, p)
+        before = (sized_state(den), sized_state(pred))
+        cfg = GuidanceConfig(mode="deg", gamma=1.0, predictor=pred)
+        _, diag = aoarm_sample_many(den, cfg, 200, RandomSource(51))
+        assert diag.denoiser_evals > 0 and diag.predictor_evals > 0
+        assert (sized_state(den), sized_state(pred)) == before
 
 
 class ContextSpy(ParametricDenoiser):
