@@ -34,7 +34,6 @@ from .core import (
     Alphabet,
     RandomSource,
     TabularDistribution,
-    TokenSequence,
     encode_rows,
     identity_schedule,
     sequence_table,
@@ -50,7 +49,6 @@ from .oracle import (
     EmpiricalDistribution,
     brute_force_posterior,
     chi_square_gof,
-    ks_uniform,
     tv_distance,
 )
 from .predictors import (

@@ -27,6 +27,7 @@ All losses are nonnegative minimization targets.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -109,6 +110,12 @@ class Denoiser:
         return Alphabet(self.S)
 
 
+@functools.lru_cache(maxsize=None)
+def _other_axes(m: int) -> tuple:
+    """For each axis k of an m-axis block, the tuple of the other axes."""
+    return tuple(tuple(a for a in range(m) if a != k) for k in range(m))
+
+
 class ExactDenoiser(Denoiser):
     """Enumeration-backed posterior for a tabular distribution.
 
@@ -124,14 +131,14 @@ class ExactDenoiser(Denoiser):
     def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
         S = self.S
         total, (sub,) = self._tables.blocks(tokens)
-        masked = [d for d in range(self.D) if tokens[d] == S]
+        toks = tokens.tolist()
+        masked = [d for d, t in enumerate(toks) if t == S]
         out = np.zeros((self.D, S))
-        for k, d in enumerate(masked):
-            axes = tuple(a for a in range(len(masked)) if a != k)
+        for d, axes in zip(masked, _other_axes(len(masked))):
             out[d] = sub.sum(axis=axes) / total
-        for d in range(self.D):
-            if tokens[d] != S:
-                out[d, tokens[d]] = 1.0
+        for d, t in enumerate(toks):
+            if t != S:
+                out[d, t] = 1.0
         out.setflags(write=False)
         return out
 
@@ -299,12 +306,7 @@ class CodeCache:
         self._post: dict = {}
 
     def decode(self, code: int) -> np.ndarray:
-        toks = np.empty(self.D, dtype=np.int64)
-        base = self.S + 1
-        for i in range(self.D):
-            toks[i] = code % base
-            code //= base
-        return toks
+        return code // self.pows % (self.S + 1)
 
     def posterior(self, code: int) -> np.ndarray:
         hit = self._post.get(code)

@@ -31,7 +31,6 @@ from .core import (
     Alphabet,
     ContextTables,
     MaskedSequence,
-    RandomSource,
     TabularDistribution,
     TokenSequence,
     as_generator,
@@ -136,6 +135,36 @@ class ExactMarginalPredictor(TimePredictor):
             return clamp_likelihood(self.clean.likelihood(TokenSequence(tokens, self._alpha)))
         denom, (_, wc) = self._tables.blocks(tokens)
         return clamp_likelihood(float(wc.sum()) / denom)
+
+    def child_likelihoods(self, tokens: np.ndarray, d: int) -> np.ndarray:
+        """Clamped likelihoods of the S children of ``tokens`` at masked
+        position d, shape (S,): child s sets position d to symbol s. The
+        parent's two blocks are sliced once; child s sums its sub-block at
+        index s of d's axis, the view ``likelihood_array(child)`` sums, so
+        each value is that call's bit for bit. A zero-mass child raises that
+        call's UnsupportedContextError."""
+        S = self.S
+        toks = tokens.tolist()
+
+        def child(s):
+            return np.array(toks[:d] + [s] + toks[d + 1:])
+
+        if toks.count(S) == 1:
+            # clean children take the clean predictor's value, which wc / w
+            # of one sequence does not reproduce bit for bit
+            return np.array([self.likelihood_array(child(s)) for s in range(S)])
+        index = tuple(slice(None) if t == S else t for t in toks)
+        w, wc = (tensor[index] for tensor in self._tables.tensors)
+        lead = (slice(None),) * toks[:d].count(S)
+        out = []
+        for s in range(S):
+            denom = float(w[lead + (s,)].sum())
+            if denom <= 0.0:
+                self.likelihood_array(child(s))  # raises the zero-mass error
+            # clamp_likelihood without its finiteness check: the tables are
+            # finite and the denominator is positive
+            out.append(min(max(float(wc[lead + (s,)].sum()) / denom, LIKELIHOOD_FLOOR), 1.0))
+        return np.array(out)
 
 
 class PomPredictor(TimePredictor):

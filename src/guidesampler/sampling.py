@@ -29,13 +29,19 @@ Guidance modes:
 * ``predictor_free``: geometric interpolation of conditional and
   unconditional rates from two denoisers.
 
-One kernel, :meth:`_ContextCache.guided_weights`, forms the guided weights
-of every mode for both routes: one unnormalized row over the real symbols per
-requested masked position. The any-order route draws from a row; the Euler
-route and :func:`guide_rates` scale rows by kappa_dot/(1-kappa). It reads one
-pure-function context cache keyed by the base-(S+1) context code, shared by
-the chains of a call when every component is deterministic (otherwise each
-chain runs the core alone on its own substream and cache). ``exact`` and
+One kernel forms the guided weights of every mode for both routes, in one
+call per sampler step: :meth:`_ContextCache.guided_weights` takes the arrays
+of the step's distinct (context code, position) pairs and returns their
+unnormalized rows over the real symbols as one (P, S) matrix, and
+:meth:`_ContextCache.step_tables` turns it into row totals and CDF rows. The
+any-order route draws from the CDF rows; the Euler route scales the totals by
+kappa_dot/(1-kappa) and forms rows only for pairs its memo lacks;
+:func:`guide_rates` reads the weights of one context's masked positions. The
+kernel reads one pure-function context cache keyed by the base-(S+1) context
+code, shared by the chains of a call when every component is deterministic
+(otherwise each chain runs the core alone on its own substream and cache). It
+calls the models pair by pair in ascending (code, position) order, so a
+stochastic predictor draws as it would with one call per pair. ``exact`` and
 ``deg`` make one predictor call per (context, position) when the predictor
 scores the S children of a position at once (``child_likelihoods``), and one
 call per child otherwise.
@@ -247,8 +253,9 @@ def guide_rates(
     coef = rate_coefficient(t, schedule)
     cache = _ContextCache(denoiser, cfg, SamplerDiagnostics())
     masked = xt.masked_positions()
+    codes = np.full(masked.size, int(xt.tokens @ cache.pows), dtype=np.int64)
     weights = np.zeros((denoiser.D, denoiser.S))
-    weights[masked] = cache.guided_weights(int(xt.tokens @ cache.pows), masked, True)
+    weights[masked] = cache.guided_weights(codes, masked, True)
     return RateSet(weights=weights, t=t, coef=coef, source=xt).validate()
 
 
@@ -354,44 +361,58 @@ class _ContextCache(CodeCache):
             self._grad[code] = hit
         return hit
 
-    def guided_weights(self, code: int, positions, active: bool) -> np.ndarray:
-        """Unnormalized guided weights, shape (len(positions), S): row j
-        weighs the real symbols for unmasking ``positions[j]`` of the context
-        ``code``. Without guidance, or before the switch point (``active``
-        false), the rows are the denoiser posterior."""
-        self.diag.step_weight_requests += 1
-        post = self.posterior(code).take(positions, axis=0)
-        cfg, S = self.cfg, self.S
-        if not (cfg.guided and active):
+    def guided_weights(self, codes: np.ndarray, positions: np.ndarray, active: bool) -> np.ndarray:
+        """Unnormalized guided weights of P (context, position) pairs, shape
+        (P, S): row j weighs the real symbols for unmasking ``positions[j]``
+        of the context ``codes[j]``. Without guidance, or before the switch
+        point (``active`` false), the rows are the denoiser posterior. The
+        models are called pair by pair, in the order given."""
+        cfg, S, P = self.cfg, self.S, codes.size
+        self.diag.step_weight_requests += P
+        mode = cfg.mode if cfg.guided and active else "none"
+        post = np.empty((P, S))
+        tilt = np.empty((P, S + 1 if mode == "tag" else S))
+        src = np.empty((P, 1)) if mode == "exact" else 1.0
+        for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
+            post[j] = self.posterior(code)[d]
+            if mode == "tag":
+                tilt[j] = self.gradient(code)[d]
+            elif mode == "predictor_free":
+                tilt[j] = self.posterior_cond(code)[d]
+            elif mode != "none":
+                if mode == "exact":
+                    src[j] = self.likelihood(code)
+                tilt[j] = self.child_likelihoods(code, d)
+        if mode == "none":
             return post
-        if cfg.mode == "tag":
-            g = self.gradient(code).take(positions, axis=0)
-            return post * np.exp(cfg.gamma * (g[:, :S] - g[:, S:]))
-        if cfg.mode == "predictor_free":
-            cond = self.posterior_cond(code).take(positions, axis=0)
-            return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
+        if mode == "tag":
+            return post * np.exp(cfg.gamma * (tilt[:, :S] - tilt[:, S:]))
+        if mode == "predictor_free":
+            return tilt**cfg.gamma * post ** (1.0 - cfg.gamma)
         # exact and deg: tilt by the child likelihoods; deg omits the source
         # divisor, which the per-row normalization of a decode draw absorbs
-        src = self.likelihood(code) if cfg.mode == "exact" else 1.0
-        lik = np.array([self.child_likelihoods(code, d) for d in positions])
-        return post * (lik / src) ** cfg.gamma
+        return post * (tilt / src) ** cfg.gamma
 
-
-def _normalized_cdf(weights: np.ndarray, step: int, position: int):
-    """(total, cumulative distribution) of a nonnegative weight row. A row
-    whose total is zero or not finite raises DegenerateStepError, whose
-    message tells the two apart."""
-    total = float(weights.sum())
-    if not math.isfinite(total):
-        raise DegenerateStepError(
-            step,
-            position,
-            f"guided symbol weights overflowed (total {total}) at decode step {step} "
-            f"(position {position})",
-        )
-    if not total > 0.0:
-        raise DegenerateStepError(step, position)
-    return total, np.cumsum(weights) / total
+    def step_tables(self, codes: np.ndarray, positions: np.ndarray, active: bool, step: int):
+        """(totals, CDF rows) of the guided weights of a step's pairs. The
+        first pair, in the order given, whose total is zero or not finite
+        raises DegenerateStepError naming the step and the pair's position;
+        the message tells the two cases apart."""
+        weights = self.guided_weights(codes, positions, active)
+        totals = weights.sum(axis=1)
+        bad = ~(np.isfinite(totals) & (totals > 0.0))
+        if bad.any():
+            j = int(bad.argmax())
+            total, position = float(totals[j]), int(positions[j])
+            if math.isfinite(total):
+                raise DegenerateStepError(step, position)
+            raise DegenerateStepError(
+                step,
+                position,
+                f"guided symbol weights overflowed (total {total}) at decode step {step} "
+                f"(position {position})",
+            )
+        return totals, np.cumsum(weights, axis=1) / totals[:, None]
 
 
 def _pairs(codes: np.ndarray, positions: np.ndarray, D: int):
@@ -473,9 +494,7 @@ def _aoarm_core(cache: _ContextCache, n: int, gen):
         # a step-i context has exactly i unmasked positions, so pairs never
         # recur across steps and the CDF rows are not worth keeping
         ctx, pos, inv = _pairs(codes, d_vec, D)
-        cdfs = np.empty((ctx.size, S))
-        for j, (code, d) in enumerate(zip(ctx.tolist(), pos.tolist())):
-            _, cdfs[j] = _normalized_cdf(cache.guided_weights(code, [d], active)[0], i, d)
+        _, cdfs = cache.step_tables(ctx, pos, active, i)
         draws = _draw(cdfs, inv, gen.random(n))
         rows[np.arange(n), d_vec] = draws
         codes += (draws - S) * cache.pows[d_vec]
@@ -537,15 +556,14 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
     def pair_tables(chains, positions, active, step):
         """(jump weight sums, cdf matrix, indices into it) for the given pairs."""
         ctx, pos, inv = _pairs(codes[chains], positions, D)
-        sums = np.empty(ctx.size)
-        cdfs = np.empty((ctx.size, S))
-        for j, (code, d) in enumerate(zip(ctx.tolist(), pos.tolist())):
-            got = memo.get((code, d, active))
-            if got is None:
-                got = _normalized_cdf(cache.guided_weights(code, [d], active)[0], step, d)
-                memo[(code, d, active)] = got
-            sums[j], cdfs[j] = got
-        return sums[inv], cdfs, inv
+        keys = [(code, d, active) for code, d in zip(ctx.tolist(), pos.tolist())]
+        fresh = [j for j, key in enumerate(keys) if key not in memo]
+        if fresh:
+            sums, cdfs = cache.step_tables(ctx[fresh], pos[fresh], active, step)
+            memo.update(zip([keys[j] for j in fresh], zip(sums.tolist(), cdfs)))
+        got = [memo[key] for key in keys]
+        sums = np.array([total for total, _ in got])
+        return sums[inv], np.array([cdf for _, cdf in got]), inv
 
     for k in range(n_int):
         if chain_idx.size == 0:

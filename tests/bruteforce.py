@@ -212,3 +212,33 @@ def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise, two_st
         for _ in range(epochs):
             loss = step(noised(), mask_only=False)
     return bias, single, pair, loss
+
+
+def loop_guided_row(mode, gamma, denoiser, predictor, second, tokens, d):
+    """The unnormalized guided weights of unmasking position d of the masked
+    context ``tokens``, formed for this one pair alone: the denoiser posterior
+    row, tilted per mode (``mode`` 'none' or an inactive step gives the
+    posterior row). Likelihoods are clamped to [1e-12, 1], each child scored
+    by its own ``likelihood_array`` call."""
+    S = denoiser.S
+    post = denoiser.posterior_array(tokens)[d]
+    if mode == "none":
+        return post
+    if mode == "tag":
+        g = predictor.gradient_surface_array(tokens)[d]
+        return post * np.exp(gamma * (g[:S] - g[S]))
+    if mode == "predictor_free":
+        return second.posterior_array(tokens)[d] ** gamma * post ** (1.0 - gamma)
+    lik = np.empty(S)
+    for s in range(S):
+        child = tokens.copy()
+        child[d] = s
+        lik[s] = min(max(predictor.likelihood_array(child), 1e-12), 1.0)
+    src = min(max(predictor.likelihood_array(tokens), 1e-12), 1.0) if mode == "exact" else 1.0
+    return post * (lik / src) ** gamma
+
+
+def loop_cdf(row):
+    """(total, cumulative distribution) of one weight row."""
+    total = float(row.sum())
+    return total, np.cumsum(row) / total

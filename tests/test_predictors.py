@@ -336,6 +336,75 @@ class TestBatchedChildScoring:
         assert np.array_equal(m._affine_part(toks), kept._affine_part(toks))
 
 
+class TestExactChildLikelihoods:
+    """ExactMarginalPredictor.child_likelihoods equals one likelihood_array
+    call per child bit for bit, and fails as that call does."""
+
+    @staticmethod
+    def model(D, S, seed, weights=None):
+        gen = RandomSource(seed).generator()
+        if weights is None:
+            weights = gen.random(S**D) + 0.05
+        p = TabularDistribution.from_unnormalized(D, S, weights)
+        clean = CleanPredictor.from_table(gen.uniform(0.0, 1.0, S**D), S)
+        return ExactMarginalPredictor(clean, p)
+
+    @staticmethod
+    def children(tokens, d, S):
+        out = np.repeat(tokens[None, :], S, axis=0)
+        out[:, d] = np.arange(S)
+        return out
+
+    @pytest.mark.parametrize("S", [2, 3, 4])
+    @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6])
+    def test_equal_to_scalar_calls(self, D, S):
+        m = self.model(D, S, seed=10 * D + S)
+        gen = RandomSource(D * S).generator()
+        for _ in range(15):
+            toks = gen.integers(0, S + 1, size=D)
+            for d in sorted({0, D // 2, D - 1}):
+                toks[d] = S
+                got = m.child_likelihoods(toks, d)
+                want = [m.likelihood_array(c) for c in self.children(toks, d, S)]
+                assert got.shape == (S,) and np.array_equal(got, np.array(want))
+
+    def test_one_masked_children_are_clean_likelihoods(self):
+        m = self.model(4, 3, seed=3)
+        toks = np.array([2, 0, 3, 1])
+        got = m.child_likelihoods(toks, 2)
+        clean = [clamp_likelihood(m.clean.likelihood(TokenSequence(c, Alphabet(3))))
+                 for c in self.children(toks, 2, 3)]
+        assert np.array_equal(got, np.array(clean))
+        assert np.array_equal(got, np.array([m.likelihood_array(c) for c in self.children(toks, 2, 3)]))
+
+    def test_zero_mass_child_raises_the_scalar_error(self):
+        # no mass where x0 = 1 and x1 = 1: the parent [?, 1, ?] has mass,
+        # its child 1 at position 0 has none
+        table = sequence_table(3, 2)
+        m = self.model(3, 2, seed=4, weights=np.where((table[:, 0] == 1) & (table[:, 1] == 1), 0.0, 1.0))
+        parent = np.array([2, 1, 2])
+        assert m.likelihood_array(parent) > 0
+        with pytest.raises(UnsupportedContextError) as scalar:
+            m.likelihood_array(np.array([1, 1, 2]))
+        with pytest.raises(UnsupportedContextError) as got:
+            m.child_likelihoods(parent, 0)
+        assert str(got.value) == str(scalar.value)
+        assert got.value.positions == scalar.value.positions == (0, 1)
+
+    def test_zero_mass_parent_names_the_first_child(self):
+        # no mass where x2 = 1: the parent [?, ?, 1] has none, and the error
+        # names its child 0's observed positions, not the parent's
+        table = sequence_table(3, 2)
+        m = self.model(3, 2, seed=5, weights=np.where(table[:, 2] == 1, 0.0, 1.0))
+        parent = np.array([2, 2, 1])
+        with pytest.raises(UnsupportedContextError) as scalar:
+            m.likelihood_array(np.array([0, 2, 1]))
+        with pytest.raises(UnsupportedContextError) as got:
+            m.child_likelihoods(parent, 0)
+        assert str(got.value) == str(scalar.value)
+        assert got.value.positions == (0, 2)
+
+
 class TestTrainNoisyClassifier:
     def test_separable_d1_perfect_on_clean(self):
         data = [(sequence_from_str("A", AB), False), (sequence_from_str("B", AB), True)] * 10

@@ -6,10 +6,8 @@ from scipy import integrate, stats
 
 from guidesampler.core import (
     Alphabet,
-    MaskedSequence,
     RandomSource,
     TabularDistribution,
-    TokenSequence,
     identity_schedule,
     masked_from_str,
     power_schedule,
@@ -30,7 +28,11 @@ from guidesampler.predictors import (
     PomPredictor,
 )
 from guidesampler.sampling import (
+    ROUTE_MODES,
     GuidanceConfig,
+    SamplerDiagnostics,
+    _ContextCache,
+    _pairs,
     aoarm_sample,
     aoarm_sample_many,
     euler_sample,
@@ -39,6 +41,8 @@ from guidesampler.sampling import (
     lemma1_density,
     sample_jump_times,
 )
+
+from bruteforce import loop_cdf, loop_guided_row
 
 AB = Alphabet(2)
 IDENT = identity_schedule()
@@ -501,6 +505,67 @@ class TestEulerDegenerateStep:
         assert str(exc.value).startswith("guided symbol weights overflowed (total inf)")
 
 
+class Steep:
+    """A gradient surface of +-1000 on every real symbol: a tag step at
+    gamma=1 weighs position d by exp(1000 * sign[d]), which overflows to inf
+    for sign +1 and vanishes to 0 for sign -1."""
+
+    deterministic = True
+    has_gradient_surface = True
+
+    def __init__(self, S, signs):
+        self.S, self.signs = S, np.asarray(signs, dtype=float)
+
+    def gradient_surface_array(self, tokens):
+        g = np.zeros((tokens.size, self.S + 1))
+        g[:, : self.S] = 1000.0 * self.signs[:, None]
+        return g
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestDegenerateRowsInOneStep:
+    """Step 0 forms the pairs (fully masked context, 0) and (fully masked
+    context, 1) in one kernel call, one of them zero and one overflowing.
+    The error names the first of them in ascending (code, position) order,
+    position 0, whichever of the two kinds it is."""
+
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    @pytest.mark.parametrize("signs,message", [
+        ((-1, 1), "all guided symbol weights vanished at decode step 0 (position 0)"),
+        ((1, -1), "guided symbol weights overflowed (total inf) at decode step 0 (position 0)"),
+    ])
+    def test_first_pair_named(self, route, signs, message):
+        den = ExactDenoiser(random_dist(2, 2, 50))
+        cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=Steep(2, signs))
+        with pytest.raises(DegenerateStepError) as exc:
+            if route == "aoarm":
+                aoarm_sample_many(den, cfg, 40, RandomSource(51))
+            else:
+                euler_sample_many(den, cfg, IDENT, 0.1, 40, RandomSource(51))
+        assert (exc.value.step, exc.value.position) == (0, 0)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("positions,named,kind", [
+        ((1, 2), 1, "all guided symbol weights vanished"),
+        ((0, 1), 0, "guided symbol weights overflowed (total inf)"),
+    ])
+    def test_lower_code_named_first(self, positions, named, kind):
+        # signs: position 0 and 2 overflow, position 1 vanishes. Context
+        # [?, ?, 0] (code 8) precedes [0, ?, ?] (code 24); pairs given in
+        # the other order are sorted by _pairs, as the cores do
+        den = ExactDenoiser(random_dist(3, 2, 52))
+        cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=Steep(2, (1, -1, 1)))
+        cache = _ContextCache(den, cfg, SamplerDiagnostics())
+        high, low = (np.array([[0, 2, 2], [2, 2, 0]]) @ cache.pows).tolist()
+        assert (low, high) == (8, 24)
+        ctx, pos, _ = _pairs(np.array([high, low]), np.array(positions[::-1]), 3)
+        assert ctx.tolist() == [low, high] and pos.tolist() == list(positions)
+        with pytest.raises(DegenerateStepError) as exc:
+            cache.step_tables(ctx, pos, True, 4)
+        assert (exc.value.step, exc.value.position) == (4, named)
+        assert str(exc.value).startswith(kind)
+
+
 class TestDecodePaths:
     """Paths of the batched drivers at n > 1: each step reveals exactly the
     permuted position, and the final state is the sampled row."""
@@ -718,3 +783,85 @@ class TestContextCodeOverflow:
         rows, _ = aoarm_sample_many(den, GuidanceConfig(), 3, RandomSource(1))
         assert rows.shape == (3, 13) and (rows < 20).all()
         assert all((c == 20).any() for c in den.contexts)
+
+
+class TestGuidanceKernel:
+    """One kernel call over a step's pairs gives, bit for bit, the weights
+    and CDF rows the per-pair loop reference forms one pair at a time, for
+    every route x mode, at several gamma, before and after the switch point
+    t0, and for every way a predictor can score children (block lookup,
+    batched rows, one call per child). S=9 rows are long enough for the
+    row sums to take numpy's pairwise path."""
+
+    SIZES = [(3, 3), (2, 9)]
+
+    def predictors(self, mode, D, S):
+        if mode in ("none", "predictor_free"):
+            return [None]
+        gen = RandomSource(91).generator()
+        pair = PairwiseInteractionPredictor(
+            D, S, link="logistic", bias=-0.5, single=gen.normal(0, 0.8, (D, S + 1)),
+            pairwise=gen.normal(0, 0.5, (D, D, S + 1, S + 1)),
+        )
+        if mode == "tag":
+            return [pair]
+        clean = CleanPredictor.from_table(RandomSource(92).generator().uniform(0.05, 0.95, S**D), S)
+        exact = ExactMarginalPredictor(clean, random_dist(D, S, 90))
+        return [exact, pair, ScalarOnly(exact)]
+
+    def config(self, mode, gamma, t0, predictor, D, S):
+        if mode == "none":
+            return GuidanceConfig(t0=t0)
+        if mode == "predictor_free":
+            second = ExactDenoiser(random_dist(D, S, 93))
+            return GuidanceConfig(mode=mode, gamma=gamma, second_denoiser=second, t0=t0)
+        return GuidanceConfig(mode=mode, gamma=gamma, predictor=predictor, t0=t0)
+
+    @staticmethod
+    def contexts(D, S):
+        """Every masked context, grouped by its number i of unmasked
+        positions, with its masked positions as the step's pairs."""
+        grid = np.array(np.meshgrid(*[range(S + 1)] * D, indexing="ij")).reshape(D, -1).T
+        for i in range(D):
+            rows = grid[(grid != S).sum(axis=1) == i]
+            yield i, [(r, d) for r in rows for d in np.flatnonzero(r == S)]
+
+    @pytest.mark.parametrize("D,S", SIZES)
+    @pytest.mark.parametrize("t0", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("route,mode", [(r, m) for r, modes in ROUTE_MODES.items() for m in modes])
+    def test_kernel_equals_per_pair_loop(self, route, mode, gamma, t0, D, S):
+        den = ExactDenoiser(random_dist(D, S, 90))
+        for predictor in self.predictors(mode, D, S):
+            cfg = self.config(mode, gamma, t0, predictor, D, S)
+            cache = _ContextCache(den, cfg, SamplerDiagnostics())
+            for i, pairs in self.contexts(D, S):
+                active = i / D >= t0  # the any-order switch rule
+                codes = np.array([int(r @ cache.pows) for r, _ in pairs])
+                positions = np.array([d for _, d in pairs])
+                ctx, pos, inv = _pairs(codes, positions, D)
+                totals, cdfs = cache.step_tables(ctx, pos, active, i)
+                weights = cache.guided_weights(ctx, pos, active)
+                for j, (row, d) in zip(inv, pairs):
+                    want = loop_guided_row(mode if active else "none", gamma, den, predictor,
+                                           cfg.second_denoiser, row, d)
+                    total, cdf = loop_cdf(want)
+                    assert np.array_equal(weights[j], want)
+                    assert totals[j] == total and np.array_equal(cdfs[j], cdf)
+
+    @pytest.mark.parametrize("D,S", SIZES)
+    @pytest.mark.parametrize("gamma", [0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("mode", ROUTE_MODES["euler"])
+    def test_guide_rates_equal_per_pair_loop(self, mode, gamma, D, S):
+        den = ExactDenoiser(random_dist(D, S, 90))
+        alpha = Alphabet(S)
+        for predictor in self.predictors(mode, D, S):
+            cfg = self.config(mode, gamma, 0.0, predictor, D, S)
+            for _, pairs in self.contexts(D, S):
+                for row in {tuple(r) for r, _ in pairs}:
+                    xt = masked_from_str("".join(alpha.letter(t) for t in row), alpha)
+                    rates = guide_rates(den, xt, 0.3, IDENT, cfg)
+                    for d in xt.masked_positions():
+                        want = loop_guided_row(mode, gamma, den, predictor, cfg.second_denoiser,
+                                               xt.tokens, d)
+                        assert np.array_equal(rates.weights[d], want)
