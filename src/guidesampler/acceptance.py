@@ -21,9 +21,14 @@ discrepancy stays visible.
 
 from __future__ import annotations
 
+import json
 import math
+import subprocess
+import sys
+import tempfile
 import time
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,6 +37,7 @@ from scipy import integrate, stats
 from .bench import run_campaign
 from .core import (
     Alphabet,
+    MaskedSequence,
     RandomSource,
     TabularDistribution,
     encode_rows,
@@ -212,10 +218,7 @@ def check_jump_time_law(seed: int = DEFAULT_SEED) -> CheckResult:
     root = RandomSource(seed, 4)
     sched = identity_schedule()
     gen = root.substream(0).generator()
-    n = 100_000
-    first = np.empty(n)
-    for k in range(n):
-        first[k] = sample_jump_times(3, sched, gen)[0][0]
+    first = sample_jump_times(3, sched, gen, 100_000)[0][:, 0]
     ks = stats.kstest(first, lambda x: 1.0 - (1.0 - x) ** 3)  # Beta(1,3) CDF
     quad_ok = True
     worst_quad = 0.0
@@ -226,11 +229,11 @@ def check_jump_time_law(seed: int = DEFAULT_SEED) -> CheckResult:
         worst_quad = max(worst_quad, abs(val - 1.0))
         quad_ok &= abs(val - 1.0) <= 1e-6
     pgen = root.substream(2).generator()
-    counts: dict = {}
     n_perm = 60_000
-    for _ in range(n_perm):
-        _, sigma = sample_jump_times(3, sched, pgen)
-        key = tuple(int(v) for v in sigma)
+    _, sigma = sample_jump_times(3, sched, pgen, n_perm)
+    # counted in first-seen order, which fixes the summation order of chi2
+    counts: dict = {}
+    for key in map(tuple, sigma.tolist()):
         counts[key] = counts.get(key, 0) + 1
     expected = n_perm / 6.0
     chi2_stat = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -283,8 +286,6 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
     pred_ss = _single_site_exp_predictor(D, S, root.substream(1))
     gen = root.substream(2).generator()
     worst_rel = 0.0
-    from .core import MaskedSequence
-
     for _ in range(25):
         toks = gen.integers(0, S + 1, size=D)
         if not (toks == S).any():
@@ -293,11 +294,9 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
         t = float(gen.random() * 0.8)
         ex = guide_rates(den, xt, t, sched, GuidanceConfig(mode="exact", gamma=1.7, predictor=pred_ss))
         tg = guide_rates(den, xt, t, sched, GuidanceConfig(mode="tag", gamma=1.7, predictor=pred_ss))
-        for key, r_ex in ex.entries.items():
-            if r_ex == 0.0:
-                worst_rel = max(worst_rel, abs(tg.entries[key]))
-            else:
-                worst_rel = max(worst_rel, abs(tg.entries[key] - r_ex) / r_ex)
+        # relative gap where the exact rate is positive, absolute where zero
+        rel = np.abs(tg - ex) / np.where(ex == 0.0, 1.0, ex)
+        worst_rel = max(worst_rel, float(rel.max()))
 
     # (b) pairwise predictor: TAG-DEG degradation factor vs exact-DEG
     pred_pw = _pairwise_exp_predictor(D, S, root.substream(3))
@@ -456,18 +455,13 @@ def check_campaign(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def check_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
-    import subprocess
-    import sys
-    import tempfile
-    from pathlib import Path
-
     t0 = time.perf_counter()
     mismatches = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         model = tmp / "model.json"
         p = _gibbs(3, 3, RandomSource(seed, 90))
-        model.write_text(__import__("json").dumps({"kind": "tabular", **p.to_json()}))
+        model.write_text(json.dumps({"kind": "tabular", **p.to_json()}))
         outs = []
         for run in ("s1", "s2"):
             out = tmp / run

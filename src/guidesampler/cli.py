@@ -27,7 +27,14 @@ from .bench import (
     write_campaign_csv,
     write_campaign_timing_csv,
 )
-from .core import Alphabet, RandomSource, TabularDistribution, TokenSequence, sequence_from_str
+from .core import (
+    Alphabet,
+    RandomSource,
+    TabularDistribution,
+    TokenSequence,
+    identity_schedule,
+    sequence_from_str,
+)
 from .denoising import (
     ExactDenoiser,
     LogitModifier,
@@ -219,12 +226,10 @@ def load_predictor(path, denoiser, p_tab):
             )
     except (KeyError, ValueError, TypeError) as e:
         raise ConfigError(f"corrupted predictor file {path}: {e}") from e
-    if (pred.D if hasattr(pred, "D") else denoiser.D) != denoiser.D or (
-        getattr(pred, "S", denoiser.S) != denoiser.S
-    ):
+    if (pred.D, pred.S) != (denoiser.D, denoiser.S):
         raise ConfigError(
             f"model (D={denoiser.D}, S={denoiser.S}) and predictor "
-            f"(D={getattr(pred, 'D', '?')}, S={getattr(pred, 'S', '?')}) are incompatible"
+            f"(D={pred.D}, S={pred.S}) are incompatible"
         )
     return pred
 
@@ -309,7 +314,7 @@ def cmd_sample(cfg: dict) -> int:
     record = bool(sampler["record_paths"])
     if sampler["route"] == "euler":
         dt = float(sampler["dt"])
-        result = euler_sample_many(denoiser, gcfg, _identity(), dt, n, root, paths=record)
+        result = euler_sample_many(denoiser, gcfg, identity_schedule(), dt, n, root, paths=record)
     else:
         result = aoarm_sample_many(denoiser, gcfg, n, root, paths=record)
     rows, diag = result[0], result[-1]
@@ -321,12 +326,6 @@ def cmd_sample(cfg: dict) -> int:
     _dump_json(diag.to_json(), out / "diagnostics.json")
     print(f"wrote {n} samples to {out / 'samples.txt'}")
     return 0
-
-
-def _identity():
-    from .core import identity_schedule
-
-    return identity_schedule()
 
 
 def cmd_campaign(cfg: dict) -> int:

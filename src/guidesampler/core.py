@@ -245,17 +245,17 @@ class InterpolationSchedule:
     kappa_inv: Optional[Callable[[float], float]] = None
     name: str = "custom"
 
-    def inverse(self, u: float) -> float:
+    def inverse(self, u):
+        """kappa^-1 of a scalar or, elementwise, of an array."""
         if self.kappa_inv is not None:
             return self.kappa_inv(u)
-        lo, hi = 0.0, 1.0
+        u = np.asarray(u, dtype=float)
+        lo, hi = np.zeros_like(u), np.ones_like(u)
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if self.kappa(mid) < u:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+            below = self.kappa(mid) < u
+            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+        return (0.5 * (lo + hi))[()]
 
 
 def identity_schedule() -> InterpolationSchedule:

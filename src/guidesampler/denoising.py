@@ -287,10 +287,12 @@ class CodeCache:
     """Lazy per-context posterior rows keyed by the base-(S+1) context code.
 
     This is the one context cache: the loss evaluators use it as is and the
-    samplers extend it with predictor memos and the guidance kernel. Codes are
-    int64, so a size whose codes would wrap raises SizeCapError instead of
-    evaluating the model on the wrong context. ``diag``, when given, counts
-    denoiser evaluations in its ``denoiser_evals`` field.
+    samplers extend it with predictor memos and the guidance kernel. It alone
+    turns token rows into codes (``encode``, ``children``, ``pairs``) and
+    back (``decode``), so the key format lives here and nowhere else. Codes
+    are int64, so a size whose codes would wrap raises SizeCapError instead
+    of evaluating the model on the wrong context. ``diag``, when given,
+    counts denoiser evaluations in its ``denoiser_evals`` field.
     """
 
     def __init__(self, denoiser: Denoiser, diag=None):
@@ -302,11 +304,32 @@ class CodeCache:
                 f"context codes (S+1)**D = {self.S + 1}**{self.D} do not fit in int64"
             )
         self.pows = (self.S + 1) ** np.arange(self.D, dtype=np.int64)
-        self.full_mask = int(self.S * self.pows.sum())
         self._post: dict = {}
+
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """Context codes of token rows (mask = S), one per row."""
+        return rows @ self.pows
 
     def decode(self, code: int) -> np.ndarray:
         return code // self.pows % (self.S + 1)
+
+    def children(self, code: int, d: int) -> range:
+        """Codes of the S children of context ``code`` that set masked
+        position d to each real symbol, in symbol order."""
+        step = int(self.pows[d])
+        return range(code - self.S * step, code, step)
+
+    def pairs(self, rows: np.ndarray, positions: np.ndarray):
+        """Distinct (context, position) pairs of context rows ``rows[k]`` and
+        ``positions[k]``, in ascending (code, position) order, as (codes,
+        positions, index of each input pair among them). A pair is keyed by
+        the rank of its code among the distinct codes times D plus the
+        position: below ``rows.shape[0] * D`` at every size whose context
+        codes fit in int64."""
+        D = self.D
+        distinct, rank = np.unique(self.encode(rows), return_inverse=True)
+        keys, inv = np.unique(rank * D + positions, return_inverse=True)
+        return distinct[keys // D], keys % D, inv
 
     def posterior(self, code: int) -> np.ndarray:
         hit = self._post.get(code)
@@ -317,12 +340,10 @@ class CodeCache:
             self._post[code] = hit
         return hit
 
-    def gather(self, codes: np.ndarray, position: int, symbols: np.ndarray) -> np.ndarray:
-        """probs[k] = posterior(context codes[k])[position, symbols[k]]."""
-        out = np.empty(codes.size)
-        for k in range(codes.size):
-            out[k] = self.posterior(int(codes[k]))[position, symbols[k]]
-        return out
+    def gather(self, rows: np.ndarray, position: int, symbols: np.ndarray) -> np.ndarray:
+        """probs[k] = posterior(context rows[k])[position, symbols[k]]."""
+        return np.array([self.posterior(code)[position, s]
+                         for code, s in zip(self.encode(rows).tolist(), symbols.tolist())])
 
 
 def _support(p: TabularDistribution):
@@ -337,8 +358,6 @@ def _pattern_ce_loss(denoiser: Denoiser, p: TabularDistribution, pattern_weight)
     D, S = p.D, p.S
     toks, w = _support(p)
     cache = CodeCache(denoiser)
-    pows = cache.pows
-    clean_codes = toks @ pows
     loss = 0.0
     for bits in range(1, 1 << D):
         masked = [d for d in range(D) if bits >> d & 1]
@@ -346,11 +365,11 @@ def _pattern_ce_loss(denoiser: Denoiser, p: TabularDistribution, pattern_weight)
         weight = pattern_weight(m, D)
         if weight == 0.0:
             continue
-        delta = sum((S - toks[:, d]) * pows[d] for d in masked)
-        codes = clean_codes + delta
+        ctx = toks.copy()
+        ctx[:, masked] = S
         ce = np.zeros(toks.shape[0])
         for d in masked:
-            ce -= np.log(cache.gather(codes, d, toks[:, d]))
+            ce -= np.log(cache.gather(ctx, d, toks[:, d]))
         loss += weight * float(w @ ce)
     return loss
 
@@ -383,15 +402,14 @@ def aoarm_loss_exact(denoiser: Denoiser, p: TabularDistribution) -> float:
         raise SizeCapError(f"aoarm_loss_exact enumerates D! orders; D={D} exceeds {AOARM_ENUM_CAP_D}")
     toks, w = _support(p)
     cache = CodeCache(denoiser)
-    pows = cache.pows
     total = 0.0
     n_perm = 0
     for sigma in itertools.permutations(range(D)):
-        codes = np.full(toks.shape[0], cache.full_mask, dtype=np.int64)
+        ctx = np.full_like(toks, S)
         nll = np.zeros(toks.shape[0])
         for pos in sigma:
-            nll -= np.log(cache.gather(codes, pos, toks[:, pos]))
-            codes += (toks[:, pos] - S) * pows[pos]
+            nll -= np.log(cache.gather(ctx, pos, toks[:, pos]))
+            ctx[:, pos] = toks[:, pos]
         total += float(w @ nll)
         n_perm += 1
     return total / n_perm

@@ -430,15 +430,10 @@ def train_noisy_classifier(
     if two_stage:
         for _ in range(epochs):
             loss = epoch_step(seqs, mask_only=False)
-        for _ in range(epochs):
-            t = gen.random((n, 1))
-            keep = gen.random((n, D)) < t
-            loss = epoch_step(np.where(keep, seqs, S), mask_only=True)
-    else:
-        for _ in range(epochs):
-            t = gen.random((n, 1))
-            keep = gen.random((n, D)) < t
-            loss = epoch_step(np.where(keep, seqs, S), mask_only=False)
+    for _ in range(epochs):
+        t = gen.random((n, 1))
+        keep = gen.random((n, D)) < t
+        loss = epoch_step(np.where(keep, seqs, S), mask_only=two_stage)
     return model, loss
 
 

@@ -3,19 +3,19 @@
 Two sampling routes produce draws from the same law. Each route has one
 core that samples n chains at once over one context cache:
 
-* :func:`aoarm_sample_many`: exact any-order autoregressive sampling.
-  Sorting i.i.d. uniforms gives each chain a uniform unmask order, and the
-  sorted uniforms are its jump times under the identity schedule. Each step
-  makes one categorical draw per chain; the per-step state conditional never
-  reads the clock (it takes no time argument).
+* :func:`aoarm_sample_many`: exact any-order autoregressive sampling. Its
+  unmask orders and jump times come from :func:`sample_jump_times` under the
+  identity schedule (sorted i.i.d. uniforms give each chain a uniform unmask
+  order). Each step makes one categorical draw per chain; the per-step state
+  conditional never reads the clock (it takes no time argument).
 * :func:`euler_sample_many`: numerical CTMC integration with step ``dt``.
   It carries an O(dt) bias and counts outflow renormalizations. Positions
   still masked at the 1-dt horizon are force-completed at time 1.0.
 
-A core forms one guided row per distinct (context, position) pair of a step
-and returns the token rows, each chain's unmask order and its jump times.
-With ``paths=True`` the drivers turn these into one :class:`DecodePath` per
-chain. :func:`aoarm_sample` and :func:`euler_sample` are the n=1 case.
+A core's chain state is its token rows (mask = S), plus each chain's unmask
+order and jump times, which it returns. With ``paths=True`` the drivers turn
+these into one :class:`DecodePath` per chain, which derives its states from
+them. :func:`aoarm_sample` and :func:`euler_sample` are the n=1 case.
 
 Guidance modes:
 
@@ -30,21 +30,23 @@ Guidance modes:
   unconditional rates from two denoisers.
 
 One kernel forms the guided weights of every mode for both routes, in one
-call per sampler step: :meth:`_ContextCache.guided_weights` takes the arrays
-of the step's distinct (context code, position) pairs and returns their
-unnormalized rows over the real symbols as one (P, S) matrix, and
+call per sampler step. :meth:`CodeCache.pairs` turns a step's context rows
+and positions into its distinct (context code, position) pairs, in ascending
+(code, position) order; context codes exist only inside the cache.
+:meth:`_ContextCache.guided_weights` returns the unnormalized rows of those
+pairs over the real symbols as one (P, S) matrix, and
 :meth:`_ContextCache.step_tables` turns it into row totals and CDF rows. The
 any-order route draws from the CDF rows; the Euler route scales the totals by
 kappa_dot/(1-kappa) and forms rows only for pairs its memo lacks;
-:func:`guide_rates` reads the weights of one context's masked positions. The
-kernel reads one pure-function context cache keyed by the base-(S+1) context
-code, shared by the chains of a call when every component is deterministic
-(otherwise each chain runs the core alone on its own substream and cache). It
-calls the models pair by pair in ascending (code, position) order, so a
-stochastic predictor draws as it would with one call per pair. ``exact`` and
-``deg`` make one predictor call per (context, position) when the predictor
-scores the S children of a position at once (``child_likelihoods``), and one
-call per child otherwise.
+:func:`guide_rates` returns the weights of one context's masked positions,
+scaled the same way, as a (D, S) rate matrix. The kernel reads one
+pure-function context cache, shared by the chains of a call when every
+component is deterministic (otherwise each chain runs the core alone on its
+own substream and cache). It calls the models pair by pair in the order
+given, so a stochastic predictor draws as it would with one call per pair.
+``exact`` and ``deg`` make one predictor call per (context, position) when
+the predictor scores the S children of a position at once
+(``child_likelihoods``), and one call per child otherwise.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -55,6 +57,7 @@ model and never a separate normalizer.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import time
 from dataclasses import asdict, dataclass
@@ -68,9 +71,10 @@ from .core import (
     MaskedSequence,
     TokenSequence,
     as_generator,
+    identity_schedule,
 )
 from .denoising import CodeCache, Denoiser
-from .errors import DegenerateStepError, TimeHorizonError
+from .errors import CapabilityError, DegenerateStepError, TimeHorizonError
 from .predictors import LIKELIHOOD_FLOOR, TimePredictor
 
 TIME_HORIZON_EPS = 1e-9
@@ -91,7 +95,8 @@ class GuidanceConfig:
     """How to modulate the sampler: mode, strength gamma, and the predictor
     (or a second, conditional denoiser for predictor-free guidance). ``t0``
     delays guidance until the unmasked fraction (any-order route) or the
-    clock (Euler route) reaches it."""
+    clock (Euler route) reaches it. Mode ``tag`` needs a predictor with a
+    gradient surface; without one the config raises CapabilityError."""
 
     mode: str = "none"
     gamma: float = 1.0
@@ -108,6 +113,11 @@ class GuidanceConfig:
             raise ValueError("switch time t0 must lie in [0, 1]")
         if self.mode in ("exact", "tag", "deg") and self.predictor is None:
             raise ValueError(f"mode {self.mode!r} requires a predictor")
+        if self.mode == "tag" and not getattr(self.predictor, "has_gradient_surface", False):
+            raise CapabilityError(
+                f"mode 'tag' requires a predictor with a gradient surface; "
+                f"{type(self.predictor).__name__} has none"
+            )
         if self.mode == "predictor_free" and self.second_denoiser is None:
             raise ValueError("predictor_free mode requires a second (conditional) denoiser")
 
@@ -166,17 +176,27 @@ class DecodePath:
 
     ``permutation[i]`` is the position unmasked at step i, ``jump_times[i]``
     the time it happened (nondecreasing; Euler paths may carry tied times at
-    dt resolution, and forced terminal unmasks carry time 1.0), ``states``
-    the D+1 progressively unmasked token arrays.
+    dt resolution, and forced terminal unmasks carry time 1.0), ``row`` the
+    final tokens. Together they fix ``states``, the D+1 progressively
+    unmasked token arrays.
     """
 
     permutation: np.ndarray
     jump_times: np.ndarray
-    states: list
+    row: np.ndarray
     S: int
 
+    @property
+    def states(self) -> list:
+        state = np.full(self.row.size, self.S, dtype=np.int64)
+        states = [state.copy()]
+        for d in self.permutation:
+            state[d] = self.row[d]
+            states.append(state.copy())
+        return states
+
     def final(self) -> TokenSequence:
-        return TokenSequence(self.states[-1], Alphabet(self.S))
+        return TokenSequence(self.row, Alphabet(self.S))
 
     def to_json(self) -> dict:
         alpha = Alphabet(self.S)
@@ -188,46 +208,13 @@ class DecodePath:
 
 
 def write_paths_jsonl(paths: Sequence[DecodePath], fh) -> None:
-    import json
-
     for p in paths:
         fh.write(json.dumps(p.to_json(), sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# rate sets
+# rates
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class RateSet:
-    """Sparse single-position transition rates at one time.
-
-    The rate of position d jumping to real symbol s is ``coef * weights[d, s]``
-    at masked positions of ``source``; there are no transitions out of
-    unmasked positions (their rows are zero) and none into the mask. ``coef``
-    is the shared prefactor kappa_dot(t) / (1 - kappa(t)).
-    """
-
-    weights: np.ndarray
-    t: float
-    coef: float
-    source: MaskedSequence
-
-    @property
-    def entries(self) -> dict:
-        """{(d, s): rate} over masked positions d and real symbols s."""
-        return {
-            (int(d), s): self.coef * float(self.weights[d, s])
-            for d in self.source.masked_positions()
-            for s in range(self.weights.shape[1])
-        }
-
-    def validate(self) -> "RateSet":
-        for (d, s), r in self.entries.items():
-            if not (np.isfinite(r) and r >= 0):
-                raise ValueError(f"rate ({d},{s}) = {r} is not finite and nonnegative")
-        return self
 
 
 def rate_coefficient(t: float, schedule: InterpolationSchedule) -> float:
@@ -245,18 +232,29 @@ def guide_rates(
     t: float,
     schedule: InterpolationSchedule,
     cfg: GuidanceConfig = GuidanceConfig(),
-) -> RateSet:
+) -> np.ndarray:
     """Masking-process generative rates at time t, guided by ``cfg`` (an
     Euler-route mode; 'none' gives coef * posterior), from the same kernel
-    the Euler samplers use."""
+    the Euler samplers use.
+
+    Returns the (D, S) matrix whose entry (d, s) is the rate of position d
+    jumping to real symbol s: ``coef * weights`` at masked positions, with
+    ``coef`` = kappa_dot(t) / (1 - kappa(t)), and zero rows at unmasked
+    positions (no transitions out of them, none into the mask). The first
+    entry that is not finite and nonnegative raises ValueError naming it.
+    """
     check_route("euler", cfg.mode)
     coef = rate_coefficient(t, schedule)
     cache = _ContextCache(denoiser, cfg, SamplerDiagnostics())
     masked = xt.masked_positions()
-    codes = np.full(masked.size, int(xt.tokens @ cache.pows), dtype=np.int64)
-    weights = np.zeros((denoiser.D, denoiser.S))
-    weights[masked] = cache.guided_weights(codes, masked, True)
-    return RateSet(weights=weights, t=t, coef=coef, source=xt).validate()
+    codes = np.full(masked.size, cache.encode(xt.tokens))
+    rates = np.zeros((denoiser.D, denoiser.S))
+    rates[masked] = coef * cache.guided_weights(codes, masked, True)
+    bad = ~(np.isfinite(rates) & (rates >= 0))
+    if bad.any():
+        d, s = np.argwhere(bad)[0].tolist()
+        raise ValueError(f"rate ({d},{s}) = {float(rates[d, s])} is not finite and nonnegative")
+    return rates
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +262,18 @@ def guide_rates(
 # ---------------------------------------------------------------------------
 
 
-def sample_jump_times(D: int, schedule: InterpolationSchedule, rng):
-    """Per-position jump times (i.i.d. with CDF kappa), sorted.
+def sample_jump_times(D: int, schedule: InterpolationSchedule, rng, n: int = 1):
+    """Per-position jump times of n chains (i.i.d. with CDF kappa), sorted
+    per chain; the any-order sampler draws its orders and times here.
 
-    Returns (tau, sigma): tau strictly increasing, sigma[i] the position whose
-    time ranked i-th; ties break by ascending position index.
+    Returns (tau, sigma), each of shape (n, D): tau nondecreasing along each
+    row, sigma[k, i] the position whose time ranked i-th in chain k; ties
+    break by ascending position index.
     """
     if D < 1:
         raise ValueError("D must be >= 1")
-    gen = as_generator(rng)
-    u = gen.random(D)
-    times = np.array([schedule.inverse(float(v)) for v in u])
-    sigma = np.argsort(times, kind="stable")
-    return times[sigma], sigma
+    times = schedule.inverse(as_generator(rng).random((n, D)))
+    return np.sort(times, axis=1), np.argsort(times, axis=1, kind="stable")
 
 
 def lemma1_density(i: int, tau_i: float, tau_prev: float, D: int, schedule: InterpolationSchedule) -> float:
@@ -339,8 +336,7 @@ class _ContextCache(CodeCache):
         ``child_likelihoods`` scores a row with any unmemoized child in one
         call; any other gets one ``likelihood_array`` call per such child.
         Each newly memoized child counts as one predictor evaluation."""
-        step = int(self.pows[d])
-        keys = range(code - self.S * step, code, step)
+        keys = self.children(code, d)
         batched = getattr(self.cfg.predictor, "child_likelihoods", None)
         if batched is None:
             return np.array([self.likelihood(k) for k in keys])
@@ -415,33 +411,9 @@ class _ContextCache(CodeCache):
         return totals, np.cumsum(weights, axis=1) / totals[:, None]
 
 
-def _pairs(codes: np.ndarray, positions: np.ndarray, D: int):
-    """Distinct (context code, position) pairs in ascending (code, position)
-    order, as (codes, positions, index of each input pair among them). A
-    pair is keyed by the rank of its code among the distinct codes times D
-    plus the position: below ``codes.size * D`` at every size whose context
-    codes fit in int64."""
-    distinct, rank = np.unique(codes, return_inverse=True)
-    keys, inv = np.unique(rank * D + positions, return_inverse=True)
-    return distinct[keys // D], keys % D, inv
-
-
 def _draw(cdfs: np.ndarray, inv: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: the symbol of uniform u[k] under row cdfs[inv[k]]."""
     return (cdfs[inv] < u[:, None]).sum(axis=1).clip(max=cdfs.shape[1] - 1)
-
-
-def _decode_paths(rows: np.ndarray, order: np.ndarray, times: np.ndarray, S: int) -> list:
-    """One DecodePath per chain: step i reveals row[order[i]] at times[i]."""
-    paths = []
-    for row, perm, tau in zip(rows, order, times):
-        state = np.full(row.size, S, dtype=np.int64)
-        states = [state.copy()]
-        for d in perm:
-            state[d] = row[d]
-            states.append(state.copy())
-        paths.append(DecodePath(permutation=perm, jump_times=tau, states=states, S=S))
-    return paths
 
 
 def _run(route: str, core, denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng, paths: bool):
@@ -467,7 +439,9 @@ def _run(route: str, core, denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng,
     diag.wall_time_s = time.perf_counter() - t_start
     if not paths:
         return rows, diag
-    return rows, _decode_paths(rows, order, times, denoiser.S), diag
+    S = denoiser.S
+    return rows, [DecodePath(perm, tau, row.copy(), S)
+                  for row, perm, tau in zip(rows, order, times)], diag
 
 
 # ---------------------------------------------------------------------------
@@ -478,28 +452,25 @@ def _run(route: str, core, denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng,
 def _aoarm_core(cache: _ContextCache, n: int, gen):
     """n any-order chains on one cache; returns (rows, order, jump times).
 
-    Sorting i.i.d. uniforms gives each chain a uniform unmask order, and the
-    sorted uniforms are its jump times under the identity schedule. Step i
-    draws one symbol per chain from the guided row of its (context,
-    position) pair, formed once per distinct pair.
+    The order and times are :func:`sample_jump_times` under the identity
+    schedule: sorting i.i.d. uniforms gives each chain a uniform unmask
+    order. Step i draws one symbol per chain from the guided row of its
+    (context, position) pair, formed once per distinct pair.
     """
     D, S, cfg = cache.D, cache.S, cache.cfg
-    u = gen.random((n, D))
-    order = np.argsort(u, axis=1, kind="stable")
+    times, order = sample_jump_times(D, identity_schedule(), gen, n)
     rows = np.full((n, D), S, dtype=np.int64)
-    codes = np.full(n, cache.full_mask, dtype=np.int64)
+    chains = np.arange(n)
     for i in range(D):
         active = (i / D) >= cfg.t0
         d_vec = order[:, i]
         # a step-i context has exactly i unmasked positions, so pairs never
         # recur across steps and the CDF rows are not worth keeping
-        ctx, pos, inv = _pairs(codes, d_vec, D)
+        ctx, pos, inv = cache.pairs(rows, d_vec)
         _, cdfs = cache.step_tables(ctx, pos, active, i)
-        draws = _draw(cdfs, inv, gen.random(n))
-        rows[np.arange(n), d_vec] = draws
-        codes += (draws - S) * cache.pows[d_vec]
+        rows[chains, d_vec] = _draw(cdfs, inv, gen.random(n))
         cache.diag.n_steps += n
-    return rows, order, np.take_along_axis(u, order, axis=1)
+    return rows, order, times
 
 
 def aoarm_sample(denoiser: Denoiser, cfg: GuidanceConfig, rng):
@@ -546,7 +517,6 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
     D, S, cfg, diag = cache.D, cache.S, cache.cfg, cache.diag
     rows = np.full((n, D), S, dtype=np.int64)
     times = np.ones((n, D))
-    codes = np.full(n, cache.full_mask, dtype=np.int64)
     chain_idx = np.repeat(np.arange(n), D)
     pos_idx = np.tile(np.arange(D), n)
     unguided = not cfg.guided
@@ -555,7 +525,7 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
 
     def pair_tables(chains, positions, active, step):
         """(jump weight sums, cdf matrix, indices into it) for the given pairs."""
-        ctx, pos, inv = _pairs(codes[chains], positions, D)
+        ctx, pos, inv = cache.pairs(rows[chains], positions)
         keys = [(code, d, active) for code, d in zip(ctx.tolist(), pos.tolist())]
         fresh = [j for j, key in enumerate(keys) if key not in memo]
         if fresh:
@@ -586,11 +556,8 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
                 _, cdfs, inv_j = pair_tables(jc, jp, active, k)
             else:
                 inv_j = inv[jump]
-            draws = _draw(cdfs, inv_j, gen.random(jc.size))
-            rows[jc, jp] = draws
+            rows[jc, jp] = _draw(cdfs, inv_j, gen.random(jc.size))
             times[jc, jp] = t + dt
-            # one chain can jump at several positions in a single step
-            np.add.at(codes, jc, (draws - S) * cache.pows[jp])
             chain_idx, pos_idx = chain_idx[~jump], pos_idx[~jump]
     if chain_idx.size:
         _, cdfs, inv = pair_tables(chain_idx, pos_idx, (1.0 - dt) >= cfg.t0, n_int)

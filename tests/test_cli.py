@@ -134,6 +134,14 @@ class TestSampleCommand:
         assert main(["sample", "--model", str(model_file), "--mode", "deg", "--n", "1",
                      "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    def test_tag_without_gradient_surface_is_config_error(self, tmp_path, model_file,
+                                                          predictor_file, route):
+        # an exact_marginal predictor has no gradient surface for tag to read
+        assert main(["sample", "--model", str(model_file), "--predictor", str(predictor_file),
+                     "--route", route, "--mode", "tag", "--n", "2",
+                     "--out", str(tmp_path / "o")]) == 2
+
     def test_incompatible_predictor_is_config_error(self, tmp_path, model_file):
         pred = tmp_path / "pred_bad.json"
         pred.write_text(json.dumps({"kind": "exact_marginal", "clean_table": [0.5] * 16}))

@@ -105,6 +105,14 @@ class TestSchedules:
             assert p.inverse(u) == pytest.approx(1 - (1 - u) ** (1 / 3), abs=1e-9)
             assert generic.inverse(u) == pytest.approx(p.inverse(u), abs=1e-9)
 
+    def test_bisection_inverts_an_array_as_each_scalar(self):
+        p = power_schedule(3.0)
+        generic = type(p)(kappa=p.kappa, kappa_dot=p.kappa_dot)  # no closed inverse
+        u = RandomSource(2).generator().random((4, 5))
+        each = np.array([[generic.inverse(float(v)) for v in row] for row in u])
+        assert generic.inverse(u).shape == u.shape
+        assert np.abs(generic.inverse(u) - each).max() <= 1e-12
+
 
 class TestMaskForward:
     def test_t0_masks_everything(self):

@@ -1,5 +1,7 @@
 """Every module of the package and of the test suite reads each name it
-imports. ``__init__.py`` files are skipped: their imports are re-exports."""
+imports. ``__init__.py`` files are skipped: their imports are re-exports.
+Only ``denoising.py`` reads the context-code powers ``pows``, so the code
+format stays private to ``CodeCache``."""
 
 import ast
 from pathlib import Path
@@ -57,4 +59,23 @@ def test_no_unused_imports():
                 names = unused_imports(path.read_text())
                 if names:
                     found[str(path.relative_to(ROOT))] = names
+    assert found == {}
+
+
+def attributes_read(source: str, attr: str) -> list:
+    """Line numbers where a module reads attribute ``attr`` of any object."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Attribute) and n.attr == attr)
+
+
+def test_attribute_scan_finds_reads():
+    assert attributes_read("x = cache.pows[d]\ny = pows\nz = a.b.pows @ r\n", "pows") == [1, 3]
+
+
+def test_only_denoising_reads_code_powers():
+    found = {}
+    for path in sorted((ROOT / "src" / "guidesampler").rglob("*.py")):
+        lines = attributes_read(path.read_text(), "pows")
+        if lines and path.name != "denoising.py":
+            found[path.name] = lines
     assert found == {}

@@ -32,13 +32,13 @@ from guidesampler.sampling import (
     GuidanceConfig,
     SamplerDiagnostics,
     _ContextCache,
-    _pairs,
     aoarm_sample,
     aoarm_sample_many,
     euler_sample,
     euler_sample_many,
     guide_rates,
     lemma1_density,
+    rate_coefficient,
     sample_jump_times,
 )
 
@@ -79,13 +79,13 @@ class TestUnguidedRates:
     def test_half_half_posterior_at_t_half(self):
         p = TabularDistribution(1, 2, [0.5, 0.5])
         rates = guide_rates(ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
-        assert rates.entries[(0, 0)] == pytest.approx(1.0)
-        assert rates.entries[(0, 1)] == pytest.approx(1.0)
+        assert rates[0, 0] == pytest.approx(1.0)
+        assert rates[0, 1] == pytest.approx(1.0)
 
     def test_no_entries_at_unmasked(self):
         p = random_dist(2, 2, 1)
         rates = guide_rates(ExactDenoiser(p), masked_from_str("A?", AB), 0.3, IDENT)
-        assert all(d == 1 for d, _ in rates.entries)
+        assert rates.shape == (2, 2) and (rates[0] == 0.0).all() and (rates[1] > 0.0).all()
 
     def test_t0_rates_equal_posterior(self):
         p = random_dist(2, 2, 2)
@@ -93,7 +93,7 @@ class TestUnguidedRates:
         xt = masked_from_str("??", AB)
         rates = guide_rates(den, xt, 0.0, IDENT)
         post = den.posterior_array(xt.tokens)
-        for (d, s), r in rates.entries.items():
+        for (d, s), r in np.ndenumerate(rates):
             assert r == pytest.approx(post[d, s])
 
     def test_time_horizon_error(self):
@@ -106,9 +106,17 @@ class TestUnguidedRates:
         p = random_dist(3, 3, 4)
         xt = masked_from_str("A??", Alphabet(3))
         rates = guide_rates(ExactDenoiser(p), xt, 0.4, IDENT)
-        rates.validate()
-        assert set(d for d, _ in rates.entries) == {1, 2}
-        assert all(0 <= s < 3 for _, s in rates.entries)
+        assert rates.shape == (3, 3)
+        assert set(np.flatnonzero(rates.any(axis=1)).tolist()) == {1, 2}
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_rate_check_names_first_bad_entry(self):
+        # exact mode at gamma=30: the ratio 1e12 of Certain overflows the
+        # weight of (0, 0) to inf
+        den = ExactDenoiser(random_dist(1, 2, 46))
+        cfg = GuidanceConfig(mode="exact", gamma=30.0, predictor=Certain())
+        with pytest.raises(ValueError, match=r"^rate \(0,0\) = inf is not finite and nonnegative$"):
+            guide_rates(den, masked_from_str("?", AB), 0.5, IDENT, cfg)
 
 
 class TestGuideRates:
@@ -125,8 +133,7 @@ class TestGuideRates:
         rates = guide_rates(den, xt, 0.25, IDENT)
         cfg = GuidanceConfig(mode="exact", gamma=0.0, predictor=pred)
         guided = guide_rates(den, xt, 0.25, IDENT, cfg)
-        for key in rates.entries:
-            assert guided.entries[key] == rates.entries[key]
+        assert np.array_equal(guided, rates)
 
     def test_ratio_example(self):
         # gamma=1, p(y|child)=0.8, p(y|source)=0.4, rate 1.0 -> 2.0
@@ -139,9 +146,9 @@ class TestGuideRates:
 
         p = TabularDistribution(1, 2, [0.5, 0.5])
         args = (ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
-        assert guide_rates(*args).entries[(0, 0)] == pytest.approx(1.0)
+        assert guide_rates(*args)[0, 0] == pytest.approx(1.0)
         guided = guide_rates(*args, GuidanceConfig(mode="exact", gamma=1.0, predictor=Fixed()))
-        assert guided.entries[(0, 0)] == pytest.approx(2.0)
+        assert guided[0, 0] == pytest.approx(2.0)
 
     def test_tag_equals_exact_for_affine_single_site(self):
         gen = RandomSource(7).generator()
@@ -157,17 +164,16 @@ class TestGuideRates:
             rates = guide_rates(den, xt, 0.35, IDENT)
             ex = guide_rates(den, xt, 0.35, IDENT, GuidanceConfig(mode="exact", gamma=1.3, predictor=pred))
             tg = guide_rates(den, xt, 0.35, IDENT, GuidanceConfig(mode="tag", gamma=1.3, predictor=pred))
-            for key in rates.entries:
-                if ex.entries[key] == 0.0:
-                    assert tg.entries[key] == 0.0
+            for key in np.ndindex(rates.shape):
+                if ex[key] == 0.0:
+                    assert tg[key] == 0.0
                 else:
-                    assert tg.entries[key] == pytest.approx(ex.entries[key], rel=1e-9)
+                    assert tg[key] == pytest.approx(ex[key], rel=1e-9)
 
     def test_tag_without_surface_is_capability_error(self):
         den, xt, pred = self.setup_rates()
-        cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=pred)
         with pytest.raises(CapabilityError):
-            guide_rates(den, xt, 0.25, IDENT, cfg)
+            GuidanceConfig(mode="tag", gamma=1.0, predictor=pred)
 
     def test_predictor_free_geometric_mix(self):
         p1 = random_dist(2, 2, 9)
@@ -178,20 +184,20 @@ class TestGuideRates:
         cond = guide_rates(den2, xt, 0.2, IDENT)
         cfg = GuidanceConfig(mode="predictor_free", gamma=0.3, second_denoiser=den2)
         mixed = guide_rates(den1, xt, 0.2, IDENT, cfg)
-        for key in base.entries:
-            want = cond.entries[key] ** 0.3 * base.entries[key] ** 0.7
-            assert mixed.entries[key] == pytest.approx(want, rel=1e-12)
+        for key in np.ndindex(base.shape):
+            want = cond[key] ** 0.3 * base[key] ** 0.7
+            assert mixed[key] == pytest.approx(want, rel=1e-12)
 
 
 class TestJumpTimes:
     def test_d1_uniform_ks(self):
         gen = RandomSource(11).generator()
-        taus = np.array([sample_jump_times(1, IDENT, gen)[0][0] for _ in range(100000)])
+        taus = np.array([sample_jump_times(1, IDENT, gen)[0][0, 0] for _ in range(100000)])
         assert ks_uniform(taus).passed
 
     def test_d3_first_time_is_min_of_three_uniforms(self):
         gen = RandomSource(12).generator()
-        first = np.array([sample_jump_times(3, IDENT, gen)[0][0] for _ in range(100000)])
+        first = np.array([sample_jump_times(3, IDENT, gen)[0][0, 0] for _ in range(100000)])
         assert abs(first.mean() - 0.25) < 0.005  # Beta(1,3) mean
         # full distributional check
         assert stats.kstest(first, lambda x: 1 - (1 - x) ** 3).pvalue > 0.01
@@ -202,7 +208,7 @@ class TestJumpTimes:
         n = 60000
         for _ in range(n):
             _, sigma = sample_jump_times(3, IDENT, gen)
-            key = tuple(int(v) for v in sigma)
+            key = tuple(int(v) for v in sigma[0])
             counts[key] = counts.get(key, 0) + 1
         assert len(counts) == 6
         expected = n / 6
@@ -211,8 +217,18 @@ class TestJumpTimes:
 
     def test_sorted_and_consistent_with_schedule(self):
         taus, sigma = sample_jump_times(5, power_schedule(2.0), RandomSource(14))
-        assert (np.diff(taus) >= 0).all()
-        assert sorted(sigma.tolist()) == list(range(5))
+        assert (np.diff(taus[0]) >= 0).all()
+        assert sorted(sigma[0].tolist()) == list(range(5))
+
+    def test_aoarm_orders_and_times_are_sample_jump_times(self):
+        # the any-order core draws its orders and times here, first from
+        # the chain generator
+        den = ParametricDenoiser.random(4, 3, RandomSource(15), scale=0.5)
+        n = 30
+        _, paths, _ = aoarm_sample_many(den, GuidanceConfig(), n, RandomSource(16), paths=True)
+        tau, sigma = sample_jump_times(4, identity_schedule(), RandomSource(16).generator(), n)
+        assert np.array_equal(np.stack([p.permutation for p in paths]), sigma)
+        assert np.array_equal(np.stack([p.jump_times for p in paths]), tau)
 
 
 class TestLemma1Density:
@@ -552,13 +568,14 @@ class TestDegenerateRowsInOneStep:
     def test_lower_code_named_first(self, positions, named, kind):
         # signs: position 0 and 2 overflow, position 1 vanishes. Context
         # [?, ?, 0] (code 8) precedes [0, ?, ?] (code 24); pairs given in
-        # the other order are sorted by _pairs, as the cores do
+        # the other order are sorted by CodeCache.pairs, as the cores do
         den = ExactDenoiser(random_dist(3, 2, 52))
         cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=Steep(2, (1, -1, 1)))
         cache = _ContextCache(den, cfg, SamplerDiagnostics())
-        high, low = (np.array([[0, 2, 2], [2, 2, 0]]) @ cache.pows).tolist()
+        rows = np.array([[0, 2, 2], [2, 2, 0]])
+        high, low = cache.encode(rows).tolist()
         assert (low, high) == (8, 24)
-        ctx, pos, _ = _pairs(np.array([high, low]), np.array(positions[::-1]), 3)
+        ctx, pos, _ = cache.pairs(rows, np.array(positions[::-1]))
         assert ctx.tolist() == [low, high] and pos.tolist() == list(positions)
         with pytest.raises(DegenerateStepError) as exc:
             cache.step_tables(ctx, pos, True, 4)
@@ -837,9 +854,9 @@ class TestGuidanceKernel:
             cache = _ContextCache(den, cfg, SamplerDiagnostics())
             for i, pairs in self.contexts(D, S):
                 active = i / D >= t0  # the any-order switch rule
-                codes = np.array([int(r @ cache.pows) for r, _ in pairs])
+                rows = np.array([r for r, _ in pairs])
                 positions = np.array([d for _, d in pairs])
-                ctx, pos, inv = _pairs(codes, positions, D)
+                ctx, pos, inv = cache.pairs(rows, positions)
                 totals, cdfs = cache.step_tables(ctx, pos, active, i)
                 weights = cache.guided_weights(ctx, pos, active)
                 for j, (row, d) in zip(inv, pairs):
@@ -864,4 +881,4 @@ class TestGuidanceKernel:
                     for d in xt.masked_positions():
                         want = loop_guided_row(mode, gamma, den, predictor, cfg.second_denoiser,
                                                xt.tokens, d)
-                        assert np.array_equal(rates.weights[d], want)
+                        assert np.array_equal(rates[d], rate_coefficient(0.3, IDENT) * want)
