@@ -187,6 +187,16 @@ def _check_state_count(D: int, S: int, cap: int = TABULAR_STATE_CAP) -> int:
     return n
 
 
+def check_context_count(D: int, S: int, cap: int = TABULAR_STATE_CAP) -> int:
+    """Entries (S+1)**D of a table over every masked context; raises
+    SizeCapError naming the size when it exceeds the table cap."""
+    n = (S + 1) ** D
+    if n > cap:
+        raise SizeCapError(f"context tables of (S+1)**D = {S + 1}**{D} = {n} entries "
+                           f"exceed the table cap {cap}")
+    return n
+
+
 def encode_index(x: TokenSequence) -> int:
     """Little-endian mixed-radix code of a clean sequence."""
     return encode_tokens(x.tokens, x.alphabet.size)
@@ -223,8 +233,9 @@ def sequence_table(D: int, S: int) -> np.ndarray:
 
 
 def encode_rows(rows: np.ndarray, S: int) -> np.ndarray:
-    """Vectorized little-endian encoding of an (n, D) token matrix."""
-    D = rows.shape[1]
+    """Vectorized little-endian encoding of an (n, D) token matrix, or the
+    code of one row (D,)."""
+    D = rows.shape[-1]
     radix = S ** np.arange(D, dtype=np.int64)
     return rows @ radix
 
@@ -308,7 +319,7 @@ class TabularDistribution:
     must be nonnegative and sum to 1 within 1e-9.
     """
 
-    __slots__ = ("D", "S", "weights", "alphabet")
+    __slots__ = ("D", "S", "weights", "alphabet", "_mass")
 
     def __init__(self, D: int, S: int, weights):
         n = _check_state_count(D, S)
@@ -324,6 +335,7 @@ class TabularDistribution:
         w.setflags(write=False)
         self.D, self.S, self.weights = D, S, w
         self.alphabet = Alphabet(S)
+        self._mass = None
 
     @classmethod
     def from_unnormalized(cls, D: int, S: int, weights) -> "TabularDistribution":
@@ -347,6 +359,17 @@ class TabularDistribution:
 
     def prob(self, x: TokenSequence) -> float:
         return float(self.weights[encode_index(x)])
+
+    def context_mass(self) -> np.ndarray:
+        """Mass of every masked context, flattened by its base-(S+1) code:
+        entry c is the total weight of c's completions (see
+        :func:`pad_contexts`). Built on the first call, read-only, and shared
+        by every exact model of this distribution."""
+        if self._mass is None:
+            mass = pad_contexts(self.weights, self.D, self.S)
+            mass.setflags(write=False)
+            self._mass = mass
+        return self._mass
 
     def marginal(self, position: int) -> np.ndarray:
         """Single-position marginal, shape (S,)."""
@@ -441,7 +464,7 @@ def mask_forward(x1: TokenSequence, t: float, schedule: InterpolationSchedule, r
 
 
 # ---------------------------------------------------------------------------
-# consistent completions
+# masked contexts: padded context sums and consistent completions
 # ---------------------------------------------------------------------------
 
 
@@ -456,31 +479,34 @@ def _zero_mass(tokens: np.ndarray, S: int) -> UnsupportedContextError:
     )
 
 
-class ContextTables:
-    """Tables over the S**D clean sequences, sliced by masked context.
+def require_support(tokens: np.ndarray, supported, S: int) -> None:
+    """Raise the UnsupportedContextError of the first row of ``tokens`` (one
+    row (D,) or rows (n, D)) whose entry of ``supported`` is false."""
+    if not np.all(supported):
+        first = int(np.argmin(np.reshape(supported, -1)))
+        raise _zero_mass(np.reshape(tokens, (-1, tokens.shape[-1]))[first], S)
 
-    Each table (indexed in encode_index order) is viewed as a position-major
-    tensor: axis j indexes position j's token. The first table is the mass
-    that decides whether a context is supported.
+
+def pad_contexts(values: np.ndarray, D: int, S: int) -> np.ndarray:
+    """Sums of a table over the S**D clean sequences (encode_index order)
+    over every masked context, flattened by the base-(S+1) context code.
+
+    The table is viewed position-major and each axis is padded with its sum
+    at index S, the mask sentinel, one axis after another, so entry c sums
+    ``values`` over the completions of context c. The one (S+1)**D array is
+    filled in place: no other table of that size is allocated.
     """
-
-    def __init__(self, D: int, S: int, *tables: np.ndarray):
-        axes = tuple(reversed(range(D)))
-        self.S = S
-        self.tensors = tuple(np.transpose(t.reshape((S,) * D), axes=axes) for t in tables)
-
-    def blocks(self, tokens: np.ndarray):
-        """(mass, blocks) of a masked context: each table's block over its
-        completions, with one axis per masked position in position order, and
-        the first block's total. Raises UnsupportedContextError when that
-        total is not positive."""
-        S = self.S
-        index = tuple(slice(None) if t == S else t for t in tokens.tolist())
-        blocks = [tensor[index] for tensor in self.tensors]
-        mass = float(blocks[0].sum())
-        if mass <= 0.0:
-            raise _zero_mass(tokens, S)
-        return mass, blocks
+    check_context_count(D, S)
+    out = np.empty((S + 1,) * D)
+    out[(slice(0, S),) * D] = np.reshape(values, (S,) * D)
+    # C-order axis a holds position D-1-a; an axis's padding sums over the
+    # real symbols of the axes not yet padded and over all of the others
+    for axis in range(D):
+        head = (slice(None),) * axis
+        tail = (slice(0, S),) * (D - axis - 1)
+        np.sum(out[head + (slice(0, S),) + tail], axis=axis, keepdims=True,
+               out=out[head + (slice(S, S + 1),) + tail])
+    return out.reshape(-1)
 
 
 def consistent_mass(xt: MaskedSequence, p: TabularDistribution):

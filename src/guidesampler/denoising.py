@@ -27,7 +27,6 @@ All losses are nonnegative minimization targets.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -38,11 +37,13 @@ import numpy as np
 
 from .core import (
     Alphabet,
-    ContextTables,
     MaskedSequence,
     TabularDistribution,
     TokenSequence,
     as_generator,
+    check_context_count,
+    encode_rows,
+    require_support,
     sequence_table,
 )
 from .errors import SizeCapError, TrainingDivergedError
@@ -89,11 +90,20 @@ class PerPositionPosterior:
 
 
 class Denoiser:
-    """Base class: immutable after construction, safe to evaluate concurrently."""
+    """Base class: immutable after construction, safe to evaluate concurrently.
+
+    ``posterior_array`` takes one token array (D,) and returns its (D, S)
+    posterior. A ``table_backed`` model also takes rows (n, D) and returns
+    (n, D, S), each row bit for bit its single-row call, gathered from
+    tables that it derives once, on the first query, and that are bounded by
+    ``TABULAR_STATE_CAP``; the samplers then call it once per step and keep
+    no copy of its rows.
+    """
 
     D: int
     S: int
     deterministic = True
+    table_backed = False
 
     def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -105,40 +115,51 @@ class Denoiser:
     def posterior(self, xt: MaskedSequence) -> PerPositionPosterior:
         return PerPositionPosterior(self.posterior_array(xt.tokens), xt).validate()
 
+    def supported(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each context row (n, D) has a posterior; a model without
+        zero-mass contexts supports every row."""
+        return np.ones(rows.shape[0], dtype=bool)
+
     @property
     def alphabet(self) -> Alphabet:
         return Alphabet(self.S)
-
-
-@functools.lru_cache(maxsize=None)
-def _other_axes(m: int) -> tuple:
-    """For each axis k of an m-axis block, the tuple of the other axes."""
-    return tuple(tuple(a for a in range(m) if a != k) for k in range(m))
 
 
 class ExactDenoiser(Denoiser):
     """Enumeration-backed posterior for a tabular distribution.
 
     ``probs[d, s] = sum over consistent completions with x1^d = s of
-    p(x1 | x_t)``.
+    p(x1 | x_t)``: the mass of the child context that sets masked position d
+    to s over the mass of the context, both read from the distribution's
+    padded context-mass table (:meth:`TabularDistribution.context_mass`).
+    Construction refuses a size whose (S+1)**D table exceeds the table cap.
     """
 
+    table_backed = True
+
     def __init__(self, p: TabularDistribution):
+        check_context_count(p.D, p.S)
         self.p = p
         self.D, self.S = p.D, p.S
-        self._tables = ContextTables(p.D, p.S, p.weights)
+        # setting masked position d to s lowers the context code by
+        # (S - s) * (S+1)**d
+        self._drop = (self.S - np.arange(self.S)) * (self.S + 1) ** np.arange(self.D)[:, None]
+
+    def supported(self, rows: np.ndarray) -> np.ndarray:
+        return self.p.context_mass()[encode_rows(rows, self.S + 1)] > 0.0
 
     def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
+        """Posterior of one token array (D,), shape (D, S), or of each row of
+        (n, D), shape (n, D, S). The first row whose context has no mass
+        raises UnsupportedContextError."""
         S = self.S
-        total, (sub,) = self._tables.blocks(tokens)
-        toks = tokens.tolist()
-        masked = [d for d, t in enumerate(toks) if t == S]
-        out = np.zeros((self.D, S))
-        for d, axes in zip(masked, _other_axes(len(masked))):
-            out[d] = sub.sum(axis=axes) / total
-        for d, t in enumerate(toks):
-            if t != S:
-                out[d, t] = 1.0
+        mass = self.p.context_mass()
+        code = encode_rows(tokens, S + 1)[..., None, None]
+        total = mass[code]
+        require_support(tokens, total > 0.0, S)
+        masked = (tokens == S)[..., None]
+        child = np.where(masked, code - self._drop, code)
+        out = np.where(masked, mass[child] / total, tokens[..., None] == np.arange(S))
         out.setflags(write=False)
         return out
 
@@ -288,11 +309,15 @@ class CodeCache:
 
     This is the one context cache: the loss evaluators use it as is and the
     samplers extend it with predictor memos and the guidance kernel. It alone
-    turns token rows into codes (``encode``, ``children``, ``pairs``) and
-    back (``decode``), so the key format lives here and nowhere else. Codes
-    are int64, so a size whose codes would wrap raises SizeCapError instead
-    of evaluating the model on the wrong context. ``diag``, when given,
-    counts denoiser evaluations in its ``denoiser_evals`` field.
+    turns token rows into codes (``encode``, ``children``, ``child_codes``,
+    ``pairs``) and back (``decode``), so the key format lives here and
+    nowhere else. Codes are int64, so a size whose codes would wrap raises
+    SizeCapError instead of evaluating the model on the wrong context.
+    ``diag``, when given, counts denoiser evaluations in its
+    ``denoiser_evals`` field. A table-backed model already holds every
+    context's answer in tables derived once and bounded by the table cap, so
+    the samplers gather from it per step and memoize only the other models'
+    rows here.
     """
 
     def __init__(self, denoiser: Denoiser, diag=None):
@@ -310,14 +335,22 @@ class CodeCache:
         """Context codes of token rows (mask = S), one per row."""
         return rows @ self.pows
 
-    def decode(self, code: int) -> np.ndarray:
-        return code // self.pows % (self.S + 1)
+    def decode(self, codes) -> np.ndarray:
+        """Token row (D,) of one code, or rows (n, D) of an array of codes."""
+        return np.floor_divide.outer(codes, self.pows) % (self.S + 1)
 
     def children(self, code: int, d: int) -> range:
         """Codes of the S children of context ``code`` that set masked
         position d to each real symbol, in symbol order."""
         step = int(self.pows[d])
         return range(code - self.S * step, code, step)
+
+    def child_codes(self, codes: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Codes of the S children of each pair (``codes[j]``,
+        ``positions[j]``), shape (P, S): row j is ``children(codes[j],
+        positions[j])``."""
+        step = self.pows[positions][:, None]
+        return codes[:, None] - (self.S - np.arange(self.S)) * step
 
     def pairs(self, rows: np.ndarray, positions: np.ndarray):
         """Distinct (context, position) pairs of context rows ``rows[k]`` and

@@ -29,12 +29,14 @@ from scipy import stats
 
 from .core import (
     Alphabet,
-    ContextTables,
     MaskedSequence,
     TabularDistribution,
     TokenSequence,
     as_generator,
+    check_context_count,
     encode_rows,
+    pad_contexts,
+    require_support,
     sequence_table,
 )
 from .denoising import Denoiser
@@ -52,6 +54,14 @@ def clamp_likelihood(value: float) -> float:
 
 def unmasked_fraction(tokens: np.ndarray, S: int) -> float:
     return float((tokens != S).sum() / tokens.size)
+
+
+def _child_rows(tokens: np.ndarray, d: int, S: int) -> np.ndarray:
+    """The S children of ``tokens`` at position d as rows (S, D): row s sets
+    position d to symbol s."""
+    children = np.repeat(tokens[None, :], S, axis=0)
+    children[:, d] = np.arange(S)
+    return children
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +100,7 @@ class CleanPredictor:
         else:
             alpha = Alphabet(S)
             vals = np.array([self.likelihood(TokenSequence(r, alpha)) for r in rows])
-        if (vals < 0).any() or (vals > 1).any():
+        if not ((vals >= 0) & (vals <= 1)).all():  # NaN fails too
             raise ValueError("clean predictor table leaves [0, 1]")
         return vals
 
@@ -101,9 +111,15 @@ class CleanPredictor:
 
 
 class TimePredictor:
-    """Likelihood on partially masked inputs; immutable once constructed."""
+    """Likelihood on partially masked inputs; immutable once constructed.
+
+    A ``table_backed`` predictor's ``likelihood_array`` also takes rows
+    (n, D), each row bit for bit its single-row call, gathered from a table
+    derived once, on the first query, and bounded by ``TABULAR_STATE_CAP``.
+    """
 
     deterministic = True
+    table_backed = False
 
     def likelihood_array(self, tokens: np.ndarray) -> float:
         raise NotImplementedError
@@ -121,50 +137,51 @@ class TimePredictor:
 
 class ExactMarginalPredictor(TimePredictor):
     """The true noisy predictor E[p(y | x1) | x_t] under a tabular prior,
-    computed by exact marginalization over consistent completions."""
+    computed by exact marginalization over consistent completions.
+
+    Every context's likelihood sits in one (S+1)**D table, built on the
+    first query: the padded p*c (see :func:`pad_contexts`) divided in place
+    by the prior's shared context-mass table and clamped, with the clamped
+    clean values at fully unmasked contexts and NaN where the mass is zero.
+    Construction refuses a size whose table exceeds the table cap.
+    """
+
+    table_backed = True
 
     def __init__(self, clean: CleanPredictor, p: TabularDistribution):
+        check_context_count(p.D, p.S)
         self.clean = clean
         self.p = p
         self.D, self.S = p.D, p.S
-        self._tables = ContextTables(p.D, p.S, p.weights, p.weights * clean.table(p.D, p.S))
-        self._alpha = Alphabet(p.S)
+        self._table = None
 
-    def likelihood_array(self, tokens: np.ndarray) -> float:
-        if (tokens != self.S).all():
-            return clamp_likelihood(self.clean.likelihood(TokenSequence(tokens, self._alpha)))
-        denom, (_, wc) = self._tables.blocks(tokens)
-        return clamp_likelihood(float(wc.sum()) / denom)
+    def _likelihoods(self) -> np.ndarray:
+        if self._table is None:
+            D, S = self.D, self.S
+            clean = self.clean.table(D, S)
+            lik = pad_contexts(self.p.weights * clean, D, S)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(lik, self.p.context_mass(), out=lik)
+            np.clip(lik, LIKELIHOOD_FLOOR, 1.0, out=lik)
+            lik.reshape((S + 1,) * D)[(slice(0, S),) * D] = np.reshape(
+                np.clip(clean, LIKELIHOOD_FLOOR, 1.0), (S,) * D)
+            lik.setflags(write=False)
+            self._table = lik
+        return self._table
+
+    def likelihood_array(self, tokens: np.ndarray):
+        """Clamped likelihood of one token array (D,) as a float, or of each
+        row of (n, D) as an array. The first masked row whose context has no
+        mass raises UnsupportedContextError."""
+        lik = self._likelihoods()[encode_rows(tokens, self.S + 1)]
+        require_support(tokens, ~np.isnan(lik), self.S)
+        return float(lik) if np.ndim(lik) == 0 else lik
 
     def child_likelihoods(self, tokens: np.ndarray, d: int) -> np.ndarray:
         """Clamped likelihoods of the S children of ``tokens`` at masked
-        position d, shape (S,): child s sets position d to symbol s. The
-        parent's two blocks are sliced once; child s sums its sub-block at
-        index s of d's axis, the view ``likelihood_array(child)`` sums, so
-        each value is that call's bit for bit. A zero-mass child raises that
-        call's UnsupportedContextError."""
-        S = self.S
-        toks = tokens.tolist()
-
-        def child(s):
-            return np.array(toks[:d] + [s] + toks[d + 1:])
-
-        if toks.count(S) == 1:
-            # clean children take the clean predictor's value, which wc / w
-            # of one sequence does not reproduce bit for bit
-            return np.array([self.likelihood_array(child(s)) for s in range(S)])
-        index = tuple(slice(None) if t == S else t for t in toks)
-        w, wc = (tensor[index] for tensor in self._tables.tensors)
-        lead = (slice(None),) * toks[:d].count(S)
-        out = []
-        for s in range(S):
-            denom = float(w[lead + (s,)].sum())
-            if denom <= 0.0:
-                self.likelihood_array(child(s))  # raises the zero-mass error
-            # clamp_likelihood without its finiteness check: the tables are
-            # finite and the denominator is positive
-            out.append(min(max(float(wc[lead + (s,)].sum()) / denom, LIKELIHOOD_FLOOR), 1.0))
-        return np.array(out)
+        position d, shape (S,), from one ``likelihood_array`` call; the first
+        zero-mass child raises its UnsupportedContextError."""
+        return self.likelihood_array(_child_rows(tokens, d, self.S))
 
 
 class PomPredictor(TimePredictor):
@@ -289,9 +306,7 @@ class PairwiseInteractionPredictor(TimePredictor):
         """Clamped likelihoods of the S children of ``tokens`` at position d,
         shape (S,): child s sets position d to symbol s. One
         ``likelihood_array`` call scores them all."""
-        children = np.repeat(tokens[None, :], self.S, axis=0)
-        children[:, d] = np.arange(self.S)
-        return self.likelihood_array(children)
+        return self.likelihood_array(_child_rows(tokens, d, self.S))
 
     # -- gradient surface ---------------------------------------------------
 

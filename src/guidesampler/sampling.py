@@ -42,11 +42,15 @@ kappa_dot/(1-kappa) and forms rows only for pairs its memo lacks;
 scaled the same way, as a (D, S) rate matrix. The kernel reads one
 pure-function context cache, shared by the chains of a call when every
 component is deterministic (otherwise each chain runs the core alone on its
-own substream and cache). It calls the models pair by pair in the order
-given, so a stochastic predictor draws as it would with one call per pair.
-``exact`` and ``deg`` make one predictor call per (context, position) when
-the predictor scores the S children of a position at once
-(``child_likelihoods``), and one call per child otherwise.
+own substream and cache). A table-backed model (the exact denoiser and the
+exact marginal predictor) answers a step in one call: one posterior call on
+the step's distinct contexts and one likelihood call on their distinct
+children, gathered from tables it derives once. Other models are memoized
+per context and called pair by pair in the order given, so a stochastic
+predictor draws as it would with one call per pair; ``exact`` and ``deg``
+make one such call per (context, position) when the predictor scores the S
+children of a position at once (``child_likelihoods``), and one call per
+child otherwise. A child with zero posterior weight gets guided weight 0.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -297,7 +301,12 @@ def lemma1_density(i: int, tau_i: float, tau_prev: float, D: int, schedule: Inte
 class _ContextCache(CodeCache):
     """The posterior memo of CodeCache plus memoized conditional-model rows,
     clamped predictor likelihoods and gradient surfaces, all keyed by the
-    context code, and the guidance kernel that reads them."""
+    context code, and the guidance kernel that reads them.
+
+    A table-backed model is not memoized: the kernel gathers a step's rows
+    from it in one call. Its evaluations still count the distinct contexts
+    first seen in a call, against a sorted record of the codes seen so far.
+    """
 
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
         super().__init__(denoiser, diagnostics)
@@ -305,6 +314,7 @@ class _ContextCache(CodeCache):
         self._post2: dict = {}
         self._lik: dict = {}
         self._grad: dict = {}
+        self._seen: dict = {}
 
     @property
     def cacheable(self) -> bool:
@@ -313,6 +323,24 @@ class _ContextCache(CodeCache):
             parts.append(self.cfg.predictor)
         return all(getattr(p, "deterministic", True) for p in parts if p is not None)
 
+    def _first_seen(self, record: str, codes: np.ndarray) -> int:
+        """Add the distinct sorted ``codes`` to the named record of codes
+        seen so far; return how many are new."""
+        seen = self._seen.get(record, codes[:0])
+        at = np.searchsorted(seen, codes)
+        new = np.ones(codes.size, dtype=bool)
+        inside = at < seen.size
+        new[inside] = seen[at[inside]] != codes[inside]
+        self._seen[record] = np.insert(seen, at[new], codes[new])
+        return int(new.sum())
+
+    def supported(self, rows: np.ndarray) -> np.ndarray:
+        """Whether each context row has mass under the denoisers."""
+        ok = self.denoiser.supported(rows)
+        if self.cfg.mode == "predictor_free":
+            ok &= self.cfg.second_denoiser.supported(rows)
+        return ok
+
     def posterior_cond(self, code: int) -> np.ndarray:
         hit = self._post2.get(code)
         if hit is None:
@@ -320,6 +348,22 @@ class _ContextCache(CodeCache):
             self.diag.denoiser_evals += 1
             self._post2[code] = hit
         return hit
+
+    def _posterior_rows(self, model: Denoiser, memo, codes: np.ndarray,
+                        positions: np.ndarray) -> np.ndarray:
+        """Row j, shape (P, S): ``model``'s posterior at ``positions[j]`` of
+        context ``codes[j]``. A table-backed model answers the distinct
+        contexts in one call; any other goes through ``memo``, the cache's
+        per-context accessor for that model, whose name also names the
+        record of contexts counted for a table-backed one."""
+        if getattr(model, "table_backed", False):
+            distinct, inv = np.unique(codes, return_inverse=True)
+            self.diag.denoiser_evals += self._first_seen(memo.__name__, distinct)
+            return model.posterior_array(self.decode(distinct))[inv, positions]
+        out = np.empty((codes.size, self.S))
+        for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
+            out[j] = memo(code)[d]
+        return out
 
     def likelihood(self, code: int) -> float:
         hit = self._lik.get(code)
@@ -349,6 +393,32 @@ class _ContextCache(CodeCache):
         self.diag.predictor_evals += fresh
         return row
 
+    def _tilts(self, codes: np.ndarray, positions: np.ndarray, scored: np.ndarray, exact: bool):
+        """(child likelihoods (P, S), source likelihoods (P, 1) or 1.0) of the
+        ``exact`` and ``deg`` modes. A table-backed predictor scores the
+        distinct children where ``scored`` holds, plus the sources for
+        ``exact``, in one call, and the others keep likelihood 1; any other
+        predictor is called pair by pair, in the order given."""
+        pred = self.cfg.predictor
+        if getattr(pred, "table_backed", False):
+            keys = self.child_codes(codes, positions)[scored]
+            n = keys.size
+            if exact:
+                keys = np.concatenate([keys, codes])
+            distinct, inv = np.unique(keys, return_inverse=True)
+            self.diag.predictor_evals += self._first_seen("likelihood", distinct)
+            lik = pred.likelihood_array(self.decode(distinct))[inv]
+            tilt = np.ones(scored.shape)
+            tilt[scored] = lik[:n]
+            return tilt, (lik[n:, None] if exact else 1.0)
+        tilt = np.empty(scored.shape)
+        src = np.empty((codes.size, 1)) if exact else 1.0
+        for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
+            if exact:
+                src[j] = self.likelihood(code)
+            tilt[j] = self.child_likelihoods(code, d)
+        return tilt, src
+
     def gradient(self, code: int) -> np.ndarray:
         hit = self._grad.get(code)
         if hit is None:
@@ -361,32 +431,26 @@ class _ContextCache(CodeCache):
         """Unnormalized guided weights of P (context, position) pairs, shape
         (P, S): row j weighs the real symbols for unmasking ``positions[j]``
         of the context ``codes[j]``. Without guidance, or before the switch
-        point (``active`` false), the rows are the denoiser posterior. The
-        models are called pair by pair, in the order given."""
+        point (``active`` false), the rows are the denoiser posterior. A
+        child with zero posterior weight gets weight 0, and ``exact`` and
+        ``deg`` do not score it with a table-backed predictor."""
         cfg, S, P = self.cfg, self.S, codes.size
         self.diag.step_weight_requests += P
         mode = cfg.mode if cfg.guided and active else "none"
-        post = np.empty((P, S))
-        tilt = np.empty((P, S + 1 if mode == "tag" else S))
-        src = np.empty((P, 1)) if mode == "exact" else 1.0
-        for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
-            post[j] = self.posterior(code)[d]
-            if mode == "tag":
-                tilt[j] = self.gradient(code)[d]
-            elif mode == "predictor_free":
-                tilt[j] = self.posterior_cond(code)[d]
-            elif mode != "none":
-                if mode == "exact":
-                    src[j] = self.likelihood(code)
-                tilt[j] = self.child_likelihoods(code, d)
+        post = self._posterior_rows(self.denoiser, self.posterior, codes, positions)
         if mode == "none":
             return post
-        if mode == "tag":
-            return post * np.exp(cfg.gamma * (tilt[:, :S] - tilt[:, S:]))
         if mode == "predictor_free":
-            return tilt**cfg.gamma * post ** (1.0 - cfg.gamma)
+            cond = self._posterior_rows(cfg.second_denoiser, self.posterior_cond, codes, positions)
+            return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
+        if mode == "tag":
+            grad = np.empty((P, S + 1))
+            for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
+                grad[j] = self.gradient(code)[d]
+            return post * np.exp(cfg.gamma * (grad[:, :S] - grad[:, S:]))
         # exact and deg: tilt by the child likelihoods; deg omits the source
         # divisor, which the per-row normalization of a decode draw absorbs
+        tilt, src = self._tilts(codes, positions, post > 0.0, mode == "exact")
         return post * (tilt / src) ** cfg.gamma
 
     def step_tables(self, codes: np.ndarray, positions: np.ndarray, active: bool, step: int):
@@ -513,6 +577,13 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
     jumps at time (k+1)*dt. Pairs still masked at the horizon are
     force-completed from their guided rows (step ``n_int``) at time 1.0. A
     chain's order sorts its positions by jump time, ties by position.
+
+    A chain's jumps in one step are drawn independently from its context
+    before the step, so together they can land on a context the denoisers
+    give no mass, where no posterior exists. Such a chain keeps only its
+    first jump (lowest position) and its other positions stay masked: at a
+    step they wait for later steps, at the horizon they are drawn again from
+    the new context. This draws nothing when every landing has mass.
     """
     D, S, cfg, diag = cache.D, cache.S, cache.cfg, cache.diag
     rows = np.full((n, D), S, dtype=np.int64)
@@ -534,6 +605,21 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
         got = [memo[key] for key in keys]
         sums = np.array([total for total, _ in got])
         return sums[inv], np.array([cdf for _, cdf in got]), inv
+
+    def undo_unsupported(chains, positions):
+        """Of jumps just drawn at pairs (chains[k], positions[k]), in
+        (chain, position) order, mask again every jump but the first of each
+        chain whose new row has no mass; returns which were undone."""
+        undo = np.zeros(chains.size, dtype=bool)
+        later = chains[1:] == chains[:-1]
+        if later.any():
+            multi = np.unique(chains[1:][later])
+            bad = multi[~cache.supported(rows[multi])]
+            if bad.size:
+                undo[1:] = later & np.isin(chains[1:], bad)
+                rows[chains[undo], positions[undo]] = S
+                times[chains[undo], positions[undo]] = 1.0
+        return undo
 
     for k in range(n_int):
         if chain_idx.size == 0:
@@ -558,10 +644,13 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
                 inv_j = inv[jump]
             rows[jc, jp] = _draw(cdfs, inv_j, gen.random(jc.size))
             times[jc, jp] = t + dt
+            jump[np.flatnonzero(jump)[undo_unsupported(jc, jp)]] = False
             chain_idx, pos_idx = chain_idx[~jump], pos_idx[~jump]
-    if chain_idx.size:
+    while chain_idx.size:
         _, cdfs, inv = pair_tables(chain_idx, pos_idx, (1.0 - dt) >= cfg.t0, n_int)
         rows[chain_idx, pos_idx] = _draw(cdfs, inv, gen.random(chain_idx.size))
+        undo = undo_unsupported(chain_idx, pos_idx)
+        chain_idx, pos_idx = chain_idx[undo], pos_idx[undo]
     order = np.argsort(times, axis=1, kind="stable")
     return rows, order, np.take_along_axis(times, order, axis=1)
 

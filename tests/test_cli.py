@@ -60,7 +60,8 @@ class TestSampleCommand:
         posterior = ExactDenoiser.posterior_array
 
         def spy(self, tokens):
-            seen.append(tokens.tobytes())
+            # one record per context row, whether called on one row or many
+            seen.extend(row.tobytes() for row in np.reshape(tokens, (-1, tokens.shape[-1])))
             return posterior(self, tokens)
 
         monkeypatch.setattr(ExactDenoiser, "posterior_array", spy)

@@ -6,7 +6,6 @@ from scipy import stats
 
 from guidesampler.core import (
     Alphabet,
-    ContextTables,
     MaskedSequence,
     RandomSource,
     TabularDistribution,
@@ -19,6 +18,7 @@ from guidesampler.core import (
     identity_schedule,
     mask_forward,
     masked_from_str,
+    pad_contexts,
     power_schedule,
     sequence_from_str,
     sequence_table,
@@ -246,20 +246,31 @@ class TestConsistentCompletions:
             assert ws.sum() == pytest.approx(1.0, abs=1e-9)
 
 
-class TestContextTables:
-    def test_blocks_are_position_major(self):
-        # table entry i belongs to decode_index(i): axis j of a block indexes
-        # the token at the j-th masked position
+class TestContextMass:
+    def test_padded_mass_is_the_mass_of_each_context(self):
+        # entry c of the padded table, c a base-(S+1) context code, is the
+        # total weight of the completions of context c
         D, S = 3, 3
         w = np.arange(S**D, dtype=float) / 351.0
-        other = 2.0 * w + 1.0
-        mass, (block, block2) = ContextTables(D, S, w, other).blocks(np.array([3, 1, 3]))
-        assert block.shape == block2.shape == (S, S)
-        for a in range(S):
-            for c in range(S):
-                i = encode_index(TokenSequence([a, 1, c], ABC))
-                assert block[a, c] == w[i] and block2[a, c] == other[i]
-        assert mass == block.sum()
+        p = TabularDistribution(D, S, w)
+        mass = p.context_mass()
+        assert mass.shape == ((S + 1) ** D,) and not mass.flags.writeable
+        assert p.context_mass() is mass
+        table = sequence_table(D, S)
+        for code in range((S + 1) ** D):
+            tokens = np.array([code // (S + 1) ** d % (S + 1) for d in range(D)])
+            completes = ((table == tokens) | (tokens == S)).all(axis=1)
+            assert mass[code] == pytest.approx(w[completes].sum(), abs=1e-15)
+
+    @pytest.mark.parametrize("S", [2, 3])
+    def test_d1_padding(self, S):
+        w = np.arange(1, S + 1, dtype=float)
+        assert np.array_equal(pad_contexts(w, 1, S), np.append(w, w.sum()))
+
+    def test_context_table_cap(self):
+        # 3**16 = 43 million context entries, though 2**16 sequences pass
+        with pytest.raises(SizeCapError, match=r"3\*\*16 = 43046721"):
+            pad_contexts(np.full(2**16, 2.0**-16), 16, 2)
 
 
 class TestRandomSource:

@@ -16,7 +16,7 @@ from guidesampler.core import (
     sequence_table,
 )
 from guidesampler.denoising import ExactDenoiser
-from guidesampler.errors import CapabilityError, UnsupportedContextError
+from guidesampler.errors import CapabilityError, SizeCapError, UnsupportedContextError
 from guidesampler.predictors import (
     LIKELIHOOD_FLOOR,
     CleanPredictor,
@@ -403,6 +403,64 @@ class TestExactChildLikelihoods:
             m.child_likelihoods(parent, 0)
         assert str(got.value) == str(scalar.value)
         assert got.value.positions == (0, 2)
+
+
+class TestExactRowForm:
+    """ExactDenoiser.posterior_array and ExactMarginalPredictor.likelihood_array
+    on rows (n, D) equal their single-row calls row by row, bit for bit, and
+    fail as the first failing row's call does. Sizes whose (S+1)**D context
+    tables exceed the table cap are refused at construction."""
+
+    @staticmethod
+    def contexts(D, S):
+        """Every context over the mask-extended alphabet, as rows."""
+        return np.array(np.meshgrid(*[range(S + 1)] * D, indexing="ij")).reshape(D, -1).T
+
+    @pytest.mark.parametrize("D,S", [(3, 2), (4, 3)])
+    def test_rows_equal_single_row_calls(self, D, S):
+        m = TestExactChildLikelihoods.model(D, S, seed=D + S)
+        den = ExactDenoiser(m.p)
+        rows = self.contexts(D, S)
+        post, lik = den.posterior_array(rows), m.likelihood_array(rows)
+        assert post.shape == (rows.shape[0], D, S) and lik.shape == (rows.shape[0],)
+        for k, row in enumerate(rows):
+            assert np.array_equal(post[k], den.posterior_array(row))
+            assert lik[k] == m.likelihood_array(row)
+
+    @pytest.mark.parametrize("D,S", [(3, 2), (4, 3)])
+    def test_one_masked_children_are_exact_clean_values(self, D, S):
+        m = TestExactChildLikelihoods.model(D, S, seed=D * S)
+        alpha = Alphabet(S)
+        for row in self.contexts(D, S):
+            if (row == S).sum() == 1:
+                d = int(np.flatnonzero(row == S)[0])
+                children = TestExactChildLikelihoods.children(row, d, S)
+                want = [clamp_likelihood(m.clean.likelihood(TokenSequence(c, alpha)))
+                        for c in children]
+                assert m.likelihood_array(children).tolist() == want
+
+    def test_first_zero_mass_row_raises_its_single_row_error(self):
+        # no mass where x0 = 1 and x1 = 1
+        table = sequence_table(3, 2)
+        m = TestExactChildLikelihoods.model(
+            3, 2, seed=4, weights=np.where((table[:, 0] == 1) & (table[:, 1] == 1), 0.0, 1.0))
+        den = ExactDenoiser(m.p)
+        rows = np.array([[2, 1, 2], [1, 1, 2], [2, 2, 2], [1, 1, 0]])
+        for evaluate in (den.posterior_array, m.likelihood_array):
+            with pytest.raises(UnsupportedContextError) as single:
+                evaluate(rows[1])
+            with pytest.raises(UnsupportedContextError) as got:
+                evaluate(rows)
+            assert str(got.value) == str(single.value)
+            assert got.value.positions == single.value.positions == (0, 1)
+
+    def test_tables_over_the_cap_are_refused_at_construction(self):
+        # 2**16 sequences pass the cap; 3**16 contexts do not
+        p = TabularDistribution.uniform(16, 2)
+        for build in (ExactDenoiser, lambda q: ExactMarginalPredictor(
+                CleanPredictor(lambda x: 0.5), q)):
+            with pytest.raises(SizeCapError, match=r"3\*\*16 = 43046721"):
+                build(p)
 
 
 class TestTrainNoisyClassifier:

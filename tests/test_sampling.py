@@ -191,25 +191,20 @@ class TestGuideRates:
 
 class TestJumpTimes:
     def test_d1_uniform_ks(self):
-        gen = RandomSource(11).generator()
-        taus = np.array([sample_jump_times(1, IDENT, gen)[0][0, 0] for _ in range(100000)])
+        taus = sample_jump_times(1, IDENT, RandomSource(11).generator(), n=100000)[0][:, 0]
         assert ks_uniform(taus).passed
 
     def test_d3_first_time_is_min_of_three_uniforms(self):
-        gen = RandomSource(12).generator()
-        first = np.array([sample_jump_times(3, IDENT, gen)[0][0, 0] for _ in range(100000)])
+        first = sample_jump_times(3, IDENT, RandomSource(12).generator(), n=100000)[0][:, 0]
         assert abs(first.mean() - 0.25) < 0.005  # Beta(1,3) mean
         # full distributional check
         assert stats.kstest(first, lambda x: 1 - (1 - x) ** 3).pvalue > 0.01
 
     def test_sigma_uniform_over_permutations(self):
-        gen = RandomSource(13).generator()
-        counts = {}
         n = 60000
-        for _ in range(n):
-            _, sigma = sample_jump_times(3, IDENT, gen)
-            key = tuple(int(v) for v in sigma[0])
-            counts[key] = counts.get(key, 0) + 1
+        _, sigma = sample_jump_times(3, IDENT, RandomSource(13).generator(), n=n)
+        keys, freq = np.unique(sigma, axis=0, return_counts=True)
+        counts = dict(zip(map(tuple, keys.tolist()), freq.tolist()))
         assert len(counts) == 6
         expected = n / 6
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
@@ -659,6 +654,47 @@ class TestSamplerEquivalence:
         assert tvs[0.1] > tvs[0.005]
 
 
+class TestZeroMassContexts:
+    """A prior with zero-mass contexts: p on {AAA, BBB}, clean likelihood
+    0.3 + 0.4 x0. A child without mass has zero posterior weight, so it gets
+    guided weight 0 and is never scored. The first unmask decides the
+    sequence here, so the rule law of both routes is the tempered posterior
+    p c^gamma / Z."""
+
+    @staticmethod
+    def models():
+        w = np.zeros(8)
+        w[[0, 7]] = 0.5
+        p = TabularDistribution(3, 2, w)
+        clean = CleanPredictor.from_table(0.3 + 0.4 * (np.arange(8) % 2), 2)  # x0 = code % 2
+        return p, clean, ExactMarginalPredictor(clean, p)
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_deg_matches_tempered_posterior(self, gamma):
+        p, clean, pred = self.models()
+        cfg = GuidanceConfig(mode="deg", gamma=gamma, predictor=pred)
+        rows, _ = aoarm_sample_many(ExactDenoiser(p), cfg, 20000, RandomSource(61))
+        emp = EmpiricalDistribution.from_token_rows(rows, 3, 2)
+        assert chi_square_gof(emp, brute_force_posterior(p, clean, gamma)).passed
+
+    @pytest.mark.parametrize("gamma", [1.0, 3.0])
+    def test_euler_exact_matches_tempered_posterior(self, gamma):
+        # simultaneous jumps that land on BA? or AB? keep only their first
+        p, clean, pred = self.models()
+        cfg = GuidanceConfig(mode="exact", gamma=gamma, predictor=pred)
+        rows, _ = euler_sample_many(ExactDenoiser(p), cfg, IDENT, 0.01, 20000, RandomSource(62))
+        emp = EmpiricalDistribution.from_token_rows(rows, 3, 2)
+        assert chi_square_gof(emp, brute_force_posterior(p, clean, gamma)).passed
+
+    def test_zero_mass_child_gets_zero_rate(self):
+        p, _, pred = self.models()
+        xt = masked_from_str("?A?", AB)
+        rates = guide_rates(ExactDenoiser(p), xt, 0.5, IDENT, GuidanceConfig("exact", 2.0, pred))
+        # ?A? is AAA; no completion of BA? or ?AB has mass
+        assert rates.tolist() == [[rate_coefficient(0.5, IDENT), 0.0], [0.0, 0.0],
+                                  [rate_coefficient(0.5, IDENT), 0.0]]
+
+
 class ScalarOnly:
     """A predictor seen only through ``likelihood_array``, so the samplers
     score each child with its own call."""
@@ -806,8 +842,8 @@ class TestGuidanceKernel:
     """One kernel call over a step's pairs gives, bit for bit, the weights
     and CDF rows the per-pair loop reference forms one pair at a time, for
     every route x mode, at several gamma, before and after the switch point
-    t0, and for every way a predictor can score children (block lookup,
-    batched rows, one call per child). S=9 rows are long enough for the
+    t0, and for every way a predictor can score children (one table-backed
+    call per step, batched rows, one call per child). S=9 rows are long enough for the
     row sums to take numpy's pairwise path."""
 
     SIZES = [(3, 3), (2, 9)]
