@@ -89,21 +89,27 @@ class PerPositionPosterior:
         return self
 
 
+def fill_observed(post: np.ndarray, tokens: np.ndarray, S: int) -> np.ndarray:
+    """``post`` (D, S) or (n, D, S) with the row of each unmasked position
+    of ``tokens`` (D,) or (n, D) replaced by the one-hot of its observed
+    token, as a new array."""
+    return np.where((tokens == S)[..., None], post, tokens[..., None] == np.arange(S))
+
+
 class Denoiser:
     """Base class: immutable after construction, safe to evaluate concurrently.
 
     ``posterior_array`` takes one token array (D,) and returns its (D, S)
-    posterior. A ``table_backed`` model also takes rows (n, D) and returns
-    (n, D, S), each row bit for bit its single-row call, gathered from
-    tables that it derives once, on the first query, and that are bounded by
-    ``TABULAR_STATE_CAP``; the samplers then call it once per step and keep
-    no copy of its rows.
+    posterior. A model that ``takes_rows`` also takes rows (n, D) and returns
+    (n, D, S), each row bit for bit its single-row call; the samplers and
+    the pattern losses then call it once per step or mask pattern on the
+    distinct contexts and keep no copy of its rows.
     """
 
     D: int
     S: int
     deterministic = True
-    table_backed = False
+    takes_rows = False
 
     def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -135,7 +141,7 @@ class ExactDenoiser(Denoiser):
     Construction refuses a size whose (S+1)**D table exceeds the table cap.
     """
 
-    table_backed = True
+    takes_rows = True
 
     def __init__(self, p: TabularDistribution):
         check_context_count(p.D, p.S)
@@ -157,9 +163,8 @@ class ExactDenoiser(Denoiser):
         code = encode_rows(tokens, S + 1)[..., None, None]
         total = mass[code]
         require_support(tokens, total > 0.0, S)
-        masked = (tokens == S)[..., None]
-        child = np.where(masked, code - self._drop, code)
-        out = np.where(masked, mass[child] / total, tokens[..., None] == np.arange(S))
+        child = np.where((tokens == S)[..., None], code - self._drop, code)
+        out = fill_observed(mass[child] / total, tokens, S)
         out.setflags(write=False)
         return out
 
@@ -182,6 +187,8 @@ class ParametricDenoiser(Denoiser):
     Zero initialization gives uniform posteriors over real symbols.
     """
 
+    takes_rows = True
+
     def __init__(self, D: int, S: int, single=None, pair=None):
         self.D, self.S = D, S
         self.single = np.zeros((D, S)) if single is None else np.asarray(single, dtype=float)
@@ -198,18 +205,18 @@ class ParametricDenoiser(Denoiser):
         return m
 
     def logits_array(self, tokens: np.ndarray) -> np.ndarray:
+        """Logits of one token array (D,), shape (D, S), or of each row of
+        (n, D), shape (n, D, S). The context sum adds over e in order, so a
+        row's logits do not depend on the batch it is in."""
         idx = np.arange(self.D)
-        ctx = self.pair[:, idx, tokens, :]  # [d, e, s] = pair[d, e, tokens[e], s]
-        logits = self.single + ctx.sum(axis=1) - self.pair[idx, idx, tokens, :]
-        return logits
+        # [..., d, e, s] = pair[d, e, tokens[..., e], s]
+        ctx = self.pair[idx[:, None], idx, tokens[..., None, :], :]
+        return self.single + ctx.sum(axis=-2) - self.pair[idx, idx, tokens, :]
 
     def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
-        out = softmax_rows(self.logits_array(tokens))
-        for d in range(self.D):
-            if tokens[d] != self.S:
-                out[d] = 0.0
-                out[d, tokens[d]] = 1.0
-        return out
+        """Posterior of one token array (D,), shape (D, S), or of each row of
+        (n, D), shape (n, D, S), each row bit for bit its single-row call."""
+        return fill_observed(softmax_rows(self.logits_array(tokens)), tokens, self.S)
 
     def to_json(self) -> dict:
         return {
@@ -262,13 +269,14 @@ class LogitModifier:
 
 def apply_modifiers(logits: np.ndarray, mod: LogitModifier) -> np.ndarray:
     """Add w at each (d, wild-type token), then divide all logits by the
-    temperature. Identity settings return the input values bit-identically."""
+    temperature, for logits (D, S) or rows of them (n, D, S). Identity
+    settings return the input values bit-identically."""
     out = np.array(logits, dtype=float)
     if mod.is_identity:
         return out
     if mod.wildtype_weight > 0:
         wt = mod.wildtype_sequence.tokens
-        out[np.arange(out.shape[0]), wt] += mod.wildtype_weight
+        out[..., np.arange(out.shape[-2]), wt] += mod.wildtype_weight
     if mod.temperature != 1.0:
         out = out / mod.temperature
     return out
@@ -276,23 +284,20 @@ def apply_modifiers(logits: np.ndarray, mod: LogitModifier) -> np.ndarray:
 
 class ModifiedDenoiser(Denoiser):
     """Denoiser with a LogitModifier applied before normalization; unmasked
-    positions keep their observed one-hot rows."""
+    positions keep their observed one-hot rows. It takes rows when its base
+    does."""
 
     def __init__(self, base: Denoiser, modifier: LogitModifier):
         self.base, self.modifier = base, modifier
         self.D, self.S = base.D, base.S
         self.deterministic = base.deterministic
+        self.takes_rows = base.takes_rows
 
     def logits_array(self, tokens: np.ndarray) -> np.ndarray:
         return apply_modifiers(self.base.logits_array(tokens), self.modifier)
 
     def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
-        out = softmax_rows(self.logits_array(tokens))
-        for d in range(self.D):
-            if tokens[d] != self.S:
-                out[d] = 0.0
-                out[d, tokens[d]] = 1.0
-        return out
+        return fill_observed(softmax_rows(self.logits_array(tokens)), tokens, self.S)
 
 
 # ---------------------------------------------------------------------------
@@ -314,10 +319,12 @@ class CodeCache:
     nowhere else. Codes are int64, so a size whose codes would wrap raises
     SizeCapError instead of evaluating the model on the wrong context.
     ``diag``, when given, counts denoiser evaluations in its
-    ``denoiser_evals`` field. A table-backed model already holds every
-    context's answer in tables derived once and bounded by the table cap, so
-    the samplers gather from it per step and memoize only the other models'
-    rows here.
+    ``denoiser_evals`` field. A model that takes rows answers a whole
+    sampler step, or a whole mask pattern of the pattern losses
+    (:meth:`gather_rows`), in one call on its distinct contexts, and no copy
+    of its rows is kept; the other models' rows are memoized here.
+    :func:`aoarm_loss_exact` memoizes every model's rows through
+    :meth:`gather`, because its permutations reuse contexts.
     """
 
     def __init__(self, denoiser: Denoiser, diag=None):
@@ -378,6 +385,20 @@ class CodeCache:
         return np.array([self.posterior(code)[position, s]
                          for code, s in zip(self.encode(rows).tolist(), symbols.tolist())])
 
+    def gather_rows(self, rows: np.ndarray, positions, symbols: np.ndarray) -> np.ndarray:
+        """probs[k, j] = posterior(context rows[k])[positions[j], symbols[k, j]],
+        shape (n, len(positions)). A model that takes rows answers the
+        distinct contexts in one call; any other is read through
+        :meth:`gather`, one position after another."""
+        if not self.denoiser.takes_rows:
+            return np.stack([self.gather(rows, d, symbols[:, j]) for j, d in enumerate(positions)],
+                            axis=1)
+        distinct, inv = np.unique(self.encode(rows), return_inverse=True)
+        post = self.denoiser.posterior_array(self.decode(distinct))
+        if self.diag is not None:
+            self.diag.denoiser_evals += distinct.size
+        return post[inv[:, None], positions, symbols]
+
 
 def _support(p: TabularDistribution):
     table = sequence_table(p.D, p.S)
@@ -400,9 +421,10 @@ def _pattern_ce_loss(denoiser: Denoiser, p: TabularDistribution, pattern_weight)
             continue
         ctx = toks.copy()
         ctx[:, masked] = S
+        probs = cache.gather_rows(ctx, masked, toks[:, masked])
         ce = np.zeros(toks.shape[0])
-        for d in masked:
-            ce -= np.log(cache.gather(ctx, d, toks[:, d]))
+        for j in range(m):
+            ce -= np.log(probs[:, j])
         loss += weight * float(w @ ce)
     return loss
 

@@ -56,14 +56,6 @@ def unmasked_fraction(tokens: np.ndarray, S: int) -> float:
     return float((tokens != S).sum() / tokens.size)
 
 
-def _child_rows(tokens: np.ndarray, d: int, S: int) -> np.ndarray:
-    """The S children of ``tokens`` at position d as rows (S, D): row s sets
-    position d to symbol s."""
-    children = np.repeat(tokens[None, :], S, axis=0)
-    children[:, d] = np.arange(S)
-    return children
-
-
 # ---------------------------------------------------------------------------
 # clean predictors
 # ---------------------------------------------------------------------------
@@ -113,13 +105,16 @@ class CleanPredictor:
 class TimePredictor:
     """Likelihood on partially masked inputs; immutable once constructed.
 
-    A ``table_backed`` predictor's ``likelihood_array`` also takes rows
-    (n, D), each row bit for bit its single-row call, gathered from a table
-    derived once, on the first query, and bounded by ``TABULAR_STATE_CAP``.
+    A predictor that ``takes_rows`` answers rows (n, D) as well as one token
+    array (D,), each row bit for bit its single-row call: its
+    ``likelihood_array`` returns (n,) and, if it has a gradient surface, its
+    ``gradient_surface_array`` returns (n, D, S+1). The samplers then score
+    a step's distinct children, or take its distinct contexts' surfaces, in
+    one call.
     """
 
     deterministic = True
-    table_backed = False
+    takes_rows = False
 
     def likelihood_array(self, tokens: np.ndarray) -> float:
         raise NotImplementedError
@@ -146,7 +141,7 @@ class ExactMarginalPredictor(TimePredictor):
     Construction refuses a size whose table exceeds the table cap.
     """
 
-    table_backed = True
+    takes_rows = True
 
     def __init__(self, clean: CleanPredictor, p: TabularDistribution):
         check_context_count(p.D, p.S)
@@ -176,12 +171,6 @@ class ExactMarginalPredictor(TimePredictor):
         lik = self._likelihoods()[encode_rows(tokens, self.S + 1)]
         require_support(tokens, ~np.isnan(lik), self.S)
         return float(lik) if np.ndim(lik) == 0 else lik
-
-    def child_likelihoods(self, tokens: np.ndarray, d: int) -> np.ndarray:
-        """Clamped likelihoods of the S children of ``tokens`` at masked
-        position d, shape (S,), from one ``likelihood_array`` call; the first
-        zero-mass child raises its UnsupportedContextError."""
-        return self.likelihood_array(_child_rows(tokens, d, self.S))
 
 
 class PomPredictor(TimePredictor):
@@ -221,6 +210,12 @@ class PomPredictor(TimePredictor):
 # ---------------------------------------------------------------------------
 
 
+#: From this many rows, score_array adds each pair's terms with one vector
+#: add; below it one cumsum over the pairs is cheaper. Both add in the same
+#: order, so the scores are the same bit for bit.
+_ADD_LOOP_ROWS = 64
+
+
 @functools.lru_cache(maxsize=None)
 def _upper_pairs(D: int):
     """The position pairs (d, e) with d < e, in row-major order."""
@@ -230,6 +225,8 @@ def _upper_pairs(D: int):
 class PairwiseInteractionPredictor(TimePredictor):
     """Linear + pairwise-interaction model over the mask-extended one-hot
     encoding; see module docstring for the two links."""
+
+    takes_rows = True
 
     def __init__(self, D: int, S: int, link: str = "logistic", bias: float = 0.0,
                  single=None, pairwise=None):
@@ -248,14 +245,23 @@ class PairwiseInteractionPredictor(TimePredictor):
 
     def score_array(self, tokens: np.ndarray):
         """Score of one token array (D,), or of each row of (n, D). The pair
-        terms of every (d, e), d < e, are gathered at once and added to
-        ``bias + single-site sum`` by a running sum in row-major order, the
-        order score_batch adds them in, so a row's score does not depend on
-        the batch it is scored in."""
+        terms of every (d, e), d < e, are gathered at once, by their flat
+        index into ``pair``, and added to ``bias + single-site sum`` one pair
+        at a time in row-major order, the order score_batch adds them in, so
+        a row's score does not depend on the batch it is scored in."""
         first, second = _upper_pairs(self.D)
-        head = self.bias + self.single[np.arange(self.D), tokens].sum(axis=-1)
-        terms = self.pair[first, second, tokens[..., first], tokens[..., second]]
-        return np.concatenate([head[..., None], terms], axis=-1).cumsum(axis=-1)[..., -1]
+        V = self.S + 1
+        score = self.bias + self.single[np.arange(self.D), tokens].sum(axis=-1)
+        by_position = np.ascontiguousarray(tokens.T)
+        cells = (by_position * V)[first]
+        cells += by_position[second]
+        cells += ((first * self.D + second) * (V * V)).reshape((-1,) + (1,) * (tokens.ndim - 1))
+        terms = np.take(self.pair, cells)  # terms[j] is pair j's term of each row
+        if np.size(score) < _ADD_LOOP_ROWS:
+            return np.concatenate([score[None], terms]).cumsum(axis=0)[-1]
+        for term in terms:
+            score += term
+        return score
 
     def score_batch(self, tokens: np.ndarray) -> np.ndarray:
         """Scores of the rows of tokens (n, D), equal to score_array's. It
@@ -302,12 +308,6 @@ class PairwiseInteractionPredictor(TimePredictor):
     def likelihood_relaxed(self, X: np.ndarray) -> float:
         return clamp_likelihood(float(self._prob_from_score(self.score_relaxed(X))))
 
-    def child_likelihoods(self, tokens: np.ndarray, d: int) -> np.ndarray:
-        """Clamped likelihoods of the S children of ``tokens`` at position d,
-        shape (S,): child s sets position d to symbol s. One
-        ``likelihood_array`` call scores them all."""
-        return self.likelihood_array(_child_rows(tokens, d, self.S))
-
     # -- gradient surface ---------------------------------------------------
 
     @property
@@ -315,25 +315,32 @@ class PairwiseInteractionPredictor(TimePredictor):
         return True
 
     def _affine_part(self, tokens: np.ndarray) -> np.ndarray:
-        """d score / d x_{d,c} at the one-hot of tokens, shape (D, S+1)."""
-        # terms[e, d] = pair[d, e, :, x_e] for d < e and pair[e, d, x_e, :]
+        """d score / d x_{d,c} at the one-hot of tokens (D,), shape (D, S+1),
+        or of each row of (n, D), shape (n, D, S+1)."""
+        # terms[..., e, d] = pair[d, e, :, x_e] for d < e and pair[e, d, x_e, :]
         # for e < d; summing them over e in order keeps the rounding of the
         # position-by-position accumulation
         e = np.arange(self.D)
         upper = self.pair[:, e, :, tokens]
         lower = self.pair[e, :, tokens, :]
         terms = np.where((e[None, :] < e[:, None])[:, :, None], upper, lower)
-        terms[e, e] = 0.0
-        return np.concatenate([self.single[None], terms]).cumsum(axis=0)[-1]
+        terms[..., e, e, :] = 0.0
+        head = np.broadcast_to(self.single, terms.shape[:-3] + (1,) + self.single.shape)
+        return np.concatenate([head, terms], axis=-3).cumsum(axis=-3)[..., -1, :, :]
 
     def gradient_surface_array(self, tokens: np.ndarray) -> np.ndarray:
-        """d log p(y|x) / d x_{d,c} at the one-hot encoding of the input."""
+        """d log p(y|x) / d x_{d,c} at the one-hot encoding of one token
+        array (D,), shape (D, S+1), or of each row of (n, D), shape
+        (n, D, S+1). The logistic factor takes ``math.exp`` of each row's
+        score, as the single-row call does: ``np.exp`` differs from it in
+        the last bit on some scores."""
         A = self._affine_part(tokens)
         score = self.score_array(tokens)
         if self.link == "logistic":
-            return (1.0 - 1.0 / (1.0 + math.exp(-score))) * A
+            ex = np.reshape([math.exp(-s) for s in np.ravel(score).tolist()], np.shape(score))
+            return (1.0 - 1.0 / (1.0 + ex))[..., None, None] * A
         # log p = score while score < 0; the cap at 0 freezes the likelihood
-        return A if score < 0 else np.zeros_like(A)
+        return np.where((score < 0)[..., None, None], A, 0.0)
 
     # -- serialization --------------------------------------------------------
 

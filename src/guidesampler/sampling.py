@@ -42,15 +42,14 @@ kappa_dot/(1-kappa) and forms rows only for pairs its memo lacks;
 scaled the same way, as a (D, S) rate matrix. The kernel reads one
 pure-function context cache, shared by the chains of a call when every
 component is deterministic (otherwise each chain runs the core alone on its
-own substream and cache). A table-backed model (the exact denoiser and the
-exact marginal predictor) answers a step in one call: one posterior call on
-the step's distinct contexts and one likelihood call on their distinct
-children, gathered from tables it derives once. Other models are memoized
-per context and called pair by pair in the order given, so a stochastic
-predictor draws as it would with one call per pair; ``exact`` and ``deg``
-make one such call per (context, position) when the predictor scores the S
-children of a position at once (``child_likelihoods``), and one call per
-child otherwise. A child with zero posterior weight gets guided weight 0.
+own substream and cache). A model that takes rows (the exact and parametric
+denoisers and the exact-marginal and pairwise predictors) answers a step in
+one call: one posterior call on the step's distinct contexts, and one
+likelihood call on their distinct children or one gradient-surface call on
+the contexts. Other models are memoized per context and called pair by pair
+in the order given, so a stochastic predictor draws as it would with one
+call per pair; ``exact`` and ``deg`` then make one likelihood call per
+child. A child with zero posterior weight gets guided weight 0.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -303,9 +302,10 @@ class _ContextCache(CodeCache):
     clamped predictor likelihoods and gradient surfaces, all keyed by the
     context code, and the guidance kernel that reads them.
 
-    A table-backed model is not memoized: the kernel gathers a step's rows
-    from it in one call. Its evaluations still count the distinct contexts
-    first seen in a call, against a sorted record of the codes seen so far.
+    A model that takes rows is not memoized: the kernel answers a step's
+    distinct contexts, or their children, in one call to it. Its evaluations
+    still count the distinct contexts first seen in a call, against a sorted
+    record of the codes seen so far.
     """
 
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
@@ -327,12 +327,12 @@ class _ContextCache(CodeCache):
         """Add the distinct sorted ``codes`` to the named record of codes
         seen so far; return how many are new."""
         seen = self._seen.get(record, codes[:0])
-        at = np.searchsorted(seen, codes)
-        new = np.ones(codes.size, dtype=bool)
-        inside = at < seen.size
-        new[inside] = seen[at[inside]] != codes[inside]
-        self._seen[record] = np.insert(seen, at[new], codes[new])
-        return int(new.sum())
+        if seen.size:
+            # a code past the last one seen meets that last one and differs
+            codes = codes[seen.take(np.searchsorted(seen, codes), mode="clip") != codes]
+        # two sorted runs: the stable sort merges them in one pass
+        self._seen[record] = np.sort(np.concatenate([seen, codes]), kind="stable")
+        return codes.size
 
     def supported(self, rows: np.ndarray) -> np.ndarray:
         """Whether each context row has mass under the denoisers."""
@@ -349,19 +349,25 @@ class _ContextCache(CodeCache):
             self._post2[code] = hit
         return hit
 
-    def _posterior_rows(self, model: Denoiser, memo, codes: np.ndarray,
-                        positions: np.ndarray) -> np.ndarray:
-        """Row j, shape (P, S): ``model``'s posterior at ``positions[j]`` of
-        context ``codes[j]``. A table-backed model answers the distinct
-        contexts in one call; any other goes through ``memo``, the cache's
-        per-context accessor for that model, whose name also names the
-        record of contexts counted for a table-backed one."""
-        if getattr(model, "table_backed", False):
-            distinct, inv = np.unique(codes, return_inverse=True)
-            self.diag.denoiser_evals += self._first_seen(memo.__name__, distinct)
-            return model.posterior_array(self.decode(distinct))[inv, positions]
-        out = np.empty((codes.size, self.S))
-        for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
+    def _context_rows(self, model, method: str, memo, contexts, positions: np.ndarray) -> np.ndarray:
+        """Row j, shape (P, S) for ``posterior_array`` and (P, S+1) for
+        ``gradient_surface_array``: the answer of ``model``'s ``method`` at
+        ``positions[j]`` of context ``distinct[inv[j]]``, where ``contexts``
+        is (distinct, inv). A model that takes rows answers the distinct
+        contexts in one call, and they count as evaluations against the
+        record named after ``memo``; any other goes through ``memo``, the
+        cache's per-context accessor for that model."""
+        distinct, inv = contexts
+        posterior = method == "posterior_array"
+        if getattr(model, "takes_rows", False):
+            new = self._first_seen(memo.__name__, distinct)
+            if posterior:
+                self.diag.denoiser_evals += new
+            else:
+                self.diag.predictor_evals += new
+            return getattr(model, method)(self.decode(distinct))[inv, positions]
+        out = np.empty((inv.size, self.S if posterior else self.S + 1))
+        for j, (code, d) in enumerate(zip(distinct[inv].tolist(), positions.tolist())):
             out[j] = memo(code)[d]
         return out
 
@@ -374,33 +380,15 @@ class _ContextCache(CodeCache):
             self._lik[code] = hit
         return hit
 
-    def child_likelihoods(self, code: int, d: int) -> np.ndarray:
-        """Clamped likelihoods of the S children of context ``code`` at
-        masked position d, memoized per child code. A predictor with
-        ``child_likelihoods`` scores a row with any unmemoized child in one
-        call; any other gets one ``likelihood_array`` call per such child.
-        Each newly memoized child counts as one predictor evaluation."""
-        keys = self.children(code, d)
-        batched = getattr(self.cfg.predictor, "child_likelihoods", None)
-        if batched is None:
-            return np.array([self.likelihood(k) for k in keys])
-        memo = self._lik
-        fresh = sum(k not in memo for k in keys)
-        if not fresh:
-            return np.array([memo[k] for k in keys])
-        row = batched(self.decode(code), d)
-        memo.update(zip(keys, row.tolist()))
-        self.diag.predictor_evals += fresh
-        return row
-
     def _tilts(self, codes: np.ndarray, positions: np.ndarray, scored: np.ndarray, exact: bool):
         """(child likelihoods (P, S), source likelihoods (P, 1) or 1.0) of the
-        ``exact`` and ``deg`` modes. A table-backed predictor scores the
+        ``exact`` and ``deg`` modes. A predictor that takes rows scores the
         distinct children where ``scored`` holds, plus the sources for
         ``exact``, in one call, and the others keep likelihood 1; any other
-        predictor is called pair by pair, in the order given."""
+        predictor is called pair by pair, in the order given, once per
+        source and child not yet memoized."""
         pred = self.cfg.predictor
-        if getattr(pred, "table_backed", False):
+        if getattr(pred, "takes_rows", False):
             keys = self.child_codes(codes, positions)[scored]
             n = keys.size
             if exact:
@@ -416,7 +404,7 @@ class _ContextCache(CodeCache):
         for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
             if exact:
                 src[j] = self.likelihood(code)
-            tilt[j] = self.child_likelihoods(code, d)
+            tilt[j] = [self.likelihood(child) for child in self.children(code, d)]
         return tilt, src
 
     def gradient(self, code: int) -> np.ndarray:
@@ -433,20 +421,21 @@ class _ContextCache(CodeCache):
         of the context ``codes[j]``. Without guidance, or before the switch
         point (``active`` false), the rows are the denoiser posterior. A
         child with zero posterior weight gets weight 0, and ``exact`` and
-        ``deg`` do not score it with a table-backed predictor."""
-        cfg, S, P = self.cfg, self.S, codes.size
-        self.diag.step_weight_requests += P
+        ``deg`` do not score it with a predictor that takes rows."""
+        cfg, S = self.cfg, self.S
+        self.diag.step_weight_requests += codes.size
         mode = cfg.mode if cfg.guided and active else "none"
-        post = self._posterior_rows(self.denoiser, self.posterior, codes, positions)
+        contexts = np.unique(codes, return_inverse=True)
+        post = self._context_rows(self.denoiser, "posterior_array", self.posterior, contexts, positions)
         if mode == "none":
             return post
         if mode == "predictor_free":
-            cond = self._posterior_rows(cfg.second_denoiser, self.posterior_cond, codes, positions)
+            cond = self._context_rows(cfg.second_denoiser, "posterior_array", self.posterior_cond,
+                                      contexts, positions)
             return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
         if mode == "tag":
-            grad = np.empty((P, S + 1))
-            for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
-                grad[j] = self.gradient(code)[d]
+            grad = self._context_rows(cfg.predictor, "gradient_surface_array", self.gradient,
+                                      contexts, positions)
             return post * np.exp(cfg.gamma * (grad[:, :S] - grad[:, S:]))
         # exact and deg: tilt by the child likelihoods; deg omits the source
         # divisor, which the per-row normalization of a decode draw absorbs

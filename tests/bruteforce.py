@@ -29,6 +29,15 @@ def dist_as_dict(p):
     return out
 
 
+def child_rows(tokens, d, S):
+    """The S children of ``tokens`` at position d as rows (S, D): row s sets
+    position d to symbol s."""
+    out = np.array([list(tokens) for _ in range(S)])
+    for s in range(S):
+        out[s, d] = s
+    return out
+
+
 def brute_posterior_rows(pdict, xt_tokens, D, S):
     """Per-position posteriors by direct enumeration; None if unsupported."""
     cons = {

@@ -181,6 +181,32 @@ class TestFMLoss:
             assert fm_loss_exact(den, p) >= base - 1e-12
 
 
+    @pytest.mark.parametrize("parametric", [False, True])
+    def test_rows_calls_equal_per_context_calls(self, parametric, monkeypatch):
+        # one rows call per mask pattern gives the bytes of one call per
+        # context; a model without the rows form is memoized per context
+        gen = RandomSource(27).generator()
+        D, S = 4, 3
+        p = TabularDistribution.from_unnormalized(D, S, gen.random(S**D) + 0.02)
+        den = ParametricDenoiser.random(D, S, RandomSource(28), scale=0.7) if parametric else ExactDenoiser(p)
+        losses = (fm_loss_exact, rate_weighted_fm_loss_exact)
+        rows_form = [loss(den, p) for loss in losses]
+        calls = []
+        original = type(den).posterior_array
+
+        def spy(model, tokens):
+            calls.append(np.ndim(tokens))
+            return original(model, tokens)
+
+        monkeypatch.setattr(type(den), "posterior_array", spy)
+        assert [loss(den, p) for loss in losses] == rows_form
+        assert calls == [2] * (2 * (2**D - 1))
+        monkeypatch.setattr(type(den), "takes_rows", False)
+        calls.clear()
+        assert [loss(den, p) for loss in losses] == rows_form
+        assert set(calls) == {1}
+
+
 class TestAOARMLoss:
     def test_d1_is_entropy_not_fm(self):
         # standing counterexample to the retired relation aoarm == D * fm:
@@ -258,6 +284,28 @@ class TestModifiedDenoiser:
         post = mod.posterior_array(np.array([0, 2]))
         # position 1 given x0=A can only be A; bias toward B cannot revive it
         np.testing.assert_allclose(post[1], [1.0, 0.0])
+
+
+    def test_rows_equal_single_row_calls(self):
+        from guidesampler.denoising import ModifiedDenoiser
+
+        D, S = 6, 5
+        wildtype = TokenSequence(RandomSource(41).generator().integers(0, S, size=D), Alphabet(S))
+        mod = ModifiedDenoiser(
+            ParametricDenoiser.random(D, S, RandomSource(40), scale=1.0),
+            LogitModifier(temperature=0.7, wildtype_weight=1.5, wildtype_sequence=wildtype),
+        )
+        assert mod.takes_rows
+        rows = RandomSource(42).generator().integers(0, S + 1, size=(200, D))
+        rows[0] = S
+        post = mod.posterior_array(rows)
+        assert post.shape == (200, D, S)
+        for k, row in enumerate(rows):
+            assert np.array_equal(post[k], mod.posterior_array(row))
+        # the bias lands on each position's wild-type symbol of every row
+        base = mod.base.logits_array(rows)
+        biased = (base[:, np.arange(D), wildtype.tokens] + 1.5) / 0.7
+        assert np.array_equal(mod.logits_array(rows)[:, np.arange(D), wildtype.tokens], biased)
 
 
 class TestParametricDenoiser:

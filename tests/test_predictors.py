@@ -15,7 +15,7 @@ from guidesampler.core import (
     sequence_from_str,
     sequence_table,
 )
-from guidesampler.denoising import ExactDenoiser
+from guidesampler.denoising import ExactDenoiser, ParametricDenoiser, softmax_rows
 from guidesampler.errors import CapabilityError, SizeCapError, UnsupportedContextError
 from guidesampler.predictors import (
     LIKELIHOOD_FLOOR,
@@ -32,8 +32,9 @@ from guidesampler.predictors import (
     threshold_likelihood,
     train_noisy_classifier,
 )
+from guidesampler.sampling import GuidanceConfig, aoarm_sample_many
 
-from bruteforce import brute_noisy_likelihood, dist_as_dict, loop_train_noisy_classifier
+from bruteforce import brute_noisy_likelihood, child_rows, dist_as_dict, loop_train_noisy_classifier
 
 AB = Alphabet(2)
 
@@ -246,7 +247,7 @@ class TestPairwiseInteractionPredictor:
     def test_likelihood_floor(self):
         m = PairwiseInteractionPredictor(2, 2, link="exp", bias=-1000.0)
         assert m.likelihood_array(np.array([0, 0])) == LIKELIHOOD_FLOOR
-        assert (m.child_likelihoods(np.array([0, 2]), 1) == LIKELIHOOD_FLOOR).all()
+        assert (m.likelihood_array(child_rows(np.array([0, 2]), 1, 2)) == LIKELIHOOD_FLOOR).all()
 
 
 def full_random_model(D, S, link, seed):
@@ -280,9 +281,10 @@ def loop_affine_part(m, tokens):
 
 
 class TestBatchedChildScoring:
-    """likelihood_array on one or many rows, child_likelihoods and
-    _affine_part equal their loop references bit for bit, so the samplers'
-    outputs do not depend on which one they use."""
+    """likelihood_array on one or many rows (a position's S children, the
+    rows the samplers score at once) and _affine_part equal their loop
+    references bit for bit, so the samplers' outputs do not depend on which
+    one they use."""
 
     CASES = [(1, 3), (2, 2), (5, 4), (12, 20)]
 
@@ -295,7 +297,7 @@ class TestBatchedChildScoring:
             toks = gen.integers(0, S + 1, size=D)
             for d in sorted({0, D - 1, int(gen.integers(0, D))}):
                 toks[d] = S
-                got = m.child_likelihoods(toks, d)
+                got = m.likelihood_array(child_rows(toks, d, S))
                 want = []
                 for s in range(S):
                     child = toks.copy()
@@ -332,13 +334,15 @@ class TestBatchedChildScoring:
         )
         toks = np.array([3, 1, 3, 0])
         for d in (0, 2):
-            assert np.array_equal(m.child_likelihoods(toks, d), kept.child_likelihoods(toks, d))
+            children = child_rows(toks, d, 3)
+            assert np.array_equal(m.likelihood_array(children), kept.likelihood_array(children))
         assert np.array_equal(m._affine_part(toks), kept._affine_part(toks))
 
 
 class TestExactChildLikelihoods:
-    """ExactMarginalPredictor.child_likelihoods equals one likelihood_array
-    call per child bit for bit, and fails as that call does."""
+    """ExactMarginalPredictor.likelihood_array on a position's S children,
+    the rows the samplers score at once, equals one call per child bit for
+    bit, and fails as that call does."""
 
     @staticmethod
     def model(D, S, seed, weights=None):
@@ -349,12 +353,6 @@ class TestExactChildLikelihoods:
         clean = CleanPredictor.from_table(gen.uniform(0.0, 1.0, S**D), S)
         return ExactMarginalPredictor(clean, p)
 
-    @staticmethod
-    def children(tokens, d, S):
-        out = np.repeat(tokens[None, :], S, axis=0)
-        out[:, d] = np.arange(S)
-        return out
-
     @pytest.mark.parametrize("S", [2, 3, 4])
     @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6])
     def test_equal_to_scalar_calls(self, D, S):
@@ -364,18 +362,19 @@ class TestExactChildLikelihoods:
             toks = gen.integers(0, S + 1, size=D)
             for d in sorted({0, D // 2, D - 1}):
                 toks[d] = S
-                got = m.child_likelihoods(toks, d)
-                want = [m.likelihood_array(c) for c in self.children(toks, d, S)]
+                got = m.likelihood_array(child_rows(toks, d, S))
+                want = [m.likelihood_array(c) for c in child_rows(toks, d, S)]
                 assert got.shape == (S,) and np.array_equal(got, np.array(want))
 
     def test_one_masked_children_are_clean_likelihoods(self):
         m = self.model(4, 3, seed=3)
         toks = np.array([2, 0, 3, 1])
-        got = m.child_likelihoods(toks, 2)
+        children = child_rows(toks, 2, 3)
+        got = m.likelihood_array(children)
         clean = [clamp_likelihood(m.clean.likelihood(TokenSequence(c, Alphabet(3))))
-                 for c in self.children(toks, 2, 3)]
+                 for c in children]
         assert np.array_equal(got, np.array(clean))
-        assert np.array_equal(got, np.array([m.likelihood_array(c) for c in self.children(toks, 2, 3)]))
+        assert np.array_equal(got, np.array([m.likelihood_array(c) for c in children]))
 
     def test_zero_mass_child_raises_the_scalar_error(self):
         # no mass where x0 = 1 and x1 = 1: the parent [?, 1, ?] has mass,
@@ -387,7 +386,7 @@ class TestExactChildLikelihoods:
         with pytest.raises(UnsupportedContextError) as scalar:
             m.likelihood_array(np.array([1, 1, 2]))
         with pytest.raises(UnsupportedContextError) as got:
-            m.child_likelihoods(parent, 0)
+            m.likelihood_array(child_rows(parent, 0, 2))
         assert str(got.value) == str(scalar.value)
         assert got.value.positions == scalar.value.positions == (0, 1)
 
@@ -400,7 +399,7 @@ class TestExactChildLikelihoods:
         with pytest.raises(UnsupportedContextError) as scalar:
             m.likelihood_array(np.array([0, 2, 1]))
         with pytest.raises(UnsupportedContextError) as got:
-            m.child_likelihoods(parent, 0)
+            m.likelihood_array(child_rows(parent, 0, 2))
         assert str(got.value) == str(scalar.value)
         assert got.value.positions == (0, 2)
 
@@ -434,7 +433,7 @@ class TestExactRowForm:
         for row in self.contexts(D, S):
             if (row == S).sum() == 1:
                 d = int(np.flatnonzero(row == S)[0])
-                children = TestExactChildLikelihoods.children(row, d, S)
+                children = child_rows(row, d, S)
                 want = [clamp_likelihood(m.clean.likelihood(TokenSequence(c, alpha)))
                         for c in children]
                 assert m.likelihood_array(children).tolist() == want
@@ -461,6 +460,102 @@ class TestExactRowForm:
                 CleanPredictor(lambda x: 0.5), q)):
             with pytest.raises(SizeCapError, match=r"3\*\*16 = 43046721"):
                 build(p)
+
+
+def loop_posterior(den, tokens):
+    """Reference: a parametric posterior of one token array, its logits
+    summed over e for each position d, then each observed position's row
+    set to its one-hot in place."""
+    idx = np.arange(den.D)
+    logits = den.single + den.pair[:, idx, tokens, :].sum(axis=1) - den.pair[idx, idx, tokens, :]
+    out = softmax_rows(logits)
+    for d in range(den.D):
+        if tokens[d] != den.S:
+            out[d] = 0.0
+            out[d, tokens[d]] = 1.0
+    return out
+
+
+class TestParametricRowForm:
+    """ParametricDenoiser.posterior_array and
+    PairwiseInteractionPredictor.gradient_surface_array on rows (n, D) equal
+    their single-row calls row by row, bit for bit, and the any-order
+    sampler calls each parametric model once per step."""
+
+    SIZES = [(3, 2), (8, 4), (12, 20)]
+
+    @staticmethod
+    def rows(D, S, seed, n=300):
+        """n random contexts, the first fully masked, the second clean."""
+        rows = RandomSource(seed).generator().integers(0, S + 1, size=(n, D))
+        rows[0] = S
+        rows[1] %= S
+        return rows
+
+    @pytest.mark.parametrize("D,S", SIZES)
+    def test_posterior_rows_equal_single_row_calls(self, D, S):
+        gen = RandomSource(D * S).generator()
+        # self-couplings too, so the subtraction of pair[d, d] is exercised
+        den = ParametricDenoiser(D, S, gen.normal(0, 1.0, (D, S)), gen.normal(0, 1.0, (D, D, S + 1, S)))
+        rows = self.rows(D, S, D + S)
+        post = den.posterior_array(rows)
+        assert post.shape == (rows.shape[0], D, S)
+        for k, row in enumerate(rows):
+            single = den.posterior_array(row)
+            assert single.shape == (D, S)
+            assert np.array_equal(post[k], single)
+            assert np.array_equal(single, loop_posterior(den, row))
+
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    @pytest.mark.parametrize("D,S", SIZES)
+    def test_likelihood_rows_equal_single_row_calls(self, link, D, S):
+        # 300 rows add each pair's terms with one vector add, 30 rows with
+        # one cumsum, a single row too
+        m = full_random_model(D, S, link, seed=D * 100 + S + 5)
+        rows = self.rows(D, S, D * S + 6)
+        for batch in (rows, rows[:30]):
+            got = m.likelihood_array(batch)
+            assert np.array_equal(m.score_array(batch), m.score_batch(batch))
+            assert np.array_equal(got, [m.likelihood_array(row) for row in batch])
+            assert np.array_equal(got, [loop_likelihood(m, row) for row in batch])
+
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    @pytest.mark.parametrize("D,S", SIZES)
+    def test_gradient_rows_equal_single_row_calls(self, link, D, S):
+        m = full_random_model(D, S, link, seed=D * 100 + S + 3)
+        rows = self.rows(D, S, D * S + 4)
+        got = m.gradient_surface_array(rows)
+        assert got.shape == (rows.shape[0], D, S + 1)
+        for k, row in enumerate(rows):
+            assert np.array_equal(got[k], m.gradient_surface_array(row))
+        scores = m.score_array(rows)
+        if link == "logistic":
+            # the rows hold scores whose logistic factor np.exp moves in the
+            # last bit (numpy's vectorized exp against math.exp, x86-64)
+            with_np_exp = (1.0 - 1.0 / (1.0 + np.exp(-scores)))[:, None, None] * m._affine_part(rows)
+            assert not np.array_equal(with_np_exp, got)
+        else:
+            # both sides of the cap at score 0
+            assert (scores < 0).any() and (scores >= 0).any()
+
+    @pytest.mark.parametrize("mode,scorer", [("deg", "likelihood_array"),
+                                             ("tag", "gradient_surface_array")])
+    def test_one_call_per_step(self, mode, scorer, monkeypatch):
+        D, S = 6, 5
+        den = ParametricDenoiser.random(D, S, RandomSource(60), scale=0.5)
+        pred = full_random_model(D, S, "logistic", seed=61)
+        calls = {}
+        for cls, name in ((ParametricDenoiser, "posterior_array"),
+                          (PairwiseInteractionPredictor, "likelihood_array"),
+                          (PairwiseInteractionPredictor, "gradient_surface_array")):
+            def spy(model, tokens, _original=cls.__dict__[name], _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(model, tokens)
+            monkeypatch.setattr(cls, name, spy)
+        cfg = GuidanceConfig(mode=mode, gamma=1.0, predictor=pred)
+        _, diag = aoarm_sample_many(den, cfg, 50, RandomSource(62))
+        assert calls == {"posterior_array": D, scorer: D}
+        assert diag.denoiser_evals > D and diag.predictor_evals > D
 
 
 class TestTrainNoisyClassifier:

@@ -13,7 +13,7 @@ from guidesampler.core import (
     power_schedule,
     sequence_from_str,
 )
-from guidesampler.denoising import ExactDenoiser, ParametricDenoiser
+from guidesampler.denoising import ExactDenoiser, LogitModifier, ModifiedDenoiser, ParametricDenoiser
 from guidesampler.errors import (
     CapabilityError,
     DegenerateStepError,
@@ -751,6 +751,50 @@ class TestBatchedChildLikelihoods:
         assert batched[3]["predictor_evals"] > 0
 
 
+class PerContext:
+    """A model the samplers see without its rows form: they call it once per
+    context and memoize the answer."""
+
+    takes_rows = False
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestRowsFormChangesNothing:
+    """Parametric models answering a step in one rows call give the rows,
+    paths and counts of the same models called once per context, for every
+    mode of both routes, and with logit modifiers."""
+
+    @pytest.mark.parametrize("modified", [False, True])
+    @pytest.mark.parametrize("route,mode", [(r, m) for r, modes in ROUTE_MODES.items()
+                                            for m in modes if m != "predictor_free"])
+    def test_same_outputs_and_counts(self, route, mode, modified):
+        den, pred = TestBatchedChildLikelihoods().models("logistic")
+        if modified:
+            wildtype = sequence_from_str("ABCDA", Alphabet(4))
+            den = ModifiedDenoiser(den, LogitModifier(0.8, 1.0, wildtype))
+        runs = []
+        for d, p in ((den, pred), (PerContext(den), PerContext(pred))):
+            cfg = GuidanceConfig(mode=mode, gamma=1.5, predictor=None if mode == "none" else p)
+            if route == "aoarm":
+                rows, diag = aoarm_sample_many(d, cfg, 200, RandomSource(76))
+                x, path, one = aoarm_sample(d, cfg, RandomSource(77))
+            else:
+                rows, diag = euler_sample_many(d, cfg, IDENT, 0.05, 100, RandomSource(78))
+                x, path, one = euler_sample(d, cfg, IDENT, 0.05, RandomSource(79))
+            counts = TestBatchedChildLikelihoods.counts
+            runs.append((rows, x.tokens, path.to_json(), counts(diag), counts(one)))
+        rows_form, per_context = runs
+        assert np.array_equal(rows_form[0], per_context[0])
+        assert np.array_equal(rows_form[1], per_context[1])
+        assert rows_form[2:] == per_context[2:]
+        assert rows_form[3]["denoiser_evals"] > 0
+
+
 def sized_state(obj, depth=2):
     """Lengths of the container attributes of obj, and of the objects it
     holds, down to ``depth`` levels."""
@@ -780,14 +824,15 @@ class TestModelsHoldNoMemo:
 
 
 class ContextSpy(ParametricDenoiser):
-    """Parametric denoiser that records every context it is evaluated on."""
+    """Parametric denoiser that records every context it is evaluated on,
+    each row of a rows call as its own context."""
 
     def __init__(self, D, S):
         super().__init__(D, S)
         self.contexts = []
 
     def posterior_array(self, tokens):
-        self.contexts.append(np.array(tokens))
+        self.contexts.extend(np.array(np.atleast_2d(tokens)))
         return super().posterior_array(tokens)
 
 
@@ -842,9 +887,9 @@ class TestGuidanceKernel:
     """One kernel call over a step's pairs gives, bit for bit, the weights
     and CDF rows the per-pair loop reference forms one pair at a time, for
     every route x mode, at several gamma, before and after the switch point
-    t0, and for every way a predictor can score children (one table-backed
-    call per step, batched rows, one call per child). S=9 rows are long enough for the
-    row sums to take numpy's pairwise path."""
+    t0, and for every way a predictor can score children (one rows call per
+    step, from a table or from the pairwise model, or one call per child).
+    S=9 rows are long enough for the row sums to take numpy's pairwise path."""
 
     SIZES = [(3, 3), (2, 9)]
 
