@@ -318,11 +318,12 @@ class CodeCache:
     ``pairs``) and back (``decode``), so the key format lives here and
     nowhere else. Codes are int64, so a size whose codes would wrap raises
     SizeCapError instead of evaluating the model on the wrong context.
-    ``diag``, when given, counts denoiser evaluations in its
-    ``denoiser_evals`` field. A model that takes rows answers a whole
-    sampler step, or a whole mask pattern of the pattern losses
-    (:meth:`gather_rows`), in one call on its distinct contexts, and no copy
-    of its rows is kept; the other models' rows are memoized here.
+    ``diag``, when given, counts the evaluations of the per-context memo
+    (:meth:`posterior`) in its ``denoiser_evals`` field. A model that takes
+    rows answers a whole sampler step, or a whole mask pattern of the
+    pattern losses (:meth:`gather_rows`), in one call on its distinct
+    contexts, and no copy of its rows is kept; the other models' rows are
+    memoized here.
     :func:`aoarm_loss_exact` memoizes every model's rows through
     :meth:`gather`, because its permutations reuse contexts.
     """
@@ -395,8 +396,6 @@ class CodeCache:
                             axis=1)
         distinct, inv = np.unique(self.encode(rows), return_inverse=True)
         post = self.denoiser.posterior_array(self.decode(distinct))
-        if self.diag is not None:
-            self.diag.denoiser_evals += distinct.size
         return post[inv[:, None], positions, symbols]
 
 

@@ -210,12 +210,6 @@ class PomPredictor(TimePredictor):
 # ---------------------------------------------------------------------------
 
 
-#: From this many rows, score_array adds each pair's terms with one vector
-#: add; below it one cumsum over the pairs is cheaper. Both add in the same
-#: order, so the scores are the same bit for bit.
-_ADD_LOOP_ROWS = 64
-
-
 @functools.lru_cache(maxsize=None)
 def _upper_pairs(D: int):
     """The position pairs (d, e) with d < e, in row-major order."""
@@ -246,9 +240,9 @@ class PairwiseInteractionPredictor(TimePredictor):
     def score_array(self, tokens: np.ndarray):
         """Score of one token array (D,), or of each row of (n, D). The pair
         terms of every (d, e), d < e, are gathered at once, by their flat
-        index into ``pair``, and added to ``bias + single-site sum`` one pair
-        at a time in row-major order, the order score_batch adds them in, so
-        a row's score does not depend on the batch it is scored in."""
+        index into ``pair``, and added to ``bias + single-site sum`` with one
+        vector add per pair in row-major order, so a row's score does not
+        depend on the batch it is scored in."""
         first, second = _upper_pairs(self.D)
         V = self.S + 1
         score = self.bias + self.single[np.arange(self.D), tokens].sum(axis=-1)
@@ -257,24 +251,9 @@ class PairwiseInteractionPredictor(TimePredictor):
         cells += by_position[second]
         cells += ((first * self.D + second) * (V * V)).reshape((-1,) + (1,) * (tokens.ndim - 1))
         terms = np.take(self.pair, cells)  # terms[j] is pair j's term of each row
-        if np.size(score) < _ADD_LOOP_ROWS:
-            return np.concatenate([score[None], terms]).cumsum(axis=0)[-1]
         for term in terms:
             score += term
         return score
-
-    def score_batch(self, tokens: np.ndarray) -> np.ndarray:
-        """Scores of the rows of tokens (n, D), equal to score_array's. It
-        makes one vector add per pair, which on the trainer's batches
-        (n = 1,000, D = 8, S = 4) is about 1.6x faster than score_array's
-        gather on a 2-core x86-64 machine."""
-        out = np.full(tokens.shape[0], self.bias)
-        pos = np.arange(self.D)
-        out += self.single[pos, tokens].sum(axis=1)
-        for d in range(self.D):
-            for e in range(d + 1, self.D):
-                out += self.pair[d, e, tokens[:, d], tokens[:, e]]
-        return out
 
     def score_relaxed(self, X: np.ndarray) -> float:
         """Score at a relaxed (real-valued) one-hot encoding X of shape (D, S+1)."""
@@ -426,7 +405,7 @@ def train_noisy_classifier(
     pair_offset = np.arange(first.size) * (V * V)
 
     def epoch_step(tokens, mask_only: bool):
-        scores = model.score_batch(tokens)
+        scores = model.score_array(tokens)
         p = 1.0 / (1.0 + np.exp(-scores))
         resid = (p - y) / n
         if not mask_only:

@@ -349,27 +349,20 @@ class _ContextCache(CodeCache):
             self._post2[code] = hit
         return hit
 
-    def _context_rows(self, model, method: str, memo, contexts, positions: np.ndarray) -> np.ndarray:
-        """Row j, shape (P, S) for ``posterior_array`` and (P, S+1) for
-        ``gradient_surface_array``: the answer of ``model``'s ``method`` at
+    def _context_rows(self, model, method: str, record: str, memo, contexts, positions: np.ndarray):
+        """(rows, new): row j is the answer of ``model``'s ``method`` at
         ``positions[j]`` of context ``distinct[inv[j]]``, where ``contexts``
         is (distinct, inv). A model that takes rows answers the distinct
-        contexts in one call, and they count as evaluations against the
-        record named after ``memo``; any other goes through ``memo``, the
-        cache's per-context accessor for that model."""
+        contexts in one call, and ``new`` counts those first seen under the
+        named record, for the caller to add to its counter. Any other is read
+        through ``memo``, the cache's per-context accessor for that model,
+        which counts its own evaluations; ``new`` is then 0."""
         distinct, inv = contexts
-        posterior = method == "posterior_array"
         if getattr(model, "takes_rows", False):
-            new = self._first_seen(memo.__name__, distinct)
-            if posterior:
-                self.diag.denoiser_evals += new
-            else:
-                self.diag.predictor_evals += new
-            return getattr(model, method)(self.decode(distinct))[inv, positions]
-        out = np.empty((inv.size, self.S if posterior else self.S + 1))
-        for j, (code, d) in enumerate(zip(distinct[inv].tolist(), positions.tolist())):
-            out[j] = memo(code)[d]
-        return out
+            new = self._first_seen(record, distinct)
+            return getattr(model, method)(self.decode(distinct))[inv, positions], new
+        pairs = zip(distinct[inv].tolist(), positions.tolist())
+        return np.stack([memo(code)[d] for code, d in pairs]), 0
 
     def likelihood(self, code: int) -> float:
         hit = self._lik.get(code)
@@ -424,18 +417,24 @@ class _ContextCache(CodeCache):
         ``deg`` do not score it with a predictor that takes rows."""
         cfg, S = self.cfg, self.S
         self.diag.step_weight_requests += codes.size
+        if codes.size == 0:
+            return np.zeros((0, S))
         mode = cfg.mode if cfg.guided and active else "none"
         contexts = np.unique(codes, return_inverse=True)
-        post = self._context_rows(self.denoiser, "posterior_array", self.posterior, contexts, positions)
+        post, new = self._context_rows(self.denoiser, "posterior_array", "posterior", self.posterior,
+                                       contexts, positions)
+        self.diag.denoiser_evals += new
         if mode == "none":
             return post
         if mode == "predictor_free":
-            cond = self._context_rows(cfg.second_denoiser, "posterior_array", self.posterior_cond,
-                                      contexts, positions)
+            cond, new = self._context_rows(cfg.second_denoiser, "posterior_array", "posterior_cond",
+                                           self.posterior_cond, contexts, positions)
+            self.diag.denoiser_evals += new
             return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
         if mode == "tag":
-            grad = self._context_rows(cfg.predictor, "gradient_surface_array", self.gradient,
-                                      contexts, positions)
+            grad, new = self._context_rows(cfg.predictor, "gradient_surface_array", "gradient",
+                                           self.gradient, contexts, positions)
+            self.diag.predictor_evals += new
             return post * np.exp(cfg.gamma * (grad[:, :S] - grad[:, S:]))
         # exact and deg: tilt by the child likelihoods; deg omits the source
         # divisor, which the per-row normalization of a decode draw absorbs

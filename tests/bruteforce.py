@@ -170,7 +170,7 @@ def loop_train_denoiser(variant, rows, S, steps, gen, probs, lr, batch_size):
 def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise, two_stage):
     """train_noisy_classifier with every gradient cell summed one example at
     a time; returns its (bias, single, pair, loss) bytes. The scores are
-    added term by term in the order score_batch adds them."""
+    added term by term in the order score_array adds them."""
     n, D = rows.shape
     V = S + 1
     bias = 0.0

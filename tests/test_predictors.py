@@ -260,14 +260,18 @@ def full_random_model(D, S, link, seed):
     )
 
 
-def loop_likelihood(m, tokens):
-    """Reference: the score accumulated pair by pair in row-major order,
-    then the link and the clamp."""
+def loop_score(m, tokens):
+    """Reference: the score accumulated pair by pair in row-major order."""
     s = m.bias + float(m.single[np.arange(m.D), tokens].sum())
     for d in range(m.D):
         for e in range(d + 1, m.D):
             s += m.pair[d, e, tokens[d], tokens[e]]
-    return clamp_likelihood(float(m._prob_from_score(s)))
+    return s
+
+
+def loop_likelihood(m, tokens):
+    """Reference: the loop score, then the link and the clamp."""
+    return clamp_likelihood(float(m._prob_from_score(loop_score(m, tokens))))
 
 
 def loop_affine_part(m, tokens):
@@ -315,7 +319,7 @@ class TestBatchedChildScoring:
         rows = RandomSource(D + S + 1).generator().integers(0, S + 1, size=(30, D))
         want = np.array([loop_likelihood(m, r) for r in rows])
         assert np.array_equal(m.likelihood_array(rows), want)
-        assert np.array_equal(m.score_array(rows), m.score_batch(rows))
+        assert np.array_equal(m.score_array(rows), [loop_score(m, r) for r in rows])
 
     @pytest.mark.parametrize("link", ["logistic", "exp"])
     @pytest.mark.parametrize("D,S", CASES)
@@ -509,13 +513,11 @@ class TestParametricRowForm:
     @pytest.mark.parametrize("link", ["logistic", "exp"])
     @pytest.mark.parametrize("D,S", SIZES)
     def test_likelihood_rows_equal_single_row_calls(self, link, D, S):
-        # 300 rows add each pair's terms with one vector add, 30 rows with
-        # one cumsum, a single row too
         m = full_random_model(D, S, link, seed=D * 100 + S + 5)
         rows = self.rows(D, S, D * S + 6)
         for batch in (rows, rows[:30]):
             got = m.likelihood_array(batch)
-            assert np.array_equal(m.score_array(batch), m.score_batch(batch))
+            assert np.array_equal(m.score_array(batch), [loop_score(m, row) for row in batch])
             assert np.array_equal(got, [m.likelihood_array(row) for row in batch])
             assert np.array_equal(got, [loop_likelihood(m, row) for row in batch])
 

@@ -794,6 +794,15 @@ class TestRowsFormChangesNothing:
         assert rows_form[2:] == per_context[2:]
         assert rows_form[3]["denoiser_evals"] > 0
 
+    @pytest.mark.parametrize("mode", ["none", "tag", "exact"])
+    def test_no_masked_position_has_zero_rates(self, mode):
+        den, pred = TestBatchedChildLikelihoods().models("logistic")
+        xt = masked_from_str("ABCDA", Alphabet(4))
+        for d, p in ((den, pred), (PerContext(den), PerContext(pred))):
+            cfg = GuidanceConfig(mode=mode, gamma=1.5, predictor=None if mode == "none" else p)
+            rates = guide_rates(d, xt, 0.3, IDENT, cfg)
+            assert rates.shape == (5, 4) and not rates.any()
+
 
 def sized_state(obj, depth=2):
     """Lengths of the container attributes of obj, and of the objects it
