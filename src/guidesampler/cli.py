@@ -3,10 +3,10 @@
 Exit codes: 0 success, 1 check failure, 2 config error (a sampler size the
 int64 context codes cannot represent included), 3 runtime error.
 Seed precedence: GUIDESAMPLER_SEED env var > --seed flag > config file >
-built-in default. Every run writes a resolved-config copy next to its
-outputs. Primary outputs (samples, paths, results CSV/JSON) are
-byte-reproducible for a fixed seed; wall-clock timings go to separate
-diagnostics files.
+built-in default; the resolved seed must lie in [0, 2**53). Every run writes
+a resolved-config copy next to its outputs. Primary outputs (samples, paths,
+results CSV/JSON) are byte-reproducible for a fixed seed; wall-clock timings
+go to separate diagnostics files.
 """
 
 from __future__ import annotations
@@ -64,6 +64,13 @@ SAMPLER_DEFAULTS = {
     "n_samples": 10,
     "record_paths": True,
 }
+
+#: Root seeds lie below this. The Philox key of a substream holds its root
+#: seed beside a 64-bit stream id, and numpy reads a key list holding an int
+#: of 2**63 or more as float64, so two root seeds that round to the same
+#: float64 (as 2**53 and 2**53+1 do, or -1 and -2 once masked to 64 bits)
+#: would draw the same substreams.
+SEED_LIMIT = 2**53
 
 _TOP_KEYS = {"command", "seed", "output_dir", "model", "predictor", "sampler", "only",
              "campaign"}
@@ -130,13 +137,17 @@ def resolve_config(args: argparse.Namespace) -> dict:
     unknown = set(file_cfg) - _TOP_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    try:
+        seed = int(file_cfg.get("seed", DEFAULT_SEED))
+    except (TypeError, ValueError, OverflowError) as e:
+        raise ConfigError(f"config seed must be an integer, got {file_cfg['seed']!r}") from e
     if "command" in file_cfg and file_cfg["command"] != args.command:
         raise ConfigError(
             f"config file is for command {file_cfg['command']!r}, invoked {args.command!r}"
         )
     cfg = {
         "command": args.command,
-        "seed": int(file_cfg.get("seed", DEFAULT_SEED)),
+        "seed": seed,
         "output_dir": file_cfg.get("output_dir", "guidesampler_out"),
     }
     if args.command == "verify":
@@ -183,6 +194,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             cfg["seed"] = int(env_seed)
         except ValueError as e:
             raise ConfigError(f"GUIDESAMPLER_SEED must be an integer, got {env_seed!r}") from e
+    if not 0 <= cfg["seed"] < SEED_LIMIT:
+        raise ConfigError(f"seed must lie in [0, 2**53), got {cfg['seed']}")
     if args.output_dir:
         cfg["output_dir"] = args.output_dir
     return cfg
@@ -290,18 +303,18 @@ def cmd_sample(cfg: dict) -> int:
         predictor = load_predictor(cfg["predictor"], denoiser, p_tab)
     if sampler["mode"] in ("exact", "tag", "deg") and predictor is None:
         raise ConfigError(f"mode {sampler['mode']!r} requires --predictor")
-    modifier = LogitModifier(
-        temperature=float(sampler["temperature"]),
-        wildtype_weight=float(sampler["wildtype_weight"]),
-        wildtype_sequence=(
-            sequence_from_str(sampler["wildtype"], Alphabet(denoiser.S))
-            if sampler["wildtype"]
-            else None
-        ),
-    )
-    if not modifier.is_identity:
-        denoiser = ModifiedDenoiser(denoiser, modifier)
     try:
+        modifier = LogitModifier(
+            temperature=float(sampler["temperature"]),
+            wildtype_weight=float(sampler["wildtype_weight"]),
+            wildtype_sequence=(
+                sequence_from_str(sampler["wildtype"], Alphabet(denoiser.S))
+                if sampler["wildtype"]
+                else None
+            ),
+        )
+        if not modifier.is_identity:
+            denoiser = ModifiedDenoiser(denoiser, modifier)
         gcfg = GuidanceConfig(
             mode=sampler["mode"], gamma=float(sampler["gamma"]), predictor=predictor,
             t0=float(sampler["t0"]),

@@ -89,11 +89,23 @@ class PerPositionPosterior:
         return self
 
 
-def fill_observed(post: np.ndarray, tokens: np.ndarray, S: int) -> np.ndarray:
-    """``post`` (D, S) or (n, D, S) with the row of each unmasked position
-    of ``tokens`` (D,) or (n, D) replaced by the one-hot of its observed
-    token, as a new array."""
-    return np.where((tokens == S)[..., None], post, tokens[..., None] == np.arange(S))
+def pair_positions(tokens: np.ndarray, positions=None):
+    """(rows, positions, observed) of the (context, position) pairs a row
+    model answers, with one batch shape: the context row, position and token
+    there of each pair. With ``positions`` (P,) and ``tokens`` (P, D), pair j
+    is position ``positions[j]`` of row j (batch shape (P,)); without, every
+    position of each row of ``tokens`` (D,) or (n, D) (batch shape (D,) or
+    (n, D)), so the full form is the all-positions case of the pair form."""
+    if positions is None:
+        return tokens[..., None, :], np.arange(tokens.shape[-1]), tokens
+    positions = np.asarray(positions)
+    return tokens, positions, tokens[np.arange(positions.size), positions]
+
+
+def fill_observed(post: np.ndarray, observed: np.ndarray, S: int) -> np.ndarray:
+    """``post`` (..., S) with each row whose ``observed`` token (...) is
+    unmasked replaced by the one-hot of that token, as a new array."""
+    return np.where((observed == S)[..., None], post, observed[..., None] == np.arange(S))
 
 
 class Denoiser:
@@ -101,9 +113,13 @@ class Denoiser:
 
     ``posterior_array`` takes one token array (D,) and returns its (D, S)
     posterior. A model that ``takes_rows`` also takes rows (n, D) and returns
-    (n, D, S), each row bit for bit its single-row call; the samplers and
-    the pattern losses then call it once per step or mask pattern on the
-    distinct contexts and keep no copy of its rows.
+    (n, D, S), and has a pair form: with ``positions`` (P,), ``tokens``
+    (P, D) are the contexts of P (context, position) pairs and the answer is
+    their (P, S) rows, row j the posterior of context j at ``positions[j]``.
+    Every answer is bit for bit the matching row of the single-row call (see
+    :func:`pair_positions`). The samplers call the pair form once per step on
+    the pairs the step draws, and the pattern losses the rows form once per
+    mask pattern on its distinct contexts; neither keeps a copy.
     """
 
     D: int
@@ -111,12 +127,12 @@ class Denoiser:
     deterministic = True
     takes_rows = False
 
-    def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
+    def posterior_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         raise NotImplementedError
 
-    def logits_array(self, tokens: np.ndarray) -> np.ndarray:
+    def logits_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         with np.errstate(divide="ignore"):
-            return np.log(self.posterior_array(tokens))
+            return np.log(self.posterior_array(tokens, positions))
 
     def posterior(self, xt: MaskedSequence) -> PerPositionPosterior:
         return PerPositionPosterior(self.posterior_array(xt.tokens), xt).validate()
@@ -154,17 +170,20 @@ class ExactDenoiser(Denoiser):
     def supported(self, rows: np.ndarray) -> np.ndarray:
         return self.p.context_mass()[encode_rows(rows, self.S + 1)] > 0.0
 
-    def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
-        """Posterior of one token array (D,), shape (D, S), or of each row of
-        (n, D), shape (n, D, S). The first row whose context has no mass
-        raises UnsupportedContextError."""
+    def posterior_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        """Posterior of one token array (D,), shape (D, S), of each row of
+        (n, D), shape (n, D, S), or of the pairs (``tokens[j]``,
+        ``positions[j]``), shape (P, S). The first row whose context has no
+        mass raises UnsupportedContextError."""
         S = self.S
         mass = self.p.context_mass()
-        code = encode_rows(tokens, S + 1)[..., None, None]
+        rows, at, observed = pair_positions(tokens, positions)
+        code = encode_rows(rows, S + 1)
         total = mass[code]
         require_support(tokens, total > 0.0, S)
-        child = np.where((tokens == S)[..., None], code - self._drop, code)
-        out = fill_observed(mass[child] / total, tokens, S)
+        code, total = code[..., None], total[..., None]
+        child = np.where((observed == S)[..., None], code - self._drop[at], code)
+        out = fill_observed(mass[child] / total, observed, S)
         out.setflags(write=False)
         return out
 
@@ -204,19 +223,23 @@ class ParametricDenoiser(Denoiser):
             m.pair[d, d] = 0.0
         return m
 
-    def logits_array(self, tokens: np.ndarray) -> np.ndarray:
-        """Logits of one token array (D,), shape (D, S), or of each row of
-        (n, D), shape (n, D, S). The context sum adds over e in order, so a
-        row's logits do not depend on the batch it is in."""
-        idx = np.arange(self.D)
-        # [..., d, e, s] = pair[d, e, tokens[..., e], s]
-        ctx = self.pair[idx[:, None], idx, tokens[..., None, :], :]
-        return self.single + ctx.sum(axis=-2) - self.pair[idx, idx, tokens, :]
+    def logits_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        """Logits of one token array (D,), shape (D, S), of each row of
+        (n, D), shape (n, D, S), or of the pairs (``tokens[j]``,
+        ``positions[j]``), shape (P, S). The context sum adds over e in
+        order, so a pair's logits do not depend on the call it is in."""
+        rows, at, observed = pair_positions(tokens, positions)
+        # [..., e, s] = pair[at, e, rows[..., e], s]
+        ctx = self.pair[at[..., None], np.arange(self.D), rows, :]
+        return self.single[at] + ctx.sum(axis=-2) - self.pair[at, at, observed, :]
 
-    def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
-        """Posterior of one token array (D,), shape (D, S), or of each row of
-        (n, D), shape (n, D, S), each row bit for bit its single-row call."""
-        return fill_observed(softmax_rows(self.logits_array(tokens)), tokens, self.S)
+    def posterior_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        """Posterior of one token array (D,), shape (D, S), of each row of
+        (n, D), shape (n, D, S), or of the pairs (``tokens[j]``,
+        ``positions[j]``), shape (P, S), each row bit for bit its row of
+        the single-row call."""
+        observed = pair_positions(tokens, positions)[2]
+        return fill_observed(softmax_rows(self.logits_array(tokens, positions)), observed, self.S)
 
     def to_json(self) -> dict:
         return {
@@ -248,17 +271,18 @@ class ParametricDenoiser(Denoiser):
 @dataclass(frozen=True)
 class LogitModifier:
     """Sampling-time logit adjustments: softmax temperature and an additive
-    wild-type bias w at each position's wild-type token."""
+    wild-type bias w at each position's wild-type token. The temperature must
+    be positive and finite and w finite and nonnegative (NaN is neither)."""
 
     temperature: float = 1.0
     wildtype_weight: float = 0.0
     wildtype_sequence: Optional[TokenSequence] = None
 
     def __post_init__(self):
-        if self.temperature <= 0:
-            raise ValueError("temperature must be positive")
-        if self.wildtype_weight < 0:
-            raise ValueError("wild-type weight must be >= 0")
+        if not 0 < self.temperature < math.inf:
+            raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
+        if not 0 <= self.wildtype_weight < math.inf:
+            raise ValueError(f"wild-type weight must be finite and >= 0, got {self.wildtype_weight}")
         if self.wildtype_weight > 0 and self.wildtype_sequence is None:
             raise ValueError("wild-type weight requires a wild-type sequence")
 
@@ -267,16 +291,19 @@ class LogitModifier:
         return self.temperature == 1.0 and self.wildtype_weight == 0.0
 
 
-def apply_modifiers(logits: np.ndarray, mod: LogitModifier) -> np.ndarray:
-    """Add w at each (d, wild-type token), then divide all logits by the
-    temperature, for logits (D, S) or rows of them (n, D, S). Identity
+def apply_modifiers(logits: np.ndarray, mod: LogitModifier, positions=None) -> np.ndarray:
+    """Add w at each row's wild-type token, then divide all logits by the
+    temperature. ``logits`` (..., S) holds the rows of ``positions`` (...);
+    without them, logits (D, S) or (n, D, S) hold positions 0..D-1. Identity
     settings return the input values bit-identically."""
     out = np.array(logits, dtype=float)
     if mod.is_identity:
         return out
     if mod.wildtype_weight > 0:
         wt = mod.wildtype_sequence.tokens
-        out[..., np.arange(out.shape[-2]), wt] += mod.wildtype_weight
+        if positions is not None:
+            wt = wt[positions]
+        out = np.where(wt[..., None] == np.arange(out.shape[-1]), out + mod.wildtype_weight, out)
     if mod.temperature != 1.0:
         out = out / mod.temperature
     return out
@@ -284,20 +311,27 @@ def apply_modifiers(logits: np.ndarray, mod: LogitModifier) -> np.ndarray:
 
 class ModifiedDenoiser(Denoiser):
     """Denoiser with a LogitModifier applied before normalization; unmasked
-    positions keep their observed one-hot rows. It takes rows when its base
-    does."""
+    positions keep their observed one-hot rows. It takes rows, and pairs,
+    when its base does. A wild-type sequence must have the base's length."""
 
     def __init__(self, base: Denoiser, modifier: LogitModifier):
+        wildtype = modifier.wildtype_sequence
+        if wildtype is not None and (wildtype.D, wildtype.alphabet.size) != (base.D, base.S):
+            raise ValueError(
+                f"wild-type sequence of length {wildtype.D} over {wildtype.alphabet.size} "
+                f"symbols does not fit a model with D={base.D}, S={base.S}"
+            )
         self.base, self.modifier = base, modifier
         self.D, self.S = base.D, base.S
         self.deterministic = base.deterministic
         self.takes_rows = base.takes_rows
 
-    def logits_array(self, tokens: np.ndarray) -> np.ndarray:
-        return apply_modifiers(self.base.logits_array(tokens), self.modifier)
+    def logits_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        return apply_modifiers(self.base.logits_array(tokens, positions), self.modifier, positions)
 
-    def posterior_array(self, tokens: np.ndarray) -> np.ndarray:
-        return fill_observed(softmax_rows(self.logits_array(tokens)), tokens, self.S)
+    def posterior_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        observed = pair_positions(tokens, positions)[2]
+        return fill_observed(softmax_rows(self.logits_array(tokens, positions)), observed, self.S)
 
 
 # ---------------------------------------------------------------------------

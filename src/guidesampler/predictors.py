@@ -39,7 +39,7 @@ from .core import (
     require_support,
     sequence_table,
 )
-from .denoising import Denoiser
+from .denoising import Denoiser, pair_positions
 from .errors import CapabilityError
 
 #: Likelihoods are clamped below by this before forming guidance ratios.
@@ -108,9 +108,12 @@ class TimePredictor:
     A predictor that ``takes_rows`` answers rows (n, D) as well as one token
     array (D,), each row bit for bit its single-row call: its
     ``likelihood_array`` returns (n,) and, if it has a gradient surface, its
-    ``gradient_surface_array`` returns (n, D, S+1). The samplers then score
-    a step's distinct children, or take its distinct contexts' surfaces, in
-    one call.
+    ``gradient_surface_array`` returns (n, D, S+1). The gradient surface
+    also has a pair form: with ``positions`` (P,), ``tokens`` (P, D) are the
+    contexts of P (context, position) pairs and the answer is their (P, S+1)
+    rows, row j the surface of context j at ``positions[j]``. The samplers
+    score a step's distinct children in one likelihood call, and take the
+    surface rows of the pairs a step draws in one gradient call.
     """
 
     deterministic = True
@@ -210,6 +213,12 @@ class PomPredictor(TimePredictor):
 # ---------------------------------------------------------------------------
 
 
+#: most (pair, row) entries of one chunk of ``score_array``'s pair terms,
+#: 56 KiB per int64 or float64 temporary: with the (D, n) token copy, the
+#: 1,280 children of a step at D=12 stay below 256 KiB
+_SCORE_CHUNK_CELLS = 7 * 1024
+
+
 @functools.lru_cache(maxsize=None)
 def _upper_pairs(D: int):
     """The position pairs (d, e) with d < e, in row-major order."""
@@ -238,22 +247,36 @@ class PairwiseInteractionPredictor(TimePredictor):
     # -- scoring ------------------------------------------------------------
 
     def score_array(self, tokens: np.ndarray):
-        """Score of one token array (D,), or of each row of (n, D). The pair
-        terms of every (d, e), d < e, are gathered at once, by their flat
-        index into ``pair``, and added to ``bias + single-site sum`` with one
-        vector add per pair in row-major order, so a row's score does not
-        depend on the batch it is scored in."""
+        """Score of one token array (D,), or of each row of (n, D). Each row
+        adds the pair terms of every (d, e), d < e, to ``bias + single-site
+        sum`` one by one in row-major order, with one vector add per pair
+        over all rows, so a row's score does not depend on the batch it is
+        scored in. The terms are gathered by their flat index into ``pair``
+        a chunk of pairs at a time, the chunk sized so that its (pairs, rows)
+        temporaries hold at most ``_SCORE_CHUNK_CELLS`` entries: arrays of
+        (all pairs, all rows) grow with the batch, and at a few hundred KiB
+        each call can map and fault them in again."""
         first, second = _upper_pairs(self.D)
         V = self.S + 1
-        score = self.bias + self.single[np.arange(self.D), tokens].sum(axis=-1)
-        by_position = np.ascontiguousarray(tokens.T)
-        cells = (by_position * V)[first]
-        cells += by_position[second]
-        cells += ((first * self.D + second) * (V * V)).reshape((-1,) + (1,) * (tokens.ndim - 1))
-        terms = np.take(self.pair, cells)  # terms[j] is pair j's term of each row
-        for term in terms:
+        rows = np.reshape(tokens, (-1, self.D))
+        # single[d, rows[:, d]] by flat index, then each row's own sum
+        score = self.bias + np.take(self.single, rows + np.arange(0, self.D * V, V)).sum(axis=-1)
+        columns = np.ascontiguousarray(rows.T)
+        chunk = max(1, _SCORE_CHUNK_CELLS // max(1, rows.shape[0]))
+        for lo in range(0, first.size, chunk):
+            self._add_pair_terms(score, columns, first[lo:lo + chunk], second[lo:lo + chunk])
+        return score if tokens.ndim > 1 else score[0]
+
+    def _add_pair_terms(self, score, columns, first, second) -> None:
+        """Add to ``score`` the terms of the pairs (first[j], second[j]), in
+        order, at the token columns (D, n) of the rows. A helper, so that a
+        chunk's temporaries are freed before the next chunk's are made."""
+        V = self.S + 1
+        cells = columns[first] * V
+        cells += columns[second]
+        cells += ((first * self.D + second) * (V * V))[:, None]
+        for term in np.take(self.pair, cells):
             score += term
-        return score
 
     def score_relaxed(self, X: np.ndarray) -> float:
         """Score at a relaxed (real-valued) one-hot encoding X of shape (D, S+1)."""
@@ -293,33 +316,37 @@ class PairwiseInteractionPredictor(TimePredictor):
     def has_gradient_surface(self) -> bool:
         return True
 
-    def _affine_part(self, tokens: np.ndarray) -> np.ndarray:
+    def _affine_part(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         """d score / d x_{d,c} at the one-hot of tokens (D,), shape (D, S+1),
-        or of each row of (n, D), shape (n, D, S+1)."""
-        # terms[..., e, d] = pair[d, e, :, x_e] for d < e and pair[e, d, x_e, :]
-        # for e < d; summing them over e in order keeps the rounding of the
-        # position-by-position accumulation
-        e = np.arange(self.D)
-        upper = self.pair[:, e, :, tokens]
-        lower = self.pair[e, :, tokens, :]
-        terms = np.where((e[None, :] < e[:, None])[:, :, None], upper, lower)
-        terms[..., e, e, :] = 0.0
-        head = np.broadcast_to(self.single, terms.shape[:-3] + (1,) + self.single.shape)
-        return np.concatenate([head, terms], axis=-3).cumsum(axis=-3)[..., -1, :, :]
+        of each row of (n, D), shape (n, D, S+1), or of the pairs
+        (``tokens[j]``, ``positions[j]``), shape (P, S+1)."""
+        rows, at, _ = pair_positions(tokens, positions)
+        # terms[..., e, :] = pair[d, e, :, x_e] for d < e and pair[e, d, x_e, :]
+        # for e < d, d the pair's position; summing them over e in order
+        # keeps the rounding of the position-by-position accumulation
+        d, e = at[..., None], np.arange(self.D)
+        terms = np.where((d < e)[..., None], self.pair[d, e, :, rows], self.pair[e, d, rows, :])
+        terms[np.broadcast_to(d == e, terms.shape[:-1])] = 0.0
+        head = self.single[at][..., None, :]
+        return np.concatenate([np.broadcast_to(head, terms.shape[:-2] + head.shape[-2:]), terms],
+                              axis=-2).cumsum(axis=-2)[..., -1, :]
 
-    def gradient_surface_array(self, tokens: np.ndarray) -> np.ndarray:
+    def gradient_surface_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         """d log p(y|x) / d x_{d,c} at the one-hot encoding of one token
-        array (D,), shape (D, S+1), or of each row of (n, D), shape
-        (n, D, S+1). The logistic factor takes ``math.exp`` of each row's
-        score, as the single-row call does: ``np.exp`` differs from it in
-        the last bit on some scores."""
-        A = self._affine_part(tokens)
+        array (D,), shape (D, S+1), of each row of (n, D), shape (n, D, S+1),
+        or of the pairs (``tokens[j]``, ``positions[j]``), shape (P, S+1).
+        The logistic factor takes ``math.exp`` of each row's score, as the
+        single-row call does: ``np.exp`` differs from it in the last bit on
+        some scores."""
+        A = self._affine_part(tokens, positions)
         score = self.score_array(tokens)
+        # one factor per context row, spread over its answer's trailing axes
+        spread = np.shape(score) + (1,) * (A.ndim - np.ndim(score))
         if self.link == "logistic":
-            ex = np.reshape([math.exp(-s) for s in np.ravel(score).tolist()], np.shape(score))
-            return (1.0 - 1.0 / (1.0 + ex))[..., None, None] * A
+            ex = np.reshape([math.exp(-s) for s in np.ravel(score).tolist()], spread)
+            return (1.0 - 1.0 / (1.0 + ex)) * A
         # log p = score while score < 0; the cap at 0 freezes the likelihood
-        return np.where((score < 0)[..., None, None], A, 0.0)
+        return np.where(np.reshape(score < 0, spread), A, 0.0)
 
     # -- serialization --------------------------------------------------------
 

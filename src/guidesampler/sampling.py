@@ -37,19 +37,23 @@ and positions into its distinct (context code, position) pairs, in ascending
 pairs over the real symbols as one (P, S) matrix, and
 :meth:`_ContextCache.step_tables` turns it into row totals and CDF rows. The
 any-order route draws from the CDF rows; the Euler route scales the totals by
-kappa_dot/(1-kappa) and forms rows only for pairs its memo lacks;
+kappa_dot/(1-kappa), keeps each still-masked pair's total and CDF row across
+steps, looks up again only the pairs of chains that jumped (all of them when
+the switch point flips) and forms rows only for pairs its memo lacks;
 :func:`guide_rates` returns the weights of one context's masked positions,
 scaled the same way, as a (D, S) rate matrix. The kernel reads one
 pure-function context cache, shared by the chains of a call when every
 component is deterministic (otherwise each chain runs the core alone on its
 own substream and cache). A model that takes rows (the exact and parametric
 denoisers and the exact-marginal and pairwise predictors) answers a step in
-one call: one posterior call on the step's distinct contexts, and one
-likelihood call on their distinct children or one gradient-surface call on
-the contexts. Other models are memoized per context and called pair by pair
-in the order given, so a stochastic predictor draws as it would with one
-call per pair; ``exact`` and ``deg`` then make one likelihood call per
-child. A child with zero posterior weight gets guided weight 0.
+one call: one pair-form posterior call that forms the rows of the step's
+(context, position) pairs and no other position's, and one likelihood call
+on the distinct children of their contexts or one pair-form
+gradient-surface call on the pairs. Other models are memoized per context
+and called pair by pair in the order given, so a stochastic predictor draws
+as it would with one call per pair; ``exact`` and ``deg`` then make one
+likelihood call per child. A child with zero posterior weight gets guided
+weight 0.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -110,8 +114,8 @@ class GuidanceConfig:
     def __post_init__(self):
         if self.mode not in GUIDANCE_MODES:
             raise ValueError(f"unknown guidance mode {self.mode!r}")
-        if self.gamma < 0:
-            raise ValueError("guidance strength gamma must be >= 0")
+        if not 0 <= self.gamma < math.inf:  # NaN fails too
+            raise ValueError(f"guidance strength gamma must be finite and >= 0, got {self.gamma}")
         if not 0.0 <= self.t0 <= 1.0:
             raise ValueError("switch time t0 must lie in [0, 1]")
         if self.mode in ("exact", "tag", "deg") and self.predictor is None:
@@ -303,9 +307,9 @@ class _ContextCache(CodeCache):
     context code, and the guidance kernel that reads them.
 
     A model that takes rows is not memoized: the kernel answers a step's
-    distinct contexts, or their children, in one call to it. Its evaluations
-    still count the distinct contexts first seen in a call, against a sorted
-    record of the codes seen so far.
+    (context, position) pairs, or the distinct children of its contexts, in
+    one call to it. Its evaluations still count the distinct contexts first
+    seen in a call, against a sorted record of the codes seen so far.
     """
 
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
@@ -352,15 +356,15 @@ class _ContextCache(CodeCache):
     def _context_rows(self, model, method: str, record: str, memo, contexts, positions: np.ndarray):
         """(rows, new): row j is the answer of ``model``'s ``method`` at
         ``positions[j]`` of context ``distinct[inv[j]]``, where ``contexts``
-        is (distinct, inv). A model that takes rows answers the distinct
-        contexts in one call, and ``new`` counts those first seen under the
-        named record, for the caller to add to its counter. Any other is read
-        through ``memo``, the cache's per-context accessor for that model,
-        which counts its own evaluations; ``new`` is then 0."""
+        is (distinct, inv). A model that takes rows answers the pairs in one
+        call of its pair form, and ``new`` counts the distinct contexts first
+        seen under the named record, for the caller to add to its counter.
+        Any other is read through ``memo``, the cache's per-context accessor
+        for that model, which counts its own evaluations; ``new`` is then 0."""
         distinct, inv = contexts
         if getattr(model, "takes_rows", False):
             new = self._first_seen(record, distinct)
-            return getattr(model, method)(self.decode(distinct))[inv, positions], new
+            return getattr(model, method)(self.decode(distinct)[inv], positions), new
         pairs = zip(distinct[inv].tolist(), positions.tolist())
         return np.stack([memo(code)[d] for code, d in pairs]), 0
 
@@ -463,9 +467,9 @@ class _ContextCache(CodeCache):
         return totals, np.cumsum(weights, axis=1) / totals[:, None]
 
 
-def _draw(cdfs: np.ndarray, inv: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: the symbol of uniform u[k] under row cdfs[inv[k]]."""
-    return (cdfs[inv] < u[:, None]).sum(axis=1).clip(max=cdfs.shape[1] - 1)
+def _draw(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draws: the symbol of uniform u[k] under row cdfs[k]."""
+    return (cdfs < u[:, None]).sum(axis=1).clip(max=cdfs.shape[1] - 1)
 
 
 def _run(route: str, core, denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng, paths: bool):
@@ -520,7 +524,7 @@ def _aoarm_core(cache: _ContextCache, n: int, gen):
         # recur across steps and the CDF rows are not worth keeping
         ctx, pos, inv = cache.pairs(rows, d_vec)
         _, cdfs = cache.step_tables(ctx, pos, active, i)
-        rows[chains, d_vec] = _draw(cdfs, inv, gen.random(n))
+        rows[chains, d_vec] = _draw(cdfs[inv], gen.random(n))
         cache.diag.n_steps += n
     return rows, order, times
 
@@ -583,7 +587,7 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
     memo: dict = {}
 
     def pair_tables(chains, positions, active, step):
-        """(jump weight sums, cdf matrix, indices into it) for the given pairs."""
+        """(jump weight sums, CDF rows) of the pairs (chains[k], positions[k])."""
         ctx, pos, inv = cache.pairs(rows[chains], positions)
         keys = [(code, d, active) for code, d in zip(ctx.tolist(), pos.tolist())]
         fresh = [j for j, key in enumerate(keys) if key not in memo]
@@ -591,8 +595,7 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
             sums, cdfs = cache.step_tables(ctx[fresh], pos[fresh], active, step)
             memo.update(zip([keys[j] for j in fresh], zip(sums.tolist(), cdfs)))
         got = [memo[key] for key in keys]
-        sums = np.array([total for total, _ in got])
-        return sums[inv], np.array([cdf for _, cdf in got]), inv
+        return np.array([total for total, _ in got])[inv], np.array([cdf for _, cdf in got])[inv]
 
     def undo_unsupported(chains, positions):
         """Of jumps just drawn at pairs (chains[k], positions[k]), in
@@ -609,6 +612,14 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
                 times[chains[undo], positions[undo]] = 1.0
         return undo
 
+    # guided: each still-masked pair's jump weight sum and CDF row, kept
+    # across steps. Only the pairs of chains that jumped (every pair when
+    # the switch point flips) are looked up again; the other pairs' keys are
+    # in the memo, so the kernel gets the fresh pairs, in the same order, that
+    # a lookup of every pair would give it
+    sums, cdfs = np.empty(chain_idx.size), np.empty((chain_idx.size, S))
+    moved = np.ones(n, dtype=bool)
+    was_active = None
     for k in range(n_int):
         if chain_idx.size == 0:
             break
@@ -619,24 +630,28 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
         if unguided:
             outflow = np.full(chain_idx.size, coef_dt)
         else:
-            sums, cdfs, inv = pair_tables(chain_idx, pos_idx, active, k)
+            if active != was_active:
+                moved[:], was_active = True, active
+            stale = moved[chain_idx]
+            if stale.any():
+                sums[stale], cdfs[stale] = pair_tables(chain_idx[stale], pos_idx[stale], active, k)
             outflow = coef_dt * sums
         diag.overflow_renormalizations += int((outflow > 1.0).sum())
         np.clip(outflow, None, 1.0, out=outflow)
         jump = gen.random(chain_idx.size) < outflow
+        moved[:] = False
         if jump.any():
             jc, jp = chain_idx[jump], pos_idx[jump]
-            if unguided:
-                _, cdfs, inv_j = pair_tables(jc, jp, active, k)
-            else:
-                inv_j = inv[jump]
-            rows[jc, jp] = _draw(cdfs, inv_j, gen.random(jc.size))
+            jump_cdfs = pair_tables(jc, jp, active, k)[1] if unguided else cdfs[jump]
+            rows[jc, jp] = _draw(jump_cdfs, gen.random(jc.size))
             times[jc, jp] = t + dt
+            moved[jc] = True
             jump[np.flatnonzero(jump)[undo_unsupported(jc, jp)]] = False
-            chain_idx, pos_idx = chain_idx[~jump], pos_idx[~jump]
+            keep = ~jump
+            chain_idx, pos_idx, sums, cdfs = chain_idx[keep], pos_idx[keep], sums[keep], cdfs[keep]
     while chain_idx.size:
-        _, cdfs, inv = pair_tables(chain_idx, pos_idx, (1.0 - dt) >= cfg.t0, n_int)
-        rows[chain_idx, pos_idx] = _draw(cdfs, inv, gen.random(chain_idx.size))
+        _, cdfs = pair_tables(chain_idx, pos_idx, (1.0 - dt) >= cfg.t0, n_int)
+        rows[chain_idx, pos_idx] = _draw(cdfs, gen.random(chain_idx.size))
         undo = undo_unsupported(chain_idx, pos_idx)
         chain_idx, pos_idx = chain_idx[undo], pos_idx[undo]
     order = np.argsort(times, axis=1, kind="stable")

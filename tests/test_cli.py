@@ -53,24 +53,32 @@ class TestSampleCommand:
         assert cfg["command"] == "sample" and cfg["seed"] == 1
 
     def test_chains_share_one_context_cache(self, tmp_path, model_file, monkeypatch):
-        # every context is evaluated once, however many chains reach it
+        # every (context, position) pair is evaluated once, however many
+        # chains reach it, and denoiser_evals counts the distinct contexts
         from guidesampler.denoising import ExactDenoiser
 
         seen = []
         posterior = ExactDenoiser.posterior_array
 
-        def spy(self, tokens):
-            # one record per context row, whether called on one row or many
-            seen.extend(row.tobytes() for row in np.reshape(tokens, (-1, tokens.shape[-1])))
-            return posterior(self, tokens)
+        def spy(self, tokens, positions=None):
+            # one record per pair; a call without positions answers every
+            # position of every row
+            rows = np.reshape(tokens, (-1, tokens.shape[-1]))
+            at = positions
+            if at is None:
+                D = rows.shape[1]
+                rows, at = np.repeat(rows, D, axis=0), np.tile(np.arange(D), len(rows))
+            seen.extend(zip((row.tobytes() for row in rows), at.tolist()))
+            return posterior(self, tokens, positions)
 
         monkeypatch.setattr(ExactDenoiser, "posterior_array", spy)
         out = tmp_path / "run"
         assert main(["sample", "--model", str(model_file), "--n", "20", "--seed", "2",
                      "--out", str(out)]) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["denoiser_evals"] == len(seen) == len(set(seen))
-        assert len(seen) < 20 * 3
+        assert len(seen) == len(set(seen))
+        assert diag["denoiser_evals"] == len({row for row, _ in seen})
+        assert diag["step_weight_requests"] == len(seen) < 20 * 3
 
     def test_guided_sampling_with_predictor(self, tmp_path, model_file, predictor_file):
         out = tmp_path / "guided"
@@ -249,6 +257,65 @@ class TestSampleCommand:
         cfg.write_text(json.dumps({"command": "verify"}))
         assert main(["sample", "--config", str(cfg), "--model", str(model_file),
                      "--out", str(tmp_path / "o")]) == 2
+
+
+class TestSampleConfigMistakes:
+    """Each of these is a config mistake and exits 2, without samples.
+    Unchecked, temperature 0 and NaN exited 3 and inf sampled a uniform law;
+    a bad wild type exited 3 with a traceback; gamma NaN exited 3 under
+    guidance and 0 without it; seeds -1 and -2 drew the same samples."""
+
+    @staticmethod
+    def run(tmp_path, model_file, *flags):
+        out = tmp_path / "o"
+        rc = main(["sample", "--model", str(model_file), "--n", "2", "--seed", "1",
+                   "--out", str(out), *flags])
+        assert not (out / "samples.txt").exists()
+        return rc
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_temperature_not_positive_and_finite(self, tmp_path, model_file, value):
+        assert self.run(tmp_path, model_file, "--temperature", value) == 2
+
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_wildtype_weight_not_finite_and_nonnegative(self, tmp_path, model_file, value):
+        assert self.run(tmp_path, model_file, "--wildtype-weight", value, "--wildtype", "AAA") == 2
+
+    @pytest.mark.parametrize("wildtype", ["AAZ", "AA", "AAAA"])
+    def test_wildtype_outside_alphabet_or_wrong_length(self, tmp_path, model_file, capsys, wildtype):
+        assert self.run(tmp_path, model_file, "--wildtype-weight", "1.0", "--wildtype", wildtype) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("mode", ["none", "deg"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_gamma_not_finite_and_nonnegative(self, tmp_path, model_file, predictor_file,
+                                              mode, value):
+        assert self.run(tmp_path, model_file, "--predictor", str(predictor_file),
+                        "--mode", mode, "--gamma", value) == 2
+
+    @pytest.mark.parametrize("seed", ["-1", "-2", str(2**53), str(2**64)])
+    def test_seed_flag_outside_range(self, tmp_path, model_file, seed):
+        assert main(["sample", "--model", str(model_file), "--n", "2", "--seed", seed,
+                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_env_seed_outside_range(self, tmp_path, model_file, monkeypatch):
+        monkeypatch.setenv("GUIDESAMPLER_SEED", str(2**53 + 1))
+        assert self.run(tmp_path, model_file) == 2
+
+    @pytest.mark.parametrize("seed", [-1, 2**53, "x", None])
+    def test_config_seed_outside_range(self, tmp_path, model_file, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed}))
+        assert main(["sample", "--config", str(cfg), "--model", str(model_file),
+                     "--out", str(tmp_path / "o")]) == 2
+
+    def test_largest_seed_samples(self, tmp_path, model_file):
+        assert main(["sample", "--model", str(model_file), "--n", "2",
+                     "--seed", str(2**53 - 1), "--out", str(tmp_path / "o")]) == 0
+
+    def test_campaign_and_verify_refuse_the_seed_too(self, tmp_path):
+        assert main(["campaign", "--seed", "-1", "--out", str(tmp_path / "c")]) == 2
+        assert main(["verify", "--seed", str(2**53), "--out", str(tmp_path / "v")]) == 2
 
 
 class TestVerifyCommand:

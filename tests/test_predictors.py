@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,13 @@ from guidesampler.core import (
     sequence_from_str,
     sequence_table,
 )
-from guidesampler.denoising import ExactDenoiser, ParametricDenoiser, softmax_rows
+from guidesampler.denoising import (
+    ExactDenoiser,
+    LogitModifier,
+    ModifiedDenoiser,
+    ParametricDenoiser,
+    softmax_rows,
+)
 from guidesampler.errors import CapabilityError, SizeCapError, UnsupportedContextError
 from guidesampler.predictors import (
     LIKELIHOOD_FLOOR,
@@ -550,14 +557,121 @@ class TestParametricRowForm:
         for cls, name in ((ParametricDenoiser, "posterior_array"),
                           (PairwiseInteractionPredictor, "likelihood_array"),
                           (PairwiseInteractionPredictor, "gradient_surface_array")):
-            def spy(model, tokens, _original=cls.__dict__[name], _name=name):
+            def spy(model, tokens, *positions, _original=cls.__dict__[name], _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
-                return _original(model, tokens)
+                # the kernel passes positions to the two context models
+                assert bool(positions) == (_name != "likelihood_array")
+                return _original(model, tokens, *positions)
             monkeypatch.setattr(cls, name, spy)
         cfg = GuidanceConfig(mode=mode, gamma=1.0, predictor=pred)
         _, diag = aoarm_sample_many(den, cfg, 50, RandomSource(62))
         assert calls == {"posterior_array": D, scorer: D}
         assert diag.denoiser_evals > D and diag.predictor_evals > D
+
+
+class TestPairForm:
+    """The pair form of every row model: with positions (P,) and context rows
+    (P, D), ``posterior_array`` and ``gradient_surface_array`` return the
+    (P, S) or (P, S+1) rows of those (context, position) pairs, bit for bit
+    the rows of the full form at those positions, one-hot at observed
+    positions, and fail as the full form does."""
+
+    SIZES = [(3, 2), (8, 4), (12, 20)]
+    #: sizes whose (S+1)**D context table an ExactDenoiser can hold
+    EXACT_SIZES = [(3, 2), (8, 4)]
+
+    @staticmethod
+    def pairs(D, S, seed, n=300):
+        """n random pairs: the first context fully masked, the second
+        clean, the rest mixed, so pairs land on masked and observed
+        positions alike."""
+        rows = TestParametricRowForm.rows(D, S, seed, n)
+        return rows, RandomSource(seed + 1).generator().integers(0, D, size=n)
+
+    @staticmethod
+    def check(answer, rows, positions):
+        """The pair rows of ``answer``, checked against its full form."""
+        got = answer(rows, positions)
+        full = answer(rows)
+        assert got.shape == (rows.shape[0], full.shape[-1])
+        assert np.array_equal(got, full[np.arange(rows.shape[0]), positions])
+        return got
+
+    @staticmethod
+    def check_observed_one_hot(post, rows, positions, S):
+        observed = rows[np.arange(rows.shape[0]), positions]
+        seen = observed != S
+        assert seen.any() and not seen.all()
+        assert np.array_equal(post[seen], np.eye(S)[observed[seen]])
+
+    @staticmethod
+    def parametric(D, S):
+        gen = RandomSource(D * S + 7).generator()
+        # self-couplings too, so the subtraction of pair[d, d] is exercised
+        return ParametricDenoiser(D, S, gen.normal(0, 1.0, (D, S)),
+                                  gen.normal(0, 1.0, (D, D, S + 1, S)))
+
+    @staticmethod
+    def modifier(D, S):
+        wildtype = TokenSequence(RandomSource(D + S).generator().integers(0, S, size=D), Alphabet(S))
+        return LogitModifier(temperature=0.7, wildtype_weight=1.5, wildtype_sequence=wildtype)
+
+    @pytest.mark.parametrize("D,S", SIZES)
+    def test_parametric_posterior(self, D, S):
+        rows, positions = self.pairs(D, S, D * S)
+        post = self.check(self.parametric(D, S).posterior_array, rows, positions)
+        self.check_observed_one_hot(post, rows, positions, S)
+
+    @pytest.mark.parametrize("D,S", SIZES)
+    def test_modified_parametric_posterior(self, D, S):
+        den = ModifiedDenoiser(self.parametric(D, S), self.modifier(D, S))
+        rows, positions = self.pairs(D, S, D * S + 1)
+        post = self.check(den.posterior_array, rows, positions)
+        self.check_observed_one_hot(post, rows, positions, S)
+
+    @pytest.mark.parametrize("D,S", EXACT_SIZES)
+    def test_exact_posterior(self, D, S):
+        p = TestExactChildLikelihoods.model(D, S, seed=D + S).p
+        rows, positions = self.pairs(D, S, D * S + 2)
+        for den in (ExactDenoiser(p), ModifiedDenoiser(ExactDenoiser(p), self.modifier(D, S))):
+            post = self.check(den.posterior_array, rows, positions)
+            self.check_observed_one_hot(post, rows, positions, S)
+
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    @pytest.mark.parametrize("D,S", SIZES)
+    def test_gradient_surface(self, link, D, S):
+        m = full_random_model(D, S, link, seed=D * 100 + S + 9)
+        rows, positions = self.pairs(D, S, D * S + 3)
+        self.check(m.gradient_surface_array, rows, positions)
+
+    def test_unsupported_context_raises_the_full_form_error(self):
+        # no mass where x0 = 1 and x1 = 1; row 1 is the first without mass
+        table = sequence_table(3, 2)
+        p = TestExactChildLikelihoods.model(
+            3, 2, seed=4, weights=np.where((table[:, 0] == 1) & (table[:, 1] == 1), 0.0, 1.0)).p
+        rows = np.array([[2, 1, 2], [1, 1, 2], [2, 2, 2], [1, 1, 0]])
+        positions = np.array([0, 2, 1, 2])
+        for den in (ExactDenoiser(p), ModifiedDenoiser(ExactDenoiser(p), LogitModifier(0.5))):
+            with pytest.raises(UnsupportedContextError) as full:
+                den.posterior_array(rows)
+            with pytest.raises(UnsupportedContextError) as got:
+                den.posterior_array(rows, positions)
+            assert str(got.value) == str(full.value)
+            assert got.value.positions == full.value.positions == (0, 1)
+
+    def test_likelihood_rows_keep_small_temporaries(self):
+        # a step's children at D=12, S=20, 64 chains; gathering the pair
+        # terms of all 66 pairs at once took two (66, 1280) arrays, 1.4 MiB
+        m = full_random_model(12, 20, "logistic", seed=77)
+        rows = TestParametricRowForm.rows(12, 20, 78, n=1280)
+        m.likelihood_array(rows)
+        tracemalloc.start()
+        try:
+            m.likelihood_array(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024
 
 
 class TestTrainNoisyClassifier:

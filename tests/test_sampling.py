@@ -833,16 +833,23 @@ class TestModelsHoldNoMemo:
 
 
 class ContextSpy(ParametricDenoiser):
-    """Parametric denoiser that records every context it is evaluated on,
-    each row of a rows call as its own context."""
+    """Parametric denoiser that records the context of every (context,
+    position) pair it is evaluated on, and the pair; a call without
+    positions evaluates every position of each row."""
 
     def __init__(self, D, S):
         super().__init__(D, S)
         self.contexts = []
+        self.pairs = []
 
-    def posterior_array(self, tokens):
-        self.contexts.extend(np.array(np.atleast_2d(tokens)))
-        return super().posterior_array(tokens)
+    def posterior_array(self, tokens, positions=None):
+        rows = np.array(np.atleast_2d(tokens))
+        at = positions
+        if at is None:
+            rows, at = np.repeat(rows, self.D, axis=0), np.tile(np.arange(self.D), len(rows))
+        self.contexts.extend(rows)
+        self.pairs.extend(zip((row.tobytes() for row in rows), at.tolist()))
+        return super().posterior_array(tokens, positions)
 
 
 class TestContextCodeOverflow:
@@ -875,9 +882,12 @@ class TestContextCodeOverflow:
         )
         for run in drivers:
             den = ContextSpy(14, 20)
-            rows, _ = run(den)
+            rows, diag = run(den)
             assert rows.shape == (4, 14) and (rows < 20).all()
             assert den.contexts and all((c == 20).any() for c in den.contexts)
+            # each (context, position) pair once; denoiser_evals counts contexts
+            assert len(den.pairs) == len(set(den.pairs))
+            assert diag.denoiser_evals == len({row for row, _ in den.pairs})
             with pytest.raises(SizeCapError):
                 run(ContextSpy(15, 20))
         den = ContextSpy(14, 20)
