@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
@@ -24,6 +25,7 @@ from .core import (
     RandomSource,
     TabularDistribution,
     TokenSequence,
+    _check_state_count,
     encode_rows,
     sequence_table,
 )
@@ -48,15 +50,28 @@ _TARGET_KEYS = {"kind", "q", "value", "bounds"}
 
 
 def _planted_table(D: int, S: int, h: np.ndarray, J: np.ndarray) -> np.ndarray:
-    """Single-site + pairwise planted function over all S**D sequences."""
-    rows = sequence_table(D, S)
-    out = np.zeros(rows.shape[0])
+    """Single-site + pairwise planted function over all S**D sequences, in
+    ``sequence_table`` order. The table is built as a (S,)*D grid: that
+    order is little-endian, so position d is grid axis D-1-d. Each h[d] and
+    each J[d, e] is added over the grid by broadcasting, in the order
+    h[0..D-1], then J[d, e] for d < e row by row, so every entry is the same
+    sum, bit for bit, as adding the terms of its row one by one."""
+    _check_state_count(D, S)
+    out = np.zeros((S,) * D)
+
+    def grid_shape(*positions):
+        shape = [1] * D
+        for d in positions:
+            shape[D - 1 - d] = S
+        return shape
+
     for d in range(D):
-        out += h[d, rows[:, d]]
+        out += h[d].reshape(grid_shape(d))
     for d in range(D):
         for e in range(d + 1, D):
-            out += J[d, e, rows[:, d], rows[:, e]]
-    return out
+            # axis D-1-e comes before axis D-1-d, so the table is J[d, e].T
+            out += J[d, e].T.reshape(grid_shape(d, e))
+    return out.reshape(-1)
 
 
 @dataclass
@@ -411,6 +426,40 @@ def resolve_campaign_config(config: Optional[dict]) -> dict:
     return cfg
 
 
+#: The campaign's count keys and the least value each may take.
+_CAMPAIGN_COUNTS = {
+    "n_labeled": 1,
+    "k": 1,
+    "n_filter_total": 1,
+    "classifier_epochs": 0,
+    "refit_train_steps": 0,
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def check_campaign_config(cfg: dict) -> None:
+    """Raise a ValueError naming the first mistake in a resolved campaign
+    config: a count key that is not an integer at or above its least value,
+    ``k`` above ``n_filter_total``, or ``seeds`` that is not a non-empty
+    list of integers. run_campaign and the command line call it before any
+    work; resolve_campaign_config does not, so a campaign seed's set-up
+    stays the merge alone."""
+    for key, least in _CAMPAIGN_COUNTS.items():
+        value = cfg[key]
+        if not _is_int(value) or value < least:
+            raise ValueError(f"campaign {key} must be an integer >= {least}, got {value!r}")
+    if cfg["k"] > cfg["n_filter_total"]:
+        raise ValueError(
+            f"campaign k ({cfg['k']}) must not exceed n_filter_total ({cfg['n_filter_total']})"
+        )
+    seeds = cfg["seeds"]
+    if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
+        raise ValueError(f"campaign seeds must be a non-empty list of integers, got {seeds!r}")
+
+
 def _anchor_pareto_rectangle(landscape: Landscape, labeled_fvals: np.ndarray,
                              mass_cap: Optional[float]) -> Landscape:
     """Rebuild the landscape with a target rectangle (axis 0 high, axis 1 low)
@@ -563,6 +612,7 @@ def run_campaign(config: Optional[dict], master: RandomSource):
     """All arms over all seeds; returns (results, summary), the results
     ordered by (arm, seed)."""
     cfg = resolve_campaign_config(config)
+    check_campaign_config(cfg)
     results = [r for s in cfg["seeds"] for r in run_campaign_seed(cfg, master, s)]
     results.sort(key=lambda r: (r.arm, r.seed))
     return results, summarize_campaign(cfg, results)

@@ -22,6 +22,7 @@ import numpy as np
 
 from .acceptance import ACCEPTANCE_CHECKS, DEFAULT_SEED, run_checks
 from .bench import (
+    check_campaign_config,
     resolve_campaign_config,
     run_campaign,
     write_campaign_csv,
@@ -184,7 +185,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
     else:  # campaign
         try:
             cfg["campaign"] = resolve_campaign_config(file_cfg.get("campaign"))
-        except ValueError as e:
+            check_campaign_config(cfg["campaign"])
+        except (TypeError, ValueError) as e:
             raise ConfigError(str(e)) from e
     if args.seed is not None:
         cfg["seed"] = int(args.seed)

@@ -532,6 +532,37 @@ def _validated_probs(n: int, steps: int, weights, lr: float, batch_size: int):
     return w / total
 
 
+#: Steps whose draws and set-up train_denoiser makes together. A block holds
+#: a few (TRAIN_BLOCK_STEPS, batch_size, D) arrays, so the trainer's memory
+#: grows with it; 16 keeps the campaign's training under 512 KiB (a test
+#: checks this), and larger blocks ran no faster.
+TRAIN_BLOCK_STEPS = 16
+
+
+def _draw_block(loss_variant, gen, cdf, n_steps, batch_size, D):
+    """The draws of n_steps training steps, in the order the steps would make
+    them one at a time: (sample index (n_steps, b), keep (n_steps, b, D),
+    scored (n_steps, b, D)). The sample index is
+    ``cdf.searchsorted(u, side="right")``, which is what ``Generator.choice``
+    does with ``p``."""
+    b = batch_size
+    if loss_variant != "AOARM":
+        # per step: b choice uniforms, b times, b*D keep uniforms
+        u = gen.random(n_steps * b * (2 + D)).reshape(n_steps, b * (2 + D))
+        keep = u[:, 2 * b:].reshape(n_steps, b, D) < u[:, b:2 * b, None]
+        return cdf.searchsorted(u[:, :b], side="right"), keep, ~keep
+    sel = np.empty((n_steps, b), dtype=np.int64)
+    scores = np.empty((n_steps, b, D))
+    k = np.empty((n_steps, b, 1), dtype=np.int64)
+    for i in range(n_steps):
+        sel[i] = cdf.searchsorted(gen.random(b), side="right")
+        gen.random(out=scores[i])
+        k[i, :, 0] = gen.integers(0, D, size=b)
+    # reveal a uniform subset, score one uniformly chosen hidden position
+    rank = np.argsort(np.argsort(scores, axis=-1), axis=-1)
+    return sel, rank < k, rank == k
+
+
 def train_denoiser(
     loss_variant: str,
     samples: Sequence[TokenSequence],
@@ -549,13 +580,26 @@ def train_denoiser(
     hidden position. Returns (model, loss): the running loss after the last
     step, an exponential average of the step losses; 0.0 when none ran.
 
-    The pair gradient of a step is one ``np.bincount`` over the flat cell
-    index (e, context token, d, s), which adds each cell's batch rows in row
-    order starting from 0.0: the same sum, bit for bit, as adding the rows
-    of each (e, context token) group one by one. Keep that order:
-    ``np.add.reduceat`` and a one-hot matmul (whose order follows the BLAS
-    blocking) add in other orders, and in trials moved ``pair`` by up to
-    2.2e-16.
+    Draw order: each step draws, from ``rng`` and in this order, the batch
+    (``batch_size`` uniforms, as ``Generator.choice`` with ``p`` does), then
+    for FM/MLM ``batch_size`` times and ``batch_size * D`` keep uniforms, or
+    for AOARM ``batch_size * D`` order uniforms and ``batch_size`` integers
+    in [0, D). The draws do not depend on the weights, so the steps of a
+    block of ``TRAIN_BLOCK_STEPS`` make theirs before any of them runs (FM
+    and MLM in one ``random`` call); the generator ends where ``steps``
+    steps drawn one at a time leave it, and the weights and loss do not
+    depend on the block size. A non-finite loss raises
+    TrainingDivergedError naming the first step that read one.
+
+    The pair table is trained as one flat array in [e, context token, d, s]
+    order. A step gathers its contexts with one ``take`` and sums its pair
+    gradient with one ``np.bincount``, both over the flat cell index
+    ((x_t^e + e*(S+1)) * D + d) * S + s. The bincount adds each cell's batch
+    rows in row order starting from 0.0: the same sum, bit for bit, as
+    adding the rows of each (e, context token) group one by one. Keep that
+    order: ``np.add.reduceat`` and a one-hot matmul (whose order follows the
+    BLAS blocking) add in other orders, and in trials moved ``pair`` by up
+    to 2.2e-16.
     """
     if loss_variant not in LOSS_VARIANTS:
         raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
@@ -568,48 +612,62 @@ def train_denoiser(
     probs = _validated_probs(len(samples), steps, weights, lr, batch_size)
     gen = as_generator(rng)
     data = np.stack([x.tokens for x in samples])
-    model = ParametricDenoiser(D, S)
-    # pair viewed as [e, context token, d, s] for batched context gathers
-    pair_t = model.pair.transpose(1, 2, 0, 3)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    b, DS = batch_size, D * S
     pos = np.arange(D)
-    bidx = np.arange(batch_size)[:, None]
-    # flat cell of (e, context token c, d, s) is ((c + e*(S+1)) * D + d) * S + s
+    single = np.zeros((D, S))
+    n_cells = D * (S + 1) * DS
+    pair = np.zeros(n_cells)  # flat [e, context token, d, s]
+    # the D*S flat cells of each (e, context token), one row per pair
+    cell_rows = np.arange(n_cells).reshape(D * (S + 1), DS)
+    self_cells = cell_rows.reshape(D, S + 1, D, S)[pos, :, pos, :].ravel()
     e_offset = pos * (S + 1)
-    cells = np.arange(D * S)
-    n_cells = D * (S + 1) * D * S
+    # flat index of a (batch row, d, truth symbol) cell of the (b, D, S) posteriors
+    row_offset = np.arange(b)[:, None] * DS + pos * S
+    index = np.empty((b, D, DS), dtype=np.int64)
+    work = np.empty((b, D, DS))  # the step's contexts, then its gradient weights
     scale = lr / batch_size
     running = None
-    for step in range(steps):
-        x1 = data[gen.choice(len(samples), size=batch_size, p=probs)]
-        if loss_variant == "AOARM":
-            # reveal a uniform subset, score one uniformly chosen hidden position
-            order = np.argsort(gen.random((batch_size, D)), axis=1)
-            k = gen.integers(0, D, size=batch_size)
-            rank = np.empty_like(order)
-            np.put_along_axis(rank, order, np.broadcast_to(pos, (batch_size, D)), axis=1)
-            keep = rank < k[:, None]
-            scored = rank == k[:, None]
-        else:
-            t = gen.random((batch_size, 1))
-            keep = gen.random((batch_size, D)) < t
-            scored = ~keep
-        xt = np.where(keep, x1, S)
-        ctx = pair_t[pos[None, :], xt]          # [b, e, d, s]
-        logits = model.single + ctx.sum(axis=1) - ctx[:, pos, pos, :]
-        rows = softmax_rows(logits)             # [b, d, s]
-        truth = rows[bidx, pos, x1]
-        batch_loss = float(-(np.log(np.clip(truth, 1e-300, None)) * scored).sum()) / batch_size
-        if not math.isfinite(batch_loss):
-            raise TrainingDivergedError(step)
-        grad = rows.copy()
-        grad[bidx, pos, x1] -= 1.0
-        grad *= scored[..., None]
-        model.single -= scale * grad.sum(axis=0)
-        flat = ((xt + e_offset)[:, :, None] * (D * S) + cells).ravel()
-        weight = np.broadcast_to(grad[:, None], (batch_size, D, D, S)).ravel()
-        acc = np.bincount(flat, weights=weight, minlength=n_cells)
-        # untouched cells subtract 0.0, which keeps their bytes
-        pair_t -= scale * acc.reshape(D, S + 1, D, S)
-        pair_t[pos, :, pos, :] = 0.0  # self-couplings stay zero
-        running = batch_loss if running is None else 0.99 * running + 0.01 * batch_loss
+    for first in range(0, steps, TRAIN_BLOCK_STEPS):
+        n = min(TRAIN_BLOCK_STEPS, steps - first)
+        sel, keep, scored = _draw_block(loss_variant, gen, cdf, n, b, D)
+        x1 = data[sel]                            # [step, b, d]
+        pairs = np.where(keep, x1, S)             # x_t, then its cell_rows row
+        pairs += e_offset
+        x1 += row_offset                          # flat index of the truth
+        truth = np.empty((n, b, D))
+        for i in range(n):
+            # mode="clip" gathers without the buffered copy of mode="raise";
+            # every index is in range
+            cell_rows.take(pairs[i], axis=0, out=index, mode="clip")  # [b, e, d*S + s]
+            pair.take(index, out=work, mode="clip")
+            logits = work.sum(axis=1).reshape(b, D, S)
+            logits += single
+            grad = softmax_rows(logits)           # [b, d, s]
+            flat = grad.reshape(-1)
+            truth[i] = flat[x1[i]]
+            flat[x1[i]] -= 1.0
+            grad *= scored[i][..., None]
+            single -= scale * grad.sum(axis=0)
+            np.copyto(work, grad.reshape(b, 1, DS))
+            acc = np.bincount(index.reshape(-1), weights=work.reshape(-1), minlength=n_cells)
+            # untouched cells subtract 0.0, which keeps their bytes
+            acc *= scale
+            pair -= acc
+            pair[self_cells] = 0.0                # self-couplings stay zero
+        # each step's loss terms -log(clip(truth)) * scored, in place
+        np.log(np.clip(truth, 1e-300, None, out=truth), out=truth)
+        truth *= scored
+        losses = np.negative(truth, out=truth).reshape(n, -1).sum(axis=1)
+        losses /= batch_size
+        finite = np.isfinite(losses)
+        if not finite.all():
+            raise TrainingDivergedError(first + int(np.argmin(finite)))
+        for batch_loss in losses.tolist():
+            running = batch_loss if running is None else 0.99 * running + 0.01 * batch_loss
+        del sel, keep, scored, x1, pairs, truth  # free the block before the next one draws
+    model = ParametricDenoiser(
+        D, S, single, np.ascontiguousarray(pair.reshape(D, S + 1, D, S).transpose(2, 0, 1, 3))
+    )
     return model, (running if running is not None else 0.0)

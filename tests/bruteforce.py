@@ -118,17 +118,40 @@ def _softmax_rows(logits):
     return ex / ex.sum(axis=-1, keepdims=True)
 
 
+def loop_planted_table(D, S, h, J):
+    """bench._planted_table by fancy-indexing every row of the sequence
+    table: h[0..D-1] first, then J[d, e] for d < e row by row."""
+    rows = np.array(list(all_sequences(D, S)))[:, ::-1]  # little-endian rows
+    out = np.zeros(rows.shape[0])
+    for d in range(D):
+        out += h[d, rows[:, d]]
+    for d in range(D):
+        for e in range(d + 1, D):
+            out += J[d, e, rows[:, d], rows[:, e]]
+    return out
+
+
+class LoopDiverged(Exception):
+    """loop_train_denoiser read a non-finite loss at ``step``."""
+
+    def __init__(self, step):
+        super().__init__(step)
+        self.step = step
+
+
 def loop_train_denoiser(variant, rows, S, steps, gen, probs, lr, batch_size):
-    """train_denoiser with the pair gradient summed one (position, context
-    token) group at a time and one example at a time. Its forward pass is
-    the trainer's numpy expression and it makes the same draws in the same
-    order, so it returns the trainer's (single, pair, loss) bytes."""
+    """train_denoiser one step at a time, with the pair gradient summed one
+    (position, context token) group at a time and one example at a time. Its
+    forward pass is the trainer's numpy expression and it makes the same
+    draws in the same order, so it returns the trainer's (single, pair,
+    loss) bytes and leaves ``gen`` where the trainer leaves it. It raises
+    LoopDiverged at the first step whose loss is not finite."""
     D = rows.shape[1]
     single = np.zeros((D, S))
     pair_t = np.zeros((D, S + 1, D, S))  # [e, context token of e, d, s]
     pos = np.arange(D)
     running = None
-    for _ in range(steps):
+    for step in range(steps):
         x1 = rows[gen.choice(len(rows), size=batch_size, p=probs)]
         if variant == "AOARM":
             order = np.argsort(gen.random((batch_size, D)), axis=1)
@@ -151,6 +174,8 @@ def loop_train_denoiser(variant, rows, S, steps, gen, probs, lr, batch_size):
                 truth[b, d] = grad[b, d, x1[b, d]]
                 grad[b, d, x1[b, d]] -= 1.0
         batch_loss = float(-(np.log(np.clip(truth, 1e-300, None)) * scored).sum()) / batch_size
+        if not math.isfinite(batch_loss):
+            raise LoopDiverged(step)
         grad *= scored[..., None]
         scale = lr / batch_size
         single -= scale * grad.sum(axis=0)

@@ -6,6 +6,8 @@ import pytest
 from guidesampler.core import Alphabet, RandomSource
 from guidesampler.bench import (
     Landscape,
+    _planted_table,
+    check_campaign_config,
     make_landscape,
     metrics,
     prepare_campaign_seed,
@@ -19,6 +21,8 @@ from guidesampler.bench import (
 )
 from guidesampler.denoising import ExactDenoiser
 from guidesampler.errors import SizeCapError
+
+from bruteforce import loop_planted_table
 
 AB = Alphabet(2)
 
@@ -51,6 +55,13 @@ class TestMakeLandscape:
         for a, b in zip(land.fitness_tables, clone.fitness_tables):
             np.testing.assert_array_equal(a, b)
         assert land.target_mass == clone.target_mass
+
+    @pytest.mark.parametrize("D, S", [(8, 4), (6, 5), (5, 3), (3, 2), (1, 4)])
+    def test_planted_table_matches_loop_reference_bit_for_bit(self, D, S):
+        gen = RandomSource(D * 10 + S).generator()
+        h = gen.normal(0, 1.0, (D, S))
+        J = gen.normal(0, 0.5, (D, D, S, S))
+        assert _planted_table(D, S, h, J).tobytes() == loop_planted_table(D, S, h, J).tobytes()
 
     def test_caps_enforced(self):
         with pytest.raises(SizeCapError):
@@ -211,6 +222,20 @@ class TestCampaign:
     def test_unknown_config_keys_rejected(self):
         with pytest.raises(ValueError):
             resolve_campaign_config({"bogus": 1})
+
+    def test_defaults_pass_the_config_check(self):
+        check_campaign_config(resolve_campaign_config(None))
+
+    @pytest.mark.parametrize("key, value", [
+        ("refit_train_steps", 1500.5), ("refit_train_steps", True), ("classifier_epochs", -1),
+        ("n_labeled", 0), ("k", 0), ("seeds", []), ("seeds", (0, 1)),
+    ])
+    def test_config_mistake_raises_before_any_seed_runs(self, monkeypatch, key, value):
+        ran = []
+        monkeypatch.setattr("guidesampler.bench.run_campaign_seed", lambda *a: ran.append(a))
+        with pytest.raises(ValueError, match=key):
+            run_campaign({**self.quick_cfg(), key: value}, RandomSource(0))
+        assert not ran
 
     def test_labeled_data_excludes_target_region(self):
         cfg = resolve_campaign_config(

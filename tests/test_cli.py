@@ -404,3 +404,50 @@ class TestCampaignCommand:
         out = tmp_path / "deep" / "nested" / "dir"
         assert main(["campaign", "--config", str(cfg), "--out", str(out)]) == 0
         assert (out / "campaign.csv").exists()
+
+
+class TestCampaignConfigMistakes:
+    """Each of these is a config mistake and exits 2 before any work.
+    Unchecked, the bad counts exited 3 after the first seeds had run, an
+    empty seed list exited 0 with no rows, and refit_train_steps true
+    trained one step and exited 0."""
+
+    @staticmethod
+    def run(tmp_path, **campaign):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"campaign": campaign}))
+        out = tmp_path / "c"
+        rc = main(["campaign", "--config", str(cfg), "--out", str(out)])
+        assert not out.exists()
+        return rc
+
+    def test_fractional_refit_train_steps(self, tmp_path):
+        assert self.run(tmp_path, refit_train_steps=1500.5) == 2
+
+    def test_string_refit_train_steps(self, tmp_path):
+        assert self.run(tmp_path, refit_train_steps="x") == 2
+
+    def test_negative_refit_train_steps(self, tmp_path):
+        assert self.run(tmp_path, refit_train_steps=-5) == 2
+
+    def test_boolean_refit_train_steps(self, tmp_path):
+        assert self.run(tmp_path, refit_train_steps=True) == 2
+
+    def test_fractional_classifier_epochs(self, tmp_path):
+        assert self.run(tmp_path, classifier_epochs=2.5) == 2
+
+    def test_zero_k(self, tmp_path):
+        assert self.run(tmp_path, k=0) == 2
+
+    def test_k_above_n_filter_total(self, tmp_path):
+        assert self.run(tmp_path, k=50, n_filter_total=40) == 2
+
+    def test_empty_seeds(self, tmp_path):
+        assert self.run(tmp_path, seeds=[]) == 2
+
+    def test_landscape_not_an_object(self, tmp_path):
+        assert self.run(tmp_path, landscape=5) == 2
+
+    @pytest.mark.parametrize("seeds", [[0, "1"], [0, 1.5], [True], 3])
+    def test_seeds_not_a_list_of_integers(self, tmp_path, seeds):
+        assert self.run(tmp_path, seeds=seeds) == 2

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from guidesampler.denoising import (
     ExactDenoiser,
     LogitModifier,
     ParametricDenoiser,
+    TRAIN_BLOCK_STEPS,
     aoarm_loss_exact,
     apply_modifiers,
     exact_denoise,
@@ -28,6 +30,7 @@ from guidesampler.denoising import (
 from guidesampler.errors import SizeCapError, TrainingDivergedError, UnsupportedContextError
 
 from bruteforce import (
+    LoopDiverged,
     brute_aoarm_loss,
     brute_fm_loss,
     brute_posterior_rows,
@@ -367,26 +370,53 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_denoiser("FM", [], 10, RandomSource(0))
 
-    @pytest.mark.parametrize("variant", ["FM", "AOARM"])
+    @pytest.mark.parametrize("variant", ["FM", "MLM", "AOARM"])
     @pytest.mark.parametrize("D, S", [(3, 2), (8, 4), (6, 5)])
     @pytest.mark.parametrize("weighted", [False, True])
-    def test_matches_loop_reference_bit_for_bit(self, variant, D, S, weighted):
+    @pytest.mark.parametrize("steps", [
+        0, 1, TRAIN_BLOCK_STEPS - 1, TRAIN_BLOCK_STEPS, TRAIN_BLOCK_STEPS + 1,
+        2 * TRAIN_BLOCK_STEPS + 3,
+    ])
+    def test_matches_loop_reference_bit_for_bit(self, variant, D, S, weighted, steps):
         # the bincount scatter must add each cell's rows in row order; a
-        # pairwise (reduceat) or BLAS (one-hot matmul) order fails here
+        # pairwise (reduceat) or BLAS (one-hot matmul) order fails here.
+        # Step counts on and off the block edge; the refit arm samples from
+        # the generator after training, so it must end where the loop's does
         gen = RandomSource(D * 10 + S).generator()
         rows = gen.integers(0, S, (23, D))
         w = gen.random(23) + 0.1 if weighted else None
         probs = w / w.sum() if weighted else np.full(23, 1 / 23)
         data = [TokenSequence(r, Alphabet(S)) for r in rows]
+        train_gen, ref_gen = RandomSource(8).generator(), RandomSource(8).generator()
         model, loss = train_denoiser(
-            variant, data, 30, RandomSource(8), weights=w, lr=0.5, batch_size=17
+            variant, data, steps, train_gen, weights=w, lr=0.5, batch_size=17
         )
         single, pair, ref_loss = loop_train_denoiser(
-            variant, rows, S, 30, RandomSource(8).generator(), probs, 0.5, 17
+            variant, rows, S, steps, ref_gen, probs, 0.5, 17
         )
         assert model.single.tobytes() == single.tobytes()
         assert model.pair.tobytes() == pair.tobytes()
         assert loss == ref_loss
+        assert train_gen.random() == ref_gen.random()
+
+    def test_peak_memory_at_the_campaign_size(self):
+        # the refit arm's training: D=8, S=4, batch 32, 1,500 steps. An
+        # index array over a whole block, (TRAIN_BLOCK_STEPS, batch, D, D*S),
+        # alone takes 1 MiB
+        rows = RandomSource(5).generator().integers(0, 4, (100, 8))
+        data = [TokenSequence(r, Alphabet(4)) for r in rows]
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            train_denoiser("FM", data, 1500, RandomSource(6), batch_size=32)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+        assert peak < 512 * 1024
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"batch_size": 0}, "batch_size"),
@@ -414,8 +444,17 @@ class TestTraining:
         with pytest.raises(ValueError, match="samples"):
             train_denoiser("FM", data, 5, RandomSource(0))
 
-    def test_divergence_reports_step(self):
-        x = sequence_from_str("AB", AB)
-        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) as exc:
-            train_denoiser("FM", [x], 50, RandomSource(3), lr=float("inf"))
-        assert exc.value.step >= 1
+    @pytest.mark.parametrize("lr, batch_size, seed, step", [
+        (float("inf"), 32, 3, 1),
+        (8e307, 1, 2, 69),  # inside a later block, off its edge
+    ])
+    def test_divergence_reports_step(self, lr, batch_size, seed, step):
+        rows = np.array([[0, 1], [1, 0], [1, 1]])
+        data = [TokenSequence(r, AB) for r in rows]
+        with np.errstate(all="ignore"):
+            with pytest.raises(LoopDiverged) as ref:
+                loop_train_denoiser("FM", rows, 2, 200, RandomSource(seed).generator(),
+                                    np.full(3, 1 / 3), lr, batch_size)
+            with pytest.raises(TrainingDivergedError) as exc:
+                train_denoiser("FM", data, 200, RandomSource(seed), lr=lr, batch_size=batch_size)
+        assert exc.value.step == ref.value.step == step
