@@ -3,7 +3,7 @@
 Subpackages:
 
 * :mod:`guidesampler.core`: alphabets, sequences, schedules, tabular
-  distributions, deterministic randomness;
+  distributions, seeded, reproducible randomness;
 * :mod:`guidesampler.denoising`: clean-token posterior models and exact
   loss evaluators;
 * :mod:`guidesampler.predictors`: property likelihood models on partially

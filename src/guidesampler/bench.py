@@ -323,10 +323,9 @@ def run_posthoc_filter(
         raise ValueError("k must not exceed n_total")
     t0 = time.perf_counter()
     rows, _ = aoarm_sample_many(denoiser, GuidanceConfig(), n_total, rng)
-    if hasattr(predictor, "likelihood_batch"):
-        scores = predictor.likelihood_batch(rows)
-    else:
-        scores = np.array([predictor.likelihood_array(r) for r in rows])
+    # every predictor answers rows; the pairwise classifier's likelihood_batch
+    # is its likelihood_array under the name the benchmark's tracer times
+    scores = getattr(predictor, "likelihood_batch", predictor.likelihood_array)(rows)
     keep = np.argsort(-scores, kind="stable")[:k]
     kept = rows[keep]
     return kept, _finish("filter", seed, kept, landscape, reference_rows, t0, n_total)
@@ -440,11 +439,17 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_campaign_config(cfg: dict) -> None:
     """Raise a ValueError naming the first mistake in a resolved campaign
     config: a count key that is not an integer at or above its least value,
-    ``k`` above ``n_filter_total``, or ``seeds`` that is not a non-empty
-    list of integers. run_campaign and the command line call it before any
+    ``k`` above ``n_filter_total``, ``seeds`` that is not a non-empty list of
+    integers, ``gammas`` that is not a list of finite numbers >= 0,
+    ``refit_qs`` that is not a list of numbers in (0, 1], or a
+    ``label_top_fraction`` outside (0, 1]. run_campaign and the command line call it before any
     work; resolve_campaign_config does not, so a campaign seed's set-up
     stays the merge alone."""
     for key, least in _CAMPAIGN_COUNTS.items():
@@ -458,6 +463,15 @@ def check_campaign_config(cfg: dict) -> None:
     seeds = cfg["seeds"]
     if not isinstance(seeds, list) or not seeds or not all(_is_int(s) for s in seeds):
         raise ValueError(f"campaign seeds must be a non-empty list of integers, got {seeds!r}")
+    gammas = cfg["gammas"]
+    if not isinstance(gammas, list) or not all(_is_real(g) and 0 <= g < math.inf for g in gammas):
+        raise ValueError(f"campaign gammas must be a list of finite numbers >= 0, got {gammas!r}")
+    qs = cfg["refit_qs"]
+    if not isinstance(qs, list) or not all(_is_real(q) and 0 < q <= 1 for q in qs):
+        raise ValueError(f"campaign refit_qs must be a list of numbers in (0, 1], got {qs!r}")
+    top = cfg["label_top_fraction"]
+    if not (_is_real(top) and 0 < top <= 1):
+        raise ValueError(f"campaign label_top_fraction must be a number in (0, 1], got {top!r}")
 
 
 def _anchor_pareto_rectangle(landscape: Landscape, labeled_fvals: np.ndarray,

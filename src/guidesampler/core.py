@@ -199,13 +199,9 @@ def check_context_count(D: int, S: int, cap: int = TABULAR_STATE_CAP) -> int:
 
 def encode_index(x: TokenSequence) -> int:
     """Little-endian mixed-radix code of a clean sequence."""
-    return encode_tokens(x.tokens, x.alphabet.size)
-
-
-def encode_tokens(tokens: np.ndarray, S: int) -> int:
     code = 0
-    for i in range(len(tokens) - 1, -1, -1):
-        code = code * S + int(tokens[i])
+    for token in x.tokens[::-1].tolist():
+        code = code * x.alphabet.size + token
     return code
 
 
@@ -509,9 +505,14 @@ def pad_contexts(values: np.ndarray, D: int, S: int) -> np.ndarray:
     return out.reshape(-1)
 
 
-def consistent_mass(xt: MaskedSequence, p: TabularDistribution):
-    """Indices and renormalized weights of clean sequences agreeing with xt on
-    its unmasked positions. Raises UnsupportedContextError on zero mass."""
+def consistent_completions(xt: MaskedSequence, p: TabularDistribution):
+    """List of (TokenSequence, weight) of the clean sequences agreeing with
+    xt on its unmasked positions, with weights = p(x1 | xt), summing to 1.
+    Raises UnsupportedContextError on zero mass.
+
+    The weights depend only on the mask pattern and observed tokens, never on
+    the time that produced xt.
+    """
     if xt.D != p.D or xt.alphabet.size != p.S:
         raise ValueError("masked sequence and distribution have mismatched D or S")
     table = sequence_table(p.D, p.S)
@@ -524,15 +525,5 @@ def consistent_mass(xt: MaskedSequence, p: TabularDistribution):
     total = p.weights[ok].sum()
     if ok.size == 0 or total <= 0.0:
         raise _zero_mass(xt.tokens, p.S)
-    return ok, p.weights[ok] / total
-
-
-def consistent_completions(xt: MaskedSequence, p: TabularDistribution):
-    """List of (TokenSequence, weight) with weights = p(x1 | xt), summing to 1.
-
-    The weights depend only on the mask pattern and observed tokens, never on
-    the time that produced xt.
-    """
-    idx, w = consistent_mass(xt, p)
-    table = sequence_table(p.D, p.S)
-    return [(TokenSequence(table[i], p.alphabet), float(wi)) for i, wi in zip(idx, w)]
+    return [(TokenSequence(table[i], p.alphabet), float(wi))
+            for i, wi in zip(ok, p.weights[ok] / total)]

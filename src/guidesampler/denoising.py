@@ -37,7 +37,6 @@ import numpy as np
 
 from .core import (
     Alphabet,
-    MaskedSequence,
     TabularDistribution,
     TokenSequence,
     as_generator,
@@ -57,36 +56,6 @@ def softmax_rows(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     ex = np.exp(shifted)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-@dataclass(frozen=True)
-class PerPositionPosterior:
-    """Per-position clean-token posteriors for one masked context.
-
-    ``probs[d, s]`` is p(x1^d = s | x_t) over the S real symbols; rows at
-    unmasked positions are the one-hot of the observed token. No mass is ever
-    placed on the mask sentinel (it has no column).
-    """
-
-    probs: np.ndarray
-    source: MaskedSequence
-
-    def row(self, d: int) -> np.ndarray:
-        return self.probs[d]
-
-    def validate(self, atol: float = 1e-9) -> "PerPositionPosterior":
-        S = self.source.alphabet.size
-        if self.probs.shape != (self.source.D, S):
-            raise ValueError("posterior table has wrong shape")
-        if not np.isfinite(self.probs).all() or (self.probs < 0).any():
-            raise ValueError("posterior entries must be finite and nonnegative")
-        sums = self.probs.sum(axis=1)
-        if np.abs(sums - 1.0).max() > atol:
-            raise ValueError("posterior rows must sum to 1")
-        for d in self.source.unmasked_positions():
-            if self.probs[d, self.source.tokens[d]] != 1.0:
-                raise ValueError(f"unmasked row {d} is not the observed one-hot")
-        return self
 
 
 def pair_positions(tokens: np.ndarray, positions=None):
@@ -112,20 +81,18 @@ class Denoiser:
     """Base class: immutable after construction, safe to evaluate concurrently.
 
     ``posterior_array`` takes one token array (D,) and returns its (D, S)
-    posterior. A model that ``takes_rows`` also takes rows (n, D) and returns
-    (n, D, S), and has a pair form: with ``positions`` (P,), ``tokens``
-    (P, D) are the contexts of P (context, position) pairs and the answer is
-    their (P, S) rows, row j the posterior of context j at ``positions[j]``.
-    Every answer is bit for bit the matching row of the single-row call (see
-    :func:`pair_positions`). The samplers call the pair form once per step on
-    the pairs the step draws, and the pattern losses the rows form once per
-    mask pattern on its distinct contexts; neither keeps a copy.
+    posterior, or rows (n, D) and returns (n, D, S). It also has a pair
+    form: with ``positions`` (P,), ``tokens`` (P, D) are the contexts of P
+    (context, position) pairs and the answer is their (P, S) rows, row j the
+    posterior of context j at ``positions[j]``. Every answer is bit for bit
+    the matching row of the single-row call (see :func:`pair_positions`).
+    The samplers call the pair form once per step on the pairs the step
+    draws, and the pattern losses the rows form once per mask pattern on its
+    distinct contexts; neither keeps a copy.
     """
 
     D: int
     S: int
-    deterministic = True
-    takes_rows = False
 
     def posterior_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         raise NotImplementedError
@@ -133,9 +100,6 @@ class Denoiser:
     def logits_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         with np.errstate(divide="ignore"):
             return np.log(self.posterior_array(tokens, positions))
-
-    def posterior(self, xt: MaskedSequence) -> PerPositionPosterior:
-        return PerPositionPosterior(self.posterior_array(xt.tokens), xt).validate()
 
     def supported(self, rows: np.ndarray) -> np.ndarray:
         """Whether each context row (n, D) has a posterior; a model without
@@ -156,8 +120,6 @@ class ExactDenoiser(Denoiser):
     padded context-mass table (:meth:`TabularDistribution.context_mass`).
     Construction refuses a size whose (S+1)**D table exceeds the table cap.
     """
-
-    takes_rows = True
 
     def __init__(self, p: TabularDistribution):
         check_context_count(p.D, p.S)
@@ -188,11 +150,6 @@ class ExactDenoiser(Denoiser):
         return out
 
 
-def exact_denoise(p: TabularDistribution, xt: MaskedSequence) -> PerPositionPosterior:
-    """One-shot exact posterior; build an ExactDenoiser for repeated queries."""
-    return ExactDenoiser(p).posterior(xt)
-
-
 class ParametricDenoiser(Denoiser):
     """Trainable factorized posterior model.
 
@@ -205,8 +162,6 @@ class ParametricDenoiser(Denoiser):
 
     Zero initialization gives uniform posteriors over real symbols.
     """
-
-    takes_rows = True
 
     def __init__(self, D: int, S: int, single=None, pair=None):
         self.D, self.S = D, S
@@ -311,8 +266,8 @@ def apply_modifiers(logits: np.ndarray, mod: LogitModifier, positions=None) -> n
 
 class ModifiedDenoiser(Denoiser):
     """Denoiser with a LogitModifier applied before normalization; unmasked
-    positions keep their observed one-hot rows. It takes rows, and pairs,
-    when its base does. A wild-type sequence must have the base's length."""
+    positions keep their observed one-hot rows. It answers rows and pairs
+    as its base does. A wild-type sequence must have the base's length."""
 
     def __init__(self, base: Denoiser, modifier: LogitModifier):
         wildtype = modifier.wildtype_sequence
@@ -323,8 +278,6 @@ class ModifiedDenoiser(Denoiser):
             )
         self.base, self.modifier = base, modifier
         self.D, self.S = base.D, base.S
-        self.deterministic = base.deterministic
-        self.takes_rows = base.takes_rows
 
     def logits_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         return apply_modifiers(self.base.logits_array(tokens, positions), self.modifier, positions)
@@ -347,24 +300,19 @@ class CodeCache:
     """Lazy per-context posterior rows keyed by the base-(S+1) context code.
 
     This is the one context cache: the loss evaluators use it as is and the
-    samplers extend it with predictor memos and the guidance kernel. It alone
-    turns token rows into codes (``encode``, ``children``, ``child_codes``,
-    ``pairs``) and back (``decode``), so the key format lives here and
-    nowhere else. Codes are int64, so a size whose codes would wrap raises
-    SizeCapError instead of evaluating the model on the wrong context.
-    ``diag``, when given, counts the evaluations of the per-context memo
-    (:meth:`posterior`) in its ``denoiser_evals`` field. A model that takes
-    rows answers a whole sampler step, or a whole mask pattern of the
-    pattern losses (:meth:`gather_rows`), in one call on its distinct
-    contexts, and no copy of its rows is kept; the other models' rows are
-    memoized here.
-    :func:`aoarm_loss_exact` memoizes every model's rows through
+    samplers extend it with the guidance kernel. It alone turns token rows
+    into codes (``encode``, ``child_codes``, ``pairs``) and back
+    (``decode``), so the key format lives here and nowhere else. Codes are
+    int64, so a size whose codes would wrap raises SizeCapError instead of
+    evaluating the model on the wrong context. A sampler step, or a mask
+    pattern of the pattern losses (:meth:`gather_rows`), is answered in one
+    rows call on its distinct contexts, and no copy of the rows is kept.
+    :func:`aoarm_loss_exact` memoizes the rows per context through
     :meth:`gather`, because its permutations reuse contexts.
     """
 
-    def __init__(self, denoiser: Denoiser, diag=None):
+    def __init__(self, denoiser: Denoiser):
         self.denoiser = denoiser
-        self.diag = diag
         self.D, self.S = denoiser.D, denoiser.S
         if (self.S + 1) ** self.D >= CODE_LIMIT:
             raise SizeCapError(
@@ -381,16 +329,10 @@ class CodeCache:
         """Token row (D,) of one code, or rows (n, D) of an array of codes."""
         return np.floor_divide.outer(codes, self.pows) % (self.S + 1)
 
-    def children(self, code: int, d: int) -> range:
-        """Codes of the S children of context ``code`` that set masked
-        position d to each real symbol, in symbol order."""
-        step = int(self.pows[d])
-        return range(code - self.S * step, code, step)
-
     def child_codes(self, codes: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """Codes of the S children of each pair (``codes[j]``,
-        ``positions[j]``), shape (P, S): row j is ``children(codes[j],
-        positions[j])``."""
+        ``positions[j]``), shape (P, S): row j sets masked position
+        ``positions[j]`` to each real symbol, in symbol order."""
         step = self.pows[positions][:, None]
         return codes[:, None] - (self.S - np.arange(self.S)) * step
 
@@ -410,8 +352,6 @@ class CodeCache:
         hit = self._post.get(code)
         if hit is None:
             hit = self.denoiser.posterior_array(self.decode(code))
-            if self.diag is not None:
-                self.diag.denoiser_evals += 1
             self._post[code] = hit
         return hit
 
@@ -422,12 +362,8 @@ class CodeCache:
 
     def gather_rows(self, rows: np.ndarray, positions, symbols: np.ndarray) -> np.ndarray:
         """probs[k, j] = posterior(context rows[k])[positions[j], symbols[k, j]],
-        shape (n, len(positions)). A model that takes rows answers the
-        distinct contexts in one call; any other is read through
-        :meth:`gather`, one position after another."""
-        if not self.denoiser.takes_rows:
-            return np.stack([self.gather(rows, d, symbols[:, j]) for j, d in enumerate(positions)],
-                            axis=1)
+        shape (n, len(positions)), from one rows call on the distinct
+        contexts."""
         distinct, inv = np.unique(self.encode(rows), return_inverse=True)
         post = self.denoiser.posterior_array(self.decode(distinct))
         return post[inv[:, None], positions, symbols]

@@ -17,15 +17,12 @@ encoding augmented with pairwise interaction terms. It supports two links:
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .core import (
     Alphabet,
@@ -39,7 +36,7 @@ from .core import (
     require_support,
     sequence_table,
 )
-from .denoising import Denoiser, pair_positions
+from .denoising import pair_positions
 from .errors import CapabilityError
 
 #: Likelihoods are clamped below by this before forming guidance ratios.
@@ -50,10 +47,6 @@ def clamp_likelihood(value: float) -> float:
     if not np.isfinite(value):
         raise ValueError(f"predictor produced a non-finite likelihood: {value}")
     return float(min(max(value, LIKELIHOOD_FLOOR), 1.0))
-
-
-def unmasked_fraction(tokens: np.ndarray, S: int) -> float:
-    return float((tokens != S).sum() / tokens.size)
 
 
 # ---------------------------------------------------------------------------
@@ -105,21 +98,20 @@ class CleanPredictor:
 class TimePredictor:
     """Likelihood on partially masked inputs; immutable once constructed.
 
-    A predictor that ``takes_rows`` answers rows (n, D) as well as one token
-    array (D,), each row bit for bit its single-row call: its
-    ``likelihood_array`` returns (n,) and, if it has a gradient surface, its
-    ``gradient_surface_array`` returns (n, D, S+1). The gradient surface
-    also has a pair form: with ``positions`` (P,), ``tokens`` (P, D) are the
-    contexts of P (context, position) pairs and the answer is their (P, S+1)
-    rows, row j the surface of context j at ``positions[j]``. The samplers
-    score a step's distinct children in one likelihood call, and take the
-    surface rows of the pairs a step draws in one gradient call.
+    Every predictor answers rows (n, D) as well as one token array (D,),
+    each row bit for bit its single-row call: ``likelihood_array`` returns a
+    float for (D,) and an array (n,) for (n, D), clamped to
+    [LIKELIHOOD_FLOOR, 1]. A predictor with a gradient surface answers
+    ``gradient_surface_array`` with (D, S+1) for (D,) and (n, D, S+1) for
+    (n, D), and has a pair form: with ``positions`` (P,), ``tokens`` (P, D)
+    are the contexts of P (context, position) pairs and the answer is their
+    (P, S+1) rows, row j the surface of context j at ``positions[j]``. The
+    samplers score a step's distinct children in one likelihood call and
+    take the surface rows of the pairs a step draws in one gradient call;
+    an answer of any other shape raises CapabilityError there.
     """
 
-    deterministic = True
-    takes_rows = False
-
-    def likelihood_array(self, tokens: np.ndarray) -> float:
+    def likelihood_array(self, tokens: np.ndarray):
         raise NotImplementedError
 
     def likelihood(self, xt: MaskedSequence) -> float:
@@ -129,7 +121,7 @@ class TimePredictor:
     def has_gradient_surface(self) -> bool:
         return False
 
-    def gradient_surface_array(self, tokens: np.ndarray) -> np.ndarray:
+    def gradient_surface_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         raise CapabilityError(f"{type(self).__name__} exposes no gradient surface")
 
 
@@ -143,8 +135,6 @@ class ExactMarginalPredictor(TimePredictor):
     clean values at fully unmasked contexts and NaN where the mass is zero.
     Construction refuses a size whose table exceeds the table cap.
     """
-
-    takes_rows = True
 
     def __init__(self, clean: CleanPredictor, p: TabularDistribution):
         check_context_count(p.D, p.S)
@@ -176,38 +166,6 @@ class ExactMarginalPredictor(TimePredictor):
         return float(lik) if np.ndim(lik) == 0 else lik
 
 
-class PomPredictor(TimePredictor):
-    """Monte-Carlo estimate of E[p(y | x1)] with completions drawn from the
-    product of the denoiser's per-position marginals."""
-
-    deterministic = False
-
-    def __init__(self, clean: CleanPredictor, denoiser: Denoiser, n_samples: int, rng):
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        self.clean = clean
-        self.denoiser = denoiser
-        self.n_samples = n_samples
-        self._gen = as_generator(rng)
-        self._alpha = Alphabet(denoiser.S)
-
-    def likelihood_array(self, tokens: np.ndarray) -> float:
-        S = self.denoiser.S
-        masked = np.flatnonzero(tokens == S)
-        if masked.size == 0:
-            return clamp_likelihood(self.clean.likelihood(TokenSequence(tokens, self._alpha)))
-        post = self.denoiser.posterior_array(tokens)
-        cdf = post[masked].cumsum(axis=1)
-        u = self._gen.random((self.n_samples, masked.size, 1))
-        draws = (u > cdf[None, :, :]).sum(axis=2)
-        total = 0.0
-        filled = np.tile(tokens, (self.n_samples, 1))
-        filled[:, masked] = draws
-        for row in filled:
-            total += self.clean.likelihood(TokenSequence(row, self._alpha))
-        return clamp_likelihood(total / self.n_samples)
-
-
 # ---------------------------------------------------------------------------
 # pairwise-interaction classifier family
 # ---------------------------------------------------------------------------
@@ -228,8 +186,6 @@ def _upper_pairs(D: int):
 class PairwiseInteractionPredictor(TimePredictor):
     """Linear + pairwise-interaction model over the mask-extended one-hot
     encoding; see module docstring for the two links."""
-
-    takes_rows = True
 
     def __init__(self, D: int, S: int, link: str = "logistic", bias: float = 0.0,
                  single=None, pairwise=None):
@@ -466,42 +422,6 @@ def train_noisy_classifier(
 
 
 # ---------------------------------------------------------------------------
-# threshold regressor
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ThresholdRegressor:
-    """Ensemble mean/spread regressor with an exceedance threshold y_star."""
-
-    mu: Callable[[MaskedSequence], float]
-    sigma: Callable[[MaskedSequence], float]
-    y_star: float
-
-
-def threshold_likelihood(reg: ThresholdRegressor, xt: MaskedSequence) -> float:
-    """p(y >= y_star | x_t) = 1 - Phi((y_star - mu) / sigma)."""
-    s = float(reg.sigma(xt))
-    if s <= 0:
-        raise ValueError(f"ensemble spread must be positive, got {s}")
-    z = (reg.y_star - float(reg.mu(xt))) / s
-    return float(stats.norm.sf(z))
-
-
-class ThresholdPredictor(TimePredictor):
-    """TimePredictor adapter around a ThresholdRegressor."""
-
-    def __init__(self, reg: ThresholdRegressor, alphabet: Alphabet):
-        self.reg = reg
-        self._alpha = alphabet
-
-    def likelihood_array(self, tokens: np.ndarray) -> float:
-        return clamp_likelihood(
-            threshold_likelihood(self.reg, MaskedSequence(tokens, self._alpha))
-        )
-
-
-# ---------------------------------------------------------------------------
 # products
 # ---------------------------------------------------------------------------
 
@@ -511,7 +431,8 @@ class ProductPredictor(TimePredictor):
 
     ``switch_fractions[i]`` stages part i in only once the unmasked fraction
     of the input reaches it (state-dependent staging; fully unmasked inputs
-    always include every part).
+    always include every part). Each part is called once per call, on the
+    rows where it is active.
     """
 
     def __init__(self, parts: Sequence[TimePredictor], S: int,
@@ -523,61 +444,51 @@ class ProductPredictor(TimePredictor):
         self.switch = list(switch_fractions) if switch_fractions is not None else [0.0] * len(parts)
         if len(self.switch) != len(self.parts):
             raise ValueError("one switch fraction per part required")
-        self.deterministic = all(getattr(p, "deterministic", True) for p in self.parts)
 
-    def _active(self, tokens: np.ndarray):
-        frac = unmasked_fraction(tokens, self.S)
-        return [p for p, s in zip(self.parts, self.switch) if frac >= s]
+    def _staged(self, tokens: np.ndarray):
+        """(rows (n, D) of tokens (D,) or (n, D), the indices of the rows at
+        which each part is active, in part order)."""
+        rows = np.reshape(tokens, (-1, np.shape(tokens)[-1]))
+        frac = (rows != self.S).sum(axis=1) / rows.shape[1]
+        return rows, [np.flatnonzero(frac >= s) for s in self.switch]
 
-    def likelihood_array(self, tokens: np.ndarray) -> float:
-        val = 1.0
-        for p in self._active(tokens):
-            val *= p.likelihood_array(tokens)
-        return clamp_likelihood(val)
+    def likelihood_array(self, tokens: np.ndarray):
+        """Clamped likelihood of one token array (D,) as a float, or of each
+        row of (n, D) as an array: the product, in part order, of the parts
+        active at the row, and 1 where none is."""
+        rows, active = self._staged(tokens)
+        vals = np.ones(rows.shape[0])
+        for part, on in zip(self.parts, active):
+            if on.size:
+                vals[on] *= part.likelihood_array(rows[on])
+        if not np.isfinite(vals).all():
+            raise ValueError(f"predictor produced a non-finite likelihood: {vals}")
+        vals = np.clip(vals, LIKELIHOOD_FLOOR, 1.0)
+        return float(vals[0]) if np.ndim(tokens) == 1 else vals
 
     @property
     def has_gradient_surface(self) -> bool:
         return all(p.has_gradient_surface for p in self.parts)
 
-    def gradient_surface_array(self, tokens: np.ndarray) -> np.ndarray:
+    def gradient_surface_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        """The sum, in part order, of the active parts' surfaces of one token
+        array (D,), shape (D, S+1), of each row of (n, D), shape
+        (n, D, S+1), or of the pairs (``tokens[j]``, ``positions[j]``), shape
+        (P, S+1); zeros where no part is active. A row's first active
+        part's surface is taken as is, so a -0.0 in it stays -0.0."""
         if not self.has_gradient_surface:
             raise CapabilityError("not all product parts expose a gradient surface")
-        active = self._active(tokens)
-        if not active:
-            D = tokens.size
-            return np.zeros((D, self.S + 1))
-        return np.sum([p.gradient_surface_array(tokens) for p in active], axis=0)
-
-
-# ---------------------------------------------------------------------------
-# labeled-data CSV
-# ---------------------------------------------------------------------------
-
-
-def load_labeled_csv(path, S: int):
-    """Read 'sequence,label' rows; labels parse as bool when every value is
-    boolean-like, else as float. Returns (sequences, labels array, is_bool)."""
-    alpha = Alphabet(S)
-    seqs, raw = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip().lower() for h in header[:2]] != ["sequence", "label"]:
-            raise ValueError("expected CSV header 'sequence,label'")
-        for row in reader:
-            if not row:
+        rows, active = self._staged(tokens)
+        n, D = rows.shape
+        out = np.zeros((n, self.S + 1) if positions is not None else (n, D, self.S + 1))
+        started = np.zeros(n, dtype=bool)
+        for part, on in zip(self.parts, active):
+            if not on.size:
                 continue
-            seqs.append(TokenSequence([alpha.token(c) for c in row[0].strip()], alpha))
-            raw.append(row[1].strip().lower())
-    boolish = {"0", "1", "true", "false"}
-    if raw and all(r in boolish for r in raw):
-        return seqs, np.array([r in ("1", "true") for r in raw]), True
-    return seqs, np.array([float(r) for r in raw]), False
-
-
-def save_labeled_csv(path, sequences: Sequence[TokenSequence], labels) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["sequence", "label"])
-        for x, y in zip(sequences, labels):
-            writer.writerow([str(x), int(y) if isinstance(y, (bool, np.bool_)) else y])
+            at = None if positions is None else np.asarray(positions)[on]
+            g = part.gradient_surface_array(rows[on], at)
+            first = ~started[on]
+            out[on[first]] = g[first]
+            out[on[~first]] += g[~first]
+            started[on] = True
+        return out if np.ndim(tokens) > 1 else out[0]

@@ -41,19 +41,14 @@ kappa_dot/(1-kappa), keeps each still-masked pair's total and CDF row across
 steps, looks up again only the pairs of chains that jumped (all of them when
 the switch point flips) and forms rows only for pairs its memo lacks;
 :func:`guide_rates` returns the weights of one context's masked positions,
-scaled the same way, as a (D, S) rate matrix. The kernel reads one
-pure-function context cache, shared by the chains of a call when every
-component is deterministic (otherwise each chain runs the core alone on its
-own substream and cache). A model that takes rows (the exact and parametric
-denoisers and the exact-marginal and pairwise predictors) answers a step in
-one call: one pair-form posterior call that forms the rows of the step's
-(context, position) pairs and no other position's, and one likelihood call
-on the distinct children of their contexts or one pair-form
-gradient-surface call on the pairs. Other models are memoized per context
-and called pair by pair in the order given, so a stochastic predictor draws
-as it would with one call per pair; ``exact`` and ``deg`` then make one
-likelihood call per child. A child with zero posterior weight gets guided
-weight 0.
+scaled the same way, as a (D, S) rate matrix. The n chains of a call share
+one context cache. Every model answers rows: a step makes one pair-form
+posterior call per denoiser, which forms the rows of the step's (context,
+position) pairs and no other position's, and one likelihood call on the
+distinct children of their contexts or one pair-form gradient-surface call
+on the pairs. An answer of the wrong shape raises CapabilityError naming the
+model and the method. A child with zero posterior weight gets guided weight
+0 and is not scored.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -82,7 +77,7 @@ from .core import (
 )
 from .denoising import CodeCache, Denoiser
 from .errors import CapabilityError, DegenerateStepError, TimeHorizonError
-from .predictors import LIKELIHOOD_FLOOR, TimePredictor
+from .predictors import TimePredictor
 
 TIME_HORIZON_EPS = 1e-9
 
@@ -151,14 +146,13 @@ class SamplerDiagnostics:
     * ``sampler``: the route name, ``aoarm`` or ``euler``.
     * ``n_chains``: chains sampled.
     * ``n_steps``: chain-steps on the any-order route (D per chain);
-      integration steps on the Euler route, summed per chain when chains run
-      one by one on substreams.
+      integration steps on the Euler route.
     * ``overflow_renormalizations``: Euler outflows above 1 clipped to 1,
       one per (chain, position, step).
-    * ``denoiser_evals``: posterior evaluations of either denoiser, one per
-      newly cached context.
-    * ``predictor_evals``: newly memoized likelihoods (one per child or
-      source context) and gradient surfaces.
+    * ``denoiser_evals``: contexts first evaluated by either denoiser.
+    * ``predictor_evals``: contexts (children and sources) first scored by
+      the predictor's likelihood, plus contexts first given its gradient
+      surface.
     * ``step_weight_requests``: distinct (context, position, active) guided
       weight rows formed.
     * ``wall_time_s``: seconds spent in the call.
@@ -301,31 +295,35 @@ def lemma1_density(i: int, tau_i: float, tau_prev: float, D: int, schedule: Inte
 # ---------------------------------------------------------------------------
 
 
-class _ContextCache(CodeCache):
-    """The posterior memo of CodeCache plus memoized conditional-model rows,
-    clamped predictor likelihoods and gradient surfaces, all keyed by the
-    context code, and the guidance kernel that reads them.
+def _checked(model, method: str, shape: tuple, *args) -> np.ndarray:
+    """The answer of ``model``'s ``method`` to ``args`` as an array, which
+    must have ``shape``; any other answer raises CapabilityError naming the
+    model and the method. A model that answers only one token array at a
+    time returns a scalar or the wrong rows here."""
+    out = np.asarray(getattr(model, method)(*args))
+    if out.shape != shape:
+        raise CapabilityError(
+            f"{type(model).__name__}.{method} answered shape {out.shape} where the samplers "
+            f"need {shape}: every model must answer rows (see the predictor contract)"
+        )
+    return out
 
-    A model that takes rows is not memoized: the kernel answers a step's
-    (context, position) pairs, or the distinct children of its contexts, in
-    one call to it. Its evaluations still count the distinct contexts first
-    seen in a call, against a sorted record of the codes seen so far.
+
+class _ContextCache(CodeCache):
+    """The context codes of CodeCache plus the guidance kernel.
+
+    The kernel answers a step's (context, position) pairs, or the distinct
+    children of its contexts, in one call to each model, and keeps no copy
+    of the answers. It counts a model's evaluations as the distinct contexts
+    first seen in a call, against a sorted record per model of the codes
+    seen so far (``_seen``).
     """
 
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
-        super().__init__(denoiser, diagnostics)
+        super().__init__(denoiser)
         self.cfg = cfg
-        self._post2: dict = {}
-        self._lik: dict = {}
-        self._grad: dict = {}
+        self.diag = diagnostics
         self._seen: dict = {}
-
-    @property
-    def cacheable(self) -> bool:
-        parts = [self.denoiser, self.cfg.second_denoiser]
-        if self.cfg.guided and self.cfg.predictor is not None:
-            parts.append(self.cfg.predictor)
-        return all(getattr(p, "deterministic", True) for p in parts if p is not None)
 
     def _first_seen(self, record: str, codes: np.ndarray) -> int:
         """Add the distinct sorted ``codes`` to the named record of codes
@@ -345,72 +343,33 @@ class _ContextCache(CodeCache):
             ok &= self.cfg.second_denoiser.supported(rows)
         return ok
 
-    def posterior_cond(self, code: int) -> np.ndarray:
-        hit = self._post2.get(code)
-        if hit is None:
-            hit = self.cfg.second_denoiser.posterior_array(self.decode(code))
-            self.diag.denoiser_evals += 1
-            self._post2[code] = hit
-        return hit
-
-    def _context_rows(self, model, method: str, record: str, memo, contexts, positions: np.ndarray):
-        """(rows, new): row j is the answer of ``model``'s ``method`` at
-        ``positions[j]`` of context ``distinct[inv[j]]``, where ``contexts``
-        is (distinct, inv). A model that takes rows answers the pairs in one
-        call of its pair form, and ``new`` counts the distinct contexts first
-        seen under the named record, for the caller to add to its counter.
-        Any other is read through ``memo``, the cache's per-context accessor
-        for that model, which counts its own evaluations; ``new`` is then 0."""
+    def _context_rows(self, model, method: str, record: str, width: int, contexts,
+                      positions: np.ndarray):
+        """(rows, new): row j, of ``width`` entries, is the answer of
+        ``model``'s ``method`` at ``positions[j]`` of context
+        ``distinct[inv[j]]``, where ``contexts`` is (distinct, inv), from one
+        call of its pair form; ``new`` counts the distinct contexts first
+        seen under the named record, for the caller to add to its counter."""
         distinct, inv = contexts
-        if getattr(model, "takes_rows", False):
-            new = self._first_seen(record, distinct)
-            return getattr(model, method)(self.decode(distinct)[inv], positions), new
-        pairs = zip(distinct[inv].tolist(), positions.tolist())
-        return np.stack([memo(code)[d] for code, d in pairs]), 0
-
-    def likelihood(self, code: int) -> float:
-        hit = self._lik.get(code)
-        if hit is None:
-            hit = self.cfg.predictor.likelihood_array(self.decode(code))
-            hit = min(max(hit, LIKELIHOOD_FLOOR), 1.0)
-            self.diag.predictor_evals += 1
-            self._lik[code] = hit
-        return hit
+        new = self._first_seen(record, distinct)
+        rows = _checked(model, method, (positions.size, width), self.decode(distinct)[inv], positions)
+        return rows, new
 
     def _tilts(self, codes: np.ndarray, positions: np.ndarray, scored: np.ndarray, exact: bool):
         """(child likelihoods (P, S), source likelihoods (P, 1) or 1.0) of the
-        ``exact`` and ``deg`` modes. A predictor that takes rows scores the
-        distinct children where ``scored`` holds, plus the sources for
-        ``exact``, in one call, and the others keep likelihood 1; any other
-        predictor is called pair by pair, in the order given, once per
-        source and child not yet memoized."""
-        pred = self.cfg.predictor
-        if getattr(pred, "takes_rows", False):
-            keys = self.child_codes(codes, positions)[scored]
-            n = keys.size
-            if exact:
-                keys = np.concatenate([keys, codes])
-            distinct, inv = np.unique(keys, return_inverse=True)
-            self.diag.predictor_evals += self._first_seen("likelihood", distinct)
-            lik = pred.likelihood_array(self.decode(distinct))[inv]
-            tilt = np.ones(scored.shape)
-            tilt[scored] = lik[:n]
-            return tilt, (lik[n:, None] if exact else 1.0)
-        tilt = np.empty(scored.shape)
-        src = np.empty((codes.size, 1)) if exact else 1.0
-        for j, (code, d) in enumerate(zip(codes.tolist(), positions.tolist())):
-            if exact:
-                src[j] = self.likelihood(code)
-            tilt[j] = [self.likelihood(child) for child in self.children(code, d)]
-        return tilt, src
-
-    def gradient(self, code: int) -> np.ndarray:
-        hit = self._grad.get(code)
-        if hit is None:
-            hit = self.cfg.predictor.gradient_surface_array(self.decode(code))
-            self.diag.predictor_evals += 1
-            self._grad[code] = hit
-        return hit
+        ``exact`` and ``deg`` modes. One likelihood call scores the distinct children where ``scored`` holds,
+        plus the sources for ``exact``; the other children keep likelihood 1."""
+        keys = self.child_codes(codes, positions)[scored]
+        n = keys.size
+        if exact:
+            keys = np.concatenate([keys, codes])
+        distinct, inv = np.unique(keys, return_inverse=True)
+        self.diag.predictor_evals += self._first_seen("likelihood", distinct)
+        lik = _checked(self.cfg.predictor, "likelihood_array", distinct.shape,
+                       self.decode(distinct))[inv]
+        tilt = np.ones(scored.shape)
+        tilt[scored] = lik[:n]
+        return tilt, (lik[n:, None] if exact else 1.0)
 
     def guided_weights(self, codes: np.ndarray, positions: np.ndarray, active: bool) -> np.ndarray:
         """Unnormalized guided weights of P (context, position) pairs, shape
@@ -418,26 +377,26 @@ class _ContextCache(CodeCache):
         of the context ``codes[j]``. Without guidance, or before the switch
         point (``active`` false), the rows are the denoiser posterior. A
         child with zero posterior weight gets weight 0, and ``exact`` and
-        ``deg`` do not score it with a predictor that takes rows."""
+        ``deg`` do not score it."""
         cfg, S = self.cfg, self.S
         self.diag.step_weight_requests += codes.size
         if codes.size == 0:
             return np.zeros((0, S))
         mode = cfg.mode if cfg.guided and active else "none"
         contexts = np.unique(codes, return_inverse=True)
-        post, new = self._context_rows(self.denoiser, "posterior_array", "posterior", self.posterior,
+        post, new = self._context_rows(self.denoiser, "posterior_array", "denoiser", S,
                                        contexts, positions)
         self.diag.denoiser_evals += new
         if mode == "none":
             return post
         if mode == "predictor_free":
-            cond, new = self._context_rows(cfg.second_denoiser, "posterior_array", "posterior_cond",
-                                           self.posterior_cond, contexts, positions)
+            cond, new = self._context_rows(cfg.second_denoiser, "posterior_array",
+                                           "second_denoiser", S, contexts, positions)
             self.diag.denoiser_evals += new
             return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
         if mode == "tag":
             grad, new = self._context_rows(cfg.predictor, "gradient_surface_array", "gradient",
-                                           self.gradient, contexts, positions)
+                                           S + 1, contexts, positions)
             self.diag.predictor_evals += new
             return post * np.exp(cfg.gamma * (grad[:, :S] - grad[:, S:]))
         # exact and deg: tilt by the child likelihoods; deg omits the source
@@ -473,25 +432,14 @@ def _draw(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _run(route: str, core, denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng, paths: bool):
-    """Run ``core(cache, n, generator)`` for a route's driver and time it.
-
-    Deterministic components share one cache across the n chains. Otherwise
-    chain k runs the core alone on substream k with a fresh cache, so no
-    model output is shared across chains; a single chain runs on ``rng``
-    itself. Returns (rows, diagnostics), or (rows, paths, diagnostics).
-    """
+    """Run ``core(cache, n, generator)`` for a route's driver on one context
+    cache shared by the n chains, and time it. Returns (rows, diagnostics),
+    or (rows, paths, diagnostics)."""
     check_route(route, cfg.mode)
     diag = SamplerDiagnostics(sampler=route, n_chains=n)
     cache = _ContextCache(denoiser, cfg, diag)
     t_start = time.perf_counter()
-    if cache.cacheable or n <= 1:
-        rows, order, times = core(cache, n, as_generator(rng))
-    else:
-        if not hasattr(rng, "substream"):
-            raise ValueError("nondeterministic components require a RandomSource")
-        runs = [core(_ContextCache(denoiser, cfg, diag), 1, rng.substream(k).generator())
-                for k in range(n)]
-        rows, order, times = (np.concatenate(parts) for parts in zip(*runs))
+    rows, order, times = core(cache, n, as_generator(rng))
     diag.wall_time_s = time.perf_counter() - t_start
     if not paths:
         return rows, diag
@@ -639,16 +587,19 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
         diag.overflow_renormalizations += int((outflow > 1.0).sum())
         np.clip(outflow, None, 1.0, out=outflow)
         jump = gen.random(chain_idx.size) < outflow
-        moved[:] = False
+        if not unguided:
+            moved[:] = False
         if jump.any():
             jc, jp = chain_idx[jump], pos_idx[jump]
             jump_cdfs = pair_tables(jc, jp, active, k)[1] if unguided else cdfs[jump]
             rows[jc, jp] = _draw(jump_cdfs, gen.random(jc.size))
             times[jc, jp] = t + dt
-            moved[jc] = True
             jump[np.flatnonzero(jump)[undo_unsupported(jc, jp)]] = False
             keep = ~jump
-            chain_idx, pos_idx, sums, cdfs = chain_idx[keep], pos_idx[keep], sums[keep], cdfs[keep]
+            chain_idx, pos_idx = chain_idx[keep], pos_idx[keep]
+            if not unguided:
+                moved[jc] = True
+                sums, cdfs = sums[keep], cdfs[keep]
     while chain_idx.size:
         _, cdfs = pair_tables(chain_idx, pos_idx, (1.0 - dt) >= cfg.t0, n_int)
         rows[chain_idx, pos_idx] = _draw(cdfs, gen.random(chain_idx.size))

@@ -276,3 +276,31 @@ def loop_cdf(row):
     """(total, cumulative distribution) of one weight row."""
     total = float(row.sum())
     return total, np.cumsum(row) / total
+
+
+class Looped:
+    """A model that answers every rows or pair call with one single-row call
+    of ``inner`` per row: a sampler run on it forms each answer row the way
+    a model without a rows form would, and gives the run's reference."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def _rows(self, method, tokens, positions=None):
+        if tokens.ndim == 1:
+            return method(tokens)
+        if positions is None:
+            return np.array([method(row) for row in tokens])
+        return np.array([method(row)[d] for row, d in zip(tokens, positions)])
+
+    def posterior_array(self, tokens, positions=None):
+        return self._rows(self.inner.posterior_array, tokens, positions)
+
+    def likelihood_array(self, tokens):
+        return self._rows(self.inner.likelihood_array, tokens)
+
+    def gradient_surface_array(self, tokens, positions=None):
+        return self._rows(self.inner.gradient_surface_array, tokens, positions)

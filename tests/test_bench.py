@@ -229,6 +229,9 @@ class TestCampaign:
     @pytest.mark.parametrize("key, value", [
         ("refit_train_steps", 1500.5), ("refit_train_steps", True), ("classifier_epochs", -1),
         ("n_labeled", 0), ("k", 0), ("seeds", []), ("seeds", (0, 1)),
+        ("gammas", [-1.0]), ("gammas", [float("nan")]), ("gammas", [True]), ("gammas", 1.0),
+        ("refit_qs", [0.0]), ("refit_qs", [1.5]), ("label_top_fraction", 1.5),
+        ("label_top_fraction", 0),
     ])
     def test_config_mistake_raises_before_any_seed_runs(self, monkeypatch, key, value):
         ran = []

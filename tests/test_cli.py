@@ -408,9 +408,9 @@ class TestCampaignCommand:
 
 class TestCampaignConfigMistakes:
     """Each of these is a config mistake and exits 2 before any work.
-    Unchecked, the bad counts exited 3 after the first seeds had run, an
-    empty seed list exited 0 with no rows, and refit_train_steps true
-    trained one step and exited 0."""
+    Unchecked, the bad counts, gammas, refit quantiles and label fractions
+    exited 3 after the first seeds had run, an empty seed list exited 0 with
+    no rows, and refit_train_steps true trained one step and exited 0."""
 
     @staticmethod
     def run(tmp_path, **campaign):
@@ -451,3 +451,14 @@ class TestCampaignConfigMistakes:
     @pytest.mark.parametrize("seeds", [[0, "1"], [0, 1.5], [True], 3])
     def test_seeds_not_a_list_of_integers(self, tmp_path, seeds):
         assert self.run(tmp_path, seeds=seeds) == 2
+
+    # each of these exited 3 after resolved_config.json was written and
+    # seed 0's first arms had run
+    def test_negative_gamma(self, tmp_path):
+        assert self.run(tmp_path, gammas=[-1.0]) == 2
+
+    def test_zero_refit_q(self, tmp_path):
+        assert self.run(tmp_path, refit_qs=[0.0]) == 2
+
+    def test_label_top_fraction_above_one(self, tmp_path):
+        assert self.run(tmp_path, label_top_fraction=1.5) == 2

@@ -22,7 +22,6 @@ from guidesampler.denoising import (
     TRAIN_BLOCK_STEPS,
     aoarm_loss_exact,
     apply_modifiers,
-    exact_denoise,
     fm_loss_exact,
     rate_weighted_fm_loss_exact,
     train_denoiser,
@@ -49,23 +48,34 @@ def uniform_over(texts, D, S):
     return TabularDistribution(D, S, w / w.sum())
 
 
+def exact_posterior(p, xt):
+    """ExactDenoiser(p)'s posterior of xt, after checking that its rows sum
+    to 1 and that each unmasked row is the observed one-hot."""
+    post = ExactDenoiser(p).posterior_array(xt.tokens)
+    assert post.shape == (p.D, p.S)
+    np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
+    for d in xt.unmasked_positions():
+        assert np.array_equal(post[d], np.eye(p.S)[xt.tokens[d]])
+    return post
+
+
 class TestExactDenoise:
     def test_single_consistent_completion(self):
         p = uniform_over(["AA", "BB"], 2, 2)
-        post = exact_denoise(p, masked_from_str("A?", AB))
-        np.testing.assert_allclose(post.row(1), [1.0, 0.0])
+        post = exact_posterior(p, masked_from_str("A?", AB))
+        np.testing.assert_allclose(post[1], [1.0, 0.0])
 
     def test_two_consistent_completions(self):
         p = uniform_over(["AA", "AB", "BB"], 2, 2)
-        post = exact_denoise(p, masked_from_str("A?", AB))
-        np.testing.assert_allclose(post.row(1), [0.5, 0.5])
+        post = exact_posterior(p, masked_from_str("A?", AB))
+        np.testing.assert_allclose(post[1], [0.5, 0.5])
 
     def test_fully_masked_gives_marginals(self):
         gen = RandomSource(3).generator()
         p = TabularDistribution.from_unnormalized(3, 3, gen.random(27))
-        post = exact_denoise(p, MaskedSequence.fully_masked(3, Alphabet(3)))
+        post = exact_posterior(p, MaskedSequence.fully_masked(3, Alphabet(3)))
         for d in range(3):
-            np.testing.assert_allclose(post.row(d), p.marginal(d), atol=1e-12)
+            np.testing.assert_allclose(post[d], p.marginal(d), atol=1e-12)
 
     def test_matches_brute_force_everywhere(self):
         gen = RandomSource(11).generator()
@@ -82,7 +92,7 @@ class TestExactDenoise:
     def test_unsupported_context_names_positions(self):
         p = uniform_over(["AA"], 2, 2)
         with pytest.raises(UnsupportedContextError) as exc:
-            exact_denoise(p, masked_from_str("B?", AB))
+            exact_posterior(p, masked_from_str("B?", AB))
         assert exc.value.positions == (0,)
 
     def test_no_mass_on_mask_and_rows_normalized(self):
@@ -185,9 +195,9 @@ class TestFMLoss:
 
 
     @pytest.mark.parametrize("parametric", [False, True])
-    def test_rows_calls_equal_per_context_calls(self, parametric, monkeypatch):
-        # one rows call per mask pattern gives the bytes of one call per
-        # context; a model without the rows form is memoized per context
+    def test_one_rows_call_per_pattern(self, parametric, monkeypatch):
+        # the pattern losses make one rows call per mask pattern, and the
+        # spy, which passes the call on, keeps every loss byte
         gen = RandomSource(27).generator()
         D, S = 4, 3
         p = TabularDistribution.from_unnormalized(D, S, gen.random(S**D) + 0.02)
@@ -204,10 +214,6 @@ class TestFMLoss:
         monkeypatch.setattr(type(den), "posterior_array", spy)
         assert [loss(den, p) for loss in losses] == rows_form
         assert calls == [2] * (2 * (2**D - 1))
-        monkeypatch.setattr(type(den), "takes_rows", False)
-        calls.clear()
-        assert [loss(den, p) for loss in losses] == rows_form
-        assert set(calls) == {1}
 
 
 class TestAOARMLoss:
@@ -298,7 +304,6 @@ class TestModifiedDenoiser:
             ParametricDenoiser.random(D, S, RandomSource(40), scale=1.0),
             LogitModifier(temperature=0.7, wildtype_weight=1.5, wildtype_sequence=wildtype),
         )
-        assert mod.takes_rows
         rows = RandomSource(42).generator().integers(0, S + 1, size=(200, D))
         rows[0] = S
         post = mod.posterior_array(rows)

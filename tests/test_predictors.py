@@ -29,14 +29,8 @@ from guidesampler.predictors import (
     CleanPredictor,
     ExactMarginalPredictor,
     PairwiseInteractionPredictor,
-    PomPredictor,
     ProductPredictor,
-    ThresholdPredictor,
-    ThresholdRegressor,
     clamp_likelihood,
-    load_labeled_csv,
-    save_labeled_csv,
-    threshold_likelihood,
     train_noisy_classifier,
 )
 from guidesampler.sampling import GuidanceConfig, aoarm_sample_many
@@ -149,45 +143,6 @@ class TestExactMarginalPredictor:
                     nxt[d] = s
                     refined += post[d, s] * pred.likelihood_array(nxt)
                 assert refined == pytest.approx(coarse, abs=1e-9)
-
-
-class TestPomPredictor:
-    def test_fully_unmasked_exact_any_n(self):
-        p = TabularDistribution.uniform(2, 2)
-        den = ExactDenoiser(p)
-        clean = CleanPredictor(lambda x: 0.123 + 0.5 * (x.tokens[0] == 1))
-        pred = PomPredictor(clean, den, 1, RandomSource(0))
-        x = sequence_from_str("BA", AB)
-        assert pred.likelihood(x.as_masked()) == clean.likelihood(x)
-
-    def test_constant_clean(self):
-        p = TabularDistribution.uniform(2, 2)
-        pred = PomPredictor(CleanPredictor(lambda x: 0.7), ExactDenoiser(p), 5, RandomSource(1))
-        assert pred.likelihood(masked_from_str("??", AB)) == pytest.approx(0.7, abs=1e-12)
-
-    def test_converges_to_product_of_marginals_expectation(self):
-        gen = RandomSource(5).generator()
-        p = TabularDistribution.from_unnormalized(2, 2, gen.random(4) + 0.1)
-        den = ExactDenoiser(p)
-        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x.tokens[0] == x.tokens[1])))
-        xt = masked_from_str("??", AB)
-        post = den.posterior_array(xt.tokens)
-        # exact expectation under the product of the two marginals
-        exact = sum(
-            post[0, a] * post[1, b] * (0.1 + 0.8 * (a == b))
-            for a in range(2)
-            for b in range(2)
-        )
-        n = 40000
-        pred = PomPredictor(clean, den, n, RandomSource(6))
-        est = pred.likelihood(xt)
-        se = 0.5 / math.sqrt(n)  # bounded in [0.1, 0.9]
-        assert abs(est - exact) < 3 * se
-
-    def test_rejects_zero_samples(self):
-        p = TabularDistribution.uniform(2, 2)
-        with pytest.raises(ValueError):
-            PomPredictor(CleanPredictor(lambda x: 1.0), ExactDenoiser(p), 0, RandomSource(0))
 
 
 class TestPairwiseInteractionPredictor:
@@ -761,44 +716,15 @@ class TestTrainNoisyClassifier:
         assert math.isfinite(loss)
 
 
-class TestThresholdRegressor:
-    def make(self, mu, sigma, y_star):
-        return ThresholdRegressor(mu=lambda xt: mu, sigma=lambda xt: sigma, y_star=y_star)
-
-    def test_at_threshold_is_half(self):
-        reg = self.make(2.0, 1.0, 2.0)
-        assert threshold_likelihood(reg, masked_from_str("?", AB)) == pytest.approx(0.5)
-
-    def test_three_sigma_above(self):
-        reg = self.make(5.0, 1.0, 2.0)
-        got = threshold_likelihood(reg, masked_from_str("?", AB))
-        assert got == pytest.approx(0.99865, abs=1e-5)
-
-    def test_large_sigma_limit(self):
-        reg = self.make(0.0, 1e12, 3.0)
-        assert threshold_likelihood(reg, masked_from_str("?", AB)) == pytest.approx(0.5, abs=1e-9)
-
-    def test_nonpositive_sigma_rejected(self):
-        reg = self.make(0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            threshold_likelihood(reg, masked_from_str("?", AB))
-
-    def test_predictor_adapter_clamps(self):
-        reg = self.make(-1e6, 1.0, 0.0)
-        pred = ThresholdPredictor(reg, AB)
-        assert pred.likelihood(masked_from_str("?", AB)) == LIKELIHOOD_FLOOR
-
-
 class TestProductPredictor:
     class Const:
         def __init__(self, c):
             self.c = c
 
-        deterministic = True
         has_gradient_surface = False
 
         def likelihood_array(self, tokens):
-            return self.c
+            return np.full(np.shape(tokens)[:-1], self.c)
 
     def test_single_part_identity(self):
         p = ProductPredictor([self.Const(0.42)], S=2)
@@ -838,24 +764,81 @@ class TestProductPredictor:
         assert prod.likelihood_array(np.array([0, 2])) == pytest.approx(0.5)  # 50%
         assert prod.likelihood_array(np.array([0, 1])) == pytest.approx(0.125)  # 100%
 
+    SWITCH = [0.3, 0.5, 0.8]
 
-class TestCSV:
-    def test_round_trip_bool(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        seqs = [sequence_from_str("AB", AB), sequence_from_str("BA", AB)]
-        save_labeled_csv(path, seqs, [True, False])
-        got_seqs, labels, is_bool = load_labeled_csv(path, 2)
-        assert got_seqs == seqs and is_bool
-        np.testing.assert_array_equal(labels, [True, False])
+    @classmethod
+    def staged(cls, D, S, seed, exact_part):
+        """Three parts staged in at unmasked fractions 0.3, 0.5 and 0.8; the
+        middle one an exact-marginal table or a pairwise model."""
+        middle = (TestExactChildLikelihoods.model(D, S, seed) if exact_part
+                  else full_random_model(D, S, "logistic", seed))
+        parts = [full_random_model(D, S, "logistic", seed + 1), middle,
+                 full_random_model(D, S, "exp", seed + 2)]
+        return ProductPredictor(parts, S, switch_fractions=cls.SWITCH)
 
-    def test_real_labels(self, tmp_path):
-        path = tmp_path / "labels.csv"
-        save_labeled_csv(path, [sequence_from_str("AA", AB)], [1.25])
-        _, labels, is_bool = load_labeled_csv(path, 2)
-        assert not is_bool and labels[0] == pytest.approx(1.25)
+    @classmethod
+    def active(cls, prod, row):
+        """The parts active at one token row, in part order."""
+        frac = float((row != prod.S).sum() / row.size)
+        return [part for part, s in zip(prod.parts, cls.SWITCH) if frac >= s]
 
-    def test_bad_header_rejected(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("seq,y\nAB,1\n")
-        with pytest.raises(ValueError):
-            load_labeled_csv(path, 2)
+    @classmethod
+    def loop_surface(cls, prod, row):
+        """The parts' single-row surfaces summed in part order, the first
+        taken as is; zeros when no part is active."""
+        out = np.zeros((row.size, prod.S + 1))
+        for j, part in enumerate(cls.active(prod, row)):
+            g = part.gradient_surface_array(row)
+            out = g if j == 0 else out + g
+        return out
+
+    @pytest.mark.parametrize("exact_part", [False, True])
+    @pytest.mark.parametrize("D,S", [(3, 2), (8, 4)])
+    def test_likelihood_rows_equal_single_row_calls(self, D, S, exact_part):
+        prod = self.staged(D, S, D * S + 50, exact_part)
+        rows = TestParametricRowForm.rows(D, S, D * S + 51)
+        frac = (rows != S).mean(axis=1)
+        assert (frac < 0.3).any() and (frac >= 0.8).any()
+        got = prod.likelihood_array(rows)
+        assert got.shape == (rows.shape[0],)
+        for k, row in enumerate(rows):
+            val = 1.0
+            for part in self.active(prod, row):
+                val *= part.likelihood_array(row)
+            assert got[k] == clamp_likelihood(val) == prod.likelihood_array(row)
+        assert isinstance(prod.likelihood_array(rows[0]), float)
+
+    @pytest.mark.parametrize("D,S", [(3, 2), (8, 4)])
+    def test_gradient_surface_rows_equal_single_row_calls(self, D, S):
+        prod = self.staged(D, S, D * S + 60, exact_part=False)
+        rows, positions = TestPairForm.pairs(D, S, D * S + 61)
+        want = [self.loop_surface(prod, row) for row in rows]
+        full = prod.gradient_surface_array(rows)
+        pairs = prod.gradient_surface_array(rows, positions)
+        assert full.shape == (rows.shape[0], D, S + 1) and pairs.shape == (rows.shape[0], S + 1)
+        for k, row in enumerate(rows):
+            # bytes, so that the sign of a zero counts too
+            assert full[k].tobytes() == want[k].tobytes()
+            assert prod.gradient_surface_array(row).tobytes() == want[k].tobytes()
+            assert pairs[k].tobytes() == want[k][positions[k]].tobytes()
+        assert not full[0].any()  # fully masked: no part is active
+
+    class NegativeZero:
+        """A surface of -0.0 everywhere, in every form."""
+
+        has_gradient_surface = True
+
+        def gradient_surface_array(self, tokens, positions=None):
+            lead = np.shape(tokens) if positions is None else np.shape(positions)
+            return np.full(lead + (3,), -0.0)
+
+    def test_first_part_keeps_negative_zeros(self):
+        # the first active part's surface is taken as is: 0.0 + (-0.0)
+        # would be 0.0. A second active part adds in the usual way.
+        prod = ProductPredictor([self.NegativeZero(), self.NegativeZero()], 2,
+                                switch_fractions=[0.0, 0.5])
+        rows = np.array([[2, 2, 2], [0, 1, 2]])
+        full = prod.gradient_surface_array(rows)
+        assert np.signbit(full).all()  # -0.0 + -0.0 is -0.0 too
+        assert np.signbit(prod.gradient_surface_array(rows, np.array([0, 2]))).all()
+        assert np.signbit(prod.gradient_surface_array(rows[0])).all()

@@ -42,6 +42,7 @@ from guidesampler.predictors import (
     CleanPredictor,
     ExactMarginalPredictor,
     PairwiseInteractionPredictor,
+    ProductPredictor,
     train_noisy_classifier,
 )
 from guidesampler.sampling import (
@@ -98,7 +99,20 @@ def parametric_models():
     }
 
 
-MODELS = {"tabular": tabular_models, "parametric": parametric_models}
+def product_models():
+    """D=6, S=4: a parametric denoiser and a product of three pairwise
+    predictors staged in at unmasked fractions 0, 0.3 and 0.6."""
+    parts = [pairwise_predictor(6, 4, seed) for seed in (501, 502, 503)]
+    pred = ProductPredictor(parts, 4, switch_fractions=[0.0, 0.3, 0.6])
+    return {
+        "denoiser": ParametricDenoiser.random(6, 4, RandomSource(504), scale=0.5),
+        "likelihood": pred,
+        "gradient": pred,
+    }
+
+
+MODELS = {"tabular": tabular_models, "parametric": parametric_models, "product": product_models}
+PRODUCT_MODES = {"aoarm": ("deg", "tag"), "euler": ("exact", "tag")}
 
 
 def guidance(models, mode):
@@ -202,8 +216,9 @@ def campaign_digest(seed) -> str:
 
 SAMPLER_CASES = [
     f"{model}/{route}/{mode}/{kind}"
-    for model in MODELS
-    for route, modes in ROUTE_MODES.items()
+    for model, route_modes in (("tabular", ROUTE_MODES), ("parametric", ROUTE_MODES),
+                               ("product", PRODUCT_MODES))
+    for route, modes in route_modes.items()
     for mode in modes
     for kind in ("single", "many")
 ]
@@ -256,6 +271,16 @@ PINNED = {
     "parametric/euler/exact/single": "b5a08b45ee4e9dcf25c29847a1a3fe26e1847e30845dabb73291a4deae25fe7d",
     "parametric/euler/tag/single": "07571ad27f0dd7cb4c8ab537a6bf76e56bdfb8198bb4b53dbd176ea230e92eb8",
     "parametric/euler/predictor_free/single": "69a6efda4543df588cb6b65c04e9a62f7a6176689ddae0b042ea33c891fa7611",
+    # computed on the tree before the product predictor answered rows; every
+    # part is active in some step, and the parametric posterior has no zero row
+    "product/aoarm/deg/single": "0cecd4987c6005a3aa2e248616bfa40cd1d6640e3a4ada0eb88e080290e8862a",
+    "product/aoarm/deg/many": "c45232125a6b1a5a917bae897539a5b294f7e789111fa57034ea4163196983c0",
+    "product/aoarm/tag/single": "00eb00ecc832d7d2824676a010ebf1547ae4797382cff3c14dad6d0d8d9389b0",
+    "product/aoarm/tag/many": "f52f448efdb954ac9f778f0c45f3953f75a715c79b4206d86cefa03e1adf5a4a",
+    "product/euler/exact/single": "f36e42dbc2da0b2b37882deacec254a1871d09d1cd26a1df691ffd4c05b96f80",
+    "product/euler/exact/many": "e5aed414c543c1aceb992c64fa4ce81d8894f9906b824c6eb1e05e51b6920b03",
+    "product/euler/tag/single": "38bc6760d2e00cfd620da05c8be9477990072339c4169c8ba83079063e39b223",
+    "product/euler/tag/many": "ac6f90f98c4a1b534bee6bba13211c4c71f8c96375f207400b39b95c86b24826",
     "cli/aoarm/deg": "4b58e922e7196c4c1ceaeee6978b330418aab2e3e7988a60bbaa7da2cc28a792",
     "cli/euler/exact": "3850489d32e486ca4505017baa4a5d38ad8437885bce538d6a3197154cc7252c",
     # computed on the tree before the bincount trainer updates, whose weights it keeps

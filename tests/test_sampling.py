@@ -22,10 +22,11 @@ from guidesampler.errors import (
 )
 from guidesampler.oracle import EmpiricalDistribution, brute_force_posterior, chi_square_gof, ks_uniform, tv_distance
 from guidesampler.predictors import (
+    LIKELIHOOD_FLOOR,
     CleanPredictor,
     ExactMarginalPredictor,
     PairwiseInteractionPredictor,
-    PomPredictor,
+    ProductPredictor,
 )
 from guidesampler.sampling import (
     ROUTE_MODES,
@@ -42,7 +43,7 @@ from guidesampler.sampling import (
     sample_jump_times,
 )
 
-from bruteforce import loop_cdf, loop_guided_row
+from bruteforce import Looped, loop_cdf, loop_guided_row
 
 AB = Alphabet(2)
 IDENT = identity_schedule()
@@ -138,11 +139,10 @@ class TestGuideRates:
     def test_ratio_example(self):
         # gamma=1, p(y|child)=0.8, p(y|source)=0.4, rate 1.0 -> 2.0
         class Fixed:
-            deterministic = True
             has_gradient_surface = False
 
             def likelihood_array(self, tokens):
-                return 0.4 if (tokens == 2).any() else 0.8
+                return np.where((tokens == 2).any(axis=-1), 0.4, 0.8)
 
         p = TabularDistribution(1, 2, [0.5, 0.5])
         args = (ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
@@ -277,11 +277,10 @@ class TestEulerSampler:
         # ... while a strong likelihood ratio pushes guided outflow past 1
         # from the first step, and every renormalization is counted
         class Strong:
-            deterministic = True
             has_gradient_surface = False
 
             def likelihood_array(self, tokens):
-                return 0.05 if (tokens == 2).any() else 0.95
+                return np.where((tokens == 2).any(axis=-1), 0.05, 0.95)
 
         cfg = GuidanceConfig(mode="exact", gamma=2.0, predictor=Strong())
         _, _, diag = euler_sample(den, cfg, IDENT, 0.1, RandomSource(1))
@@ -409,11 +408,10 @@ class TestAOARMSampler:
 
     def test_degenerate_step_error_names_step(self):
         class Zero:
-            deterministic = True
             has_gradient_surface = False
 
             def likelihood_array(self, tokens):
-                return 0.0
+                return np.full(np.shape(tokens)[:-1], LIKELIHOOD_FLOOR)  # zero, clamped
 
         p = random_dist(2, 2, 32)
         cfg = GuidanceConfig(mode="deg", gamma=400.0, predictor=Zero())
@@ -421,22 +419,6 @@ class TestAOARMSampler:
             aoarm_sample(ExactDenoiser(p), cfg, RandomSource(1))
         assert exc.value.step == 0
         assert str(exc.value).startswith("all guided symbol weights vanished at decode step 0")
-
-    def test_nondeterministic_predictor_uses_fallback(self):
-        p = random_dist(2, 2, 33)
-        den = ExactDenoiser(p)
-        clean = CleanPredictor(lambda x: float(0.3 + 0.4 * (x.tokens[0] == 1)))
-        pom = PomPredictor(clean, den, 16, RandomSource(34))
-        cfg = GuidanceConfig(mode="deg", gamma=1.0, predictor=pom)
-        rows, paths, diag = aoarm_sample_many(den, cfg, 50, RandomSource(35), paths=True)
-        assert rows.shape == (50, 2)
-        assert (rows < 2).all()
-        assert all(np.array_equal(p.states[-1], r) for p, r in zip(paths, rows))
-        # the fallback aggregates every per-chain count: one request per step
-        assert diag.step_weight_requests == diag.n_steps == 50 * 2
-        # one chain runs on the generator it is given
-        x, _, _ = aoarm_sample(den, cfg, np.random.default_rng(0))
-        assert x.D == 2
 
     def test_monotone_guidance_in_gamma(self):
         # increasing gamma never decreases the mean clean-predictor value
@@ -481,15 +463,14 @@ class TestAOARMSampler:
 
 
 class Certain:
-    """Likelihood 1 on a fully unmasked sequence of S=2 symbols and 0 (the
-    clamp floor) on any masked one: the exact-mode ratio of a last unmask is
-    1e12, and at gamma=30 the guided weights overflow to inf."""
+    """Likelihood 1 on a fully unmasked sequence of S=2 symbols and the
+    clamp floor 1e-12 on any masked one: the exact-mode ratio of a last
+    unmask is 1e12, and at gamma=30 the guided weights overflow to inf."""
 
-    deterministic = True
     has_gradient_surface = False
 
     def likelihood_array(self, tokens):
-        return 0.0 if (tokens == 2).any() else 1.0
+        return np.where((tokens == 2).any(axis=-1), LIKELIHOOD_FLOOR, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -521,15 +502,17 @@ class Steep:
     gamma=1 weighs position d by exp(1000 * sign[d]), which overflows to inf
     for sign +1 and vanishes to 0 for sign -1."""
 
-    deterministic = True
     has_gradient_surface = True
 
     def __init__(self, S, signs):
         self.S, self.signs = S, np.asarray(signs, dtype=float)
 
-    def gradient_surface_array(self, tokens):
-        g = np.zeros((tokens.size, self.S + 1))
-        g[:, : self.S] = 1000.0 * self.signs[:, None]
+    def gradient_surface_array(self, tokens, positions=None):
+        at = positions
+        if positions is None:
+            at = np.broadcast_to(np.arange(tokens.shape[-1]), tokens.shape)
+        g = np.zeros(np.shape(at) + (self.S + 1,))
+        g[..., : self.S] = 1000.0 * self.signs[at][..., None]
         return g
 
 
@@ -695,34 +678,23 @@ class TestZeroMassContexts:
                                   [rate_coefficient(0.5, IDENT), 0.0]]
 
 
-class ScalarOnly:
-    """A predictor seen only through ``likelihood_array``, so the samplers
-    score each child with its own call."""
-
-    deterministic = True
-    has_gradient_surface = False
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def likelihood_array(self, tokens):
-        return self.inner.likelihood_array(tokens)
+def looped_test_models(link="logistic"):
+    """D=5, S=4: a parametric denoiser and a pairwise predictor."""
+    gen = RandomSource(70).generator()
+    D, S = 5, 4
+    den = ParametricDenoiser.random(D, S, RandomSource(71), scale=0.5)
+    pred = PairwiseInteractionPredictor(
+        D, S, link=link, bias=-1.0, single=gen.normal(0, 0.5, (D, S + 1)),
+        pairwise=gen.normal(0, 0.3, (D, D, S + 1, S + 1)),
+    )
+    return den, pred
 
 
-class TestBatchedChildLikelihoods:
-    """A predictor's batched child scoring changes no sample and no count:
-    the rows, paths and diagnostics equal those of the one-call-per-child
-    loop at a fixed seed."""
-
-    def models(self, link):
-        gen = RandomSource(70).generator()
-        D, S = 5, 4
-        den = ParametricDenoiser.random(D, S, RandomSource(71), scale=0.5)
-        pred = PairwiseInteractionPredictor(
-            D, S, link=link, bias=-1.0, single=gen.normal(0, 0.5, (D, S + 1)),
-            pairwise=gen.normal(0, 0.3, (D, D, S + 1, S + 1)),
-        )
-        return den, pred
+class TestRowsFormMatchesLooped:
+    """Models answering a step in one rows or pair call give the rows,
+    paths and counts of the same models answering one row per call
+    (``Looped``), for every mode of both routes, with logit modifiers, with
+    both links and with a staged product predictor."""
 
     @staticmethod
     def counts(diag):
@@ -730,78 +702,101 @@ class TestBatchedChildLikelihoods:
         out.pop("wall_time_s")
         return out
 
-    @pytest.mark.parametrize("link", ["logistic", "exp"])
-    @pytest.mark.parametrize("route", ["aoarm", "euler"])
-    def test_same_outputs_and_counts(self, route, link):
-        den, pred = self.models(link)
+    def run(self, route, den, cfg):
+        if route == "aoarm":
+            rows, diag = aoarm_sample_many(den, cfg, 200, RandomSource(76))
+            x, path, one = aoarm_sample(den, cfg, RandomSource(77))
+        else:
+            rows, diag = euler_sample_many(den, cfg, IDENT, 0.05, 100, RandomSource(78))
+            x, path, one = euler_sample(den, cfg, IDENT, 0.05, RandomSource(79))
+        return rows, x.tokens, path.to_json(), self.counts(diag), self.counts(one)
+
+    def check(self, route, mode, den, pred):
+        """The run of the models and of their Looped copies; returns the
+        first one's counts."""
+        second = ParametricDenoiser.random(den.D, den.S, RandomSource(94), scale=0.5)
         runs = []
-        for p in (pred, ScalarOnly(pred)):
-            if route == "aoarm":
-                cfg = GuidanceConfig(mode="deg", gamma=1.5, predictor=p)
-                rows, diag = aoarm_sample_many(den, cfg, 200, RandomSource(72))
-                x, path, one = aoarm_sample(den, cfg, RandomSource(73))
-            else:
-                cfg = GuidanceConfig(mode="exact", gamma=1.0, predictor=p)
-                rows, diag = euler_sample_many(den, cfg, IDENT, 0.05, 100, RandomSource(74))
-                x, path, one = euler_sample(den, cfg, IDENT, 0.05, RandomSource(75))
-            runs.append((rows, x.tokens, path.to_json(), self.counts(diag), self.counts(one)))
-        batched, scalar = runs
-        assert np.array_equal(batched[0], scalar[0]) and np.array_equal(batched[1], scalar[1])
-        assert batched[2:] == scalar[2:]
-        assert batched[3]["predictor_evals"] > 0
-
-
-class PerContext:
-    """A model the samplers see without its rows form: they call it once per
-    context and memoize the answer."""
-
-    takes_rows = False
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-
-class TestRowsFormChangesNothing:
-    """Parametric models answering a step in one rows call give the rows,
-    paths and counts of the same models called once per context, for every
-    mode of both routes, and with logit modifiers."""
+        for wrap in (lambda model: model, Looped):
+            cfg = GuidanceConfig(
+                mode=mode, gamma=1.5,
+                predictor=wrap(pred) if mode in ("exact", "deg", "tag") else None,
+                second_denoiser=wrap(second) if mode == "predictor_free" else None,
+            )
+            runs.append(self.run(route, wrap(den), cfg))
+        rows_form, looped = runs
+        assert np.array_equal(rows_form[0], looped[0])
+        assert np.array_equal(rows_form[1], looped[1])
+        assert rows_form[2:] == looped[2:]
+        return rows_form[3]
 
     @pytest.mark.parametrize("modified", [False, True])
-    @pytest.mark.parametrize("route,mode", [(r, m) for r, modes in ROUTE_MODES.items()
-                                            for m in modes if m != "predictor_free"])
-    def test_same_outputs_and_counts(self, route, mode, modified):
-        den, pred = TestBatchedChildLikelihoods().models("logistic")
+    @pytest.mark.parametrize("route,mode", [(r, m) for r, modes in ROUTE_MODES.items() for m in modes])
+    def test_every_mode(self, route, mode, modified):
+        den, pred = looped_test_models()
         if modified:
             wildtype = sequence_from_str("ABCDA", Alphabet(4))
             den = ModifiedDenoiser(den, LogitModifier(0.8, 1.0, wildtype))
-        runs = []
-        for d, p in ((den, pred), (PerContext(den), PerContext(pred))):
-            cfg = GuidanceConfig(mode=mode, gamma=1.5, predictor=None if mode == "none" else p)
-            if route == "aoarm":
-                rows, diag = aoarm_sample_many(d, cfg, 200, RandomSource(76))
-                x, path, one = aoarm_sample(d, cfg, RandomSource(77))
-            else:
-                rows, diag = euler_sample_many(d, cfg, IDENT, 0.05, 100, RandomSource(78))
-                x, path, one = euler_sample(d, cfg, IDENT, 0.05, RandomSource(79))
-            counts = TestBatchedChildLikelihoods.counts
-            runs.append((rows, x.tokens, path.to_json(), counts(diag), counts(one)))
-        rows_form, per_context = runs
-        assert np.array_equal(rows_form[0], per_context[0])
-        assert np.array_equal(rows_form[1], per_context[1])
-        assert rows_form[2:] == per_context[2:]
-        assert rows_form[3]["denoiser_evals"] > 0
+        counts = self.check(route, mode, den, pred)
+        assert counts["denoiser_evals"] > 0
+        assert (counts["predictor_evals"] > 0) == (mode in ("exact", "deg", "tag"))
+
+    @pytest.mark.parametrize("route,mode", [("aoarm", "deg"), ("aoarm", "tag"),
+                                            ("euler", "exact"), ("euler", "tag")])
+    def test_exp_link(self, route, mode):
+        den, pred = looped_test_models("exp")
+        assert self.check(route, mode, den, pred)["predictor_evals"] > 0
+
+    @pytest.mark.parametrize("route,mode", [("aoarm", "deg"), ("aoarm", "tag"),
+                                            ("euler", "exact"), ("euler", "tag")])
+    def test_staged_product(self, route, mode):
+        # at D=5 no part is active before the first unmask, and the third
+        # only from three unmasked positions
+        den, _ = looped_test_models()
+        parts = [looped_test_models(link)[1] for link in ("logistic", "exp")]
+        parts.append(PairwiseInteractionPredictor(5, 4, bias=0.5, single=parts[0].single[::-1]))
+        pred = ProductPredictor(parts, 4, switch_fractions=[0.1, 0.2, 0.6])
+        assert self.check(route, mode, den, pred)["predictor_evals"] > 0
 
     @pytest.mark.parametrize("mode", ["none", "tag", "exact"])
     def test_no_masked_position_has_zero_rates(self, mode):
-        den, pred = TestBatchedChildLikelihoods().models("logistic")
+        den, pred = looped_test_models()
         xt = masked_from_str("ABCDA", Alphabet(4))
-        for d, p in ((den, pred), (PerContext(den), PerContext(pred))):
+        for d, p in ((den, pred), (Looped(den), Looped(pred))):
             cfg = GuidanceConfig(mode=mode, gamma=1.5, predictor=None if mode == "none" else p)
             rates = guide_rates(d, xt, 0.3, IDENT, cfg)
             assert rates.shape == (5, 4) and not rates.any()
+
+
+class TestScalarAnswerRefused:
+    """The kernel hands every model rows. A model that answers only one
+    token array at a time returns a scalar for them, and every driver raises
+    CapabilityError naming the model and the method instead of indexing a
+    scalar or using the wrong rows."""
+
+    class ScalarOnly:
+        has_gradient_surface = True
+
+        def likelihood_array(self, tokens):
+            return 0.5
+
+        def gradient_surface_array(self, tokens, positions=None):
+            return np.zeros((tokens.shape[-1], 3))
+
+    @pytest.mark.parametrize("driver", ["aoarm", "euler", "guide_rates"])
+    @pytest.mark.parametrize("mode", ["likelihood", "tag"])
+    def test_capability_error(self, driver, mode):
+        den = ExactDenoiser(random_dist(3, 2, 95))
+        if mode == "likelihood":
+            mode = "deg" if driver == "aoarm" else "exact"
+        cfg = GuidanceConfig(mode=mode, gamma=1.0, predictor=self.ScalarOnly())
+        method = "gradient_surface_array" if mode == "tag" else "likelihood_array"
+        with pytest.raises(CapabilityError, match=rf"^ScalarOnly\.{method} answered shape "):
+            if driver == "aoarm":
+                aoarm_sample_many(den, cfg, 10, RandomSource(96))
+            elif driver == "euler":
+                euler_sample_many(den, cfg, IDENT, 0.1, 10, RandomSource(96))
+            else:
+                guide_rates(den, masked_from_str("A??", AB), 0.5, IDENT, cfg)
 
 
 def sized_state(obj, depth=2):
@@ -906,9 +901,10 @@ class TestGuidanceKernel:
     """One kernel call over a step's pairs gives, bit for bit, the weights
     and CDF rows the per-pair loop reference forms one pair at a time, for
     every route x mode, at several gamma, before and after the switch point
-    t0, and for every way a predictor can score children (one rows call per
-    step, from a table or from the pairwise model, or one call per child).
-    S=9 rows are long enough for the row sums to take numpy's pairwise path."""
+    t0, and for every kind of predictor: a table, the pairwise model and a
+    product whose parts stage in at unmasked fractions 0.3 and 0.6, so that
+    no part is active at the first steps' contexts. S=9 rows are long
+    enough for the row sums to take numpy's pairwise path."""
 
     SIZES = [(3, 3), (2, 9)]
 
@@ -920,11 +916,14 @@ class TestGuidanceKernel:
             D, S, link="logistic", bias=-0.5, single=gen.normal(0, 0.8, (D, S + 1)),
             pairwise=gen.normal(0, 0.5, (D, D, S + 1, S + 1)),
         )
+        other = PairwiseInteractionPredictor(
+            D, S, link="exp", bias=-0.3, single=gen.normal(0, 0.8, (D, S + 1)),
+        )
         if mode == "tag":
-            return [pair]
+            return [pair, ProductPredictor([pair, other], S, switch_fractions=[0.3, 0.6])]
         clean = CleanPredictor.from_table(RandomSource(92).generator().uniform(0.05, 0.95, S**D), S)
         exact = ExactMarginalPredictor(clean, random_dist(D, S, 90))
-        return [exact, pair, ScalarOnly(exact)]
+        return [exact, pair, ProductPredictor([exact, other], S, switch_fractions=[0.3, 0.6])]
 
     def config(self, mode, gamma, t0, predictor, D, S):
         if mode == "none":
