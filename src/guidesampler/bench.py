@@ -116,18 +116,9 @@ class Landscape:
             "target_mass": self.target_mass,
         }
 
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
     @classmethod
     def from_json(cls, obj: dict) -> "Landscape":
         return _build_landscape(obj["spec"], {k: np.asarray(v) for k, v in obj["params"].items()})
-
-    @classmethod
-    def load(cls, path) -> "Landscape":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def _resolve_target(spec_target: dict, fitness_tables, weights: np.ndarray):

@@ -18,7 +18,6 @@ only mutable state and belong to exactly one sampling chain each.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -389,15 +388,6 @@ class TabularDistribution:
     @classmethod
     def from_json(cls, obj: dict) -> "TabularDistribution":
         return cls(int(obj["D"]), int(obj["S"]), obj["weights"])
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "TabularDistribution":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ All losses are nonnegative minimization targets.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -208,15 +207,6 @@ class ParametricDenoiser(Denoiser):
     def from_json(cls, obj: dict) -> "ParametricDenoiser":
         return cls(int(obj["D"]), int(obj["S"]), obj["single_site"], obj["pairwise"])
 
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "ParametricDenoiser":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
-
 
 # ---------------------------------------------------------------------------
 # logit modifiers
@@ -267,7 +257,8 @@ def apply_modifiers(logits: np.ndarray, mod: LogitModifier, positions=None) -> n
 class ModifiedDenoiser(Denoiser):
     """Denoiser with a LogitModifier applied before normalization; unmasked
     positions keep their observed one-hot rows. It answers rows and pairs
-    as its base does. A wild-type sequence must have the base's length."""
+    as its base does, and supports the contexts its base supports. A
+    wild-type sequence must have the base's length."""
 
     def __init__(self, base: Denoiser, modifier: LogitModifier):
         wildtype = modifier.wildtype_sequence
@@ -278,6 +269,9 @@ class ModifiedDenoiser(Denoiser):
             )
         self.base, self.modifier = base, modifier
         self.D, self.S = base.D, base.S
+
+    def supported(self, rows: np.ndarray) -> np.ndarray:
+        return self.base.supported(rows)
 
     def logits_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         return apply_modifiers(self.base.logits_array(tokens, positions), self.modifier, positions)
@@ -297,7 +291,7 @@ CODE_LIMIT = 2**63
 
 
 class CodeCache:
-    """Lazy per-context posterior rows keyed by the base-(S+1) context code.
+    """The base-(S+1) context codes of a denoiser's contexts, and its rows.
 
     This is the one context cache: the loss evaluators use it as is and the
     samplers extend it with the guidance kernel. It alone turns token rows
@@ -305,10 +299,8 @@ class CodeCache:
     (``decode``), so the key format lives here and nowhere else. Codes are
     int64, so a size whose codes would wrap raises SizeCapError instead of
     evaluating the model on the wrong context. A sampler step, or a mask
-    pattern of the pattern losses (:meth:`gather_rows`), is answered in one
+    pattern of the exact losses (:meth:`gather_rows`), is answered in one
     rows call on its distinct contexts, and no copy of the rows is kept.
-    :func:`aoarm_loss_exact` memoizes the rows per context through
-    :meth:`gather`, because its permutations reuse contexts.
     """
 
     def __init__(self, denoiser: Denoiser):
@@ -319,14 +311,13 @@ class CodeCache:
                 f"context codes (S+1)**D = {self.S + 1}**{self.D} do not fit in int64"
             )
         self.pows = (self.S + 1) ** np.arange(self.D, dtype=np.int64)
-        self._post: dict = {}
 
     def encode(self, rows: np.ndarray) -> np.ndarray:
         """Context codes of token rows (mask = S), one per row."""
         return rows @ self.pows
 
     def decode(self, codes) -> np.ndarray:
-        """Token row (D,) of one code, or rows (n, D) of an array of codes."""
+        """Token rows (n, D) of an array of n codes."""
         return np.floor_divide.outer(codes, self.pows) % (self.S + 1)
 
     def child_codes(self, codes: np.ndarray, positions: np.ndarray) -> np.ndarray:
@@ -348,18 +339,6 @@ class CodeCache:
         keys, inv = np.unique(rank * D + positions, return_inverse=True)
         return distinct[keys // D], keys % D, inv
 
-    def posterior(self, code: int) -> np.ndarray:
-        hit = self._post.get(code)
-        if hit is None:
-            hit = self.denoiser.posterior_array(self.decode(code))
-            self._post[code] = hit
-        return hit
-
-    def gather(self, rows: np.ndarray, position: int, symbols: np.ndarray) -> np.ndarray:
-        """probs[k] = posterior(context rows[k])[position, symbols[k]]."""
-        return np.array([self.posterior(code)[position, s]
-                         for code, s in zip(self.encode(rows).tolist(), symbols.tolist())])
-
     def gather_rows(self, rows: np.ndarray, positions, symbols: np.ndarray) -> np.ndarray:
         """probs[k, j] = posterior(context rows[k])[positions[j], symbols[k, j]],
         shape (n, len(positions)), from one rows call on the distinct
@@ -375,26 +354,31 @@ def _support(p: TabularDistribution):
     return table[idx], p.weights[idx]
 
 
+def _pattern_probs(denoiser: Denoiser, toks: np.ndarray, S: int):
+    """For each mask pattern bits = 1 .. 2**D - 1, in that order, yield
+    (masked, probs): ``masked`` the positions the pattern masks, ascending,
+    and probs[k, j] the posterior, at ``masked[j]``, of support row toks[k]'s
+    own token there given toks[k] with ``masked`` masked; one rows call on
+    the pattern's distinct contexts."""
+    D = toks.shape[1]
+    cache = CodeCache(denoiser)
+    for bits in range(1, 1 << D):
+        masked = [d for d in range(D) if bits >> d & 1]
+        ctx = toks.copy()
+        ctx[:, masked] = S
+        yield masked, cache.gather_rows(ctx, masked, toks[:, masked])
+
+
 def _pattern_ce_loss(denoiser: Denoiser, p: TabularDistribution, pattern_weight) -> float:
     """Sum over mask patterns of weight(m) times the expected sum of
     masked-position cross-entropies under p."""
-    D, S = p.D, p.S
     toks, w = _support(p)
-    cache = CodeCache(denoiser)
     loss = 0.0
-    for bits in range(1, 1 << D):
-        masked = [d for d in range(D) if bits >> d & 1]
-        m = len(masked)
-        weight = pattern_weight(m, D)
-        if weight == 0.0:
-            continue
-        ctx = toks.copy()
-        ctx[:, masked] = S
-        probs = cache.gather_rows(ctx, masked, toks[:, masked])
+    for masked, probs in _pattern_probs(denoiser, toks, p.S):
         ce = np.zeros(toks.shape[0])
-        for j in range(m):
+        for j in range(len(masked)):
             ce -= np.log(probs[:, j])
-        loss += weight * float(w @ ce)
+        loss += pattern_weight(len(masked), p.D) * float(w @ ce)
     return loss
 
 
@@ -420,23 +404,29 @@ def rate_weighted_fm_loss_exact(denoiser: Denoiser, p: TabularDistribution) -> f
 
 def aoarm_loss_exact(denoiser: Denoiser, p: TabularDistribution) -> float:
     """Expected whole-sequence NLL over uniformly random decode orders,
-    enumerated over all D! permutations and the support of p."""
+    enumerated over all D! permutations and the support of p.
+
+    A decode step's context is the support row with the not yet decoded
+    positions masked, so each of the 2**D - 1 mask patterns is evaluated
+    once, in one rows call, and every order reads its log-posteriors from
+    that table, adding them up in its own decode order."""
     D, S = p.D, p.S
     if D > AOARM_ENUM_CAP_D:
         raise SizeCapError(f"aoarm_loss_exact enumerates D! orders; D={D} exceeds {AOARM_ENUM_CAP_D}")
     toks, w = _support(p)
-    cache = CodeCache(denoiser)
+    # logp[bits]: the support rows' log-posteriors at the positions the mask
+    # pattern bits masks, one column each in ascending order, so masked
+    # position d is column (bits & ((1 << d) - 1)).bit_count()
+    logp = [None] + [np.log(probs, out=probs) for _, probs in _pattern_probs(denoiser, toks, S)]
     total = 0.0
-    n_perm = 0
     for sigma in itertools.permutations(range(D)):
-        ctx = np.full_like(toks, S)
+        bits = (1 << D) - 1
         nll = np.zeros(toks.shape[0])
         for pos in sigma:
-            nll -= np.log(cache.gather(ctx, pos, toks[:, pos]))
-            ctx[:, pos] = toks[:, pos]
+            nll -= logp[bits][:, (bits & ((1 << pos) - 1)).bit_count()]
+            bits ^= 1 << pos
         total += float(w @ nll)
-        n_perm += 1
-    return total / n_perm
+    return total / math.factorial(D)
 
 
 # ---------------------------------------------------------------------------

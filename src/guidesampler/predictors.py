@@ -18,7 +18,6 @@ encoding augmented with pairwise interaction terms. It supports two links:
 from __future__ import annotations
 
 import functools
-import json
 import math
 from typing import Callable, Optional, Sequence
 
@@ -323,15 +322,6 @@ class PairwiseInteractionPredictor(TimePredictor):
             int(obj["D"]), int(obj["S"]), obj.get("link", "logistic"),
             float(obj.get("bias", 0.0)), obj["single_site"], obj["pairwise"],
         )
-
-    def dump(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh)
-
-    @classmethod
-    def load(cls, path) -> "PairwiseInteractionPredictor":
-        with open(path) as fh:
-            return cls.from_json(json.load(fh))
 
 
 def train_noisy_classifier(

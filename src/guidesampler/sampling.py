@@ -34,12 +34,13 @@ call per sampler step. :meth:`CodeCache.pairs` turns a step's context rows
 and positions into its distinct (context code, position) pairs, in ascending
 (code, position) order; context codes exist only inside the cache.
 :meth:`_ContextCache.guided_weights` returns the unnormalized rows of those
-pairs over the real symbols as one (P, S) matrix, and
-:meth:`_ContextCache.step_tables` turns it into row totals and CDF rows. The
-any-order route draws from the CDF rows; the Euler route scales the totals by
-kappa_dot/(1-kappa), keeps each still-masked pair's total and CDF row across
-steps, looks up again only the pairs of chains that jumped (all of them when
-the switch point flips) and forms rows only for pairs its memo lacks;
+pairs over the real symbols as one (P, S) matrix,
+:meth:`_ContextCache.step_tables` turns it into row totals and CDF rows, and
+:meth:`_ContextCache.pair_tables` hands each input pair of a step its total
+and CDF row. The any-order route draws from the CDF rows; the Euler route
+scales the totals by kappa_dot/(1-kappa) and, when guided, keeps each
+still-masked pair's total and CDF row across steps and looks up again only
+the pairs of chains that jumped (all of them when the switch point flips);
 :func:`guide_rates` returns the weights of one context's masked positions,
 scaled the same way, as a (D, S) rate matrix. The n chains of a call share
 one context cache. Every model answers rows: a step makes one pair-form
@@ -153,8 +154,8 @@ class SamplerDiagnostics:
     * ``predictor_evals``: contexts (children and sources) first scored by
       the predictor's likelihood, plus contexts first given its gradient
       surface.
-    * ``step_weight_requests``: distinct (context, position, active) guided
-      weight rows formed.
+    * ``step_weight_requests``: guided weight rows formed, one per distinct
+      (context, position) pair of a kernel call.
     * ``wall_time_s``: seconds spent in the call.
     """
 
@@ -425,6 +426,14 @@ class _ContextCache(CodeCache):
             )
         return totals, np.cumsum(weights, axis=1) / totals[:, None]
 
+    def pair_tables(self, rows: np.ndarray, positions: np.ndarray, active: bool, step: int):
+        """(totals, CDF rows) of the pairs (context ``rows[k]``,
+        ``positions[k]``), one per input pair, from :meth:`step_tables` on
+        their distinct pairs."""
+        ctx, pos, inv = self.pairs(rows, positions)
+        totals, cdfs = self.step_tables(ctx, pos, active, step)
+        return totals[inv], cdfs[inv]
+
 
 def _draw(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF draws: the symbol of uniform u[k] under row cdfs[k]."""
@@ -470,9 +479,8 @@ def _aoarm_core(cache: _ContextCache, n: int, gen):
         d_vec = order[:, i]
         # a step-i context has exactly i unmasked positions, so pairs never
         # recur across steps and the CDF rows are not worth keeping
-        ctx, pos, inv = cache.pairs(rows, d_vec)
-        _, cdfs = cache.step_tables(ctx, pos, active, i)
-        rows[chains, d_vec] = _draw(cdfs[inv], gen.random(n))
+        _, cdfs = cache.pair_tables(rows, d_vec, active, i)
+        rows[chains, d_vec] = _draw(cdfs, gen.random(n))
         cache.diag.n_steps += n
     return rows, order, times
 
@@ -531,19 +539,6 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
     chain_idx = np.repeat(np.arange(n), D)
     pos_idx = np.tile(np.arange(D), n)
     unguided = not cfg.guided
-    # a chain that does not jump keeps its context, so (pair, active) recurs
-    memo: dict = {}
-
-    def pair_tables(chains, positions, active, step):
-        """(jump weight sums, CDF rows) of the pairs (chains[k], positions[k])."""
-        ctx, pos, inv = cache.pairs(rows[chains], positions)
-        keys = [(code, d, active) for code, d in zip(ctx.tolist(), pos.tolist())]
-        fresh = [j for j, key in enumerate(keys) if key not in memo]
-        if fresh:
-            sums, cdfs = cache.step_tables(ctx[fresh], pos[fresh], active, step)
-            memo.update(zip([keys[j] for j in fresh], zip(sums.tolist(), cdfs)))
-        got = [memo[key] for key in keys]
-        return np.array([total for total, _ in got])[inv], np.array([cdf for _, cdf in got])[inv]
 
     def undo_unsupported(chains, positions):
         """Of jumps just drawn at pairs (chains[k], positions[k]), in
@@ -561,10 +556,9 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
         return undo
 
     # guided: each still-masked pair's jump weight sum and CDF row, kept
-    # across steps. Only the pairs of chains that jumped (every pair when
-    # the switch point flips) are looked up again; the other pairs' keys are
-    # in the memo, so the kernel gets the fresh pairs, in the same order, that
-    # a lookup of every pair would give it
+    # across steps, since a chain that does not jump keeps its context. Only
+    # the pairs of chains that jumped (every pair when the switch point
+    # flips) are looked up again
     sums, cdfs = np.empty(chain_idx.size), np.empty((chain_idx.size, S))
     moved = np.ones(n, dtype=bool)
     was_active = None
@@ -582,7 +576,8 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
                 moved[:], was_active = True, active
             stale = moved[chain_idx]
             if stale.any():
-                sums[stale], cdfs[stale] = pair_tables(chain_idx[stale], pos_idx[stale], active, k)
+                sums[stale], cdfs[stale] = cache.pair_tables(
+                    rows[chain_idx[stale]], pos_idx[stale], active, k)
             outflow = coef_dt * sums
         diag.overflow_renormalizations += int((outflow > 1.0).sum())
         np.clip(outflow, None, 1.0, out=outflow)
@@ -591,7 +586,7 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
             moved[:] = False
         if jump.any():
             jc, jp = chain_idx[jump], pos_idx[jump]
-            jump_cdfs = pair_tables(jc, jp, active, k)[1] if unguided else cdfs[jump]
+            jump_cdfs = cache.pair_tables(rows[jc], jp, active, k)[1] if unguided else cdfs[jump]
             rows[jc, jp] = _draw(jump_cdfs, gen.random(jc.size))
             times[jc, jp] = t + dt
             jump[np.flatnonzero(jump)[undo_unsupported(jc, jp)]] = False
@@ -601,7 +596,7 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
                 moved[jc] = True
                 sums, cdfs = sums[keep], cdfs[keep]
     while chain_idx.size:
-        _, cdfs = pair_tables(chain_idx, pos_idx, (1.0 - dt) >= cfg.t0, n_int)
+        _, cdfs = cache.pair_tables(rows[chain_idx], pos_idx, (1.0 - dt) >= cfg.t0, n_int)
         rows[chain_idx, pos_idx] = _draw(cdfs, gen.random(chain_idx.size))
         undo = undo_unsupported(chain_idx, pos_idx)
         chain_idx, pos_idx = chain_idx[undo], pos_idx[undo]

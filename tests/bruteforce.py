@@ -91,6 +91,37 @@ def brute_aoarm_loss(posterior_fn, pdict, D, S):
     return loss
 
 
+def loop_aoarm_loss_exact(denoiser, p):
+    """The permutation-averaged NLL of aoarm_loss_exact, order by order:
+    each decode step looks its contexts up in a per-context memo of full
+    posteriors (one single-row call per new context). Support rows come in
+    index order and each order adds its log-posteriors in decode order, as
+    the package does, so the two values agree bit for bit."""
+    D, S = p.D, p.S
+    support = [i for i, w in enumerate(p.weights) if w > 0]
+    toks = np.array([[i // S**d % S for d in range(D)] for i in support], dtype=np.int64)
+    w = p.weights[support]
+    memo = {}
+
+    def posterior(row):
+        key = row.tobytes()
+        if key not in memo:
+            memo[key] = denoiser.posterior_array(row)
+        return memo[key]
+
+    total = 0.0
+    n_perm = 0
+    for sigma in itertools.permutations(range(D)):
+        ctx = np.full_like(toks, S)
+        nll = np.zeros(len(toks))
+        for pos in sigma:
+            nll -= np.log(np.array([posterior(row)[pos, s] for row, s in zip(ctx, toks[:, pos])]))
+            ctx[:, pos] = toks[:, pos]
+        total += float(w @ nll)
+        n_perm += 1
+    return total / n_perm
+
+
 def brute_tilted_posterior(pdict, clean_fn, gamma):
     """Bayes tilt p(x) * clean(x)**gamma, normalized."""
     out = {x: w * clean_fn(x) ** gamma for x, w in pdict.items()}

@@ -18,6 +18,7 @@ from guidesampler.core import (
 from guidesampler.denoising import (
     ExactDenoiser,
     LogitModifier,
+    ModifiedDenoiser,
     ParametricDenoiser,
     TRAIN_BLOCK_STEPS,
     aoarm_loss_exact,
@@ -34,6 +35,7 @@ from bruteforce import (
     brute_fm_loss,
     brute_posterior_rows,
     dist_as_dict,
+    loop_aoarm_loss_exact,
     loop_train_denoiser,
 )
 
@@ -265,6 +267,32 @@ class TestAOARMLoss:
         lhs = aoarm_loss_exact(den, p)
         rhs = rate_weighted_fm_loss_exact(den, p)
         assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["exact", "parametric", "modified"])
+    @pytest.mark.parametrize("D,S", [(D, S) for D in range(1, 6) for S in (2, 3)])
+    def test_bit_identical_to_memo_loop(self, D, S, kind):
+        # every order reads the pattern table; an order-by-order loop over a
+        # per-context memo gives the same float, bit for bit, with
+        # zero-weight sequences in p
+        gen = RandomSource(100 * D + S).generator()
+        weights = gen.random(S**D) + 0.05
+        weights[gen.random(S**D) < 0.3] = 0.0
+        weights[0] += 0.1
+        p = TabularDistribution.from_unnormalized(D, S, weights)
+        den = ExactDenoiser(p)
+        if kind == "parametric":
+            den = ParametricDenoiser.random(D, S, RandomSource(D + S), scale=0.6)
+        elif kind == "modified":
+            den = ModifiedDenoiser(den, LogitModifier(temperature=0.7))
+        assert aoarm_loss_exact(den, p) == loop_aoarm_loss_exact(den, p)
+
+    def test_cap_size_equals_rate_weighted_fm_loss(self):
+        # D=8 is the largest size the enumeration allows: 40,320 orders
+        gen = RandomSource(88).generator()
+        p = TabularDistribution.from_unnormalized(8, 2, gen.random(2**8) + 0.02)
+        den = ParametricDenoiser.random(8, 2, RandomSource(89), scale=0.5)
+        lhs = aoarm_loss_exact(den, p)
+        assert lhs == pytest.approx(rate_weighted_fm_loss_exact(den, p), abs=1e-9)
 
 
 class TestModifiedDenoiser:

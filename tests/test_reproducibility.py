@@ -233,24 +233,27 @@ CAMPAIGN_CASES = ["campaign/3"]
 CASES = SAMPLER_CASES + CLI_CASES + TRAIN_CASES + CAMPAIGN_CASES
 
 #: the batched-sampler digests were computed on the tree before the batched
-#: child scoring, whose outputs it keeps
+#: child scoring, whose outputs it keeps. The batched Euler digests were
+#: re-pinned when the Euler core stopped memoizing pair tables across steps:
+#: their rows, denoiser_evals and predictor_evals held, and only
+#: step_weight_requests (rows formed, now per kernel call) grew
 PINNED = {
     "tabular/aoarm/none/many": "a40eca8bef70e70f1d212517adf1a7afabb9b385f078f99af11d9c265618e4e3",
     "tabular/aoarm/deg/many": "0cb3ccf315debac13746dd9166427120a0e9a05c1af3d6c9bd07a33bef6dc3ac",
     "tabular/aoarm/tag/many": "372af3ccb074a6b17aefbf4a38c9ddb2ebcc1cde9dbd51a0f1a17c31308d8907",
     "tabular/aoarm/predictor_free/many": "49ad3046d0c3bc9d0c12d942ed3dc1b8e3c126df27ae1e740c07c8fd661e4920",
-    "tabular/euler/none/many": "8956103230b629e32a6de75c18c489fba94aa364e0814e5128e97620b3c1e8f0",
-    "tabular/euler/exact/many": "9fd426ad2c4ca31bc32f991cf15c9a8b74bd56054cf5524ba1eb4990008eb455",
-    "tabular/euler/tag/many": "3ab3de360731be7b2be7b53375e8e1184b27708b58c71eb6dacb117742101f73",
-    "tabular/euler/predictor_free/many": "53c568b8b1032d53615b4bb1427afca71dc30a65c298003905347bd29fd4c612",
+    "tabular/euler/none/many": "88dbb7ca4a09e9c118915809eb6323aa8de82778f987a216e872de2cf595dc6a",
+    "tabular/euler/exact/many": "aa5e7d5414bd6aa74330b26534c4be667f1bc460f21bfd1a01852b773e7656ae",
+    "tabular/euler/tag/many": "a93893f135b0d5a054203ac9daa0313cee46d573b02da54418653b46ac284e61",
+    "tabular/euler/predictor_free/many": "bcd264a36f8c621c8dfa144cbe3b29b44fbb2f902d2f10e45fbf08a469ccc5f6",
     "parametric/aoarm/none/many": "524879ef9ad197f5c0b278b8b95d04439b02932b34b35ce5d147184597502f4b",
     "parametric/aoarm/deg/many": "5face5cb1297a95de48f6c68f9b7931ba1ca5b8aaf3e061952989f7d2773ba4b",
     "parametric/aoarm/tag/many": "4c87993650377b4f2e06cb03327cecb863502cb3201b23ef08c045c5a2c8af57",
     "parametric/aoarm/predictor_free/many": "5901676241ad013e3d46837f769210b6d5de44dae01c1b5a03eec78e2fe11987",
-    "parametric/euler/none/many": "6146c141f4c306d7196448cc7064a00317a307962c8f443a6d61a73ce31992c5",
-    "parametric/euler/exact/many": "2defb3a714d94b1cac18b69b538dedf8b885dbbe4903425e9d4285f5445e9951",
-    "parametric/euler/tag/many": "499592a0273876c0d1762511101d629357a606557a00ad69151ea0e68c080e7e",
-    "parametric/euler/predictor_free/many": "05b8709dee3faa6cf65ea182551dbf66d822f07ed676742ebd8a69d1e1883925",
+    "parametric/euler/none/many": "caf30d18fb58b663aeb2b8e3119669729e7cd756957acaa62d1cc5894fb40c13",
+    "parametric/euler/exact/many": "5ac1bcf4025e47708e37d36467b719ac2bbf1ab5750396019b5b03b40f1e486c",
+    "parametric/euler/tag/many": "5f8134f30b1c81f92e513408fab729b7e1902f18610b2bc5864cc10a45172604",
+    "parametric/euler/predictor_free/many": "2716983a590299f6bdf97d0a8bfd4d1658a2a5af2071e3635a16f0a8143e1aed",
     # re-pinned when single chains and `guidesampler sample` became calls of the
     # batched drivers, which moved RNG order: permutation(D) became
     # argsort(random((1, D))), per-position Euler draws became vector draws, and
@@ -278,9 +281,9 @@ PINNED = {
     "product/aoarm/tag/single": "00eb00ecc832d7d2824676a010ebf1547ae4797382cff3c14dad6d0d8d9389b0",
     "product/aoarm/tag/many": "f52f448efdb954ac9f778f0c45f3953f75a715c79b4206d86cefa03e1adf5a4a",
     "product/euler/exact/single": "f36e42dbc2da0b2b37882deacec254a1871d09d1cd26a1df691ffd4c05b96f80",
-    "product/euler/exact/many": "e5aed414c543c1aceb992c64fa4ce81d8894f9906b824c6eb1e05e51b6920b03",
+    "product/euler/exact/many": "5aaf05852a10c7a60c44b9d10b26e954f72096beb453b135f8a274f596a6088b",
     "product/euler/tag/single": "38bc6760d2e00cfd620da05c8be9477990072339c4169c8ba83079063e39b223",
-    "product/euler/tag/many": "ac6f90f98c4a1b534bee6bba13211c4c71f8c96375f207400b39b95c86b24826",
+    "product/euler/tag/many": "42432f16ea245be015a9b6627f577a6a7c31b2b8527779ee138cdbfea17ab483",
     "cli/aoarm/deg": "4b58e922e7196c4c1ceaeee6978b330418aab2e3e7988a60bbaa7da2cc28a792",
     "cli/euler/exact": "3850489d32e486ca4505017baa4a5d38ad8437885bce538d6a3197154cc7252c",
     # computed on the tree before the bincount trainer updates, whose weights it keeps

@@ -13,7 +13,14 @@ from guidesampler.core import (
     power_schedule,
     sequence_from_str,
 )
-from guidesampler.denoising import ExactDenoiser, LogitModifier, ModifiedDenoiser, ParametricDenoiser
+from guidesampler.denoising import (
+    CodeCache,
+    ExactDenoiser,
+    LogitModifier,
+    ModifiedDenoiser,
+    ParametricDenoiser,
+    aoarm_loss_exact,
+)
 from guidesampler.errors import (
     CapabilityError,
     DegenerateStepError,
@@ -677,6 +684,20 @@ class TestZeroMassContexts:
         assert rates.tolist() == [[rate_coefficient(0.5, IDENT), 0.0], [0.0, 0.0],
                                   [rate_coefficient(0.5, IDENT), 0.0]]
 
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    def test_tempered_model_has_its_base_support(self, route):
+        # ModifiedDenoiser passes supported on to its base; otherwise every
+        # Euler row looks supported, and a chain whose simultaneous jumps
+        # land on ?AB raises UnsupportedContextError
+        p, _, _ = self.models()
+        den = ModifiedDenoiser(ExactDenoiser(p), LogitModifier(0.8))
+        assert den.supported(np.array([[2, 0, 1], [2, 0, 2]])).tolist() == [False, True]
+        if route == "aoarm":
+            rows, _ = aoarm_sample_many(den, GuidanceConfig(), 2000, RandomSource(1))
+        else:
+            rows, _ = euler_sample_many(den, GuidanceConfig(), IDENT, 0.05, 2000, RandomSource(1))
+        assert {tuple(row) for row in rows.tolist()} == {(0, 0, 0), (1, 1, 1)}
+
 
 def looped_test_models(link="logistic"):
     """D=5, S=4: a parametric denoiser and a pairwise predictor."""
@@ -812,8 +833,47 @@ def sized_state(obj, depth=2):
 
 
 class TestModelsHoldNoMemo:
-    """The per-call context cache is the only memo: a sampler call leaves
-    the tabular models as they were built."""
+    """A sampler or loss call leaves the tabular models as they were built,
+    the loss's context cache holds no container, and the sampler's holds
+    only its record of the contexts seen (``_seen``)."""
+
+    @staticmethod
+    def caches(monkeypatch, cls):
+        """The instances of ``cls`` built from here on, in order."""
+        made = []
+        init = cls.__init__
+
+        def spy(self, *args):
+            init(self, *args)
+            made.append(self)
+
+        monkeypatch.setattr(cls, "__init__", spy)
+        return made
+
+    @staticmethod
+    def containers(obj):
+        """The names of the container attributes of obj itself."""
+        return {name for name, size in sized_state(obj, depth=0).items() if isinstance(size, int)}
+
+    def test_loss_cache_holds_no_container(self, monkeypatch):
+        p = random_dist(4, 3, 50)
+        den = ExactDenoiser(p)
+        before = sized_state(den)
+        made = self.caches(monkeypatch, CodeCache)
+        aoarm_loss_exact(den, p)
+        assert len(made) == 1 and self.containers(made[0]) == set()
+        assert sized_state(den) == before
+
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    def test_sampler_cache_holds_only_seen(self, monkeypatch, route):
+        den = ParametricDenoiser.random(4, 3, RandomSource(52), scale=0.5)
+        cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=PairwiseInteractionPredictor(4, 3))
+        made = self.caches(monkeypatch, _ContextCache)
+        if route == "aoarm":
+            aoarm_sample_many(den, cfg, 50, RandomSource(53))
+        else:
+            euler_sample_many(den, cfg, IDENT, 0.05, 50, RandomSource(53))
+        assert len(made) == 1 and self.containers(made[0]) == {"_seen"}
 
     def test_deg_call_leaves_models_unchanged(self):
         p = random_dist(4, 3, 50)
