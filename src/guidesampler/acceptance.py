@@ -300,7 +300,7 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
 
     # (b) pairwise predictor: TAG-DEG degradation factor vs exact-DEG
     pred_pw = _pairwise_exp_predictor(D, S, root.substream(3))
-    clean_table = pred_pw.likelihood_batch(sequence_table(D, S))
+    clean_table = pred_pw.likelihood_array(sequence_table(D, S))
     clean = CleanPredictor.from_table(clean_table, S)
     target = brute_force_posterior(p, clean, 1.0)
     n = 100_000

@@ -97,10 +97,6 @@ class Landscape:
     def n_axes(self) -> int:
         return len(self.fitness_tables)
 
-    def fitness(self, x: TokenSequence) -> float:
-        """True fitness (first axis) of one sequence."""
-        return float(self.fitness_tables[0][int(encode_rows(x.tokens[None, :], self.S)[0])])
-
     def fitness_rows(self, rows: np.ndarray) -> np.ndarray:
         """(n, n_axes) true fitness values for a token matrix."""
         codes = encode_rows(rows, self.S)
@@ -108,17 +104,6 @@ class Landscape:
 
     def success_mask(self, rows: np.ndarray) -> np.ndarray:
         return self.target(self.fitness_rows(rows))
-
-    def to_json(self) -> dict:
-        return {
-            "spec": self.spec,
-            "params": {k: np.asarray(v).tolist() for k, v in self.params.items()},
-            "target_mass": self.target_mass,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Landscape":
-        return _build_landscape(obj["spec"], {k: np.asarray(v) for k, v in obj["params"].items()})
 
 
 def _resolve_target(spec_target: dict, fitness_tables, weights: np.ndarray):

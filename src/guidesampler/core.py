@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -198,25 +198,13 @@ def check_context_count(D: int, S: int, cap: int = TABULAR_STATE_CAP) -> int:
 
 def encode_index(x: TokenSequence) -> int:
     """Little-endian mixed-radix code of a clean sequence."""
-    code = 0
-    for token in x.tokens[::-1].tolist():
-        code = code * x.alphabet.size + token
-    return code
-
-
-def decode_index(index: int, D: int, S: int, alphabet: Optional[Alphabet] = None) -> TokenSequence:
-    if not 0 <= index < S**D:
-        raise ValueError(f"index {index} out of range for S**D = {S**D}")
-    toks = np.empty(D, dtype=np.int64)
-    for i in range(D):
-        toks[i] = index % S
-        index //= S
-    return TokenSequence(toks, alphabet or Alphabet(S))
+    return int(encode_rows(x.tokens, x.alphabet.size))
 
 
 @functools.lru_cache(maxsize=32)
 def sequence_table(D: int, S: int) -> np.ndarray:
-    """All S**D clean sequences as an (S**D, D) array, row i = decode_index(i)."""
+    """All S**D clean sequences as an (S**D, D) array, row i the sequence
+    whose :func:`encode_index` is i."""
     n = _check_state_count(D, S)
     table = np.empty((n, D), dtype=np.int64)
     idx = np.arange(n)
@@ -244,24 +232,16 @@ def encode_rows(rows: np.ndarray, S: int) -> np.ndarray:
 class InterpolationSchedule:
     """kappa: [0,1] -> [0,1] with kappa(0)=0, kappa(1)=1, monotone; kappa_dot
     its derivative; kappa_inv the inverse CDF used to draw per-position jump
-    times (numeric bisection fallback if absent)."""
+    times."""
 
     kappa: Callable[[float], float]
     kappa_dot: Callable[[float], float]
-    kappa_inv: Optional[Callable[[float], float]] = None
+    kappa_inv: Callable[[float], float]
     name: str = "custom"
 
     def inverse(self, u):
         """kappa^-1 of a scalar or, elementwise, of an array."""
-        if self.kappa_inv is not None:
-            return self.kappa_inv(u)
-        u = np.asarray(u, dtype=float)
-        lo, hi = np.zeros_like(u), np.ones_like(u)
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            below = self.kappa(mid) < u
-            lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-        return (0.5 * (lo + hi))[()]
+        return self.kappa_inv(u)
 
 
 def identity_schedule() -> InterpolationSchedule:
@@ -282,26 +262,6 @@ def power_schedule(a: float) -> InterpolationSchedule:
     )
 
 
-def check_schedule(schedule: InterpolationSchedule, grid: int = 1000, tol: float = 1e-6) -> None:
-    """Validate endpoints, monotonicity, and kappa_dot against central finite
-    differences on an interior grid. Raises ValueError on violation."""
-    k0, k1 = schedule.kappa(0.0), schedule.kappa(1.0)
-    if abs(k0) > 1e-12 or abs(k1 - 1.0) > 1e-12:
-        raise ValueError(f"schedule endpoints violated: kappa(0)={k0}, kappa(1)={k1}")
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    vals = np.array([schedule.kappa(float(t)) for t in ts])
-    if (np.diff(vals) < -1e-12).any():
-        raise ValueError("kappa is not monotone nondecreasing")
-    h = 1e-6
-    for t in ts[1:-1]:
-        fd = (schedule.kappa(float(t) + h) - schedule.kappa(float(t) - h)) / (2 * h)
-        if abs(fd - schedule.kappa_dot(float(t))) > tol:
-            raise ValueError(
-                f"kappa_dot disagrees with finite difference at t={t}: "
-                f"{schedule.kappa_dot(float(t))} vs {fd}"
-            )
-
-
 # ---------------------------------------------------------------------------
 # tabular distributions
 # ---------------------------------------------------------------------------
@@ -310,7 +270,7 @@ def check_schedule(schedule: InterpolationSchedule, grid: int = 1000, tol: float
 class TabularDistribution:
     """Explicit probability table over all S**D sequences.
 
-    ``weights[i]`` is the probability of ``decode_index(i, D, S)``; the vector
+    ``weights[i]`` is the probability of ``sequence_table(D, S)[i]``; the vector
     must be nonnegative and sum to 1 within 1e-9.
     """
 
@@ -433,24 +393,7 @@ def as_generator(rng) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# masking forward process
-# ---------------------------------------------------------------------------
-
-
-def mask_forward(x1: TokenSequence, t: float, schedule: InterpolationSchedule, rng) -> MaskedSequence:
-    """Corrupt a clean sequence: each position independently keeps its token
-    with probability kappa(t) and becomes the mask sentinel otherwise."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"time must lie in [0, 1], got {t}")
-    keep = schedule.kappa(float(t))
-    gen = as_generator(rng)
-    u = gen.random(x1.D)
-    toks = np.where(u < keep, x1.tokens, x1.alphabet.mask_index)
-    return MaskedSequence(toks, x1.alphabet)
-
-
-# ---------------------------------------------------------------------------
-# masked contexts: padded context sums and consistent completions
+# masked contexts: padded context sums
 # ---------------------------------------------------------------------------
 
 
@@ -493,27 +436,3 @@ def pad_contexts(values: np.ndarray, D: int, S: int) -> np.ndarray:
         np.sum(out[head + (slice(0, S),) + tail], axis=axis, keepdims=True,
                out=out[head + (slice(S, S + 1),) + tail])
     return out.reshape(-1)
-
-
-def consistent_completions(xt: MaskedSequence, p: TabularDistribution):
-    """List of (TokenSequence, weight) of the clean sequences agreeing with
-    xt on its unmasked positions, with weights = p(x1 | xt), summing to 1.
-    Raises UnsupportedContextError on zero mass.
-
-    The weights depend only on the mask pattern and observed tokens, never on
-    the time that produced xt.
-    """
-    if xt.D != p.D or xt.alphabet.size != p.S:
-        raise ValueError("masked sequence and distribution have mismatched D or S")
-    table = sequence_table(p.D, p.S)
-    unmasked = xt.unmasked_positions()
-    if unmasked.size == 0:
-        ok = np.flatnonzero(p.weights > 0)
-    else:
-        match = (table[:, unmasked] == xt.tokens[unmasked]).all(axis=1)
-        ok = np.flatnonzero(match & (p.weights > 0))
-    total = p.weights[ok].sum()
-    if ok.size == 0 or total <= 0.0:
-        raise _zero_mass(xt.tokens, p.S)
-    return [(TokenSequence(table[i], p.alphabet), float(wi))
-            for i, wi in zip(ok, p.weights[ok] / total)]

@@ -295,10 +295,11 @@ class CodeCache:
 
     This is the one context cache: the loss evaluators use it as is and the
     samplers extend it with the guidance kernel. It alone turns token rows
-    into codes (``encode``, ``child_codes``, ``pairs``) and back
-    (``decode``), so the key format lives here and nowhere else. Codes are
-    int64, so a size whose codes would wrap raises SizeCapError instead of
-    evaluating the model on the wrong context. A sampler step, or a mask
+    into codes (``encode``, ``child_codes``, ``pairs``), so the key format
+    lives here and nowhere else. Codes are one-way keys: they sort and
+    dedup contexts, and every model call reads the contexts' own rows.
+    Codes are int64, so a size whose codes would wrap raises SizeCapError
+    instead of keying two contexts alike. A sampler step, or a mask
     pattern of the exact losses (:meth:`gather_rows`), is answered in one
     rows call on its distinct contexts, and no copy of the rows is kept.
     """
@@ -316,35 +317,30 @@ class CodeCache:
         """Context codes of token rows (mask = S), one per row."""
         return rows @ self.pows
 
-    def decode(self, codes) -> np.ndarray:
-        """Token rows (n, D) of an array of n codes."""
-        return np.floor_divide.outer(codes, self.pows) % (self.S + 1)
-
-    def child_codes(self, codes: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        """Codes of the S children of each pair (``codes[j]``,
-        ``positions[j]``), shape (P, S): row j sets masked position
-        ``positions[j]`` to each real symbol, in symbol order."""
-        step = self.pows[positions][:, None]
-        return codes[:, None] - (self.S - np.arange(self.S)) * step
+    def child_codes(self, codes: np.ndarray, positions: np.ndarray,
+                    symbols: np.ndarray) -> np.ndarray:
+        """Code of each child (``codes[j]``, ``positions[j]``,
+        ``symbols[j]``): context ``codes[j]`` with masked position
+        ``positions[j]`` set to ``symbols[j]``; symbol S leaves it masked."""
+        return codes - (self.S - symbols) * self.pows[positions]
 
     def pairs(self, rows: np.ndarray, positions: np.ndarray):
         """Distinct (context, position) pairs of context rows ``rows[k]`` and
-        ``positions[k]``, in ascending (code, position) order, as (codes,
-        positions, index of each input pair among them). A pair is keyed by
-        the rank of its code among the distinct codes times D plus the
-        position: below ``rows.shape[0] * D`` at every size whose context
+        ``positions[k]``, in ascending (code, position) order, as (context
+        rows, positions, index of each input pair among them). A pair is
+        keyed by the rank of its code among the distinct codes times D plus
+        the position: below ``rows.shape[0] * D`` at every size whose context
         codes fit in int64."""
-        D = self.D
-        distinct, rank = np.unique(self.encode(rows), return_inverse=True)
-        keys, inv = np.unique(rank * D + positions, return_inverse=True)
-        return distinct[keys // D], keys % D, inv
+        rank = np.unique(self.encode(rows), return_inverse=True)[1]
+        _, first, inv = np.unique(rank * self.D + positions, return_index=True, return_inverse=True)
+        return rows[first], positions[first], inv
 
     def gather_rows(self, rows: np.ndarray, positions, symbols: np.ndarray) -> np.ndarray:
         """probs[k, j] = posterior(context rows[k])[positions[j], symbols[k, j]],
         shape (n, len(positions)), from one rows call on the distinct
         contexts."""
-        distinct, inv = np.unique(self.encode(rows), return_inverse=True)
-        post = self.denoiser.posterior_array(self.decode(distinct))
+        _, first, inv = np.unique(self.encode(rows), return_index=True, return_inverse=True)
+        post = self.denoiser.posterior_array(rows[first])
         return post[inv[:, None], positions, symbols]
 
 

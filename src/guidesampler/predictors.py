@@ -233,14 +233,6 @@ class PairwiseInteractionPredictor(TimePredictor):
         for term in np.take(self.pair, cells):
             score += term
 
-    def score_relaxed(self, X: np.ndarray) -> float:
-        """Score at a relaxed (real-valued) one-hot encoding X of shape (D, S+1)."""
-        s = self.bias + float((self.single * X).sum())
-        for d in range(self.D):
-            for e in range(d + 1, self.D):
-                s += float(X[d] @ self.pair[d, e] @ X[e])
-        return s
-
     # -- likelihood ---------------------------------------------------------
 
     def _prob_from_score(self, score):
@@ -258,12 +250,8 @@ class PairwiseInteractionPredictor(TimePredictor):
             raise ValueError(f"predictor produced a non-finite likelihood: {probs}")
         return np.clip(probs, LIKELIHOOD_FLOOR, 1.0)
 
-    #: the same method, under the name the campaign filter and the acceptance
-    #: checks call on rows
+    #: the same method, under the name the campaign filter calls on rows
     likelihood_batch = likelihood_array
-
-    def likelihood_relaxed(self, X: np.ndarray) -> float:
-        return clamp_likelihood(float(self._prob_from_score(self.score_relaxed(X))))
 
     # -- gradient surface ---------------------------------------------------
 

@@ -31,8 +31,9 @@ Guidance modes:
 
 One kernel forms the guided weights of every mode for both routes, in one
 call per sampler step. :meth:`CodeCache.pairs` turns a step's context rows
-and positions into its distinct (context code, position) pairs, in ascending
-(code, position) order; context codes exist only inside the cache.
+and positions into its distinct (context, position) pairs, their own rows
+and positions in ascending (code, position) order; context codes are keys
+that exist only inside the cache, and no code is turned back into a row.
 :meth:`_ContextCache.guided_weights` returns the unnormalized rows of those
 pairs over the real symbols as one (P, S) matrix,
 :meth:`_ContextCache.step_tables` turns it into row totals and CDF rows, and
@@ -249,9 +250,8 @@ def guide_rates(
     coef = rate_coefficient(t, schedule)
     cache = _ContextCache(denoiser, cfg, SamplerDiagnostics())
     masked = xt.masked_positions()
-    codes = np.full(masked.size, cache.encode(xt.tokens))
     rates = np.zeros((denoiser.D, denoiser.S))
-    rates[masked] = coef * cache.guided_weights(codes, masked, True)
+    rates[masked] = coef * cache.guided_weights(np.tile(xt.tokens, (masked.size, 1)), masked, True)
     bad = ~(np.isfinite(rates) & (rates >= 0))
     if bad.any():
         d, s = np.argwhere(bad)[0].tolist()
@@ -311,13 +311,13 @@ def _checked(model, method: str, shape: tuple, *args) -> np.ndarray:
 
 
 class _ContextCache(CodeCache):
-    """The context codes of CodeCache plus the guidance kernel.
+    """The context keys of CodeCache plus the guidance kernel.
 
     The kernel answers a step's (context, position) pairs, or the distinct
-    children of its contexts, in one call to each model, and keeps no copy
-    of the answers. It counts a model's evaluations as the distinct contexts
-    first seen in a call, against a sorted record per model of the codes
-    seen so far (``_seen``).
+    children of its contexts, in one call to each model on their own rows,
+    and keeps no copy of the answers. It counts a model's evaluations as the
+    distinct contexts first seen in a call, against a sorted record per
+    model of the codes seen so far (``_seen``).
     """
 
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
@@ -344,73 +344,69 @@ class _ContextCache(CodeCache):
             ok &= self.cfg.second_denoiser.supported(rows)
         return ok
 
-    def _context_rows(self, model, method: str, record: str, width: int, contexts,
-                      positions: np.ndarray):
-        """(rows, new): row j, of ``width`` entries, is the answer of
-        ``model``'s ``method`` at ``positions[j]`` of context
-        ``distinct[inv[j]]``, where ``contexts`` is (distinct, inv), from one
-        call of its pair form; ``new`` counts the distinct contexts first
-        seen under the named record, for the caller to add to its counter."""
-        distinct, inv = contexts
-        new = self._first_seen(record, distinct)
-        rows = _checked(model, method, (positions.size, width), self.decode(distinct)[inv], positions)
-        return rows, new
-
-    def _tilts(self, codes: np.ndarray, positions: np.ndarray, scored: np.ndarray, exact: bool):
+    def _tilts(self, rows: np.ndarray, codes: np.ndarray, positions: np.ndarray,
+               scored: np.ndarray, exact: bool):
         """(child likelihoods (P, S), source likelihoods (P, 1) or 1.0) of the
-        ``exact`` and ``deg`` modes. One likelihood call scores the distinct children where ``scored`` holds,
-        plus the sources for ``exact``; the other children keep likelihood 1."""
-        keys = self.child_codes(codes, positions)[scored]
-        n = keys.size
+        ``exact`` and ``deg`` modes for the pairs (context ``rows[j]`` of code
+        ``codes[j]``, ``positions[j]``). One likelihood call scores the
+        distinct children where ``scored`` holds, plus the sources for
+        ``exact``; the other children keep likelihood 1."""
+        pair, symbol = np.nonzero(scored)
+        n = pair.size
         if exact:
-            keys = np.concatenate([keys, codes])
-        distinct, inv = np.unique(keys, return_inverse=True)
+            # a source is its pair's child with symbol S: the position left masked
+            pair = np.concatenate([pair, np.arange(positions.size)])
+            symbol = np.concatenate([symbol, np.full(positions.size, self.S)])
+        at = positions[pair]
+        keys = self.child_codes(codes[pair], at, symbol)
+        distinct, first, inv = np.unique(keys, return_index=True, return_inverse=True)
         self.diag.predictor_evals += self._first_seen("likelihood", distinct)
-        lik = _checked(self.cfg.predictor, "likelihood_array", distinct.shape,
-                       self.decode(distinct))[inv]
+        children = rows[pair[first]]
+        children[np.arange(first.size), at[first]] = symbol[first]
+        lik = _checked(self.cfg.predictor, "likelihood_array", distinct.shape, children)[inv]
         tilt = np.ones(scored.shape)
         tilt[scored] = lik[:n]
         return tilt, (lik[n:, None] if exact else 1.0)
 
-    def guided_weights(self, codes: np.ndarray, positions: np.ndarray, active: bool) -> np.ndarray:
+    def guided_weights(self, rows: np.ndarray, positions: np.ndarray, active: bool) -> np.ndarray:
         """Unnormalized guided weights of P (context, position) pairs, shape
         (P, S): row j weighs the real symbols for unmasking ``positions[j]``
-        of the context ``codes[j]``. Without guidance, or before the switch
-        point (``active`` false), the rows are the denoiser posterior. A
-        child with zero posterior weight gets weight 0, and ``exact`` and
+        of the context row ``rows[j]``. Without guidance, or before the
+        switch point (``active`` false), the rows are the denoiser posterior.
+        A child with zero posterior weight gets weight 0, and ``exact`` and
         ``deg`` do not score it."""
         cfg, S = self.cfg, self.S
-        self.diag.step_weight_requests += codes.size
-        if codes.size == 0:
+        self.diag.step_weight_requests += positions.size
+        if positions.size == 0:
             return np.zeros((0, S))
         mode = cfg.mode if cfg.guided and active else "none"
-        contexts = np.unique(codes, return_inverse=True)
-        post, new = self._context_rows(self.denoiser, "posterior_array", "denoiser", S,
-                                       contexts, positions)
-        self.diag.denoiser_evals += new
+        codes = self.encode(rows)
+        distinct = np.unique(codes)
+        shape = (positions.size, S)
+        self.diag.denoiser_evals += self._first_seen("denoiser", distinct)
+        post = _checked(self.denoiser, "posterior_array", shape, rows, positions)
         if mode == "none":
             return post
         if mode == "predictor_free":
-            cond, new = self._context_rows(cfg.second_denoiser, "posterior_array",
-                                           "second_denoiser", S, contexts, positions)
-            self.diag.denoiser_evals += new
+            self.diag.denoiser_evals += self._first_seen("second_denoiser", distinct)
+            cond = _checked(cfg.second_denoiser, "posterior_array", shape, rows, positions)
             return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
         if mode == "tag":
-            grad, new = self._context_rows(cfg.predictor, "gradient_surface_array", "gradient",
-                                           S + 1, contexts, positions)
-            self.diag.predictor_evals += new
+            self.diag.predictor_evals += self._first_seen("gradient", distinct)
+            grad = _checked(cfg.predictor, "gradient_surface_array", (positions.size, S + 1),
+                            rows, positions)
             return post * np.exp(cfg.gamma * (grad[:, :S] - grad[:, S:]))
         # exact and deg: tilt by the child likelihoods; deg omits the source
         # divisor, which the per-row normalization of a decode draw absorbs
-        tilt, src = self._tilts(codes, positions, post > 0.0, mode == "exact")
+        tilt, src = self._tilts(rows, codes, positions, post > 0.0, mode == "exact")
         return post * (tilt / src) ** cfg.gamma
 
-    def step_tables(self, codes: np.ndarray, positions: np.ndarray, active: bool, step: int):
+    def step_tables(self, rows: np.ndarray, positions: np.ndarray, active: bool, step: int):
         """(totals, CDF rows) of the guided weights of a step's pairs. The
         first pair, in the order given, whose total is zero or not finite
         raises DegenerateStepError naming the step and the pair's position;
         the message tells the two cases apart."""
-        weights = self.guided_weights(codes, positions, active)
+        weights = self.guided_weights(rows, positions, active)
         totals = weights.sum(axis=1)
         bad = ~(np.isfinite(totals) & (totals > 0.0))
         if bad.any():

@@ -122,6 +122,54 @@ def loop_aoarm_loss_exact(denoiser, p):
     return total / n_perm
 
 
+def check_schedule(schedule, grid=1000, tol=1e-6):
+    """Validate endpoints, monotonicity, and kappa_dot against central finite
+    differences on an interior grid. Raises ValueError on violation."""
+    k0, k1 = schedule.kappa(0.0), schedule.kappa(1.0)
+    if abs(k0) > 1e-12 or abs(k1 - 1.0) > 1e-12:
+        raise ValueError(f"schedule endpoints violated: kappa(0)={k0}, kappa(1)={k1}")
+    ts = [i / grid for i in range(grid + 1)]
+    vals = [schedule.kappa(t) for t in ts]
+    if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
+        raise ValueError("kappa is not monotone nondecreasing")
+    h = 1e-6
+    for t in ts[1:-1]:
+        fd = (schedule.kappa(t + h) - schedule.kappa(t - h)) / (2 * h)
+        if abs(fd - schedule.kappa_dot(t)) > tol:
+            raise ValueError(f"kappa_dot disagrees with finite difference at t={t}: "
+                             f"{schedule.kappa_dot(t)} vs {fd}")
+
+
+def relaxed_likelihood(model, X):
+    """Clamped likelihood of a PairwiseInteractionPredictor at a relaxed
+    (real-valued) one-hot encoding X of shape (D, S+1): the score
+    bias + sum single*X + sum over d < e of X[d] @ pair[d, e] @ X[e], through
+    the model's link."""
+    score = model.bias + float((model.single * X).sum())
+    for d in range(model.D):
+        for e in range(d + 1, model.D):
+            score += float(X[d] @ model.pair[d, e] @ X[e])
+    if model.link == "logistic":
+        prob = 1.0 / (1.0 + math.exp(-score))
+    else:
+        prob = math.exp(min(score, 0.0))
+    return min(max(prob, 1e-12), 1.0)
+
+
+def context_code(row, S):
+    """Little-endian base-(S+1) code of a context row, as a Python int."""
+    c = 0
+    for token in reversed(list(row)):
+        c = c * (S + 1) + int(token)
+    return c
+
+
+def sorted_pairs(rows, positions, S):
+    """The distinct (context code, position) pairs of context rows[k] and
+    positions[k], ascending."""
+    return sorted({(context_code(row, S), int(d)) for row, d in zip(rows, positions)})
+
+
 def brute_tilted_posterior(pdict, clean_fn, gamma):
     """Bayes tilt p(x) * clean(x)**gamma, normalized."""
     out = {x: w * clean_fn(x) ** gamma for x, w in pdict.items()}

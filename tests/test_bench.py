@@ -1,11 +1,9 @@
-import json
 
 import numpy as np
 import pytest
 
 from guidesampler.core import Alphabet, RandomSource
 from guidesampler.bench import (
-    Landscape,
     _planted_table,
     check_campaign_config,
     make_landscape,
@@ -47,14 +45,6 @@ class TestMakeLandscape:
             {"D": 8, "S": 4, "target": {"kind": "quantile", "q": 0.001}}, RandomSource(2)
         )
         assert 0.0005 <= land.target_mass <= 0.002
-
-    def test_round_trip_identical_tables(self):
-        land = make_landscape(SMALL_SPEC, RandomSource(3))
-        clone = Landscape.from_json(json.loads(json.dumps(land.to_json())))
-        np.testing.assert_array_equal(land.p_data.weights, clone.p_data.weights)
-        for a, b in zip(land.fitness_tables, clone.fitness_tables):
-            np.testing.assert_array_equal(a, b)
-        assert land.target_mass == clone.target_mass
 
     @pytest.mark.parametrize("D, S", [(8, 4), (6, 5), (5, 3), (3, 2), (1, 4)])
     def test_planted_table_matches_loop_reference_bit_for_bit(self, D, S):

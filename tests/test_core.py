@@ -6,24 +6,23 @@ from scipy import stats
 
 from guidesampler.core import (
     Alphabet,
-    MaskedSequence,
     RandomSource,
     TabularDistribution,
     TokenSequence,
-    check_schedule,
-    consistent_completions,
-    decode_index,
     encode_index,
     encode_rows,
     identity_schedule,
-    mask_forward,
     masked_from_str,
     pad_contexts,
     power_schedule,
     sequence_from_str,
     sequence_table,
 )
+from guidesampler.denoising import ExactDenoiser
 from guidesampler.errors import SizeCapError, UnsupportedContextError
+from guidesampler.predictors import CleanPredictor, ExactMarginalPredictor
+
+from bruteforce import check_schedule
 
 AB = Alphabet(2)
 ABC = Alphabet(3)
@@ -67,12 +66,11 @@ class TestEncoding:
     def test_little_endian_convention(self):
         # position 0 is least significant: (1, 2) at S=3 -> 1 + 2*3 = 7
         assert encode_index(TokenSequence([1, 2], ABC)) == 1 + 2 * 3
-        assert decode_index(7, 2, 3) == TokenSequence([1, 2], ABC)
+        assert sequence_table(2, 3)[7].tolist() == [1, 2]
 
     def test_round_trip_all_81(self):
-        for i in range(81):
-            x = decode_index(i, 4, 3)
-            assert encode_index(x) == i
+        for i, row in enumerate(sequence_table(4, 3)):
+            assert encode_index(TokenSequence(row, ABC)) == i
 
     def test_round_trip_exhaustive_up_to_cap(self):
         # largest configuration used in tests: 65536 states
@@ -94,64 +92,15 @@ class TestSchedules:
 
     def test_bad_derivative_caught(self):
         sched = identity_schedule()
-        broken = type(sched)(kappa=sched.kappa, kappa_dot=lambda t: 1.01, name="broken")
+        broken = type(sched)(kappa=sched.kappa, kappa_dot=lambda t: 1.01,
+                             kappa_inv=sched.kappa_inv, name="broken")
         with pytest.raises(ValueError):
             check_schedule(broken)
 
-    def test_inverse_matches_closed_form_and_bisection(self):
+    def test_inverse_matches_closed_form(self):
         p = power_schedule(3.0)
-        generic = type(p)(kappa=p.kappa, kappa_dot=p.kappa_dot)  # no closed inverse
         for u in [0.1, 0.5, 0.9]:
             assert p.inverse(u) == pytest.approx(1 - (1 - u) ** (1 / 3), abs=1e-9)
-            assert generic.inverse(u) == pytest.approx(p.inverse(u), abs=1e-9)
-
-    def test_bisection_inverts_an_array_as_each_scalar(self):
-        p = power_schedule(3.0)
-        generic = type(p)(kappa=p.kappa, kappa_dot=p.kappa_dot)  # no closed inverse
-        u = RandomSource(2).generator().random((4, 5))
-        each = np.array([[generic.inverse(float(v)) for v in row] for row in u])
-        assert generic.inverse(u).shape == u.shape
-        assert np.abs(generic.inverse(u) - each).max() <= 1e-12
-
-
-class TestMaskForward:
-    def test_t0_masks_everything(self):
-        x = seq("ABAB")
-        out = mask_forward(x, 0.0, identity_schedule(), RandomSource(1))
-        assert out.masked_positions().size == 4
-
-    def test_t1_is_identity(self):
-        x = seq("ABBA")
-        out = mask_forward(x, 1.0, identity_schedule(), RandomSource(1))
-        assert out.is_clean() and out.to_clean() == x
-
-    def test_unmasked_fraction_concentrates(self):
-        # D = 10000, t = 0.3: binomial 3-sigma bound 0.3 +/- 0.02
-        x = TokenSequence(np.zeros(10000, dtype=int), AB)
-        out = mask_forward(x, 0.3, identity_schedule(), RandomSource(7))
-        frac = out.unmasked_positions().size / 10000
-        assert abs(frac - 0.3) < 0.02
-
-    def test_t_out_of_range_rejected(self):
-        x = seq("AB")
-        for t in (-0.1, 1.1):
-            with pytest.raises(ValueError):
-                mask_forward(x, t, identity_schedule(), RandomSource(0))
-
-    def test_masked_count_is_binomial(self):
-        # chi-square GOF of mask_forward's masked counts vs Binomial(D, 1-kappa(t))
-        D, t, n = 8, 0.4, 100000
-        x = TokenSequence(np.zeros(D, dtype=int), AB)
-        sched = identity_schedule()
-        gen = RandomSource(42).generator()
-        counts = np.zeros(D + 1)
-        for _ in range(n):
-            m = mask_forward(x, t, sched, gen).masked_positions().size
-            counts[m] += 1
-        expected = stats.binom.pmf(np.arange(D + 1), D, 1 - t) * n
-        chi2 = ((counts - expected) ** 2 / expected).sum()
-        p = stats.chi2.sf(chi2, D)
-        assert p > 0.001
 
 
 class TestTabularDistribution:
@@ -181,69 +130,24 @@ class TestTabularDistribution:
         assert abs(idx.mean() - 0.75) < 0.02
 
 
-class TestConsistentCompletions:
-    def uniform_three(self):
-        # uniform over {AA, AB, BB} at D=2, S=2
-        w = np.zeros(4)
-        for text in ("AA", "AB", "BB"):
-            w[encode_index(seq(text))] = 1 / 3
-        return TabularDistribution(2, 2, w)
-
-    def test_fully_unmasked_is_delta(self):
-        p = self.uniform_three()
-        out = consistent_completions(seq("AB").as_masked(), p)
-        assert out == [(seq("AB"), 1.0)]
-
-    def test_partial_mask_renormalizes(self):
-        p = self.uniform_three()
-        out = dict(consistent_completions(masked_from_str("A?", AB), p))
-        assert out[seq("AA")] == pytest.approx(0.5)
-        assert out[seq("AB")] == pytest.approx(0.5)
-        assert len(out) == 2
-
-    def test_fully_masked_returns_support(self):
-        p = self.uniform_three()
-        out = dict(consistent_completions(MaskedSequence.fully_masked(2, AB), p))
-        assert len(out) == 3
-        for v in out.values():
-            assert v == pytest.approx(1 / 3)
-
-    def test_zero_mass_context_raises(self):
-        p = self.uniform_three()
-        with pytest.raises(UnsupportedContextError):
-            consistent_completions(masked_from_str("BA", AB), p)  # BA has zero mass
-
+class TestZeroMassError:
     def test_zero_mass_names_observed_positions(self):
-        # the error names the observed positions, as Python ints
+        # the exact models' error names the observed positions, as Python ints
         p = TabularDistribution.point_mass(seq("AA"))
-        for text, observed in (("B?", (0,)), ("BA", (0, 1)), ("?B", (1,))):
+        den = ExactDenoiser(p)
+        pred = ExactMarginalPredictor(CleanPredictor.from_table(np.ones(4), 2), p)
+        cases = [(den.posterior_array, "B?", (0,)), (den.posterior_array, "BA", (0, 1)),
+                 (den.posterior_array, "?B", (1,)), (pred.likelihood_array, "B?", (0,)),
+                 (pred.likelihood_array, "?B", (1,))]
+        for answer, text, observed in cases:
             with pytest.raises(UnsupportedContextError) as exc:
-                consistent_completions(masked_from_str(text, AB), p)
+                answer(masked_from_str(text, AB).tokens)
             assert exc.value.positions == observed
             assert all(type(d) is int for d in exc.value.positions)
             assert str(exc.value) == (
                 f"no completion of {text} has positive mass "
                 f"(observed positions {list(observed)})"
             )
-
-    def test_weights_depend_only_on_context(self):
-        # the operation takes no time argument; identical contexts from
-        # different forward times must give identical output by construction
-        p = self.uniform_three()
-        a = consistent_completions(masked_from_str("A?", AB), p)
-        b = consistent_completions(masked_from_str("A?", AB), p)
-        assert a == b
-
-    def test_weights_nonnegative_and_sum_to_one(self):
-        gen = RandomSource(5).generator()
-        p = TabularDistribution.from_unnormalized(3, 3, gen.random(27))
-        for _ in range(20):
-            x1 = TokenSequence(gen.integers(0, 3, size=3), ABC)
-            xt = mask_forward(x1, gen.random(), identity_schedule(), RandomSource(int(gen.integers(1 << 30))))
-            out = consistent_completions(xt, p)
-            ws = np.array([w for _, w in out])
-            assert (ws >= 0).all()
-            assert ws.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestContextMass:

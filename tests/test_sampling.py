@@ -561,7 +561,7 @@ class TestDegenerateRowsInOneStep:
         high, low = cache.encode(rows).tolist()
         assert (low, high) == (8, 24)
         ctx, pos, _ = cache.pairs(rows, np.array(positions[::-1]))
-        assert ctx.tolist() == [low, high] and pos.tolist() == list(positions)
+        assert ctx.tolist() == [[2, 2, 0], [0, 2, 2]] and pos.tolist() == list(positions)
         with pytest.raises(DegenerateStepError) as exc:
             cache.step_tables(ctx, pos, True, 4)
         assert (exc.value.step, exc.value.position) == (4, named)
