@@ -313,6 +313,12 @@ class TabularDistribution:
         return cls(x.D, x.alphabet.size, w)
 
     def prob(self, x: TokenSequence) -> float:
+        """Weight of ``x``; another length or alphabet raises ValueError."""
+        if (x.D, x.alphabet.size) != (self.D, self.S):
+            raise ValueError(
+                f"sequence of length {x.D} over {x.alphabet.size} symbols does not fit "
+                f"a table with D={self.D}, S={self.S}"
+            )
         return float(self.weights[encode_index(x)])
 
     def context_mass(self) -> np.ndarray:

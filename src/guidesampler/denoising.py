@@ -282,66 +282,8 @@ class ModifiedDenoiser(Denoiser):
 
 
 # ---------------------------------------------------------------------------
-# the context cache and exact loss enumeration
+# exact loss enumeration
 # ---------------------------------------------------------------------------
-
-
-#: Context codes are int64; (S+1)**D at or above this bound wraps.
-CODE_LIMIT = 2**63
-
-
-class CodeCache:
-    """The base-(S+1) context codes of a denoiser's contexts, and its rows.
-
-    This is the one context cache: the loss evaluators use it as is and the
-    samplers extend it with the guidance kernel. It alone turns token rows
-    into codes (``encode``, ``child_codes``, ``pairs``), so the key format
-    lives here and nowhere else. Codes are one-way keys: they sort and
-    dedup contexts, and every model call reads the contexts' own rows.
-    Codes are int64, so a size whose codes would wrap raises SizeCapError
-    instead of keying two contexts alike. A sampler step, or a mask
-    pattern of the exact losses (:meth:`gather_rows`), is answered in one
-    rows call on its distinct contexts, and no copy of the rows is kept.
-    """
-
-    def __init__(self, denoiser: Denoiser):
-        self.denoiser = denoiser
-        self.D, self.S = denoiser.D, denoiser.S
-        if (self.S + 1) ** self.D >= CODE_LIMIT:
-            raise SizeCapError(
-                f"context codes (S+1)**D = {self.S + 1}**{self.D} do not fit in int64"
-            )
-        self.pows = (self.S + 1) ** np.arange(self.D, dtype=np.int64)
-
-    def encode(self, rows: np.ndarray) -> np.ndarray:
-        """Context codes of token rows (mask = S), one per row."""
-        return rows @ self.pows
-
-    def child_codes(self, codes: np.ndarray, positions: np.ndarray,
-                    symbols: np.ndarray) -> np.ndarray:
-        """Code of each child (``codes[j]``, ``positions[j]``,
-        ``symbols[j]``): context ``codes[j]`` with masked position
-        ``positions[j]`` set to ``symbols[j]``; symbol S leaves it masked."""
-        return codes - (self.S - symbols) * self.pows[positions]
-
-    def pairs(self, rows: np.ndarray, positions: np.ndarray):
-        """Distinct (context, position) pairs of context rows ``rows[k]`` and
-        ``positions[k]``, in ascending (code, position) order, as (context
-        rows, positions, index of each input pair among them). A pair is
-        keyed by the rank of its code among the distinct codes times D plus
-        the position: below ``rows.shape[0] * D`` at every size whose context
-        codes fit in int64."""
-        rank = np.unique(self.encode(rows), return_inverse=True)[1]
-        _, first, inv = np.unique(rank * self.D + positions, return_index=True, return_inverse=True)
-        return rows[first], positions[first], inv
-
-    def gather_rows(self, rows: np.ndarray, positions, symbols: np.ndarray) -> np.ndarray:
-        """probs[k, j] = posterior(context rows[k])[positions[j], symbols[k, j]],
-        shape (n, len(positions)), from one rows call on the distinct
-        contexts."""
-        _, first, inv = np.unique(self.encode(rows), return_index=True, return_inverse=True)
-        post = self.denoiser.posterior_array(rows[first])
-        return post[inv[:, None], positions, symbols]
 
 
 def _support(p: TabularDistribution):
@@ -357,12 +299,13 @@ def _pattern_probs(denoiser: Denoiser, toks: np.ndarray, S: int):
     own token there given toks[k] with ``masked`` masked; one rows call on
     the pattern's distinct contexts."""
     D = toks.shape[1]
-    cache = CodeCache(denoiser)
     for bits in range(1, 1 << D):
         masked = [d for d in range(D) if bits >> d & 1]
         ctx = toks.copy()
         ctx[:, masked] = S
-        yield masked, cache.gather_rows(ctx, masked, toks[:, masked])
+        # the enumeration caps (D <= 12, S**D <= 2**24) keep codes in int64
+        _, first, inv = np.unique(encode_rows(ctx, S + 1), return_index=True, return_inverse=True)
+        yield masked, denoiser.posterior_array(ctx[first])[inv[:, None], masked, toks[:, masked]]
 
 
 def _pattern_ce_loss(denoiser: Denoiser, p: TabularDistribution, pattern_weight) -> float:
@@ -429,7 +372,7 @@ def aoarm_loss_exact(denoiser: Denoiser, p: TabularDistribution) -> float:
 # training
 # ---------------------------------------------------------------------------
 
-LOSS_VARIANTS = ("FM", "MLM", "AOARM")
+LOSS_VARIANTS = ("FM", "AOARM")
 
 
 def _validated_probs(n: int, steps: int, weights, lr: float, batch_size: int):
@@ -496,21 +439,21 @@ def train_denoiser(
 ):
     """Stochastic-gradient training of a ParametricDenoiser.
 
-    FM and MLM draw a uniform time per example and score every masked
-    position; they coincide exactly here because the model has no time input.
-    AOARM reveals a uniformly random subset and scores one uniformly chosen
-    hidden position. Returns (model, loss): the running loss after the last
-    step, an exponential average of the step losses; 0.0 when none ran.
+    FM draws a uniform time per example and scores every masked position
+    (an MLM loss is the same here: the model has no time input). AOARM
+    reveals a uniformly random subset and scores one uniformly chosen hidden
+    position. Returns (model, loss): the running loss after the last step,
+    an exponential average of the step losses; 0.0 when none ran.
 
     Draw order: each step draws, from ``rng`` and in this order, the batch
     (``batch_size`` uniforms, as ``Generator.choice`` with ``p`` does), then
-    for FM/MLM ``batch_size`` times and ``batch_size * D`` keep uniforms, or
+    for FM ``batch_size`` times and ``batch_size * D`` keep uniforms, or
     for AOARM ``batch_size * D`` order uniforms and ``batch_size`` integers
     in [0, D). The draws do not depend on the weights, so the steps of a
     block of ``TRAIN_BLOCK_STEPS`` make theirs before any of them runs (FM
-    and MLM in one ``random`` call); the generator ends where ``steps``
-    steps drawn one at a time leave it, and the weights and loss do not
-    depend on the block size. A non-finite loss raises
+    in one ``random`` call); the generator ends where ``steps`` steps drawn
+    one at a time leave it, and the weights and loss do not depend on the
+    block size. A non-finite loss raises
     TrainingDivergedError naming the first step that read one.
 
     The pair table is trained as one flat array in [e, context token, d, s]

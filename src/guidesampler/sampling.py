@@ -30,21 +30,22 @@ Guidance modes:
   unconditional rates from two denoisers.
 
 One kernel forms the guided weights of every mode for both routes, in one
-call per sampler step. :meth:`CodeCache.pairs` turns a step's context rows
-and positions into its distinct (context, position) pairs, their own rows
-and positions in ascending (code, position) order; context codes are keys
-that exist only inside the cache, and no code is turned back into a row.
+call per sampler step. :meth:`_ContextCache.pairs` turns a step's context
+rows and positions into its distinct (context, position) pairs, their own
+rows and positions in ascending (code, position) order; context codes are
+keys that exist only in that class, and no code is turned back into a row.
 :meth:`_ContextCache.guided_weights` returns the unnormalized rows of those
 pairs over the real symbols as one (P, S) matrix,
 :meth:`_ContextCache.step_tables` turns it into row totals and CDF rows, and
 :meth:`_ContextCache.pair_tables` hands each input pair of a step its total
 and CDF row. The any-order route draws from the CDF rows; the Euler route
 scales the totals by kappa_dot/(1-kappa) and, when guided, keeps each
-still-masked pair's total and CDF row across steps and looks up again only
-the pairs of chains that jumped (all of them when the switch point flips);
-:func:`guide_rates` returns the weights of one context's masked positions,
-scaled the same way, as a (D, S) rate matrix. The n chains of a call share
-one context cache. Every model answers rows: a step makes one pair-form
+still-masked pair's total and CDF row across steps and at the horizon, and
+looks up again only the pairs of chains that jumped (all of them when the
+switch point flips); :func:`guide_rates` returns the weights of one
+context's masked positions, scaled the same way, as a (D, S) rate matrix.
+The n chains of a call share one context cache, which keeps nothing
+between kernel calls. Every model answers rows: a step makes one pair-form
 posterior call per denoiser, which forms the rows of the step's (context,
 position) pairs and no other position's, and one likelihood call on the
 distinct children of their contexts or one pair-form gradient-surface call
@@ -77,8 +78,8 @@ from .core import (
     as_generator,
     identity_schedule,
 )
-from .denoising import CodeCache, Denoiser
-from .errors import CapabilityError, DegenerateStepError, TimeHorizonError
+from .denoising import Denoiser
+from .errors import CapabilityError, DegenerateStepError, SizeCapError, TimeHorizonError
 from .predictors import TimePredictor
 
 TIME_HORIZON_EPS = 1e-9
@@ -149,12 +150,13 @@ class SamplerDiagnostics:
     * ``n_chains``: chains sampled.
     * ``n_steps``: chain-steps on the any-order route (D per chain);
       integration steps on the Euler route.
-    * ``overflow_renormalizations``: Euler outflows above 1 clipped to 1,
-      one per (chain, position, step).
-    * ``denoiser_evals``: contexts first evaluated by either denoiser.
-    * ``predictor_evals``: contexts (children and sources) first scored by
-      the predictor's likelihood, plus contexts first given its gradient
-      surface.
+    * ``overflow_renormalizations``: Euler outflows above 1, which jump
+      for sure, one per (chain, position, step).
+    * ``denoiser_evals``: distinct contexts of each kernel call, summed,
+      evaluated by either denoiser.
+    * ``predictor_evals``: distinct contexts of each kernel call, summed:
+      children and sources scored by the predictor's likelihood, plus
+      contexts given its gradient surface.
     * ``step_weight_requests``: guided weight rows formed, one per distinct
       (context, position) pair of a kernel call.
     * ``wall_time_s``: seconds spent in the call.
@@ -310,32 +312,52 @@ def _checked(model, method: str, shape: tuple, *args) -> np.ndarray:
     return out
 
 
-class _ContextCache(CodeCache):
-    """The context keys of CodeCache plus the guidance kernel.
+#: Context codes are int64; (S+1)**D at or above this bound wraps.
+CODE_LIMIT = 2**63
 
-    The kernel answers a step's (context, position) pairs, or the distinct
-    children of its contexts, in one call to each model on their own rows,
-    and keeps no copy of the answers. It counts a model's evaluations as the
-    distinct contexts first seen in a call, against a sorted record per
-    model of the codes seen so far (``_seen``).
-    """
+
+class _ContextCache:
+    """The base-(S+1) context codes of a denoiser's contexts, and the
+    guidance kernel. It alone turns token rows into codes (``encode``,
+    ``child_codes``, ``pairs``), so the key format lives here and nowhere
+    else. Codes are one-way int64 keys that sort and dedup contexts; a size
+    whose codes would wrap raises SizeCapError instead of keying two
+    contexts alike. The kernel answers a step's (context, position) pairs,
+    or the distinct children of its contexts, in one call to each model on
+    their own rows, and keeps nothing between calls."""
 
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
-        super().__init__(denoiser)
+        self.denoiser = denoiser
+        self.D, self.S = denoiser.D, denoiser.S
+        if (self.S + 1) ** self.D >= CODE_LIMIT:
+            raise SizeCapError(
+                f"context codes (S+1)**D = {self.S + 1}**{self.D} do not fit in int64"
+            )
+        self.pows = (self.S + 1) ** np.arange(self.D, dtype=np.int64)
         self.cfg = cfg
         self.diag = diagnostics
-        self._seen: dict = {}
 
-    def _first_seen(self, record: str, codes: np.ndarray) -> int:
-        """Add the distinct sorted ``codes`` to the named record of codes
-        seen so far; return how many are new."""
-        seen = self._seen.get(record, codes[:0])
-        if seen.size:
-            # a code past the last one seen meets that last one and differs
-            codes = codes[seen.take(np.searchsorted(seen, codes), mode="clip") != codes]
-        # two sorted runs: the stable sort merges them in one pass
-        self._seen[record] = np.sort(np.concatenate([seen, codes]), kind="stable")
-        return codes.size
+    def encode(self, rows: np.ndarray) -> np.ndarray:
+        """Context codes of token rows (mask = S), one per row."""
+        return rows @ self.pows
+
+    def child_codes(self, codes: np.ndarray, positions: np.ndarray,
+                    symbols: np.ndarray) -> np.ndarray:
+        """Code of each child (``codes[j]``, ``positions[j]``,
+        ``symbols[j]``): context ``codes[j]`` with masked position
+        ``positions[j]`` set to ``symbols[j]``; symbol S leaves it masked."""
+        return codes - (self.S - symbols) * self.pows[positions]
+
+    def pairs(self, rows: np.ndarray, positions: np.ndarray):
+        """Distinct (context, position) pairs of context rows ``rows[k]`` and
+        ``positions[k]``, in ascending (code, position) order, as (context
+        rows, positions, index of each input pair among them). A pair is
+        keyed by the rank of its code among the distinct codes times D plus
+        the position: below ``rows.shape[0] * D`` at every size whose context
+        codes fit in int64."""
+        rank = np.unique(self.encode(rows), return_inverse=True)[1]
+        _, first, inv = np.unique(rank * self.D + positions, return_index=True, return_inverse=True)
+        return rows[first], positions[first], inv
 
     def supported(self, rows: np.ndarray) -> np.ndarray:
         """Whether each context row has mass under the denoisers."""
@@ -360,7 +382,7 @@ class _ContextCache(CodeCache):
         at = positions[pair]
         keys = self.child_codes(codes[pair], at, symbol)
         distinct, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        self.diag.predictor_evals += self._first_seen("likelihood", distinct)
+        self.diag.predictor_evals += distinct.size
         children = rows[pair[first]]
         children[np.arange(first.size), at[first]] = symbol[first]
         lik = _checked(self.cfg.predictor, "likelihood_array", distinct.shape, children)[inv]
@@ -383,16 +405,16 @@ class _ContextCache(CodeCache):
         codes = self.encode(rows)
         distinct = np.unique(codes)
         shape = (positions.size, S)
-        self.diag.denoiser_evals += self._first_seen("denoiser", distinct)
+        self.diag.denoiser_evals += distinct.size
         post = _checked(self.denoiser, "posterior_array", shape, rows, positions)
         if mode == "none":
             return post
         if mode == "predictor_free":
-            self.diag.denoiser_evals += self._first_seen("second_denoiser", distinct)
+            self.diag.denoiser_evals += distinct.size
             cond = _checked(cfg.second_denoiser, "posterior_array", shape, rows, positions)
             return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
         if mode == "tag":
-            self.diag.predictor_evals += self._first_seen("gradient", distinct)
+            self.diag.predictor_evals += distinct.size
             grad = _checked(cfg.predictor, "gradient_surface_array", (positions.size, S + 1),
                             rows, positions)
             return post * np.exp(cfg.gamma * (grad[:, :S] - grad[:, S:]))
@@ -518,9 +540,9 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
 
     The still-masked (chain, position) pairs are flat arrays. Integration
     step k draws one Bernoulli per pair and one symbol per jumper, which
-    jumps at time (k+1)*dt. Pairs still masked at the horizon are
-    force-completed from their guided rows (step ``n_int``) at time 1.0. A
-    chain's order sorts its positions by jump time, ties by position.
+    jumps at time (k+1)*dt. Pairs still masked at the horizon (step
+    ``n_int``, switch read at 1-dt) all jump at time 1.0, with no Bernoulli
+    draw. A chain's order sorts its positions by jump time, ties by position.
 
     A chain's jumps in one step are drawn independently from its context
     before the step, so together they can land on a context the denoisers
@@ -552,50 +574,49 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
         return undo
 
     # guided: each still-masked pair's jump weight sum and CDF row, kept
-    # across steps, since a chain that does not jump keeps its context. Only
-    # the pairs of chains that jumped (every pair when the switch point
-    # flips) are looked up again
+    # across steps and at the horizon, since a chain that does not jump
+    # keeps its context. Only the pairs of chains that jumped (every pair
+    # when the switch point flips) are looked up again
     sums, cdfs = np.empty(chain_idx.size), np.empty((chain_idx.size, S))
     moved = np.ones(n, dtype=bool)
     was_active = None
-    for k in range(n_int):
-        if chain_idx.size == 0:
-            break
-        t = k * dt
-        coef_dt = rate_coefficient(t, schedule) * dt
+    k = 0
+    while chain_idx.size:
+        # step n_int is the horizon, repeated while jumps are masked again
+        step = min(k, n_int)
+        k += 1
+        horizon = step == n_int
+        t = 1.0 - dt if horizon else step * dt
         active = t >= cfg.t0
-        diag.n_steps += 1
-        if unguided:
-            outflow = np.full(chain_idx.size, coef_dt)
-        else:
+        if not unguided:
             if active != was_active:
                 moved[:], was_active = True, active
             stale = moved[chain_idx]
             if stale.any():
                 sums[stale], cdfs[stale] = cache.pair_tables(
-                    rows[chain_idx[stale]], pos_idx[stale], active, k)
-            outflow = coef_dt * sums
-        diag.overflow_renormalizations += int((outflow > 1.0).sum())
-        np.clip(outflow, None, 1.0, out=outflow)
-        jump = gen.random(chain_idx.size) < outflow
-        if not unguided:
+                    rows[chain_idx[stale]], pos_idx[stale], active, step)
             moved[:] = False
-        if jump.any():
-            jc, jp = chain_idx[jump], pos_idx[jump]
-            jump_cdfs = cache.pair_tables(rows[jc], jp, active, k)[1] if unguided else cdfs[jump]
-            rows[jc, jp] = _draw(jump_cdfs, gen.random(jc.size))
-            times[jc, jp] = t + dt
-            jump[np.flatnonzero(jump)[undo_unsupported(jc, jp)]] = False
-            keep = ~jump
-            chain_idx, pos_idx = chain_idx[keep], pos_idx[keep]
-            if not unguided:
-                moved[jc] = True
-                sums, cdfs = sums[keep], cdfs[keep]
-    while chain_idx.size:
-        _, cdfs = cache.pair_tables(rows[chain_idx], pos_idx, (1.0 - dt) >= cfg.t0, n_int)
-        rows[chain_idx, pos_idx] = _draw(cdfs, gen.random(chain_idx.size))
-        undo = undo_unsupported(chain_idx, pos_idx)
-        chain_idx, pos_idx = chain_idx[undo], pos_idx[undo]
+        if horizon:
+            jump = np.ones(chain_idx.size, dtype=bool)
+        else:
+            coef_dt = rate_coefficient(t, schedule) * dt
+            diag.n_steps += 1
+            outflow = np.full(chain_idx.size, coef_dt) if unguided else coef_dt * sums
+            # a uniform draw lies below any outflow of 1 or more
+            diag.overflow_renormalizations += int((outflow > 1.0).sum())
+            jump = gen.random(chain_idx.size) < outflow
+            if not jump.any():
+                continue
+        jc, jp = chain_idx[jump], pos_idx[jump]
+        jump_cdfs = cache.pair_tables(rows[jc], jp, active, step)[1] if unguided else cdfs[jump]
+        rows[jc, jp] = _draw(jump_cdfs, gen.random(jc.size))
+        times[jc, jp] = 1.0 if horizon else t + dt
+        jump[np.flatnonzero(jump)[undo_unsupported(jc, jp)]] = False
+        keep = ~jump
+        chain_idx, pos_idx = chain_idx[keep], pos_idx[keep]
+        if not unguided:
+            moved[jc] = True
+            sums, cdfs = sums[keep], cdfs[keep]
     order = np.argsort(times, axis=1, kind="stable")
     return rows, order, np.take_along_axis(times, order, axis=1)
 
@@ -615,7 +636,7 @@ def euler_sample(denoiser: Denoiser, cfg: GuidanceConfig, schedule: Interpolatio
 def euler_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, schedule: InterpolationSchedule,
                       dt: float, n: int, rng, paths: bool = False):
     """n Euler chains stepped from t=0 to the 1-dt horizon; an outflow above
-    1 is clipped and counted, and residual masks are force-completed.
+    1 jumps for sure and is counted, and residual masks are force-completed.
     Returns (token matrix, diagnostics), or (token matrix, decode paths,
     diagnostics) with ``paths``."""
     core = functools.partial(_euler_core, schedule=schedule, dt=dt, n_int=check_dt(dt))

@@ -55,13 +55,14 @@ class TestSampleCommand:
     @pytest.mark.parametrize("route", ["aoarm", "euler"])
     def test_chains_share_one_context_cache(self, tmp_path, model_file, monkeypatch, route):
         # a kernel call evaluates each of its (context, position) pairs
-        # once, however many chains reach it, step_weight_requests counts
-        # the pairs evaluated and denoiser_evals the distinct contexts. The
-        # any-order route never meets a pair twice; the Euler route meets
-        # again the pairs of a context that outlives a step
+        # once, however many chains reach it; step_weight_requests counts
+        # the pairs evaluated and denoiser_evals the distinct contexts of
+        # each call, summed. The any-order route never meets a pair or a
+        # context twice; the Euler route meets again the pairs of a context
+        # that outlives a step
         from guidesampler.denoising import ExactDenoiser
 
-        seen = []
+        calls = []
         posterior = ExactDenoiser.posterior_array
 
         def spy(self, tokens, positions=None):
@@ -72,7 +73,7 @@ class TestSampleCommand:
             if at is None:
                 D = rows.shape[1]
                 rows, at = np.repeat(rows, D, axis=0), np.tile(np.arange(D), len(rows))
-            seen.extend(zip((row.tobytes() for row in rows), at.tolist()))
+            calls.append(list(zip((row.tobytes() for row in rows), at.tolist())))
             return posterior(self, tokens, positions)
 
         monkeypatch.setattr(ExactDenoiser, "posterior_array", spy)
@@ -80,10 +81,12 @@ class TestSampleCommand:
         assert main(["sample", "--model", str(model_file), "--route", route, "--n", "20",
                      "--seed", "2", "--out", str(out)]) == 0
         diag = json.loads((out / "diagnostics.json").read_text())
-        assert diag["denoiser_evals"] == len({row for row, _ in seen})
+        assert diag["denoiser_evals"] == sum(len({row for row, _ in call}) for call in calls)
+        seen = [pair for call in calls for pair in call]
         assert diag["step_weight_requests"] == len(seen)
         if route == "aoarm":
             assert len(seen) == len(set(seen)) < 20 * 3
+            assert diag["denoiser_evals"] == len({row for row, _ in seen})
 
     def test_guided_sampling_with_predictor(self, tmp_path, model_file, predictor_file):
         out = tmp_path / "guided"

@@ -124,6 +124,19 @@ class TestTabularDistribution:
         np.testing.assert_array_equal(p.weights, q.weights)
         assert (q.D, q.S) == (2, 3)
 
+    @pytest.mark.parametrize("text,alphabet", [
+        ("BAA", AB),  # once read as BA's weight 0.2
+        ("BA", ABC),  # once read as BA's weight 0.2
+        ("BBB", AB),  # once an IndexError
+    ])
+    def test_prob_refuses_another_size(self, text, alphabet):
+        p = TabularDistribution.from_unnormalized(2, 2, [1, 2, 3, 4])
+        assert p.prob(seq("BA")) == 0.2
+        x = seq(text, alphabet)
+        with pytest.raises(ValueError, match=f"length {x.D} over {alphabet.size} symbols "
+                                             "does not fit a table with D=2, S=2"):
+            p.prob(x)
+
     def test_sampling_matches_weights(self):
         p = TabularDistribution(1, 2, [0.25, 0.75])
         idx = p.sample_indices(20000, RandomSource(3))

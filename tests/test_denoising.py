@@ -16,7 +16,6 @@ from guidesampler.core import (
     sequence_table,
 )
 from guidesampler.denoising import (
-    CodeCache,
     ExactDenoiser,
     LogitModifier,
     ModifiedDenoiser,
@@ -35,11 +34,9 @@ from bruteforce import (
     brute_aoarm_loss,
     brute_fm_loss,
     brute_posterior_rows,
-    context_code,
     dist_as_dict,
     loop_aoarm_loss_exact,
     loop_train_denoiser,
-    sorted_pairs,
 )
 
 AB = Alphabet(2)
@@ -366,26 +363,6 @@ class TestParametricDenoiser:
         np.testing.assert_allclose(clone.posterior_array(toks), den.posterior_array(toks))
 
 
-class TestCodeCachePairs:
-    """CodeCache.pairs returns the distinct (context, position) pairs as the
-    contexts' own rows, in ascending (code, position) order."""
-
-    @pytest.mark.parametrize("D,S", [(1, 2), (3, 2), (5, 3), (8, 4), (14, 20)])
-    def test_distinct_pairs_in_code_order(self, D, S):
-        gen = RandomSource(D * 100 + S).generator()
-        pool = gen.integers(0, S + 1, size=(12, D))
-        # rows and positions drawn from small pools, so pairs repeat
-        rows = pool[gen.integers(0, pool.shape[0], size=300)]
-        positions = gen.integers(0, D, size=300)
-        out_rows, out_pos, inv = CodeCache(ParametricDenoiser(D, S)).pairs(rows, positions)
-        want = sorted_pairs(rows, positions, S)
-        assert len(want) < rows.shape[0]
-        got = [(context_code(row, S), int(d)) for row, d in zip(out_rows, out_pos)]
-        assert got == want
-        assert len(set(got)) == len(got)
-        assert np.array_equal(out_rows[inv], rows) and np.array_equal(out_pos[inv], positions)
-
-
 class TestTraining:
     def test_zero_steps_uniform(self):
         x = sequence_from_str("AB", AB)
@@ -393,7 +370,7 @@ class TestTraining:
         post = model.posterior_array(np.array([2, 2]))
         np.testing.assert_allclose(post, 0.5)
 
-    @pytest.mark.parametrize("variant", ["FM", "MLM", "AOARM"])
+    @pytest.mark.parametrize("variant", ["FM", "AOARM"])
     def test_point_mass_convergence(self, variant):
         x = sequence_from_str("ABA", AB)
         model, loss = train_denoiser(variant, [x], 2000, RandomSource(7))
@@ -426,7 +403,12 @@ class TestTraining:
         with pytest.raises(ValueError):
             train_denoiser("FM", [], 10, RandomSource(0))
 
-    @pytest.mark.parametrize("variant", ["FM", "MLM", "AOARM"])
+    def test_unknown_variant_rejected(self):
+        # "MLM" was FM under another name: the model has no time input
+        with pytest.raises(ValueError, match="loss_variant"):
+            train_denoiser("MLM", [sequence_from_str("AB", AB)], 10, RandomSource(0))
+
+    @pytest.mark.parametrize("variant", ["FM", "AOARM"])
     @pytest.mark.parametrize("D, S", [(3, 2), (8, 4), (6, 5)])
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("steps", [

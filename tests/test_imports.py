@@ -1,7 +1,7 @@
 """Every module of the package and of the test suite reads each name it
 imports. ``__init__.py`` files are skipped: their imports are re-exports.
-Only ``denoising.py`` reads the context-code powers ``pows``, so the code
-format stays private to ``CodeCache``."""
+Only ``sampling.py`` reads the context-code powers ``pows``, so the code
+format stays private to ``_ContextCache``."""
 
 import ast
 from pathlib import Path
@@ -72,10 +72,10 @@ def test_attribute_scan_finds_reads():
     assert attributes_read("x = cache.pows[d]\ny = pows\nz = a.b.pows @ r\n", "pows") == [1, 3]
 
 
-def test_only_denoising_reads_code_powers():
+def test_only_sampling_reads_code_powers():
     found = {}
     for path in sorted((ROOT / "src" / "guidesampler").rglob("*.py")):
         lines = attributes_read(path.read_text(), "pows")
-        if lines and path.name != "denoising.py":
+        if lines and path.name != "sampling.py":
             found[path.name] = lines
     assert found == {}

@@ -6,7 +6,9 @@ call, and hashes what it returns: the token rows, the decode path and the
 diagnostics counts, or ``samples.txt`` and ``paths.jsonl``. Training cases
 hash the trained weights and the returned loss of ``train_denoiser`` and
 ``train_noisy_classifier``, and one reduced campaign seed hashes its
-``campaign.csv`` rows. The digests are pinned, so a change that moves a
+``campaign.csv`` rows. Switch cases run the batched Euler sampler at several
+guidance switch points and step sizes, and hash its rows, paths and step
+counts. The digests are pinned, so a change that moves a
 sampled token, a path, a model-call count, a trained weight or RNG
 consumption fails here. A change that means to move them updates
 ``PINNED`` and says why. To print the digests of the current tree, or
@@ -154,6 +156,25 @@ def sampler_digest(model, route, mode, kind) -> str:
     return sha(x.tokens.astype(np.int64).tobytes(), path_json, counts(diag))
 
 
+def switch_digest(model, mode, t0) -> str:
+    """Rows, decode paths, ``n_steps`` and overflow counts of
+    ``euler_sample_many`` with guidance switched on at ``t0``, at each dt of
+    ``EULER_DTS``. The model-call counts are left out: they describe the
+    kernel calls, and these digests pin what a run samples."""
+    models = MODELS[model]()
+    cfg = guidance(models, mode)
+    cfg = GuidanceConfig(mode=cfg.mode, gamma=cfg.gamma, predictor=cfg.predictor,
+                         second_denoiser=cfg.second_denoiser, t0=float(t0))
+    parts = []
+    for dt in EULER_DTS:
+        rows, paths, diag = euler_sample_many(models["denoiser"], cfg, identity_schedule(), dt,
+                                              N_MANY, RandomSource(7), paths=True)
+        parts.append(np.ascontiguousarray(rows, dtype=np.int64).tobytes())
+        parts.append(json.dumps([p.to_json() for p in paths], sort_keys=True).encode())
+        parts.append(json.dumps([diag.n_steps, diag.overflow_renormalizations]).encode())
+    return sha(*parts)
+
+
 def cli_digest(route, workdir: Path) -> str:
     """``guidesampler sample`` on the parametric model with paths recorded."""
     models = parametric_models()
@@ -230,30 +251,49 @@ TRAIN_CASES = [
     for D in (1, 4)
 ] + [f"classifier/D{D}/{stages}" for D in (1, 5) for stages in ("one_stage", "two_stage")]
 CAMPAIGN_CASES = ["campaign/3"]
-CASES = SAMPLER_CASES + CLI_CASES + TRAIN_CASES + CAMPAIGN_CASES
+#: Euler switch points: from the start, mid-run, and two late points that
+#: the 1 - dt horizon of some step in EULER_DTS reaches, so guidance turns
+#: on at the horizon or not at all
+SWITCH_T0S = ("0.0", "0.5", "0.93", "0.97")
+EULER_DTS = (0.1, 0.05, 0.03)
+SWITCH_CASES = [
+    f"switch/{model}/{mode}/{t0}"
+    for model, modes in (("tabular", ROUTE_MODES["euler"][1:]),
+                         ("parametric", ROUTE_MODES["euler"][1:]),
+                         ("product", PRODUCT_MODES["euler"]))
+    for mode in modes
+    for t0 in SWITCH_T0S
+]
+CASES = SAMPLER_CASES + CLI_CASES + TRAIN_CASES + CAMPAIGN_CASES + SWITCH_CASES
 
 #: the batched-sampler digests were computed on the tree before the batched
 #: child scoring, whose outputs it keeps. The batched Euler digests were
 #: re-pinned when the Euler core stopped memoizing pair tables across steps:
 #: their rows, denoiser_evals and predictor_evals held, and only
-#: step_weight_requests (rows formed, now per kernel call) grew
+#: step_weight_requests (rows formed, now per kernel call) grew. The Euler
+#: digests whose counts moved were re-pinned again when the model-call counts
+#: became sums over kernel calls and the horizon reused the CDF rows the
+#: guided core holds: rows and paths held, denoiser_evals and predictor_evals
+#: grew and step_weight_requests fell or held. The switch digests were
+#: computed on the tree whose Euler core ran the 1 - dt horizon as a loop of
+#: its own after the integration steps
 PINNED = {
     "tabular/aoarm/none/many": "a40eca8bef70e70f1d212517adf1a7afabb9b385f078f99af11d9c265618e4e3",
     "tabular/aoarm/deg/many": "0cb3ccf315debac13746dd9166427120a0e9a05c1af3d6c9bd07a33bef6dc3ac",
     "tabular/aoarm/tag/many": "372af3ccb074a6b17aefbf4a38c9ddb2ebcc1cde9dbd51a0f1a17c31308d8907",
     "tabular/aoarm/predictor_free/many": "49ad3046d0c3bc9d0c12d942ed3dc1b8e3c126df27ae1e740c07c8fd661e4920",
-    "tabular/euler/none/many": "88dbb7ca4a09e9c118915809eb6323aa8de82778f987a216e872de2cf595dc6a",
-    "tabular/euler/exact/many": "aa5e7d5414bd6aa74330b26534c4be667f1bc460f21bfd1a01852b773e7656ae",
-    "tabular/euler/tag/many": "a93893f135b0d5a054203ac9daa0313cee46d573b02da54418653b46ac284e61",
-    "tabular/euler/predictor_free/many": "bcd264a36f8c621c8dfa144cbe3b29b44fbb2f902d2f10e45fbf08a469ccc5f6",
+    "tabular/euler/none/many": "0121d4ca2ac779f4baf859a3a2f61b1214b6958aa9c1aa57d59241f9303c2503",
+    "tabular/euler/exact/many": "2f85b3a69ddb7fa84db8b3867d88837fa6b32473b78337d29288f9f8d1a54835",
+    "tabular/euler/tag/many": "3a5521dfc33b9677cf1167927a112d19656afc98ae4fb05f50a1911a21d13e5a",
+    "tabular/euler/predictor_free/many": "fd81276d370d868a2cb76365400e556cc63fb7e98f5239e0a78c15a617022512",
     "parametric/aoarm/none/many": "524879ef9ad197f5c0b278b8b95d04439b02932b34b35ce5d147184597502f4b",
     "parametric/aoarm/deg/many": "5face5cb1297a95de48f6c68f9b7931ba1ca5b8aaf3e061952989f7d2773ba4b",
     "parametric/aoarm/tag/many": "4c87993650377b4f2e06cb03327cecb863502cb3201b23ef08c045c5a2c8af57",
     "parametric/aoarm/predictor_free/many": "5901676241ad013e3d46837f769210b6d5de44dae01c1b5a03eec78e2fe11987",
-    "parametric/euler/none/many": "caf30d18fb58b663aeb2b8e3119669729e7cd756957acaa62d1cc5894fb40c13",
-    "parametric/euler/exact/many": "5ac1bcf4025e47708e37d36467b719ac2bbf1ab5750396019b5b03b40f1e486c",
-    "parametric/euler/tag/many": "5f8134f30b1c81f92e513408fab729b7e1902f18610b2bc5864cc10a45172604",
-    "parametric/euler/predictor_free/many": "2716983a590299f6bdf97d0a8bfd4d1658a2a5af2071e3635a16f0a8143e1aed",
+    "parametric/euler/none/many": "f0de2a9d9fb9cf56a49aa6605568ec6127300f3802392ff926e9b10fc8e123ff",
+    "parametric/euler/exact/many": "1c5e4a878d5665b279ab820a391ed5cc9d16bfe8f219cb63e161307ba1ab87d5",
+    "parametric/euler/tag/many": "c85bae5253f3763280fe522dfa8d0fc9266bcf9e4c811a9781f51d94e73583f5",
+    "parametric/euler/predictor_free/many": "fae2ecf96fdc3b8c2373acc8db359d0a3b273b9a599acede25a21af710fcf290",
     # re-pinned when single chains and `guidesampler sample` became calls of the
     # batched drivers, which moved RNG order: permutation(D) became
     # argsort(random((1, D))), per-position Euler draws became vector draws, and
@@ -263,7 +303,7 @@ PINNED = {
     "tabular/aoarm/tag/single": "062beabdfd924439e59384d3348b9092b800f50dc67834a1dfa4059414fefedc",
     "tabular/aoarm/predictor_free/single": "6717bf0e9082200d5889f01747e2fb298a1c0d170550500e11345928f136678b",
     "tabular/euler/none/single": "0d6b5d1b9fad613e517a977b2d20b6a0e720cab537ff7e43e2d43f1363481ec6",
-    "tabular/euler/exact/single": "ee104ab28690ce63c4a66d1954ec45744aa1ac6fb177b498813c5f669272f5d1",
+    "tabular/euler/exact/single": "5dbb0638c27dbeaf7ad70d2a1f8b36d33749c519e3b9e052faea0595d29904a2",
     "tabular/euler/tag/single": "be02ace45cd836ea73bedddb4cf900d528fa4fdf85083cd1260fbe3b358a8609",
     "tabular/euler/predictor_free/single": "2e761fb437ef261733f0c4038ecbe48ccb3662f64efbf33e691a5a0b0165bf2c",
     "parametric/aoarm/none/single": "716179e0ef746304542fa6e21386f8032d8083ae0124121d7a2f97e5bd4d6078",
@@ -271,7 +311,7 @@ PINNED = {
     "parametric/aoarm/tag/single": "c48d106703e003911f33021b8beeb581ef3cb0d47f5d380d512d619b1bd3e8d6",
     "parametric/aoarm/predictor_free/single": "f792ab89eb3fd304afafc76f7d98bf24de6d65028d5d74cb746b9bc09ae20e0b",
     "parametric/euler/none/single": "d0912e060010caf0062136b1d2c0e3a01b5a1d4f714e5a7c06bc801f2863b764",
-    "parametric/euler/exact/single": "b5a08b45ee4e9dcf25c29847a1a3fe26e1847e30845dabb73291a4deae25fe7d",
+    "parametric/euler/exact/single": "190e686ae108bd0ae7417d537ca76bbad50800a7e9a2d87c31f4463e0fc5de53",
     "parametric/euler/tag/single": "07571ad27f0dd7cb4c8ab537a6bf76e56bdfb8198bb4b53dbd176ea230e92eb8",
     "parametric/euler/predictor_free/single": "69a6efda4543df588cb6b65c04e9a62f7a6176689ddae0b042ea33c891fa7611",
     # computed on the tree before the product predictor answered rows; every
@@ -280,10 +320,10 @@ PINNED = {
     "product/aoarm/deg/many": "c45232125a6b1a5a917bae897539a5b294f7e789111fa57034ea4163196983c0",
     "product/aoarm/tag/single": "00eb00ecc832d7d2824676a010ebf1547ae4797382cff3c14dad6d0d8d9389b0",
     "product/aoarm/tag/many": "f52f448efdb954ac9f778f0c45f3953f75a715c79b4206d86cefa03e1adf5a4a",
-    "product/euler/exact/single": "f36e42dbc2da0b2b37882deacec254a1871d09d1cd26a1df691ffd4c05b96f80",
-    "product/euler/exact/many": "5aaf05852a10c7a60c44b9d10b26e954f72096beb453b135f8a274f596a6088b",
+    "product/euler/exact/single": "db8475d7f988f636ac46a6e7062408f0bbdf22ae33f58d0d7b9f505a040b419c",
+    "product/euler/exact/many": "8500a640c316da342d5f2208639493bcf3dfc6218ba395b8d1b6aad2d7ecac96",
     "product/euler/tag/single": "38bc6760d2e00cfd620da05c8be9477990072339c4169c8ba83079063e39b223",
-    "product/euler/tag/many": "42432f16ea245be015a9b6627f577a6a7c31b2b8527779ee138cdbfea17ab483",
+    "product/euler/tag/many": "e90d0a3ae335ab370fecee6612997de3b99399ecd68362d89905c0c6fb3ce0a4",
     "cli/aoarm/deg": "4b58e922e7196c4c1ceaeee6978b330418aab2e3e7988a60bbaa7da2cc28a792",
     "cli/euler/exact": "3850489d32e486ca4505017baa4a5d38ad8437885bce538d6a3197154cc7252c",
     # computed on the tree before the bincount trainer updates, whose weights it keeps
@@ -300,6 +340,38 @@ PINNED = {
     "classifier/D5/one_stage": "600799c4e7ca885ed7d3252180105b094697cfecacdd01d634755c1324926b58",
     "classifier/D5/two_stage": "c42dcaa17e812523d0d60e242ea48da2bf48eaf16bdc1c374146a962d045a68c",
     "campaign/3": "37fa99dc82d60e1f79d31fe271c1148a7ac1f5ca110ebf59152ce76aa4446936",
+    "switch/tabular/exact/0.0": "33a7f9cb2fad2d22363aa748e78fe28d62d12eea274a14ff1157565f209bf49e",
+    "switch/tabular/exact/0.5": "cb829a54478504b25fb384bb1c3743f394597a22e0c669efc609aa1f40d93f1f",
+    "switch/tabular/exact/0.93": "262ddafbac2e9606c572b2b0327c12229e230d721293ecbf8bf734e73d99755a",
+    "switch/tabular/exact/0.97": "025d75b0cf403058a22b13483749f15582cc4777bd54539f3412e75a4ea6fc4b",
+    "switch/tabular/tag/0.0": "6cf1faa73bf344b527965bb639c341832c93ae5880f225f4f6fb3307dc81875e",
+    "switch/tabular/tag/0.5": "09cc35f5073b6f3b91b56da81e6b0320e970d9f2ebd15bd916cde58be184c16a",
+    "switch/tabular/tag/0.93": "3da80c0092aae2a3a54128480386b70c9366b2e51f951fde8b3cd21a32c4a7fd",
+    "switch/tabular/tag/0.97": "e1cb37662e5c46362bf61c6c28ce3cdd28c87977b780dbbc27f6e1d59c2842be",
+    "switch/tabular/predictor_free/0.0": "33a7f9cb2fad2d22363aa748e78fe28d62d12eea274a14ff1157565f209bf49e",
+    "switch/tabular/predictor_free/0.5": "cb829a54478504b25fb384bb1c3743f394597a22e0c669efc609aa1f40d93f1f",
+    "switch/tabular/predictor_free/0.93": "262ddafbac2e9606c572b2b0327c12229e230d721293ecbf8bf734e73d99755a",
+    "switch/tabular/predictor_free/0.97": "025d75b0cf403058a22b13483749f15582cc4777bd54539f3412e75a4ea6fc4b",
+    "switch/parametric/exact/0.0": "5a7cad6c2c6e734ba9d2ac085ab3c0811e20ba75e49dc28e7d8184d1fcc7856f",
+    "switch/parametric/exact/0.5": "d6b78b35b960eef872c91e2c5dc7effe7db682d80ad3eadc54d3c591eafb8ed1",
+    "switch/parametric/exact/0.93": "b521683492d413027fd94eac3b72e2564b67e7a97c957db345ce7740e2f877da",
+    "switch/parametric/exact/0.97": "8b7c3c1df2984204fa19c9c75ab09a2221b924e39bbffa06a63511971f54bef3",
+    "switch/parametric/tag/0.0": "a5c3e08004c470206e0d17edbae0225d361e2333c4d9df1c2dbf2b8b3e136648",
+    "switch/parametric/tag/0.5": "1de321e7438443cd55a5c1829ba45a4821c27954717e1258e511d2bcc8826b2c",
+    "switch/parametric/tag/0.93": "837342f386b4045058f4427aafdf6ca14642b9cb67ba4be6d5bb9b9bd233f734",
+    "switch/parametric/tag/0.97": "b06830e54ee1f4ed346930962cf8c03fbf362963e0feafe5fdc44c5fd7cdf19d",
+    "switch/parametric/predictor_free/0.0": "f3180702881150f79358437e5280420a4cf366ad791279b6988aa30ef1ccc707",
+    "switch/parametric/predictor_free/0.5": "cebdcda89c4489b803c67c0e2f4c58fedc5b944001a90efa08218eba243ccdfc",
+    "switch/parametric/predictor_free/0.93": "947708eec4ff9116e48c8db32bda2aeff44610b40893c6a0fec69eec7c5acee2",
+    "switch/parametric/predictor_free/0.97": "9508cae7b59ab23595e80e450af9f25f76508d93b556eeff686f90f3a17a04e1",
+    "switch/product/exact/0.0": "13ffeac88f1d2826930518cf56b5dce542d4908960e18b56cf4d5d024c3a797e",
+    "switch/product/exact/0.5": "6b111171cb0ff7704103aaaa1cca9b78cfc7b81524de079bbbac4c2594f1cf8f",
+    "switch/product/exact/0.93": "6f8dd7526ca7da6c6ff682c1110e5221e6c560b1a7cba6f3b3440a610c8f5bef",
+    "switch/product/exact/0.97": "50054828099b7615f94425fa749e0eea7c65b6d7552330b984d8f3390ade80bc",
+    "switch/product/tag/0.0": "1ae12c0c787c8a8c65d5523ca5e1c1aad40f1a7ef47473dcff313d222c2f7047",
+    "switch/product/tag/0.5": "053352ddaf507ffa7b699fa4913cb48693e7afc68c3e5ac0780635919a50df9c",
+    "switch/product/tag/0.93": "0b505d4aa05bef5dfc6d1203311057a339b0a0d77868aa0e0e6bfb5656286ac9",
+    "switch/product/tag/0.97": "4293810df86758ac355cdf2affac2baeb1a242d4511bbb80af366c3587ccc05b",
 }
 
 
@@ -313,6 +385,8 @@ def digest_of(case: str, workdir: Path) -> str:
         return classifier_digest(*parts[1:])
     if parts[0] == "campaign":
         return campaign_digest(parts[1])
+    if parts[0] == "switch":
+        return switch_digest(*parts[1:])
     return sampler_digest(*parts)
 
 

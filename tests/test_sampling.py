@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from guidesampler.core import (
     sequence_from_str,
 )
 from guidesampler.denoising import (
-    CodeCache,
     ExactDenoiser,
     LogitModifier,
     ModifiedDenoiser,
@@ -42,6 +42,7 @@ from guidesampler.sampling import (
     _ContextCache,
     aoarm_sample,
     aoarm_sample_many,
+    check_dt,
     euler_sample,
     euler_sample_many,
     guide_rates,
@@ -50,7 +51,7 @@ from guidesampler.sampling import (
     sample_jump_times,
 )
 
-from bruteforce import Looped, loop_cdf, loop_guided_row
+from bruteforce import Looped, context_code, loop_cdf, loop_guided_row, sorted_pairs
 
 AB = Alphabet(2)
 IDENT = identity_schedule()
@@ -347,6 +348,64 @@ class TestEulerSampler:
         assert (rows < 2).all()
 
 
+class TestEulerHorizon:
+    """Pairs still masked at the 1-dt horizon all jump at time 1.0, drawn
+    from the CDF rows the guided core holds: the first horizon kernel call
+    forms only the pairs of chains that jumped at the last integration
+    step, or all of them when the switch point flips at the horizon."""
+
+    DT = 0.05  # 19 integration steps, the last at t = 0.9
+    #: rows and paths of the flip case, computed before the horizon reused
+    #: the core's CDF rows
+    FLIP_DIGEST = "9cf2d2b861c3b5e3bde0bf537ca17fc0f3746d6e9aa6c0fc5363e3bece63ba9c"
+
+    def run(self, monkeypatch, t0):
+        """(rows, paths, the pairs of the first horizon kernel call, the
+        still-masked pairs at the horizon, those of them whose chain jumped
+        at the last integration step); a pair is (context row, position)."""
+        calls = []
+        tables = _ContextCache.pair_tables
+
+        def spy(cache, rows, positions, active, step):
+            calls.append((step, [(tuple(r), int(d)) for r, d in zip(rows.tolist(), positions)]))
+            return tables(cache, rows, positions, active, step)
+
+        monkeypatch.setattr(_ContextCache, "pair_tables", spy)
+        den, pred = looped_test_models()
+        cfg = GuidanceConfig(mode="exact", gamma=1.5, predictor=pred, t0=t0)
+        rows, paths, _ = euler_sample_many(den, cfg, IDENT, self.DT, 40, RandomSource(61),
+                                           paths=True)
+        n_int = check_dt(self.DT)
+        last = (n_int - 1) * self.DT + self.DT  # jump time of the last integration step
+        masked, moved = [], []
+        for row, path in zip(rows, paths):
+            late = np.sort(path.permutation[path.jump_times == 1.0])
+            context = row.copy()
+            context[late] = den.S
+            pairs = [(tuple(context.tolist()), int(d)) for d in late]
+            masked += pairs
+            if (path.jump_times == last).any():
+                moved += pairs
+        first = next(pairs for step, pairs in calls if step == n_int)
+        return rows, paths, first, masked, moved
+
+    def test_only_moved_chains_formed_again(self, monkeypatch):
+        _, _, first, masked, moved = self.run(monkeypatch, t0=0.0)
+        assert 0 < len(moved) < len(masked)
+        assert first == moved
+
+    def test_switch_flip_forms_every_pair(self, monkeypatch):
+        # t0 in (0.9, 0.95]: guidance is off at every integration step and
+        # on at the horizon, whose clock reads 1 - dt
+        rows, paths, first, masked, moved = self.run(monkeypatch, t0=0.93)
+        assert len(moved) < len(masked) and first == masked
+        digest = hashlib.sha256(rows.astype(np.int64).tobytes())
+        for path in paths:
+            digest.update(path.permutation.astype(np.int64).tobytes())
+            digest.update(path.jump_times.tobytes())
+        assert digest.hexdigest() == self.FLIP_DIGEST
+
+
 class TestAOARMSampler:
     def test_point_mass_always_returned(self):
         x = sequence_from_str("BAB", AB)
@@ -553,7 +612,7 @@ class TestDegenerateRowsInOneStep:
     def test_lower_code_named_first(self, positions, named, kind):
         # signs: position 0 and 2 overflow, position 1 vanishes. Context
         # [?, ?, 0] (code 8) precedes [0, ?, ?] (code 24); pairs given in
-        # the other order are sorted by CodeCache.pairs, as the cores do
+        # the other order are sorted by _ContextCache.pairs, as the cores do
         den = ExactDenoiser(random_dist(3, 2, 52))
         cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=Steep(2, (1, -1, 1)))
         cache = _ContextCache(den, cfg, SamplerDiagnostics())
@@ -834,8 +893,7 @@ def sized_state(obj, depth=2):
 
 class TestModelsHoldNoMemo:
     """A sampler or loss call leaves the tabular models as they were built,
-    the loss's context cache holds no container, and the sampler's holds
-    only its record of the contexts seen (``_seen``)."""
+    and the sampler's context cache holds no container after the call."""
 
     @staticmethod
     def caches(monkeypatch, cls):
@@ -855,17 +913,15 @@ class TestModelsHoldNoMemo:
         """The names of the container attributes of obj itself."""
         return {name for name, size in sized_state(obj, depth=0).items() if isinstance(size, int)}
 
-    def test_loss_cache_holds_no_container(self, monkeypatch):
+    def test_loss_leaves_model_unchanged(self):
         p = random_dist(4, 3, 50)
         den = ExactDenoiser(p)
         before = sized_state(den)
-        made = self.caches(monkeypatch, CodeCache)
         aoarm_loss_exact(den, p)
-        assert len(made) == 1 and self.containers(made[0]) == set()
         assert sized_state(den) == before
 
     @pytest.mark.parametrize("route", ["aoarm", "euler"])
-    def test_sampler_cache_holds_only_seen(self, monkeypatch, route):
+    def test_sampler_cache_holds_nothing(self, monkeypatch, route):
         den = ParametricDenoiser.random(4, 3, RandomSource(52), scale=0.5)
         cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=PairwiseInteractionPredictor(4, 3))
         made = self.caches(monkeypatch, _ContextCache)
@@ -873,7 +929,7 @@ class TestModelsHoldNoMemo:
             aoarm_sample_many(den, cfg, 50, RandomSource(53))
         else:
             euler_sample_many(den, cfg, IDENT, 0.05, 50, RandomSource(53))
-        assert len(made) == 1 and self.containers(made[0]) == {"_seen"}
+        assert len(made) == 1 and self.containers(made[0]) == set()
 
     def test_deg_call_leaves_models_unchanged(self):
         p = random_dist(4, 3, 50)
@@ -889,13 +945,15 @@ class TestModelsHoldNoMemo:
 
 class ContextSpy(ParametricDenoiser):
     """Parametric denoiser that records the context of every (context,
-    position) pair it is evaluated on, and the pair; a call without
-    positions evaluates every position of each row."""
+    position) pair it is evaluated on, the pair, and the number of distinct
+    contexts of each call; a call without positions evaluates every
+    position of each row."""
 
     def __init__(self, D, S):
         super().__init__(D, S)
         self.contexts = []
         self.pairs = []
+        self.distinct_per_call = []
 
     def posterior_array(self, tokens, positions=None):
         rows = np.array(np.atleast_2d(tokens))
@@ -904,6 +962,7 @@ class ContextSpy(ParametricDenoiser):
             rows, at = np.repeat(rows, self.D, axis=0), np.tile(np.arange(self.D), len(rows))
         self.contexts.extend(rows)
         self.pairs.extend(zip((row.tobytes() for row in rows), at.tolist()))
+        self.distinct_per_call.append(len({row.tobytes() for row in rows}))
         return super().posterior_array(tokens, positions)
 
 
@@ -940,9 +999,10 @@ class TestContextCodeOverflow:
             rows, diag = run(den)
             assert rows.shape == (4, 14) and (rows < 20).all()
             assert den.contexts and all((c == 20).any() for c in den.contexts)
-            # each (context, position) pair once; denoiser_evals counts contexts
+            # each (context, position) pair once; denoiser_evals sums the
+            # distinct contexts of each call
             assert len(den.pairs) == len(set(den.pairs))
-            assert diag.denoiser_evals == len({row for row, _ in den.pairs})
+            assert diag.denoiser_evals == sum(den.distinct_per_call)
             with pytest.raises(SizeCapError):
                 run(ContextSpy(15, 20))
         den = ContextSpy(14, 20)
@@ -955,6 +1015,27 @@ class TestContextCodeOverflow:
         rows, _ = aoarm_sample_many(den, GuidanceConfig(), 3, RandomSource(1))
         assert rows.shape == (3, 13) and (rows < 20).all()
         assert all((c == 20).any() for c in den.contexts)
+
+
+class TestContextCachePairs:
+    """_ContextCache.pairs returns the distinct (context, position) pairs as
+    the contexts' own rows, in ascending (code, position) order."""
+
+    @pytest.mark.parametrize("D,S", [(1, 2), (3, 2), (5, 3), (8, 4), (14, 20)])
+    def test_distinct_pairs_in_code_order(self, D, S):
+        gen = RandomSource(D * 100 + S).generator()
+        pool = gen.integers(0, S + 1, size=(12, D))
+        # rows and positions drawn from small pools, so pairs repeat
+        rows = pool[gen.integers(0, pool.shape[0], size=300)]
+        positions = gen.integers(0, D, size=300)
+        cache = _ContextCache(ParametricDenoiser(D, S), GuidanceConfig(), SamplerDiagnostics())
+        out_rows, out_pos, inv = cache.pairs(rows, positions)
+        want = sorted_pairs(rows, positions, S)
+        assert len(want) < rows.shape[0]
+        got = [(context_code(row, S), int(d)) for row, d in zip(out_rows, out_pos)]
+        assert got == want
+        assert len(set(got)) == len(got)
+        assert np.array_equal(out_rows[inv], rows) and np.array_equal(out_pos[inv], positions)
 
 
 class TestGuidanceKernel:
