@@ -18,8 +18,6 @@ import sys
 import traceback
 from pathlib import Path
 
-import numpy as np
-
 from .acceptance import ACCEPTANCE_CHECKS, DEFAULT_SEED, run_checks
 from .bench import (
     check_campaign_config,
@@ -32,9 +30,9 @@ from .core import (
     Alphabet,
     RandomSource,
     TabularDistribution,
-    TokenSequence,
     identity_schedule,
     sequence_from_str,
+    unpack_table,
 )
 from .denoising import (
     ExactDenoiser,
@@ -231,9 +229,10 @@ def load_predictor(path, denoiser, p_tab):
         elif kind == "exact_marginal":
             if p_tab is None:
                 raise ConfigError("exact_marginal predictors require a tabular model")
-            table = np.asarray(obj["clean_table"], dtype=float)
+            table = unpack_table(obj["clean_table"], "clean_table")
             if table.shape != (p_tab.S**p_tab.D,):
-                raise ConfigError("clean_table length must be S**D of the model")
+                raise ValueError(f"clean_table has shape {table.shape}, not the model's "
+                                 f"(S**D,) = ({p_tab.S**p_tab.D},)")
             pred = ExactMarginalPredictor(CleanPredictor.from_table(table, p_tab.S), p_tab)
         else:
             raise ConfigError(
@@ -333,8 +332,8 @@ def cmd_sample(cfg: dict) -> int:
     else:
         result = aoarm_sample_many(denoiser, gcfg, n, root, paths=record)
     rows, diag = result[0], result[-1]
-    alpha = Alphabet(denoiser.S)
-    (out / "samples.txt").write_text("".join(str(TokenSequence(r, alpha)) + "\n" for r in rows))
+    lines = Alphabet(denoiser.S).render_rows(rows)
+    (out / "samples.txt").write_text("".join(line + "\n" for line in lines))
     with open(out / "paths.jsonl", "w") as fh:
         if record:
             write_paths_jsonl(result[1], fh)

@@ -17,7 +17,9 @@ only mutable state and belong to exactly one sampling chain each.
 
 from __future__ import annotations
 
+import base64
 import functools
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -56,6 +58,17 @@ class Alphabet:
             return chr(ord("A") + token)
         raise ValueError(f"token {token} outside alphabet of size {self.size}")
 
+    def render_rows(self, rows: np.ndarray) -> list:
+        """One string per row of a token matrix (n, D), each token rendered
+        as :meth:`letter` renders it, from one lookup of all the rows in a
+        table of code points."""
+        if rows.size and (rows.min() < 0 or rows.max() > self.size):
+            raise ValueError(f"tokens outside 0..{self.size} (the mask) of an alphabet of size "
+                             f"{self.size}")
+        n, D = rows.shape
+        text = _letter_codes(self.size)[rows].tobytes().decode("utf-32-le", "surrogatepass")
+        return [text[i:i + D] for i in range(0, n * D, D)]
+
     def token(self, letter: str) -> int:
         if letter == "?":
             return self.size
@@ -63,6 +76,15 @@ class Alphabet:
         if not 0 <= idx < self.size:
             raise ValueError(f"letter {letter!r} outside alphabet of size {self.size}")
         return idx
+
+
+@functools.lru_cache(maxsize=32)
+def _letter_codes(S: int) -> np.ndarray:
+    """Code point of ``Alphabet(S).letter(t)`` at index t, for t = 0..S."""
+    codes = np.arange(ord("A"), ord("A") + S + 1, dtype="<u4")
+    codes[S] = ord("?")
+    codes.setflags(write=False)
+    return codes
 
 
 def _freeze(tokens) -> np.ndarray:
@@ -137,14 +159,6 @@ class MaskedSequence:
 
     def unmasked_positions(self) -> np.ndarray:
         return np.flatnonzero(self.tokens != self.alphabet.mask_index)
-
-    def is_clean(self) -> bool:
-        return not (self.tokens == self.alphabet.mask_index).any()
-
-    def to_clean(self) -> TokenSequence:
-        if not self.is_clean():
-            raise ValueError("sequence still contains masked positions")
-        return TokenSequence(self.tokens, self.alphabet)
 
     def __len__(self):
         return self.tokens.size
@@ -349,11 +363,56 @@ class TabularDistribution:
         return [TokenSequence(table[i], self.alphabet) for i in idx]
 
     def to_json(self) -> dict:
-        return {"D": self.D, "S": self.S, "weights": self.weights.tolist()}
+        return {"D": self.D, "S": self.S, "weights": pack_table(self.weights)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "TabularDistribution":
-        return cls(int(obj["D"]), int(obj["S"]), obj["weights"])
+        return cls(int(obj["D"]), int(obj["S"]), unpack_table(obj["weights"], "weights"))
+
+
+# ---------------------------------------------------------------------------
+# float tables in JSON files
+# ---------------------------------------------------------------------------
+
+#: The dtype of a packed table: little-endian float64.
+PACKED_DTYPE = "<f8"
+
+
+def pack_table(values: np.ndarray) -> dict:
+    """JSON form of a float table: its little-endian float64 bytes in
+    base64, beside the dtype and shape. Every value, -0.0, infinities and
+    subnormals included, reads back bit for bit."""
+    arr = np.ascontiguousarray(values, dtype=PACKED_DTYPE)
+    return {"dtype": PACKED_DTYPE, "shape": list(arr.shape),
+            "base64": base64.b64encode(arr.tobytes()).decode("ascii")}
+
+
+def unpack_table(obj, key: str) -> np.ndarray:
+    """The float64 array of table ``key`` of a JSON file, in the packed form
+    of :func:`pack_table` or as nested lists of numbers. The array is a
+    writable copy that owns its data. A dtype other than ``"<f8"``, invalid
+    base64, a byte count other than 8 per entry of the shape, and a NaN
+    entry raise ValueError naming ``key``; infinities are kept."""
+    if isinstance(obj, dict):
+        if obj["dtype"] != PACKED_DTYPE:
+            raise ValueError(f"{key}: dtype must be {PACKED_DTYPE!r}, got {obj['dtype']!r}")
+        shape = obj["shape"]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ValueError(f"{key}: shape must be a list of nonnegative integers, got {shape!r}")
+        try:
+            raw = base64.b64decode(obj["base64"], validate=True)
+        except (TypeError, ValueError) as e:  # binascii.Error is a ValueError
+            raise ValueError(f"{key}: invalid base64: {e}") from e
+        if len(raw) != 8 * math.prod(shape):
+            raise ValueError(f"{key}: {len(raw)} bytes do not hold the float64 entries of "
+                             f"shape {shape}")
+        arr = np.frombuffer(raw, dtype=PACKED_DTYPE).reshape(shape).astype(np.float64)
+    else:
+        arr = np.array(obj, dtype=np.float64)
+    nan = np.isnan(arr)
+    if nan.any():
+        raise ValueError(f"{key} holds NaN at index {np.argwhere(nan)[0].tolist()}")
+    return arr
 
 
 # ---------------------------------------------------------------------------

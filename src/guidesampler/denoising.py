@@ -41,8 +41,10 @@ from .core import (
     as_generator,
     check_context_count,
     encode_rows,
+    pack_table,
     require_support,
     sequence_table,
+    unpack_table,
 )
 from .errors import SizeCapError, TrainingDivergedError
 
@@ -199,13 +201,14 @@ class ParametricDenoiser(Denoiser):
         return {
             "D": self.D,
             "S": self.S,
-            "single_site": self.single.tolist(),
-            "pairwise": self.pair.tolist(),
+            "single_site": pack_table(self.single),
+            "pairwise": pack_table(self.pair),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ParametricDenoiser":
-        return cls(int(obj["D"]), int(obj["S"]), obj["single_site"], obj["pairwise"])
+        return cls(int(obj["D"]), int(obj["S"]), unpack_table(obj["single_site"], "single_site"),
+                   unpack_table(obj["pairwise"], "pairwise"))
 
 
 # ---------------------------------------------------------------------------

@@ -31,9 +31,11 @@ from .core import (
     as_generator,
     check_context_count,
     encode_rows,
+    pack_table,
     pad_contexts,
     require_support,
     sequence_table,
+    unpack_table,
 )
 from .denoising import pair_positions
 from .errors import CapabilityError
@@ -300,15 +302,19 @@ class PairwiseInteractionPredictor(TimePredictor):
             "D": self.D,
             "S": self.S,
             "bias": self.bias,
-            "single_site": self.single.tolist(),
-            "pairwise": self.pair.tolist(),
+            "single_site": pack_table(self.single),
+            "pairwise": pack_table(self.pair),
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "PairwiseInteractionPredictor":
+        bias = float(obj.get("bias", 0.0))
+        if math.isnan(bias):
+            raise ValueError("bias is NaN")
         return cls(
-            int(obj["D"]), int(obj["S"]), obj.get("link", "logistic"),
-            float(obj.get("bias", 0.0)), obj["single_site"], obj["pairwise"],
+            int(obj["D"]), int(obj["S"]), obj.get("link", "logistic"), bias,
+            unpack_table(obj["single_site"], "single_site"),
+            unpack_table(obj["pairwise"], "pairwise"),
         )
 
 

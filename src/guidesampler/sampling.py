@@ -192,23 +192,22 @@ class DecodePath:
     S: int
 
     @property
-    def states(self) -> list:
-        state = np.full(self.row.size, self.S, dtype=np.int64)
-        states = [state.copy()]
-        for d in self.permutation:
-            state[d] = self.row[d]
-            states.append(state.copy())
-        return states
+    def states(self) -> np.ndarray:
+        """(len(permutation)+1, D) token matrix whose row i has the first i
+        positions of the permutation unmasked."""
+        k = len(self.permutation)
+        step = np.full(self.row.size, k + 1)
+        step[self.permutation] = np.arange(1, k + 1)
+        return np.where(step <= np.arange(k + 1)[:, None], self.row, self.S)
 
     def final(self) -> TokenSequence:
         return TokenSequence(self.row, Alphabet(self.S))
 
     def to_json(self) -> dict:
-        alpha = Alphabet(self.S)
         return {
             "permutation": [int(d) for d in self.permutation],
             "jump_times": [float(t) for t in self.jump_times],
-            "states": ["".join(alpha.letter(int(t)) for t in s) for s in self.states],
+            "states": Alphabet(self.S).render_rows(self.states),
         }
 
 

@@ -1,12 +1,16 @@
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
 
 from guidesampler import acceptance
-from guidesampler.cli import main
-from guidesampler.core import RandomSource, TabularDistribution
+from guidesampler.cli import load_model, load_predictor, main
+from guidesampler.core import RandomSource, TabularDistribution, pack_table, unpack_table
+from guidesampler.denoising import ParametricDenoiser
+from guidesampler.errors import ConfigError
+from guidesampler.predictors import PairwiseInteractionPredictor
 
 
 @pytest.fixture()
@@ -336,6 +340,119 @@ class TestSampleConfigMistakes:
     def test_campaign_and_verify_refuse_the_seed_too(self, tmp_path):
         assert main(["campaign", "--seed", "-1", "--out", str(tmp_path / "c")]) == 2
         assert main(["verify", "--seed", str(2**53), "--out", str(tmp_path / "v")]) == 2
+
+
+def as_lists(obj: dict) -> dict:
+    """The same file with every packed table written as nested lists."""
+    return {k: unpack_table(v, k).tolist() if isinstance(v, dict) else v for k, v in obj.items()}
+
+
+class TestModelFiles:
+    """Model and predictor files carry each float table packed as base64
+    float64; the nested-list form is still read, to the same bits."""
+
+    @staticmethod
+    def files():
+        """JSON objects of a parametric model and predictor, a tabular model
+        and an exact_marginal predictor, all at D=3, S=3."""
+        gen = RandomSource(12).generator()
+        den = ParametricDenoiser.random(3, 3, RandomSource(13), scale=0.5)
+        pred = PairwiseInteractionPredictor(3, 3, bias=-0.2)
+        pred.single[:] = gen.normal(0, 0.5, pred.single.shape)
+        pred.pair[:] = np.triu(np.ones((3, 3)), 1)[:, :, None, None] * gen.normal(0, 0.5, (4, 4))
+        p = TabularDistribution.from_unnormalized(3, 3, np.exp(gen.normal(0, 0.8, 27)))
+        return {
+            "model": {"kind": "parametric", **den.to_json()},
+            "predictor": pred.to_json(),
+            "tabular": {"kind": "tabular", **p.to_json()},
+            "clean": {"kind": "exact_marginal",
+                      "clean_table": pack_table(0.05 + 0.9 * gen.random(27))},
+        }
+
+    @staticmethod
+    def sample(tmp_path, name, model, predictor, route):
+        paths = {}
+        for what, obj in (("model", model), ("predictor", predictor)):
+            paths[what] = tmp_path / f"{name}_{what}.json"
+            paths[what].write_text(json.dumps(obj))
+        out = tmp_path / name
+        rc = main(["sample", "--model", str(paths["model"]), "--predictor",
+                   str(paths["predictor"]), "--route", route,
+                   "--mode", "deg" if route == "aoarm" else "exact", "--gamma", "1.5",
+                   "--dt", "0.05", "--n", "6", "--seed", "5", "--out", str(out)])
+        assert rc == 0
+        return [(out / f).read_bytes() for f in ("samples.txt", "paths.jsonl")]
+
+    @pytest.mark.parametrize("pair", [("model", "predictor"), ("tabular", "clean")])
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    def test_list_and_packed_files_sample_the_same_bytes(self, tmp_path, pair, route):
+        files = self.files()
+        model, predictor = (files[k] for k in pair)
+        packed = self.sample(tmp_path, "packed", model, predictor, route)
+        lists = self.sample(tmp_path, "lists", as_lists(model), as_lists(predictor), route)
+        assert packed == lists
+
+    def test_to_json_writes_every_table_packed(self):
+        for obj in self.files().values():
+            tables = [k for k in obj if k in ("single_site", "pairwise", "weights", "clean_table")]
+            assert tables and all(obj[k]["dtype"] == "<f8" for k in tables)
+
+    @pytest.mark.parametrize("form", [lambda obj: obj, as_lists])
+    def test_loaded_tables_are_writable_and_own_their_data(self, tmp_path, form):
+        files = self.files()
+        for what in ("model", "predictor"):
+            (tmp_path / f"{what}.json").write_text(json.dumps(form(files[what])))
+        den, _ = load_model(tmp_path / "model.json")
+        pred = load_predictor(tmp_path / "predictor.json", den, None)
+        for table in (den.single, den.pair, pred.single, pred.pair):
+            assert table.flags.writeable and table.flags.owndata
+
+    @staticmethod
+    def broken(obj: dict, key: str, defect: str) -> dict:
+        """``obj`` with table ``key`` made malformed by ``defect``."""
+        packed = obj[key]
+        table = unpack_table(packed, key)
+        if defect == "bad base64":
+            # a lenient decoder would skip the stray "@" and read the table
+            packed = {**packed, "base64": "@" + packed["base64"]}
+        elif defect == "dtype <f4":
+            packed = {**packed, "dtype": "<f4"}
+        elif defect == "byte count":
+            packed = {**packed, "base64": pack_table(table.ravel()[1:])["base64"]}
+        elif defect == "another shape":
+            packed = pack_table(np.zeros(table.shape[:-1] + (table.shape[-1] + 1,)))
+        else:  # NaN in either form
+            table.flat[1] = np.nan
+            packed = pack_table(table) if defect == "NaN packed" else table.tolist()
+        return {**obj, key: packed}
+
+    @pytest.mark.parametrize("defect", ["bad base64", "dtype <f4", "byte count",
+                                        "another shape", "NaN packed", "NaN list"])
+    @pytest.mark.parametrize("what,key", [
+        ("model", "single_site"), ("model", "pairwise"), ("predictor", "single_site"),
+        ("predictor", "pairwise"), ("tabular", "weights"), ("clean", "clean_table"),
+    ])
+    def test_malformed_table_is_config_error(self, tmp_path, capsys, what, key, defect):
+        files = self.files()
+        files[what] = self.broken(files[what], key, defect)
+        model, predictor = ("tabular", "clean") if what in ("tabular", "clean") else (
+            "model", "predictor")
+        paths = {}
+        for name in (model, predictor):
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(files[name]))
+        with pytest.raises(ConfigError, match=re.escape(str(paths[what]))):
+            den, p_tab = load_model(paths[model])
+            load_predictor(paths[predictor], den, p_tab)
+        out = tmp_path / "o"
+        assert main(["sample", "--model", str(paths[model]), "--predictor",
+                     str(paths[predictor]), "--mode", "deg", "--n", "2", "--seed", "1",
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(paths[what]) in err
+        if defect != "another shape":  # the constructors' shape checks name no key
+            assert key in err
+        assert not (out / "samples.txt").exists()
 
 
 class TestVerifyCommand:

@@ -13,10 +13,12 @@ from guidesampler.core import (
     encode_rows,
     identity_schedule,
     masked_from_str,
+    pack_table,
     pad_contexts,
     power_schedule,
     sequence_from_str,
     sequence_table,
+    unpack_table,
 )
 from guidesampler.denoising import ExactDenoiser
 from guidesampler.errors import SizeCapError, UnsupportedContextError
@@ -57,6 +59,19 @@ class TestAlphabetAndSequences:
     def test_degenerate_d1_s2_supported(self):
         x = TokenSequence([1], AB)
         assert x.D == 1 and encode_index(x) == 1
+
+    @pytest.mark.parametrize("S", [2, 20, 40, 200])
+    def test_render_rows_matches_letter(self, S):
+        alpha = Alphabet(S)
+        rows = RandomSource(S).generator().integers(0, S + 1, (7, 5))
+        rows[0] = S
+        expected = ["".join(alpha.letter(int(t)) for t in row) for row in rows]
+        assert alpha.render_rows(rows) == expected
+
+    @pytest.mark.parametrize("token", [-1, 3])
+    def test_render_rows_refuses_tokens_outside_the_alphabet(self, token):
+        with pytest.raises(ValueError, match="outside"):
+            AB.render_rows(np.array([[0, token]]))
 
 
 class TestEncoding:
@@ -124,6 +139,20 @@ class TestTabularDistribution:
         np.testing.assert_array_equal(p.weights, q.weights)
         assert (q.D, q.S) == (2, 3)
 
+    def test_json_round_trip_is_bit_for_bit(self):
+        w = RandomSource(3).generator().random(9)
+        w[2], w[5] = -0.0, 5e-324  # a negative zero and the least subnormal
+        p = TabularDistribution.from_unnormalized(2, 3, w)
+        obj = json.loads(json.dumps(p.to_json()))
+        assert obj["weights"]["dtype"] == "<f8" and obj["weights"]["shape"] == [9]
+        q = TabularDistribution.from_json(obj)
+        assert np.array_equal(q.weights.view(np.int64), p.weights.view(np.int64))
+
+    def test_list_form_still_reads(self):
+        p = TabularDistribution.from_unnormalized(2, 3, np.arange(1, 10, dtype=float))
+        q = TabularDistribution.from_json({"D": 2, "S": 3, "weights": p.weights.tolist()})
+        assert np.array_equal(q.weights.view(np.int64), p.weights.view(np.int64))
+
     @pytest.mark.parametrize("text,alphabet", [
         ("BAA", AB),  # once read as BA's weight 0.2
         ("BA", ABC),  # once read as BA's weight 0.2
@@ -141,6 +170,76 @@ class TestTabularDistribution:
         p = TabularDistribution(1, 2, [0.25, 0.75])
         idx = p.sample_indices(20000, RandomSource(3))
         assert abs(idx.mean() - 0.75) < 0.02
+
+
+class TestPackedTables:
+    def table(self):
+        t = RandomSource(4).generator().normal(0, 1e3, (3, 4, 5))
+        t[0, 0, 0], t[1, 2, 3], t[2, 3, 4] = -np.inf, -0.0, np.inf
+        t[0, 1, 2] = 5e-324
+        return t
+
+    def test_round_trip_is_bit_for_bit(self):
+        t = self.table()
+        back = unpack_table(json.loads(json.dumps(pack_table(t))), "t")
+        assert back.shape == t.shape and back.dtype == np.float64
+        assert np.array_equal(back.view(np.int64), t.view(np.int64))
+
+    def test_list_form_reads_the_same_array(self):
+        t = self.table()
+        back = unpack_table(json.loads(json.dumps(t.tolist())), "t")
+        assert np.array_equal(back.view(np.int64), t.view(np.int64))
+
+    @pytest.mark.parametrize("form", ["packed", "list"])
+    def test_result_is_writable_and_owns_its_data(self, form):
+        t = self.table()
+        back = unpack_table(pack_table(t) if form == "packed" else t.tolist(), "t")
+        assert back.flags.writeable and back.flags.owndata
+        back[0, 0, 0] = 1.0
+
+    def test_empty_table(self):
+        back = unpack_table(pack_table(np.zeros((0, 3))), "t")
+        assert back.shape == (0, 3)
+
+    @pytest.mark.parametrize("change,message", [
+        ({"dtype": "<f4"}, "dtype must be '<f8'"),
+        ({"dtype": ">f8"}, "dtype must be '<f8'"),
+        ({"base64": "not base64!"}, "invalid base64"),
+        ({"base64": "AAA"}, "invalid base64"),
+        ({"base64": "ÄÄÄÄ"}, "invalid base64"),
+        ({"base64": 12}, "invalid base64"),
+        ({"base64": "AAAA"}, "3 bytes"),
+        ({"shape": [3, 4, 6]}, "do not hold"),
+        ({"shape": [3, -4, -5]}, "nonnegative"),
+        ({"shape": [60.0]}, "nonnegative"),
+        ({"shape": 60}, "nonnegative"),
+    ])
+    def test_malformed_packed_table_is_refused(self, change, message):
+        obj = {**pack_table(self.table()), **change}
+        with pytest.raises(ValueError, match=message):
+            unpack_table(obj, "t")
+
+    @pytest.mark.parametrize("stray", ["!", " ", "\n"])
+    def test_stray_characters_in_base64_are_refused(self, stray):
+        obj = pack_table(self.table())
+        obj["base64"] = obj["base64"][:8] + stray + obj["base64"][8:]
+        with pytest.raises(ValueError, match="invalid base64"):
+            unpack_table(obj, "t")
+
+    @pytest.mark.parametrize("key", ["dtype", "shape", "base64"])
+    def test_missing_field_is_a_key_error(self, key):
+        obj = pack_table(self.table())
+        del obj[key]
+        with pytest.raises(KeyError):
+            unpack_table(obj, "t")
+
+    @pytest.mark.parametrize("form", ["packed", "list"])
+    def test_nan_is_refused_naming_the_key_and_index(self, form):
+        t = self.table()
+        t[1, 3, 2] = np.nan
+        obj = pack_table(t) if form == "packed" else json.loads(json.dumps(t.tolist()))
+        with pytest.raises(ValueError, match=r"pairwise holds NaN at index \[1, 3, 2\]"):
+            unpack_table(obj, "pairwise")
 
 
 class TestZeroMassError:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -361,6 +362,18 @@ class TestParametricDenoiser:
         clone = ParametricDenoiser.from_json(den.to_json())
         toks = np.array([3, 1])
         np.testing.assert_allclose(clone.posterior_array(toks), den.posterior_array(toks))
+
+    def test_json_round_trip_is_bit_for_bit(self):
+        den = ParametricDenoiser.random(3, 4, RandomSource(5))
+        den.single[0, 1], den.single[2, 3] = -np.inf, -0.0
+        den.pair[0, 2, 4, 1], den.pair[1, 0, 2, 3] = -np.inf, -0.0
+        obj = json.loads(json.dumps(den.to_json()))
+        assert obj["pairwise"]["shape"] == [3, 3, 5, 4]
+        clone = ParametricDenoiser.from_json(obj)
+        for table in ("single", "pair"):
+            got, want = getattr(clone, table), getattr(den, table)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert got.flags.writeable and got.flags.owndata
 
 
 class TestTraining:

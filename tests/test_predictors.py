@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -211,6 +212,25 @@ class TestPairwiseInteractionPredictor:
         toks = np.array([2, 0, 1])
         assert clone.likelihood_array(toks) == m.likelihood_array(toks)
         np.testing.assert_allclose(clone.gradient_surface_array(toks), m.gradient_surface_array(toks))
+
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    def test_json_round_trip_is_bit_for_bit(self, link):
+        m = self.random_model(D=4, S=3, link=link, seed=24)
+        m.single[1, 2], m.single[3, 0] = -np.inf, -0.0
+        m.pair[0, 3, 1, 2], m.pair[1, 2, 3, 3] = -np.inf, -0.0
+        obj = json.loads(json.dumps(m.to_json()))
+        assert obj["single_site"]["shape"] == [4, 4]
+        clone = PairwiseInteractionPredictor.from_json(obj)
+        assert (clone.link, clone.bias) == (m.link, m.bias)
+        for table in ("single", "pair"):
+            got, want = getattr(clone, table), getattr(m, table)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert got.flags.writeable and got.flags.owndata
+
+    def test_nan_bias_is_refused(self):
+        obj = {**self.random_model().to_json(), "bias": float("nan")}
+        with pytest.raises(ValueError, match="bias is NaN"):
+            PairwiseInteractionPredictor.from_json(obj)
 
     def test_likelihood_floor(self):
         m = PairwiseInteractionPredictor(2, 2, link="exp", bias=-1000.0)
