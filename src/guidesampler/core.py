@@ -298,7 +298,7 @@ class TabularDistribution:
         if (w < 0).any():
             raise ValueError("weights must be nonnegative")
         total = w.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # NaN fails this test too
             raise ValueError(f"weights must sum to 1 within 1e-9 (got {total})")
         w = w.copy()
         w.setflags(write=False)
@@ -489,15 +489,27 @@ def pad_contexts(values: np.ndarray, D: int, S: int) -> np.ndarray:
     at index S, the mask sentinel, one axis after another, so entry c sums
     ``values`` over the completions of context c. The one (S+1)**D array is
     filled in place: no other table of that size is allocated.
+
+    Summation order, which fixes every entry's bits: an axis's padding slab
+    starts at 0.0 and the slabs of symbols 0..S-1 are added to it in symbol
+    order, whole-slab adds over the array, axis by axis from the outermost;
+    on the innermost axis at S >= 8 it is numpy's pairwise sum instead. Both
+    equal ``np.sum`` over the axis. A slab add also writes partial sums where
+    a later axis holds S; that axis's own pass overwrites them.
     """
     check_context_count(D, S)
-    out = np.empty((S + 1,) * D)
+    # zeros: a pass reads the entries where a later axis holds S before
+    # that axis's pass writes them
+    out = np.zeros((S + 1,) * D)
     out[(slice(0, S),) * D] = np.reshape(values, (S,) * D)
-    # C-order axis a holds position D-1-a; an axis's padding sums over the
-    # real symbols of the axes not yet padded and over all of the others
     for axis in range(D):
-        head = (slice(None),) * axis
-        tail = (slice(0, S),) * (D - axis - 1)
-        np.sum(out[head + (slice(0, S),) + tail], axis=axis, keepdims=True,
-               out=out[head + (slice(S, S + 1),) + tail])
+        # C-order axis a holds position D-1-a; it is the middle axis of w
+        w = out.reshape((S + 1) ** axis, S + 1, -1)
+        pad = w[:, S]
+        if axis == D - 1 and S >= 8:
+            np.sum(w[:, :S], axis=1, out=pad)
+        else:
+            np.add(w[:, 0], 0.0, out=pad)
+            for s in range(1, S):
+                pad += w[:, s]
     return out.reshape(-1)

@@ -395,25 +395,27 @@ class _ContextCache:
         of the context row ``rows[j]``. Without guidance, or before the
         switch point (``active`` false), the rows are the denoiser posterior.
         A child with zero posterior weight gets weight 0, and ``exact`` and
-        ``deg`` do not score it."""
+        ``deg`` do not score it. The rows arrive sorted by context code (from
+        :meth:`pairs`, or one tiled context), which the distinct-context
+        counts of the diagnostics rely on."""
         cfg, S = self.cfg, self.S
         self.diag.step_weight_requests += positions.size
         if positions.size == 0:
             return np.zeros((0, S))
         mode = cfg.mode if cfg.guided and active else "none"
         codes = self.encode(rows)
-        distinct = np.unique(codes)
+        contexts = 1 + int(np.count_nonzero(codes[1:] != codes[:-1]))
         shape = (positions.size, S)
-        self.diag.denoiser_evals += distinct.size
+        self.diag.denoiser_evals += contexts
         post = _checked(self.denoiser, "posterior_array", shape, rows, positions)
         if mode == "none":
             return post
         if mode == "predictor_free":
-            self.diag.denoiser_evals += distinct.size
+            self.diag.denoiser_evals += contexts
             cond = _checked(cfg.second_denoiser, "posterior_array", shape, rows, positions)
             return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
         if mode == "tag":
-            self.diag.predictor_evals += distinct.size
+            self.diag.predictor_evals += contexts
             grad = _checked(cfg.predictor, "gradient_surface_array", (positions.size, S + 1),
                             rows, positions)
             return post * np.exp(cfg.gamma * (grad[:, :S] - grad[:, S:]))

@@ -170,6 +170,20 @@ def sorted_pairs(rows, positions, S):
     return sorted({(context_code(row, S), int(d)) for row, d in zip(rows, positions)})
 
 
+def loop_pad_contexts(values, D, S):
+    """Reference for ``core.pad_contexts``: one ``np.sum`` per axis over the
+    real symbols of that axis, the axes not yet padded restricted to their
+    real symbols, written to the axis's padding index S."""
+    out = np.empty((S + 1,) * D)
+    out[(slice(0, S),) * D] = np.reshape(values, (S,) * D)
+    for axis in range(D):
+        head = (slice(None),) * axis
+        tail = (slice(0, S),) * (D - axis - 1)
+        np.sum(out[head + (slice(0, S),) + tail], axis=axis, keepdims=True,
+               out=out[head + (slice(S, S + 1),) + tail])
+    return out.reshape(-1)
+
+
 def brute_tilted_posterior(pdict, clean_fn, gamma):
     """Bayes tilt p(x) * clean(x)**gamma, normalized."""
     out = {x: w * clean_fn(x) ** gamma for x, w in pdict.items()}

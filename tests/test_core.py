@@ -24,7 +24,7 @@ from guidesampler.denoising import ExactDenoiser
 from guidesampler.errors import SizeCapError, UnsupportedContextError
 from guidesampler.predictors import CleanPredictor, ExactMarginalPredictor
 
-from bruteforce import check_schedule
+from bruteforce import check_schedule, loop_pad_contexts
 
 AB = Alphabet(2)
 ABC = Alphabet(3)
@@ -127,6 +127,11 @@ class TestTabularDistribution:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             TabularDistribution(1, 2, [-0.1, 1.1])
+
+    @pytest.mark.parametrize("weights", [[np.nan, np.nan], [np.nan, 1.0]])
+    def test_nan_weight_rejected(self, weights):
+        with pytest.raises(ValueError, match="sum to 1"):
+            TabularDistribution(1, 2, weights)
 
     def test_marginal(self):
         p = TabularDistribution.from_unnormalized(2, 2, [1, 1, 0, 1])  # AA, BA, BB
@@ -282,6 +287,21 @@ class TestContextMass:
     def test_d1_padding(self, S):
         w = np.arange(1, S + 1, dtype=float)
         assert np.array_equal(pad_contexts(w, 1, S), np.append(w, w.sum()))
+
+    @pytest.mark.parametrize("D,S", [
+        (8, 4), (6, 5), (4, 3), (3, 10), (2, 20), (5, 9), (1, 4), (10, 3), (4, 12), (7, 5),
+        (3, 1), (2, 8), (3, 16), (1, 20), (4, 7), (1, 1), (1, 8), (2, 1), (5, 2), (2, 7),
+    ])
+    def test_slab_adds_keep_the_bits_of_the_axis_sums(self, D, S):
+        # 30% zero weights, subnormals, and a table with half its entries
+        # -0.0: a padding entry over zeros only is +0.0, as np.sum gives it
+        gen = np.random.default_rng(D * 100 + S)
+        w = gen.random(S**D)
+        w[gen.random(S**D) < 0.3] = 0.0
+        signed = np.where(gen.random(S**D) < 0.5, -0.0, w)
+        for values in (w, w / 3.0, w * 1e-300, signed):
+            want = loop_pad_contexts(values, D, S)
+            assert pad_contexts(values, D, S).tobytes() == want.tobytes()
 
     def test_context_table_cap(self):
         # 3**16 = 43 million context entries, though 2**16 sequences pass
