@@ -53,10 +53,27 @@ AOARM_ENUM_CAP_D = 8
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row softmax tolerating -inf entries (zero-probability symbols)."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    ex = np.exp(shifted)
-    return ex / ex.sum(axis=-1, keepdims=True)
+    """Row softmax over the last axis, tolerating -inf entries
+    (zero-probability symbols). With 2 to 7 symbols the row maximum is
+    S - 1 ``np.maximum`` calls and the row total S - 1 adds, left to right,
+    over last-axis slices: numpy sums a last axis shorter than 8 left to
+    right too, so the bits are ``np.sum``'s, without its per-row reduction
+    loop. From 8 symbols on the total is ``np.sum``, whose 8 accumulators
+    add in another order."""
+    S = logits.shape[-1]
+    if not 2 <= S < 8:
+        ex = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        return ex / ex.sum(axis=-1, keepdims=True)
+    top = np.maximum(logits[..., :1], logits[..., 1:2])
+    for s in range(2, S):
+        np.maximum(top, logits[..., s:s + 1], out=top)
+    ex = np.subtract(logits, top)
+    np.exp(ex, out=ex)
+    total = ex[..., :1] + ex[..., 1:2]
+    for s in range(2, S):
+        total += ex[..., s:s + 1]
+    ex /= total
+    return ex
 
 
 def pair_positions(tokens: np.ndarray, positions=None):

@@ -173,15 +173,59 @@ class ExactMarginalPredictor(TimePredictor):
 
 
 #: most (pair, row) entries of one chunk of ``score_array``'s pair terms,
-#: 56 KiB per int64 or float64 temporary: with the (D, n) token copy, the
-#: 1,280 children of a step at D=12 stay below 256 KiB
-_SCORE_CHUNK_CELLS = 7 * 1024
+#: 32 KiB per int64 or float64 array: with its cell index, its term buffer,
+#: numpy's buffer for the broadcast offset add and the (D, n) token copy,
+#: the 1,280 children of a step at D=12 stay below 256 KiB
+_SCORE_CHUNK_CELLS = 4 * 1024
 
 
 @functools.lru_cache(maxsize=None)
-def _upper_pairs(D: int):
-    """The position pairs (d, e) with d < e, in row-major order."""
-    return np.triu_indices(D, 1)
+def _upper_pairs(D: int, V: int):
+    """The position pairs (d, e) with d < e, in row-major order, as (d, e,
+    flat offset of the block pair[d, e] of a (D, D, V, V) table)."""
+    first, second = np.triu_indices(D, 1)
+    return first, second, (first * D + second) * (V * V)
+
+
+def _site_scores(bias, single, rows) -> np.ndarray:
+    """``bias`` plus the single-site sum of each token row of (n, D), (n,):
+    ``single[d, rows[:, d]]`` gathered by flat index, then each row's own
+    sum."""
+    D, V = single.shape
+    return bias + np.take(single, rows + np.arange(0, D * V, V)).sum(axis=-1)
+
+
+def _add_pair_terms(score, pair, columns, pairs, cells, terms) -> None:
+    """Add to each row's score, (n,) in place, its pair terms at the int64
+    token columns (D, n), one by one in the order of ``pairs``: k pairs as
+    (first, second, offsets), a slice of :func:`_upper_pairs`, read from the
+    (D, D, V, V) table ``pair``.
+
+    The buffers ``cells`` (int64) and ``terms`` (float64) have n columns
+    and at least k and k + 1 rows, so a caller can reuse them across calls.
+    The first k rows of ``cells`` get the terms' flat indices. Row 0 of
+    ``terms`` takes the score and rows 1..k the gathered terms, and one
+    ``np.add.reduce`` over axis 0 adds the rows in order for n >= 2. At
+    n = 1 numpy sums that single column pairwise (from 15 terms, numpy
+    2.4), so one row takes the in-order ``np.cumsum``.
+
+    Rows 1..k of ``terms`` also hold, viewed as int64, the second positions'
+    tokens before the gather. Every index is in range for tokens in [0, S],
+    so the gathers clip instead of buffering."""
+    first, second, offsets = pairs
+    cells, terms = cells[:offsets.size], terms[:offsets.size + 1]
+    tokens_e = terms[1:].view(np.int64)
+    columns.take(first, axis=0, out=cells, mode="clip")
+    cells *= pair.shape[-1]
+    columns.take(second, axis=0, out=tokens_e, mode="clip")
+    cells += tokens_e
+    cells += offsets[:, None]
+    terms[0] = score
+    pair.take(cells, out=terms[1:], mode="clip")
+    if score.size > 1:
+        np.add.reduce(terms, axis=0, out=score)
+    else:
+        score[:] = np.cumsum(terms, axis=0)[-1]
 
 
 class PairwiseInteractionPredictor(TimePredictor):
@@ -204,36 +248,30 @@ class PairwiseInteractionPredictor(TimePredictor):
     # -- scoring ------------------------------------------------------------
 
     def score_array(self, tokens: np.ndarray):
-        """Score of one token array (D,), or of each row of (n, D). Each row
-        adds the pair terms of every (d, e), d < e, to ``bias + single-site
-        sum`` one by one in row-major order, with one vector add per pair
-        over all rows, so a row's score does not depend on the batch it is
-        scored in. The terms are gathered by their flat index into ``pair``
-        a chunk of pairs at a time, the chunk sized so that its (pairs, rows)
-        temporaries hold at most ``_SCORE_CHUNK_CELLS`` entries: arrays of
-        (all pairs, all rows) grow with the batch, and at a few hundred KiB
-        each call can map and fault them in again."""
-        first, second = _upper_pairs(self.D)
-        V = self.S + 1
-        rows = np.reshape(tokens, (-1, self.D))
-        # single[d, rows[:, d]] by flat index, then each row's own sum
-        score = self.bias + np.take(self.single, rows + np.arange(0, self.D * V, V)).sum(axis=-1)
-        columns = np.ascontiguousarray(rows.T)
-        chunk = max(1, _SCORE_CHUNK_CELLS // max(1, rows.shape[0]))
-        for lo in range(0, first.size, chunk):
-            self._add_pair_terms(score, columns, first[lo:lo + chunk], second[lo:lo + chunk])
+        """Score of one token array (D,), or of each row of (n, D): ``bias +
+        single-site sum``, then the pair terms of every (d, e), d < e, added
+        one by one in row-major order, so a row's score does not depend on
+        the batch it is scored in. The terms are added a chunk of pairs at a
+        time, for two rows or more by one in-order ``np.add.reduce`` over
+        axis 0 of a (pairs + 1, rows) buffer, for one row by ``np.cumsum``
+        (see :func:`_add_pair_terms`). A chunk's cell index holds at most
+        ``_SCORE_CHUNK_CELLS`` entries, and the call makes the chunk buffers
+        once: arrays of (all pairs, all rows) grow with the batch, and at a
+        few hundred KiB each call can map and fault them in again."""
+        D = self.D
+        first, second, offsets = _upper_pairs(D, self.S + 1)
+        rows = np.reshape(tokens, (-1, D))
+        n = rows.shape[0]
+        score = _site_scores(self.bias, self.single, rows)
+        columns = np.ascontiguousarray(rows.T, dtype=np.int64)
+        chunk = max(1, min(_SCORE_CHUNK_CELLS // max(1, n), offsets.size))
+        cells = np.empty((chunk, n), dtype=np.int64)
+        terms = np.empty((chunk + 1, n))
+        for lo in range(0, offsets.size, chunk):
+            at = slice(lo, lo + chunk)
+            _add_pair_terms(score, self.pair, columns, (first[at], second[at], offsets[at]),
+                            cells, terms)
         return score if tokens.ndim > 1 else score[0]
-
-    def _add_pair_terms(self, score, columns, first, second) -> None:
-        """Add to ``score`` the terms of the pairs (first[j], second[j]), in
-        order, at the token columns (D, n) of the rows. A helper, so that a
-        chunk's temporaries are freed before the next chunk's are made."""
-        V = self.S + 1
-        cells = columns[first] * V
-        cells += columns[second]
-        cells += ((first * self.D + second) * (V * V))[:, None]
-        for term in np.take(self.pair, cells):
-            score += term
 
     # -- likelihood ---------------------------------------------------------
 
@@ -337,13 +375,20 @@ def train_noisy_classifier(
     inputs, then freeze every parameter not involving a mask token and adapt
     only the mask-facing terms on noised inputs. Default off.
 
-    Returns (model, loss): the loss of the last step; 0.0 when none ran.
+    Returns (model, loss): the mean BCE of the last epoch, computed once
+    from that epoch's probabilities; 0.0 when no epoch ran.
 
-    The single-site gradient and the gradients of all (d, e) pairs are one
-    ``np.bincount`` each, which adds each cell's examples in row order
-    starting from 0.0, exactly as ``np.add.at`` into zeros does. Keep that
-    order: ``np.add.reduceat`` and a one-hot matmul (whose order follows the
-    BLAS blocking) add in other orders and move the weights in the last bits.
+    Each epoch forms the flat cell index of its pair terms once, (pairs,
+    rows) in the layout of ``tokens.T``. The scores gather their terms with
+    it and add them to ``bias + single-site sum`` in row-major pair order,
+    with one in-order ``np.add.reduce`` over axis 0 (see
+    :func:`_add_pair_terms`, which ``score_array`` calls too), so they are
+    ``score_array``'s bits. The pair gradient is one ``np.bincount`` over
+    the same index and the single-site gradient one more; each adds a
+    cell's examples in row order starting from 0.0, exactly as
+    ``np.add.at`` into zeros does. Keep that order: ``np.add.reduceat`` and
+    a one-hot matmul (whose order follows the BLAS blocking) add in other
+    orders and move the weights in the last bits.
     """
     if epochs < 0:
         raise ValueError(f"epochs must be >= 0, got {epochs}")
@@ -363,46 +408,61 @@ def train_noisy_classifier(
         raise ValueError("labeled sequences must share one length and one alphabet")
     seqs = np.stack([x.tokens for x, _ in pairs])
     gen = as_generator(rng)
-    model = PairwiseInteractionPredictor(D, S, link="logistic")
     y = ys.astype(float)
     n = len(pairs)
     V = S + 1
-    first, second = _upper_pairs(D)
-    single_offset = np.arange(D) * V
-    pair_offset = np.arange(first.size) * (V * V)
+    upper = _upper_pairs(D, V)
+    k = upper[2].size
+    site_offset = np.arange(D) * V
+    bias = 0.0
+    single = np.zeros((D, V))
+    pair = np.zeros((D, D, V, V))  # blocks with d >= e get zero gradient and stay 0
+    # one epoch's buffers, made once: fresh arrays of a few hundred KiB cost
+    # page faults on every epoch
+    cells = np.empty((k, n), dtype=np.int64)
+    terms = np.empty((k + 1, n))
+    pair_weights = np.empty((k, n))
 
     def epoch_step(tokens, mask_only: bool):
-        scores = model.score_array(tokens)
+        """One gradient step on the rows ``tokens``; returns their probabilities."""
+        nonlocal bias
+        scores = _site_scores(bias, single, tokens)
+        columns = np.ascontiguousarray(tokens.T, dtype=np.int64)
+        _add_pair_terms(scores, pair, columns, upper, cells, terms)
         p = 1.0 / (1.0 + np.exp(-scores))
         resid = (p - y) / n
         if not mask_only:
-            model.bias -= lr * resid.sum()
+            bias -= lr * resid.sum()
         g_single = np.bincount(
-            (tokens + single_offset).ravel(), weights=np.repeat(resid, D), minlength=D * V
+            (tokens + site_offset).ravel(), weights=np.repeat(resid, D), minlength=D * V
         ).reshape(D, V)
         if mask_only:
             g_single[:, :S] = 0.0
-        model.single -= lr * g_single
-        if first.size:  # at D = 1 there are no pairs, and bincount of nothing is int
-            cell = (tokens[:, first] * V + tokens[:, second] + pair_offset).ravel()
+        single[...] -= lr * g_single
+        if k:  # at D = 1 there are no pairs, and bincount of nothing is int
+            pair_weights[...] = resid
             g = np.bincount(
-                cell, weights=np.repeat(resid, first.size), minlength=first.size * V * V
-            ).reshape(first.size, V, V)
-            g += (l2_pairwise / n) * model.pair[first, second]
+                cells.ravel(), weights=pair_weights.ravel(), minlength=pair.size
+            ).reshape(pair.shape)
+            g += (l2_pairwise / n) * pair
             if mask_only:
-                g[:, :S, :S] = 0.0
-            model.pair[first, second] -= lr * g
-        return float(-(y * np.log(np.clip(p, 1e-300, 1)) + (1 - y) * np.log(np.clip(1 - p, 1e-300, 1))).mean())
+                g[..., :S, :S] = 0.0
+            pair[...] -= lr * g
+        return p
 
-    loss = 0.0
+    p = None
     if two_stage:
         for _ in range(epochs):
-            loss = epoch_step(seqs, mask_only=False)
+            p = epoch_step(seqs, mask_only=False)
     for _ in range(epochs):
         t = gen.random((n, 1))
         keep = gen.random((n, D)) < t
-        loss = epoch_step(np.where(keep, seqs, S), mask_only=two_stage)
-    return model, loss
+        p = epoch_step(np.where(keep, seqs, S), mask_only=two_stage)
+    model = PairwiseInteractionPredictor(D, S, "logistic", bias, single, pair)
+    if p is None:
+        return model, 0.0
+    return model, float(-(y * np.log(np.clip(p, 1e-300, 1))
+                          + (1 - y) * np.log(np.clip(1 - p, 1e-300, 1))).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ Guidance modes:
   any-order sampler: weights proportional to likelihood(candidate)^gamma
   times the denoiser posterior;
 * ``predictor_free``: geometric interpolation of conditional and
-  unconditional rates from two denoisers.
+  unconditional rates from two denoisers; at gamma > 0 a symbol the
+  conditional denoiser gives no weight gets weight 0.
 
 One kernel forms the guided weights of every mode for both routes, in one
 call per sampler step. :meth:`_ContextCache.pairs` turns a step's context
@@ -413,7 +414,12 @@ class _ContextCache:
         if mode == "predictor_free":
             self.diag.denoiser_evals += contexts
             cond = _checked(cfg.second_denoiser, "posterior_array", shape, rows, positions)
-            return cond**cfg.gamma * post ** (1.0 - cfg.gamma)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                weights = cond**cfg.gamma * post ** (1.0 - cfg.gamma)
+            if cfg.gamma > 0:
+                # cond**gamma is 0 there; at gamma > 1 a zero post makes it 0 * inf
+                weights[cond == 0.0] = 0.0
+            return weights
         if mode == "tag":
             self.diag.predictor_evals += contexts
             grad = _checked(cfg.predictor, "gradient_surface_array", (positions.size, S + 1),

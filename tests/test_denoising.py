@@ -422,7 +422,7 @@ class TestTraining:
             train_denoiser("MLM", [sequence_from_str("AB", AB)], 10, RandomSource(0))
 
     @pytest.mark.parametrize("variant", ["FM", "AOARM"])
-    @pytest.mark.parametrize("D, S", [(3, 2), (8, 4), (6, 5)])
+    @pytest.mark.parametrize("D, S", [(3, 2), (8, 4), (6, 5), (4, 8), (3, 20)])
     @pytest.mark.parametrize("weighted", [False, True])
     @pytest.mark.parametrize("steps", [
         0, 1, TRAIN_BLOCK_STEPS - 1, TRAIN_BLOCK_STEPS, TRAIN_BLOCK_STEPS + 1,
@@ -431,8 +431,10 @@ class TestTraining:
     def test_matches_loop_reference_bit_for_bit(self, variant, D, S, weighted, steps):
         # the bincount scatter must add each cell's rows in row order; a
         # pairwise (reduceat) or BLAS (one-hot matmul) order fails here.
-        # Step counts on and off the block edge; the refit arm samples from
-        # the generator after training, so it must end where the loop's does
+        # The softmax adds slices left to right below S = 8 and is np.sum
+        # from S = 8 on, so sizes on both sides. Step counts on and off the
+        # block edge; the refit arm samples from the generator after
+        # training, so it must end where the loop's does
         gen = RandomSource(D * 10 + S).generator()
         rows = gen.integers(0, S, (23, D))
         w = gen.random(23) + 0.1 if weighted else None

@@ -640,6 +640,25 @@ class TestPairForm:
             assert str(got.value) == str(full.value)
             assert got.value.positions == full.value.positions == (0, 1)
 
+    @pytest.mark.parametrize("n", [1, 2, 1280])
+    def test_scores_add_pair_terms_in_loop_order(self, n):
+        # 66 pair terms: one reduce over the (pairs + 1, n) buffer adds them
+        # in order for n >= 2, but sums one column pairwise, so n = 1 is
+        # its own case; 1,280 rows take many chunks
+        m = full_random_model(12, 20, "logistic", seed=79)
+        rows = RandomSource(80).generator().integers(0, 21, size=(n, 12))
+        want = np.array([loop_score(m, row) for row in rows])
+        assert m.score_array(rows).tobytes() == want.tobytes()
+        assert np.float64(m.score_array(rows[0])).tobytes() == want[:1].tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32])
+    def test_scores_of_narrow_token_dtypes(self, dtype):
+        # the gathers write int64 cell indices, whatever the tokens' dtype
+        m = full_random_model(5, 4, "logistic", seed=81)
+        rows = RandomSource(82).generator().integers(0, 5, size=(40, 5))
+        assert m.score_array(rows.astype(dtype)).tobytes() == m.score_array(rows).tobytes()
+        assert m.score_array(rows[0].astype(dtype)) == m.score_array(rows[0])
+
     def test_likelihood_rows_keep_small_temporaries(self):
         # a step's children at D=12, S=20, 64 chains; gathering the pair
         # terms of all 66 pairs at once took two (66, 1280) arrays, 1.4 MiB
@@ -675,13 +694,8 @@ class TestTrainNoisyClassifier:
         with pytest.raises(ValueError):
             train_noisy_classifier(data, RandomSource(0))
 
-    @pytest.mark.parametrize("D, S", [(1, 2), (3, 2), (6, 5)])
-    @pytest.mark.parametrize("two_stage", [False, True])
-    def test_matches_loop_reference_bit_for_bit(self, D, S, two_stage):
-        # np.bincount adds in row order from 0.0, as the per-cell loop does
-        gen = RandomSource(D * 10 + S).generator()
-        rows = gen.integers(0, S, (30, D))
-        y = np.arange(30) % 3 == 0
+    @staticmethod
+    def assert_matches_loop_reference(rows, y, S, two_stage):
         labeled = [(TokenSequence(r, Alphabet(S)), bool(v)) for r, v in zip(rows, y)]
         model, loss = train_noisy_classifier(
             labeled, RandomSource(9), epochs=15, two_stage=two_stage
@@ -693,6 +707,21 @@ class TestTrainNoisyClassifier:
         assert model.single.tobytes() == single.tobytes()
         assert model.pair.tobytes() == pair.tobytes()
         assert loss == ref_loss
+
+    @pytest.mark.parametrize("D, S", [(1, 2), (3, 2), (6, 5), (4, 8), (3, 20)])
+    @pytest.mark.parametrize("two_stage", [False, True])
+    def test_matches_loop_reference_bit_for_bit(self, D, S, two_stage):
+        # np.bincount adds in row order from 0.0, as the per-cell loop does
+        gen = RandomSource(D * 10 + S).generator()
+        rows = gen.integers(0, S, (30, D))
+        self.assert_matches_loop_reference(rows, np.arange(30) % 3 == 0, S, two_stage)
+
+    @pytest.mark.parametrize("two_stage", [False, True])
+    def test_two_rows_match_loop_reference_bit_for_bit(self, two_stage):
+        # the fewest rows training takes, one per label: the scores' reduce
+        # over (pairs + 1, 2) must still add the 15 pair terms in order
+        rows = RandomSource(11).generator().integers(0, 4, (2, 6))
+        self.assert_matches_loop_reference(rows, np.array([True, False]), 4, two_stage)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"epochs": -1}, "epochs"),

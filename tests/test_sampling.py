@@ -757,6 +757,44 @@ class TestZeroMassContexts:
             rows, _ = euler_sample_many(den, GuidanceConfig(), IDENT, 0.05, 2000, RandomSource(1))
         assert {tuple(row) for row in rows.tolist()} == {(0, 0, 0), (1, 1, 1)}
 
+    @staticmethod
+    def two_point_runs(second_weights, n):
+        """Runs of n chains on both routes under predictor_free at
+        gamma=1.5: p uniform on {AAA, BBB} (indices 0 and 7), the second
+        denoiser's law the masses ``second_weights`` {sequence index: mass}."""
+        w = np.zeros(8)
+        w[[0, 7]] = 0.5
+        w2 = np.zeros(8)
+        for index, mass in second_weights.items():
+            w2[index] = mass
+        cfg = GuidanceConfig(mode="predictor_free", gamma=1.5,
+                             second_denoiser=ExactDenoiser(TabularDistribution(3, 2, w2)))
+        den = ExactDenoiser(TabularDistribution(3, 2, w))
+        return {
+            "aoarm": lambda: aoarm_sample_many(den, cfg, n, RandomSource(62)),
+            "euler": lambda: euler_sample_many(den, cfg, identity_schedule(), 0.01, n,
+                                               RandomSource(63)),
+        }
+
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    def test_predictor_free_above_gamma1_gives_zero_where_both_vanish(self, route):
+        # after the first symbol both denoisers give the other symbol 0, and
+        # 0**1.5 * 0**-0.5 was 0 * inf = NaN; every chain's law is the first
+        # draw's, cond**1.5 * post**-0.5 at the masked context
+        n = 4000
+        rows, _ = self.two_point_runs({0: 0.8, 7: 0.2}, n)[route]()
+        aaa = int((rows == 0).all(axis=1).sum())
+        assert aaa + int((rows == 1).all(axis=1).sum()) == n
+        want = 0.8**1.5 / (0.8**1.5 + 0.2**1.5)
+        assert stats.binomtest(aaa, n, want).pvalue > 1e-3
+
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    def test_predictor_free_above_gamma1_zero_posterior_still_raises(self, route):
+        # cond gives ABA weight where p has none: at context A?? the second
+        # position's B weighs 0.2**1.5 * 0**-0.5 = inf
+        with pytest.raises(DegenerateStepError, match="total inf"):
+            self.two_point_runs({0: 0.8, 2: 0.2}, 200)[route]()
+
 
 def looped_test_models(link="logistic"):
     """D=5, S=4: a parametric denoiser and a pairwise predictor."""
