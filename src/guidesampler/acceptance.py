@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -357,7 +358,7 @@ def check_multi_property(seed: int = DEFAULT_SEED) -> CheckResult:
         lambda x: c1.likelihood(x) * c2.likelihood(x),
         batch_fn=lambda rows: ta[rows[:, 0] + S * rows[:, 1]] * tb[rows[:, 2] + S * rows[:, 3]],
     )
-    pred = ProductPredictor([ExactMarginalPredictor(c1, p), ExactMarginalPredictor(c2, p)], S)
+    pred = ProductPredictor([ExactMarginalPredictor(c1, p), ExactMarginalPredictor(c2, p)])
     cfg = GuidanceConfig(mode="deg", gamma=1.0, predictor=pred)
     rows, _ = aoarm_sample_many(ExactDenoiser(p), cfg, n, root.substream(1))
     emp = EmpiricalDistribution.from_token_rows(rows, D, S)
@@ -454,6 +455,26 @@ def check_campaign(seed: int = DEFAULT_SEED) -> CheckResult:
 # ---------------------------------------------------------------------------
 
 
+def _run_twice(tmp: Path, command: str, args: list):
+    """Run ``python -m guidesampler <command> <args> --out <dir>`` twice, into
+    two directories under ``tmp``, with this package's ``src`` directory
+    leading PYTHONPATH so the child runs this copy of the package. Returns
+    the two output directories, or the failure message of the first run that
+    fails."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    outs = []
+    for run in (1, 2):
+        out = tmp / f"{command}{run}"
+        cmd = [sys.executable, "-m", "guidesampler", command, *args, "--out", str(out)]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
+        if proc.returncode != 0:
+            return f"cmd_{command} failed rc={proc.returncode}: {proc.stderr[-300:]}"
+        outs.append(out)
+    return outs
+
+
 def check_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
     t0 = time.perf_counter()
     mismatches = []
@@ -462,46 +483,21 @@ def check_determinism(seed: int = DEFAULT_SEED) -> CheckResult:
         model = tmp / "model.json"
         p = _gibbs(3, 3, RandomSource(seed, 90))
         model.write_text(json.dumps({"kind": "tabular", **p.to_json()}))
-        outs = []
-        for run in ("s1", "s2"):
-            out = tmp / run
-            cmd = [
-                sys.executable, "-m", "guidesampler", "sample",
-                "--model", str(model), "--n", "10", "--seed", str(seed),
-                "--out", str(out),
-            ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                return CheckResult(
-                    "determinism", False,
-                    f"cmd_sample failed rc={proc.returncode}: {proc.stderr[-300:]}",
-                    {}, time.perf_counter() - t0,
-                )
-            outs.append(out)
         # primary outputs only: the resolved-config copy embeds the (distinct)
         # output directory by design and is metadata, not a sample artifact
-        for name in ("samples.txt", "paths.jsonl"):
-            a = (outs[0] / name).read_bytes()
-            b = (outs[1] / name).read_bytes()
-            if a != b:
-                mismatches.append(f"sample:{name}")
-        vouts = []
-        for run in ("v1", "v2"):
-            out = tmp / run
-            cmd = [
-                sys.executable, "-m", "guidesampler", "verify",
-                "--only", "jump_time_law", "--seed", str(seed), "--out", str(out),
-            ]
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            if proc.returncode != 0:
-                return CheckResult(
-                    "determinism", False,
-                    f"cmd_verify failed rc={proc.returncode}: {proc.stderr[-300:]}",
-                    {}, time.perf_counter() - t0,
-                )
-            vouts.append(out)
-        if (vouts[0] / "verify_results.json").read_bytes() != (vouts[1] / "verify_results.json").read_bytes():
-            mismatches.append("verify:verify_results.json")
+        runs = (
+            ("sample", ["--model", str(model), "--n", "10", "--seed", str(seed)],
+             ("samples.txt", "paths.jsonl")),
+            ("verify", ["--only", "jump_time_law", "--seed", str(seed)],
+             ("verify_results.json",)),
+        )
+        for command, args, names in runs:
+            outs = _run_twice(tmp, command, args)
+            if isinstance(outs, str):
+                return CheckResult("determinism", False, outs, {}, time.perf_counter() - t0)
+            for name in names:
+                if (outs[0] / name).read_bytes() != (outs[1] / name).read_bytes():
+                    mismatches.append(f"{command}:{name}")
     elapsed = time.perf_counter() - t0
     return CheckResult(
         "determinism",

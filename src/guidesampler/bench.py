@@ -83,7 +83,6 @@ class Landscape:
     target: Callable[[np.ndarray], np.ndarray]  # fitness rows -> bool vector
     target_mass: float
     spec: dict
-    params: dict
 
     @property
     def D(self) -> int:
@@ -146,26 +145,17 @@ def _resolve_target(spec_target: dict, fitness_tables, weights: np.ndarray):
     return predicate, resolved
 
 
-def _build_landscape(spec: dict, params: dict) -> Landscape:
-    D, S = int(spec["D"]), int(spec["S"])
-    energy = _planted_table(D, S, params["h"], params["J"])
-    w = np.exp(-(energy - energy.min()))
-    p_data = TabularDistribution.from_unnormalized(D, S, w)
-    axes = int(spec.get("axes", 1))
-    tables = [
-        _planted_table(D, S, params[f"phi{a}"], params[f"psi{a}"]) for a in range(axes)
-    ]
+def _with_target(spec: dict, p_data: TabularDistribution, tables: list) -> Landscape:
+    """The landscape of p_data and the fitness tables with the target of
+    ``spec`` resolved on them."""
     predicate, resolved = _resolve_target(spec.get("target", {}), tables, p_data.weights)
     mass = float(p_data.weights[predicate(np.stack(tables, axis=1))].sum())
-    spec_resolved = dict(spec)
-    spec_resolved["target"] = resolved
     return Landscape(
         p_data=p_data,
         fitness_tables=tables,
         target=predicate,
         target_mass=mass,
-        spec=spec_resolved,
-        params=params,
+        spec={**spec, "target": resolved},
     )
 
 
@@ -200,16 +190,15 @@ def make_landscape(spec: dict, rng) -> Landscape:
             J[d, : d + 1] = 0.0
         return J
 
-    params = {
-        "h": gen.normal(0, es, (D, S)),
-        "J": upper_pairs(cs),
-        "phi0": gen.normal(0, fs, (D, S)),
-        "psi0": upper_pairs(fcs),
-    }
-    for a in range(1, int(spec.get("axes", 1))):
-        params[f"phi{a}"] = -anti * params["phi0"] + gen.normal(0, fs * 0.4, (D, S))
-        params[f"psi{a}"] = upper_pairs(fcs)
-    return _build_landscape(spec, params)
+    h, J = gen.normal(0, es, (D, S)), upper_pairs(cs)
+    phi, psi = [gen.normal(0, fs, (D, S))], [upper_pairs(fcs)]
+    for _ in range(1, int(spec.get("axes", 1))):
+        phi.append(-anti * phi[0] + gen.normal(0, fs * 0.4, (D, S)))
+        psi.append(upper_pairs(fcs))
+    energy = _planted_table(D, S, h, J)
+    p_data = TabularDistribution.from_unnormalized(D, S, np.exp(-(energy - energy.min())))
+    tables = [_planted_table(D, S, f, g) for f, g in zip(phi, psi)]
+    return _with_target(spec, p_data, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +441,7 @@ def check_campaign_config(cfg: dict) -> None:
 
 def _anchor_pareto_rectangle(landscape: Landscape, labeled_fvals: np.ndarray,
                              mass_cap: Optional[float]) -> Landscape:
-    """Rebuild the landscape with a target rectangle (axis 0 high, axis 1 low)
+    """The landscape with a target rectangle (axis 0 high, axis 1 low)
     whose corner sits strictly outside the labeled Pareto frontier and whose
     p_data mass is positive and at most mass_cap.
 
@@ -488,7 +477,7 @@ def _anchor_pareto_rectangle(landscape: Landscape, labeled_fvals: np.ndarray,
         "kind": "rectangle",
         "bounds": [[float(a_grid[i]), float("inf")], [float("-inf"), float(b_grid[j])]],
     }
-    return _build_landscape(spec, landscape.params)
+    return _with_target(spec, landscape.p_data, landscape.fitness_tables)
 
 
 def prepare_campaign_seed(cfg: dict, master: RandomSource, seed: int):
@@ -535,7 +524,7 @@ def prepare_campaign_seed(cfg: dict, master: RandomSource, seed: int):
         pairs1 = [(TokenSequence(r, alpha), bool(v <= thr1)) for r, v in zip(rows, fvals[:, 1])]
         clf0, _ = train_noisy_classifier(pairs0, rng.substream(2), epochs=cfg["classifier_epochs"])
         clf1, _ = train_noisy_classifier(pairs1, rng.substream(3), epochs=cfg["classifier_epochs"])
-        classifier = ProductPredictor([clf0, clf1], landscape.S)
+        classifier = ProductPredictor([clf0, clf1])
         refit_scores = np.argsort(np.argsort(fvals[:, 0])) - np.argsort(np.argsort(fvals[:, 1]))
     else:
         labels = fvals[:, 0]
@@ -562,7 +551,7 @@ def _target_indicator_predictor(landscape: Landscape, eps: float = 0.01):
     smoothed target-region indicator."""
     fvals = np.stack(landscape.fitness_tables, axis=1)
     ctable = eps + (1.0 - 2.0 * eps) * landscape.target(fvals)
-    clean = CleanPredictor.from_table(ctable, landscape.S, name="target_indicator")
+    clean = CleanPredictor.from_table(ctable, landscape.S)
     return ExactMarginalPredictor(clean, landscape.p_data)
 
 

@@ -193,20 +193,20 @@ def masked_from_str(text: str, alphabet: Alphabet) -> MaskedSequence:
 # ---------------------------------------------------------------------------
 
 
-def _check_state_count(D: int, S: int, cap: int = TABULAR_STATE_CAP) -> int:
+def _check_state_count(D: int, S: int) -> int:
     n = S**D
-    if n > cap:
-        raise SizeCapError(f"S**D = {S}**{D} = {n} exceeds the table cap {cap}")
+    if n > TABULAR_STATE_CAP:
+        raise SizeCapError(f"S**D = {S}**{D} = {n} exceeds the table cap {TABULAR_STATE_CAP}")
     return n
 
 
-def check_context_count(D: int, S: int, cap: int = TABULAR_STATE_CAP) -> int:
+def check_context_count(D: int, S: int) -> int:
     """Entries (S+1)**D of a table over every masked context; raises
     SizeCapError naming the size when it exceeds the table cap."""
     n = (S + 1) ** D
-    if n > cap:
+    if n > TABULAR_STATE_CAP:
         raise SizeCapError(f"context tables of (S+1)**D = {S + 1}**{D} = {n} entries "
-                           f"exceed the table cap {cap}")
+                           f"exceed the table cap {TABULAR_STATE_CAP}")
     return n
 
 

@@ -395,26 +395,15 @@ def aoarm_loss_exact(denoiser: Denoiser, p: TabularDistribution) -> float:
 LOSS_VARIANTS = ("FM", "AOARM")
 
 
-def _validated_probs(n: int, steps: int, weights, lr: float, batch_size: int):
+def _validate(steps: int, lr: float, batch_size: int) -> None:
     """Check train_denoiser's arguments before any draw, raising a ValueError
-    that names the bad one; return the draw probabilities of the n samples."""
+    that names the bad one."""
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if not lr > 0:  # NaN fails too; inf is left to TrainingDivergedError
         raise ValueError(f"lr must be > 0, got {lr}")
-    if weights is None:
-        return np.full(n, 1.0 / n)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (n,):
-        raise ValueError(f"weights must have one entry per sample ({n}), got shape {w.shape}")
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise ValueError("weights must be finite and nonnegative")
-    total = w.sum()
-    if not total > 0:
-        raise ValueError("weights must have a positive sum")
-    return w / total
 
 
 #: Steps whose draws and set-up train_denoiser makes together. A block holds
@@ -453,7 +442,6 @@ def train_denoiser(
     samples: Sequence[TokenSequence],
     steps: int,
     rng,
-    weights=None,
     lr: float = 0.1,
     batch_size: int = 32,
 ):
@@ -466,7 +454,7 @@ def train_denoiser(
     an exponential average of the step losses; 0.0 when none ran.
 
     Draw order: each step draws, from ``rng`` and in this order, the batch
-    (``batch_size`` uniforms, as ``Generator.choice`` with ``p`` does), then
+    (``batch_size`` uniforms, as a uniform ``Generator.choice`` does), then
     for FM ``batch_size`` times and ``batch_size * D`` keep uniforms, or
     for AOARM ``batch_size * D`` order uniforms and ``batch_size`` integers
     in [0, D). The draws do not depend on the weights, so the steps of a
@@ -494,10 +482,10 @@ def train_denoiser(
     S = samples[0].alphabet.size
     if any(x.D != D or x.alphabet.size != S for x in samples):
         raise ValueError("samples must share one length and one alphabet")
-    probs = _validated_probs(len(samples), steps, weights, lr, batch_size)
+    _validate(steps, lr, batch_size)
     gen = as_generator(rng)
     data = np.stack([x.tokens for x in samples])
-    cdf = probs.cumsum()
+    cdf = np.full(len(samples), 1.0 / len(samples)).cumsum()
     cdf /= cdf[-1]
     b, DS = batch_size, D * S
     pos = np.arange(D)

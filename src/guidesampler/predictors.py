@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -58,18 +58,16 @@ def clamp_likelihood(value: float) -> float:
 class CleanPredictor:
     """Deterministic event likelihood p(y | x) on clean sequences, in [0, 1]."""
 
-    def __init__(self, fn: Callable[[TokenSequence], float], batch_fn=None, name: str = "clean"):
+    def __init__(self, fn: Callable[[TokenSequence], float], batch_fn=None):
         self._fn = fn
         self._batch_fn = batch_fn
-        self.name = name
 
     @classmethod
-    def from_table(cls, table: np.ndarray, S: int, name: str = "clean") -> "CleanPredictor":
+    def from_table(cls, table: np.ndarray, S: int) -> "CleanPredictor":
         """Clean predictor whose likelihood at x is ``table[encode_index(x)]``."""
         return cls(
             lambda x: float(table[encode_rows(x.tokens[None, :], S)[0]]),
             batch_fn=lambda rows: table[encode_rows(rows, S)],
-            name=name,
         )
 
     def likelihood(self, x: TokenSequence) -> float:
@@ -362,7 +360,6 @@ def train_noisy_classifier(
     epochs: int = 400,
     lr: float = 0.2,
     l2_pairwise: float = 10.0,
-    two_stage: bool = False,
 ):
     """Fit the pairwise-interaction logistic classifier on re-noised copies.
 
@@ -370,10 +367,6 @@ def train_noisy_classifier(
     a fresh masking time per example and takes one full-batch gradient step on
     the summed binary cross-entropy plus an L2 penalty of ``l2_pairwise`` on
     the pairwise terms only (single-site terms are unregularized).
-
-    ``two_stage=True`` reproduces the freeze protocol: first fit on clean
-    inputs, then freeze every parameter not involving a mask token and adapt
-    only the mask-facing terms on noised inputs. Default off.
 
     Returns (model, loss): the mean BCE of the last epoch, computed once
     from that epoch's probabilities; 0.0 when no epoch ran.
@@ -423,41 +416,27 @@ def train_noisy_classifier(
     terms = np.empty((k + 1, n))
     pair_weights = np.empty((k, n))
 
-    def epoch_step(tokens, mask_only: bool):
-        """One gradient step on the rows ``tokens``; returns their probabilities."""
-        nonlocal bias
+    p = None
+    for _ in range(epochs):
+        t = gen.random((n, 1))
+        keep = gen.random((n, D)) < t
+        tokens = np.where(keep, seqs, S)
         scores = _site_scores(bias, single, tokens)
         columns = np.ascontiguousarray(tokens.T, dtype=np.int64)
         _add_pair_terms(scores, pair, columns, upper, cells, terms)
         p = 1.0 / (1.0 + np.exp(-scores))
         resid = (p - y) / n
-        if not mask_only:
-            bias -= lr * resid.sum()
-        g_single = np.bincount(
+        bias -= lr * resid.sum()
+        single -= lr * np.bincount(
             (tokens + site_offset).ravel(), weights=np.repeat(resid, D), minlength=D * V
         ).reshape(D, V)
-        if mask_only:
-            g_single[:, :S] = 0.0
-        single[...] -= lr * g_single
         if k:  # at D = 1 there are no pairs, and bincount of nothing is int
             pair_weights[...] = resid
             g = np.bincount(
                 cells.ravel(), weights=pair_weights.ravel(), minlength=pair.size
             ).reshape(pair.shape)
             g += (l2_pairwise / n) * pair
-            if mask_only:
-                g[..., :S, :S] = 0.0
-            pair[...] -= lr * g
-        return p
-
-    p = None
-    if two_stage:
-        for _ in range(epochs):
-            p = epoch_step(seqs, mask_only=False)
-    for _ in range(epochs):
-        t = gen.random((n, 1))
-        keep = gen.random((n, D)) < t
-        p = epoch_step(np.where(keep, seqs, S), mask_only=two_stage)
+            pair -= lr * g
     model = PairwiseInteractionPredictor(D, S, "logistic", bias, single, pair)
     if p is None:
         return model, 0.0
@@ -471,40 +450,22 @@ def train_noisy_classifier(
 
 
 class ProductPredictor(TimePredictor):
-    """Conditional-independence product of several predictors.
+    """Conditional-independence product of several predictors. Every part
+    answers every row, once per call, in part order."""
 
-    ``switch_fractions[i]`` stages part i in only once the unmasked fraction
-    of the input reaches it (state-dependent staging; fully unmasked inputs
-    always include every part). Each part is called once per call, on the
-    rows where it is active.
-    """
-
-    def __init__(self, parts: Sequence[TimePredictor], S: int,
-                 switch_fractions: Optional[Sequence[float]] = None):
+    def __init__(self, parts: Sequence[TimePredictor]):
         if not parts:
             raise ValueError("product of zero predictors")
         self.parts = list(parts)
-        self.S = S
-        self.switch = list(switch_fractions) if switch_fractions is not None else [0.0] * len(parts)
-        if len(self.switch) != len(self.parts):
-            raise ValueError("one switch fraction per part required")
-
-    def _staged(self, tokens: np.ndarray):
-        """(rows (n, D) of tokens (D,) or (n, D), the indices of the rows at
-        which each part is active, in part order)."""
-        rows = np.reshape(tokens, (-1, np.shape(tokens)[-1]))
-        frac = (rows != self.S).sum(axis=1) / rows.shape[1]
-        return rows, [np.flatnonzero(frac >= s) for s in self.switch]
 
     def likelihood_array(self, tokens: np.ndarray):
         """Clamped likelihood of one token array (D,) as a float, or of each
-        row of (n, D) as an array: the product, in part order, of the parts
-        active at the row, and 1 where none is."""
-        rows, active = self._staged(tokens)
+        row of (n, D) as an array: the product of the parts' likelihoods, in
+        part order."""
+        rows = np.reshape(tokens, (-1, np.shape(tokens)[-1]))
         vals = np.ones(rows.shape[0])
-        for part, on in zip(self.parts, active):
-            if on.size:
-                vals[on] *= part.likelihood_array(rows[on])
+        for part in self.parts:
+            vals *= part.likelihood_array(rows)
         if not np.isfinite(vals).all():
             raise ValueError(f"predictor produced a non-finite likelihood: {vals}")
         vals = np.clip(vals, LIKELIHOOD_FLOOR, 1.0)
@@ -515,24 +476,15 @@ class ProductPredictor(TimePredictor):
         return all(p.has_gradient_surface for p in self.parts)
 
     def gradient_surface_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
-        """The sum, in part order, of the active parts' surfaces of one token
-        array (D,), shape (D, S+1), of each row of (n, D), shape
-        (n, D, S+1), or of the pairs (``tokens[j]``, ``positions[j]``), shape
-        (P, S+1); zeros where no part is active. A row's first active
-        part's surface is taken as is, so a -0.0 in it stays -0.0."""
+        """The sum, in part order, of the parts' surfaces of one token array
+        (D,), shape (D, S+1), of each row of (n, D), shape (n, D, S+1), or of
+        the pairs (``tokens[j]``, ``positions[j]``), shape (P, S+1). The
+        first part's surface is taken as is, so a -0.0 in it stays -0.0."""
         if not self.has_gradient_surface:
             raise CapabilityError("not all product parts expose a gradient surface")
-        rows, active = self._staged(tokens)
-        n, D = rows.shape
-        out = np.zeros((n, self.S + 1) if positions is not None else (n, D, self.S + 1))
-        started = np.zeros(n, dtype=bool)
-        for part, on in zip(self.parts, active):
-            if not on.size:
-                continue
-            at = None if positions is None else np.asarray(positions)[on]
-            g = part.gradient_surface_array(rows[on], at)
-            first = ~started[on]
-            out[on[first]] = g[first]
-            out[on[~first]] += g[~first]
-            started[on] = True
+        rows = np.reshape(tokens, (-1, np.shape(tokens)[-1]))
+        first, *rest = self.parts
+        out = np.array(first.gradient_surface_array(rows, positions), dtype=float)
+        for part in rest:
+            out += part.gradient_surface_array(rows, positions)
         return out if np.ndim(tokens) > 1 else out[0]

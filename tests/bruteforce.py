@@ -232,9 +232,10 @@ class LoopDiverged(Exception):
         self.step = step
 
 
-def loop_train_denoiser(variant, rows, S, steps, gen, probs, lr, batch_size):
+def loop_train_denoiser(variant, rows, S, steps, gen, lr, batch_size):
     """train_denoiser one step at a time, with the pair gradient summed one
-    (position, context token) group at a time and one example at a time. Its
+    (position, context token) group at a time and one example at a time. The
+    batches are drawn by ``Generator.choice`` with uniform ``p``. Its
     forward pass is the trainer's numpy expression and it makes the same
     draws in the same order, so it returns the trainer's (single, pair,
     loss) bytes and leaves ``gen`` where the trainer leaves it. It raises
@@ -243,6 +244,7 @@ def loop_train_denoiser(variant, rows, S, steps, gen, probs, lr, batch_size):
     single = np.zeros((D, S))
     pair_t = np.zeros((D, S + 1, D, S))  # [e, context token of e, d, s]
     pos = np.arange(D)
+    probs = np.full(len(rows), 1 / len(rows))
     running = None
     for step in range(steps):
         x1 = rows[gen.choice(len(rows), size=batch_size, p=probs)]
@@ -285,7 +287,7 @@ def loop_train_denoiser(variant, rows, S, steps, gen, probs, lr, batch_size):
     return single, pair_t.transpose(2, 0, 1, 3), (running if running is not None else 0.0)
 
 
-def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise, two_stage):
+def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise):
     """train_noisy_classifier with every gradient cell summed one example at
     a time; returns its (bias, single, pair, loss) bytes. The scores are
     added term by term in the order score_array adds them."""
@@ -295,7 +297,7 @@ def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise, two_st
     single = np.zeros((D, V))
     pair = np.zeros((D, D, V, V))
 
-    def step(tokens, mask_only):
+    def step(tokens):
         nonlocal bias
         scores = np.full(n, bias) + single[np.arange(D), tokens].sum(axis=1)
         for d in range(D):
@@ -303,14 +305,11 @@ def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise, two_st
                 scores = scores + pair[d, e, tokens[:, d], tokens[:, e]]
         p = 1.0 / (1.0 + np.exp(-scores))
         resid = (p - y) / n
-        if not mask_only:
-            bias -= lr * resid.sum()
+        bias -= lr * resid.sum()
         g_single = np.zeros((D, V))
         for b in range(n):
             for d in range(D):
                 g_single[d, tokens[b, d]] += resid[b]
-        if mask_only:
-            g_single[:, :S] = 0.0
         single[...] -= lr * g_single
         for d in range(D):
             for e in range(d + 1, D):
@@ -318,8 +317,6 @@ def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise, two_st
                 for b in range(n):
                     g[tokens[b, d], tokens[b, e]] += resid[b]
                 g += (l2_pairwise / n) * pair[d, e]
-                if mask_only:
-                    g[:S, :S] = 0.0
                 pair[d, e] -= lr * g
         return float(-(y * np.log(np.clip(p, 1e-300, 1))
                        + (1 - y) * np.log(np.clip(1 - p, 1e-300, 1))).mean())
@@ -330,14 +327,8 @@ def loop_train_noisy_classifier(rows, y, S, epochs, gen, lr, l2_pairwise, two_st
         return np.where(keep, rows, S)
 
     loss = math.nan
-    if two_stage:
-        for _ in range(epochs):
-            loss = step(rows, mask_only=False)
-        for _ in range(epochs):
-            loss = step(noised(), mask_only=True)
-    else:
-        for _ in range(epochs):
-            loss = step(noised(), mask_only=False)
+    for _ in range(epochs):
+        loss = step(noised())
     return bias, single, pair, loss
 
 

@@ -247,10 +247,9 @@ class TestCampaign:
         results, _ = run_campaign(cfg, RandomSource(18))
         assert any(r.arm == "guidance_exact_g1" for r in results)
 
-    def test_multi_property_campaign(self):
-        from guidesampler.predictors import ProductPredictor
-
-        cfg = resolve_campaign_config({
+    @staticmethod
+    def multi_cfg():
+        return resolve_campaign_config({
             "multi_property": True,
             "landscape": {"D": 6, "S": 3},
             "n_labeled": 250, "k": 20, "n_filter_total": 40,
@@ -258,6 +257,11 @@ class TestCampaign:
             "classifier_epochs": 40, "refit_train_steps": 60,
             "seeds": [0],
         })
+
+    def test_multi_property_campaign(self):
+        from guidesampler.predictors import ProductPredictor
+
+        cfg = self.multi_cfg()
         ctx = prepare_campaign_seed(cfg, RandomSource(19), 0)
         land = ctx["landscape"]
         # rectangle target over two anticorrelated axes, rare under p_data,
@@ -269,3 +273,22 @@ class TestCampaign:
         assert isinstance(ctx["classifier"], ProductPredictor)
         results = run_campaign_seed(cfg, RandomSource(19), 0)
         assert {r.arm for r in results} == {"unguided", "filter", "guidance_g1", "refit_q0.5"}
+
+    @pytest.mark.parametrize("seed", [0, 1, 3])
+    def test_anchored_landscape_equals_a_fresh_one(self, seed):
+        # anchoring re-resolves only the target on the drawn tables: a
+        # landscape drawn from the anchored spec on the same substream is
+        # the same, bit for bit. (Seed 2 of this small landscape has no
+        # rectangle beyond the labeled frontier, and anchoring raises.)
+        master = RandomSource(19)
+        land = prepare_campaign_seed(self.multi_cfg(), master, seed)["landscape"]
+        fresh = make_landscape(land.spec, master.substream(seed).substream(0))
+        assert land.p_data.weights.tobytes() == fresh.p_data.weights.tobytes()
+        assert len(land.fitness_tables) == len(fresh.fitness_tables) == 2
+        for a, b in zip(land.fitness_tables, fresh.fitness_tables):
+            assert a.tobytes() == b.tobytes()
+        every_state = np.stack(land.fitness_tables, axis=1)
+        assert np.array_equal(land.target(every_state), fresh.target(every_state))
+        assert land.target(every_state).any()
+        assert land.target_mass == fresh.target_mass
+        assert land.spec == fresh.spec

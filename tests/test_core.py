@@ -5,10 +5,13 @@ import pytest
 from scipy import stats
 
 from guidesampler.core import (
+    TABULAR_STATE_CAP,
     Alphabet,
     RandomSource,
     TabularDistribution,
     TokenSequence,
+    _check_state_count,
+    check_context_count,
     encode_index,
     encode_rows,
     identity_schedule,
@@ -97,6 +100,23 @@ class TestEncoding:
     def test_cap_enforced_at_construction(self):
         with pytest.raises(SizeCapError):
             sequence_table(30, 4)
+
+
+class TestTableCap:
+    """Both size checks pass a table of exactly TABULAR_STATE_CAP entries and
+    refuse the next length up, naming its size, before any table is made."""
+
+    @pytest.mark.parametrize("S, D", [(2, 24), (4, 12), (16, 6)])
+    def test_state_count(self, S, D):
+        assert _check_state_count(D, S) == TABULAR_STATE_CAP
+        with pytest.raises(SizeCapError, match=rf"{S}\*\*{D + 1} = {S ** (D + 1)} "):
+            _check_state_count(D + 1, S)
+
+    @pytest.mark.parametrize("S, D", [(1, 24), (3, 12), (15, 6)])
+    def test_context_count(self, S, D):
+        assert check_context_count(D, S) == TABULAR_STATE_CAP
+        with pytest.raises(SizeCapError, match=rf"{S + 1}\*\*{D + 1} = {(S + 1) ** (D + 1)} "):
+            check_context_count(D + 1, S)
 
 
 class TestSchedules:

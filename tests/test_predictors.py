@@ -58,13 +58,11 @@ def uniform_over(texts, D, S):
 class TestCleanPredictorFromTable:
     def test_reads_table_in_encode_order(self):
         table = np.linspace(0.05, 0.95, 27)
-        clean = CleanPredictor.from_table(table, 3, name="ramp")
-        assert clean.name == "ramp"
+        clean = CleanPredictor.from_table(table, 3)
         assert np.array_equal(clean.table(3, 3), table)
         for i in (0, 5, 26):
             x = TokenSequence(sequence_table(3, 3)[i], Alphabet(3))
             assert clean.likelihood(x) == table[i]
-        assert CleanPredictor.from_table(table, 3).name == "clean"
 
 
 class TestExactMarginalPredictor:
@@ -681,11 +679,10 @@ class TestTrainNoisyClassifier:
         assert model.likelihood_array(np.array([1])) > 0.5
         assert model.likelihood_array(np.array([0])) < 0.5
 
-    @pytest.mark.parametrize("two_stage", [False, True])
-    def test_zero_epochs_loss_is_zero(self, two_stage):
+    def test_zero_epochs_loss_is_zero(self):
         # as train_denoiser(steps=0): no step ran, so the loss is 0.0, not nan
         data = [(sequence_from_str("A", AB), False), (sequence_from_str("B", AB), True)]
-        model, loss = train_noisy_classifier(data, RandomSource(0), epochs=0, two_stage=two_stage)
+        model, loss = train_noisy_classifier(data, RandomSource(0), epochs=0)
         assert loss == 0.0
         assert model.bias == 0.0 and not model.single.any()
 
@@ -694,14 +691,17 @@ class TestTrainNoisyClassifier:
         with pytest.raises(ValueError):
             train_noisy_classifier(data, RandomSource(0))
 
+    #: the default step and penalty, and a larger step with no penalty
+    RATES = [(0.2, 10.0), (0.7, 0.0)]
+
     @staticmethod
-    def assert_matches_loop_reference(rows, y, S, two_stage):
+    def assert_matches_loop_reference(rows, y, S, lr, l2_pairwise):
         labeled = [(TokenSequence(r, Alphabet(S)), bool(v)) for r, v in zip(rows, y)]
         model, loss = train_noisy_classifier(
-            labeled, RandomSource(9), epochs=15, two_stage=two_stage
+            labeled, RandomSource(9), epochs=15, lr=lr, l2_pairwise=l2_pairwise
         )
         bias, single, pair, ref_loss = loop_train_noisy_classifier(
-            rows, y.astype(float), S, 15, RandomSource(9).generator(), 0.2, 10.0, two_stage
+            rows, y.astype(float), S, 15, RandomSource(9).generator(), lr, l2_pairwise
         )
         assert np.float64(model.bias).tobytes() == np.float64(bias).tobytes()
         assert model.single.tobytes() == single.tobytes()
@@ -709,25 +709,27 @@ class TestTrainNoisyClassifier:
         assert loss == ref_loss
 
     @pytest.mark.parametrize("D, S", [(1, 2), (3, 2), (6, 5), (4, 8), (3, 20)])
-    @pytest.mark.parametrize("two_stage", [False, True])
-    def test_matches_loop_reference_bit_for_bit(self, D, S, two_stage):
+    @pytest.mark.parametrize("lr, l2_pairwise", RATES)
+    def test_matches_loop_reference_bit_for_bit(self, D, S, lr, l2_pairwise):
         # np.bincount adds in row order from 0.0, as the per-cell loop does
         gen = RandomSource(D * 10 + S).generator()
         rows = gen.integers(0, S, (30, D))
-        self.assert_matches_loop_reference(rows, np.arange(30) % 3 == 0, S, two_stage)
+        self.assert_matches_loop_reference(rows, np.arange(30) % 3 == 0, S, lr, l2_pairwise)
 
-    @pytest.mark.parametrize("two_stage", [False, True])
-    def test_two_rows_match_loop_reference_bit_for_bit(self, two_stage):
+    @pytest.mark.parametrize("lr, l2_pairwise", RATES)
+    def test_two_rows_match_loop_reference_bit_for_bit(self, lr, l2_pairwise):
         # the fewest rows training takes, one per label: the scores' reduce
         # over (pairs + 1, 2) must still add the 15 pair terms in order
         rows = RandomSource(11).generator().integers(0, 4, (2, 6))
-        self.assert_matches_loop_reference(rows, np.array([True, False]), 4, two_stage)
+        self.assert_matches_loop_reference(rows, np.array([True, False]), 4, lr, l2_pairwise)
 
     @pytest.mark.parametrize("kwargs, name", [
         ({"epochs": -1}, "epochs"),
         ({"lr": 0.0}, "lr"),
+        ({"lr": -1.0}, "lr"),
         ({"lr": float("nan")}, "lr"),
         ({"l2_pairwise": -1.0}, "l2_pairwise"),
+        ({"l2_pairwise": float("nan")}, "l2_pairwise"),
     ])
     def test_bad_argument_is_named_before_any_draw(self, kwargs, name):
         data = [(sequence_from_str("AB", AB), False), (sequence_from_str("BA", AB), True)]
@@ -764,12 +766,6 @@ class TestTrainNoisyClassifier:
         auroc /= (~truth).sum()
         assert auroc >= 0.9
 
-    def test_two_stage_mode_runs_and_fits(self):
-        data = [(sequence_from_str("AA", AB), True), (sequence_from_str("BB", AB), False)] * 5
-        model, loss = train_noisy_classifier(data, RandomSource(39), epochs=200, two_stage=True)
-        assert model.likelihood_array(np.array([0, 0])) > 0.5
-        assert math.isfinite(loss)
-
 
 class TestProductPredictor:
     class Const:
@@ -782,16 +778,16 @@ class TestProductPredictor:
             return np.full(np.shape(tokens)[:-1], self.c)
 
     def test_single_part_identity(self):
-        p = ProductPredictor([self.Const(0.42)], S=2)
+        p = ProductPredictor([self.Const(0.42)])
         assert p.likelihood_array(np.array([0, 2])) == pytest.approx(0.42)
 
     def test_two_constants_multiply(self):
-        p = ProductPredictor([self.Const(0.5), self.Const(0.25)], S=2)
+        p = ProductPredictor([self.Const(0.5), self.Const(0.25)])
         assert p.likelihood_array(np.array([2, 2])) == pytest.approx(0.125)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            ProductPredictor([], S=2)
+            ProductPredictor([])
 
     def test_gradient_surface_sums_when_available(self):
         gen = RandomSource(41).generator()
@@ -799,73 +795,71 @@ class TestProductPredictor:
         b = PairwiseInteractionPredictor(2, 2, link="exp", bias=-2.0)
         a.single[:] = gen.normal(0, 0.1, a.single.shape)
         b.single[:] = gen.normal(0, 0.1, b.single.shape)
-        prod = ProductPredictor([a, b], S=2)
+        prod = ProductPredictor([a, b])
         toks = np.array([2, 1])
         np.testing.assert_allclose(
             prod.gradient_surface_array(toks),
             a.gradient_surface_array(toks) + b.gradient_surface_array(toks),
         )
 
+    def test_every_part_answers_every_row_once_in_part_order(self):
+        # masked rows included: no part waits for a share of unmasked sites
+        calls = []
+
+        class Recording(self.Const):
+            def likelihood_array(self, tokens):
+                calls.append((self.c, np.array(tokens)))
+                return super().likelihood_array(tokens)
+
+        prod = ProductPredictor([Recording(0.5), Recording(0.25)])
+        rows = np.array([[2, 2], [0, 2], [0, 1]])
+        assert np.array_equal(prod.likelihood_array(rows), np.full(3, 0.125))
+        assert [c for c, _ in calls] == [0.5, 0.25]
+        assert all(np.array_equal(asked, rows) for _, asked in calls)
+
     def test_gradient_absent_when_any_part_lacks_it(self):
         a = PairwiseInteractionPredictor(2, 2, link="exp", bias=-1.0)
-        prod = ProductPredictor([a, self.Const(0.5)], S=2)
+        prod = ProductPredictor([a, self.Const(0.5)])
         assert not prod.has_gradient_surface
         with pytest.raises(CapabilityError):
             prod.gradient_surface_array(np.array([2, 2]))
 
-    def test_staged_part_activates_with_unmasked_fraction(self):
-        prod = ProductPredictor([self.Const(0.5), self.Const(0.25)], S=2, switch_fractions=[0.0, 0.6])
-        assert prod.likelihood_array(np.array([2, 2])) == pytest.approx(0.5)  # 0% unmasked
-        assert prod.likelihood_array(np.array([0, 2])) == pytest.approx(0.5)  # 50%
-        assert prod.likelihood_array(np.array([0, 1])) == pytest.approx(0.125)  # 100%
-
-    SWITCH = [0.3, 0.5, 0.8]
-
-    @classmethod
-    def staged(cls, D, S, seed, exact_part):
-        """Three parts staged in at unmasked fractions 0.3, 0.5 and 0.8; the
-        middle one an exact-marginal table or a pairwise model."""
+    @staticmethod
+    def product(D, S, seed, exact_part):
+        """Three parts, the middle one an exact-marginal table or a pairwise
+        model."""
         middle = (TestExactChildLikelihoods.model(D, S, seed) if exact_part
                   else full_random_model(D, S, "logistic", seed))
         parts = [full_random_model(D, S, "logistic", seed + 1), middle,
                  full_random_model(D, S, "exp", seed + 2)]
-        return ProductPredictor(parts, S, switch_fractions=cls.SWITCH)
+        return ProductPredictor(parts)
 
-    @classmethod
-    def active(cls, prod, row):
-        """The parts active at one token row, in part order."""
-        frac = float((row != prod.S).sum() / row.size)
-        return [part for part, s in zip(prod.parts, cls.SWITCH) if frac >= s]
-
-    @classmethod
-    def loop_surface(cls, prod, row):
+    @staticmethod
+    def loop_surface(prod, row):
         """The parts' single-row surfaces summed in part order, the first
-        taken as is; zeros when no part is active."""
-        out = np.zeros((row.size, prod.S + 1))
-        for j, part in enumerate(cls.active(prod, row)):
-            g = part.gradient_surface_array(row)
-            out = g if j == 0 else out + g
+        taken as is."""
+        out = prod.parts[0].gradient_surface_array(row)
+        for part in prod.parts[1:]:
+            out = out + part.gradient_surface_array(row)
         return out
 
     @pytest.mark.parametrize("exact_part", [False, True])
     @pytest.mark.parametrize("D,S", [(3, 2), (8, 4)])
     def test_likelihood_rows_equal_single_row_calls(self, D, S, exact_part):
-        prod = self.staged(D, S, D * S + 50, exact_part)
+        prod = self.product(D, S, D * S + 50, exact_part)
         rows = TestParametricRowForm.rows(D, S, D * S + 51)
-        frac = (rows != S).mean(axis=1)
-        assert (frac < 0.3).any() and (frac >= 0.8).any()
         got = prod.likelihood_array(rows)
         assert got.shape == (rows.shape[0],)
         for k, row in enumerate(rows):
             val = 1.0
-            for part in self.active(prod, row):
+            for part in prod.parts:
                 val *= part.likelihood_array(row)
             assert got[k] == clamp_likelihood(val) == prod.likelihood_array(row)
         assert isinstance(prod.likelihood_array(rows[0]), float)
 
     @pytest.mark.parametrize("D,S", [(3, 2), (8, 4)])
     def test_gradient_surface_rows_equal_single_row_calls(self, D, S):
-        prod = self.staged(D, S, D * S + 60, exact_part=False)
+        prod = self.product(D, S, D * S + 60, exact_part=False)
         rows, positions = TestPairForm.pairs(D, S, D * S + 61)
         want = [self.loop_surface(prod, row) for row in rows]
         full = prod.gradient_surface_array(rows)
@@ -876,7 +870,6 @@ class TestProductPredictor:
             assert full[k].tobytes() == want[k].tobytes()
             assert prod.gradient_surface_array(row).tobytes() == want[k].tobytes()
             assert pairs[k].tobytes() == want[k][positions[k]].tobytes()
-        assert not full[0].any()  # fully masked: no part is active
 
     class NegativeZero:
         """A surface of -0.0 everywhere, in every form."""
@@ -888,12 +881,10 @@ class TestProductPredictor:
             return np.full(lead + (3,), -0.0)
 
     def test_first_part_keeps_negative_zeros(self):
-        # the first active part's surface is taken as is: 0.0 + (-0.0)
-        # would be 0.0. A second active part adds in the usual way.
-        prod = ProductPredictor([self.NegativeZero(), self.NegativeZero()], 2,
-                                switch_fractions=[0.0, 0.5])
+        # the first part's surface is taken as is: 0.0 + (-0.0) would be
+        # 0.0. A second part adds in the usual way, and -0.0 + -0.0 is -0.0
+        prod = ProductPredictor([self.NegativeZero(), self.NegativeZero()])
         rows = np.array([[2, 2, 2], [0, 1, 2]])
-        full = prod.gradient_surface_array(rows)
-        assert np.signbit(full).all()  # -0.0 + -0.0 is -0.0 too
+        assert np.signbit(prod.gradient_surface_array(rows)).all()
         assert np.signbit(prod.gradient_surface_array(rows, np.array([0, 2]))).all()
         assert np.signbit(prod.gradient_surface_array(rows[0])).all()

@@ -103,9 +103,9 @@ def parametric_models():
 
 def product_models():
     """D=6, S=4: a parametric denoiser and a product of three pairwise
-    predictors staged in at unmasked fractions 0, 0.3 and 0.6."""
+    predictors."""
     parts = [pairwise_predictor(6, 4, seed) for seed in (501, 502, 503)]
-    pred = ProductPredictor(parts, 4, switch_fractions=[0.0, 0.3, 0.6])
+    pred = ProductPredictor(parts)
     return {
         "denoiser": ParametricDenoiser.random(6, 4, RandomSource(504), scale=0.5),
         "likelihood": pred,
@@ -200,25 +200,20 @@ def training_data(D, S, n, seed):
     return [TokenSequence(r, alpha) for r in rows]
 
 
-def denoiser_digest(variant, weighting, D) -> str:
-    """``train_denoiser`` at S=3 with a batch size that divides nothing."""
+def denoiser_digest(variant, D) -> str:
+    """``train_denoiser`` at S=3 with a batch size that divides nothing,
+    drawing its batches uniformly."""
     data = training_data(int(D[1:]), 3, 23, 301)
-    weights = None
-    if weighting == "weighted":
-        weights = RandomSource(302).generator().random(len(data)) + 0.1
-    model, loss = train_denoiser(
-        variant, data, 40, RandomSource(303), weights=weights, lr=0.3, batch_size=17
-    )
+    model, loss = train_denoiser(variant, data, 40, RandomSource(303), lr=0.3, batch_size=17)
     return sha(model.single.tobytes(), model.pair.tobytes(), np.float64(loss).tobytes())
 
 
-def classifier_digest(D, stages) -> str:
-    """``train_noisy_classifier`` at S=3; the label depends on two positions."""
+def classifier_digest(D) -> str:
+    """``train_noisy_classifier`` at S=3, trained once on noised data; the
+    label depends on two positions."""
     data = training_data(int(D[1:]), 3, 30, 401)
     labeled = [(x, bool(x.tokens[0] + x.tokens[-1] >= 2)) for x in data]
-    model, loss = train_noisy_classifier(
-        labeled, RandomSource(402), epochs=25, two_stage=stages == "two_stage"
-    )
+    model, loss = train_noisy_classifier(labeled, RandomSource(402), epochs=25)
     return sha(
         np.float64(model.bias).tobytes(), model.single.tobytes(), model.pair.tobytes(),
         np.float64(loss).tobytes(),
@@ -245,11 +240,10 @@ SAMPLER_CASES = [
 ]
 CLI_CASES = ["cli/aoarm/deg", "cli/euler/exact"]
 TRAIN_CASES = [
-    f"denoiser/{variant}/{weighting}/D{D}"
+    f"denoiser/{variant}/uniform/D{D}"
     for variant in ("FM", "AOARM")
-    for weighting in ("uniform", "weighted")
     for D in (1, 4)
-] + [f"classifier/D{D}/{stages}" for D in (1, 5) for stages in ("one_stage", "two_stage")]
+] + [f"classifier/D{D}/one_stage" for D in (1, 5)]
 CAMPAIGN_CASES = ["campaign/3"]
 #: Euler switch points: from the start, mid-run, and two late points that
 #: the 1 - dt horizon of some step in EULER_DTS reaches, so guidance turns
@@ -314,31 +308,25 @@ PINNED = {
     "parametric/euler/exact/single": "190e686ae108bd0ae7417d537ca76bbad50800a7e9a2d87c31f4463e0fc5de53",
     "parametric/euler/tag/single": "07571ad27f0dd7cb4c8ab537a6bf76e56bdfb8198bb4b53dbd176ea230e92eb8",
     "parametric/euler/predictor_free/single": "69a6efda4543df588cb6b65c04e9a62f7a6176689ddae0b042ea33c891fa7611",
-    # computed on the tree before the product predictor answered rows; every
-    # part is active in some step, and the parametric posterior has no zero row
-    "product/aoarm/deg/single": "0cecd4987c6005a3aa2e248616bfa40cd1d6640e3a4ada0eb88e080290e8862a",
-    "product/aoarm/deg/many": "c45232125a6b1a5a917bae897539a5b294f7e789111fa57034ea4163196983c0",
-    "product/aoarm/tag/single": "00eb00ecc832d7d2824676a010ebf1547ae4797382cff3c14dad6d0d8d9389b0",
-    "product/aoarm/tag/many": "f52f448efdb954ac9f778f0c45f3953f75a715c79b4206d86cefa03e1adf5a4a",
-    "product/euler/exact/single": "db8475d7f988f636ac46a6e7062408f0bbdf22ae33f58d0d7b9f505a040b419c",
-    "product/euler/exact/many": "8500a640c316da342d5f2208639493bcf3dfc6218ba395b8d1b6aad2d7ecac96",
-    "product/euler/tag/single": "38bc6760d2e00cfd620da05c8be9477990072339c4169c8ba83079063e39b223",
-    "product/euler/tag/many": "e90d0a3ae335ab370fecee6612997de3b99399ecd68362d89905c0c6fb3ce0a4",
+    # re-pinned when the product stopped staging its parts: every part answers
+    # every row. The staged product's code gives these with no switch fractions
+    "product/aoarm/deg/single": "4710d10abcd4bb27267672686c50f27274120122c69025cb61af51e93fceab0c",
+    "product/aoarm/deg/many": "ee4cbd8611203924ed0e1df739df1d941da0ee5ff59eaec1409fd4851ca7649d",
+    "product/aoarm/tag/single": "e29b7bc34b82da3a20722c41cf490a7411da75339f000334c893647f3af885d0",
+    "product/aoarm/tag/many": "55cee07b90e0cc6df908ddcefe493b856e2b0ea54e44e9cd9add9886a5c055f4",
+    "product/euler/exact/single": "335e6f34ec9ab754f54014210b667d36ec54cb79e0c15e764c8dafc31ff036ea",
+    "product/euler/exact/many": "d6b50a7f3451bc553b743b006de0cfe6ff663e220df7119910364d9e600fb01b",
+    "product/euler/tag/single": "ff8fa7117fc2a5d4c83fe011ed31193d55c521b6e1fa7563e70e32caf4ddd588",
+    "product/euler/tag/many": "26ede3094b273c660817dada10db38a546c532e6270708896cd20be00c1e9e5c",
     "cli/aoarm/deg": "4b58e922e7196c4c1ceaeee6978b330418aab2e3e7988a60bbaa7da2cc28a792",
     "cli/euler/exact": "3850489d32e486ca4505017baa4a5d38ad8437885bce538d6a3197154cc7252c",
     # computed on the tree before the bincount trainer updates, whose weights it keeps
     "denoiser/FM/uniform/D1": "dbd85ef3938b441f922f3619608aef3160b3d0e8e8d7200123dd48f2a730586d",
     "denoiser/FM/uniform/D4": "a416a020da56c20705ff840bbe4f5f52534cc30ecac04ba92f8b1d856c72d521",
-    "denoiser/FM/weighted/D1": "c5ce44289395eed5e1d74c969ce7bec85ccee453d937b7f7d59276e03f29541e",
-    "denoiser/FM/weighted/D4": "b41c3604122952263afffd3806f6fe403c12459f1ae5fcf4c5c9ee09f7075900",
     "denoiser/AOARM/uniform/D1": "3a752d782ccf384c7260a0ae5369eb55fc1e4dc1a8e54472b56b8c296fae50d4",
     "denoiser/AOARM/uniform/D4": "4802b3d925225f44a88d28ddffeb4427e1165f1e3989c63427b6118b43bdb967",
-    "denoiser/AOARM/weighted/D1": "a7274e755861dfae6b0a3df967b3078a42f750d541fa34ace41d2d877f2b62f6",
-    "denoiser/AOARM/weighted/D4": "cabcda8ab72fca13a11567f289403a7085abf266a1765637e83182a8e2e68c7b",
     "classifier/D1/one_stage": "a751f1182c767956e47dda18ee3c424dc512b80a31c018fe126ebc0a9ea62312",
-    "classifier/D1/two_stage": "07399cd1da5c8e57dce08d76850ad64786ea735546e55ec3335a7857c5424822",
     "classifier/D5/one_stage": "600799c4e7ca885ed7d3252180105b094697cfecacdd01d634755c1324926b58",
-    "classifier/D5/two_stage": "c42dcaa17e812523d0d60e242ea48da2bf48eaf16bdc1c374146a962d045a68c",
     "campaign/3": "37fa99dc82d60e1f79d31fe271c1148a7ac1f5ca110ebf59152ce76aa4446936",
     "switch/tabular/exact/0.0": "33a7f9cb2fad2d22363aa748e78fe28d62d12eea274a14ff1157565f209bf49e",
     "switch/tabular/exact/0.5": "cb829a54478504b25fb384bb1c3743f394597a22e0c669efc609aa1f40d93f1f",
@@ -364,12 +352,12 @@ PINNED = {
     "switch/parametric/predictor_free/0.5": "cebdcda89c4489b803c67c0e2f4c58fedc5b944001a90efa08218eba243ccdfc",
     "switch/parametric/predictor_free/0.93": "947708eec4ff9116e48c8db32bda2aeff44610b40893c6a0fec69eec7c5acee2",
     "switch/parametric/predictor_free/0.97": "9508cae7b59ab23595e80e450af9f25f76508d93b556eeff686f90f3a17a04e1",
-    "switch/product/exact/0.0": "13ffeac88f1d2826930518cf56b5dce542d4908960e18b56cf4d5d024c3a797e",
-    "switch/product/exact/0.5": "6b111171cb0ff7704103aaaa1cca9b78cfc7b81524de079bbbac4c2594f1cf8f",
+    "switch/product/exact/0.0": "7d6ac85ae9d11b06bbb62bb95b61224fd2e5ac73a51433795244fa1ea39ca652",
+    "switch/product/exact/0.5": "5e386bc56a37d93bc12c234348563864f76f24b63b3231601a34927b024a04cf",
     "switch/product/exact/0.93": "6f8dd7526ca7da6c6ff682c1110e5221e6c560b1a7cba6f3b3440a610c8f5bef",
     "switch/product/exact/0.97": "50054828099b7615f94425fa749e0eea7c65b6d7552330b984d8f3390ade80bc",
-    "switch/product/tag/0.0": "1ae12c0c787c8a8c65d5523ca5e1c1aad40f1a7ef47473dcff313d222c2f7047",
-    "switch/product/tag/0.5": "053352ddaf507ffa7b699fa4913cb48693e7afc68c3e5ac0780635919a50df9c",
+    "switch/product/tag/0.0": "a1936950053fa41f5b4f536e551ea8f42962610fc69a8fc8b833b8b3d8fd83d4",
+    "switch/product/tag/0.5": "f670671796e450dada5d2bd57d32551731e97adb171a23817bf2600f1d7bbb6c",
     "switch/product/tag/0.93": "0b505d4aa05bef5dfc6d1203311057a339b0a0d77868aa0e0e6bfb5656286ac9",
     "switch/product/tag/0.97": "4293810df86758ac355cdf2affac2baeb1a242d4511bbb80af366c3587ccc05b",
 }
@@ -380,9 +368,9 @@ def digest_of(case: str, workdir: Path) -> str:
     if parts[0] == "cli":
         return cli_digest(parts[1], workdir)
     if parts[0] == "denoiser":
-        return denoiser_digest(*parts[1:])
+        return denoiser_digest(parts[1], parts[3])
     if parts[0] == "classifier":
-        return classifier_digest(*parts[1:])
+        return classifier_digest(parts[1])
     if parts[0] == "campaign":
         return campaign_digest(parts[1])
     if parts[0] == "switch":

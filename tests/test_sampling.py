@@ -812,7 +812,7 @@ class TestRowsFormMatchesLooped:
     """Models answering a step in one rows or pair call give the rows,
     paths and counts of the same models answering one row per call
     (``Looped``), for every mode of both routes, with logit modifiers, with
-    both links and with a staged product predictor."""
+    both links and with a product predictor."""
 
     @staticmethod
     def counts(diag):
@@ -866,13 +866,11 @@ class TestRowsFormMatchesLooped:
 
     @pytest.mark.parametrize("route,mode", [("aoarm", "deg"), ("aoarm", "tag"),
                                             ("euler", "exact"), ("euler", "tag")])
-    def test_staged_product(self, route, mode):
-        # at D=5 no part is active before the first unmask, and the third
-        # only from three unmasked positions
+    def test_product(self, route, mode):
         den, _ = looped_test_models()
         parts = [looped_test_models(link)[1] for link in ("logistic", "exp")]
         parts.append(PairwiseInteractionPredictor(5, 4, bias=0.5, single=parts[0].single[::-1]))
-        pred = ProductPredictor(parts, 4, switch_fractions=[0.1, 0.2, 0.6])
+        pred = ProductPredictor(parts)
         assert self.check(route, mode, den, pred)["predictor_evals"] > 0
 
     @pytest.mark.parametrize("mode", ["none", "tag", "exact"])
@@ -1081,9 +1079,8 @@ class TestGuidanceKernel:
     and CDF rows the per-pair loop reference forms one pair at a time, for
     every route x mode, at several gamma, before and after the switch point
     t0, and for every kind of predictor: a table, the pairwise model and a
-    product whose parts stage in at unmasked fractions 0.3 and 0.6, so that
-    no part is active at the first steps' contexts. S=9 rows are long
-    enough for the row sums to take numpy's pairwise path."""
+    product of two parts. S=9 rows are long enough for the row sums to take
+    numpy's pairwise path."""
 
     SIZES = [(3, 3), (2, 9)]
 
@@ -1099,10 +1096,10 @@ class TestGuidanceKernel:
             D, S, link="exp", bias=-0.3, single=gen.normal(0, 0.8, (D, S + 1)),
         )
         if mode == "tag":
-            return [pair, ProductPredictor([pair, other], S, switch_fractions=[0.3, 0.6])]
+            return [pair, ProductPredictor([pair, other])]
         clean = CleanPredictor.from_table(RandomSource(92).generator().uniform(0.05, 0.95, S**D), S)
         exact = ExactMarginalPredictor(clean, random_dist(D, S, 90))
-        return [exact, pair, ProductPredictor([exact, other], S, switch_fractions=[0.3, 0.6])]
+        return [exact, pair, ProductPredictor([exact, other])]
 
     def config(self, mode, gamma, t0, predictor, D, S):
         if mode == "none":
