@@ -21,10 +21,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import (
-    Alphabet,
     RandomSource,
     TabularDistribution,
-    TokenSequence,
     _check_state_count,
     encode_rows,
     sequence_table,
@@ -331,9 +329,7 @@ def run_refit_baseline(
     subset = labeled_rows[order]
     if subset.shape[0] == 0:
         raise ValueError("curated subset is empty")
-    alpha = Alphabet(landscape.S)
-    seqs = [TokenSequence(r, alpha) for r in subset]
-    model, _ = train_denoiser("FM", seqs, train_steps, rng, batch_size=32)
+    model, _ = train_denoiser("FM", subset, landscape.S, train_steps, rng, batch_size=32)
     rows, _ = aoarm_sample_many(model, GuidanceConfig(), k, rng)
     return rows, _finish(
         f"refit_q{top_q:g}", seed, rows, landscape, reference_rows, t0, 0,
@@ -516,24 +512,15 @@ def prepare_campaign_seed(cfg: dict, master: RandomSource, seed: int):
     in_target = landscape.target(fvals)
     rows, fvals = rows[~in_target], fvals[~in_target]
     ltf = cfg["label_top_fraction"]
-    alpha = Alphabet(landscape.S)
+    S, epochs = landscape.S, cfg["classifier_epochs"]
+    high = fvals[:, 0] >= np.quantile(fvals[:, 0], 1.0 - ltf)
+    classifier, _ = train_noisy_classifier(rows, high, S, rng.substream(2), epochs=epochs)
+    refit_scores = fvals[:, 0]
     if multi:
-        thr0 = np.quantile(fvals[:, 0], 1.0 - ltf)
-        thr1 = np.quantile(fvals[:, 1], ltf)
-        pairs0 = [(TokenSequence(r, alpha), bool(v >= thr0)) for r, v in zip(rows, fvals[:, 0])]
-        pairs1 = [(TokenSequence(r, alpha), bool(v <= thr1)) for r, v in zip(rows, fvals[:, 1])]
-        clf0, _ = train_noisy_classifier(pairs0, rng.substream(2), epochs=cfg["classifier_epochs"])
-        clf1, _ = train_noisy_classifier(pairs1, rng.substream(3), epochs=cfg["classifier_epochs"])
-        classifier = ProductPredictor([clf0, clf1])
+        low = fvals[:, 1] <= np.quantile(fvals[:, 1], ltf)
+        clf1, _ = train_noisy_classifier(rows, low, S, rng.substream(3), epochs=epochs)
+        classifier = ProductPredictor([classifier, clf1])
         refit_scores = np.argsort(np.argsort(fvals[:, 0])) - np.argsort(np.argsort(fvals[:, 1]))
-    else:
-        labels = fvals[:, 0]
-        thr = np.quantile(labels, 1.0 - ltf)
-        labeled_pairs = [(TokenSequence(r, alpha), bool(v >= thr)) for r, v in zip(rows, labels)]
-        classifier, _ = train_noisy_classifier(
-            labeled_pairs, rng.substream(2), epochs=cfg["classifier_epochs"]
-        )
-        refit_scores = labels
     denoiser = ExactDenoiser(landscape.p_data)
     return {
         "landscape": landscape,

@@ -314,8 +314,10 @@ def cmd_sample(cfg: dict) -> int:
                 else None
             ),
         )
+        # built at every setting: it refuses a wild type of another length
+        modified = ModifiedDenoiser(denoiser, modifier)
         if not modifier.is_identity:
-            denoiser = ModifiedDenoiser(denoiser, modifier)
+            denoiser = modified
         gcfg = GuidanceConfig(
             mode=sampler["mode"], gamma=float(sampler["gamma"]), predictor=predictor,
             t0=float(sampler["t0"]),

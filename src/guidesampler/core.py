@@ -111,9 +111,6 @@ class TokenSequence:
     def D(self) -> int:
         return self.tokens.size
 
-    def as_masked(self) -> "MaskedSequence":
-        return MaskedSequence(self.tokens, self.alphabet)
-
     def __len__(self):
         return self.tokens.size
 
@@ -186,6 +183,19 @@ def sequence_from_str(text: str, alphabet: Alphabet) -> TokenSequence:
 
 def masked_from_str(text: str, alphabet: Alphabet) -> MaskedSequence:
     return MaskedSequence([alphabet.token(c) for c in text], alphabet)
+
+
+def clean_rows(rows, S: int) -> np.ndarray:
+    """``rows`` as an int64 token matrix (n, D) of clean sequences. Raises
+    ValueError unless it is 2-D with D >= 1, has an integer dtype and holds
+    only the symbols 0..S-1: no mask sentinel, no negative token."""
+    arr = np.asarray(rows)
+    if arr.ndim != 2 or not arr.shape[1] or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"rows must be a 2-d integer token matrix (n, D >= 1), got shape "
+                         f"{arr.shape} of dtype {arr.dtype}")
+    if arr.size and (arr.min() < 0 or arr.max() >= S):
+        raise ValueError(f"clean rows may only contain symbols 0..{S - 1}")
+    return arr.astype(np.int64, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -356,11 +366,6 @@ class TabularDistribution:
     def sample_indices(self, n: int, rng) -> np.ndarray:
         gen = as_generator(rng)
         return gen.choice(self.weights.size, size=n, p=self.weights)
-
-    def sample(self, n: int, rng) -> list:
-        idx = self.sample_indices(n, rng)
-        table = sequence_table(self.D, self.S)
-        return [TokenSequence(table[i], self.alphabet) for i in idx]
 
     def to_json(self) -> dict:
         return {"D": self.D, "S": self.S, "weights": pack_table(self.weights)}

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .core import (
     TokenSequence,
     as_generator,
     check_context_count,
+    clean_rows,
     encode_rows,
     pack_table,
     require_support,
@@ -439,13 +440,15 @@ def _draw_block(loss_variant, gen, cdf, n_steps, batch_size, D):
 
 def train_denoiser(
     loss_variant: str,
-    samples: Sequence[TokenSequence],
+    rows,
+    S: int,
     steps: int,
     rng,
     lr: float = 0.1,
     batch_size: int = 32,
 ):
-    """Stochastic-gradient training of a ParametricDenoiser.
+    """Stochastic-gradient training of a ParametricDenoiser on the clean
+    token matrix ``rows`` (n, D) over S symbols (see :func:`clean_rows`).
 
     FM draws a uniform time per example and scores every masked position
     (an MLM loss is the same here: the model has no time input). AOARM
@@ -476,16 +479,13 @@ def train_denoiser(
     """
     if loss_variant not in LOSS_VARIANTS:
         raise ValueError(f"loss_variant must be one of {LOSS_VARIANTS}")
-    if not samples:
+    data = clean_rows(rows, S)
+    if not data.shape[0]:
         raise ValueError("training data must be nonempty")
-    D = samples[0].D
-    S = samples[0].alphabet.size
-    if any(x.D != D or x.alphabet.size != S for x in samples):
-        raise ValueError("samples must share one length and one alphabet")
+    D = data.shape[1]
     _validate(steps, lr, batch_size)
     gen = as_generator(rng)
-    data = np.stack([x.tokens for x in samples])
-    cdf = np.full(len(samples), 1.0 / len(samples)).cumsum()
+    cdf = np.full(data.shape[0], 1.0 / data.shape[0]).cumsum()
     cdf /= cdf[-1]
     b, DS = batch_size, D * S
     pos = np.arange(D)

@@ -12,7 +12,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy import stats
 
-from .core import TabularDistribution, encode_rows
+from .core import TabularDistribution, clean_rows, encode_rows
 from .predictors import CleanPredictor
 
 DEFAULT_CHI2_ALPHA = 0.001
@@ -55,13 +55,13 @@ class EmpiricalDistribution:
 
     @classmethod
     def from_token_rows(cls, rows: np.ndarray, D: int, S: int) -> "EmpiricalDistribution":
+        """Counts of the clean rows (n, D); a row holding the mask or a
+        token outside 0..S-1, or of another length, raises ValueError."""
+        rows = clean_rows(rows, S)
+        if rows.shape[1] != D:
+            raise ValueError(f"rows of length {rows.shape[1]} do not fit D={D}")
         counts = np.bincount(encode_rows(rows, S), minlength=S**D)
         return cls(counts, D, S)
-
-    @classmethod
-    def from_sequences(cls, seqs, D: int, S: int) -> "EmpiricalDistribution":
-        rows = np.stack([x.tokens for x in seqs])
-        return cls.from_token_rows(rows, D, S)
 
     @property
     def probs(self) -> np.ndarray:

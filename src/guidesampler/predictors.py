@@ -25,11 +25,11 @@ import numpy as np
 
 from .core import (
     Alphabet,
-    MaskedSequence,
     TabularDistribution,
     TokenSequence,
     as_generator,
     check_context_count,
+    clean_rows,
     encode_rows,
     pack_table,
     pad_contexts,
@@ -44,10 +44,15 @@ from .errors import CapabilityError
 LIKELIHOOD_FLOOR = 1e-12
 
 
-def clamp_likelihood(value: float) -> float:
-    if not np.isfinite(value):
+def clamp_likelihood(value):
+    """A likelihood, a scalar or an array, clamped to [LIKELIHOOD_FLOOR, 1]:
+    a float for a scalar, an array for an array. Any non-finite entry
+    raises ValueError."""
+    if not np.isfinite(value).all():
         raise ValueError(f"predictor produced a non-finite likelihood: {value}")
-    return float(min(max(value, LIKELIHOOD_FLOOR), 1.0))
+    if np.ndim(value) == 0:
+        return float(min(max(value, LIKELIHOOD_FLOOR), 1.0))
+    return np.clip(value, LIKELIHOOD_FLOOR, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -112,9 +117,6 @@ class TimePredictor:
 
     def likelihood_array(self, tokens: np.ndarray):
         raise NotImplementedError
-
-    def likelihood(self, xt: MaskedSequence) -> float:
-        return self.likelihood_array(xt.tokens)
 
     @property
     def has_gradient_surface(self) -> bool:
@@ -281,12 +283,7 @@ class PairwiseInteractionPredictor(TimePredictor):
     def likelihood_array(self, tokens: np.ndarray):
         """Clamped likelihood of one token array (D,) as a float, or of each
         row of (n, D) as an array."""
-        probs = self._prob_from_score(self.score_array(tokens))
-        if np.ndim(probs) == 0:
-            return clamp_likelihood(float(probs))
-        if not np.isfinite(probs).all():
-            raise ValueError(f"predictor produced a non-finite likelihood: {probs}")
-        return np.clip(probs, LIKELIHOOD_FLOOR, 1.0)
+        return clamp_likelihood(self._prob_from_score(self.score_array(tokens)))
 
     #: the same method, under the name the campaign filter calls on rows
     likelihood_batch = likelihood_array
@@ -355,7 +352,9 @@ class PairwiseInteractionPredictor(TimePredictor):
 
 
 def train_noisy_classifier(
-    labeled: Sequence,
+    rows,
+    labels,
+    S: int,
     rng,
     epochs: int = 400,
     lr: float = 0.2,
@@ -363,10 +362,12 @@ def train_noisy_classifier(
 ):
     """Fit the pairwise-interaction logistic classifier on re-noised copies.
 
-    ``labeled`` is a sequence of (TokenSequence, bool) pairs. Each epoch draws
-    a fresh masking time per example and takes one full-batch gradient step on
-    the summed binary cross-entropy plus an L2 penalty of ``l2_pairwise`` on
-    the pairwise terms only (single-site terms are unregularized).
+    ``rows`` is the clean token matrix (n, D) over S symbols (see
+    :func:`clean_rows`) and ``labels`` its n labels, read as bools; both
+    classes must occur. Each epoch draws a fresh masking time per example
+    and takes one full-batch gradient step on the summed binary
+    cross-entropy plus an L2 penalty of ``l2_pairwise`` on the pairwise
+    terms only (single-site terms are unregularized).
 
     Returns (model, loss): the mean BCE of the last epoch, computed once
     from that epoch's probabilities; 0.0 when no epoch ran.
@@ -389,20 +390,17 @@ def train_noisy_classifier(
         raise ValueError(f"lr must be > 0, got {lr}")
     if not l2_pairwise >= 0:
         raise ValueError(f"l2_pairwise must be >= 0, got {l2_pairwise}")
-    pairs = list(labeled)
-    if not pairs:
-        raise ValueError("labeled data must be nonempty")
-    ys = np.array([bool(y) for _, y in pairs])
+    seqs = clean_rows(rows, S)
+    n, D = seqs.shape
+    if not n:
+        raise ValueError("training data must be nonempty")
+    ys = np.asarray(labels, dtype=bool)
+    if ys.shape != (n,):
+        raise ValueError(f"labels must hold one entry per row ({n}), got shape {ys.shape}")
     if ys.all() or not ys.any():
         raise ValueError("need at least one positive and one negative example")
-    D = pairs[0][0].D
-    S = pairs[0][0].alphabet.size
-    if any(x.D != D or x.alphabet.size != S for x, _ in pairs):
-        raise ValueError("labeled sequences must share one length and one alphabet")
-    seqs = np.stack([x.tokens for x, _ in pairs])
     gen = as_generator(rng)
     y = ys.astype(float)
-    n = len(pairs)
     V = S + 1
     upper = _upper_pairs(D, V)
     k = upper[2].size
@@ -466,9 +464,7 @@ class ProductPredictor(TimePredictor):
         vals = np.ones(rows.shape[0])
         for part in self.parts:
             vals *= part.likelihood_array(rows)
-        if not np.isfinite(vals).all():
-            raise ValueError(f"predictor produced a non-finite likelihood: {vals}")
-        vals = np.clip(vals, LIKELIHOOD_FLOOR, 1.0)
+        vals = clamp_likelihood(vals)
         return float(vals[0]) if np.ndim(tokens) == 1 else vals
 
     @property

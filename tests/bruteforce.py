@@ -224,6 +224,17 @@ def loop_planted_table(D, S, h, J):
     return out
 
 
+#: token matrices at S = 2 that both trainers refuse before any draw, each
+#: with a pattern of the message that refuses it
+BAD_ROWS = [
+    (np.array([[0, 1], [2, 0]]), "symbols 0..1"),         # the mask token
+    (np.array([[0, 1], [-1, 0]]), "symbols 0..1"),        # a negative token
+    (np.array([0, 1]), "2-d integer"),                    # one row as a 1-d array
+    (np.zeros((0, 2), dtype=np.int64), "nonempty"),       # zero rows
+    (np.array([[0.0, 1.0], [1.0, 0.0]]), "2-d integer"),  # floats
+]
+
+
 class LoopDiverged(Exception):
     """loop_train_denoiser read a non-finite loss at ``step``."""
 

@@ -305,9 +305,14 @@ class TestSampleConfigMistakes:
     def test_wildtype_weight_not_finite_and_nonnegative(self, tmp_path, model_file, value):
         assert self.run(tmp_path, model_file, "--wildtype-weight", value, "--wildtype", "AAA") == 2
 
+    @pytest.mark.parametrize("weight", [["--wildtype-weight", "1.0"], []],
+                             ids=["weighted", "default"])
     @pytest.mark.parametrize("wildtype", ["AAZ", "AA", "AAAA"])
-    def test_wildtype_outside_alphabet_or_wrong_length(self, tmp_path, model_file, capsys, wildtype):
-        assert self.run(tmp_path, model_file, "--wildtype-weight", "1.0", "--wildtype", wildtype) == 2
+    def test_wildtype_outside_alphabet_or_wrong_length(self, tmp_path, model_file, capsys,
+                                                       wildtype, weight):
+        # at the default weight and temperature the modifier is the identity;
+        # unchecked there, a wild type of another length sampled and exited 0
+        assert self.run(tmp_path, model_file, *weight, "--wildtype", wildtype) == 2
         assert "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("mode", ["none", "deg"])

@@ -31,6 +31,7 @@ from guidesampler.denoising import (
 from guidesampler.errors import SizeCapError, TrainingDivergedError, UnsupportedContextError
 
 from bruteforce import (
+    BAD_ROWS,
     LoopDiverged,
     brute_aoarm_loss,
     brute_fm_loss,
@@ -378,31 +379,30 @@ class TestParametricDenoiser:
 
 class TestTraining:
     def test_zero_steps_uniform(self):
-        x = sequence_from_str("AB", AB)
-        model, _ = train_denoiser("FM", [x], 0, RandomSource(1))
+        model, _ = train_denoiser("FM", np.array([[0, 1]]), 2, 0, RandomSource(1))
         post = model.posterior_array(np.array([2, 2]))
         np.testing.assert_allclose(post, 0.5)
 
     @pytest.mark.parametrize("variant", ["FM", "AOARM"])
     def test_point_mass_convergence(self, variant):
-        x = sequence_from_str("ABA", AB)
-        model, loss = train_denoiser(variant, [x], 2000, RandomSource(7))
+        x = np.array([0, 1, 0])
+        model, loss = train_denoiser(variant, x[None, :], 2, 2000, RandomSource(7))
         # every masked context must put >= 0.99 on the true token
         for code in range(27):
             toks = np.array([code % 3, code // 3 % 3, code // 9 % 3])
-            consistent = all(toks[d] == 2 or toks[d] == x.tokens[d] for d in range(3))
+            consistent = all(toks[d] == 2 or toks[d] == x[d] for d in range(3))
             if not consistent:
                 continue
             post = model.posterior_array(toks)
             for d in np.flatnonzero(toks == 2):
-                assert post[d, x.tokens[d]] >= 0.99
+                assert post[d, x[d]] >= 0.99
 
     def test_fm_and_aoarm_converge_to_same_posteriors(self):
         gen = RandomSource(21).generator()
         p = TabularDistribution.from_unnormalized(3, 2, gen.random(8) + 0.2)
-        data = p.sample(4000, RandomSource(22))
-        fm_model, _ = train_denoiser("FM", data, 6000, RandomSource(23), batch_size=128)
-        ao_model, _ = train_denoiser("AOARM", data, 6000, RandomSource(24), batch_size=128)
+        data = sequence_table(3, 2)[p.sample_indices(4000, RandomSource(22))]
+        fm_model, _ = train_denoiser("FM", data, 2, 6000, RandomSource(23), batch_size=128)
+        ao_model, _ = train_denoiser("AOARM", data, 2, 6000, RandomSource(24), batch_size=128)
         worst = 0.0
         for code in range(27):
             toks = np.array([code % 3, code // 3 % 3, code // 9 % 3])
@@ -412,14 +412,10 @@ class TestTraining:
             worst = max(worst, float(diff[toks == 2].max()))
         assert worst <= 0.05
 
-    def test_empty_data_rejected(self):
-        with pytest.raises(ValueError):
-            train_denoiser("FM", [], 10, RandomSource(0))
-
     def test_unknown_variant_rejected(self):
         # "MLM" was FM under another name: the model has no time input
         with pytest.raises(ValueError, match="loss_variant"):
-            train_denoiser("MLM", [sequence_from_str("AB", AB)], 10, RandomSource(0))
+            train_denoiser("MLM", np.array([[0, 1]]), 2, 10, RandomSource(0))
 
     @pytest.mark.parametrize("variant", ["FM", "AOARM"])
     @pytest.mark.parametrize("D, S", [(3, 2), (8, 4), (6, 5), (4, 8), (3, 20)])
@@ -438,10 +434,9 @@ class TestTraining:
         # loop's does
         gen = RandomSource(D * 10 + S).generator()
         rows = gen.integers(0, S, (23, D))
-        data = [TokenSequence(r, Alphabet(S)) for r in rows]
         train_gen, ref_gen = RandomSource(8).generator(), RandomSource(8).generator()
         model, loss = train_denoiser(
-            variant, data, steps, train_gen, lr=0.5, batch_size=batch_size
+            variant, rows, S, steps, train_gen, lr=0.5, batch_size=batch_size
         )
         single, pair, ref_loss = loop_train_denoiser(
             variant, rows, S, steps, ref_gen, 0.5, batch_size
@@ -456,14 +451,13 @@ class TestTraining:
         # index array over a whole block, (TRAIN_BLOCK_STEPS, batch, D, D*S),
         # alone takes 1 MiB
         rows = RandomSource(5).generator().integers(0, 4, (100, 8))
-        data = [TokenSequence(r, Alphabet(4)) for r in rows]
         started = not tracemalloc.is_tracing()
         if started:
             tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
             tracemalloc.reset_peak()
-            train_denoiser("FM", data, 1500, RandomSource(6), batch_size=32)
+            train_denoiser("FM", rows, 4, 1500, RandomSource(6), batch_size=32)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             if started:
@@ -480,19 +474,19 @@ class TestTraining:
         ({"lr": float("nan")}, "lr"),
     ])
     def test_bad_argument_is_named_before_any_draw(self, kwargs, name):
-        data = [sequence_from_str(t, AB) for t in ("AB", "BA", "BB")]
+        rows = np.array([[0, 1], [1, 0], [1, 1]])
         args = {"steps": 5, **kwargs}
         gen = RandomSource(4).generator()
         with pytest.raises(ValueError, match=name):
-            train_denoiser("FM", data, args.pop("steps"), gen, **args)
+            train_denoiser("FM", rows, 2, args.pop("steps"), gen, **args)
         assert gen.random() == RandomSource(4).generator().random()
 
-    @pytest.mark.parametrize("other", ["ABA", "AC"])
-    def test_mixed_samples_rejected(self, other):
-        alpha = Alphabet(3) if other == "AC" else AB
-        data = [sequence_from_str("AB", AB), sequence_from_str(other, alpha)]
-        with pytest.raises(ValueError, match="samples"):
-            train_denoiser("FM", data, 5, RandomSource(0))
+    @pytest.mark.parametrize("rows, message", BAD_ROWS)
+    def test_bad_rows_refused_before_any_draw(self, rows, message):
+        gen = RandomSource(4).generator()
+        with pytest.raises(ValueError, match=message):
+            train_denoiser("FM", rows, 2, 5, gen)
+        assert gen.random() == RandomSource(4).generator().random()
 
     @pytest.mark.parametrize("lr, batch_size, seed, step", [
         (float("inf"), 32, 3, 1),
@@ -500,11 +494,11 @@ class TestTraining:
     ])
     def test_divergence_reports_step(self, lr, batch_size, seed, step):
         rows = np.array([[0, 1], [1, 0], [1, 1]])
-        data = [TokenSequence(r, AB) for r in rows]
         with np.errstate(all="ignore"):
             with pytest.raises(LoopDiverged) as ref:
                 loop_train_denoiser("FM", rows, 2, 200, RandomSource(seed).generator(),
                                     lr, batch_size)
             with pytest.raises(TrainingDivergedError) as exc:
-                train_denoiser("FM", data, 200, RandomSource(seed), lr=lr, batch_size=batch_size)
+                train_denoiser("FM", rows, 2, 200, RandomSource(seed), lr=lr,
+                               batch_size=batch_size)
         assert exc.value.step == ref.value.step == step

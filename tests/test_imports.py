@@ -1,5 +1,6 @@
-"""Every module of the package and of the test suite reads each name it
-imports. ``__init__.py`` files are skipped: their imports are re-exports.
+"""Every module of the package, of the test suite and of the benchmark
+(``perfbench``, read only) reads each name it imports. ``__init__.py`` files
+are skipped: their imports are re-exports.
 Only ``sampling.py`` reads the context-code powers ``pows``, so the code
 format stays private to ``_ContextCache``."""
 
@@ -7,7 +8,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SCANNED = (ROOT / "src" / "guidesampler", ROOT / "tests")
+SCANNED = (ROOT / "src" / "guidesampler", ROOT / "tests", ROOT / "perfbench")
 
 
 def _annotations(tree):

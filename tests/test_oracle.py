@@ -184,8 +184,21 @@ class TestKSUniform:
 
 class TestEmpiricalDistribution:
     def test_counts_sum_and_probs(self):
-        seqs = [sequence_from_str(t, AB) for t in ("AA", "AB", "AB", "BB")]
-        emp = EmpiricalDistribution.from_sequences(seqs, 2, 2)
+        rows = np.array([sequence_from_str(t, AB).tokens for t in ("AA", "AB", "AB", "BB")])
+        emp = EmpiricalDistribution.from_token_rows(rows, 2, 2)
         assert emp.n == 4
         assert emp.counts[encode_index(sequence_from_str("AB", AB))] == 2
         assert emp.probs.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([[2, 0], [0, 1]], "symbols 0..1"),  # a position left masked
+        ([[-1, 1]], "symbols 0..1"),
+        ([[0, 1, 0]], "length 3"),
+        ([[0]], "length 1"),
+        ([[0.0, 1.0]], "2-d integer"),
+    ])
+    def test_rows_that_are_not_clean_sequences_of_length_d_refused(self, rows, message):
+        # unchecked, [[2, 0], [0, 1]] counted as [0, 0, 2, 0] and [[-1, 1]]
+        # as [1, 0, 0, 0]: a sampler that left a mask passed its oracle
+        with pytest.raises(ValueError, match=message):
+            EmpiricalDistribution.from_token_rows(np.array(rows), 2, 2)

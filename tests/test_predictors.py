@@ -37,6 +37,7 @@ from guidesampler.predictors import (
 from guidesampler.sampling import GuidanceConfig, aoarm_sample_many
 
 from bruteforce import (
+    BAD_ROWS,
     brute_noisy_likelihood,
     child_rows,
     dist_as_dict,
@@ -65,6 +66,23 @@ class TestCleanPredictorFromTable:
             assert clean.likelihood(x) == table[i]
 
 
+class TestClampLikelihood:
+    VALUES = [0.0, 5e-13, 1e-12, 0.3, 1.0, 1.5, -0.2]
+
+    def test_scalar_and_array_clamp_alike(self):
+        got = clamp_likelihood(np.array(self.VALUES))
+        assert isinstance(clamp_likelihood(0.3), float)
+        assert got.tolist() == [clamp_likelihood(v) for v in self.VALUES]
+        assert got.tolist() == [clamp_likelihood(np.float64(v)) for v in self.VALUES]
+        assert got.min() == LIKELIHOOD_FLOOR and got.max() == 1.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_raises(self, bad):
+        for value in (bad, np.array([0.5, bad])):
+            with pytest.raises(ValueError, match="non-finite likelihood"):
+                clamp_likelihood(value)
+
+
 class TestExactMarginalPredictor:
     def test_fully_masked_is_full_marginalization(self):
         gen = RandomSource(1).generator()
@@ -75,7 +93,7 @@ class TestExactMarginalPredictor:
             p.weights[i] * clean.likelihood(TokenSequence(sequence_table(3, 2)[i], AB))
             for i in range(8)
         )
-        got = pred.likelihood(MaskedSequence.fully_masked(3, AB))
+        got = pred.likelihood_array(MaskedSequence.fully_masked(3, AB).tokens)
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_constant_clean_stays_constant(self):
@@ -83,14 +101,14 @@ class TestExactMarginalPredictor:
         pred = ExactMarginalPredictor(CleanPredictor(lambda x: 0.37), p)
         for text in ("??", "A?", "CB"):
             xt = masked_from_str(text, Alphabet(3))
-            assert pred.likelihood(xt) == pytest.approx(0.37, abs=1e-12)
+            assert pred.likelihood_array(xt.tokens) == pytest.approx(0.37, abs=1e-12)
 
     def test_worked_example(self):
         # p uniform over {AA,AB,BB}, clean = 0.9*1{x=AA} + 0.1, x_t = (A,?)
         p = uniform_over(["AA", "AB", "BB"], 2, 2)
         clean = CleanPredictor(lambda x: 0.9 * (str(x) == "AA") + 0.1)
         pred = ExactMarginalPredictor(clean, p)
-        got = pred.likelihood(masked_from_str("A?", AB))
+        got = pred.likelihood_array(masked_from_str("A?", AB).tokens)
         assert got == pytest.approx(0.5 * 1.0 + 0.5 * 0.1, abs=1e-12)  # 0.55
 
     def test_clean_input_agrees_with_clean_predictor(self):
@@ -100,7 +118,7 @@ class TestExactMarginalPredictor:
         pred = ExactMarginalPredictor(clean, p)
         for i in range(8):
             x = TokenSequence(sequence_table(3, 2)[i], AB)
-            assert pred.likelihood(x.as_masked()) == pytest.approx(clean.likelihood(x), abs=1e-9)
+            assert pred.likelihood_array(x.tokens) == pytest.approx(clean.likelihood(x), abs=1e-9)
 
     def test_zero_mass_error_matches_denoiser(self):
         p = uniform_over(["AA"], 2, 2)
@@ -674,31 +692,26 @@ class TestPairForm:
 
 class TestTrainNoisyClassifier:
     def test_separable_d1_perfect_on_clean(self):
-        data = [(sequence_from_str("A", AB), False), (sequence_from_str("B", AB), True)] * 10
-        model, _ = train_noisy_classifier(data, RandomSource(31))
+        rows = np.array([[0], [1]] * 10)
+        model, _ = train_noisy_classifier(rows, rows[:, 0] == 1, 2, RandomSource(31))
         assert model.likelihood_array(np.array([1])) > 0.5
         assert model.likelihood_array(np.array([0])) < 0.5
 
     def test_zero_epochs_loss_is_zero(self):
         # as train_denoiser(steps=0): no step ran, so the loss is 0.0, not nan
-        data = [(sequence_from_str("A", AB), False), (sequence_from_str("B", AB), True)]
-        model, loss = train_noisy_classifier(data, RandomSource(0), epochs=0)
+        model, loss = train_noisy_classifier(
+            np.array([[0], [1]]), np.array([False, True]), 2, RandomSource(0), epochs=0
+        )
         assert loss == 0.0
         assert model.bias == 0.0 and not model.single.any()
-
-    def test_single_class_rejected(self):
-        data = [(sequence_from_str("A", AB), True)]
-        with pytest.raises(ValueError):
-            train_noisy_classifier(data, RandomSource(0))
 
     #: the default step and penalty, and a larger step with no penalty
     RATES = [(0.2, 10.0), (0.7, 0.0)]
 
     @staticmethod
     def assert_matches_loop_reference(rows, y, S, lr, l2_pairwise):
-        labeled = [(TokenSequence(r, Alphabet(S)), bool(v)) for r, v in zip(rows, y)]
         model, loss = train_noisy_classifier(
-            labeled, RandomSource(9), epochs=15, lr=lr, l2_pairwise=l2_pairwise
+            rows, y, S, RandomSource(9), epochs=15, lr=lr, l2_pairwise=l2_pairwise
         )
         bias, single, pair, ref_loss = loop_train_noisy_classifier(
             rows, y.astype(float), S, 15, RandomSource(9).generator(), lr, l2_pairwise
@@ -732,18 +745,23 @@ class TestTrainNoisyClassifier:
         ({"l2_pairwise": float("nan")}, "l2_pairwise"),
     ])
     def test_bad_argument_is_named_before_any_draw(self, kwargs, name):
-        data = [(sequence_from_str("AB", AB), False), (sequence_from_str("BA", AB), True)]
         gen = RandomSource(4).generator()
         with pytest.raises(ValueError, match=name):
-            train_noisy_classifier(data, gen, **kwargs)
+            train_noisy_classifier(np.array([[0, 1], [1, 0]]), np.array([False, True]), 2, gen,
+                                   **kwargs)
         assert gen.random() == RandomSource(4).generator().random()
 
-    @pytest.mark.parametrize("other", ["ABA", "AC"])
-    def test_mixed_sequences_rejected(self, other):
-        alpha = Alphabet(3) if other == "AC" else AB
-        data = [(sequence_from_str("AB", AB), False), (sequence_from_str(other, alpha), True)]
-        with pytest.raises(ValueError, match="labeled"):
-            train_noisy_classifier(data, RandomSource(0))
+    @pytest.mark.parametrize("rows, labels, message", [
+        *((rows, np.arange(len(rows)) % 2 == 0, message) for rows, message in BAD_ROWS),
+        (np.array([[0, 1], [1, 0]]), np.array([False, True, True]), "one entry per row"),
+        (np.array([[0, 1], [1, 0]]), np.array([True, True]), "one positive and one negative"),
+        (np.array([[0, 1], [1, 0]]), np.array([False, False]), "one positive and one negative"),
+    ])
+    def test_bad_data_refused_before_any_draw(self, rows, labels, message):
+        gen = RandomSource(4).generator()
+        with pytest.raises(ValueError, match=message):
+            train_noisy_classifier(rows, labels, 2, gen)
+        assert gen.random() == RandomSource(4).generator().random()
 
     def test_planted_signal_auroc(self):
         # plant a linear signal, verify held-out AUROC >= 0.9 on clean inputs
@@ -757,9 +775,8 @@ class TestTrainNoisyClassifier:
 
         train_idx = gen.choice(len(table), size=600, replace=False)
         test_idx = gen.choice(len(table), size=400, replace=False)
-        alpha = Alphabet(S)
-        data = [(TokenSequence(table[i], alpha), bool(label(table[i]))) for i in train_idx]
-        model, _ = train_noisy_classifier(data, RandomSource(38))
+        data = table[train_idx]
+        model, _ = train_noisy_classifier(data, [label(x) for x in data], S, RandomSource(38))
         scores = model.likelihood_batch(table[test_idx])
         truth = np.array([label(table[i]) for i in test_idx])
         auroc = stats.rankdata(scores)[truth].mean() - (truth.sum() + 1) / 2

@@ -31,13 +31,7 @@ import pytest
 
 from guidesampler.bench import resolve_campaign_config, run_campaign_seed
 from guidesampler.cli import main
-from guidesampler.core import (
-    Alphabet,
-    RandomSource,
-    TabularDistribution,
-    TokenSequence,
-    identity_schedule,
-)
+from guidesampler.core import RandomSource, TabularDistribution, identity_schedule
 from guidesampler.denoising import ExactDenoiser, ParametricDenoiser, train_denoiser
 from guidesampler.oracle import brute_force_posterior
 from guidesampler.predictors import (
@@ -195,16 +189,14 @@ def cli_digest(route, workdir: Path) -> str:
 
 
 def training_data(D, S, n, seed):
-    alpha = Alphabet(S)
-    rows = RandomSource(seed).generator().integers(0, S, (n, D))
-    return [TokenSequence(r, alpha) for r in rows]
+    return RandomSource(seed).generator().integers(0, S, (n, D))
 
 
 def denoiser_digest(variant, D) -> str:
     """``train_denoiser`` at S=3 with a batch size that divides nothing,
     drawing its batches uniformly."""
     data = training_data(int(D[1:]), 3, 23, 301)
-    model, loss = train_denoiser(variant, data, 40, RandomSource(303), lr=0.3, batch_size=17)
+    model, loss = train_denoiser(variant, data, 3, 40, RandomSource(303), lr=0.3, batch_size=17)
     return sha(model.single.tobytes(), model.pair.tobytes(), np.float64(loss).tobytes())
 
 
@@ -212,8 +204,8 @@ def classifier_digest(D) -> str:
     """``train_noisy_classifier`` at S=3, trained once on noised data; the
     label depends on two positions."""
     data = training_data(int(D[1:]), 3, 30, 401)
-    labeled = [(x, bool(x.tokens[0] + x.tokens[-1] >= 2)) for x in data]
-    model, loss = train_noisy_classifier(labeled, RandomSource(402), epochs=25)
+    labels = data[:, 0] + data[:, -1] >= 2
+    model, loss = train_noisy_classifier(data, labels, 3, RandomSource(402), epochs=25)
     return sha(
         np.float64(model.bias).tobytes(), model.single.tobytes(), model.pair.tobytes(),
         np.float64(loss).tobytes(),
