@@ -2,8 +2,9 @@
 
 Subpackages:
 
-* :mod:`guidesampler.core`: alphabets, sequences, schedules, tabular
-  distributions, seeded, reproducible randomness;
+* :mod:`guidesampler.core`: alphabets, schedules, tabular distributions,
+  seeded, reproducible randomness; a sequence is a token row (D,) and n of
+  them a token matrix (n, D) in every module;
 * :mod:`guidesampler.denoising`: clean-token posterior models and exact
   loss evaluators;
 * :mod:`guidesampler.predictors`: property likelihood models on partially

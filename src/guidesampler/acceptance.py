@@ -37,8 +37,6 @@ from scipy import integrate, stats
 
 from .bench import run_campaign
 from .core import (
-    Alphabet,
-    MaskedSequence,
     RandomSource,
     TabularDistribution,
     encode_rows,
@@ -281,7 +279,6 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
     sched = identity_schedule()
     p = _gibbs(D, S, root.substream(0))
     den = ExactDenoiser(p)
-    alpha = Alphabet(S)
 
     # (a) single-site affine log-likelihood: TAG == exact to 1e-9 relative
     pred_ss = _single_site_exp_predictor(D, S, root.substream(1))
@@ -291,10 +288,9 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
         toks = gen.integers(0, S + 1, size=D)
         if not (toks == S).any():
             toks[int(gen.integers(0, D))] = S
-        xt = MaskedSequence(toks, alpha)
         t = float(gen.random() * 0.8)
-        ex = guide_rates(den, xt, t, sched, GuidanceConfig(mode="exact", gamma=1.7, predictor=pred_ss))
-        tg = guide_rates(den, xt, t, sched, GuidanceConfig(mode="tag", gamma=1.7, predictor=pred_ss))
+        ex = guide_rates(den, toks, t, sched, GuidanceConfig(mode="exact", gamma=1.7, predictor=pred_ss))
+        tg = guide_rates(den, toks, t, sched, GuidanceConfig(mode="tag", gamma=1.7, predictor=pred_ss))
         # relative gap where the exact rate is positive, absolute where zero
         rel = np.abs(tg - ex) / np.where(ex == 0.0, 1.0, ex)
         worst_rel = max(worst_rel, float(rel.max()))
@@ -347,11 +343,11 @@ def check_multi_property(seed: int = DEFAULT_SEED) -> CheckResult:
     ta = 0.05 + 0.9 * gen.random(S * S)
     tb = 0.05 + 0.9 * gen.random(S * S)
     c1 = CleanPredictor(
-        lambda x: float(ta[x.tokens[0] + S * x.tokens[1]]),
+        lambda x: float(ta[x[0] + S * x[1]]),
         batch_fn=lambda rows: ta[rows[:, 0] + S * rows[:, 1]],
     )
     c2 = CleanPredictor(
-        lambda x: float(tb[x.tokens[2] + S * x.tokens[3]]),
+        lambda x: float(tb[x[2] + S * x[3]]),
         batch_fn=lambda rows: tb[rows[:, 2] + S * rows[:, 3]],
     )
     joint_clean = CleanPredictor(

@@ -18,6 +18,8 @@ import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from .acceptance import ACCEPTANCE_CHECKS, DEFAULT_SEED, run_checks
 from .bench import (
     check_campaign_config,
@@ -31,7 +33,6 @@ from .core import (
     RandomSource,
     TabularDistribution,
     identity_schedule,
-    sequence_from_str,
     unpack_table,
 )
 from .denoising import (
@@ -120,7 +121,8 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--dt", type=float)
     ps.add_argument("--temperature", type=float)
     ps.add_argument("--wildtype-weight", type=float, dest="wildtype_weight")
-    ps.add_argument("--wildtype", help="wild-type sequence string, e.g. ABBA")
+    ps.add_argument("--wildtype", help="wild-type sequence in the letters of samples.txt "
+                    "(case-sensitive), e.g. ABBA")
     ps.add_argument("--t0", type=float, help="guidance switch point in [0,1]")
     ps.add_argument("--no-paths", action="store_true", help="skip decode-path recording")
 
@@ -309,7 +311,8 @@ def cmd_sample(cfg: dict) -> int:
             temperature=float(sampler["temperature"]),
             wildtype_weight=float(sampler["wildtype_weight"]),
             wildtype_sequence=(
-                sequence_from_str(sampler["wildtype"], Alphabet(denoiser.S))
+                np.array([Alphabet(denoiser.S).token(c) for c in sampler["wildtype"]],
+                         dtype=np.int64)
                 if sampler["wildtype"]
                 else None
             ),

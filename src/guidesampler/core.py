@@ -1,9 +1,13 @@
-"""Alphabets, sequences, masking, interpolation schedules, tabular distributions.
+"""Alphabets, token rows, masking, interpolation schedules, tabular distributions.
 
 Everything downstream builds on the conventions fixed here:
 
+* a sequence is a token row: an integer array (D,), and n of them a token
+  matrix (n, D); no wrapper type holds them;
 * symbols are integers ``0..S-1``; the mask sentinel is index ``S`` (one past
-  the last real symbol) and never appears in a clean sequence;
+  the last real symbol) and never appears in a clean row;
+* :class:`Alphabet` renders tokens as text and parses that text back, letter
+  for letter: token t is ``chr(ord('A') + t)`` and the mask ``?``;
 * tabular objects index the ``S**D`` clean sequences by a little-endian
   mixed-radix code (position 0 is the least significant digit);
 * masked contexts are coded the same way in base ``S+1``;
@@ -32,7 +36,7 @@ TABULAR_STATE_CAP = 1 << 24
 
 
 # ---------------------------------------------------------------------------
-# alphabet and sequences
+# alphabet and token rows
 # ---------------------------------------------------------------------------
 
 
@@ -70,12 +74,13 @@ class Alphabet:
         return [text[i:i + D] for i in range(0, n * D, D)]
 
     def token(self, letter: str) -> int:
+        """The token :meth:`letter` renders as ``letter``, case-sensitive;
+        any other text raises ValueError."""
         if letter == "?":
             return self.size
-        idx = ord(letter.upper()) - ord("A")
-        if not 0 <= idx < self.size:
+        if len(letter) != 1 or not 0 <= ord(letter) - ord("A") < self.size:
             raise ValueError(f"letter {letter!r} outside alphabet of size {self.size}")
-        return idx
+        return ord(letter) - ord("A")
 
 
 @functools.lru_cache(maxsize=32)
@@ -85,104 +90,6 @@ def _letter_codes(S: int) -> np.ndarray:
     codes[S] = ord("?")
     codes.setflags(write=False)
     return codes
-
-
-def _freeze(tokens) -> np.ndarray:
-    arr = np.array(tokens, dtype=np.int64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("a sequence must be a non-empty 1-d token array")
-    arr.setflags(write=False)
-    return arr
-
-
-class TokenSequence:
-    """Fixed-length sequence of real symbols (no mask sentinel allowed)."""
-
-    __slots__ = ("tokens", "alphabet")
-
-    def __init__(self, tokens, alphabet: Alphabet):
-        arr = _freeze(tokens)
-        if arr.min() < 0 or arr.max() >= alphabet.size:
-            raise ValueError("clean sequences may only contain symbols 0..S-1")
-        object.__setattr__(self, "tokens", arr)
-        object.__setattr__(self, "alphabet", alphabet)
-
-    @property
-    def D(self) -> int:
-        return self.tokens.size
-
-    def __len__(self):
-        return self.tokens.size
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TokenSequence)
-            and self.alphabet == other.alphabet
-            and np.array_equal(self.tokens, other.tokens)
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet.size, self.tokens.tobytes()))
-
-    def __str__(self):
-        return "".join(self.alphabet.letter(int(t)) for t in self.tokens)
-
-    def __repr__(self):
-        return f"TokenSequence({str(self)!r}, S={self.alphabet.size})"
-
-
-class MaskedSequence:
-    """Sequence over the mask-extended alphabet: real symbols or the sentinel."""
-
-    __slots__ = ("tokens", "alphabet")
-
-    def __init__(self, tokens, alphabet: Alphabet):
-        arr = _freeze(tokens)
-        if arr.min() < 0 or arr.max() > alphabet.size:
-            raise ValueError("masked sequences may only contain 0..S (S = mask)")
-        object.__setattr__(self, "tokens", arr)
-        object.__setattr__(self, "alphabet", alphabet)
-
-    @classmethod
-    def fully_masked(cls, D: int, alphabet: Alphabet) -> "MaskedSequence":
-        return cls(np.full(D, alphabet.mask_index, dtype=np.int64), alphabet)
-
-    @property
-    def D(self) -> int:
-        return self.tokens.size
-
-    def masked_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.tokens == self.alphabet.mask_index)
-
-    def unmasked_positions(self) -> np.ndarray:
-        return np.flatnonzero(self.tokens != self.alphabet.mask_index)
-
-    def __len__(self):
-        return self.tokens.size
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MaskedSequence)
-            and self.alphabet == other.alphabet
-            and np.array_equal(self.tokens, other.tokens)
-        )
-
-    def __hash__(self):
-        return hash((self.alphabet.size, self.tokens.tobytes()))
-
-    def __str__(self):
-        return "".join(self.alphabet.letter(int(t)) for t in self.tokens)
-
-    def __repr__(self):
-        return f"MaskedSequence({str(self)!r}, S={self.alphabet.size})"
-
-
-def sequence_from_str(text: str, alphabet: Alphabet) -> TokenSequence:
-    return TokenSequence([alphabet.token(c) for c in text], alphabet)
-
-
-def masked_from_str(text: str, alphabet: Alphabet) -> MaskedSequence:
-    return MaskedSequence([alphabet.token(c) for c in text], alphabet)
 
 
 def clean_rows(rows, S: int) -> np.ndarray:
@@ -220,15 +127,10 @@ def check_context_count(D: int, S: int) -> int:
     return n
 
 
-def encode_index(x: TokenSequence) -> int:
-    """Little-endian mixed-radix code of a clean sequence."""
-    return int(encode_rows(x.tokens, x.alphabet.size))
-
-
 @functools.lru_cache(maxsize=32)
 def sequence_table(D: int, S: int) -> np.ndarray:
     """All S**D clean sequences as an (S**D, D) array, row i the sequence
-    whose :func:`encode_index` is i."""
+    whose :func:`encode_rows` code is i."""
     n = _check_state_count(D, S)
     table = np.empty((n, D), dtype=np.int64)
     idx = np.arange(n)
@@ -298,7 +200,7 @@ class TabularDistribution:
     must be nonnegative and sum to 1 within 1e-9.
     """
 
-    __slots__ = ("D", "S", "weights", "alphabet", "_mass")
+    __slots__ = ("D", "S", "weights", "_mass")
 
     def __init__(self, D: int, S: int, weights):
         n = _check_state_count(D, S)
@@ -313,7 +215,6 @@ class TabularDistribution:
         w = w.copy()
         w.setflags(write=False)
         self.D, self.S, self.weights = D, S, w
-        self.alphabet = Alphabet(S)
         self._mass = None
 
     @classmethod
@@ -328,22 +229,6 @@ class TabularDistribution:
     def uniform(cls, D: int, S: int) -> "TabularDistribution":
         n = _check_state_count(D, S)
         return cls(D, S, np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, x: TokenSequence) -> "TabularDistribution":
-        n = _check_state_count(x.D, x.alphabet.size)
-        w = np.zeros(n)
-        w[encode_index(x)] = 1.0
-        return cls(x.D, x.alphabet.size, w)
-
-    def prob(self, x: TokenSequence) -> float:
-        """Weight of ``x``; another length or alphabet raises ValueError."""
-        if (x.D, x.alphabet.size) != (self.D, self.S):
-            raise ValueError(
-                f"sequence of length {x.D} over {x.alphabet.size} symbols does not fit "
-                f"a table with D={self.D}, S={self.S}"
-            )
-        return float(self.weights[encode_index(x)])
 
     def context_mass(self) -> np.ndarray:
         """Mass of every masked context, flattened by its base-(S+1) code:
@@ -487,7 +372,7 @@ def require_support(tokens: np.ndarray, supported, S: int) -> None:
 
 
 def pad_contexts(values: np.ndarray, D: int, S: int) -> np.ndarray:
-    """Sums of a table over the S**D clean sequences (encode_index order)
+    """Sums of a table over the S**D clean sequences (encode_rows order)
     over every masked context, flattened by the base-(S+1) context code.
 
     The table is viewed position-major and each axis is padded with its sum

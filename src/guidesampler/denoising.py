@@ -35,9 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
-    Alphabet,
     TabularDistribution,
-    TokenSequence,
     as_generator,
     check_context_count,
     clean_rows,
@@ -124,10 +122,6 @@ class Denoiser:
         """Whether each context row (n, D) has a posterior; a model without
         zero-mass contexts supports every row."""
         return np.ones(rows.shape[0], dtype=bool)
-
-    @property
-    def alphabet(self) -> Alphabet:
-        return Alphabet(self.S)
 
 
 class ExactDenoiser(Denoiser):
@@ -234,23 +228,35 @@ class ParametricDenoiser(Denoiser):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogitModifier:
     """Sampling-time logit adjustments: softmax temperature and an additive
     wild-type bias w at each position's wild-type token. The temperature must
-    be positive and finite and w finite and nonnegative (NaN is neither)."""
+    be positive and finite and w finite and nonnegative (NaN is neither). The
+    wild type is a 1-D integer token row, kept as a read-only int64 copy;
+    :class:`ModifiedDenoiser` checks it against its base. Instances compare
+    and hash by identity."""
 
     temperature: float = 1.0
     wildtype_weight: float = 0.0
-    wildtype_sequence: Optional[TokenSequence] = None
+    wildtype_sequence: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not 0 < self.temperature < math.inf:
             raise ValueError(f"temperature must be positive and finite, got {self.temperature}")
         if not 0 <= self.wildtype_weight < math.inf:
             raise ValueError(f"wild-type weight must be finite and >= 0, got {self.wildtype_weight}")
-        if self.wildtype_weight > 0 and self.wildtype_sequence is None:
-            raise ValueError("wild-type weight requires a wild-type sequence")
+        if self.wildtype_sequence is None:
+            if self.wildtype_weight > 0:
+                raise ValueError("wild-type weight requires a wild-type sequence")
+            return
+        row = np.asarray(self.wildtype_sequence)
+        if row.ndim != 1 or not np.issubdtype(row.dtype, np.integer):
+            raise ValueError(f"a wild type must be a 1-d integer token row, got shape "
+                             f"{row.shape} of dtype {row.dtype}")
+        row = row.astype(np.int64)
+        row.setflags(write=False)
+        object.__setattr__(self, "wildtype_sequence", row)
 
     @property
     def is_identity(self) -> bool:
@@ -266,7 +272,7 @@ def apply_modifiers(logits: np.ndarray, mod: LogitModifier, positions=None) -> n
     if mod.is_identity:
         return out
     if mod.wildtype_weight > 0:
-        wt = mod.wildtype_sequence.tokens
+        wt = mod.wildtype_sequence
         if positions is not None:
             wt = wt[positions]
         out = np.where(wt[..., None] == np.arange(out.shape[-1]), out + mod.wildtype_weight, out)
@@ -278,15 +284,17 @@ def apply_modifiers(logits: np.ndarray, mod: LogitModifier, positions=None) -> n
 class ModifiedDenoiser(Denoiser):
     """Denoiser with a LogitModifier applied before normalization; unmasked
     positions keep their observed one-hot rows. It answers rows and pairs
-    as its base does, and supports the contexts its base supports. A
-    wild-type sequence must have the base's length."""
+    as its base does, and supports the contexts its base supports. A wild
+    type must be a clean row of the base: length D, symbols 0..S-1."""
 
     def __init__(self, base: Denoiser, modifier: LogitModifier):
         wildtype = modifier.wildtype_sequence
-        if wildtype is not None and (wildtype.D, wildtype.alphabet.size) != (base.D, base.S):
+        if wildtype is not None and (
+            wildtype.size != base.D or wildtype.min() < 0 or wildtype.max() >= base.S
+        ):
             raise ValueError(
-                f"wild-type sequence of length {wildtype.D} over {wildtype.alphabet.size} "
-                f"symbols does not fit a model with D={base.D}, S={base.S}"
+                f"wild-type row {wildtype.tolist()} is not a clean row of a model with "
+                f"D={base.D}, S={base.S}"
             )
         self.base, self.modifier = base, modifier
         self.D, self.S = base.D, base.S

@@ -24,9 +24,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import (
-    Alphabet,
     TabularDistribution,
-    TokenSequence,
     as_generator,
     check_context_count,
     clean_rows,
@@ -61,34 +59,40 @@ def clamp_likelihood(value):
 
 
 class CleanPredictor:
-    """Deterministic event likelihood p(y | x) on clean sequences, in [0, 1]."""
+    """Deterministic event likelihood p(y | x) on clean sequences, in [0, 1]:
+    ``fn`` maps one token row (D,) to a float, and ``batch_fn``, when given,
+    the rows (n, D) to their n values."""
 
-    def __init__(self, fn: Callable[[TokenSequence], float], batch_fn=None):
+    def __init__(self, fn: Callable[[np.ndarray], float], batch_fn=None):
         self._fn = fn
         self._batch_fn = batch_fn
 
     @classmethod
     def from_table(cls, table: np.ndarray, S: int) -> "CleanPredictor":
-        """Clean predictor whose likelihood at x is ``table[encode_index(x)]``."""
+        """Clean predictor whose likelihood at row x is ``table[encode_rows(x, S)]``."""
         return cls(
-            lambda x: float(table[encode_rows(x.tokens[None, :], S)[0]]),
+            lambda x: float(table[encode_rows(x, S)]),
             batch_fn=lambda rows: table[encode_rows(rows, S)],
         )
 
-    def likelihood(self, x: TokenSequence) -> float:
+    def likelihood(self, x: np.ndarray) -> float:
         v = float(self._fn(x))
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"clean predictor returned {v}, outside [0, 1]")
         return v
 
     def table(self, D: int, S: int) -> np.ndarray:
-        """Likelihood at every sequence, indexed by encode_index order."""
+        """Likelihood at every sequence, in :func:`sequence_table` order. An
+        answer of ``batch_fn`` of another shape than (S**D,) raises
+        ValueError naming the shape."""
         rows = sequence_table(D, S)
         if self._batch_fn is not None:
             vals = np.asarray(self._batch_fn(rows), dtype=float)
+            if vals.shape != (rows.shape[0],):
+                raise ValueError(f"clean predictor batch_fn answered shape {vals.shape} for "
+                                 f"{rows.shape[0]} rows; it must answer ({rows.shape[0]},)")
         else:
-            alpha = Alphabet(S)
-            vals = np.array([self.likelihood(TokenSequence(r, alpha)) for r in rows])
+            vals = np.array([self.likelihood(r) for r in rows])
         if not ((vals >= 0) & (vals <= 1)).all():  # NaN fails too
             raise ValueError("clean predictor table leaves [0, 1]")
         return vals

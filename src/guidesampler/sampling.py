@@ -74,8 +74,6 @@ import numpy as np
 from .core import (
     Alphabet,
     InterpolationSchedule,
-    MaskedSequence,
-    TokenSequence,
     as_generator,
     identity_schedule,
 )
@@ -201,9 +199,6 @@ class DecodePath:
         step[self.permutation] = np.arange(1, k + 1)
         return np.where(step <= np.arange(k + 1)[:, None], self.row, self.S)
 
-    def final(self) -> TokenSequence:
-        return TokenSequence(self.row, Alphabet(self.S))
-
     def to_json(self) -> dict:
         return {
             "permutation": [int(d) for d in self.permutation],
@@ -233,14 +228,16 @@ def rate_coefficient(t: float, schedule: InterpolationSchedule) -> float:
 
 def guide_rates(
     denoiser: Denoiser,
-    xt: MaskedSequence,
+    tokens: np.ndarray,
     t: float,
     schedule: InterpolationSchedule,
     cfg: GuidanceConfig = GuidanceConfig(),
 ) -> np.ndarray:
-    """Masking-process generative rates at time t, guided by ``cfg`` (an
-    Euler-route mode; 'none' gives coef * posterior), from the same kernel
-    the Euler samplers use.
+    """Masking-process generative rates at time t of the context ``tokens``
+    (D,), guided by ``cfg`` (an Euler-route mode; 'none' gives coef *
+    posterior), from the same kernel the Euler samplers use. A context that
+    is not a 1-D integer row of length D over 0..S (S the mask) raises
+    ValueError before any model call.
 
     Returns the (D, S) matrix whose entry (d, s) is the rate of position d
     jumping to real symbol s: ``coef * weights`` at masked positions, with
@@ -248,12 +245,19 @@ def guide_rates(
     positions (no transitions out of them, none into the mask). The first
     entry that is not finite and nonnegative raises ValueError naming it.
     """
+    D, S = denoiser.D, denoiser.S
+    tokens = np.asarray(tokens)
+    if (tokens.shape != (D,) or not np.issubdtype(tokens.dtype, np.integer)
+            or tokens.min() < 0 or tokens.max() > S):
+        raise ValueError(f"context must be an integer row ({D},) over 0..{S} (S the mask), got "
+                         f"shape {tokens.shape} of dtype {tokens.dtype}")
     check_route("euler", cfg.mode)
     coef = rate_coefficient(t, schedule)
     cache = _ContextCache(denoiser, cfg, SamplerDiagnostics())
-    masked = xt.masked_positions()
-    rates = np.zeros((denoiser.D, denoiser.S))
-    rates[masked] = coef * cache.guided_weights(np.tile(xt.tokens, (masked.size, 1)), masked, True)
+    masked = np.flatnonzero(tokens == S)
+    rates = np.zeros((D, S))
+    rows = np.tile(tokens.astype(np.int64), (masked.size, 1))
+    rates[masked] = coef * cache.guided_weights(rows, masked, True)
     bad = ~(np.isfinite(rates) & (rates >= 0))
     if bad.any():
         d, s = np.argwhere(bad)[0].tolist()
@@ -513,13 +517,14 @@ def _aoarm_core(cache: _ContextCache, n: int, gen):
 def aoarm_sample(denoiser: Denoiser, cfg: GuidanceConfig, rng):
     """Draw one sequence: the n=1 case of :func:`aoarm_sample_many`.
 
-    Returns (TokenSequence, DecodePath, SamplerDiagnostics). The path's jump
+    Returns (row, DecodePath, SamplerDiagnostics): the int64 token row (D,)
+    equals the path's ``row`` and row 0 of the n=1 batched call. The path's jump
     times are the sorted uniforms that fixed the unmask order. With mode
     'deg', gamma=1 and an exact denoiser and predictor, the output is an
     exact draw from the tilted posterior.
     """
     rows, paths, diag = aoarm_sample_many(denoiser, cfg, 1, rng, paths=True)
-    return TokenSequence(rows[0], Alphabet(denoiser.S)), paths[0], diag
+    return rows[0], paths[0], diag
 
 
 def aoarm_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng, paths: bool = False):
@@ -633,11 +638,12 @@ def euler_sample(denoiser: Denoiser, cfg: GuidanceConfig, schedule: Interpolatio
     """Integrate one chain of the (guided) masking CTMC from the fully masked
     state: the n=1 case of :func:`euler_sample_many`.
 
-    Returns (TokenSequence, DecodePath, SamplerDiagnostics); forced terminal
+    Returns (row, DecodePath, SamplerDiagnostics): the int64 token row (D,)
+    equals the path's ``row`` and row 0 of the n=1 batched call. Forced terminal
     unmasks carry time 1.0 in the path.
     """
     rows, paths, diag = euler_sample_many(denoiser, cfg, schedule, dt, 1, rng, paths=True)
-    return TokenSequence(rows[0], Alphabet(denoiser.S)), paths[0], diag
+    return rows[0], paths[0], diag
 
 
 def euler_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, schedule: InterpolationSchedule,

@@ -15,6 +15,20 @@ def all_sequences(D, S):
         yield tup
 
 
+def row(text, S):
+    """The token row (D,) of ``text`` as an alphabet of S symbols renders it:
+    letter chr(ord('A') + t) is token t and '?' the mask S."""
+    return np.array([S if c == "?" else ord(c) - ord("A") for c in text], dtype=np.int64)
+
+
+def delta_weights(text, S):
+    """Weights (S**D,) of the point mass at the clean row ``text``, indexed
+    by the little-endian code (position 0 least significant)."""
+    w = np.zeros(S ** len(text))
+    w[sum(int(t) * S**i for i, t in enumerate(row(text, S)))] = 1.0
+    return w
+
+
 def dist_as_dict(p):
     """TabularDistribution -> {token tuple: prob} over its support."""
     out = {}

@@ -145,6 +145,18 @@ class TestSampleCommand:
         # a strong wild-type bias pulls samples toward AAA
         assert sum(s == "AAA" for s in lines) >= 4
 
+    def test_wildtype_letters_parse_as_rendered(self, tmp_path):
+        # at S=40 'h' renders token 39; once it parsed as 'H', token 7, and
+        # the bias wrote HHH
+        model = tmp_path / "s40.json"
+        den = ParametricDenoiser.random(3, 40, RandomSource(8))
+        model.write_text(json.dumps({"kind": "parametric", **den.to_json()}))
+        out = tmp_path / "h"
+        rc = main(["sample", "--model", str(model), "--wildtype", "hhh",
+                   "--wildtype-weight", "50", "--n", "3", "--seed", "1", "--out", str(out)])
+        assert rc == 0
+        assert (out / "samples.txt").read_text().split() == ["hhh"] * 3
+
     def test_no_paths_flag(self, tmp_path, model_file):
         out = tmp_path / "nopaths"
         rc = main(["sample", "--model", str(model_file), "--n", "3", "--seed", "1",
@@ -307,7 +319,7 @@ class TestSampleConfigMistakes:
 
     @pytest.mark.parametrize("weight", [["--wildtype-weight", "1.0"], []],
                              ids=["weighted", "default"])
-    @pytest.mark.parametrize("wildtype", ["AAZ", "AA", "AAAA"])
+    @pytest.mark.parametrize("wildtype", ["AAZ", "AA", "AAAA", "A?A", "aaa"])
     def test_wildtype_outside_alphabet_or_wrong_length(self, tmp_path, model_file, capsys,
                                                        wildtype, weight):
         # at the default weight and temperature the modifier is the identity;

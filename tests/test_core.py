@@ -9,17 +9,14 @@ from guidesampler.core import (
     Alphabet,
     RandomSource,
     TabularDistribution,
-    TokenSequence,
     _check_state_count,
     check_context_count,
-    encode_index,
+    clean_rows,
     encode_rows,
     identity_schedule,
-    masked_from_str,
     pack_table,
     pad_contexts,
     power_schedule,
-    sequence_from_str,
     sequence_table,
     unpack_table,
 )
@@ -27,14 +24,9 @@ from guidesampler.denoising import ExactDenoiser
 from guidesampler.errors import SizeCapError, UnsupportedContextError
 from guidesampler.predictors import CleanPredictor, ExactMarginalPredictor
 
-from bruteforce import check_schedule, loop_pad_contexts
+from bruteforce import check_schedule, loop_pad_contexts, delta_weights, row
 
 AB = Alphabet(2)
-ABC = Alphabet(3)
-
-
-def seq(text, alphabet=AB):
-    return sequence_from_str(text, alphabet)
 
 
 class TestAlphabetAndSequences:
@@ -45,23 +37,30 @@ class TestAlphabetAndSequences:
         with pytest.raises(ValueError):
             Alphabet(1)
 
-    def test_clean_sequence_rejects_mask(self):
-        with pytest.raises(ValueError):
-            TokenSequence([0, 2], AB)  # 2 is the mask sentinel for S=2
+    @pytest.mark.parametrize("bad", [[0, 2], [-1, 0]])  # 2 is the mask sentinel for S=2
+    def test_clean_rows_rejects_mask_and_negative(self, bad):
+        with pytest.raises(ValueError, match="0..1"):
+            clean_rows(np.array([bad]), 2)
 
-    def test_masked_sequence_partitions_positions(self):
-        xt = masked_from_str("A?B?", AB)
-        m, u = set(xt.masked_positions()), set(xt.unmasked_positions())
-        assert m == {1, 3} and u == {0, 2}
-        assert m | u == set(range(4)) and not (m & u)
+    @pytest.mark.parametrize("S", [2, 26, 40])
+    def test_every_letter_round_trips(self, S):
+        # token parses each letter exactly as letter and render_rows write it
+        alpha = Alphabet(S)
+        tokens = np.arange(S + 1)
+        text = alpha.render_rows(tokens[None, :])[0]
+        assert [alpha.token(c) for c in text] == tokens.tolist()
+        assert [alpha.token(alpha.letter(int(t))) for t in tokens] == tokens.tolist()
 
-    def test_round_trip_str(self):
-        assert str(seq("ABBA")) == "ABBA"
-        assert str(masked_from_str("A?B", AB)) == "A?B"
+    def test_token_is_case_sensitive(self):
+        # at S=40, 'h' is token 39 and 'H' token 7; once 'h' parsed as 7
+        assert (Alphabet(40).token("h"), Alphabet(40).token("H")) == (39, 7)
+        for bad in ("a", "", "AB", "@", "C"):
+            with pytest.raises(ValueError, match="outside alphabet of size 2"):
+                AB.token(bad)
 
     def test_degenerate_d1_s2_supported(self):
-        x = TokenSequence([1], AB)
-        assert x.D == 1 and encode_index(x) == 1
+        assert sequence_table(1, 2).tolist() == [[0], [1]]
+        assert encode_rows(np.array([1]), 2) == 1
 
     @pytest.mark.parametrize("S", [2, 20, 40, 200])
     def test_render_rows_matches_letter(self, S):
@@ -79,16 +78,16 @@ class TestAlphabetAndSequences:
 
 class TestEncoding:
     def test_zero_case(self):
-        assert encode_index(TokenSequence([0, 0], ABC)) == 0
+        assert encode_rows(np.array([0, 0]), 3) == 0
 
     def test_little_endian_convention(self):
         # position 0 is least significant: (1, 2) at S=3 -> 1 + 2*3 = 7
-        assert encode_index(TokenSequence([1, 2], ABC)) == 1 + 2 * 3
+        assert encode_rows(np.array([1, 2]), 3) == 1 + 2 * 3
         assert sequence_table(2, 3)[7].tolist() == [1, 2]
 
     def test_round_trip_all_81(self):
-        for i, row in enumerate(sequence_table(4, 3)):
-            assert encode_index(TokenSequence(row, ABC)) == i
+        for i, r in enumerate(sequence_table(4, 3)):
+            assert encode_rows(r, 3) == i
 
     def test_round_trip_exhaustive_up_to_cap(self):
         # largest configuration used in tests: 65536 states
@@ -178,19 +177,6 @@ class TestTabularDistribution:
         q = TabularDistribution.from_json({"D": 2, "S": 3, "weights": p.weights.tolist()})
         assert np.array_equal(q.weights.view(np.int64), p.weights.view(np.int64))
 
-    @pytest.mark.parametrize("text,alphabet", [
-        ("BAA", AB),  # once read as BA's weight 0.2
-        ("BA", ABC),  # once read as BA's weight 0.2
-        ("BBB", AB),  # once an IndexError
-    ])
-    def test_prob_refuses_another_size(self, text, alphabet):
-        p = TabularDistribution.from_unnormalized(2, 2, [1, 2, 3, 4])
-        assert p.prob(seq("BA")) == 0.2
-        x = seq(text, alphabet)
-        with pytest.raises(ValueError, match=f"length {x.D} over {alphabet.size} symbols "
-                                             "does not fit a table with D=2, S=2"):
-            p.prob(x)
-
     def test_sampling_matches_weights(self):
         p = TabularDistribution(1, 2, [0.25, 0.75])
         idx = p.sample_indices(20000, RandomSource(3))
@@ -270,7 +256,7 @@ class TestPackedTables:
 class TestZeroMassError:
     def test_zero_mass_names_observed_positions(self):
         # the exact models' error names the observed positions, as Python ints
-        p = TabularDistribution.point_mass(seq("AA"))
+        p = TabularDistribution(2, 2, delta_weights("AA", 2))
         den = ExactDenoiser(p)
         pred = ExactMarginalPredictor(CleanPredictor.from_table(np.ones(4), 2), p)
         cases = [(den.posterior_array, "B?", (0,)), (den.posterior_array, "BA", (0, 1)),
@@ -278,7 +264,7 @@ class TestZeroMassError:
                  (pred.likelihood_array, "?B", (1,))]
         for answer, text, observed in cases:
             with pytest.raises(UnsupportedContextError) as exc:
-                answer(masked_from_str(text, AB).tokens)
+                answer(row(text, 2))
             assert exc.value.positions == observed
             assert all(type(d) is int for d in exc.value.positions)
             assert str(exc.value) == (

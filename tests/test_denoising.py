@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from guidesampler.core import (
-    Alphabet,
-    MaskedSequence,
     RandomSource,
     TabularDistribution,
-    TokenSequence,
-    encode_index,
-    masked_from_str,
-    sequence_from_str,
     sequence_table,
 )
 from guidesampler.denoising import (
@@ -39,45 +33,41 @@ from bruteforce import (
     dist_as_dict,
     loop_aoarm_loss_exact,
     loop_train_denoiser,
+    delta_weights,
+    row,
 )
 
-AB = Alphabet(2)
-
-
 def uniform_over(texts, D, S):
-    w = np.zeros(S**D)
-    alpha = Alphabet(S)
-    for t in texts:
-        w[encode_index(sequence_from_str(t, alpha))] = 1.0
+    w = sum(delta_weights(t, S) for t in texts)
     return TabularDistribution(D, S, w / w.sum())
 
 
 def exact_posterior(p, xt):
-    """ExactDenoiser(p)'s posterior of xt, after checking that its rows sum
-    to 1 and that each unmasked row is the observed one-hot."""
-    post = ExactDenoiser(p).posterior_array(xt.tokens)
+    """ExactDenoiser(p)'s posterior of the row xt, after checking that its
+    rows sum to 1 and that each unmasked row is the observed one-hot."""
+    post = ExactDenoiser(p).posterior_array(xt)
     assert post.shape == (p.D, p.S)
     np.testing.assert_allclose(post.sum(axis=1), 1.0, atol=1e-9)
-    for d in xt.unmasked_positions():
-        assert np.array_equal(post[d], np.eye(p.S)[xt.tokens[d]])
+    for d in np.flatnonzero(xt != p.S):
+        assert np.array_equal(post[d], np.eye(p.S)[xt[d]])
     return post
 
 
 class TestExactDenoise:
     def test_single_consistent_completion(self):
         p = uniform_over(["AA", "BB"], 2, 2)
-        post = exact_posterior(p, masked_from_str("A?", AB))
+        post = exact_posterior(p, row("A?", 2))
         np.testing.assert_allclose(post[1], [1.0, 0.0])
 
     def test_two_consistent_completions(self):
         p = uniform_over(["AA", "AB", "BB"], 2, 2)
-        post = exact_posterior(p, masked_from_str("A?", AB))
+        post = exact_posterior(p, row("A?", 2))
         np.testing.assert_allclose(post[1], [0.5, 0.5])
 
     def test_fully_masked_gives_marginals(self):
         gen = RandomSource(3).generator()
         p = TabularDistribution.from_unnormalized(3, 3, gen.random(27))
-        post = exact_posterior(p, MaskedSequence.fully_masked(3, Alphabet(3)))
+        post = exact_posterior(p, np.full(3, 3))
         for d in range(3):
             np.testing.assert_allclose(post[d], p.marginal(d), atol=1e-12)
 
@@ -96,7 +86,7 @@ class TestExactDenoise:
     def test_unsupported_context_names_positions(self):
         p = uniform_over(["AA"], 2, 2)
         with pytest.raises(UnsupportedContextError) as exc:
-            exact_posterior(p, masked_from_str("B?", AB))
+            exact_posterior(p, row("B?", 2))
         assert exc.value.positions == (0,)
 
     def test_no_mass_on_mask_and_rows_normalized(self):
@@ -117,7 +107,7 @@ class TestModifiers:
         assert np.array_equal(out, logits)
 
     def test_huge_wildtype_weight_concentrates(self):
-        wt = sequence_from_str("AB", AB)
+        wt = row("AB", 2)
         mod = LogitModifier(wildtype_weight=1e6, wildtype_sequence=wt)
         logits = np.array([[0.0, 5.0], [5.0, 0.0]])
         out = apply_modifiers(logits, mod)
@@ -146,8 +136,8 @@ class TestFMLoss:
         loss = fm_loss_exact(ExactDenoiser(p), p)
         assert loss == pytest.approx(0.5 * math.log(2), abs=1e-12)
 
-    def test_point_mass_is_zero(self):
-        p = TabularDistribution.point_mass(sequence_from_str("ABAB", AB))
+    def test_delta_law_is_zero(self):
+        p = TabularDistribution(4, 2, delta_weights("ABAB", 2))
         assert fm_loss_exact(ExactDenoiser(p), p) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force_enumeration(self):
@@ -237,8 +227,8 @@ class TestAOARMLoss:
         p = uniform_over(["AA", "AB", "BB"], 2, 2)
         assert aoarm_loss_exact(ExactDenoiser(p), p) == pytest.approx(math.log(3), abs=1e-12)
 
-    def test_point_mass_is_zero(self):
-        p = TabularDistribution.point_mass(sequence_from_str("ABA", AB))
+    def test_delta_law_is_zero(self):
+        p = TabularDistribution(3, 2, delta_weights("ABA", 2))
         assert aoarm_loss_exact(ExactDenoiser(p), p) == pytest.approx(0.0, abs=1e-12)
 
     def test_matches_brute_force(self):
@@ -318,18 +308,41 @@ class TestModifiedDenoiser:
         mod = ModifiedDenoiser(
             ExactDenoiser(p),
             LogitModifier(temperature=0.5, wildtype_weight=3.0,
-                          wildtype_sequence=sequence_from_str("AB", AB)),
+                          wildtype_sequence=row("AB", 2)),
         )
         post = mod.posterior_array(np.array([0, 2]))
         # position 1 given x0=A can only be A; bias toward B cannot revive it
         np.testing.assert_allclose(post[1], [1.0, 0.0])
 
+    @pytest.mark.parametrize("wildtype", [
+        [0, 2],  # the mask sentinel of S=2
+        [-1, 0],
+        [0, 1, 0],
+        [0],
+        [[0, 1]],
+        [0.0, 1.0],
+    ], ids=["mask", "negative", "long", "short", "2d", "float"])
+    def test_wildtype_must_be_a_clean_row_of_the_base(self, wildtype):
+        base = ExactDenoiser(uniform_over(["AA", "BB"], 2, 2))
+        with pytest.raises(ValueError, match="wild"):
+            ModifiedDenoiser(base, LogitModifier(wildtype_weight=1.0,
+                                                 wildtype_sequence=np.array(wildtype)))
+
+    def test_wildtype_is_a_read_only_copy_and_compares_by_identity(self):
+        wt = np.array([0, 1], dtype=np.int32)
+        mod = LogitModifier(wildtype_weight=1.0, wildtype_sequence=wt)
+        wt[0] = 1
+        assert mod.wildtype_sequence.dtype == np.int64
+        assert mod.wildtype_sequence.tolist() == [0, 1]
+        assert not mod.wildtype_sequence.flags.writeable
+        assert mod == mod and hash(mod) == hash(mod)
+        assert mod != LogitModifier(wildtype_weight=1.0, wildtype_sequence=wt)
 
     def test_rows_equal_single_row_calls(self):
         from guidesampler.denoising import ModifiedDenoiser
 
         D, S = 6, 5
-        wildtype = TokenSequence(RandomSource(41).generator().integers(0, S, size=D), Alphabet(S))
+        wildtype = RandomSource(41).generator().integers(0, S, size=D)
         mod = ModifiedDenoiser(
             ParametricDenoiser.random(D, S, RandomSource(40), scale=1.0),
             LogitModifier(temperature=0.7, wildtype_weight=1.5, wildtype_sequence=wildtype),
@@ -342,8 +355,8 @@ class TestModifiedDenoiser:
             assert np.array_equal(post[k], mod.posterior_array(row))
         # the bias lands on each position's wild-type symbol of every row
         base = mod.base.logits_array(rows)
-        biased = (base[:, np.arange(D), wildtype.tokens] + 1.5) / 0.7
-        assert np.array_equal(mod.logits_array(rows)[:, np.arange(D), wildtype.tokens], biased)
+        biased = (base[:, np.arange(D), wildtype] + 1.5) / 0.7
+        assert np.array_equal(mod.logits_array(rows)[:, np.arange(D), wildtype], biased)
 
 
 class TestParametricDenoiser:
@@ -384,7 +397,7 @@ class TestTraining:
         np.testing.assert_allclose(post, 0.5)
 
     @pytest.mark.parametrize("variant", ["FM", "AOARM"])
-    def test_point_mass_convergence(self, variant):
+    def test_delta_law_convergence(self, variant):
         x = np.array([0, 1, 0])
         model, loss = train_denoiser(variant, x[None, :], 2, 2000, RandomSource(7))
         # every masked context must put >= 0.99 on the true token

@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from guidesampler.core import (
-    Alphabet,
-    RandomSource,
-    TabularDistribution,
-    TokenSequence,
-    encode_index,
-    sequence_from_str,
-)
+from guidesampler.core import RandomSource, TabularDistribution, encode_rows
 from guidesampler.oracle import (
     EmpiricalDistribution,
     brute_force_posterior,
@@ -18,15 +11,13 @@ from guidesampler.oracle import (
 )
 from guidesampler.predictors import CleanPredictor
 
-from bruteforce import brute_tilted_posterior, dist_as_dict
-
-AB = Alphabet(2)
+from bruteforce import brute_tilted_posterior, dist_as_dict, row
 
 
 class TestBruteForcePosterior:
     def coin_with_predictor(self):
         p = TabularDistribution(1, 2, [0.5, 0.5])
-        clean = CleanPredictor(lambda x: 0.9 if x.tokens[0] == 0 else 0.1)
+        clean = CleanPredictor(lambda x: 0.9 if x[0] == 0 else 0.1)
         return p, clean
 
     def test_bayes_by_hand(self):
@@ -52,20 +43,20 @@ class TestBruteForcePosterior:
     def test_matches_independent_enumeration(self):
         gen = RandomSource(1).generator()
         p = TabularDistribution.from_unnormalized(3, 2, gen.random(8) + 0.02)
-        clean = CleanPredictor(lambda x: float(0.1 + 0.75 * (x.tokens.sum() == 2)))
+        clean = CleanPredictor(lambda x: float(0.1 + 0.75 * (x.sum() == 2)))
         post = brute_force_posterior(p, clean, 1.0)
         want = brute_tilted_posterior(
             dist_as_dict(p), lambda x: 0.1 + 0.75 * (sum(x) == 2), 1.0
         )
         for toks, w in want.items():
-            assert post.prob(TokenSequence(np.array(toks), AB)) == pytest.approx(w, abs=1e-12)
+            assert post.weights[encode_rows(np.array(toks), 2)] == pytest.approx(w, abs=1e-12)
 
     def test_product_tilting_commutes(self):
         # tilting by c1 then c2 equals tilting by c2 then c1 equals tilting by c1*c2
         gen = RandomSource(2).generator()
         p = TabularDistribution.from_unnormalized(4, 2, gen.random(16) + 0.01)
-        c1 = CleanPredictor(lambda x: float(0.2 + 0.6 * (x.tokens[0] == 1)))
-        c2 = CleanPredictor(lambda x: float(0.3 + 0.5 * (x.tokens[3] == 0)))
+        c1 = CleanPredictor(lambda x: float(0.2 + 0.6 * (x[0] == 1)))
+        c2 = CleanPredictor(lambda x: float(0.3 + 0.5 * (x[3] == 0)))
         c12 = CleanPredictor(lambda x: c1.likelihood(x) * c2.likelihood(x))
         a = brute_force_posterior(brute_force_posterior(p, c1, 1.0), c2, 1.0)
         b = brute_force_posterior(brute_force_posterior(p, c2, 1.0), c1, 1.0)
@@ -184,10 +175,10 @@ class TestKSUniform:
 
 class TestEmpiricalDistribution:
     def test_counts_sum_and_probs(self):
-        rows = np.array([sequence_from_str(t, AB).tokens for t in ("AA", "AB", "AB", "BB")])
+        rows = np.array([row(t, 2) for t in ("AA", "AB", "AB", "BB")])
         emp = EmpiricalDistribution.from_token_rows(rows, 2, 2)
         assert emp.n == 4
-        assert emp.counts[encode_index(sequence_from_str("AB", AB))] == 2
+        assert emp.counts[encode_rows(row("AB", 2), 2)] == 2
         assert emp.probs.sum() == pytest.approx(1.0)
 
     @pytest.mark.parametrize("rows, message", [

@@ -6,17 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from guidesampler.core import (
-    Alphabet,
-    MaskedSequence,
-    RandomSource,
-    TabularDistribution,
-    TokenSequence,
-    encode_index,
-    masked_from_str,
-    sequence_from_str,
-    sequence_table,
-)
+from guidesampler.core import RandomSource, TabularDistribution, sequence_table
 from guidesampler.denoising import (
     ExactDenoiser,
     LogitModifier,
@@ -42,17 +32,14 @@ from bruteforce import (
     child_rows,
     dist_as_dict,
     loop_train_noisy_classifier,
+    delta_weights,
     relaxed_likelihood,
+    row,
 )
-
-AB = Alphabet(2)
 
 
 def uniform_over(texts, D, S):
-    w = np.zeros(S**D)
-    alpha = Alphabet(S)
-    for t in texts:
-        w[encode_index(sequence_from_str(t, alpha))] = 1.0
+    w = sum(delta_weights(t, S) for t in texts)
     return TabularDistribution(D, S, w / w.sum())
 
 
@@ -62,8 +49,18 @@ class TestCleanPredictorFromTable:
         clean = CleanPredictor.from_table(table, 3)
         assert np.array_equal(clean.table(3, 3), table)
         for i in (0, 5, 26):
-            x = TokenSequence(sequence_table(3, 3)[i], Alphabet(3))
-            assert clean.likelihood(x) == table[i]
+            assert clean.likelihood(sequence_table(3, 3)[i]) == table[i]
+
+    @pytest.mark.parametrize("answer, shape", [
+        (lambda rows: 0.5, r"\(\)"),
+        (lambda rows: np.full((rows.shape[0], 1), 0.5), r"\(4, 1\)"),
+        (lambda rows: np.full(rows.shape[0] - 1, 0.5), r"\(3,\)"),
+    ], ids=["scalar", "column", "short"])
+    def test_table_refuses_a_batch_answer_of_another_shape(self, answer, shape):
+        # once a scalar passed here and failed later with "cannot reshape"
+        clean = CleanPredictor(lambda x: 0.5, batch_fn=answer)
+        with pytest.raises(ValueError, match=f"answered shape {shape} for 4 rows"):
+            clean.table(2, 2)
 
 
 class TestClampLikelihood:
@@ -87,38 +84,37 @@ class TestExactMarginalPredictor:
     def test_fully_masked_is_full_marginalization(self):
         gen = RandomSource(1).generator()
         p = TabularDistribution.from_unnormalized(3, 2, gen.random(8) + 0.01)
-        clean = CleanPredictor(lambda x: 0.2 + 0.6 * (x.tokens[0] == 1))
+        clean = CleanPredictor(lambda x: 0.2 + 0.6 * (x[0] == 1))
         pred = ExactMarginalPredictor(clean, p)
         want = sum(
-            p.weights[i] * clean.likelihood(TokenSequence(sequence_table(3, 2)[i], AB))
+            p.weights[i] * clean.likelihood(sequence_table(3, 2)[i])
             for i in range(8)
         )
-        got = pred.likelihood_array(MaskedSequence.fully_masked(3, AB).tokens)
+        got = pred.likelihood_array(np.full(3, 2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_constant_clean_stays_constant(self):
         p = TabularDistribution.uniform(2, 3)
         pred = ExactMarginalPredictor(CleanPredictor(lambda x: 0.37), p)
         for text in ("??", "A?", "CB"):
-            xt = masked_from_str(text, Alphabet(3))
-            assert pred.likelihood_array(xt.tokens) == pytest.approx(0.37, abs=1e-12)
+            assert pred.likelihood_array(row(text, 3)) == pytest.approx(0.37, abs=1e-12)
 
     def test_worked_example(self):
         # p uniform over {AA,AB,BB}, clean = 0.9*1{x=AA} + 0.1, x_t = (A,?)
         p = uniform_over(["AA", "AB", "BB"], 2, 2)
-        clean = CleanPredictor(lambda x: 0.9 * (str(x) == "AA") + 0.1)
+        clean = CleanPredictor(lambda x: 0.9 * (x.tolist() == [0, 0]) + 0.1)
         pred = ExactMarginalPredictor(clean, p)
-        got = pred.likelihood_array(masked_from_str("A?", AB).tokens)
+        got = pred.likelihood_array(row("A?", 2))
         assert got == pytest.approx(0.5 * 1.0 + 0.5 * 0.1, abs=1e-12)  # 0.55
 
     def test_clean_input_agrees_with_clean_predictor(self):
         gen = RandomSource(2).generator()
         p = TabularDistribution.from_unnormalized(3, 2, gen.random(8) + 0.01)
-        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * x.tokens.mean() / 1.0))
+        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * x.mean() / 1.0))
         pred = ExactMarginalPredictor(clean, p)
         for i in range(8):
-            x = TokenSequence(sequence_table(3, 2)[i], AB)
-            assert pred.likelihood_array(x.tokens) == pytest.approx(clean.likelihood(x), abs=1e-9)
+            x = sequence_table(3, 2)[i]
+            assert pred.likelihood_array(x) == pytest.approx(clean.likelihood(x), abs=1e-9)
 
     def test_zero_mass_error_matches_denoiser(self):
         p = uniform_over(["AA"], 2, 2)
@@ -134,7 +130,7 @@ class TestExactMarginalPredictor:
     def test_matches_brute_force(self):
         gen = RandomSource(3).generator()
         p = TabularDistribution.from_unnormalized(3, 3, gen.random(27) + 0.02)
-        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x.tokens.sum() % 3 == 0)))
+        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x.sum() % 3 == 0)))
         pred = ExactMarginalPredictor(clean, p)
         pdict = dist_as_dict(p)
         for code in range(64):
@@ -148,7 +144,7 @@ class TestExactMarginalPredictor:
         gen = RandomSource(4).generator()
         p = TabularDistribution.from_unnormalized(4, 2, gen.random(16) + 0.05)
         den = ExactDenoiser(p)
-        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * (x.tokens[0] == x.tokens[3])))
+        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * (x[0] == x[3])))
         pred = ExactMarginalPredictor(clean, p)
         for code in range(81):
             toks = np.array([code % 3, code // 3 % 3, code // 9 % 3, code // 27 % 3])
@@ -379,7 +375,7 @@ class TestExactChildLikelihoods:
         toks = np.array([2, 0, 3, 1])
         children = child_rows(toks, 2, 3)
         got = m.likelihood_array(children)
-        clean = [clamp_likelihood(m.clean.likelihood(TokenSequence(c, Alphabet(3))))
+        clean = [clamp_likelihood(m.clean.likelihood(c))
                  for c in children]
         assert np.array_equal(got, np.array(clean))
         assert np.array_equal(got, np.array([m.likelihood_array(c) for c in children]))
@@ -437,12 +433,11 @@ class TestExactRowForm:
     @pytest.mark.parametrize("D,S", [(3, 2), (4, 3)])
     def test_one_masked_children_are_exact_clean_values(self, D, S):
         m = TestExactChildLikelihoods.model(D, S, seed=D * S)
-        alpha = Alphabet(S)
         for row in self.contexts(D, S):
             if (row == S).sum() == 1:
                 d = int(np.flatnonzero(row == S)[0])
                 children = child_rows(row, d, S)
-                want = [clamp_likelihood(m.clean.likelihood(TokenSequence(c, alpha)))
+                want = [clamp_likelihood(m.clean.likelihood(c))
                         for c in children]
                 assert m.likelihood_array(children).tolist() == want
 
@@ -610,7 +605,7 @@ class TestPairForm:
 
     @staticmethod
     def modifier(D, S):
-        wildtype = TokenSequence(RandomSource(D + S).generator().integers(0, S, size=D), Alphabet(S))
+        wildtype = RandomSource(D + S).generator().integers(0, S, size=D)
         return LogitModifier(temperature=0.7, wildtype_weight=1.5, wildtype_sequence=wildtype)
 
     @pytest.mark.parametrize("D,S", SIZES)

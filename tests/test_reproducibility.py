@@ -75,7 +75,7 @@ def tabular_models():
     gen = RandomSource(101).generator()
     p = TabularDistribution.from_unnormalized(4, 3, np.exp(gen.normal(0, 0.8, 81)))
     table = 0.05 + 0.9 * gen.random(81)
-    clean = CleanPredictor(lambda x: float(table[int(x.tokens @ 3 ** np.arange(4))]))
+    clean = CleanPredictor(lambda x: float(table[int(x @ 3 ** np.arange(4))]))
     return {
         "denoiser": ExactDenoiser(p),
         "likelihood": ExactMarginalPredictor(clean, p),
@@ -147,7 +147,7 @@ def sampler_digest(model, route, mode, kind) -> str:
     else:
         x, path, diag = euler_sample(den, cfg, identity_schedule(), DT, rng)
     path_json = json.dumps(path.to_json(), sort_keys=True).encode()
-    return sha(x.tokens.astype(np.int64).tobytes(), path_json, counts(diag))
+    return sha(x.tobytes(), path_json, counts(diag))
 
 
 def switch_digest(model, mode, t0) -> str:

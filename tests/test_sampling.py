@@ -6,13 +6,10 @@ import pytest
 from scipy import integrate, stats
 
 from guidesampler.core import (
-    Alphabet,
     RandomSource,
     TabularDistribution,
     identity_schedule,
-    masked_from_str,
     power_schedule,
-    sequence_from_str,
 )
 from guidesampler.denoising import (
     ExactDenoiser,
@@ -51,9 +48,16 @@ from guidesampler.sampling import (
     sample_jump_times,
 )
 
-from bruteforce import Looped, context_code, loop_cdf, loop_guided_row, sorted_pairs
+from bruteforce import (
+    Looped,
+    context_code,
+    loop_cdf,
+    loop_guided_row,
+    delta_weights,
+    row,
+    sorted_pairs,
+)
 
-AB = Alphabet(2)
 IDENT = identity_schedule()
 
 
@@ -80,43 +84,60 @@ class TestGuidanceConfig:
         with pytest.raises(ValueError):
             aoarm_sample(den, GuidanceConfig(mode="exact", predictor=pred), RandomSource(0))
         with pytest.raises(ValueError):
-            guide_rates(den, masked_from_str("??", AB), 0.5, IDENT,
+            guide_rates(den, row("??", 2), 0.5, IDENT,
                         GuidanceConfig(mode="deg", predictor=pred))
 
 
 class TestUnguidedRates:
     def test_half_half_posterior_at_t_half(self):
         p = TabularDistribution(1, 2, [0.5, 0.5])
-        rates = guide_rates(ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
+        rates = guide_rates(ExactDenoiser(p), row("?", 2), 0.5, IDENT)
         assert rates[0, 0] == pytest.approx(1.0)
         assert rates[0, 1] == pytest.approx(1.0)
 
     def test_no_entries_at_unmasked(self):
         p = random_dist(2, 2, 1)
-        rates = guide_rates(ExactDenoiser(p), masked_from_str("A?", AB), 0.3, IDENT)
+        rates = guide_rates(ExactDenoiser(p), row("A?", 2), 0.3, IDENT)
         assert rates.shape == (2, 2) and (rates[0] == 0.0).all() and (rates[1] > 0.0).all()
 
     def test_t0_rates_equal_posterior(self):
         p = random_dist(2, 2, 2)
         den = ExactDenoiser(p)
-        xt = masked_from_str("??", AB)
+        xt = row("??", 2)
         rates = guide_rates(den, xt, 0.0, IDENT)
-        post = den.posterior_array(xt.tokens)
+        post = den.posterior_array(xt)
         for (d, s), r in np.ndenumerate(rates):
             assert r == pytest.approx(post[d, s])
 
     def test_time_horizon_error(self):
         p = random_dist(1, 2, 3)
         with pytest.raises(TimeHorizonError):
-            guide_rates(ExactDenoiser(p), masked_from_str("?", AB), 1.0 - 1e-12, IDENT)
+            guide_rates(ExactDenoiser(p), row("?", 2), 1.0 - 1e-12, IDENT)
 
     def test_single_transition_sparsity(self):
         # entries only at masked positions, only real target symbols
         p = random_dist(3, 3, 4)
-        xt = masked_from_str("A??", Alphabet(3))
+        xt = row("A??", 3)
         rates = guide_rates(ExactDenoiser(p), xt, 0.4, IDENT)
         assert rates.shape == (3, 3)
         assert set(np.flatnonzero(rates.any(axis=1)).tolist()) == {1, 2}
+
+    @pytest.mark.parametrize("tokens", [
+        [2],  # too short
+        [2, 2, 2],  # too long
+        [[2, 2]],  # 2-D
+        [-1, 2],  # once wrapped to the last symbol
+        [0, 3],  # above the mask
+        [2.0, 2.0],  # float
+    ], ids=["short", "long", "2d", "negative", "above_mask", "float"])
+    def test_context_row_is_checked_before_any_model_call(self, tokens):
+        class Untouchable(ExactDenoiser):
+            def posterior_array(self, tokens, positions=None):
+                raise AssertionError("model called")
+
+        den = Untouchable(random_dist(2, 2, 45))
+        with pytest.raises(ValueError, match=r"context must be an integer row \(2,\) over 0..2"):
+            guide_rates(den, np.array(tokens), 0.5, IDENT)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rate_check_names_first_bad_entry(self):
@@ -125,16 +146,16 @@ class TestUnguidedRates:
         den = ExactDenoiser(random_dist(1, 2, 46))
         cfg = GuidanceConfig(mode="exact", gamma=30.0, predictor=Certain())
         with pytest.raises(ValueError, match=r"^rate \(0,0\) = inf is not finite and nonnegative$"):
-            guide_rates(den, masked_from_str("?", AB), 0.5, IDENT, cfg)
+            guide_rates(den, row("?", 2), 0.5, IDENT, cfg)
 
 
 class TestGuideRates:
     def setup_rates(self, seed=5):
         p = random_dist(2, 2, seed)
         den = ExactDenoiser(p)
-        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x.tokens[0] == 1)))
+        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x[0] == 1)))
         pred = ExactMarginalPredictor(clean, p)
-        xt = masked_from_str("??", AB)
+        xt = row("??", 2)
         return den, xt, pred
 
     def test_gamma_zero_bitwise(self):
@@ -153,7 +174,7 @@ class TestGuideRates:
                 return np.where((tokens == 2).any(axis=-1), 0.4, 0.8)
 
         p = TabularDistribution(1, 2, [0.5, 0.5])
-        args = (ExactDenoiser(p), masked_from_str("?", AB), 0.5, IDENT)
+        args = (ExactDenoiser(p), row("?", 2), 0.5, IDENT)
         assert guide_rates(*args)[0, 0] == pytest.approx(1.0)
         guided = guide_rates(*args, GuidanceConfig(mode="exact", gamma=1.0, predictor=Fixed()))
         assert guided[0, 0] == pytest.approx(2.0)
@@ -166,8 +187,8 @@ class TestGuideRates:
         p = random_dist(D, S, 8)
         den = ExactDenoiser(p)
         for text in ("???", "B??", "?CA"):
-            xt = masked_from_str(text, Alphabet(S))
-            if xt.masked_positions().size == 0:
+            xt = row(text, S)
+            if not (xt == S).any():
                 continue
             rates = guide_rates(den, xt, 0.35, IDENT)
             ex = guide_rates(den, xt, 0.35, IDENT, GuidanceConfig(mode="exact", gamma=1.3, predictor=pred))
@@ -187,7 +208,7 @@ class TestGuideRates:
         p1 = random_dist(2, 2, 9)
         p2 = random_dist(2, 2, 10)
         den1, den2 = ExactDenoiser(p1), ExactDenoiser(p2)
-        xt = masked_from_str("??", AB)
+        xt = row("??", 2)
         base = guide_rates(den1, xt, 0.2, IDENT)
         cond = guide_rates(den2, xt, 0.2, IDENT)
         cfg = GuidanceConfig(mode="predictor_free", gamma=0.3, second_denoiser=den2)
@@ -266,13 +287,12 @@ class TestLemma1Density:
 
 
 class TestEulerSampler:
-    def test_point_mass_always_returned(self):
-        x = sequence_from_str("ABBA", AB)
-        p = TabularDistribution.point_mass(x)
+    def test_delta_law_always_returned(self):
+        p = TabularDistribution(4, 2, delta_weights("ABBA", 2))
         den = ExactDenoiser(p)
         for seed in range(5):
             out, _, _ = euler_sample(den, GuidanceConfig(), IDENT, 0.05, RandomSource(seed))
-            assert out == x
+            assert out.tolist() == [0, 1, 1, 0]
 
     def test_overflow_is_counted(self):
         # unguided identity-schedule outflow is dt/(1-t) <= 1 on every step
@@ -307,14 +327,13 @@ class TestEulerSampler:
         for a, b, d in zip(path.states, path.states[1:], path.permutation):
             diff = np.flatnonzero(a != b)
             assert diff.tolist() == [d]
-        assert path.final() == out
 
     def test_many_matches_single_law(self):
         p = random_dist(3, 2, 18)
         den = ExactDenoiser(p)
         rows, _ = euler_sample_many(den, GuidanceConfig(), IDENT, 0.01, 30000, RandomSource(19))
         singles = np.stack(
-            [euler_sample(den, GuidanceConfig(), IDENT, 0.01, RandomSource(20).substream(k))[0].tokens for k in range(3000)]
+            [euler_sample(den, GuidanceConfig(), IDENT, 0.01, RandomSource(20).substream(k))[0] for k in range(3000)]
         )
         emp_many = EmpiricalDistribution.from_token_rows(rows, 3, 2)
         emp_single = EmpiricalDistribution.from_token_rows(singles, 3, 2)
@@ -406,13 +425,27 @@ class TestEulerHorizon:
         assert digest.hexdigest() == self.FLIP_DIGEST
 
 
+@pytest.mark.parametrize("route", ["aoarm", "euler"])
+def test_single_chain_is_row_zero_of_the_batch(route):
+    # the single-chain samplers return an int64 row (D,): the path's row and
+    # row 0 of the n=1 batched call at the same source
+    den = ParametricDenoiser.random(5, 4, RandomSource(58), scale=1.0)
+    if route == "aoarm":
+        out, path, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(59))
+        rows, _ = aoarm_sample_many(den, GuidanceConfig(), 1, RandomSource(59))
+    else:
+        out, path, _ = euler_sample(den, GuidanceConfig(), IDENT, 0.05, RandomSource(59))
+        rows, _ = euler_sample_many(den, GuidanceConfig(), IDENT, 0.05, 1, RandomSource(59))
+    assert out.dtype == np.int64 and out.shape == (5,)
+    assert np.array_equal(out, path.row) and np.array_equal(out, rows[0])
+
+
 class TestAOARMSampler:
-    def test_point_mass_always_returned(self):
-        x = sequence_from_str("BAB", AB)
-        p = TabularDistribution.point_mass(x)
+    def test_delta_law_always_returned(self):
+        p = TabularDistribution(3, 2, delta_weights("BAB", 2))
         for seed in range(5):
             out, _, _ = aoarm_sample(ExactDenoiser(p), GuidanceConfig(), RandomSource(seed))
-            assert out == x
+            assert out.tolist() == [1, 0, 1]
 
     def test_unguided_matches_p_data(self):
         p = random_dist(4, 3, 23)
@@ -429,14 +462,14 @@ class TestAOARMSampler:
         # 60,000 chains at root 999 give p = 0.94
         root = RandomSource(57)
         rows = np.stack(
-            [aoarm_sample(den, GuidanceConfig(), root.substream(k))[0].tokens for k in range(6000)]
+            [aoarm_sample(den, GuidanceConfig(), root.substream(k))[0] for k in range(6000)]
         )
         emp = EmpiricalDistribution.from_token_rows(rows, 2, 3)
         assert chi_square_gof(emp, p).passed
 
     def test_deg_gamma1_matches_brute_posterior(self):
         p = random_dist(3, 3, 25)
-        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * (x.tokens[0] == x.tokens[2])))
+        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * (x[0] == x[2])))
         pred = ExactMarginalPredictor(clean, p)
         cfg = GuidanceConfig(mode="deg", gamma=1.0, predictor=pred)
         rows, _ = aoarm_sample_many(ExactDenoiser(p), cfg, 60000, RandomSource(26))
@@ -447,7 +480,7 @@ class TestAOARMSampler:
 
     def test_deg_gamma0_is_unguided(self):
         p = random_dist(3, 2, 27)
-        clean = CleanPredictor(lambda x: float(0.2 + 0.6 * (x.tokens[0] == 1)))
+        clean = CleanPredictor(lambda x: float(0.2 + 0.6 * (x[0] == 1)))
         pred = ExactMarginalPredictor(clean, p)
         cfg = GuidanceConfig(mode="deg", gamma=0.0, predictor=pred)
         rows, _ = aoarm_sample_many(ExactDenoiser(p), cfg, 50000, RandomSource(28))
@@ -456,7 +489,7 @@ class TestAOARMSampler:
 
     def test_t0_one_disables_guidance(self):
         p = random_dist(3, 2, 29)
-        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * (x.tokens[1] == 0)))
+        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * (x[1] == 0)))
         pred = ExactMarginalPredictor(clean, p)
         cfg = GuidanceConfig(mode="deg", gamma=5.0, predictor=pred, t0=1.0)
         rows, _ = aoarm_sample_many(ExactDenoiser(p), cfg, 50000, RandomSource(30))
@@ -490,7 +523,7 @@ class TestAOARMSampler:
         # increasing gamma never decreases the mean clean-predictor value
         p = random_dist(4, 2, 36)
         den = ExactDenoiser(p)
-        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * (x.tokens.sum() >= 3)))
+        clean = CleanPredictor(lambda x: float(0.05 + 0.9 * (x.sum() >= 3)))
         pred = ExactMarginalPredictor(clean, p)
         table_vals = clean.table(4, 2)
         means, ns = [], 5000
@@ -509,7 +542,7 @@ class TestAOARMSampler:
         # with gamma=1 the geometric mix collapses to the conditional
         # denoiser, so sampling must reproduce its distribution exactly
         p = random_dist(3, 2, 60)
-        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x.tokens[0] == x.tokens[2])))
+        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x[0] == x[2])))
         tilted = brute_force_posterior(p, clean, 1.0)
         cfg = GuidanceConfig(
             mode="predictor_free", gamma=1.0, second_denoiser=ExactDenoiser(tilted)
@@ -690,7 +723,7 @@ class TestSamplerEquivalence:
     def test_exact_rate_euler_guidance_approaches_posterior(self):
         p = random_dist(3, 2, 44)
         den = ExactDenoiser(p)
-        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x.tokens[0] == x.tokens[1])))
+        clean = CleanPredictor(lambda x: float(0.1 + 0.8 * (x[0] == x[1])))
         pred = ExactMarginalPredictor(clean, p)
         target = brute_force_posterior(p, clean, 1.0)
         cfg = GuidanceConfig(mode="exact", gamma=1.0, predictor=pred)
@@ -737,7 +770,7 @@ class TestZeroMassContexts:
 
     def test_zero_mass_child_gets_zero_rate(self):
         p, _, pred = self.models()
-        xt = masked_from_str("?A?", AB)
+        xt = row("?A?", 2)
         rates = guide_rates(ExactDenoiser(p), xt, 0.5, IDENT, GuidanceConfig("exact", 2.0, pred))
         # ?A? is AAA; no completion of BA? or ?AB has mass
         assert rates.tolist() == [[rate_coefficient(0.5, IDENT), 0.0], [0.0, 0.0],
@@ -827,7 +860,7 @@ class TestRowsFormMatchesLooped:
         else:
             rows, diag = euler_sample_many(den, cfg, IDENT, 0.05, 100, RandomSource(78))
             x, path, one = euler_sample(den, cfg, IDENT, 0.05, RandomSource(79))
-        return rows, x.tokens, path.to_json(), self.counts(diag), self.counts(one)
+        return rows, x, path.to_json(), self.counts(diag), self.counts(one)
 
     def check(self, route, mode, den, pred):
         """The run of the models and of their Looped copies; returns the
@@ -852,7 +885,7 @@ class TestRowsFormMatchesLooped:
     def test_every_mode(self, route, mode, modified):
         den, pred = looped_test_models()
         if modified:
-            wildtype = sequence_from_str("ABCDA", Alphabet(4))
+            wildtype = row("ABCDA", 4)
             den = ModifiedDenoiser(den, LogitModifier(0.8, 1.0, wildtype))
         counts = self.check(route, mode, den, pred)
         assert counts["denoiser_evals"] > 0
@@ -876,7 +909,7 @@ class TestRowsFormMatchesLooped:
     @pytest.mark.parametrize("mode", ["none", "tag", "exact"])
     def test_no_masked_position_has_zero_rates(self, mode):
         den, pred = looped_test_models()
-        xt = masked_from_str("ABCDA", Alphabet(4))
+        xt = row("ABCDA", 4)
         for d, p in ((den, pred), (Looped(den), Looped(pred))):
             cfg = GuidanceConfig(mode=mode, gamma=1.5, predictor=None if mode == "none" else p)
             rates = guide_rates(d, xt, 0.3, IDENT, cfg)
@@ -912,7 +945,7 @@ class TestScalarAnswerRefused:
             elif driver == "euler":
                 euler_sample_many(den, cfg, IDENT, 0.1, 10, RandomSource(96))
             else:
-                guide_rates(den, masked_from_str("A??", AB), 0.5, IDENT, cfg)
+                guide_rates(den, row("A??", 2), 0.5, IDENT, cfg)
 
 
 def sized_state(obj, depth=2):
@@ -1043,7 +1076,7 @@ class TestContextCodeOverflow:
                 run(ContextSpy(15, 20))
         den = ContextSpy(14, 20)
         x, _, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(0))
-        assert (x.tokens < 20).all()
+        assert (x < 20).all()
         assert [int((c == 20).sum()) for c in den.contexts] == list(range(14, 0, -1))
 
     def test_largest_fitting_pair_key_samples_correct_contexts(self):
@@ -1146,14 +1179,13 @@ class TestGuidanceKernel:
     @pytest.mark.parametrize("mode", ROUTE_MODES["euler"])
     def test_guide_rates_equal_per_pair_loop(self, mode, gamma, D, S):
         den = ExactDenoiser(random_dist(D, S, 90))
-        alpha = Alphabet(S)
         for predictor in self.predictors(mode, D, S):
             cfg = self.config(mode, gamma, 0.0, predictor, D, S)
             for _, pairs in self.contexts(D, S):
-                for row in {tuple(r) for r, _ in pairs}:
-                    xt = masked_from_str("".join(alpha.letter(t) for t in row), alpha)
+                for context in {tuple(r) for r, _ in pairs}:
+                    xt = np.array(context)
                     rates = guide_rates(den, xt, 0.3, IDENT, cfg)
-                    for d in xt.masked_positions():
+                    for d in np.flatnonzero(xt == S):
                         want = loop_guided_row(mode, gamma, den, predictor, cfg.second_denoiser,
-                                               xt.tokens, d)
+                                               xt, d)
                         assert np.array_equal(rates[d], rate_coefficient(0.3, IDENT) * want)
