@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`guidesampler.core`: alphabets, schedules, tabular distributions,
+* :mod:`guidesampler.core`: alphabets, tabular distributions,
   seeded, reproducible randomness; a sequence is a token row (D,) and n of
   them a token matrix (n, D) in every module;
 * :mod:`guidesampler.denoising`: clean-token posterior models and exact

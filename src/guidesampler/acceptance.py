@@ -36,13 +36,7 @@ import numpy as np
 from scipy import integrate, stats
 
 from .bench import run_campaign
-from .core import (
-    RandomSource,
-    TabularDistribution,
-    encode_rows,
-    identity_schedule,
-    sequence_table,
-)
+from .core import RandomSource, TabularDistribution, encode_rows, sequence_table
 from .denoising import (
     ExactDenoiser,
     ParametricDenoiser,
@@ -138,11 +132,10 @@ def check_sampler_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
     t0 = time.perf_counter()
     root = RandomSource(seed, 2)
     D, S, n = 4, 3, 200_000
-    sched = identity_schedule()
     p = _gibbs(D, S, root.substream(0))
     den = ExactDenoiser(p)
     rows_a, _ = aoarm_sample_many(den, GuidanceConfig(), n, root.substream(1))
-    rows_e, _ = euler_sample_many(den, GuidanceConfig(), sched, 0.001, n, root.substream(2))
+    rows_e, _ = euler_sample_many(den, GuidanceConfig(), 0.001, n, root.substream(2))
     emp_a = EmpiricalDistribution.from_token_rows(rows_a, D, S)
     emp_e = EmpiricalDistribution.from_token_rows(rows_e, D, S)
     tv_ap = tv_distance(emp_a, p)
@@ -151,8 +144,8 @@ def check_sampler_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
     coarse, fine = [], []
     n_dt = 20_000
     for k in range(10):
-        r1, _ = euler_sample_many(den, GuidanceConfig(), sched, 0.1, n_dt, root.substream(10 + k))
-        r2, _ = euler_sample_many(den, GuidanceConfig(), sched, 0.001, n_dt, root.substream(30 + k))
+        r1, _ = euler_sample_many(den, GuidanceConfig(), 0.1, n_dt, root.substream(10 + k))
+        r2, _ = euler_sample_many(den, GuidanceConfig(), 0.001, n_dt, root.substream(30 + k))
         coarse.append(tv_distance(EmpiricalDistribution.from_token_rows(r1, D, S), p))
         fine.append(tv_distance(EmpiricalDistribution.from_token_rows(r2, D, S), p))
     mean_coarse, mean_fine = float(np.mean(coarse)), float(np.mean(fine))
@@ -215,21 +208,20 @@ def check_loss_identity(seed: int = DEFAULT_SEED) -> CheckResult:
 def check_jump_time_law(seed: int = DEFAULT_SEED) -> CheckResult:
     t0 = time.perf_counter()
     root = RandomSource(seed, 4)
-    sched = identity_schedule()
     gen = root.substream(0).generator()
-    first = sample_jump_times(3, sched, gen, 100_000)[0][:, 0]
+    first = sample_jump_times(3, gen, 100_000)[0][:, 0]
     ks = stats.kstest(first, lambda x: 1.0 - (1.0 - x) ** 3)  # Beta(1,3) CDF
     quad_ok = True
     worst_quad = 0.0
     qgen = root.substream(1).generator()
     for i in (1, 2, 3):
         tau_prev = float(qgen.random() * 0.5) if i > 1 else 0.0
-        val, _ = integrate.quad(lambda t: lemma1_density(i, t, tau_prev, 3, sched), tau_prev, 1.0, limit=200)
+        val, _ = integrate.quad(lambda t: lemma1_density(i, t, tau_prev, 3), tau_prev, 1.0, limit=200)
         worst_quad = max(worst_quad, abs(val - 1.0))
         quad_ok &= abs(val - 1.0) <= 1e-6
     pgen = root.substream(2).generator()
     n_perm = 60_000
-    _, sigma = sample_jump_times(3, sched, pgen, n_perm)
+    _, sigma = sample_jump_times(3, pgen, n_perm)
     # counted in first-seen order, which fixes the summation order of chi2
     counts: dict = {}
     for key in map(tuple, sigma.tolist()):
@@ -276,7 +268,6 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
     t0 = time.perf_counter()
     root = RandomSource(seed, 5)
     D, S = 4, 3
-    sched = identity_schedule()
     p = _gibbs(D, S, root.substream(0))
     den = ExactDenoiser(p)
 
@@ -289,8 +280,8 @@ def check_tag_boundary(seed: int = DEFAULT_SEED) -> CheckResult:
         if not (toks == S).any():
             toks[int(gen.integers(0, D))] = S
         t = float(gen.random() * 0.8)
-        ex = guide_rates(den, toks, t, sched, GuidanceConfig(mode="exact", gamma=1.7, predictor=pred_ss))
-        tg = guide_rates(den, toks, t, sched, GuidanceConfig(mode="tag", gamma=1.7, predictor=pred_ss))
+        ex = guide_rates(den, toks, t, GuidanceConfig(mode="exact", gamma=1.7, predictor=pred_ss))
+        tg = guide_rates(den, toks, t, GuidanceConfig(mode="tag", gamma=1.7, predictor=pred_ss))
         # relative gap where the exact rate is positive, absolute where zero
         rel = np.abs(tg - ex) / np.where(ex == 0.0, 1.0, ex)
         worst_rel = max(worst_rel, float(rel.max()))

@@ -20,13 +20,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    RandomSource,
-    TabularDistribution,
-    _check_state_count,
-    encode_rows,
-    sequence_table,
-)
+from .core import (RandomSource, TabularDistribution, _check_state_count, as_generator,
+                   encode_rows, sequence_table)
 from .denoising import ExactDenoiser, train_denoiser
 from .errors import SizeCapError
 from .predictors import (
@@ -45,6 +40,60 @@ _LANDSCAPE_KEYS = {
     "fitness_scale", "fitness_coupling_scale", "anticorrelation", "target",
 }
 _TARGET_KEYS = {"kind", "q", "value", "bounds"}
+#: The landscape's number keys and the least value each may take.
+_LANDSCAPE_NUMBERS = {"energy_scale": 0, "coupling_scale": 0, "fitness_scale": 0,
+                      "fitness_coupling_scale": 0, "anticorrelation": -math.inf}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def check_landscape_spec(spec) -> None:
+    """Raise a ValueError naming the first mistake in a landscape spec of
+    :func:`make_landscape`, or SizeCapError for a D or S above the caps."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"a landscape must be an object, got {spec!r}")
+    unknown = set(spec) - _LANDSCAPE_KEYS
+    if unknown:
+        raise ValueError(f"unknown landscape keys: {sorted(unknown)}")
+    for key, least in (("D", 1), ("S", 2)):
+        if not _is_int(spec.get(key)) or spec[key] < least:
+            raise ValueError(f"landscape {key} must be an integer >= {least}, got {spec.get(key)!r}")
+    if spec["D"] > LANDSCAPE_CAP_D or spec["S"] > LANDSCAPE_CAP_S:
+        raise SizeCapError(f"landscape caps are D<={LANDSCAPE_CAP_D}, S<={LANDSCAPE_CAP_S}")
+    axes = spec.get("axes", 1)
+    if not _is_int(axes) or axes not in (1, 2):
+        raise ValueError(f"landscape axes must be 1 or 2, got {axes!r}")
+    for key, least in _LANDSCAPE_NUMBERS.items():
+        value = spec.get(key, 0)
+        if not (_is_real(value) and least <= value < math.inf):
+            raise ValueError(f"landscape {key} must be a finite number >= {least}, got {value!r}")
+    target = spec.get("target", {})
+    if not isinstance(target, dict) or set(target) - _TARGET_KEYS:
+        raise ValueError(f"a landscape target must be an object with keys among "
+                         f"{sorted(_TARGET_KEYS)}, got {target!r}")
+    kind = target.get("kind", "quantile")
+    if kind == "quantile":
+        q = target.get("q", 0.001)
+        if not (_is_real(q) and 0 < q <= 1):
+            raise ValueError(f"quantile target q must be a number in (0, 1], got {q!r}")
+    elif kind == "threshold":
+        if not _is_real(target.get("value")):
+            raise ValueError(f"threshold target value must be a number, got {target.get('value')!r}")
+    elif kind == "rectangle":
+        bounds = target.get("bounds")
+        if not (isinstance(bounds, (list, tuple)) and len(bounds) == axes and all(
+                isinstance(b, (list, tuple)) and len(b) == 2 and all(map(_is_real, b))
+                for b in bounds)):
+            raise ValueError(f"rectangle target bounds must be one [lo, hi] pair of numbers "
+                             f"per fitness axis ({axes}), got {bounds!r}")
+    else:
+        raise ValueError(f"unknown target kind {kind!r}")
 
 
 def _planted_table(D: int, S: int, h: np.ndarray, J: np.ndarray) -> np.ndarray:
@@ -117,13 +166,9 @@ def _resolve_target(spec_target: dict, fitness_tables, weights: np.ndarray):
         resolved = {"kind": "threshold", "value": threshold}
     elif kind == "threshold":
         resolved = {"kind": "threshold", "value": float(spec_target["value"])}
-    elif kind == "rectangle":
+    else:  # rectangle
         bounds = [[float(lo), float(hi)] for lo, hi in spec_target["bounds"]]
-        if len(bounds) != len(fitness_tables):
-            raise ValueError("one (lo, hi) bound per fitness axis required")
         resolved = {"kind": "rectangle", "bounds": bounds}
-    else:
-        raise ValueError(f"unknown target kind {kind!r}")
 
     if resolved["kind"] == "threshold":
         thr = resolved["value"]
@@ -164,18 +209,12 @@ def make_landscape(spec: dict, rng) -> Landscape:
     fitness_scale, fitness_coupling_scale, anticorrelation (axis-1 single-site
     effects = -anticorrelation * axis-0 effects + noise), target
     ({kind: quantile, q} | {kind: threshold, value} | {kind: rectangle, bounds}).
+    :func:`check_landscape_spec` refuses a spec with a mistake, and ``rng`` is
+    a RandomSource or a numpy Generator.
     """
-    unknown = set(spec) - _LANDSCAPE_KEYS
-    if unknown:
-        raise ValueError(f"unknown landscape keys: {sorted(unknown)}")
-    target = spec.get("target", {})
-    unknown_t = set(target) - _TARGET_KEYS
-    if unknown_t:
-        raise ValueError(f"unknown target keys: {sorted(unknown_t)}")
-    D, S = int(spec["D"]), int(spec["S"])
-    if D > LANDSCAPE_CAP_D or S > LANDSCAPE_CAP_S:
-        raise SizeCapError(f"landscape caps are D<={LANDSCAPE_CAP_D}, S<={LANDSCAPE_CAP_S}")
-    gen = rng.generator() if isinstance(rng, RandomSource) else rng
+    check_landscape_spec(spec)
+    D, S = spec["D"], spec["S"]
+    gen = as_generator(rng)
     es = float(spec.get("energy_scale", 0.5))
     cs = float(spec.get("coupling_scale", 0.15))
     fs = float(spec.get("fitness_scale", 1.0))
@@ -190,7 +229,7 @@ def make_landscape(spec: dict, rng) -> Landscape:
 
     h, J = gen.normal(0, es, (D, S)), upper_pairs(cs)
     phi, psi = [gen.normal(0, fs, (D, S))], [upper_pairs(fcs)]
-    for _ in range(1, int(spec.get("axes", 1))):
+    for _ in range(1, spec.get("axes", 1)):
         phi.append(-anti * phi[0] + gen.normal(0, fs * 0.4, (D, S)))
         psi.append(upper_pairs(fcs))
     energy = _planted_table(D, S, h, J)
@@ -396,21 +435,15 @@ _CAMPAIGN_COUNTS = {
 }
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def check_campaign_config(cfg: dict) -> None:
     """Raise a ValueError naming the first mistake in a resolved campaign
     config: a count key that is not an integer at or above its least value,
     ``k`` above ``n_filter_total``, ``seeds`` that is not a non-empty list of
     integers, ``gammas`` that is not a list of finite numbers >= 0,
-    ``refit_qs`` that is not a list of numbers in (0, 1], or a
-    ``label_top_fraction`` outside (0, 1]. run_campaign and the command line call it before any
+    ``refit_qs`` that is not a list of numbers in (0, 1], a
+    ``label_top_fraction`` outside (0, 1], an ``acceptance_gamma`` that is
+    not a finite number >= 0, a switch that is not a boolean, or the
+    landscape's mistake (:func:`check_landscape_spec`). run_campaign and the command line call it before any
     work; resolve_campaign_config does not, so a campaign seed's set-up
     stays the merge alone."""
     for key, least in _CAMPAIGN_COUNTS.items():
@@ -433,6 +466,13 @@ def check_campaign_config(cfg: dict) -> None:
     top = cfg["label_top_fraction"]
     if not (_is_real(top) and 0 < top <= 1):
         raise ValueError(f"campaign label_top_fraction must be a number in (0, 1], got {top!r}")
+    gamma = cfg["acceptance_gamma"]
+    if not (_is_real(gamma) and 0 <= gamma < math.inf):
+        raise ValueError(f"campaign acceptance_gamma must be a finite number >= 0, got {gamma!r}")
+    for key in ("require_extrapolative", "include_exact_arm", "multi_property"):
+        if not isinstance(cfg[key], bool):
+            raise ValueError(f"campaign {key} must be true or false, got {cfg[key]!r}")
+    check_landscape_spec(cfg["landscape"])
 
 
 def _anchor_pareto_rectangle(landscape: Landscape, labeled_fvals: np.ndarray,
@@ -487,16 +527,16 @@ def prepare_campaign_seed(cfg: dict, master: RandomSource, seed: int):
     product for guidance; the refit analog curates by combined rank.
     """
     rng = master.substream(seed)
-    multi = bool(cfg.get("multi_property", False))
+    multi = cfg["multi_property"]
     spec = dict(cfg["landscape"])
     if multi:
-        spec["axes"] = max(2, int(spec.get("axes", 2)))
+        spec["axes"] = 2
         spec["target"] = {
             "kind": "rectangle",
             "bounds": [[float("-inf"), float("inf")]] * spec["axes"],
         }
     landscape = make_landscape(spec, rng.substream(0))
-    extrapolative = cfg.get("require_extrapolative", True)
+    extrapolative = cfg["require_extrapolative"]
     table = sequence_table(landscape.D, landscape.S)
     idx = landscape.p_data.sample_indices(cfg["n_labeled"], rng.substream(1))
     rows = table[idx]
@@ -558,7 +598,7 @@ def run_campaign_seed(cfg: dict, master: RandomSource, seed: int) -> list:
     for j, gamma in enumerate(cfg["gammas"]):
         _, res = run_guidance(den, clf, land, k, float(gamma), rng.substream(12 + j), refs, seed)
         results.append(res)
-    if cfg.get("include_exact_arm", False):
+    if cfg["include_exact_arm"]:
         gamma = float(cfg["acceptance_gamma"])
         _, res = run_guidance(
             den, _target_indicator_predictor(land), land, k, gamma, rng.substream(18),

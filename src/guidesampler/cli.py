@@ -1,7 +1,8 @@
 """Config-driven command line: verify suites, sampling runs, campaigns.
 
 Exit codes: 0 success, 1 check failure, 2 config error (a sampler size the
-int64 context codes cannot represent included), 3 runtime error.
+int64 context codes cannot represent, or an alphabet whose letters
+samples.txt cannot frame, included), 3 runtime error.
 Seed precedence: GUIDESAMPLER_SEED env var > --seed flag > config file >
 built-in default; the resolved seed must lie in [0, 2**53). Every run writes
 a resolved-config copy next to its outputs. Primary outputs (samples, paths,
@@ -21,20 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .acceptance import ACCEPTANCE_CHECKS, DEFAULT_SEED, run_checks
-from .bench import (
-    check_campaign_config,
-    resolve_campaign_config,
-    run_campaign,
-    write_campaign_csv,
-    write_campaign_timing_csv,
-)
-from .core import (
-    Alphabet,
-    RandomSource,
-    TabularDistribution,
-    identity_schedule,
-    unpack_table,
-)
+from .bench import (_is_int, _is_real, check_campaign_config, resolve_campaign_config,
+                    run_campaign, write_campaign_csv, write_campaign_timing_csv)
+from .core import Alphabet, RandomSource, TabularDistribution, unpack_table
 from .denoising import (
     ExactDenoiser,
     LogitModifier,
@@ -71,6 +61,10 @@ SAMPLER_DEFAULTS = {
 #: float64 (as 2**53 and 2**53+1 do, or -1 and -2 once masked to 64 bits)
 #: would draw the same substreams.
 SEED_LIMIT = 2**53
+
+#: Largest S whose letters chr(ord('A') + t) are all printable ASCII, so that
+#: samples.txt holds one row per line: token 61 is '~'.
+TEXT_S_LIMIT = ord("~") - ord("A") + 1
 
 _TOP_KEYS = {"command", "seed", "output_dir", "model", "predictor", "sampler", "only",
              "campaign"}
@@ -131,6 +125,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def check_sampler_config(sampler: dict) -> None:
+    """Raise a ValueError naming the first key of a merged sampler section
+    of the wrong type, or a route, mode or Euler dt out of range; the other
+    ranges are checked where the values are used, before any draw."""
+    n = sampler["n_samples"]
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"n_samples (--n) must be an integer >= 1, got {n!r}")
+    if not isinstance(sampler["record_paths"], bool):
+        raise ValueError(f"record_paths must be true or false, got {sampler['record_paths']!r}")
+    if not (sampler["wildtype"] is None or isinstance(sampler["wildtype"], str)):
+        raise ValueError(f"wildtype must be text or null, got {sampler['wildtype']!r}")
+    for key in ("gamma", "dt", "temperature", "wildtype_weight", "t0"):
+        if not _is_real(sampler[key]):
+            raise ValueError(f"sampler {key} must be a number, got {sampler[key]!r}")
+    check_route(sampler["route"], sampler["mode"])
+    if sampler["route"] == "euler":
+        check_dt(sampler["dt"])
+
+
 def resolve_config(args: argparse.Namespace) -> dict:
     file_cfg = _load_json(args.config, "config") if args.config else {}
     if not isinstance(file_cfg, dict):
@@ -175,18 +188,14 @@ def resolve_config(args: argparse.Namespace) -> dict:
         if not cfg["model"]:
             raise ConfigError("sample requires a --model file")
         try:
-            if int(sampler["n_samples"]) < 1:
-                raise ValueError(f"n_samples (--n) must be >= 1, got {sampler['n_samples']}")
-            check_route(sampler["route"], sampler["mode"])
-            if sampler["route"] == "euler":
-                check_dt(float(sampler["dt"]))
+            check_sampler_config(sampler)
         except (ValueError, TypeError) as e:
             raise ConfigError(str(e)) from e
     else:  # campaign
         try:
             cfg["campaign"] = resolve_campaign_config(file_cfg.get("campaign"))
             check_campaign_config(cfg["campaign"])
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, SizeCapError) as e:
             raise ConfigError(str(e)) from e
     if args.seed is not None:
         cfg["seed"] = int(args.seed)
@@ -300,6 +309,9 @@ def cmd_sample(cfg: dict) -> int:
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(cfg, out / "resolved_config.json")
     denoiser, p_tab = load_model(cfg["model"])
+    if denoiser.S > TEXT_S_LIMIT:
+        raise ConfigError(f"samples.txt renders token t as chr(ord('A') + t), which is printable "
+                          f"ASCII only up to S = {TEXT_S_LIMIT}; the model has S = {denoiser.S}")
     sampler = cfg["sampler"]
     predictor = None
     if cfg.get("predictor"):
@@ -329,11 +341,11 @@ def cmd_sample(cfg: dict) -> int:
         raise ConfigError(str(e)) from e
 
     root = RandomSource(cfg["seed"])
-    n = int(sampler["n_samples"])
-    record = bool(sampler["record_paths"])
+    n = sampler["n_samples"]
+    record = sampler["record_paths"]
     if sampler["route"] == "euler":
         dt = float(sampler["dt"])
-        result = euler_sample_many(denoiser, gcfg, identity_schedule(), dt, n, root, paths=record)
+        result = euler_sample_many(denoiser, gcfg, dt, n, root, paths=record)
     else:
         result = aoarm_sample_many(denoiser, gcfg, n, root, paths=record)
     rows, diag = result[0], result[-1]

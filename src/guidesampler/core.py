@@ -1,4 +1,4 @@
-"""Alphabets, token rows, masking, interpolation schedules, tabular distributions.
+"""Alphabets, token rows, masking, tabular distributions.
 
 Everything downstream builds on the conventions fixed here:
 
@@ -25,7 +25,6 @@ import base64
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -147,45 +146,6 @@ def encode_rows(rows: np.ndarray, S: int) -> np.ndarray:
     D = rows.shape[-1]
     radix = S ** np.arange(D, dtype=np.int64)
     return rows @ radix
-
-
-# ---------------------------------------------------------------------------
-# interpolation schedules
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class InterpolationSchedule:
-    """kappa: [0,1] -> [0,1] with kappa(0)=0, kappa(1)=1, monotone; kappa_dot
-    its derivative; kappa_inv the inverse CDF used to draw per-position jump
-    times."""
-
-    kappa: Callable[[float], float]
-    kappa_dot: Callable[[float], float]
-    kappa_inv: Callable[[float], float]
-    name: str = "custom"
-
-    def inverse(self, u):
-        """kappa^-1 of a scalar or, elementwise, of an array."""
-        return self.kappa_inv(u)
-
-
-def identity_schedule() -> InterpolationSchedule:
-    return InterpolationSchedule(
-        kappa=lambda t: t, kappa_dot=lambda t: 1.0, kappa_inv=lambda u: u, name="identity"
-    )
-
-
-def power_schedule(a: float) -> InterpolationSchedule:
-    """kappa(t) = 1 - (1-t)**a, a > 0."""
-    if a <= 0:
-        raise ValueError("power schedule exponent must be positive")
-    return InterpolationSchedule(
-        kappa=lambda t: 1.0 - (1.0 - t) ** a,
-        kappa_dot=lambda t: a * (1.0 - t) ** (a - 1.0),
-        kappa_inv=lambda u: 1.0 - (1.0 - u) ** (1.0 / a),
-        name=f"power[{a}]",
-    )
 
 
 # ---------------------------------------------------------------------------

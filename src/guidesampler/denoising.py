@@ -305,9 +305,8 @@ class ModifiedDenoiser(Denoiser):
     def logits_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         return apply_modifiers(self.base.logits_array(tokens, positions), self.modifier, positions)
 
-    def posterior_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
-        observed = pair_positions(tokens, positions)[2]
-        return fill_observed(softmax_rows(self.logits_array(tokens, positions)), observed, self.S)
+    # the softmax of the modified logits, observed positions one-hot
+    posterior_array = ParametricDenoiser.posterior_array
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Unconditional and guided generation over the masking noise process.
 
+The process runs on the linear clock kappa(t) = t: each position unmasks at
+a uniform time, so a still-masked position unmasks at rate 1/(1-t). No model
+reads the time, so another clock would only relabel the Euler grid and t0.
+
 Two sampling routes produce draws from the same law. Each route has one
 core that samples n chains at once over one context cache:
 
 * :func:`aoarm_sample_many`: exact any-order autoregressive sampling. Its
-  unmask orders and jump times come from :func:`sample_jump_times` under the
-  identity schedule (sorted i.i.d. uniforms give each chain a uniform unmask
-  order). Each step makes one categorical draw per chain; the per-step state
-  conditional never reads the clock (it takes no time argument).
+  unmask orders and jump times come from :func:`sample_jump_times` (sorted
+  i.i.d. uniforms give each chain a uniform unmask order). Each step makes
+  one categorical draw per chain; the per-step state conditional never
+  reads the clock (it takes no time argument).
 * :func:`euler_sample_many`: numerical CTMC integration with step ``dt``.
   It carries an O(dt) bias and counts outflow renormalizations. Positions
   still masked at the 1-dt horizon are force-completed at time 1.0.
@@ -40,10 +44,10 @@ pairs over the real symbols as one (P, S) matrix,
 :meth:`_ContextCache.step_tables` turns it into row totals and CDF rows, and
 :meth:`_ContextCache.pair_tables` hands each input pair of a step its total
 and CDF row. The any-order route draws from the CDF rows; the Euler route
-scales the totals by kappa_dot/(1-kappa) and, when guided, keeps each
-still-masked pair's total and CDF row across steps and at the horizon, and
-looks up again only the pairs of chains that jumped (all of them when the
-switch point flips); :func:`guide_rates` returns the weights of one
+scales the totals by 1/(1-t) and, when guided, keeps each still-masked
+pair's total and CDF row across steps and at the horizon, and looks up
+again only the pairs of chains that jumped (all of them when the switch
+point flips); :func:`guide_rates` returns the weights of one
 context's masked positions, scaled the same way, as a (D, S) rate matrix.
 The n chains of a call share one context cache, which keeps nothing
 between kernel calls. Every model answers rows: a step makes one pair-form
@@ -71,12 +75,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (
-    Alphabet,
-    InterpolationSchedule,
-    as_generator,
-    identity_schedule,
-)
+from .core import Alphabet, as_generator
 from .denoising import Denoiser
 from .errors import CapabilityError, DegenerateStepError, SizeCapError, TimeHorizonError
 from .predictors import TimePredictor
@@ -217,20 +216,21 @@ def write_paths_jsonl(paths: Sequence[DecodePath], fh) -> None:
 # ---------------------------------------------------------------------------
 
 
-def rate_coefficient(t: float, schedule: InterpolationSchedule) -> float:
+def rate_coefficient(t: float) -> float:
+    """The masking process's rate factor 1/(1-t) on the linear clock
+    kappa(t) = t; it diverges at the t=1 horizon."""
     if t >= 1.0 - TIME_HORIZON_EPS:
         raise TimeHorizonError(
             f"rates diverge at the t=1 horizon (requested t={t}); "
             "stop Euler integration at 1-dt and force-complete"
         )
-    return schedule.kappa_dot(t) / (1.0 - schedule.kappa(t))
+    return 1.0 / (1.0 - t)
 
 
 def guide_rates(
     denoiser: Denoiser,
     tokens: np.ndarray,
     t: float,
-    schedule: InterpolationSchedule,
     cfg: GuidanceConfig = GuidanceConfig(),
 ) -> np.ndarray:
     """Masking-process generative rates at time t of the context ``tokens``
@@ -241,9 +241,9 @@ def guide_rates(
 
     Returns the (D, S) matrix whose entry (d, s) is the rate of position d
     jumping to real symbol s: ``coef * weights`` at masked positions, with
-    ``coef`` = kappa_dot(t) / (1 - kappa(t)), and zero rows at unmasked
-    positions (no transitions out of them, none into the mask). The first
-    entry that is not finite and nonnegative raises ValueError naming it.
+    ``coef`` = 1 / (1 - t), and zero rows at unmasked positions (no
+    transitions out of them, none into the mask). The first entry that is
+    not finite and nonnegative raises ValueError naming it.
     """
     D, S = denoiser.D, denoiser.S
     tokens = np.asarray(tokens)
@@ -252,7 +252,7 @@ def guide_rates(
         raise ValueError(f"context must be an integer row ({D},) over 0..{S} (S the mask), got "
                          f"shape {tokens.shape} of dtype {tokens.dtype}")
     check_route("euler", cfg.mode)
-    coef = rate_coefficient(t, schedule)
+    coef = rate_coefficient(t)
     cache = _ContextCache(denoiser, cfg, SamplerDiagnostics())
     masked = np.flatnonzero(tokens == S)
     rates = np.zeros((D, S))
@@ -270,9 +270,9 @@ def guide_rates(
 # ---------------------------------------------------------------------------
 
 
-def sample_jump_times(D: int, schedule: InterpolationSchedule, rng, n: int = 1):
-    """Per-position jump times of n chains (i.i.d. with CDF kappa), sorted
-    per chain; the any-order sampler draws its orders and times here.
+def sample_jump_times(D: int, rng, n: int = 1):
+    """Per-position jump times of n chains (i.i.d. uniform on [0, 1), the
+    law of the linear clock), sorted per chain; the any-order sampler draws its orders and times here.
 
     Returns (tau, sigma), each of shape (n, D): tau nondecreasing along each
     row, sigma[k, i] the position whose time ranked i-th in chain k; ties
@@ -280,21 +280,19 @@ def sample_jump_times(D: int, schedule: InterpolationSchedule, rng, n: int = 1):
     """
     if D < 1:
         raise ValueError("D must be >= 1")
-    times = schedule.inverse(as_generator(rng).random((n, D)))
+    times = as_generator(rng).random((n, D))
     return np.sort(times, axis=1), np.argsort(times, axis=1, kind="stable")
 
 
-def lemma1_density(i: int, tau_i: float, tau_prev: float, D: int, schedule: InterpolationSchedule) -> float:
+def lemma1_density(i: int, tau_i: float, tau_prev: float, D: int) -> float:
     """Closed-form conditional density of the i-th jump time given the
-    previous one: (D-(i-1)) * kd(t_i)/(1-k(t_prev)) * ((1-k(t_i))/(1-k(t_prev)))^(D-i)."""
+    previous one: (D-(i-1)) / (1-t_prev) * ((1-t_i)/(1-t_prev))^(D-i)."""
     if not 1 <= i <= D:
         raise ValueError(f"jump index i={i} outside 1..{D}")
     if not 0.0 <= tau_prev < tau_i < 1.0:
         raise ValueError(f"need 0 <= tau_prev < tau_i < 1, got {tau_prev}, {tau_i}")
-    k_prev = schedule.kappa(tau_prev)
-    k_i = schedule.kappa(tau_i)
-    surv = (1.0 - k_i) / (1.0 - k_prev)
-    return (D - (i - 1)) * schedule.kappa_dot(tau_i) / (1.0 - k_prev) * surv ** (D - i)
+    surv = (1.0 - tau_i) / (1.0 - tau_prev)
+    return (D - (i - 1)) / (1.0 - tau_prev) * surv ** (D - i)
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +492,12 @@ def _run(route: str, core, denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng,
 def _aoarm_core(cache: _ContextCache, n: int, gen):
     """n any-order chains on one cache; returns (rows, order, jump times).
 
-    The order and times are :func:`sample_jump_times` under the identity
-    schedule: sorting i.i.d. uniforms gives each chain a uniform unmask
-    order. Step i draws one symbol per chain from the guided row of its
+    The order and times are :func:`sample_jump_times`: sorting i.i.d.
+    uniforms gives each chain a uniform unmask order. Step i draws one symbol per chain from the guided row of its
     (context, position) pair, formed once per distinct pair.
     """
     D, S, cfg = cache.D, cache.S, cache.cfg
-    times, order = sample_jump_times(D, identity_schedule(), gen, n)
+    times, order = sample_jump_times(D, gen, n)
     rows = np.full((n, D), S, dtype=np.int64)
     chains = np.arange(n)
     for i in range(D):
@@ -546,8 +543,7 @@ def check_dt(dt: float) -> int:
     return max(1, int(math.floor((1.0 - 2.0 * dt) / dt + 1e-9)) + 1)
 
 
-def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedule,
-                dt: float, n_int: int):
+def _euler_core(cache: _ContextCache, n: int, gen, dt: float, n_int: int):
     """n Euler chains on one cache; returns (rows, order, jump times).
 
     The still-masked (chain, position) pairs are flat arrays. Integration
@@ -611,7 +607,7 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
         if horizon:
             jump = np.ones(chain_idx.size, dtype=bool)
         else:
-            coef_dt = rate_coefficient(t, schedule) * dt
+            coef_dt = rate_coefficient(t) * dt
             diag.n_steps += 1
             outflow = np.full(chain_idx.size, coef_dt) if unguided else coef_dt * sums
             # a uniform draw lies below any outflow of 1 or more
@@ -633,8 +629,7 @@ def _euler_core(cache: _ContextCache, n: int, gen, schedule: InterpolationSchedu
     return rows, order, np.take_along_axis(times, order, axis=1)
 
 
-def euler_sample(denoiser: Denoiser, cfg: GuidanceConfig, schedule: InterpolationSchedule,
-                 dt: float, rng):
+def euler_sample(denoiser: Denoiser, cfg: GuidanceConfig, dt: float, rng):
     """Integrate one chain of the (guided) masking CTMC from the fully masked
     state: the n=1 case of :func:`euler_sample_many`.
 
@@ -642,15 +637,15 @@ def euler_sample(denoiser: Denoiser, cfg: GuidanceConfig, schedule: Interpolatio
     equals the path's ``row`` and row 0 of the n=1 batched call. Forced terminal
     unmasks carry time 1.0 in the path.
     """
-    rows, paths, diag = euler_sample_many(denoiser, cfg, schedule, dt, 1, rng, paths=True)
+    rows, paths, diag = euler_sample_many(denoiser, cfg, dt, 1, rng, paths=True)
     return rows[0], paths[0], diag
 
 
-def euler_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, schedule: InterpolationSchedule,
-                      dt: float, n: int, rng, paths: bool = False):
+def euler_sample_many(denoiser: Denoiser, cfg: GuidanceConfig, dt: float, n: int, rng,
+                      paths: bool = False):
     """n Euler chains stepped from t=0 to the 1-dt horizon; an outflow above
     1 jumps for sure and is counted, and residual masks are force-completed.
     Returns (token matrix, diagnostics), or (token matrix, decode paths,
     diagnostics) with ``paths``."""
-    core = functools.partial(_euler_core, schedule=schedule, dt=dt, n_int=check_dt(dt))
+    core = functools.partial(_euler_core, dt=dt, n_int=check_dt(dt))
     return _run("euler", core, denoiser, cfg, n, rng, paths)

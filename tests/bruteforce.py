@@ -136,24 +136,6 @@ def loop_aoarm_loss_exact(denoiser, p):
     return total / n_perm
 
 
-def check_schedule(schedule, grid=1000, tol=1e-6):
-    """Validate endpoints, monotonicity, and kappa_dot against central finite
-    differences on an interior grid. Raises ValueError on violation."""
-    k0, k1 = schedule.kappa(0.0), schedule.kappa(1.0)
-    if abs(k0) > 1e-12 or abs(k1 - 1.0) > 1e-12:
-        raise ValueError(f"schedule endpoints violated: kappa(0)={k0}, kappa(1)={k1}")
-    ts = [i / grid for i in range(grid + 1)]
-    vals = [schedule.kappa(t) for t in ts]
-    if any(b < a - 1e-12 for a, b in zip(vals, vals[1:])):
-        raise ValueError("kappa is not monotone nondecreasing")
-    h = 1e-6
-    for t in ts[1:-1]:
-        fd = (schedule.kappa(t + h) - schedule.kappa(t - h)) / (2 * h)
-        if abs(fd - schedule.kappa_dot(t)) > tol:
-            raise ValueError(f"kappa_dot disagrees with finite difference at t={t}: "
-                             f"{schedule.kappa_dot(t)} vs {fd}")
-
-
 def relaxed_likelihood(model, X):
     """Clamped likelihood of a PairwiseInteractionPredictor at a relaxed
     (real-valued) one-hot encoding X of shape (D, S+1): the score

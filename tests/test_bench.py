@@ -61,6 +61,11 @@ class TestMakeLandscape:
         with pytest.raises(ValueError):
             make_landscape({"D": 3, "S": 2, "bogus": 1}, RandomSource(0))
 
+    def test_rng_must_be_a_source_or_generator(self):
+        # an int seed died inside numpy with an AttributeError
+        with pytest.raises(TypeError, match="RandomSource or numpy Generator"):
+            make_landscape(SMALL_SPEC, 5)
+
     def test_two_axis_rectangle_target(self):
         land = make_landscape(
             {"D": 4, "S": 3, "axes": 2,

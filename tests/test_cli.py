@@ -358,6 +358,42 @@ class TestSampleConfigMistakes:
         assert main(["campaign", "--seed", "-1", "--out", str(tmp_path / "c")]) == 2
         assert main(["verify", "--seed", str(2**53), "--out", str(tmp_path / "v")]) == 2
 
+    # unchecked, n_samples 2.5 wrote 2 samples and true wrote 1, the text
+    # "false" recorded paths, numbers as text were read as numbers, and a
+    # number as the wild type or a null weight exited 3
+    @pytest.mark.parametrize("key, value", [
+        ("n_samples", 2.5), ("n_samples", True), ("n_samples", "3"),
+        ("record_paths", "false"), ("record_paths", 0),
+        ("wildtype", 5), ("wildtype", ["A", "A", "A"]),
+        ("gamma", "1"), ("dt", "0.05"), ("temperature", "1"),
+        ("wildtype_weight", None), ("t0", "0"),
+    ])
+    def test_sampler_section_types(self, tmp_path, model_file, capsys, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sampler": {key: value}}))
+        out = tmp_path / "o"
+        assert main(["sample", "--config", str(cfg), "--model", str(model_file),
+                     "--out", str(out)]) == 2
+        assert not (out / "samples.txt").exists()
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("S", [62, 63])
+    def test_alphabet_beyond_printable_letters(self, tmp_path, capsys, S):
+        # token 62 renders as chr(127), and from S = 69 on a letter can break
+        # a line of samples.txt; S = 62 ends at '~' and still samples
+        model = tmp_path / "wide.json"
+        p = TabularDistribution.from_unnormalized(2, S, np.ones(S * S))
+        model.write_text(json.dumps({"kind": "tabular", **p.to_json()}))
+        out = tmp_path / "o"
+        rc = main(["sample", "--model", str(model), "--n", "5", "--seed", "1", "--out", str(out)])
+        if S == 62:
+            assert rc == 0
+            assert [len(line) for line in (out / "samples.txt").read_text().splitlines()] == [2] * 5
+        else:
+            assert rc == 2
+            assert not (out / "samples.txt").exists()
+            assert "S = 62" in capsys.readouterr().err
+
 
 def as_lists(obj: dict) -> dict:
     """The same file with every packed table written as nested lists."""
@@ -616,3 +652,30 @@ class TestCampaignConfigMistakes:
 
     def test_label_top_fraction_above_one(self, tmp_path):
         assert self.run(tmp_path, label_top_fraction=1.5) == 2
+
+    # small enough that a campaign the check lets through ends in seconds
+    FAST = {"n_labeled": 60, "k": 5, "n_filter_total": 10, "classifier_epochs": 2,
+            "refit_train_steps": 2, "seeds": [0], "gammas": [1.0], "refit_qs": [0.5],
+            "require_extrapolative": False}
+
+    # unchecked, "false" ran the multi-property campaign and "no" added the
+    # exact arm; D 4.5 ran as D=4 and axes "2" was read as 2; the others
+    # exited 3 once the first seed ran, or (D 9) after the output was made
+    @pytest.mark.parametrize("mistake", [
+        {"acceptance_gamma": "x"}, {"acceptance_gamma": -1.0},
+        {"multi_property": "false"}, {"include_exact_arm": "no"},
+        {"require_extrapolative": 1},
+        {"landscape": {"D": 4.5}}, {"landscape": {"D": 0}}, {"landscape": {"D": 9}},
+        {"landscape": {"S": 1}}, {"landscape": {"S": "4"}},
+        {"landscape": {"axes": "2"}}, {"landscape": {"axes": 3}},
+        {"landscape": {"bogus": 1}}, {"landscape": {"energy_scale": "big"}},
+        {"landscape": {"coupling_scale": -0.1}},
+        {"landscape": {"target": {"kind": "top"}}},
+        {"landscape": {"target": {"kind": "quantile", "pct": 0.1}}},
+        {"landscape": {"target": {"kind": "quantile", "q": "0.001"}}},
+        {"landscape": {"target": {"kind": "threshold"}}},
+        {"landscape": {"axes": 2, "target": {"kind": "rectangle", "bounds": [[0.0, 1.0]]}}},
+    ], ids=lambda m: json.dumps(m, separators=(",", ":")))
+    def test_mistake_exits_2_before_any_seed(self, tmp_path, capsys, mistake):
+        assert self.run(tmp_path, **{**self.FAST, **mistake}) == 2
+        assert "Traceback" not in capsys.readouterr().err

@@ -13,10 +13,8 @@ from guidesampler.core import (
     check_context_count,
     clean_rows,
     encode_rows,
-    identity_schedule,
     pack_table,
     pad_contexts,
-    power_schedule,
     sequence_table,
     unpack_table,
 )
@@ -24,7 +22,7 @@ from guidesampler.denoising import ExactDenoiser
 from guidesampler.errors import SizeCapError, UnsupportedContextError
 from guidesampler.predictors import CleanPredictor, ExactMarginalPredictor
 
-from bruteforce import check_schedule, loop_pad_contexts, delta_weights, row
+from bruteforce import loop_pad_contexts, delta_weights, row
 
 AB = Alphabet(2)
 
@@ -116,25 +114,6 @@ class TestTableCap:
         assert check_context_count(D, S) == TABULAR_STATE_CAP
         with pytest.raises(SizeCapError, match=rf"{S + 1}\*\*{D + 1} = {(S + 1) ** (D + 1)} "):
             check_context_count(D + 1, S)
-
-
-class TestSchedules:
-    def test_identity_and_power_pass_validation(self):
-        check_schedule(identity_schedule())
-        check_schedule(power_schedule(2.0))
-        check_schedule(power_schedule(0.5), tol=5e-6)
-
-    def test_bad_derivative_caught(self):
-        sched = identity_schedule()
-        broken = type(sched)(kappa=sched.kappa, kappa_dot=lambda t: 1.01,
-                             kappa_inv=sched.kappa_inv, name="broken")
-        with pytest.raises(ValueError):
-            check_schedule(broken)
-
-    def test_inverse_matches_closed_form(self):
-        p = power_schedule(3.0)
-        for u in [0.1, 0.5, 0.9]:
-            assert p.inverse(u) == pytest.approx(1 - (1 - u) ** (1 / 3), abs=1e-9)
 
 
 class TestTabularDistribution:

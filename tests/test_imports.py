@@ -1,6 +1,7 @@
 """Every module of the package, of the test suite and of the benchmark
 (``perfbench``, read only) reads each name it imports. ``__init__.py`` files
-are skipped: their imports are re-exports.
+are skipped: their imports are re-exports. Every module-level function and
+class of the package is read somewhere outside its own definition.
 Only ``sampling.py`` reads the context-code powers ``pows``, so the code
 format stays private to ``_ContextCache``."""
 
@@ -80,3 +81,57 @@ def test_only_sampling_reads_code_powers():
         if lines and path.name != "sampling.py":
             found[path.name] = lines
     assert found == {}
+
+
+def _defs_and_reads(source: str):
+    """(module-level function and class names, reads) of a module: a read is
+    (name, enclosing module-level definition or None) for each name, attribute
+    and imported name the module reads."""
+    tree = ast.parse(source)
+    defs, reads = [], set()
+    for stmt in tree.body:
+        owner = None
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs.append(stmt.name)
+            owner = stmt.name
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                reads.add((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                reads.add((node.attr, owner))
+            elif isinstance(node, ast.alias):
+                reads.add((node.name.split(".")[-1], owner))
+    return defs, reads
+
+
+def unread_definitions(sources: dict, package: set) -> list:
+    """(module, name) of each module-level function or class of a module in
+    ``package`` that no module of ``sources`` ({module: source}) reads
+    outside the definition itself, sorted."""
+    parsed = {path: _defs_and_reads(src) for path, src in sources.items()}
+    found = []
+    for path in sorted(package):
+        for name in parsed[path][0]:
+            if not any(n == name and (other, owner) != (path, name)
+                       for other, (_, reads) in parsed.items() for n, owner in reads):
+                found.append((path, name))
+    return found
+
+
+def test_definition_scan_finds_unread_names():
+    sources = {
+        "a.py": "def f(n):\n    return f(n - 1)\ndef g():\n    pass\nclass C:\n    pass\n",
+        "b.py": "from a import g\nx = mod.C\n",
+    }
+    assert unread_definitions(sources, {"a.py"}) == [("a.py", "f")]
+
+
+def test_every_package_definition_is_read():
+    sources, package = {}, set()
+    for base in SCANNED:
+        for path in sorted(base.rglob("*.py")):
+            name = str(path.relative_to(ROOT))
+            sources[name] = path.read_text()
+            if base == SCANNED[0]:
+                package.add(name)
+    assert unread_definitions(sources, package) == []

@@ -31,7 +31,7 @@ import pytest
 
 from guidesampler.bench import resolve_campaign_config, run_campaign_seed
 from guidesampler.cli import main
-from guidesampler.core import RandomSource, TabularDistribution, identity_schedule
+from guidesampler.core import RandomSource, TabularDistribution
 from guidesampler.denoising import ExactDenoiser, ParametricDenoiser, train_denoiser
 from guidesampler.oracle import brute_force_posterior
 from guidesampler.predictors import (
@@ -140,12 +140,12 @@ def sampler_digest(model, route, mode, kind) -> str:
         if route == "aoarm":
             rows, diag = aoarm_sample_many(den, cfg, N_MANY, rng)
         else:
-            rows, diag = euler_sample_many(den, cfg, identity_schedule(), DT, N_MANY, rng)
+            rows, diag = euler_sample_many(den, cfg, DT, N_MANY, rng)
         return sha(np.ascontiguousarray(rows, dtype=np.int64).tobytes(), counts(diag))
     if route == "aoarm":
         x, path, diag = aoarm_sample(den, cfg, rng)
     else:
-        x, path, diag = euler_sample(den, cfg, identity_schedule(), DT, rng)
+        x, path, diag = euler_sample(den, cfg, DT, rng)
     path_json = json.dumps(path.to_json(), sort_keys=True).encode()
     return sha(x.tobytes(), path_json, counts(diag))
 
@@ -161,7 +161,7 @@ def switch_digest(model, mode, t0) -> str:
                          second_denoiser=cfg.second_denoiser, t0=float(t0))
     parts = []
     for dt in EULER_DTS:
-        rows, paths, diag = euler_sample_many(models["denoiser"], cfg, identity_schedule(), dt,
+        rows, paths, diag = euler_sample_many(models["denoiser"], cfg, dt,
                                               N_MANY, RandomSource(7), paths=True)
         parts.append(np.ascontiguousarray(rows, dtype=np.int64).tobytes())
         parts.append(json.dumps([p.to_json() for p in paths], sort_keys=True).encode())

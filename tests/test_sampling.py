@@ -5,12 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from guidesampler.core import (
-    RandomSource,
-    TabularDistribution,
-    identity_schedule,
-    power_schedule,
-)
+from guidesampler.core import RandomSource, TabularDistribution
 from guidesampler.denoising import (
     ExactDenoiser,
     LogitModifier,
@@ -58,8 +53,6 @@ from bruteforce import (
     sorted_pairs,
 )
 
-IDENT = identity_schedule()
-
 
 def random_dist(D, S, seed, floor=0.05):
     gen = RandomSource(seed).generator()
@@ -80,31 +73,31 @@ class TestGuidanceConfig:
         den = ExactDenoiser(p)
         pred = ExactMarginalPredictor(CleanPredictor(lambda x: 0.5), p)
         with pytest.raises(ValueError):
-            euler_sample(den, GuidanceConfig(mode="deg", predictor=pred), IDENT, 0.1, RandomSource(0))
+            euler_sample(den, GuidanceConfig(mode="deg", predictor=pred), 0.1, RandomSource(0))
         with pytest.raises(ValueError):
             aoarm_sample(den, GuidanceConfig(mode="exact", predictor=pred), RandomSource(0))
         with pytest.raises(ValueError):
-            guide_rates(den, row("??", 2), 0.5, IDENT,
+            guide_rates(den, row("??", 2), 0.5,
                         GuidanceConfig(mode="deg", predictor=pred))
 
 
 class TestUnguidedRates:
     def test_half_half_posterior_at_t_half(self):
         p = TabularDistribution(1, 2, [0.5, 0.5])
-        rates = guide_rates(ExactDenoiser(p), row("?", 2), 0.5, IDENT)
+        rates = guide_rates(ExactDenoiser(p), row("?", 2), 0.5)
         assert rates[0, 0] == pytest.approx(1.0)
         assert rates[0, 1] == pytest.approx(1.0)
 
     def test_no_entries_at_unmasked(self):
         p = random_dist(2, 2, 1)
-        rates = guide_rates(ExactDenoiser(p), row("A?", 2), 0.3, IDENT)
+        rates = guide_rates(ExactDenoiser(p), row("A?", 2), 0.3)
         assert rates.shape == (2, 2) and (rates[0] == 0.0).all() and (rates[1] > 0.0).all()
 
     def test_t0_rates_equal_posterior(self):
         p = random_dist(2, 2, 2)
         den = ExactDenoiser(p)
         xt = row("??", 2)
-        rates = guide_rates(den, xt, 0.0, IDENT)
+        rates = guide_rates(den, xt, 0.0)
         post = den.posterior_array(xt)
         for (d, s), r in np.ndenumerate(rates):
             assert r == pytest.approx(post[d, s])
@@ -112,13 +105,13 @@ class TestUnguidedRates:
     def test_time_horizon_error(self):
         p = random_dist(1, 2, 3)
         with pytest.raises(TimeHorizonError):
-            guide_rates(ExactDenoiser(p), row("?", 2), 1.0 - 1e-12, IDENT)
+            guide_rates(ExactDenoiser(p), row("?", 2), 1.0 - 1e-12)
 
     def test_single_transition_sparsity(self):
         # entries only at masked positions, only real target symbols
         p = random_dist(3, 3, 4)
         xt = row("A??", 3)
-        rates = guide_rates(ExactDenoiser(p), xt, 0.4, IDENT)
+        rates = guide_rates(ExactDenoiser(p), xt, 0.4)
         assert rates.shape == (3, 3)
         assert set(np.flatnonzero(rates.any(axis=1)).tolist()) == {1, 2}
 
@@ -137,7 +130,7 @@ class TestUnguidedRates:
 
         den = Untouchable(random_dist(2, 2, 45))
         with pytest.raises(ValueError, match=r"context must be an integer row \(2,\) over 0..2"):
-            guide_rates(den, np.array(tokens), 0.5, IDENT)
+            guide_rates(den, np.array(tokens), 0.5)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_rate_check_names_first_bad_entry(self):
@@ -146,7 +139,7 @@ class TestUnguidedRates:
         den = ExactDenoiser(random_dist(1, 2, 46))
         cfg = GuidanceConfig(mode="exact", gamma=30.0, predictor=Certain())
         with pytest.raises(ValueError, match=r"^rate \(0,0\) = inf is not finite and nonnegative$"):
-            guide_rates(den, row("?", 2), 0.5, IDENT, cfg)
+            guide_rates(den, row("?", 2), 0.5, cfg)
 
 
 class TestGuideRates:
@@ -160,9 +153,9 @@ class TestGuideRates:
 
     def test_gamma_zero_bitwise(self):
         den, xt, pred = self.setup_rates()
-        rates = guide_rates(den, xt, 0.25, IDENT)
+        rates = guide_rates(den, xt, 0.25)
         cfg = GuidanceConfig(mode="exact", gamma=0.0, predictor=pred)
-        guided = guide_rates(den, xt, 0.25, IDENT, cfg)
+        guided = guide_rates(den, xt, 0.25, cfg)
         assert np.array_equal(guided, rates)
 
     def test_ratio_example(self):
@@ -174,7 +167,7 @@ class TestGuideRates:
                 return np.where((tokens == 2).any(axis=-1), 0.4, 0.8)
 
         p = TabularDistribution(1, 2, [0.5, 0.5])
-        args = (ExactDenoiser(p), row("?", 2), 0.5, IDENT)
+        args = (ExactDenoiser(p), row("?", 2), 0.5)
         assert guide_rates(*args)[0, 0] == pytest.approx(1.0)
         guided = guide_rates(*args, GuidanceConfig(mode="exact", gamma=1.0, predictor=Fixed()))
         assert guided[0, 0] == pytest.approx(2.0)
@@ -190,9 +183,9 @@ class TestGuideRates:
             xt = row(text, S)
             if not (xt == S).any():
                 continue
-            rates = guide_rates(den, xt, 0.35, IDENT)
-            ex = guide_rates(den, xt, 0.35, IDENT, GuidanceConfig(mode="exact", gamma=1.3, predictor=pred))
-            tg = guide_rates(den, xt, 0.35, IDENT, GuidanceConfig(mode="tag", gamma=1.3, predictor=pred))
+            rates = guide_rates(den, xt, 0.35)
+            ex = guide_rates(den, xt, 0.35, GuidanceConfig(mode="exact", gamma=1.3, predictor=pred))
+            tg = guide_rates(den, xt, 0.35, GuidanceConfig(mode="tag", gamma=1.3, predictor=pred))
             for key in np.ndindex(rates.shape):
                 if ex[key] == 0.0:
                     assert tg[key] == 0.0
@@ -209,10 +202,10 @@ class TestGuideRates:
         p2 = random_dist(2, 2, 10)
         den1, den2 = ExactDenoiser(p1), ExactDenoiser(p2)
         xt = row("??", 2)
-        base = guide_rates(den1, xt, 0.2, IDENT)
-        cond = guide_rates(den2, xt, 0.2, IDENT)
+        base = guide_rates(den1, xt, 0.2)
+        cond = guide_rates(den2, xt, 0.2)
         cfg = GuidanceConfig(mode="predictor_free", gamma=0.3, second_denoiser=den2)
-        mixed = guide_rates(den1, xt, 0.2, IDENT, cfg)
+        mixed = guide_rates(den1, xt, 0.2, cfg)
         for key in np.ndindex(base.shape):
             want = cond[key] ** 0.3 * base[key] ** 0.7
             assert mixed[key] == pytest.approx(want, rel=1e-12)
@@ -220,18 +213,18 @@ class TestGuideRates:
 
 class TestJumpTimes:
     def test_d1_uniform_ks(self):
-        taus = sample_jump_times(1, IDENT, RandomSource(11).generator(), n=100000)[0][:, 0]
+        taus = sample_jump_times(1, RandomSource(11).generator(), n=100000)[0][:, 0]
         assert ks_uniform(taus).passed
 
     def test_d3_first_time_is_min_of_three_uniforms(self):
-        first = sample_jump_times(3, IDENT, RandomSource(12).generator(), n=100000)[0][:, 0]
+        first = sample_jump_times(3, RandomSource(12).generator(), n=100000)[0][:, 0]
         assert abs(first.mean() - 0.25) < 0.005  # Beta(1,3) mean
         # full distributional check
         assert stats.kstest(first, lambda x: 1 - (1 - x) ** 3).pvalue > 0.01
 
     def test_sigma_uniform_over_permutations(self):
         n = 60000
-        _, sigma = sample_jump_times(3, IDENT, RandomSource(13).generator(), n=n)
+        _, sigma = sample_jump_times(3, RandomSource(13).generator(), n=n)
         keys, freq = np.unique(sigma, axis=0, return_counts=True)
         counts = dict(zip(map(tuple, keys.tolist()), freq.tolist()))
         assert len(counts) == 6
@@ -240,7 +233,7 @@ class TestJumpTimes:
         assert stats.chi2.sf(chi2, 5) > 0.001
 
     def test_sorted_and_consistent_with_schedule(self):
-        taus, sigma = sample_jump_times(5, power_schedule(2.0), RandomSource(14))
+        taus, sigma = sample_jump_times(5, RandomSource(14))
         assert (np.diff(taus[0]) >= 0).all()
         assert sorted(sigma[0].tolist()) == list(range(5))
 
@@ -250,7 +243,7 @@ class TestJumpTimes:
         den = ParametricDenoiser.random(4, 3, RandomSource(15), scale=0.5)
         n = 30
         _, paths, _ = aoarm_sample_many(den, GuidanceConfig(), n, RandomSource(16), paths=True)
-        tau, sigma = sample_jump_times(4, identity_schedule(), RandomSource(16).generator(), n)
+        tau, sigma = sample_jump_times(4, RandomSource(16).generator(), n)
         assert np.array_equal(np.stack([p.permutation for p in paths]), sigma)
         assert np.array_equal(np.stack([p.jump_times for p in paths]), tau)
 
@@ -258,32 +251,27 @@ class TestJumpTimes:
 class TestLemma1Density:
     def test_d1_uniform(self):
         for tau in (0.1, 0.5, 0.9):
-            assert lemma1_density(1, tau, 0.0, 1, IDENT) == pytest.approx(1.0)
+            assert lemma1_density(1, tau, 0.0, 1) == pytest.approx(1.0)
 
     def test_d2_first_jump_value(self):
-        # 2 * kd/(1-0) * ((1-0.5)/(1-0))^1 = 1.0; cross-check min-of-2 density 2(1-t)
-        assert lemma1_density(1, 0.5, 0.0, 2, IDENT) == pytest.approx(1.0)
-        assert lemma1_density(1, 0.25, 0.0, 2, IDENT) == pytest.approx(2 * (1 - 0.25))
+        # 2/(1-0) * ((1-0.5)/(1-0))^1 = 1.0; cross-check min-of-2 density 2(1-t)
+        assert lemma1_density(1, 0.5, 0.0, 2) == pytest.approx(1.0)
+        assert lemma1_density(1, 0.25, 0.0, 2) == pytest.approx(2 * (1 - 0.25))
 
     @pytest.mark.parametrize("i", [1, 2, 3])
     def test_integrates_to_one(self, i):
         gen = RandomSource(15 + i).generator()
         tau_prev = float(gen.random() * 0.6)
         val, err = integrate.quad(
-            lambda t: lemma1_density(i, t, tau_prev, 3, IDENT), tau_prev, 1.0, limit=200
+            lambda t: lemma1_density(i, t, tau_prev, 3), tau_prev, 1.0, limit=200
         )
-        assert abs(val - 1.0) <= 1e-6
-
-    def test_integrates_to_one_power_schedule(self):
-        sched = power_schedule(2.0)
-        val, _ = integrate.quad(lambda t: lemma1_density(2, t, 0.3, 3, sched), 0.3, 1.0, limit=200)
         assert abs(val - 1.0) <= 1e-6
 
     def test_ordering_violations_rejected(self):
         with pytest.raises(ValueError):
-            lemma1_density(1, 0.2, 0.5, 3, IDENT)
+            lemma1_density(1, 0.2, 0.5, 3)
         with pytest.raises(ValueError):
-            lemma1_density(4, 0.5, 0.2, 3, IDENT)
+            lemma1_density(4, 0.5, 0.2, 3)
 
 
 class TestEulerSampler:
@@ -291,15 +279,15 @@ class TestEulerSampler:
         p = TabularDistribution(4, 2, delta_weights("ABBA", 2))
         den = ExactDenoiser(p)
         for seed in range(5):
-            out, _, _ = euler_sample(den, GuidanceConfig(), IDENT, 0.05, RandomSource(seed))
+            out, _, _ = euler_sample(den, GuidanceConfig(), 0.05, RandomSource(seed))
             assert out.tolist() == [0, 1, 1, 0]
 
     def test_overflow_is_counted(self):
-        # unguided identity-schedule outflow is dt/(1-t) <= 1 on every step
+        # unguided outflow is dt/(1-t) <= 1 on every step
         # before the horizon, so the counter stays zero ...
         p = random_dist(3, 2, 16)
         den = ExactDenoiser(p)
-        _, _, diag = euler_sample(den, GuidanceConfig(), IDENT, 0.1, RandomSource(0))
+        _, _, diag = euler_sample(den, GuidanceConfig(), 0.1, RandomSource(0))
         assert diag.overflow_renormalizations == 0
 
         # ... while a strong likelihood ratio pushes guided outflow past 1
@@ -311,14 +299,14 @@ class TestEulerSampler:
                 return np.where((tokens == 2).any(axis=-1), 0.05, 0.95)
 
         cfg = GuidanceConfig(mode="exact", gamma=2.0, predictor=Strong())
-        _, _, diag = euler_sample(den, cfg, IDENT, 0.1, RandomSource(1))
+        _, _, diag = euler_sample(den, cfg, 0.1, RandomSource(1))
         assert diag.overflow_renormalizations > 0
-        rows, diag_many = euler_sample_many(den, cfg, IDENT, 0.1, 50, RandomSource(2))
+        rows, diag_many = euler_sample_many(den, cfg, 0.1, 50, RandomSource(2))
         assert diag_many.overflow_renormalizations > 0
 
     def test_path_records_one_unmask_per_step(self):
         p = random_dist(4, 2, 17)
-        out, path, diag = euler_sample(ExactDenoiser(p), GuidanceConfig(), IDENT, 0.02, RandomSource(3))
+        out, path, diag = euler_sample(ExactDenoiser(p), GuidanceConfig(), 0.02, RandomSource(3))
         # unguided, a weight row is formed only for a position that jumps or
         # is force-completed, each from its own (context, position) pair
         assert diag.step_weight_requests == 4
@@ -331,9 +319,9 @@ class TestEulerSampler:
     def test_many_matches_single_law(self):
         p = random_dist(3, 2, 18)
         den = ExactDenoiser(p)
-        rows, _ = euler_sample_many(den, GuidanceConfig(), IDENT, 0.01, 30000, RandomSource(19))
+        rows, _ = euler_sample_many(den, GuidanceConfig(), 0.01, 30000, RandomSource(19))
         singles = np.stack(
-            [euler_sample(den, GuidanceConfig(), IDENT, 0.01, RandomSource(20).substream(k))[0] for k in range(3000)]
+            [euler_sample(den, GuidanceConfig(), 0.01, RandomSource(20).substream(k))[0] for k in range(3000)]
         )
         emp_many = EmpiricalDistribution.from_token_rows(rows, 3, 2)
         emp_single = EmpiricalDistribution.from_token_rows(singles, 3, 2)
@@ -348,7 +336,7 @@ class TestEulerSampler:
         for dt in (0.1, 0.001):
             vals = []
             for seed in range(4):
-                rows, _ = euler_sample_many(den, GuidanceConfig(), IDENT, dt, n, RandomSource(100 + seed))
+                rows, _ = euler_sample_many(den, GuidanceConfig(), dt, n, RandomSource(100 + seed))
                 vals.append(tv_distance(EmpiricalDistribution.from_token_rows(rows, 4, 3), p))
             tv[dt] = float(np.mean(vals))
         assert tv[0.1] > tv[0.001]
@@ -357,13 +345,13 @@ class TestEulerSampler:
         p = random_dist(1, 2, 22)
         for bad in (0.0, 0.2, -0.01):
             with pytest.raises(ValueError):
-                euler_sample(ExactDenoiser(p), GuidanceConfig(), IDENT, bad, RandomSource(0))
+                euler_sample(ExactDenoiser(p), GuidanceConfig(), bad, RandomSource(0))
 
     def test_non_dividing_dt_accepted(self):
         p = random_dist(3, 2, 23)
-        out, path, _ = euler_sample(ExactDenoiser(p), GuidanceConfig(), IDENT, 0.03, RandomSource(1))
+        out, path, _ = euler_sample(ExactDenoiser(p), GuidanceConfig(), 0.03, RandomSource(1))
         assert len(path.permutation) == 3
-        rows, _ = euler_sample_many(ExactDenoiser(p), GuidanceConfig(), IDENT, 0.07, 500, RandomSource(2))
+        rows, _ = euler_sample_many(ExactDenoiser(p), GuidanceConfig(), 0.07, 500, RandomSource(2))
         assert (rows < 2).all()
 
 
@@ -392,7 +380,7 @@ class TestEulerHorizon:
         monkeypatch.setattr(_ContextCache, "pair_tables", spy)
         den, pred = looped_test_models()
         cfg = GuidanceConfig(mode="exact", gamma=1.5, predictor=pred, t0=t0)
-        rows, paths, _ = euler_sample_many(den, cfg, IDENT, self.DT, 40, RandomSource(61),
+        rows, paths, _ = euler_sample_many(den, cfg, self.DT, 40, RandomSource(61),
                                            paths=True)
         n_int = check_dt(self.DT)
         last = (n_int - 1) * self.DT + self.DT  # jump time of the last integration step
@@ -434,8 +422,8 @@ def test_single_chain_is_row_zero_of_the_batch(route):
         out, path, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(59))
         rows, _ = aoarm_sample_many(den, GuidanceConfig(), 1, RandomSource(59))
     else:
-        out, path, _ = euler_sample(den, GuidanceConfig(), IDENT, 0.05, RandomSource(59))
-        rows, _ = euler_sample_many(den, GuidanceConfig(), IDENT, 0.05, 1, RandomSource(59))
+        out, path, _ = euler_sample(den, GuidanceConfig(), 0.05, RandomSource(59))
+        rows, _ = euler_sample_many(den, GuidanceConfig(), 0.05, 1, RandomSource(59))
     assert out.dtype == np.int64 and out.shape == (5,)
     assert np.array_equal(out, path.row) and np.array_equal(out, rows[0])
 
@@ -498,7 +486,7 @@ class TestAOARMSampler:
 
     def test_jump_times_are_the_sorted_order_uniforms(self):
         # the uniforms whose argsort fixed the unmask order, sorted: the jump
-        # times under the identity schedule
+        # times
         den = ExactDenoiser(random_dist(3, 2, 31))
         _, path, _ = aoarm_sample(den, GuidanceConfig(), RandomSource(7))
         u = RandomSource(7).generator().random((1, 3))[0]
@@ -578,7 +566,7 @@ class TestEulerDegenerateStep:
         den = ExactDenoiser(random_dist(1, 2, 46))
         cfg = GuidanceConfig(mode="exact", gamma=30.0, predictor=Certain())
         with pytest.raises(DegenerateStepError) as exc:
-            euler_sample_many(den, cfg, IDENT, 0.1, 20, RandomSource(47))
+            euler_sample_many(den, cfg, 0.1, 20, RandomSource(47))
         assert (exc.value.step, exc.value.position) == (0, 0)
         assert str(exc.value) == (
             "guided symbol weights overflowed (total inf) at decode step 0 (position 0)"
@@ -591,7 +579,7 @@ class TestEulerDegenerateStep:
         den = ExactDenoiser(random_dist(2, 2, 48))
         cfg = GuidanceConfig(mode="exact", gamma=30.0, predictor=Certain(), t0=0.85)
         with pytest.raises(DegenerateStepError) as exc:
-            euler_sample_many(den, cfg, IDENT, 0.1, 200, RandomSource(49))
+            euler_sample_many(den, cfg, 0.1, 200, RandomSource(49))
         assert exc.value.step == 9
         assert str(exc.value).startswith("guided symbol weights overflowed (total inf)")
 
@@ -634,7 +622,7 @@ class TestDegenerateRowsInOneStep:
             if route == "aoarm":
                 aoarm_sample_many(den, cfg, 40, RandomSource(51))
             else:
-                euler_sample_many(den, cfg, IDENT, 0.1, 40, RandomSource(51))
+                euler_sample_many(den, cfg, 0.1, 40, RandomSource(51))
         assert (exc.value.step, exc.value.position) == (0, 0)
         assert str(exc.value) == message
 
@@ -689,7 +677,7 @@ class TestDecodePaths:
         den = ParametricDenoiser.random(self.D, self.S, RandomSource(82), scale=0.5)
         dt = 0.1
         rows, paths, _ = euler_sample_many(
-            den, GuidanceConfig(), IDENT, dt, self.N, RandomSource(83), paths=True
+            den, GuidanceConfig(), dt, self.N, RandomSource(83), paths=True
         )
         self.check(rows, paths)
         forced = 0
@@ -703,7 +691,7 @@ class TestDecodePaths:
             assert ((steps > 1 - 1e-9) & (steps < 9 + 1e-9)).all()
             forced += sum(t == 1.0 for t, _ in events)
         assert forced > 0
-        plain, _ = euler_sample_many(den, GuidanceConfig(), IDENT, dt, self.N, RandomSource(83))
+        plain, _ = euler_sample_many(den, GuidanceConfig(), dt, self.N, RandomSource(83))
         assert np.array_equal(plain, rows)
 
 
@@ -713,7 +701,7 @@ class TestSamplerEquivalence:
         den = ExactDenoiser(p)
         n = 50000
         rows_a, _ = aoarm_sample_many(den, GuidanceConfig(), n, RandomSource(42))
-        rows_e, _ = euler_sample_many(den, GuidanceConfig(), IDENT, 0.001, n, RandomSource(43))
+        rows_e, _ = euler_sample_many(den, GuidanceConfig(), 0.001, n, RandomSource(43))
         emp_a = EmpiricalDistribution.from_token_rows(rows_a, 4, 3)
         emp_e = EmpiricalDistribution.from_token_rows(rows_e, 4, 3)
         assert tv_distance(emp_a, p) <= 0.03
@@ -730,7 +718,7 @@ class TestSamplerEquivalence:
         n = 40000
         tvs = {}
         for dt in (0.1, 0.005):
-            rows, _ = euler_sample_many(den, cfg, IDENT, dt, n, RandomSource(45))
+            rows, _ = euler_sample_many(den, cfg, dt, n, RandomSource(45))
             tvs[dt] = tv_distance(EmpiricalDistribution.from_token_rows(rows, 3, 2), target)
         assert tvs[0.005] <= 0.02
         assert tvs[0.1] > tvs[0.005]
@@ -764,17 +752,17 @@ class TestZeroMassContexts:
         # simultaneous jumps that land on BA? or AB? keep only their first
         p, clean, pred = self.models()
         cfg = GuidanceConfig(mode="exact", gamma=gamma, predictor=pred)
-        rows, _ = euler_sample_many(ExactDenoiser(p), cfg, IDENT, 0.01, 20000, RandomSource(62))
+        rows, _ = euler_sample_many(ExactDenoiser(p), cfg, 0.01, 20000, RandomSource(62))
         emp = EmpiricalDistribution.from_token_rows(rows, 3, 2)
         assert chi_square_gof(emp, brute_force_posterior(p, clean, gamma)).passed
 
     def test_zero_mass_child_gets_zero_rate(self):
         p, _, pred = self.models()
         xt = row("?A?", 2)
-        rates = guide_rates(ExactDenoiser(p), xt, 0.5, IDENT, GuidanceConfig("exact", 2.0, pred))
+        rates = guide_rates(ExactDenoiser(p), xt, 0.5, GuidanceConfig("exact", 2.0, pred))
         # ?A? is AAA; no completion of BA? or ?AB has mass
-        assert rates.tolist() == [[rate_coefficient(0.5, IDENT), 0.0], [0.0, 0.0],
-                                  [rate_coefficient(0.5, IDENT), 0.0]]
+        assert rates.tolist() == [[rate_coefficient(0.5), 0.0], [0.0, 0.0],
+                                  [rate_coefficient(0.5), 0.0]]
 
     @pytest.mark.parametrize("route", ["aoarm", "euler"])
     def test_tempered_model_has_its_base_support(self, route):
@@ -787,7 +775,7 @@ class TestZeroMassContexts:
         if route == "aoarm":
             rows, _ = aoarm_sample_many(den, GuidanceConfig(), 2000, RandomSource(1))
         else:
-            rows, _ = euler_sample_many(den, GuidanceConfig(), IDENT, 0.05, 2000, RandomSource(1))
+            rows, _ = euler_sample_many(den, GuidanceConfig(), 0.05, 2000, RandomSource(1))
         assert {tuple(row) for row in rows.tolist()} == {(0, 0, 0), (1, 1, 1)}
 
     @staticmethod
@@ -805,8 +793,7 @@ class TestZeroMassContexts:
         den = ExactDenoiser(TabularDistribution(3, 2, w))
         return {
             "aoarm": lambda: aoarm_sample_many(den, cfg, n, RandomSource(62)),
-            "euler": lambda: euler_sample_many(den, cfg, identity_schedule(), 0.01, n,
-                                               RandomSource(63)),
+            "euler": lambda: euler_sample_many(den, cfg, 0.01, n, RandomSource(63)),
         }
 
     @pytest.mark.parametrize("route", ["aoarm", "euler"])
@@ -858,8 +845,8 @@ class TestRowsFormMatchesLooped:
             rows, diag = aoarm_sample_many(den, cfg, 200, RandomSource(76))
             x, path, one = aoarm_sample(den, cfg, RandomSource(77))
         else:
-            rows, diag = euler_sample_many(den, cfg, IDENT, 0.05, 100, RandomSource(78))
-            x, path, one = euler_sample(den, cfg, IDENT, 0.05, RandomSource(79))
+            rows, diag = euler_sample_many(den, cfg, 0.05, 100, RandomSource(78))
+            x, path, one = euler_sample(den, cfg, 0.05, RandomSource(79))
         return rows, x, path.to_json(), self.counts(diag), self.counts(one)
 
     def check(self, route, mode, den, pred):
@@ -912,7 +899,7 @@ class TestRowsFormMatchesLooped:
         xt = row("ABCDA", 4)
         for d, p in ((den, pred), (Looped(den), Looped(pred))):
             cfg = GuidanceConfig(mode=mode, gamma=1.5, predictor=None if mode == "none" else p)
-            rates = guide_rates(d, xt, 0.3, IDENT, cfg)
+            rates = guide_rates(d, xt, 0.3, cfg)
             assert rates.shape == (5, 4) and not rates.any()
 
 
@@ -943,9 +930,9 @@ class TestScalarAnswerRefused:
             if driver == "aoarm":
                 aoarm_sample_many(den, cfg, 10, RandomSource(96))
             elif driver == "euler":
-                euler_sample_many(den, cfg, IDENT, 0.1, 10, RandomSource(96))
+                euler_sample_many(den, cfg, 0.1, 10, RandomSource(96))
             else:
-                guide_rates(den, row("A??", 2), 0.5, IDENT, cfg)
+                guide_rates(den, row("A??", 2), 0.5, cfg)
 
 
 def sized_state(obj, depth=2):
@@ -997,7 +984,7 @@ class TestModelsHoldNoMemo:
         if route == "aoarm":
             aoarm_sample_many(den, cfg, 50, RandomSource(53))
         else:
-            euler_sample_many(den, cfg, IDENT, 0.05, 50, RandomSource(53))
+            euler_sample_many(den, cfg, 0.05, 50, RandomSource(53))
         assert len(made) == 1 and self.containers(made[0]) == set()
 
     def test_deg_call_leaves_models_unchanged(self):
@@ -1061,7 +1048,7 @@ class TestContextCodeOverflow:
         # rank among the step's distinct contexts instead
         drivers = (
             lambda den: aoarm_sample_many(den, GuidanceConfig(), 4, RandomSource(0)),
-            lambda den: euler_sample_many(den, GuidanceConfig(), IDENT, 0.1, 4, RandomSource(0)),
+            lambda den: euler_sample_many(den, GuidanceConfig(), 0.1, 4, RandomSource(0)),
         )
         for run in drivers:
             den = ContextSpy(14, 20)
@@ -1184,8 +1171,8 @@ class TestGuidanceKernel:
             for _, pairs in self.contexts(D, S):
                 for context in {tuple(r) for r, _ in pairs}:
                     xt = np.array(context)
-                    rates = guide_rates(den, xt, 0.3, IDENT, cfg)
+                    rates = guide_rates(den, xt, 0.3, cfg)
                     for d in np.flatnonzero(xt == S):
                         want = loop_guided_row(mode, gamma, den, predictor, cfg.second_denoiser,
                                                xt, d)
-                        assert np.array_equal(rates[d], rate_coefficient(0.3, IDENT) * want)
+                        assert np.array_equal(rates[d], rate_coefficient(0.3) * want)
