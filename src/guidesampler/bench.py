@@ -36,7 +36,7 @@ LANDSCAPE_CAP_D = 8
 LANDSCAPE_CAP_S = 4
 
 _LANDSCAPE_KEYS = {
-    "D", "S", "seed", "axes", "energy_scale", "coupling_scale",
+    "D", "S", "axes", "energy_scale", "coupling_scale",
     "fitness_scale", "fitness_coupling_scale", "anticorrelation", "target",
 }
 _TARGET_KEYS = {"kind", "q", "value", "bounds"}

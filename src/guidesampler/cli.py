@@ -66,8 +66,17 @@ SEED_LIMIT = 2**53
 #: samples.txt holds one row per line: token 61 is '~'.
 TEXT_S_LIMIT = ord("~") - ord("A") + 1
 
-_TOP_KEYS = {"command", "seed", "output_dir", "model", "predictor", "sampler", "only",
-             "campaign"}
+#: What each top-level config key but ``command`` must hold, and its check.
+_TOP_TYPES = {
+    "seed": ("an integer", _is_int),
+    "output_dir": ("text", lambda v: isinstance(v, str)),
+    "model": ("a file name or null", lambda v: v is None or isinstance(v, str)),
+    "predictor": ("a file name or null", lambda v: v is None or isinstance(v, str)),
+    "only": ("a list of check names",
+             lambda v: isinstance(v, list) and all(isinstance(name, str) for name in v)),
+    "sampler": ("an object", lambda v: isinstance(v, dict)),
+    "campaign": ("an object", lambda v: isinstance(v, dict)),
+}
 
 
 def _dump_json(obj, path: Path) -> None:
@@ -148,26 +157,23 @@ def resolve_config(args: argparse.Namespace) -> dict:
     file_cfg = _load_json(args.config, "config") if args.config else {}
     if not isinstance(file_cfg, dict):
         raise ConfigError("config file must hold a JSON object")
-    unknown = set(file_cfg) - _TOP_KEYS
+    unknown = set(file_cfg) - {"command", *_TOP_TYPES}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    try:
-        seed = int(file_cfg.get("seed", DEFAULT_SEED))
-    except (TypeError, ValueError, OverflowError) as e:
-        raise ConfigError(f"config seed must be an integer, got {file_cfg['seed']!r}") from e
+    for key, (what, ok) in _TOP_TYPES.items():
+        if key in file_cfg and not ok(file_cfg[key]):
+            raise ConfigError(f"config {key} must be {what}, got {file_cfg[key]!r}")
     if "command" in file_cfg and file_cfg["command"] != args.command:
         raise ConfigError(
             f"config file is for command {file_cfg['command']!r}, invoked {args.command!r}"
         )
     cfg = {
         "command": args.command,
-        "seed": seed,
+        "seed": file_cfg.get("seed", DEFAULT_SEED),
         "output_dir": file_cfg.get("output_dir", "guidesampler_out"),
     }
     if args.command == "verify":
-        cfg["only"] = file_cfg.get("only", [])
-        if args.only:
-            cfg["only"] = list(args.only)
+        cfg["only"] = list(args.only or file_cfg.get("only", []))
     elif args.command == "sample":
         sampler = dict(SAMPLER_DEFAULTS)
         file_sampler = file_cfg.get("sampler", {})

@@ -1,9 +1,10 @@
 """Property predictors p(y | x_t) on partially masked sequences.
 
-Every time-dependent predictor exposes a likelihood clamped to
-[LIKELIHOOD_FLOOR, 1] so guidance ratios never divide by zero, and may expose
-a gradient surface over the mask-extended one-hot encoding (D x (S+1)), which
-is what first-order guidance reads to score unmask transitions.
+Every time-dependent predictor exposes the likelihoods of token rows,
+clamped to [LIKELIHOOD_FLOOR, 1] so guidance ratios never divide by zero, and
+may expose a gradient surface over the mask-extended one-hot encoding: one
+row of S+1 entries per (context, position) pair, which is what first-order
+guidance reads to score unmask transitions.
 
 The trainable family is a linear classifier over the mask-extended one-hot
 encoding augmented with pairwise interaction terms. It supports two links:
@@ -35,22 +36,18 @@ from .core import (
     sequence_table,
     unpack_table,
 )
-from .denoising import pair_positions
 from .errors import CapabilityError
 
 #: Likelihoods are clamped below by this before forming guidance ratios.
 LIKELIHOOD_FLOOR = 1e-12
 
 
-def clamp_likelihood(value):
-    """A likelihood, a scalar or an array, clamped to [LIKELIHOOD_FLOOR, 1]:
-    a float for a scalar, an array for an array. Any non-finite entry
-    raises ValueError."""
-    if not np.isfinite(value).all():
-        raise ValueError(f"predictor produced a non-finite likelihood: {value}")
-    if np.ndim(value) == 0:
-        return float(min(max(value, LIKELIHOOD_FLOOR), 1.0))
-    return np.clip(value, LIKELIHOOD_FLOOR, 1.0)
+def clamp_likelihood(values: np.ndarray) -> np.ndarray:
+    """An array of likelihoods clamped to [LIKELIHOOD_FLOOR, 1]. Any
+    non-finite entry raises ValueError."""
+    if not np.isfinite(values).all():
+        raise ValueError(f"predictor produced a non-finite likelihood: {values}")
+    return np.clip(values, LIKELIHOOD_FLOOR, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -106,27 +103,27 @@ class CleanPredictor:
 class TimePredictor:
     """Likelihood on partially masked inputs; immutable once constructed.
 
-    Every predictor answers rows (n, D) as well as one token array (D,),
-    each row bit for bit its single-row call: ``likelihood_array`` returns a
-    float for (D,) and an array (n,) for (n, D), clamped to
+    Each method answers one shape. ``likelihood_array`` takes a token
+    matrix (n, D) and returns its n likelihoods (n,), clamped to
     [LIKELIHOOD_FLOOR, 1]. A predictor with a gradient surface answers
-    ``gradient_surface_array`` with (D, S+1) for (D,) and (n, D, S+1) for
-    (n, D), and has a pair form: with ``positions`` (P,), ``tokens`` (P, D)
-    are the contexts of P (context, position) pairs and the answer is their
-    (P, S+1) rows, row j the surface of context j at ``positions[j]``. The
-    samplers score a step's distinct children in one likelihood call and
-    take the surface rows of the pairs a step draws in one gradient call;
-    an answer of any other shape raises CapabilityError there.
+    ``gradient_surface_array`` on P (context, position) pairs: ``tokens``
+    (P, D) are their contexts and ``positions`` (P,) their positions, and
+    the answer is (P, S+1), row j the surface of context j at
+    ``positions[j]``. An answer row is bit for bit that of its row (or
+    pair) called alone. The samplers score a step's distinct children in
+    one likelihood call and take the surface rows of the pairs a step draws
+    in one gradient call; an answer of any other shape raises
+    CapabilityError there.
     """
 
-    def likelihood_array(self, tokens: np.ndarray):
+    def likelihood_array(self, tokens: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     @property
     def has_gradient_surface(self) -> bool:
         return False
 
-    def gradient_surface_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+    def gradient_surface_array(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
         raise CapabilityError(f"{type(self).__name__} exposes no gradient surface")
 
 
@@ -162,13 +159,13 @@ class ExactMarginalPredictor(TimePredictor):
             self._table = lik
         return self._table
 
-    def likelihood_array(self, tokens: np.ndarray):
-        """Clamped likelihood of one token array (D,) as a float, or of each
-        row of (n, D) as an array. The first masked row whose context has no
-        mass raises UnsupportedContextError."""
+    def likelihood_array(self, tokens: np.ndarray) -> np.ndarray:
+        """Clamped likelihood of each row of the token matrix (n, D), (n,).
+        The first masked row whose context has no mass raises
+        UnsupportedContextError."""
         lik = self._likelihoods()[encode_rows(tokens, self.S + 1)]
         require_support(tokens, ~np.isnan(lik), self.S)
-        return float(lik) if np.ndim(lik) == 0 else lik
+        return lik
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +248,8 @@ class PairwiseInteractionPredictor(TimePredictor):
 
     # -- scoring ------------------------------------------------------------
 
-    def score_array(self, tokens: np.ndarray):
-        """Score of one token array (D,), or of each row of (n, D): ``bias +
+    def score_array(self, tokens: np.ndarray) -> np.ndarray:
+        """Score of each row of the token matrix (n, D), (n,): ``bias +
         single-site sum``, then the pair terms of every (d, e), d < e, added
         one by one in row-major order, so a row's score does not depend on
         the batch it is scored in. The terms are added a chunk of pairs at a
@@ -264,10 +261,9 @@ class PairwiseInteractionPredictor(TimePredictor):
         few hundred KiB each call can map and fault them in again."""
         D = self.D
         first, second, offsets = _upper_pairs(D, self.S + 1)
-        rows = np.reshape(tokens, (-1, D))
-        n = rows.shape[0]
-        score = _site_scores(self.bias, self.single, rows)
-        columns = np.ascontiguousarray(rows.T, dtype=np.int64)
+        n = tokens.shape[0]
+        score = _site_scores(self.bias, self.single, tokens)
+        columns = np.ascontiguousarray(tokens.T, dtype=np.int64)
         chunk = max(1, min(_SCORE_CHUNK_CELLS // max(1, n), offsets.size))
         cells = np.empty((chunk, n), dtype=np.int64)
         terms = np.empty((chunk + 1, n))
@@ -275,7 +271,7 @@ class PairwiseInteractionPredictor(TimePredictor):
             at = slice(lo, lo + chunk)
             _add_pair_terms(score, self.pair, columns, (first[at], second[at], offsets[at]),
                             cells, terms)
-        return score if tokens.ndim > 1 else score[0]
+        return score
 
     # -- likelihood ---------------------------------------------------------
 
@@ -284,9 +280,8 @@ class PairwiseInteractionPredictor(TimePredictor):
             return 1.0 / (1.0 + np.exp(-score))
         return np.exp(np.minimum(score, 0.0))
 
-    def likelihood_array(self, tokens: np.ndarray):
-        """Clamped likelihood of one token array (D,) as a float, or of each
-        row of (n, D) as an array."""
+    def likelihood_array(self, tokens: np.ndarray) -> np.ndarray:
+        """Clamped likelihood of each row of the token matrix (n, D), (n,)."""
         return clamp_likelihood(self._prob_from_score(self.score_array(tokens)))
 
     #: the same method, under the name the campaign filter calls on rows
@@ -298,37 +293,31 @@ class PairwiseInteractionPredictor(TimePredictor):
     def has_gradient_surface(self) -> bool:
         return True
 
-    def _affine_part(self, tokens: np.ndarray, positions=None) -> np.ndarray:
-        """d score / d x_{d,c} at the one-hot of tokens (D,), shape (D, S+1),
-        of each row of (n, D), shape (n, D, S+1), or of the pairs
-        (``tokens[j]``, ``positions[j]``), shape (P, S+1)."""
-        rows, at, _ = pair_positions(tokens, positions)
-        # terms[..., e, :] = pair[d, e, :, x_e] for d < e and pair[e, d, x_e, :]
-        # for e < d, d the pair's position; summing them over e in order
-        # keeps the rounding of the position-by-position accumulation
-        d, e = at[..., None], np.arange(self.D)
-        terms = np.where((d < e)[..., None], self.pair[d, e, :, rows], self.pair[e, d, rows, :])
-        terms[np.broadcast_to(d == e, terms.shape[:-1])] = 0.0
-        head = self.single[at][..., None, :]
-        return np.concatenate([np.broadcast_to(head, terms.shape[:-2] + head.shape[-2:]), terms],
-                              axis=-2).cumsum(axis=-2)[..., -1, :]
+    def _affine_part(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """d score / d x_{d,c} at the one-hot of the pairs (``tokens[j]``,
+        ``positions[j]``), shape (P, S+1)."""
+        # terms[j, e, :] = pair[d, e, :, x_e] for d < e and pair[e, d, x_e, :]
+        # for e < d, d = positions[j]; summing them over e in order keeps the
+        # rounding of the position-by-position accumulation
+        d, e = positions[:, None], np.arange(self.D)
+        terms = np.where((d < e)[..., None], self.pair[d, e, :, tokens],
+                         self.pair[e, d, tokens, :])
+        terms[d == e] = 0.0
+        head = self.single[positions][:, None, :]
+        return np.concatenate([head, terms], axis=1).cumsum(axis=1)[:, -1, :]
 
-    def gradient_surface_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
-        """d log p(y|x) / d x_{d,c} at the one-hot encoding of one token
-        array (D,), shape (D, S+1), of each row of (n, D), shape (n, D, S+1),
-        or of the pairs (``tokens[j]``, ``positions[j]``), shape (P, S+1).
-        The logistic factor takes ``math.exp`` of each row's score, as the
-        single-row call does: ``np.exp`` differs from it in the last bit on
-        some scores."""
+    def gradient_surface_array(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """d log p(y|x) / d x_{d,c} at the one-hot encoding of the pairs
+        (``tokens[j]``, ``positions[j]``), shape (P, S+1). The logistic
+        factor takes ``math.exp`` of each row's score: ``np.exp`` differs
+        from it in the last bit on some scores."""
         A = self._affine_part(tokens, positions)
         score = self.score_array(tokens)
-        # one factor per context row, spread over its answer's trailing axes
-        spread = np.shape(score) + (1,) * (A.ndim - np.ndim(score))
         if self.link == "logistic":
-            ex = np.reshape([math.exp(-s) for s in np.ravel(score).tolist()], spread)
-            return (1.0 - 1.0 / (1.0 + ex)) * A
+            ex = np.array([math.exp(-s) for s in score.tolist()])
+            return (1.0 - 1.0 / (1.0 + ex))[:, None] * A
         # log p = score while score < 0; the cap at 0 freezes the likelihood
-        return np.where(np.reshape(score < 0, spread), A, 0.0)
+        return np.where((score < 0)[:, None], A, 0.0)
 
     # -- serialization --------------------------------------------------------
 
@@ -453,38 +442,33 @@ def train_noisy_classifier(
 
 class ProductPredictor(TimePredictor):
     """Conditional-independence product of several predictors. Every part
-    answers every row, once per call, in part order."""
+    answers every row (or pair), once per call, in part order."""
 
     def __init__(self, parts: Sequence[TimePredictor]):
         if not parts:
             raise ValueError("product of zero predictors")
         self.parts = list(parts)
 
-    def likelihood_array(self, tokens: np.ndarray):
-        """Clamped likelihood of one token array (D,) as a float, or of each
-        row of (n, D) as an array: the product of the parts' likelihoods, in
-        part order."""
-        rows = np.reshape(tokens, (-1, np.shape(tokens)[-1]))
-        vals = np.ones(rows.shape[0])
+    def likelihood_array(self, tokens: np.ndarray) -> np.ndarray:
+        """Clamped likelihood of each row of the token matrix (n, D), (n,):
+        the product of the parts' likelihoods, in part order."""
+        vals = np.ones(tokens.shape[0])
         for part in self.parts:
-            vals *= part.likelihood_array(rows)
-        vals = clamp_likelihood(vals)
-        return float(vals[0]) if np.ndim(tokens) == 1 else vals
+            vals *= part.likelihood_array(tokens)
+        return clamp_likelihood(vals)
 
     @property
     def has_gradient_surface(self) -> bool:
         return all(p.has_gradient_surface for p in self.parts)
 
-    def gradient_surface_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
-        """The sum, in part order, of the parts' surfaces of one token array
-        (D,), shape (D, S+1), of each row of (n, D), shape (n, D, S+1), or of
-        the pairs (``tokens[j]``, ``positions[j]``), shape (P, S+1). The
-        first part's surface is taken as is, so a -0.0 in it stays -0.0."""
+    def gradient_surface_array(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """The sum, in part order, of the parts' surfaces of the pairs
+        (``tokens[j]``, ``positions[j]``), shape (P, S+1). The first part's
+        surface is taken as is, so a -0.0 in it stays -0.0."""
         if not self.has_gradient_surface:
             raise CapabilityError("not all product parts expose a gradient surface")
-        rows = np.reshape(tokens, (-1, np.shape(tokens)[-1]))
         first, *rest = self.parts
-        out = np.array(first.gradient_surface_array(rows, positions), dtype=float)
+        out = np.array(first.gradient_surface_array(tokens, positions), dtype=float)
         for part in rest:
-            out += part.gradient_surface_array(rows, positions)
-        return out if np.ndim(tokens) > 1 else out[0]
+            out += part.gradient_surface_array(tokens, positions)
+        return out

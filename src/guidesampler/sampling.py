@@ -50,13 +50,13 @@ again only the pairs of chains that jumped (all of them when the switch
 point flips); :func:`guide_rates` returns the weights of one
 context's masked positions, scaled the same way, as a (D, S) rate matrix.
 The n chains of a call share one context cache, which keeps nothing
-between kernel calls. Every model answers rows: a step makes one pair-form
-posterior call per denoiser, which forms the rows of the step's (context,
-position) pairs and no other position's, and one likelihood call on the
-distinct children of their contexts or one pair-form gradient-surface call
-on the pairs. An answer of the wrong shape raises CapabilityError naming the
-model and the method. A child with zero posterior weight gets guided weight
-0 and is not scored.
+between kernel calls. A step makes one pair-form posterior call per
+denoiser, which forms the rows of the step's (context, position) pairs and
+no other position's, and one likelihood call on the token rows (n, D) of the
+distinct children of their contexts or one gradient-surface call on the
+pairs, the one shape of each predictor method. An answer of the wrong
+shape raises CapabilityError naming the model and the method. A child with
+zero posterior weight gets guided weight 0 and is not scored.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -272,7 +272,8 @@ def guide_rates(
 
 def sample_jump_times(D: int, rng, n: int = 1):
     """Per-position jump times of n chains (i.i.d. uniform on [0, 1), the
-    law of the linear clock), sorted per chain; the any-order sampler draws its orders and times here.
+    law of the linear clock), sorted per chain; the any-order sampler draws
+    its orders and times here.
 
     Returns (tau, sigma), each of shape (n, D): tau nondecreasing along each
     row, sigma[k, i] the position whose time ranked i-th in chain k; ties
@@ -493,8 +494,9 @@ def _aoarm_core(cache: _ContextCache, n: int, gen):
     """n any-order chains on one cache; returns (rows, order, jump times).
 
     The order and times are :func:`sample_jump_times`: sorting i.i.d.
-    uniforms gives each chain a uniform unmask order. Step i draws one symbol per chain from the guided row of its
-    (context, position) pair, formed once per distinct pair.
+    uniforms gives each chain a uniform unmask order. Step i draws one
+    symbol per chain from the guided row of its (context, position) pair,
+    formed once per distinct pair.
     """
     D, S, cfg = cache.D, cache.S, cache.cfg
     times, order = sample_jump_times(D, gen, n)

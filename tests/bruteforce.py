@@ -344,13 +344,14 @@ def loop_guided_row(mode, gamma, denoiser, predictor, second, tokens, d):
     context ``tokens``, formed for this one pair alone: the denoiser posterior
     row, tilted per mode (``mode`` 'none' or an inactive step gives the
     posterior row). Likelihoods are clamped to [1e-12, 1], each child scored
-    by its own ``likelihood_array`` call."""
+    by its own one-row ``likelihood_array`` call, and the surface row is the
+    one-pair ``gradient_surface_array`` call."""
     S = denoiser.S
     post = denoiser.posterior_array(tokens)[d]
     if mode == "none":
         return post
     if mode == "tag":
-        g = predictor.gradient_surface_array(tokens)[d]
+        g = predictor.gradient_surface_array(tokens[None], np.array([d]))[0]
         return post * np.exp(gamma * (g[:S] - g[S]))
     if mode == "predictor_free":
         return second.posterior_array(tokens)[d] ** gamma * post ** (1.0 - gamma)
@@ -358,8 +359,10 @@ def loop_guided_row(mode, gamma, denoiser, predictor, second, tokens, d):
     for s in range(S):
         child = tokens.copy()
         child[d] = s
-        lik[s] = min(max(predictor.likelihood_array(child), 1e-12), 1.0)
-    src = min(max(predictor.likelihood_array(tokens), 1e-12), 1.0) if mode == "exact" else 1.0
+        lik[s] = min(max(predictor.likelihood_array(child[None])[0], 1e-12), 1.0)
+    src = 1.0
+    if mode == "exact":
+        src = min(max(predictor.likelihood_array(tokens[None])[0], 1e-12), 1.0)
     return post * (lik / src) ** gamma
 
 
@@ -372,7 +375,11 @@ def loop_cdf(row):
 class Looped:
     """A model that answers every rows or pair call with one single-row call
     of ``inner`` per row: a sampler run on it forms each answer row the way
-    a model without a rows form would, and gives the run's reference."""
+    a model without a rows form would, and gives the run's reference. Its
+    predictor methods take only the shapes of the predictor contract, token
+    rows (n, D) for ``likelihood_array`` and pairs (P, D), (P,) for
+    ``gradient_surface_array``, so a run on it checks that the samplers call
+    predictors in no other shape."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -380,18 +387,20 @@ class Looped:
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def _rows(self, method, tokens, positions=None):
+    def posterior_array(self, tokens, positions=None):
+        method = self.inner.posterior_array
         if tokens.ndim == 1:
             return method(tokens)
         if positions is None:
             return np.array([method(row) for row in tokens])
         return np.array([method(row)[d] for row, d in zip(tokens, positions)])
 
-    def posterior_array(self, tokens, positions=None):
-        return self._rows(self.inner.posterior_array, tokens, positions)
-
     def likelihood_array(self, tokens):
-        return self._rows(self.inner.likelihood_array, tokens)
+        assert tokens.ndim == 2, tokens.shape
+        return np.array([self.inner.likelihood_array(row[None])[0] for row in tokens])
 
-    def gradient_surface_array(self, tokens, positions=None):
-        return self._rows(self.inner.gradient_surface_array, tokens, positions)
+    def gradient_surface_array(self, tokens, positions):
+        assert tokens.ndim == 2 and positions.shape == tokens.shape[:1], (tokens.shape,
+                                                                          positions.shape)
+        return np.array([self.inner.gradient_surface_array(row[None], np.array([d]))[0]
+                         for row, d in zip(tokens, positions)])

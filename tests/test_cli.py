@@ -377,6 +377,37 @@ class TestSampleConfigMistakes:
         assert not (out / "samples.txt").exists()
         assert key in capsys.readouterr().err
 
+    # unchecked, seeds 5.7, "5" and true ran as seeds 5, 5 and 1; output_dir
+    # 5 exited 3; a model or predictor 7 opened that file descriptor and
+    # true opened stdout; sampler 5 exited 1 with a traceback and [] ran the
+    # defaults; verify's only 5 exited 3 after writing resolved_config.json
+    @pytest.mark.parametrize("command, key, value", [
+        ("sample", "seed", 5.7), ("sample", "seed", "5"), ("sample", "seed", True),
+        ("sample", "output_dir", 5), ("sample", "model", 7), ("sample", "model", True),
+        ("sample", "predictor", 9), ("sample", "sampler", 5), ("sample", "sampler", []),
+        ("verify", "only", 5), ("verify", "only", [5]), ("verify", "only", "mixing"),
+        ("campaign", "campaign", 5), ("campaign", "campaign", []),
+    ])
+    def test_top_level_types(self, tmp_path, model_file, capsys, command, key, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({key: value}))
+        out = tmp_path / "o"
+        flags = ["--model", str(model_file)] if command == "sample" and key != "model" else []
+        assert main([command, "--config", str(cfg), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
+    def test_resolved_config_runs_again(self, tmp_path, model_file):
+        # a resolved config holds "predictor": null when no predictor is given
+        first, second = tmp_path / "a", tmp_path / "b"
+        assert main(["sample", "--model", str(model_file), "--n", "3", "--seed", "4",
+                     "--out", str(first)]) == 0
+        assert json.loads((first / "resolved_config.json").read_text())["predictor"] is None
+        assert main(["sample", "--config", str(first / "resolved_config.json"),
+                     "--out", str(second)]) == 0
+        assert (first / "samples.txt").read_bytes() == (second / "samples.txt").read_bytes()
+
     @pytest.mark.parametrize("S", [62, 63])
     def test_alphabet_beyond_printable_letters(self, tmp_path, capsys, S):
         # token 62 renders as chr(127), and from S = 69 on a letter can break
@@ -659,7 +690,8 @@ class TestCampaignConfigMistakes:
             "require_extrapolative": False}
 
     # unchecked, "false" ran the multi-property campaign and "no" added the
-    # exact arm; D 4.5 ran as D=4 and axes "2" was read as 2; the others
+    # exact arm; D 4.5 ran as D=4 and axes "2" was read as 2; a landscape
+    # seed, which no draw reads, was accepted and ignored; the others
     # exited 3 once the first seed ran, or (D 9) after the output was made
     @pytest.mark.parametrize("mistake", [
         {"acceptance_gamma": "x"}, {"acceptance_gamma": -1.0},
@@ -668,7 +700,8 @@ class TestCampaignConfigMistakes:
         {"landscape": {"D": 4.5}}, {"landscape": {"D": 0}}, {"landscape": {"D": 9}},
         {"landscape": {"S": 1}}, {"landscape": {"S": "4"}},
         {"landscape": {"axes": "2"}}, {"landscape": {"axes": 3}},
-        {"landscape": {"bogus": 1}}, {"landscape": {"energy_scale": "big"}},
+        {"landscape": {"bogus": 1}}, {"landscape": {"seed": 3}},
+        {"landscape": {"energy_scale": "big"}},
         {"landscape": {"coupling_scale": -0.1}},
         {"landscape": {"target": {"kind": "top"}}},
         {"landscape": {"target": {"kind": "quantile", "pct": 0.1}}},

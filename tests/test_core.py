@@ -243,7 +243,7 @@ class TestZeroMassError:
                  (pred.likelihood_array, "?B", (1,))]
         for answer, text, observed in cases:
             with pytest.raises(UnsupportedContextError) as exc:
-                answer(row(text, 2))
+                answer(row(text, 2)[None])
             assert exc.value.positions == observed
             assert all(type(d) is int for d in exc.value.positions)
             assert str(exc.value) == (

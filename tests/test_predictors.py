@@ -24,7 +24,8 @@ from guidesampler.predictors import (
     clamp_likelihood,
     train_noisy_classifier,
 )
-from guidesampler.sampling import GuidanceConfig, aoarm_sample_many
+from guidesampler.bench import make_landscape, run_posthoc_filter
+from guidesampler.sampling import GuidanceConfig, aoarm_sample_many, euler_sample_many, guide_rates
 
 from bruteforce import (
     BAD_ROWS,
@@ -36,6 +37,23 @@ from bruteforce import (
     relaxed_likelihood,
     row,
 )
+
+
+def one_row(pred, tokens):
+    """The likelihood of one token array (D,), from the one-row call."""
+    return pred.likelihood_array(tokens[None])[0]
+
+
+def all_pairs(tokens):
+    """The D (context, position) pairs of one token array (D,): the array
+    tiled D times, and the positions 0..D-1."""
+    return np.tile(tokens, (tokens.size, 1)), np.arange(tokens.size)
+
+
+def surface(pred, tokens):
+    """The (D, S+1) gradient surface of one token array (D,): the rows of
+    its D pairs."""
+    return pred.gradient_surface_array(*all_pairs(tokens))
 
 
 def uniform_over(texts, D, S):
@@ -66,16 +84,14 @@ class TestCleanPredictorFromTable:
 class TestClampLikelihood:
     VALUES = [0.0, 5e-13, 1e-12, 0.3, 1.0, 1.5, -0.2]
 
-    def test_scalar_and_array_clamp_alike(self):
+    def test_clamps_into_floor_and_one(self):
         got = clamp_likelihood(np.array(self.VALUES))
-        assert isinstance(clamp_likelihood(0.3), float)
-        assert got.tolist() == [clamp_likelihood(v) for v in self.VALUES]
-        assert got.tolist() == [clamp_likelihood(np.float64(v)) for v in self.VALUES]
-        assert got.min() == LIKELIHOOD_FLOOR and got.max() == 1.0
+        F = LIKELIHOOD_FLOOR
+        assert got.tolist() == [F, F, 1e-12, 0.3, 1.0, 1.0, F]
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_raises(self, bad):
-        for value in (bad, np.array([0.5, bad])):
+        for value in (np.array([bad]), np.array([0.5, bad])):
             with pytest.raises(ValueError, match="non-finite likelihood"):
                 clamp_likelihood(value)
 
@@ -90,21 +106,21 @@ class TestExactMarginalPredictor:
             p.weights[i] * clean.likelihood(sequence_table(3, 2)[i])
             for i in range(8)
         )
-        got = pred.likelihood_array(np.full(3, 2))
+        got = one_row(pred, np.full(3, 2))
         assert got == pytest.approx(want, abs=1e-12)
 
     def test_constant_clean_stays_constant(self):
         p = TabularDistribution.uniform(2, 3)
         pred = ExactMarginalPredictor(CleanPredictor(lambda x: 0.37), p)
         for text in ("??", "A?", "CB"):
-            assert pred.likelihood_array(row(text, 3)) == pytest.approx(0.37, abs=1e-12)
+            assert one_row(pred, row(text, 3)) == pytest.approx(0.37, abs=1e-12)
 
     def test_worked_example(self):
         # p uniform over {AA,AB,BB}, clean = 0.9*1{x=AA} + 0.1, x_t = (A,?)
         p = uniform_over(["AA", "AB", "BB"], 2, 2)
         clean = CleanPredictor(lambda x: 0.9 * (x.tolist() == [0, 0]) + 0.1)
         pred = ExactMarginalPredictor(clean, p)
-        got = pred.likelihood_array(row("A?", 2))
+        got = one_row(pred, row("A?", 2))
         assert got == pytest.approx(0.5 * 1.0 + 0.5 * 0.1, abs=1e-12)  # 0.55
 
     def test_clean_input_agrees_with_clean_predictor(self):
@@ -114,7 +130,7 @@ class TestExactMarginalPredictor:
         pred = ExactMarginalPredictor(clean, p)
         for i in range(8):
             x = sequence_table(3, 2)[i]
-            assert pred.likelihood_array(x) == pytest.approx(clean.likelihood(x), abs=1e-9)
+            assert one_row(pred, x) == pytest.approx(clean.likelihood(x), abs=1e-9)
 
     def test_zero_mass_error_matches_denoiser(self):
         p = uniform_over(["AA"], 2, 2)
@@ -122,7 +138,7 @@ class TestExactMarginalPredictor:
         errors = []
         for evaluate in (pred.likelihood_array, ExactDenoiser(p).posterior_array):
             with pytest.raises(UnsupportedContextError) as exc:
-                evaluate(np.array([1, 2]))
+                evaluate(np.array([[1, 2]]))
             errors.append((str(exc.value), exc.value.positions))
         assert errors[0] == errors[1]
         assert errors[0][1] == (0,)
@@ -136,7 +152,7 @@ class TestExactMarginalPredictor:
         for code in range(64):
             toks = np.array([code % 4, code // 4 % 4, code // 16 % 4])
             want = brute_noisy_likelihood(pdict, lambda x: 0.1 + 0.8 * (sum(x) % 3 == 0), toks, 3, 3)
-            assert pred.likelihood_array(toks) == pytest.approx(want, abs=1e-12)
+            assert one_row(pred, toks) == pytest.approx(want, abs=1e-12)
 
     def test_martingale_under_one_step_refinement(self):
         # law of total expectation: averaging the refined likelihood over the
@@ -151,7 +167,7 @@ class TestExactMarginalPredictor:
             masked = np.flatnonzero(toks == 2)
             if masked.size == 0:
                 continue
-            coarse = pred.likelihood_array(toks)
+            coarse = one_row(pred, toks)
             post = den.posterior_array(toks)
             for d in masked:
                 refined = 0.0
@@ -160,7 +176,7 @@ class TestExactMarginalPredictor:
                         continue
                     nxt = toks.copy()
                     nxt[d] = s
-                    refined += post[d, s] * pred.likelihood_array(nxt)
+                    refined += post[d, s] * one_row(pred, nxt)
                 assert refined == pytest.approx(coarse, abs=1e-9)
 
 
@@ -187,7 +203,7 @@ class TestPairwiseInteractionPredictor:
                 toks = gen.integers(0, 3, size=3)
                 X = np.zeros((3, 3))
                 X[np.arange(3), toks] = 1.0
-                g = m.gradient_surface_array(np.asarray(toks))
+                g = surface(m, toks)
                 h = 1e-6
                 for d in range(3):
                     for c in range(3):
@@ -209,12 +225,12 @@ class TestPairwiseInteractionPredictor:
             masked = np.flatnonzero(toks == 2)
             if masked.size == 0:
                 continue
-            g = m.gradient_surface_array(toks)
+            g = surface(m, toks)
             d = int(masked[0])
             for s in range(2):
                 nxt = toks.copy()
                 nxt[d] = s
-                exact = math.log(m.likelihood_array(nxt)) - math.log(m.likelihood_array(toks))
+                exact = math.log(one_row(m, nxt)) - math.log(one_row(m, toks))
                 taylor = g[d, s] - g[d, 2]
                 assert abs(exact - taylor) <= 1e-10
 
@@ -222,8 +238,8 @@ class TestPairwiseInteractionPredictor:
         m = self.random_model(seed=23)
         clone = PairwiseInteractionPredictor.from_json(m.to_json())
         toks = np.array([2, 0, 1])
-        assert clone.likelihood_array(toks) == m.likelihood_array(toks)
-        np.testing.assert_allclose(clone.gradient_surface_array(toks), m.gradient_surface_array(toks))
+        assert one_row(clone, toks) == one_row(m, toks)
+        np.testing.assert_allclose(surface(clone, toks), surface(m, toks))
 
     @pytest.mark.parametrize("link", ["logistic", "exp"])
     def test_json_round_trip_is_bit_for_bit(self, link):
@@ -246,7 +262,7 @@ class TestPairwiseInteractionPredictor:
 
     def test_likelihood_floor(self):
         m = PairwiseInteractionPredictor(2, 2, link="exp", bias=-1000.0)
-        assert m.likelihood_array(np.array([0, 0])) == LIKELIHOOD_FLOOR
+        assert one_row(m, np.array([0, 0])) == LIKELIHOOD_FLOOR
         assert (m.likelihood_array(child_rows(np.array([0, 2]), 1, 2)) == LIKELIHOOD_FLOOR).all()
 
 
@@ -271,7 +287,7 @@ def loop_score(m, tokens):
 
 def loop_likelihood(m, tokens):
     """Reference: the loop score, then the link and the clamp."""
-    return clamp_likelihood(float(m._prob_from_score(loop_score(m, tokens))))
+    return min(max(float(m._prob_from_score(loop_score(m, tokens))), LIKELIHOOD_FLOOR), 1.0)
 
 
 def loop_affine_part(m, tokens):
@@ -284,17 +300,26 @@ def loop_affine_part(m, tokens):
     return A
 
 
+def loop_surface(m, tokens):
+    """Reference: the (D, S+1) gradient surface of one token array, the loop
+    affine part times the link's factor of the loop score."""
+    A, score = loop_affine_part(m, tokens), loop_score(m, tokens)
+    if m.link == "logistic":
+        return (1.0 - 1.0 / (1.0 + math.exp(-score))) * A
+    return A if score < 0 else np.zeros_like(A)
+
+
 class TestBatchedChildScoring:
     """likelihood_array on one or many rows (a position's S children, the
-    rows the samplers score at once) and _affine_part equal their loop
-    references bit for bit, so the samplers' outputs do not depend on which
-    one they use."""
+    rows the samplers score at once) and _affine_part on the pairs of a
+    context equal their loop references bit for bit, so the samplers'
+    outputs do not depend on how a call batches its rows."""
 
     CASES = [(1, 3), (2, 2), (5, 4), (12, 20)]
 
     @pytest.mark.parametrize("link", ["logistic", "exp"])
     @pytest.mark.parametrize("D,S", CASES)
-    def test_children_equal_scalar_likelihoods(self, link, D, S):
+    def test_children_equal_one_row_likelihoods(self, link, D, S):
         m = full_random_model(D, S, link, seed=D * 100 + S)
         gen = RandomSource(D + S).generator()
         for trial in range(20):
@@ -307,7 +332,7 @@ class TestBatchedChildScoring:
                     child = toks.copy()
                     child[d] = s
                     want.append(loop_likelihood(m, child))
-                    assert m.likelihood_array(child) == want[-1]
+                    assert one_row(m, child) == want[-1]
                 assert got.shape == (S,)
                 assert np.array_equal(got, np.array(want))
                 assert ((got >= LIKELIHOOD_FLOOR) & (got <= 1.0)).all()
@@ -328,7 +353,7 @@ class TestBatchedChildScoring:
         gen = RandomSource(D * S).generator()
         for _ in range(20):
             toks = gen.integers(0, S + 1, size=D)
-            assert np.array_equal(m._affine_part(toks), loop_affine_part(m, toks))
+            assert np.array_equal(m._affine_part(*all_pairs(toks)), loop_affine_part(m, toks))
 
     def test_lower_triangle_blocks_ignored(self):
         m = full_random_model(4, 3, "logistic", seed=5)
@@ -340,13 +365,13 @@ class TestBatchedChildScoring:
         for d in (0, 2):
             children = child_rows(toks, d, 3)
             assert np.array_equal(m.likelihood_array(children), kept.likelihood_array(children))
-        assert np.array_equal(m._affine_part(toks), kept._affine_part(toks))
+        assert np.array_equal(m._affine_part(*all_pairs(toks)), kept._affine_part(*all_pairs(toks)))
 
 
 class TestExactChildLikelihoods:
     """ExactMarginalPredictor.likelihood_array on a position's S children,
-    the rows the samplers score at once, equals one call per child bit for
-    bit, and fails as that call does."""
+    the rows the samplers score at once, equals one one-row call per child
+    bit for bit, and fails as that call does."""
 
     @staticmethod
     def model(D, S, seed, weights=None):
@@ -359,7 +384,7 @@ class TestExactChildLikelihoods:
 
     @pytest.mark.parametrize("S", [2, 3, 4])
     @pytest.mark.parametrize("D", [1, 2, 3, 4, 5, 6])
-    def test_equal_to_scalar_calls(self, D, S):
+    def test_equal_to_one_row_calls(self, D, S):
         m = self.model(D, S, seed=10 * D + S)
         gen = RandomSource(D * S).generator()
         for _ in range(15):
@@ -367,7 +392,7 @@ class TestExactChildLikelihoods:
             for d in sorted({0, D // 2, D - 1}):
                 toks[d] = S
                 got = m.likelihood_array(child_rows(toks, d, S))
-                want = [m.likelihood_array(c) for c in child_rows(toks, d, S)]
+                want = [one_row(m, c) for c in child_rows(toks, d, S)]
                 assert got.shape == (S,) and np.array_equal(got, np.array(want))
 
     def test_one_masked_children_are_clean_likelihoods(self):
@@ -375,20 +400,19 @@ class TestExactChildLikelihoods:
         toks = np.array([2, 0, 3, 1])
         children = child_rows(toks, 2, 3)
         got = m.likelihood_array(children)
-        clean = [clamp_likelihood(m.clean.likelihood(c))
-                 for c in children]
-        assert np.array_equal(got, np.array(clean))
-        assert np.array_equal(got, np.array([m.likelihood_array(c) for c in children]))
+        clean = clamp_likelihood(np.array([m.clean.likelihood(c) for c in children]))
+        assert np.array_equal(got, clean)
+        assert np.array_equal(got, np.array([one_row(m, c) for c in children]))
 
-    def test_zero_mass_child_raises_the_scalar_error(self):
+    def test_zero_mass_child_raises_the_one_row_error(self):
         # no mass where x0 = 1 and x1 = 1: the parent [?, 1, ?] has mass,
         # its child 1 at position 0 has none
         table = sequence_table(3, 2)
         m = self.model(3, 2, seed=4, weights=np.where((table[:, 0] == 1) & (table[:, 1] == 1), 0.0, 1.0))
         parent = np.array([2, 1, 2])
-        assert m.likelihood_array(parent) > 0
+        assert one_row(m, parent) > 0
         with pytest.raises(UnsupportedContextError) as scalar:
-            m.likelihood_array(np.array([1, 1, 2]))
+            m.likelihood_array(np.array([[1, 1, 2]]))
         with pytest.raises(UnsupportedContextError) as got:
             m.likelihood_array(child_rows(parent, 0, 2))
         assert str(got.value) == str(scalar.value)
@@ -401,7 +425,7 @@ class TestExactChildLikelihoods:
         m = self.model(3, 2, seed=5, weights=np.where(table[:, 2] == 1, 0.0, 1.0))
         parent = np.array([2, 2, 1])
         with pytest.raises(UnsupportedContextError) as scalar:
-            m.likelihood_array(np.array([0, 2, 1]))
+            m.likelihood_array(np.array([[0, 2, 1]]))
         with pytest.raises(UnsupportedContextError) as got:
             m.likelihood_array(child_rows(parent, 0, 2))
         assert str(got.value) == str(scalar.value)
@@ -410,7 +434,7 @@ class TestExactChildLikelihoods:
 
 class TestExactRowForm:
     """ExactDenoiser.posterior_array and ExactMarginalPredictor.likelihood_array
-    on rows (n, D) equal their single-row calls row by row, bit for bit, and
+    on rows (n, D) equal their calls on each row alone, bit for bit, and
     fail as the first failing row's call does. Sizes whose (S+1)**D context
     tables exceed the table cap are refused at construction."""
 
@@ -428,7 +452,7 @@ class TestExactRowForm:
         assert post.shape == (rows.shape[0], D, S) and lik.shape == (rows.shape[0],)
         for k, row in enumerate(rows):
             assert np.array_equal(post[k], den.posterior_array(row))
-            assert lik[k] == m.likelihood_array(row)
+            assert lik[k] == m.likelihood_array(rows[k:k + 1])[0]
 
     @pytest.mark.parametrize("D,S", [(3, 2), (4, 3)])
     def test_one_masked_children_are_exact_clean_values(self, D, S):
@@ -437,9 +461,8 @@ class TestExactRowForm:
             if (row == S).sum() == 1:
                 d = int(np.flatnonzero(row == S)[0])
                 children = child_rows(row, d, S)
-                want = [clamp_likelihood(m.clean.likelihood(c))
-                        for c in children]
-                assert m.likelihood_array(children).tolist() == want
+                want = clamp_likelihood(np.array([m.clean.likelihood(c) for c in children]))
+                assert np.array_equal(m.likelihood_array(children), want)
 
     def test_first_zero_mass_row_raises_its_single_row_error(self):
         # no mass where x0 = 1 and x1 = 1
@@ -450,7 +473,7 @@ class TestExactRowForm:
         rows = np.array([[2, 1, 2], [1, 1, 2], [2, 2, 2], [1, 1, 0]])
         for evaluate in (den.posterior_array, m.likelihood_array):
             with pytest.raises(UnsupportedContextError) as single:
-                evaluate(rows[1])
+                evaluate(rows[1:2])
             with pytest.raises(UnsupportedContextError) as got:
                 evaluate(rows)
             assert str(got.value) == str(single.value)
@@ -481,9 +504,11 @@ def loop_posterior(den, tokens):
 
 class TestParametricRowForm:
     """ParametricDenoiser.posterior_array and
-    PairwiseInteractionPredictor.gradient_surface_array on rows (n, D) equal
-    their single-row calls row by row, bit for bit, and the any-order
-    sampler calls each parametric model once per step."""
+    PairwiseInteractionPredictor.likelihood_array on rows (n, D), and
+    PairwiseInteractionPredictor.gradient_surface_array on pairs, equal
+    their calls on each row or pair alone, bit for bit; the any-order
+    sampler calls each parametric model once per step, and every sampler
+    calls predictors only in the contract's shapes."""
 
     SIZES = [(3, 2), (8, 4), (12, 20)]
 
@@ -517,27 +542,52 @@ class TestParametricRowForm:
         for batch in (rows, rows[:30]):
             got = m.likelihood_array(batch)
             assert np.array_equal(m.score_array(batch), [loop_score(m, row) for row in batch])
-            assert np.array_equal(got, [m.likelihood_array(row) for row in batch])
+            assert np.array_equal(got, [m.likelihood_array(batch[k:k + 1])[0]
+                                        for k in range(batch.shape[0])])
             assert np.array_equal(got, [loop_likelihood(m, row) for row in batch])
 
     @pytest.mark.parametrize("link", ["logistic", "exp"])
     @pytest.mark.parametrize("D,S", SIZES)
-    def test_gradient_rows_equal_single_row_calls(self, link, D, S):
+    def test_gradient_pairs_equal_one_pair_calls(self, link, D, S):
         m = full_random_model(D, S, link, seed=D * 100 + S + 3)
-        rows = self.rows(D, S, D * S + 4)
-        got = m.gradient_surface_array(rows)
-        assert got.shape == (rows.shape[0], D, S + 1)
-        for k, row in enumerate(rows):
-            assert np.array_equal(got[k], m.gradient_surface_array(row))
+        rows, positions = TestPairForm.pairs(D, S, D * S + 4)
+        got = m.gradient_surface_array(rows, positions)
+        assert got.shape == (rows.shape[0], S + 1)
+        for k in range(rows.shape[0]):
+            one = m.gradient_surface_array(rows[k:k + 1], positions[k:k + 1])
+            assert np.array_equal(got[k], one[0])
         scores = m.score_array(rows)
         if link == "logistic":
             # the rows hold scores whose logistic factor np.exp moves in the
             # last bit (numpy's vectorized exp against math.exp, x86-64)
-            with_np_exp = (1.0 - 1.0 / (1.0 + np.exp(-scores)))[:, None, None] * m._affine_part(rows)
+            affine = m._affine_part(rows, positions)
+            with_np_exp = (1.0 - 1.0 / (1.0 + np.exp(-scores)))[:, None] * affine
             assert not np.array_equal(with_np_exp, got)
         else:
             # both sides of the cap at score 0
             assert (scores < 0).any() and (scores >= 0).any()
+
+    @staticmethod
+    def spy_calls(monkeypatch) -> dict:
+        """Count the calls of the parametric models' methods, by name, and
+        assert the contract's shapes on each: token rows (n, D) always, the
+        positions (P,) of the pairs beside every pair-form call, and no
+        positions beside a likelihood call."""
+        calls = {}
+        for cls, name in ((ParametricDenoiser, "posterior_array"),
+                          (PairwiseInteractionPredictor, "likelihood_array"),
+                          (PairwiseInteractionPredictor, "likelihood_batch"),
+                          (PairwiseInteractionPredictor, "gradient_surface_array")):
+            def spy(model, tokens, *positions, _original=cls.__dict__[name], _name=name):
+                calls[_name] = calls.get(_name, 0) + 1
+                assert tokens.ndim == 2
+                if _name.startswith("likelihood"):
+                    assert not positions
+                else:
+                    assert [p.shape for p in positions] == [tokens.shape[:1]]
+                return _original(model, tokens, *positions)
+            monkeypatch.setattr(cls, name, spy)
+        return calls
 
     @pytest.mark.parametrize("mode,scorer", [("deg", "likelihood_array"),
                                              ("tag", "gradient_surface_array")])
@@ -545,28 +595,42 @@ class TestParametricRowForm:
         D, S = 6, 5
         den = ParametricDenoiser.random(D, S, RandomSource(60), scale=0.5)
         pred = full_random_model(D, S, "logistic", seed=61)
-        calls = {}
-        for cls, name in ((ParametricDenoiser, "posterior_array"),
-                          (PairwiseInteractionPredictor, "likelihood_array"),
-                          (PairwiseInteractionPredictor, "gradient_surface_array")):
-            def spy(model, tokens, *positions, _original=cls.__dict__[name], _name=name):
-                calls[_name] = calls.get(_name, 0) + 1
-                # the kernel passes positions to the two context models
-                assert bool(positions) == (_name != "likelihood_array")
-                return _original(model, tokens, *positions)
-            monkeypatch.setattr(cls, name, spy)
+        calls = self.spy_calls(monkeypatch)
         cfg = GuidanceConfig(mode=mode, gamma=1.0, predictor=pred)
         _, diag = aoarm_sample_many(den, cfg, 50, RandomSource(62))
         assert calls == {"posterior_array": D, scorer: D}
         assert diag.denoiser_evals > D and diag.predictor_evals > D
 
+    @pytest.mark.parametrize("driver,mode,scorer", [
+        ("euler", "exact", "likelihood_array"), ("euler", "tag", "gradient_surface_array"),
+        ("guide_rates", "exact", "likelihood_array"),
+        ("guide_rates", "tag", "gradient_surface_array"),
+        ("filter", "none", "likelihood_batch"),
+    ])
+    def test_predictor_calls_take_the_contract_shapes(self, driver, mode, scorer, monkeypatch):
+        D, S = 4, 3
+        den = ParametricDenoiser.random(D, S, RandomSource(63), scale=0.5)
+        pred = full_random_model(D, S, "logistic", seed=64)
+        calls = self.spy_calls(monkeypatch)
+        cfg = GuidanceConfig(mode=mode, gamma=1.0, predictor=pred)
+        if driver == "euler":
+            euler_sample_many(den, cfg, 0.05, 20, RandomSource(65))
+        elif driver == "guide_rates":
+            guide_rates(den, np.array([S, 0, S, S]), 0.5, cfg)
+        else:
+            land = make_landscape({"D": D, "S": S, "target": {"kind": "quantile", "q": 0.1}},
+                                  RandomSource(66))
+            run_posthoc_filter(den, pred, land, 20, 5, RandomSource(67))
+        assert calls.keys() == {"posterior_array", scorer}
+
 
 class TestPairForm:
-    """The pair form of every row model: with positions (P,) and context rows
-    (P, D), ``posterior_array`` and ``gradient_surface_array`` return the
-    (P, S) or (P, S+1) rows of those (context, position) pairs, bit for bit
-    the rows of the full form at those positions, one-hot at observed
-    positions, and fail as the full form does."""
+    """The pair form: with positions (P,) and context rows (P, D), a
+    denoiser's ``posterior_array`` returns the (P, S) rows of those
+    (context, position) pairs, bit for bit the rows of its full form at
+    those positions, one-hot at observed positions, and fails as the full
+    form does; a predictor's ``gradient_surface_array`` returns their
+    (P, S+1) rows, bit for bit the loop reference."""
 
     SIZES = [(3, 2), (8, 4), (12, 20)]
     #: sizes whose (S+1)**D context table an ExactDenoiser can hold
@@ -634,7 +698,8 @@ class TestPairForm:
     def test_gradient_surface(self, link, D, S):
         m = full_random_model(D, S, link, seed=D * 100 + S + 9)
         rows, positions = self.pairs(D, S, D * S + 3)
-        self.check(m.gradient_surface_array, rows, positions)
+        want = np.array([loop_surface(m, row)[d] for row, d in zip(rows, positions)])
+        assert m.gradient_surface_array(rows, positions).tobytes() == want.tobytes()
 
     def test_unsupported_context_raises_the_full_form_error(self):
         # no mass where x0 = 1 and x1 = 1; row 1 is the first without mass
@@ -660,7 +725,7 @@ class TestPairForm:
         rows = RandomSource(80).generator().integers(0, 21, size=(n, 12))
         want = np.array([loop_score(m, row) for row in rows])
         assert m.score_array(rows).tobytes() == want.tobytes()
-        assert np.float64(m.score_array(rows[0])).tobytes() == want[:1].tobytes()
+        assert m.score_array(rows[:1]).tobytes() == want[:1].tobytes()
 
     @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32])
     def test_scores_of_narrow_token_dtypes(self, dtype):
@@ -668,7 +733,7 @@ class TestPairForm:
         m = full_random_model(5, 4, "logistic", seed=81)
         rows = RandomSource(82).generator().integers(0, 5, size=(40, 5))
         assert m.score_array(rows.astype(dtype)).tobytes() == m.score_array(rows).tobytes()
-        assert m.score_array(rows[0].astype(dtype)) == m.score_array(rows[0])
+        assert m.score_array(rows[:1].astype(dtype)).tobytes() == m.score_array(rows[:1]).tobytes()
 
     def test_likelihood_rows_keep_small_temporaries(self):
         # a step's children at D=12, S=20, 64 chains; gathering the pair
@@ -689,8 +754,8 @@ class TestTrainNoisyClassifier:
     def test_separable_d1_perfect_on_clean(self):
         rows = np.array([[0], [1]] * 10)
         model, _ = train_noisy_classifier(rows, rows[:, 0] == 1, 2, RandomSource(31))
-        assert model.likelihood_array(np.array([1])) > 0.5
-        assert model.likelihood_array(np.array([0])) < 0.5
+        positive, negative = model.likelihood_array(np.array([[1], [0]]))
+        assert positive > 0.5 > negative
 
     def test_zero_epochs_loss_is_zero(self):
         # as train_denoiser(steps=0): no step ran, so the loss is 0.0, not nan
@@ -787,15 +852,15 @@ class TestProductPredictor:
         has_gradient_surface = False
 
         def likelihood_array(self, tokens):
-            return np.full(np.shape(tokens)[:-1], self.c)
+            return np.full(tokens.shape[0], self.c)
 
     def test_single_part_identity(self):
         p = ProductPredictor([self.Const(0.42)])
-        assert p.likelihood_array(np.array([0, 2])) == pytest.approx(0.42)
+        assert p.likelihood_array(np.array([[0, 2]])) == pytest.approx([0.42])
 
     def test_two_constants_multiply(self):
         p = ProductPredictor([self.Const(0.5), self.Const(0.25)])
-        assert p.likelihood_array(np.array([2, 2])) == pytest.approx(0.125)
+        assert p.likelihood_array(np.array([[2, 2]])) == pytest.approx([0.125])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -809,10 +874,7 @@ class TestProductPredictor:
         b.single[:] = gen.normal(0, 0.1, b.single.shape)
         prod = ProductPredictor([a, b])
         toks = np.array([2, 1])
-        np.testing.assert_allclose(
-            prod.gradient_surface_array(toks),
-            a.gradient_surface_array(toks) + b.gradient_surface_array(toks),
-        )
+        np.testing.assert_allclose(surface(prod, toks), surface(a, toks) + surface(b, toks))
 
     def test_every_part_answers_every_row_once_in_part_order(self):
         # masked rows included: no part waits for a share of unmasked sites
@@ -834,7 +896,7 @@ class TestProductPredictor:
         prod = ProductPredictor([a, self.Const(0.5)])
         assert not prod.has_gradient_surface
         with pytest.raises(CapabilityError):
-            prod.gradient_surface_array(np.array([2, 2]))
+            prod.gradient_surface_array(np.array([[2, 2]]), np.array([0]))
 
     @staticmethod
     def product(D, S, seed, exact_part):
@@ -847,12 +909,12 @@ class TestProductPredictor:
         return ProductPredictor(parts)
 
     @staticmethod
-    def loop_surface(prod, row):
-        """The parts' single-row surfaces summed in part order, the first
-        taken as is."""
-        out = prod.parts[0].gradient_surface_array(row)
+    def loop_surface(prod, rows, positions):
+        """The parts' surfaces of one pair, ``rows`` (1, D) and
+        ``positions`` (1,), summed in part order, the first taken as is."""
+        out = prod.parts[0].gradient_surface_array(rows, positions)[0]
         for part in prod.parts[1:]:
-            out = out + part.gradient_surface_array(row)
+            out = out + part.gradient_surface_array(rows, positions)[0]
         return out
 
     @pytest.mark.parametrize("exact_part", [False, True])
@@ -862,41 +924,36 @@ class TestProductPredictor:
         rows = TestParametricRowForm.rows(D, S, D * S + 51)
         got = prod.likelihood_array(rows)
         assert got.shape == (rows.shape[0],)
-        for k, row in enumerate(rows):
-            val = 1.0
+        for k in range(rows.shape[0]):
+            one = rows[k:k + 1]
+            val = np.ones(1)
             for part in prod.parts:
-                val *= part.likelihood_array(row)
-            assert got[k] == clamp_likelihood(val) == prod.likelihood_array(row)
-        assert isinstance(prod.likelihood_array(rows[0]), float)
+                val *= part.likelihood_array(one)
+            assert got[k] == clamp_likelihood(val)[0] == prod.likelihood_array(one)[0]
 
     @pytest.mark.parametrize("D,S", [(3, 2), (8, 4)])
-    def test_gradient_surface_rows_equal_single_row_calls(self, D, S):
+    def test_gradient_surface_pairs_equal_one_pair_calls(self, D, S):
         prod = self.product(D, S, D * S + 60, exact_part=False)
         rows, positions = TestPairForm.pairs(D, S, D * S + 61)
-        want = [self.loop_surface(prod, row) for row in rows]
-        full = prod.gradient_surface_array(rows)
         pairs = prod.gradient_surface_array(rows, positions)
-        assert full.shape == (rows.shape[0], D, S + 1) and pairs.shape == (rows.shape[0], S + 1)
-        for k, row in enumerate(rows):
+        assert pairs.shape == (rows.shape[0], S + 1)
+        for k in range(rows.shape[0]):
+            one = rows[k:k + 1], positions[k:k + 1]
             # bytes, so that the sign of a zero counts too
-            assert full[k].tobytes() == want[k].tobytes()
-            assert prod.gradient_surface_array(row).tobytes() == want[k].tobytes()
-            assert pairs[k].tobytes() == want[k][positions[k]].tobytes()
+            assert pairs[k].tobytes() == self.loop_surface(prod, *one).tobytes()
+            assert pairs[k].tobytes() == prod.gradient_surface_array(*one)[0].tobytes()
 
     class NegativeZero:
-        """A surface of -0.0 everywhere, in every form."""
+        """A surface of -0.0 everywhere."""
 
         has_gradient_surface = True
 
-        def gradient_surface_array(self, tokens, positions=None):
-            lead = np.shape(tokens) if positions is None else np.shape(positions)
-            return np.full(lead + (3,), -0.0)
+        def gradient_surface_array(self, tokens, positions):
+            return np.full((positions.size, 3), -0.0)
 
     def test_first_part_keeps_negative_zeros(self):
         # the first part's surface is taken as is: 0.0 + (-0.0) would be
         # 0.0. A second part adds in the usual way, and -0.0 + -0.0 is -0.0
         prod = ProductPredictor([self.NegativeZero(), self.NegativeZero()])
         rows = np.array([[2, 2, 2], [0, 1, 2]])
-        assert np.signbit(prod.gradient_surface_array(rows)).all()
         assert np.signbit(prod.gradient_surface_array(rows, np.array([0, 2]))).all()
-        assert np.signbit(prod.gradient_surface_array(rows[0])).all()

@@ -594,12 +594,9 @@ class Steep:
     def __init__(self, S, signs):
         self.S, self.signs = S, np.asarray(signs, dtype=float)
 
-    def gradient_surface_array(self, tokens, positions=None):
-        at = positions
-        if positions is None:
-            at = np.broadcast_to(np.arange(tokens.shape[-1]), tokens.shape)
-        g = np.zeros(np.shape(at) + (self.S + 1,))
-        g[..., : self.S] = 1000.0 * self.signs[at][..., None]
+    def gradient_surface_array(self, tokens, positions):
+        g = np.zeros((positions.size, self.S + 1))
+        g[:, : self.S] = 1000.0 * self.signs[positions][:, None]
         return g
 
 
@@ -915,7 +912,7 @@ class TestScalarAnswerRefused:
         def likelihood_array(self, tokens):
             return 0.5
 
-        def gradient_surface_array(self, tokens, positions=None):
+        def gradient_surface_array(self, tokens, positions):
             return np.zeros((tokens.shape[-1], 3))
 
     @pytest.mark.parametrize("driver", ["aoarm", "euler", "guide_rates"])
