@@ -514,9 +514,15 @@ ACCEPTANCE_CHECKS = {
 }
 
 
-def run_checks(names: Optional[Sequence[str]] = None, seed: int = DEFAULT_SEED) -> list:
+def selected_checks(names: Optional[Sequence[str]] = None) -> list:
+    """The names of the checks ``names`` selects, every check when it is
+    empty; an unknown name raises KeyError before any check runs."""
     selected = list(ACCEPTANCE_CHECKS) if not names else list(names)
     unknown = [n for n in selected if n not in ACCEPTANCE_CHECKS]
     if unknown:
         raise KeyError(f"unknown acceptance checks: {unknown}; known: {list(ACCEPTANCE_CHECKS)}")
-    return [ACCEPTANCE_CHECKS[n](seed) for n in selected]
+    return selected
+
+
+def run_checks(names: Optional[Sequence[str]] = None, seed: int = DEFAULT_SEED) -> list:
+    return [ACCEPTANCE_CHECKS[n](seed) for n in selected_checks(names)]

@@ -5,9 +5,11 @@ int64 context codes cannot represent, or an alphabet whose letters
 samples.txt cannot frame, included), 3 runtime error.
 Seed precedence: GUIDESAMPLER_SEED env var > --seed flag > config file >
 built-in default; the resolved seed must lie in [0, 2**53). Every run writes
-a resolved-config copy next to its outputs. Primary outputs (samples, paths,
-results CSV/JSON) are byte-reproducible for a fixed seed; wall-clock timings
-go to separate diagnostics files.
+a resolved-config copy next to its outputs once its config, model and
+predictor have passed their checks, so such a mistake makes no output
+directory. Primary outputs (samples, paths, results CSV/JSON) are
+byte-reproducible for a fixed seed; wall-clock timings go to separate
+diagnostics files.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .acceptance import ACCEPTANCE_CHECKS, DEFAULT_SEED, run_checks
+from .acceptance import ACCEPTANCE_CHECKS, DEFAULT_SEED, run_checks, selected_checks
 from .bench import (_is_int, _is_real, check_campaign_config, resolve_campaign_config,
                     run_campaign, write_campaign_csv, write_campaign_timing_csv)
 from .core import Alphabet, RandomSource, TabularDistribution, unpack_table
@@ -271,14 +273,14 @@ def load_predictor(path, denoiser, p_tab):
 
 
 def cmd_verify(cfg: dict) -> int:
+    try:
+        names = selected_checks(cfg.get("only"))
+    except KeyError as e:
+        raise ConfigError(str(e)) from e
     out = Path(cfg["output_dir"])
     out.mkdir(parents=True, exist_ok=True)
     _dump_json(cfg, out / "resolved_config.json")
-    names = cfg.get("only") or None
-    try:
-        results = run_checks(names, seed=cfg["seed"])
-    except KeyError as e:
-        raise ConfigError(str(e)) from e
+    results = run_checks(names, seed=cfg["seed"])
     for r in results:
         print(r.line())
     n_pass = sum(r.passed for r in results)
@@ -310,10 +312,9 @@ def cmd_sample(cfg: dict) -> int:
     """Sample every chain in one call of the route's batched driver, on one
     random stream and one context cache shared by the chains, and write
     ``samples.txt``, ``paths.jsonl`` (empty without ``record_paths``) and
-    ``diagnostics.json``."""
-    out = Path(cfg["output_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    _dump_json(cfg, out / "resolved_config.json")
+    ``diagnostics.json``. A config mistake found in the model, the
+    predictor or the sampler section exits before the output directory is
+    made."""
     denoiser, p_tab = load_model(cfg["model"])
     if denoiser.S > TEXT_S_LIMIT:
         raise ConfigError(f"samples.txt renders token t as chr(ord('A') + t), which is printable "
@@ -346,6 +347,9 @@ def cmd_sample(cfg: dict) -> int:
     except (ValueError, GuideSamplerError) as e:
         raise ConfigError(str(e)) from e
 
+    out = Path(cfg["output_dir"])
+    out.mkdir(parents=True, exist_ok=True)
+    _dump_json(cfg, out / "resolved_config.json")
     root = RandomSource(cfg["seed"])
     n = sampler["n_samples"]
     record = sampler["record_paths"]

@@ -1,10 +1,11 @@
 """Property predictors p(y | x_t) on partially masked sequences.
 
-Every time-dependent predictor exposes the likelihoods of token rows,
-clamped to [LIKELIHOOD_FLOOR, 1] so guidance ratios never divide by zero, and
-may expose a gradient surface over the mask-extended one-hot encoding: one
-row of S+1 entries per (context, position) pair, which is what first-order
-guidance reads to score unmask transitions.
+Every time-dependent predictor exposes the likelihoods of token rows, and
+of the S+1 children of (context, position) pairs, clamped to
+[LIKELIHOOD_FLOOR, 1] so guidance ratios never divide by zero. It may expose
+a gradient surface over the mask-extended one-hot encoding: one row of S+1
+entries per (context, position) pair, which is what first-order guidance
+reads to score unmask transitions.
 
 The trainable family is a linear classifier over the mask-extended one-hot
 encoding augmented with pairwise interaction terms. It supports two links:
@@ -103,20 +104,23 @@ class CleanPredictor:
 class TimePredictor:
     """Likelihood on partially masked inputs; immutable once constructed.
 
-    Each method answers one shape. ``likelihood_array`` takes a token
-    matrix (n, D) and returns its n likelihoods (n,), clamped to
-    [LIKELIHOOD_FLOOR, 1]. A predictor with a gradient surface answers
-    ``gradient_surface_array`` on P (context, position) pairs: ``tokens``
-    (P, D) are their contexts and ``positions`` (P,) their positions, and
-    the answer is (P, S+1), row j the surface of context j at
-    ``positions[j]``. An answer row is bit for bit that of its row (or
-    pair) called alone. The samplers score a step's distinct children in
-    one likelihood call and take the surface rows of the pairs a step draws
-    in one gradient call; an answer of any other shape raises
-    CapabilityError there.
+    ``likelihood_array`` has a rows form and a pair form. On a token
+    matrix (n, D) alone it returns the n likelihoods (n,), clamped to
+    [LIKELIHOOD_FLOOR, 1]. With ``positions`` (P,) beside the contexts
+    ``tokens`` (P, D) of P (context, position) pairs it returns (P, S+1):
+    entry [j, s] is the likelihood of row j with position ``positions[j]``
+    set to s, so for a masked position columns 0..S-1 are its children and
+    column S is row j itself. A pair-form entry whose row has no mass is
+    NaN there, where the rows form raises. A predictor with a gradient
+    surface answers ``gradient_surface_array`` on pairs the same way: the
+    answer is (P, S+1), row j the surface of context j at ``positions[j]``.
+    Every answer entry is bit for bit that of its one row (or pair) called
+    alone. The samplers make one pair-form call per step, likelihood or
+    gradient; an answer of any other shape raises CapabilityError there.
+    The campaign filter scores clean rows in the rows form.
     """
 
-    def likelihood_array(self, tokens: np.ndarray) -> np.ndarray:
+    def likelihood_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
         raise NotImplementedError
 
     @property
@@ -159,13 +163,22 @@ class ExactMarginalPredictor(TimePredictor):
             self._table = lik
         return self._table
 
-    def likelihood_array(self, tokens: np.ndarray) -> np.ndarray:
-        """Clamped likelihood of each row of the token matrix (n, D), (n,).
-        The first masked row whose context has no mass raises
-        UnsupportedContextError."""
-        lik = self._likelihoods()[encode_rows(tokens, self.S + 1)]
-        require_support(tokens, ~np.isnan(lik), self.S)
-        return lik
+    def likelihood_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        """Clamped likelihood of each row of the token matrix (n, D), (n,),
+        where the first masked row whose context has no mass raises
+        UnsupportedContextError; or, with ``positions`` (P,), of each pair's
+        S+1 rows (see :class:`TimePredictor`), (P, S+1), one table gather at
+        the row's index plus (s - token) times the position's place value,
+        NaN where a row has no mass."""
+        V = self.S + 1
+        codes = encode_rows(tokens, V)
+        if positions is None:
+            lik = self._likelihoods()[codes]
+            require_support(tokens, ~np.isnan(lik), self.S)
+            return lik
+        place = V ** np.asarray(positions, dtype=np.int64)
+        parents = codes - tokens[np.arange(positions.size), positions] * place
+        return self._likelihoods()[parents[:, None] + np.arange(V) * place[:, None]]
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +199,29 @@ def _upper_pairs(D: int, V: int):
     flat offset of the block pair[d, e] of a (D, D, V, V) table)."""
     first, second = np.triu_indices(D, 1)
     return first, second, (first * D + second) * (V * V)
+
+
+#: most (term, child) entries of one chunk of the pair form's term buffer,
+#: 1 MiB of float64: at D=12, S=20 the 64 pairs of a step fit in one chunk,
+#: and a call on many thousands of pairs keeps its buffers to a few MiB
+_PAIR_CHUNK_CELLS = 128 * 1024
+
+
+@functools.lru_cache(maxsize=None)
+def _held_pairs(D: int, V: int):
+    """For each position d, the D-1 pairs of :func:`_upper_pairs` that hold
+    d, as (their indices (D, D-1) in row-major order, the other position of
+    each, that position's step in the pair's cell, 1 when it is second and V
+    when first, and each pair's cells at d's tokens 0..V-1 with the other
+    token 0, (D, D-1, V))."""
+    first, second, offsets = _upper_pairs(D, V)
+    held = np.array([np.flatnonzero((first == d) | (second == d)) for d in range(D)],
+                    dtype=np.int64).reshape(D, D - 1)
+    d_first = first[held] == np.arange(D)[:, None]
+    other = np.where(d_first, second[held], first[held])
+    d_step = np.where(d_first, V, 1)
+    cells = offsets[held][:, :, None] + d_step[:, :, None] * np.arange(V)
+    return held, other, np.where(d_first, 1, V), cells
 
 
 def _site_scores(bias, single, rows) -> np.ndarray:
@@ -273,6 +309,36 @@ class PairwiseInteractionPredictor(TimePredictor):
                             cells, terms)
         return score
 
+    def _child_scores(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Scores of the S+1 rows of each pair (``tokens[j]`` with position
+        ``positions[j]`` set to s), (P, S+1), bit for bit ``score_array``
+        of each such row.
+
+        A child's site terms are its parent's single-site gather with
+        column d replaced, summed by the same ``.sum(axis=-1)`` over rows of
+        D. Its pair terms fill rows 1..K of a (K+1, S+1, P) buffer: the
+        parent's K pair cells are formed once per pair, the K-(D-1) terms
+        that do not hold d gathered once per pair and broadcast over the
+        children, and the D-1 that hold d gathered per child. Row 0 takes
+        the site score, and one in-order ``np.add.reduce`` over axis 0 adds
+        the rows as ``score_array`` does; there are always >= 2 columns."""
+        D, V = self.D, self.S + 1
+        first, second, offsets = _upper_pairs(D, V)
+        held, other, other_step, d_cells = _held_pairs(D, V)
+        P, pairs = positions.size, np.arange(positions.size)
+        sites = np.empty((V, P, D))
+        sites[...] = np.take(self.single, tokens + np.arange(0, D * V, V))
+        sites[:, pairs, positions] = self.single[positions].T
+        terms = np.empty((offsets.size + 1, V, P))
+        terms[0] = self.bias + sites.reshape(V * P, D).sum(axis=-1).reshape(V, P)
+        columns = np.ascontiguousarray(tokens.T, dtype=np.int64)
+        cells = columns[first] * V + columns[second] + offsets[:, None]
+        terms[1:] = self.pair.take(cells)[:, None, :]
+        base = other_step[positions] * np.take_along_axis(tokens, other[positions], axis=1)
+        terms[1 + held[positions], :, pairs[:, None]] = self.pair.take(
+            base[:, :, None] + d_cells[positions])
+        return np.add.reduce(terms.reshape(terms.shape[0], V * P), axis=0).reshape(V, P).T
+
     # -- likelihood ---------------------------------------------------------
 
     def _prob_from_score(self, score):
@@ -280,9 +346,20 @@ class PairwiseInteractionPredictor(TimePredictor):
             return 1.0 / (1.0 + np.exp(-score))
         return np.exp(np.minimum(score, 0.0))
 
-    def likelihood_array(self, tokens: np.ndarray) -> np.ndarray:
-        """Clamped likelihood of each row of the token matrix (n, D), (n,)."""
-        return clamp_likelihood(self._prob_from_score(self.score_array(tokens)))
+    def likelihood_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        """Clamped likelihood of each row of the token matrix (n, D), (n,),
+        from ``score_array``; or, with ``positions`` (P,), of each pair's
+        S+1 rows (see :class:`TimePredictor`), (P, S+1), from
+        :meth:`_child_scores` on chunks of pairs whose term buffer holds at
+        most ``_PAIR_CHUNK_CELLS`` entries."""
+        if positions is None:
+            score = self.score_array(tokens)
+        else:
+            chunk = max(1, _PAIR_CHUNK_CELLS // ((self.D * (self.D - 1) // 2 + 1) * (self.S + 1)))
+            score = np.concatenate([self._child_scores(tokens[lo:lo + chunk],
+                                                       positions[lo:lo + chunk])
+                                    for lo in range(0, max(1, positions.size), chunk)])
+        return clamp_likelihood(self._prob_from_score(score))
 
     #: the same method, under the name the campaign filter calls on rows
     likelihood_batch = likelihood_array
@@ -449,13 +526,20 @@ class ProductPredictor(TimePredictor):
             raise ValueError("product of zero predictors")
         self.parts = list(parts)
 
-    def likelihood_array(self, tokens: np.ndarray) -> np.ndarray:
-        """Clamped likelihood of each row of the token matrix (n, D), (n,):
-        the product of the parts' likelihoods, in part order."""
-        vals = np.ones(tokens.shape[0])
-        for part in self.parts:
-            vals *= part.likelihood_array(tokens)
-        return clamp_likelihood(vals)
+    def likelihood_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
+        """The product of the parts' likelihoods, in part order, of the rows
+        (n,) or of the pairs' rows (P, S+1), as the parts answer the same
+        call, clamped. A pair-form entry that is NaN, a row without mass
+        under some part, stays NaN."""
+        first, *rest = self.parts
+        vals = np.array(first.likelihood_array(tokens, positions), dtype=float)
+        for part in rest:
+            vals *= part.likelihood_array(tokens, positions)
+        if positions is None:
+            return clamp_likelihood(vals)
+        kept = ~np.isnan(vals)
+        vals[kept] = clamp_likelihood(vals[kept])
+        return vals
 
     @property
     def has_gradient_surface(self) -> bool:

@@ -50,13 +50,13 @@ again only the pairs of chains that jumped (all of them when the switch
 point flips); :func:`guide_rates` returns the weights of one
 context's masked positions, scaled the same way, as a (D, S) rate matrix.
 The n chains of a call share one context cache, which keeps nothing
-between kernel calls. A step makes one pair-form posterior call per
-denoiser, which forms the rows of the step's (context, position) pairs and
-no other position's, and one likelihood call on the token rows (n, D) of the
-distinct children of their contexts or one gradient-surface call on the
-pairs, the one shape of each predictor method. An answer of the wrong
-shape raises CapabilityError naming the model and the method. A child with
-zero posterior weight gets guided weight 0 and is not scored.
+between kernel calls. A step makes one pair-form call to each model on
+the step's distinct (context, position) pairs: per denoiser a posterior
+call, which forms the rows of those pairs and no other position's, and a
+likelihood call, which answers each pair's S children and its source, or
+a gradient-surface call. An answer of the wrong shape raises
+CapabilityError naming the model and the method. A child with zero
+posterior weight gets guided weight 0 and its likelihood is not read.
 
 Composition order with logit modifiers: temperature and wild-type bias are
 applied inside the denoiser (ModifiedDenoiser) before guidance reads any
@@ -153,8 +153,8 @@ class SamplerDiagnostics:
     * ``denoiser_evals``: distinct contexts of each kernel call, summed,
       evaluated by either denoiser.
     * ``predictor_evals``: distinct contexts of each kernel call, summed:
-      children and sources scored by the predictor's likelihood, plus
-      contexts given its gradient surface.
+      children and sources whose likelihood the kernel reads, plus
+      contexts given the predictor's gradient surface.
     * ``step_weight_requests``: guided weight rows formed, one per distinct
       (context, position) pair of a kernel call.
     * ``wall_time_s``: seconds spent in the call.
@@ -310,7 +310,8 @@ def _checked(model, method: str, shape: tuple, *args) -> np.ndarray:
     if out.shape != shape:
         raise CapabilityError(
             f"{type(model).__name__}.{method} answered shape {out.shape} where the samplers "
-            f"need {shape}: every model must answer rows (see the predictor contract)"
+            f"need {shape}: every model must answer the rows or pairs it is given "
+            "(see the predictor contract)"
         )
     return out
 
@@ -325,9 +326,9 @@ class _ContextCache:
     ``child_codes``, ``pairs``), so the key format lives here and nowhere
     else. Codes are one-way int64 keys that sort and dedup contexts; a size
     whose codes would wrap raises SizeCapError instead of keying two
-    contexts alike. The kernel answers a step's (context, position) pairs,
-    or the distinct children of its contexts, in one call to each model on
-    their own rows, and keeps nothing between calls."""
+    contexts alike. The kernel answers a step's (context, position) pairs
+    in one pair-form call to each model, and keeps nothing between
+    calls."""
 
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
         self.denoiser = denoiser
@@ -373,25 +374,29 @@ class _ContextCache:
                scored: np.ndarray, exact: bool):
         """(child likelihoods (P, S), source likelihoods (P, 1) or 1.0) of the
         ``exact`` and ``deg`` modes for the pairs (context ``rows[j]`` of code
-        ``codes[j]``, ``positions[j]``). One likelihood call scores the
-        distinct children where ``scored`` holds, plus the sources for
-        ``exact``; the other children keep likelihood 1."""
-        pair, symbol = np.nonzero(scored)
-        n = pair.size
-        if exact:
-            # a source is its pair's child with symbol S: the position left masked
-            pair = np.concatenate([pair, np.arange(positions.size)])
-            symbol = np.concatenate([symbol, np.full(positions.size, self.S)])
-        at = positions[pair]
-        keys = self.child_codes(codes[pair], at, symbol)
-        distinct, first, inv = np.unique(keys, return_index=True, return_inverse=True)
-        self.diag.predictor_evals += distinct.size
-        children = rows[pair[first]]
-        children[np.arange(first.size), at[first]] = symbol[first]
-        lik = _checked(self.cfg.predictor, "likelihood_array", distinct.shape, children)[inv]
-        tilt = np.ones(scored.shape)
-        tilt[scored] = lik[:n]
-        return tilt, (lik[n:, None] if exact else 1.0)
+        ``codes[j]``, ``positions[j]``), from one pair-form likelihood call.
+        It reads the children where ``scored`` holds, plus the sources for
+        ``exact``; the other children keep likelihood 1. A read entry that
+        is NaN, a child the predictor gives no mass, raises the error the
+        predictor's rows form raises for the first such child in ascending
+        code order. The distinct read children count as predictor evals."""
+        S = self.S
+        lik = _checked(self.cfg.predictor, "likelihood_array", (positions.size, S + 1),
+                       rows, positions)
+        read = np.concatenate([scored, np.full((positions.size, 1), exact)], axis=1)
+        pair, symbol = np.nonzero(read)
+        keys = self.child_codes(codes[pair], positions[pair], symbol)
+        missing = np.isnan(lik[read])
+        if missing.any():
+            j = np.argmin(np.where(missing, keys, CODE_LIMIT - 1))
+            child = rows[pair[j]].copy()
+            child[positions[pair[j]]] = symbol[j]
+            self.cfg.predictor.likelihood_array(child[None])
+        # counted by a sort: np.unique without return_index hashes in numpy
+        # 2.4, about 15 times slower on a step's thousand-odd codes
+        keys.sort()
+        self.diag.predictor_evals += int(keys.size and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
+        return np.where(scored, lik[:, :S], 1.0), (lik[:, S:] if exact else 1.0)
 
     def guided_weights(self, rows: np.ndarray, positions: np.ndarray, active: bool) -> np.ndarray:
         """Unnormalized guided weights of P (context, position) pairs, shape
@@ -399,9 +404,9 @@ class _ContextCache:
         of the context row ``rows[j]``. Without guidance, or before the
         switch point (``active`` false), the rows are the denoiser posterior.
         A child with zero posterior weight gets weight 0, and ``exact`` and
-        ``deg`` do not score it. The rows arrive sorted by context code (from
-        :meth:`pairs`, or one tiled context), which the distinct-context
-        counts of the diagnostics rely on."""
+        ``deg`` do not read its likelihood. The rows arrive sorted by context
+        code (from :meth:`pairs`, or one tiled context), which the
+        distinct-context counts of the diagnostics rely on."""
         cfg, S = self.cfg, self.S
         self.diag.step_weight_requests += positions.size
         if positions.size == 0:

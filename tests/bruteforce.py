@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from guidesampler.errors import UnsupportedContextError
+
 
 def all_sequences(D, S):
     for tup in itertools.product(range(S), repeat=D):
@@ -49,6 +51,16 @@ def child_rows(tokens, d, S):
     out = np.array([list(tokens) for _ in range(S)])
     for s in range(S):
         out[s, d] = s
+    return out
+
+
+def pair_rows(tokens, positions, S):
+    """The S+1 rows of each (context, position) pair, (P, S+1, D): row
+    [j, s] is ``tokens[j]`` with position ``positions[j]`` set to s, so row
+    [j, S] is the context itself where that position is masked."""
+    out = np.repeat(np.asarray(tokens)[:, None, :], S + 1, axis=1)
+    for j, d in enumerate(positions):
+        out[j, :, d] = np.arange(S + 1)
     return out
 
 
@@ -377,12 +389,16 @@ class Looped:
     of ``inner`` per row: a sampler run on it forms each answer row the way
     a model without a rows form would, and gives the run's reference. Its
     predictor methods take only the shapes of the predictor contract, token
-    rows (n, D) for ``likelihood_array`` and pairs (P, D), (P,) for
-    ``gradient_surface_array``, so a run on it checks that the samplers call
-    predictors in no other shape."""
+    rows (n, D) with or without positions (P,) for ``likelihood_array`` and
+    pairs for ``gradient_surface_array``, so a run on it checks that the
+    samplers call predictors in no other shape. The pair form of
+    ``likelihood_array`` scores each of a pair's S+1 rows (``S`` the mask,
+    by default ``inner.S``) in its own one-row call; a row the one-row call
+    refuses for want of mass is NaN."""
 
-    def __init__(self, inner):
+    def __init__(self, inner, S=None):
         self.inner = inner
+        self.mask = inner.S if S is None else S
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -395,9 +411,19 @@ class Looped:
             return np.array([method(row) for row in tokens])
         return np.array([method(row)[d] for row, d in zip(tokens, positions)])
 
-    def likelihood_array(self, tokens):
+    def _one_row(self, row):
+        try:
+            return self.inner.likelihood_array(row[None])[0]
+        except UnsupportedContextError:
+            return math.nan
+
+    def likelihood_array(self, tokens, positions=None):
         assert tokens.ndim == 2, tokens.shape
-        return np.array([self.inner.likelihood_array(row[None])[0] for row in tokens])
+        if positions is None:
+            return np.array([self.inner.likelihood_array(row[None])[0] for row in tokens])
+        assert positions.shape == tokens.shape[:1], (tokens.shape, positions.shape)
+        return np.array([[self._one_row(child) for child in children]
+                         for children in pair_rows(tokens, positions, self.mask)])
 
     def gradient_surface_array(self, tokens, positions):
         assert tokens.ndim == 2 and positions.shape == tokens.shape[:1], (tokens.shape,

@@ -539,6 +539,44 @@ class TestModelFiles:
         assert not (out / "samples.txt").exists()
 
 
+class TestConfigErrorWritesNothing:
+    """A config mistake that loading the model or predictor, matching their
+    sizes, building the guidance or selecting the checks finds exits 2 and
+    leaves no output directory."""
+
+    @staticmethod
+    def sample_args(tmp_path, model_file, predictor_file, case):
+        corrupt = tmp_path / "corrupt.json"
+        corrupt.write_text("{not json")
+        if case == "missing model":
+            return ["--model", str(tmp_path / "nope.json")]
+        if case == "corrupt model":
+            return ["--model", str(corrupt)]
+        if case == "corrupt predictor":
+            return ["--model", str(model_file), "--predictor", str(corrupt), "--mode", "deg"]
+        if case == "size mismatch":
+            other = tmp_path / "pred_d2.json"
+            other.write_text(json.dumps({"kind": "exact_marginal", "clean_table": [0.5] * 16}))
+            return ["--model", str(model_file), "--predictor", str(other), "--mode", "deg"]
+        # an exact_marginal predictor has no gradient surface
+        return ["--model", str(model_file), "--predictor", str(predictor_file), "--mode", "tag"]
+
+    @pytest.mark.parametrize("case", ["missing model", "corrupt model", "corrupt predictor",
+                                      "size mismatch", "tag with exact_marginal"])
+    def test_sample(self, tmp_path, model_file, predictor_file, capsys, case):
+        out = tmp_path / "o"
+        args = self.sample_args(tmp_path, model_file, predictor_file, case)
+        assert main(["sample", *args, "--n", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "config error" in capsys.readouterr().err
+
+    def test_verify_unknown_check(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert main(["verify", "--only", "nosuch", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "unknown acceptance checks: ['nosuch']" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_single_passing_check_exits_zero(self, tmp_path, capsys):
         out = tmp_path / "v"

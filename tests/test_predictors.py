@@ -34,6 +34,7 @@ from bruteforce import (
     dist_as_dict,
     loop_train_noisy_classifier,
     delta_weights,
+    pair_rows,
     relaxed_likelihood,
     row,
 )
@@ -310,10 +311,10 @@ def loop_surface(m, tokens):
 
 
 class TestBatchedChildScoring:
-    """likelihood_array on one or many rows (a position's S children, the
-    rows the samplers score at once) and _affine_part on the pairs of a
-    context equal their loop references bit for bit, so the samplers'
-    outputs do not depend on how a call batches its rows."""
+    """likelihood_array on one or many rows (a position's S children as
+    rows) and _affine_part on the pairs of a context equal their loop
+    references bit for bit, so an answer does not depend on how a call
+    batches its rows."""
 
     CASES = [(1, 3), (2, 2), (5, 4), (12, 20)]
 
@@ -369,9 +370,9 @@ class TestBatchedChildScoring:
 
 
 class TestExactChildLikelihoods:
-    """ExactMarginalPredictor.likelihood_array on a position's S children,
-    the rows the samplers score at once, equals one one-row call per child
-    bit for bit, and fails as that call does."""
+    """ExactMarginalPredictor.likelihood_array on a position's S children
+    as rows equals one one-row call per child bit for bit, and fails as
+    that call does."""
 
     @staticmethod
     def model(D, S, seed, weights=None):
@@ -570,9 +571,10 @@ class TestParametricRowForm:
     @staticmethod
     def spy_calls(monkeypatch) -> dict:
         """Count the calls of the parametric models' methods, by name, and
-        assert the contract's shapes on each: token rows (n, D) always, the
-        positions (P,) of the pairs beside every pair-form call, and no
-        positions beside a likelihood call."""
+        assert the shapes the samplers and the filter call them in: token
+        rows (n, D) always, the positions (P,) of the pairs beside every
+        sampler call, and no positions beside the filter's
+        ``likelihood_batch`` call on clean rows."""
         calls = {}
         for cls, name in ((ParametricDenoiser, "posterior_array"),
                           (PairwiseInteractionPredictor, "likelihood_array"),
@@ -581,7 +583,7 @@ class TestParametricRowForm:
             def spy(model, tokens, *positions, _original=cls.__dict__[name], _name=name):
                 calls[_name] = calls.get(_name, 0) + 1
                 assert tokens.ndim == 2
-                if _name.startswith("likelihood"):
+                if _name == "likelihood_batch":
                     assert not positions
                 else:
                     assert [p.shape for p in positions] == [tokens.shape[:1]]
@@ -736,7 +738,7 @@ class TestPairForm:
         assert m.score_array(rows[:1].astype(dtype)).tobytes() == m.score_array(rows[:1]).tobytes()
 
     def test_likelihood_rows_keep_small_temporaries(self):
-        # a step's children at D=12, S=20, 64 chains; gathering the pair
+        # 1,280 rows at D=12, S=20 (64 pairs' children as rows); gathering the pair
         # terms of all 66 pairs at once took two (66, 1280) arrays, 1.4 MiB
         m = full_random_model(12, 20, "logistic", seed=77)
         rows = TestParametricRowForm.rows(12, 20, 78, n=1280)
@@ -748,6 +750,90 @@ class TestPairForm:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 1024
+
+
+class TestLikelihoodPairForm:
+    """``likelihood_array`` with positions (P,): entry [j, s] is, byte for
+    byte, the one-row call on ``rows[j]`` with position ``positions[j]`` set
+    to s, for every predictor class. A row without mass is NaN there, where
+    its one-row call raises."""
+
+    @staticmethod
+    def pairs(D, S, seed, n):
+        """n random contexts, with one random position each, masked in
+        every other pair and observed in the rest."""
+        gen = RandomSource(seed).generator()
+        rows = gen.integers(0, S + 1, size=(n, D))
+        positions = gen.integers(0, D, size=n)
+        rows[np.arange(0, n, 2), positions[::2]] = S
+        return rows, positions
+
+    @staticmethod
+    def one_row_calls(pred, rows, positions, S):
+        """The (P, S+1) one-row answers of each pair's rows."""
+        return np.array([[one_row(pred, r) for r in rs] for rs in pair_rows(rows, positions, S)])
+
+    def check(self, pred, rows, positions, S):
+        got = pred.likelihood_array(rows, positions)
+        assert got.shape == (positions.size, S + 1)
+        assert got.tobytes() == self.one_row_calls(pred, rows, positions, S).tobytes()
+        return got
+
+    @pytest.mark.parametrize("P", [1, 64])
+    @pytest.mark.parametrize("link", ["logistic", "exp"])
+    @pytest.mark.parametrize("D,S", [(1, 2), (2, 3), (5, 4), (12, 20)])
+    def test_pairwise(self, link, D, S, P):
+        m = full_random_model(D, S, link, seed=D * 100 + S + 11)
+        rows, positions = self.pairs(D, S, D * S + P, P)
+        got = self.check(m, rows, positions, S)
+        assert ((got >= LIKELIHOOD_FLOOR) & (got <= 1.0)).all()
+
+    def test_pairwise_chunks(self):
+        # 300 pairs at D=12, S=20 take four chunks of the term buffer
+        m = full_random_model(12, 20, "logistic", seed=12)
+        self.check(m, *self.pairs(12, 20, 13, 300), 20)
+
+    @pytest.mark.parametrize("D,S", [(1, 3), (3, 2), (4, 3)])
+    def test_exact_marginal(self, D, S):
+        m = TestExactChildLikelihoods.model(D, S, seed=D * S + 14)
+        self.check(m, *self.pairs(D, S, D + S, 64), S)
+
+    def test_exact_marginal_nan_without_mass(self):
+        # no mass where x0 = 1 and x1 = 1: pair ([?, 1, ?], 0) has its child
+        # 1 without mass, and pair ([1, 1, ?], 2) itself, but not its clean
+        # children
+        table = sequence_table(3, 2)
+        m = TestExactChildLikelihoods.model(
+            3, 2, seed=4, weights=np.where((table[:, 0] == 1) & (table[:, 1] == 1), 0.0, 1.0))
+        rows, positions = np.array([[2, 1, 2], [1, 1, 2], [2, 2, 2]]), np.array([0, 2, 2])
+        got = m.likelihood_array(rows, positions)
+        empty = np.array([[False, True, False], [False, False, True], [False, False, False]])
+        assert np.array_equal(np.isnan(got), empty)
+        children = pair_rows(rows, positions, 2)
+        for child in children[empty]:
+            with pytest.raises(UnsupportedContextError):
+                one_row(m, child)
+        want = np.array([one_row(m, c) for c in children[~empty]])
+        assert got[~empty].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("exact_part", [False, True])
+    @pytest.mark.parametrize("D,S", [(3, 2), (5, 4)])
+    def test_product(self, D, S, exact_part):
+        prod = TestProductPredictor.product(D, S, D * S + 70, exact_part)
+        self.check(prod, *self.pairs(D, S, D * S + 71, 64), S)
+
+    def test_product_keeps_nan_without_mass(self):
+        table = sequence_table(3, 2)
+        exact = TestExactChildLikelihoods.model(
+            3, 2, seed=4, weights=np.where((table[:, 0] == 1) & (table[:, 1] == 1), 0.0, 1.0))
+        prod = ProductPredictor([full_random_model(3, 2, "logistic", seed=15), exact])
+        rows, positions = np.array([[2, 1, 2]]), np.array([0])
+        got = prod.likelihood_array(rows, positions)
+        assert np.isnan(got[0, 1]) and not np.isnan(got[0, [0, 2]]).any()
+        assert got[0, 0] == one_row(prod, np.array([0, 1, 2]))
+        assert got[0, 2] == one_row(prod, rows[0])
+        with pytest.raises(UnsupportedContextError):
+            one_row(prod, np.array([1, 1, 2]))
 
 
 class TestTrainNoisyClassifier:
@@ -846,13 +932,15 @@ class TestTrainNoisyClassifier:
 
 class TestProductPredictor:
     class Const:
+        """Likelihood ``c`` everywhere, over S=2 symbols."""
+
         def __init__(self, c):
             self.c = c
 
         has_gradient_surface = False
 
-        def likelihood_array(self, tokens):
-            return np.full(tokens.shape[0], self.c)
+        def likelihood_array(self, tokens, positions=None):
+            return np.full(tokens.shape[:1] if positions is None else (positions.size, 3), self.c)
 
     def test_single_part_identity(self):
         p = ProductPredictor([self.Const(0.42)])
@@ -881,9 +969,9 @@ class TestProductPredictor:
         calls = []
 
         class Recording(self.Const):
-            def likelihood_array(self, tokens):
+            def likelihood_array(self, tokens, positions=None):
                 calls.append((self.c, np.array(tokens)))
-                return super().likelihood_array(tokens)
+                return super().likelihood_array(tokens, positions)
 
         prod = ProductPredictor([Recording(0.5), Recording(0.25)])
         rows = np.array([[2, 2], [0, 2], [0, 1]])

@@ -18,6 +18,7 @@ from guidesampler.errors import (
     DegenerateStepError,
     SizeCapError,
     TimeHorizonError,
+    UnsupportedContextError,
 )
 from guidesampler.oracle import EmpiricalDistribution, brute_force_posterior, chi_square_gof, ks_uniform, tv_distance
 from guidesampler.predictors import (
@@ -49,6 +50,7 @@ from bruteforce import (
     loop_cdf,
     loop_guided_row,
     delta_weights,
+    pair_rows,
     row,
     sorted_pairs,
 )
@@ -163,8 +165,8 @@ class TestGuideRates:
         class Fixed:
             has_gradient_surface = False
 
-            def likelihood_array(self, tokens):
-                return np.where((tokens == 2).any(axis=-1), 0.4, 0.8)
+            def likelihood_array(self, tokens, positions):
+                return np.where((pair_rows(tokens, positions, 2) == 2).any(axis=-1), 0.4, 0.8)
 
         p = TabularDistribution(1, 2, [0.5, 0.5])
         args = (ExactDenoiser(p), row("?", 2), 0.5)
@@ -295,8 +297,8 @@ class TestEulerSampler:
         class Strong:
             has_gradient_surface = False
 
-            def likelihood_array(self, tokens):
-                return np.where((tokens == 2).any(axis=-1), 0.05, 0.95)
+            def likelihood_array(self, tokens, positions):
+                return np.where((pair_rows(tokens, positions, 2) == 2).any(axis=-1), 0.05, 0.95)
 
         cfg = GuidanceConfig(mode="exact", gamma=2.0, predictor=Strong())
         _, _, diag = euler_sample(den, cfg, 0.1, RandomSource(1))
@@ -497,8 +499,8 @@ class TestAOARMSampler:
         class Zero:
             has_gradient_surface = False
 
-            def likelihood_array(self, tokens):
-                return np.full(np.shape(tokens)[:-1], LIKELIHOOD_FLOOR)  # zero, clamped
+            def likelihood_array(self, tokens, positions):
+                return np.full((positions.size, 3), LIKELIHOOD_FLOOR)  # zero, clamped
 
         p = random_dist(2, 2, 32)
         cfg = GuidanceConfig(mode="deg", gamma=400.0, predictor=Zero())
@@ -556,8 +558,8 @@ class Certain:
 
     has_gradient_surface = False
 
-    def likelihood_array(self, tokens):
-        return np.where((tokens == 2).any(axis=-1), LIKELIHOOD_FLOOR, 1.0)
+    def likelihood_array(self, tokens, positions):
+        return np.where((pair_rows(tokens, positions, 2) == 2).any(axis=-1), LIKELIHOOD_FLOOR, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -813,6 +815,38 @@ class TestZeroMassContexts:
             self.two_point_runs({0: 0.8, 2: 0.2}, 200)[route]()
 
 
+class TestPredictorPriorWithoutMass:
+    """The denoiser gives mass where the exact-marginal predictor's prior,
+    which holds only AA, has none. The pair form answers NaN for such a
+    child, and the kernel raises the error the predictor's one-row call
+    raises for the first such child it reads, in ascending code order: at
+    the fully masked context, ?B (code 5) before B? (code 7)."""
+
+    @staticmethod
+    def models():
+        den = ExactDenoiser(TabularDistribution.uniform(2, 2))
+        clean = CleanPredictor.from_table(np.array([0.2, 0.4, 0.6, 0.8]), 2)
+        return den, ExactMarginalPredictor(clean, TabularDistribution(2, 2, [1.0, 0.0, 0.0, 0.0]))
+
+    @pytest.mark.parametrize("route", ["aoarm", "euler"])
+    def test_first_child_in_code_order_named(self, route):
+        den, pred = self.models()
+        with pytest.raises(UnsupportedContextError) as exc:
+            if route == "aoarm":
+                aoarm_sample_many(den, GuidanceConfig("deg", 1.0, pred), 50, RandomSource(3))
+            else:
+                guide_rates(den, row("??", 2), 0.5, GuidanceConfig("exact", 1.0, pred))
+        assert str(exc.value) == "no completion of ?B has positive mass (observed positions [1])"
+        assert exc.value.positions == (1,)
+
+    def test_source_without_mass_named(self):
+        # the children BA and BB are clean and scored; the source B? has no mass
+        den, pred = self.models()
+        with pytest.raises(UnsupportedContextError) as exc:
+            guide_rates(den, row("B?", 2), 0.5, GuidanceConfig("exact", 1.0, pred))
+        assert str(exc.value) == "no completion of B? has positive mass (observed positions [0])"
+
+
 def looped_test_models(link="logistic"):
     """D=5, S=4: a parametric denoiser and a pairwise predictor."""
     gen = RandomSource(70).generator()
@@ -851,7 +885,7 @@ class TestRowsFormMatchesLooped:
         first one's counts."""
         second = ParametricDenoiser.random(den.D, den.S, RandomSource(94), scale=0.5)
         runs = []
-        for wrap in (lambda model: model, Looped):
+        for wrap in (lambda model: model, lambda model: Looped(model, den.S)):
             cfg = GuidanceConfig(
                 mode=mode, gamma=1.5,
                 predictor=wrap(pred) if mode in ("exact", "deg", "tag") else None,
@@ -901,7 +935,7 @@ class TestRowsFormMatchesLooped:
 
 
 class TestScalarAnswerRefused:
-    """The kernel hands every model rows. A model that answers only one
+    """The kernel hands every model pairs. A model that answers only one
     token array at a time returns a scalar for them, and every driver raises
     CapabilityError naming the model and the method instead of indexing a
     scalar or using the wrong rows."""
@@ -909,7 +943,7 @@ class TestScalarAnswerRefused:
     class ScalarOnly:
         has_gradient_surface = True
 
-        def likelihood_array(self, tokens):
+        def likelihood_array(self, tokens, positions):
             return 0.5
 
         def gradient_surface_array(self, tokens, positions):
