@@ -38,6 +38,7 @@ from .predictors import CleanPredictor, ExactMarginalPredictor, PairwiseInteract
 from .sampling import (
     GuidanceConfig,
     aoarm_sample_many,
+    check_context_codes,
     check_dt,
     check_route,
     euler_sample_many,
@@ -312,10 +313,11 @@ def cmd_sample(cfg: dict) -> int:
     """Sample every chain in one call of the route's batched driver, on one
     random stream and one context cache shared by the chains, and write
     ``samples.txt``, ``paths.jsonl`` (empty without ``record_paths``) and
-    ``diagnostics.json``. A config mistake found in the model, the
-    predictor or the sampler section exits before the output directory is
-    made."""
+    ``diagnostics.json``. A config mistake found in the model, its size,
+    the predictor or the sampler section exits before the output directory
+    is made."""
     denoiser, p_tab = load_model(cfg["model"])
+    check_context_codes(denoiser.D, denoiser.S)
     if denoiser.S > TEXT_S_LIMIT:
         raise ConfigError(f"samples.txt renders token t as chr(ord('A') + t), which is printable "
                           f"ASCII only up to S = {TEXT_S_LIMIT}; the model has S = {denoiser.S}")

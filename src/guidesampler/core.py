@@ -331,6 +331,60 @@ def require_support(tokens: np.ndarray, supported, S: int) -> None:
         raise _zero_mass(np.reshape(tokens, (-1, tokens.shape[-1]))[first], S)
 
 
+#: Entries of one cache block of :func:`pad_contexts`, 2**16 float64 or 512
+#: KiB, so a block and its mass block stay in a 2 MiB L2; block sizes from
+#: 2**15 to 2**18 time within 10% of each other at D=8, S=4
+_PAD_BLOCK = 1 << 16
+
+#: Shortest run (entries of one slab row) that one ``np.add.reduce`` pads;
+#: shorter runs take slab adds one run entry at a time, so that numpy's
+#: loops run along the rows and not along runs of a few entries
+_REDUCE_RUN = 8
+
+
+def _pad_axis(w: np.ndarray, S: int) -> None:
+    """Write the sum over the middle axis of ``w`` (rows, S+1, run) to its
+    index S, adding 0.0 and then the slabs of symbols 0..S-1 in order. A
+    run of 1 at S >= 8 takes ``np.sum``, whose pairwise order is the one of
+    the axis's ``np.sum``; ``np.add.reduce`` over a middle axis with a run
+    of 2 or more adds in the slab order."""
+    pad = w[:, S]
+    if w.shape[2] == 1 and S >= 8:
+        np.sum(w[:, :S], axis=1, out=pad)
+    elif w.shape[2] >= _REDUCE_RUN:
+        np.add.reduce(w[:, :S], axis=1, initial=0.0, out=pad)
+    else:
+        for j in range(w.shape[2]):
+            col = w[:, :, j]
+            np.add(col[:, 0], 0.0, out=col[:, S])
+            for s in range(1, S):
+                col[:, S] += col[:, s]
+
+
+def _padded_blocks(table: np.ndarray, S: int):
+    """Pad the context table ``table`` ((S+1,)*D, C order) in place, as
+    :func:`pad_contexts` describes, and yield the flat (start, stop) of each
+    block of it as soon as its entries are final, in ascending order.
+
+    From the outermost, an axis is padded over the whole table while one
+    index of the axes outside it holds more than ``_PAD_BLOCK`` entries.
+    The remaining axes add only within one such index, so they are padded
+    one block of whole indices at a time, after which the block is final."""
+    D, V = table.ndim, S + 1
+    flat = table.reshape(-1)
+    axis = 0
+    while axis < D and V ** (D - axis) > _PAD_BLOCK:
+        _pad_axis(table.reshape(V**axis, V, -1), S)
+        axis += 1
+    inner = V ** (D - axis)
+    step = max(1, _PAD_BLOCK // inner) * inner
+    for start in range(0, flat.size, step):
+        block = flat[start:start + step]
+        for a in range(axis, D):
+            _pad_axis(block.reshape(-1, V, V ** (D - 1 - a)), S)
+        yield start, start + block.size
+
+
 def pad_contexts(values: np.ndarray, D: int, S: int) -> np.ndarray:
     """Sums of a table over the S**D clean sequences (encode_rows order)
     over every masked context, flattened by the base-(S+1) context code.
@@ -338,28 +392,24 @@ def pad_contexts(values: np.ndarray, D: int, S: int) -> np.ndarray:
     The table is viewed position-major and each axis is padded with its sum
     at index S, the mask sentinel, one axis after another, so entry c sums
     ``values`` over the completions of context c. The one (S+1)**D array is
-    filled in place: no other table of that size is allocated.
+    filled in place: no other table of that size is allocated. Outer axes
+    whose every index holds more than ``_PAD_BLOCK`` entries are padded over
+    the whole array; the rest, one cache-sized block of outer indices at a
+    time, which adds the same numbers in the same order.
 
     Summation order, which fixes every entry's bits: an axis's padding slab
     starts at 0.0 and the slabs of symbols 0..S-1 are added to it in symbol
-    order, whole-slab adds over the array, axis by axis from the outermost;
-    on the innermost axis at S >= 8 it is numpy's pairwise sum instead. Both
-    equal ``np.sum`` over the axis. A slab add also writes partial sums where
-    a later axis holds S; that axis's own pass overwrites them.
+    order, by whole-slab adds or one ``np.add.reduce`` over the axis, axis by
+    axis from the outermost; on the innermost axis at S >= 8 it is numpy's
+    pairwise sum instead. Both equal ``np.sum`` over the axis. A slab add
+    also writes partial sums where a later axis holds S; that axis's own
+    pass overwrites them.
     """
     check_context_count(D, S)
     # zeros: a pass reads the entries where a later axis holds S before
     # that axis's pass writes them
     out = np.zeros((S + 1,) * D)
     out[(slice(0, S),) * D] = np.reshape(values, (S,) * D)
-    for axis in range(D):
-        # C-order axis a holds position D-1-a; it is the middle axis of w
-        w = out.reshape((S + 1) ** axis, S + 1, -1)
-        pad = w[:, S]
-        if axis == D - 1 and S >= 8:
-            np.sum(w[:, :S], axis=1, out=pad)
-        else:
-            np.add(w[:, 0], 0.0, out=pad)
-            for s in range(1, S):
-                pad += w[:, s]
+    for _ in _padded_blocks(out, S):
+        pass
     return out.reshape(-1)

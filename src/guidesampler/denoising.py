@@ -89,9 +89,13 @@ def pair_positions(tokens: np.ndarray, positions=None):
 
 
 def fill_observed(post: np.ndarray, observed: np.ndarray, S: int) -> np.ndarray:
-    """``post`` (..., S) with each row whose ``observed`` token (...) is
-    unmasked replaced by the one-hot of that token, as a new array."""
-    return np.where((observed == S)[..., None], post, observed[..., None] == np.arange(S))
+    """``post`` (..., S), an array the caller owns, with each row whose
+    ``observed`` token (...) is unmasked overwritten in place by the one-hot
+    of that token; returns ``post``. Only observed rows are written, and the
+    samplers' pairs are all masked."""
+    seen = observed != S
+    post[seen] = observed[seen][:, None] == np.arange(S)
+    return post
 
 
 class Denoiser:
@@ -157,8 +161,8 @@ class ExactDenoiser(Denoiser):
         total = mass[code]
         require_support(tokens, total > 0.0, S)
         code, total = code[..., None], total[..., None]
-        child = np.where((observed == S)[..., None], code - self._drop[at], code)
-        out = fill_observed(mass[child] / total, observed, S)
+        child = np.where((observed == S)[..., None], code - self._drop.take(at, axis=0), code)
+        out = fill_observed(mass.take(child) / total, observed, S)
         out.setflags(write=False)
         return out
 

@@ -27,12 +27,12 @@ import numpy as np
 
 from .core import (
     TabularDistribution,
+    _padded_blocks,
     as_generator,
     check_context_count,
     clean_rows,
     encode_rows,
     pack_table,
-    pad_contexts,
     require_support,
     sequence_table,
     unpack_table,
@@ -136,9 +136,11 @@ class ExactMarginalPredictor(TimePredictor):
     computed by exact marginalization over consistent completions.
 
     Every context's likelihood sits in one (S+1)**D table, built on the
-    first query: the padded p*c (see :func:`pad_contexts`) divided in place
-    by the prior's shared context-mass table and clamped, with the clamped
-    clean values at fully unmasked contexts and NaN where the mass is zero.
+    first query: p*c written into the table and padded as
+    :func:`pad_contexts` pads, each cache block divided in place by the
+    prior's shared context-mass table and clamped as soon as its padding
+    ends, then the clamped clean values written at fully unmasked contexts;
+    NaN where the mass is zero. No other array of the table's size is made.
     Construction refuses a size whose table exceeds the table cap.
     """
 
@@ -152,15 +154,21 @@ class ExactMarginalPredictor(TimePredictor):
     def _likelihoods(self) -> np.ndarray:
         if self._table is None:
             D, S = self.D, self.S
-            clean = self.clean.table(D, S)
-            lik = pad_contexts(self.p.weights * clean, D, S)
+            clean, mass = self.clean.table(D, S), self.p.context_mass()
+            # zeros: see pad_contexts
+            lik = np.zeros((S + 1,) * D)
+            box = lik[(slice(0, S),) * D]
+            np.multiply(np.reshape(self.p.weights, box.shape), np.reshape(clean, box.shape),
+                        out=box)
+            flat = lik.reshape(-1)
             with np.errstate(divide="ignore", invalid="ignore"):
-                np.divide(lik, self.p.context_mass(), out=lik)
-            np.clip(lik, LIKELIHOOD_FLOOR, 1.0, out=lik)
-            lik.reshape((S + 1,) * D)[(slice(0, S),) * D] = np.reshape(
-                np.clip(clean, LIKELIHOOD_FLOOR, 1.0), (S,) * D)
-            lik.setflags(write=False)
-            self._table = lik
+                for start, stop in _padded_blocks(lik, S):
+                    block = flat[start:stop]
+                    np.divide(block, mass[start:stop], out=block)
+                    np.clip(block, LIKELIHOOD_FLOOR, 1.0, out=block)
+            np.clip(np.reshape(clean, box.shape), LIKELIHOOD_FLOOR, 1.0, out=box)
+            flat.setflags(write=False)
+            self._table = flat
         return self._table
 
     def likelihood_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
@@ -176,9 +184,11 @@ class ExactMarginalPredictor(TimePredictor):
             lik = self._likelihoods()[codes]
             require_support(tokens, ~np.isnan(lik), self.S)
             return lik
-        place = V ** np.asarray(positions, dtype=np.int64)
-        parents = codes - tokens[np.arange(positions.size), positions] * place
-        return self._likelihoods()[parents[:, None] + np.arange(V) * place[:, None]]
+        positions = np.asarray(positions, dtype=np.int64)
+        place = V**positions
+        held = np.take(tokens, positions + tokens.shape[1] * np.arange(positions.size))
+        return self._likelihoods().take((codes - held * place)[:, None]
+                                        + np.arange(V) * place[:, None])
 
 
 # ---------------------------------------------------------------------------

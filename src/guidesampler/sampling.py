@@ -320,6 +320,13 @@ def _checked(model, method: str, shape: tuple, *args) -> np.ndarray:
 CODE_LIMIT = 2**63
 
 
+def check_context_codes(D: int, S: int) -> None:
+    """Raise SizeCapError unless the base-(S+1) context codes of D
+    positions fit in int64, as the samplers' context cache needs."""
+    if (S + 1) ** D >= CODE_LIMIT:
+        raise SizeCapError(f"context codes (S+1)**D = {S + 1}**{D} do not fit in int64")
+
+
 class _ContextCache:
     """The base-(S+1) context codes of a denoiser's contexts, and the
     guidance kernel. It alone turns token rows into codes (``encode``,
@@ -333,10 +340,7 @@ class _ContextCache:
     def __init__(self, denoiser: Denoiser, cfg: GuidanceConfig, diagnostics: SamplerDiagnostics):
         self.denoiser = denoiser
         self.D, self.S = denoiser.D, denoiser.S
-        if (self.S + 1) ** self.D >= CODE_LIMIT:
-            raise SizeCapError(
-                f"context codes (S+1)**D = {self.S + 1}**{self.D} do not fit in int64"
-            )
+        check_context_codes(self.D, self.S)
         self.pows = (self.S + 1) ** np.arange(self.D, dtype=np.int64)
         self.cfg = cfg
         self.diag = diagnostics
@@ -345,23 +349,34 @@ class _ContextCache:
         """Context codes of token rows (mask = S), one per row."""
         return rows @ self.pows
 
-    def child_codes(self, codes: np.ndarray, positions: np.ndarray,
-                    symbols: np.ndarray) -> np.ndarray:
-        """Code of each child (``codes[j]``, ``positions[j]``,
-        ``symbols[j]``): context ``codes[j]`` with masked position
-        ``positions[j]`` set to ``symbols[j]``; symbol S leaves it masked."""
-        return codes - (self.S - symbols) * self.pows[positions]
+    def child_codes(self, codes: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """Codes of the S+1 children of each pair (context ``codes[j]``,
+        masked position ``positions[j]``), symbol-major, (S+1, P): entry
+        [s, j] sets the position to s, and row S, which leaves it masked,
+        is the context itself. Rows of P keep numpy's loops long."""
+        return codes - (self.S - np.arange(self.S + 1))[:, None] * self.pows.take(positions)
 
     def pairs(self, rows: np.ndarray, positions: np.ndarray):
         """Distinct (context, position) pairs of context rows ``rows[k]`` and
         ``positions[k]``, in ascending (code, position) order, as (context
-        rows, positions, index of each input pair among them). A pair is
-        keyed by the rank of its code among the distinct codes times D plus
-        the position: below ``rows.shape[0] * D`` at every size whose context
-        codes fit in int64."""
-        rank = np.unique(self.encode(rows), return_inverse=True)[1]
-        _, first, inv = np.unique(rank * self.D + positions, return_index=True, return_inverse=True)
-        return rows[first], positions[first], inv
+        rows, positions, index of each input pair among them). One stable
+        sort by position and then one by code order the input pairs, so each
+        distinct pair is given by its first input pair; a pair starts where
+        its code or position differs from the one before."""
+        codes = self.encode(rows)
+        # positions are below D <= 62 where codes fit in int64, so a uint8
+        # copy sorts by numpy's radix sort
+        order = np.argsort(positions.astype(np.uint8), kind="stable")
+        order = order.take(np.argsort(codes.take(order), kind="stable"))
+        code, position = codes.take(order), positions.take(order)
+        start = np.empty(order.size, dtype=bool)
+        start[:1] = True
+        np.not_equal(code[1:], code[:-1], out=start[1:])
+        start[1:] |= position[1:] != position[:-1]
+        first = order[start]
+        inv = np.empty_like(order)
+        inv[order] = np.cumsum(start) - 1
+        return rows.take(first, axis=0), positions.take(first), inv
 
     def supported(self, rows: np.ndarray) -> np.ndarray:
         """Whether each context row has mass under the denoisers."""
@@ -384,16 +399,17 @@ class _ContextCache:
         lik = _checked(self.cfg.predictor, "likelihood_array", (positions.size, S + 1),
                        rows, positions)
         read = np.concatenate([scored, np.full((positions.size, 1), exact)], axis=1)
-        pair, symbol = np.nonzero(read)
-        keys = self.child_codes(codes[pair], positions[pair], symbol)
-        missing = np.isnan(lik[read])
+        children = self.child_codes(codes, positions)
+        missing = np.isnan(lik) & read
         if missing.any():
-            j = np.argmin(np.where(missing, keys, CODE_LIMIT - 1))
+            pair, symbol = np.nonzero(missing)
+            j = np.argmin(children[symbol, pair])
             child = rows[pair[j]].copy()
             child[positions[pair[j]]] = symbol[j]
             self.cfg.predictor.likelihood_array(child[None])
         # counted by a sort: np.unique without return_index hashes in numpy
         # 2.4, about 15 times slower on a step's thousand-odd codes
+        keys = children[read.T]
         keys.sort()
         self.diag.predictor_evals += int(keys.size and 1 + np.count_nonzero(keys[1:] != keys[:-1]))
         return np.where(scored, lik[:, :S], 1.0), (lik[:, S:] if exact else 1.0)
@@ -444,7 +460,17 @@ class _ContextCache:
         raises DegenerateStepError naming the step and the pair's position;
         the message tells the two cases apart."""
         weights = self.guided_weights(rows, positions, active)
-        totals = weights.sum(axis=1)
+        if self.S < 8:
+            # numpy sums a last axis shorter than 8 left to right (see
+            # softmax_rows), so the last column of the running sum, one
+            # column add at a time, is the row total
+            cums = np.empty_like(weights)
+            cums[:, 0] = weights[:, 0]
+            for s in range(1, self.S):
+                np.add(cums[:, s - 1], weights[:, s], out=cums[:, s])
+            totals = cums[:, -1].copy()
+        else:
+            totals, cums = weights.sum(axis=1), np.cumsum(weights, axis=1)
         bad = ~(np.isfinite(totals) & (totals > 0.0))
         if bad.any():
             j = int(bad.argmax())
@@ -457,7 +483,8 @@ class _ContextCache:
                 f"guided symbol weights overflowed (total {total}) at decode step {step} "
                 f"(position {position})",
             )
-        return totals, np.cumsum(weights, axis=1) / totals[:, None]
+        cums /= totals[:, None]
+        return totals, cums
 
     def pair_tables(self, rows: np.ndarray, positions: np.ndarray, active: bool, step: int):
         """(totals, CDF rows) of the pairs (context ``rows[k]``,
@@ -465,12 +492,21 @@ class _ContextCache:
         their distinct pairs."""
         ctx, pos, inv = self.pairs(rows, positions)
         totals, cdfs = self.step_tables(ctx, pos, active, step)
-        return totals[inv], cdfs[inv]
+        return totals.take(inv), cdfs.take(inv, axis=0)
 
 
 def _draw(cdfs: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draws: the symbol of uniform u[k] under row cdfs[k]."""
-    return (cdfs < u[:, None]).sum(axis=1).clip(max=cdfs.shape[1] - 1)
+    """Inverse-CDF draws: the symbol of uniform u[k] under CDF row cdfs[k]
+    of :meth:`_ContextCache.step_tables`. Below 8 symbols the last column,
+    the total over itself, is 1.0 and never below u, so the count runs over
+    the other columns, one column at a time."""
+    S = cdfs.shape[1]
+    if S >= 8:
+        return (cdfs < u[:, None]).sum(axis=1).clip(max=S - 1)
+    symbols = np.zeros(u.size, dtype=np.int64)
+    for s in range(S - 1):
+        symbols += cdfs[:, s] < u
+    return symbols
 
 
 def _run(route: str, core, denoiser: Denoiser, cfg: GuidanceConfig, n: int, rng, paths: bool):

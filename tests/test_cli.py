@@ -286,7 +286,7 @@ class TestSampleCommand:
         model.write_text(json.dumps({"kind": "parametric", **ParametricDenoiser(30, 4).to_json()}))
         assert main(["sample", "--model", str(model), "--n", "1",
                      "--out", str(tmp_path / "o")]) == 2
-        assert not (tmp_path / "o" / "samples.txt").exists()
+        assert not (tmp_path / "o").exists()
 
     def test_command_mismatch_rejected(self, tmp_path, model_file):
         cfg = tmp_path / "cfg.json"
@@ -554,6 +554,11 @@ class TestConfigErrorWritesNothing:
             return ["--model", str(corrupt)]
         if case == "corrupt predictor":
             return ["--model", str(model_file), "--predictor", str(corrupt), "--mode", "deg"]
+        if case == "unrepresentable size":
+            big = tmp_path / "big.json"
+            big.write_text(json.dumps({"kind": "parametric",
+                                       **ParametricDenoiser(30, 4).to_json()}))
+            return ["--model", str(big)]
         if case == "size mismatch":
             other = tmp_path / "pred_d2.json"
             other.write_text(json.dumps({"kind": "exact_marginal", "clean_table": [0.5] * 16}))
@@ -562,7 +567,8 @@ class TestConfigErrorWritesNothing:
         return ["--model", str(model_file), "--predictor", str(predictor_file), "--mode", "tag"]
 
     @pytest.mark.parametrize("case", ["missing model", "corrupt model", "corrupt predictor",
-                                      "size mismatch", "tag with exact_marginal"])
+                                      "unrepresentable size", "size mismatch",
+                                      "tag with exact_marginal"])
     def test_sample(self, tmp_path, model_file, predictor_file, capsys, case):
         out = tmp_path / "o"
         args = self.sample_args(tmp_path, model_file, predictor_file, case)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,6 +277,9 @@ class TestContextMass:
     @pytest.mark.parametrize("D,S", [
         (8, 4), (6, 5), (4, 3), (3, 10), (2, 20), (5, 9), (1, 4), (10, 3), (4, 12), (7, 5),
         (3, 1), (2, 8), (3, 16), (1, 20), (4, 7), (1, 1), (1, 8), (2, 1), (5, 2), (2, 7),
+        # padded in cache blocks, (8, 4), (5, 12) and (4, 16) with a short
+        # last block; S >= 8 meets the blocking at (5, 12) and (4, 16)
+        (9, 3), (11, 2), (5, 12), (4, 16),
     ])
     def test_slab_adds_keep_the_bits_of_the_axis_sums(self, D, S):
         # 30% zero weights, subnormals, and a table with half its entries
@@ -287,6 +291,37 @@ class TestContextMass:
         for values in (w, w / 3.0, w * 1e-300, signed):
             want = loop_pad_contexts(values, D, S)
             assert pad_contexts(values, D, S).tobytes() == want.tobytes()
+
+    @staticmethod
+    def peak_bytes(build) -> int:
+        """Peak traced bytes that ``build()`` allocates beyond what was
+        allocated before it."""
+        started = not tracemalloc.is_tracing()
+        if started:
+            tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build()
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if started:
+                tracemalloc.stop()
+
+    @pytest.mark.parametrize("D,S", [(8, 4), (6, 8)])
+    def test_tables_allocate_no_second_table(self, D, S, monkeypatch):
+        # each build allocates its own (S+1)**D table and, beside it, no
+        # array of the S**D clean sequences' size or more: no p*c, clamped
+        # clean or quotient copy. The clean values are made beforehand.
+        gen = RandomSource(D + S).generator()
+        p = TabularDistribution.from_unnormalized(D, S, gen.random(S**D))
+        clean = CleanPredictor.from_table(gen.uniform(0.05, 0.95, S**D), S)
+        values = clean.table(D, S)
+        monkeypatch.setattr(clean, "table", lambda D, S: values)
+        pred = ExactMarginalPredictor(clean, p)
+        bound = 8 * (S + 1) ** D + 128 * 1024  # numpy's ufunc buffers
+        assert self.peak_bytes(p.context_mass) < bound
+        assert self.peak_bytes(pred._likelihoods) < bound
 
     def test_context_table_cap(self):
         # 3**16 = 43 million context entries, though 2**16 sequences pass

@@ -83,6 +83,20 @@ class TestExactDenoise:
                 continue
             np.testing.assert_allclose(den.posterior_array(toks), expected, atol=1e-12)
 
+    def test_pair_form_observed_position_is_one_hot(self):
+        # pairs at an observed position beside pairs at masked ones: each
+        # row is the matching row of the one-row call, the observed ones
+        # the one-hot of their token
+        gen = RandomSource(12).generator()
+        den = ExactDenoiser(TabularDistribution.from_unnormalized(3, 3, gen.random(27)))
+        tokens = np.array([[0, 3, 2], [0, 3, 2], [3, 3, 1], [3, 3, 3], [2, 1, 0]])
+        positions = np.array([0, 1, 2, 1, 1])
+        post = den.posterior_array(tokens, positions)
+        for j, d in enumerate(positions):
+            assert post[j].tobytes() == den.posterior_array(tokens[j])[d].tobytes()
+        for j in (0, 2, 4):
+            assert np.array_equal(post[j], np.eye(3)[tokens[j, positions[j]]])
+
     def test_unsupported_context_names_positions(self):
         p = uniform_over(["AA"], 2, 2)
         with pytest.raises(UnsupportedContextError) as exc:

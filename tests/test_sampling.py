@@ -33,6 +33,7 @@ from guidesampler.sampling import (
     GuidanceConfig,
     SamplerDiagnostics,
     _ContextCache,
+    _draw,
     aoarm_sample,
     aoarm_sample_many,
     check_dt,
@@ -1123,6 +1124,85 @@ class TestContextCachePairs:
         assert got == want
         assert len(set(got)) == len(got)
         assert np.array_equal(out_rows[inv], rows) and np.array_equal(out_pos[inv], positions)
+
+    @pytest.mark.parametrize("n", [1, 2, 300])
+    @pytest.mark.parametrize("D,S", [(1, 2), (5, 3), (8, 4), (3, 9), (14, 20)])
+    def test_equal_to_the_unique_form(self, D, S, n):
+        # np.unique keys each pair by the rank of its code times D plus the
+        # position, and represents it by its first input pair
+        gen = RandomSource(D * 1000 + S + n).generator()
+        pool = gen.integers(0, S + 1, size=(5, D))
+        rows = pool[gen.integers(0, pool.shape[0], size=n)]
+        positions = gen.integers(0, D, size=n)
+        cache = _ContextCache(ParametricDenoiser(D, S), GuidanceConfig(), SamplerDiagnostics())
+        rank = np.unique(cache.encode(rows), return_inverse=True)[1]
+        _, first, inv = np.unique(rank * D + positions, return_index=True, return_inverse=True)
+        out_rows, out_pos, out_inv = cache.pairs(rows, positions)
+        assert out_rows.tobytes() == rows[first].tobytes() and out_rows.shape == (first.size, D)
+        assert out_pos.tobytes() == positions[first].tobytes()
+        assert out_inv.tobytes() == inv.astype(np.int64).tobytes()
+
+
+class TestStepTablesMatchRowReductions:
+    """``step_tables`` and ``_draw`` equal, byte for byte, the whole-row
+    forms: totals by ``np.sum`` over each row, CDF rows by ``np.cumsum``
+    over the total, and a draw as the count of a row's CDF entries below u,
+    at most S-1; and a degenerate row is named as those totals name it."""
+
+    @staticmethod
+    def cache_for(weights, monkeypatch):
+        cache = _ContextCache(ParametricDenoiser(2, weights.shape[1]), GuidanceConfig(),
+                              SamplerDiagnostics())
+        monkeypatch.setattr(cache, "guided_weights", lambda rows, positions, active: weights)
+        return cache
+
+    @staticmethod
+    def weights(gen, P, S):
+        """Rows over many scales, every third one subnormal, 30% zeros, and
+        one positive entry in each row."""
+        w = gen.random((P, S)) * 10.0 ** gen.integers(-200, 200, (P, 1))
+        w[1::3] = gen.random((len(w[1::3]), S)) * 1e-310
+        w[gen.random((P, S)) < 0.3] = 0.0
+        w[np.arange(P), gen.integers(0, S, P)] = 10.0 ** gen.integers(-200, 200, P)
+        return w
+
+    @pytest.mark.parametrize("P", [1, 7, 2000])
+    @pytest.mark.parametrize("S", [2, 3, 4, 5, 6, 7, 8, 20])
+    def test_tables_and_draws(self, S, P, monkeypatch):
+        gen = RandomSource(S * 10000 + P).generator()
+        w = self.weights(gen, P, S)
+        totals, cdfs = self.cache_for(w, monkeypatch).step_tables(
+            np.zeros((P, 2), dtype=np.int64), np.zeros(P, dtype=np.int64), True, 3)
+        want_totals = w.sum(axis=1)
+        want_cdfs = np.cumsum(w, axis=1) / want_totals[:, None]
+        assert totals.tobytes() == want_totals.tobytes()
+        assert cdfs.tobytes() == want_cdfs.tobytes()
+        u = gen.random(P)
+        u[::2] = cdfs[::2, gen.integers(0, S)]  # ties: an entry equal to u is not below it
+        want = (want_cdfs < u[:, None]).sum(axis=1).clip(max=S - 1)
+        assert _draw(cdfs, u).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("first", ["zero", "overflow"])
+    @pytest.mark.parametrize("S", [2, 4, 7, 8, 20])
+    def test_degenerate_row_named_as_the_row_sums_name_it(self, S, first, monkeypatch):
+        gen = RandomSource(S).generator()
+        w = self.weights(gen, 7, S)
+        zero, overflow = (2, 5) if first == "zero" else (5, 2)
+        w[zero] = 0.0
+        w[overflow] = 1e308
+        positions = np.array([3, 1, 4, 1, 5, 9, 2])
+        with pytest.raises(DegenerateStepError) as exc, np.errstate(over="ignore"):
+            self.cache_for(w, monkeypatch).step_tables(
+                np.zeros((7, 2), dtype=np.int64), positions, True, 6)
+        with np.errstate(over="ignore"):
+            totals = w.sum(axis=1)
+        j = int((~(np.isfinite(totals) & (totals > 0.0))).argmax())
+        assert j == min(zero, overflow)
+        want = (str(DegenerateStepError(6, int(positions[j]))) if j == zero else
+                f"guided symbol weights overflowed (total {float(totals[j])}) at decode step 6 "
+                f"(position {positions[j]})")
+        assert (exc.value.step, exc.value.position) == (6, positions[j])
+        assert str(exc.value) == want
 
 
 class TestGuidanceKernel:
