@@ -26,7 +26,7 @@ import numpy as np
 from .acceptance import ACCEPTANCE_CHECKS, DEFAULT_SEED, run_checks, selected_checks
 from .bench import (_is_int, _is_real, check_campaign_config, resolve_campaign_config,
                     run_campaign, write_campaign_csv, write_campaign_timing_csv)
-from .core import Alphabet, RandomSource, TabularDistribution, unpack_table
+from .core import TEXT_S_LIMIT, Alphabet, RandomSource, TabularDistribution, unpack_table
 from .denoising import (
     ExactDenoiser,
     LogitModifier,
@@ -64,10 +64,6 @@ SAMPLER_DEFAULTS = {
 #: float64 (as 2**53 and 2**53+1 do, or -1 and -2 once masked to 64 bits)
 #: would draw the same substreams.
 SEED_LIMIT = 2**53
-
-#: Largest S whose letters chr(ord('A') + t) are all printable ASCII, so that
-#: samples.txt holds one row per line: token 61 is '~'.
-TEXT_S_LIMIT = ord("~") - ord("A") + 1
 
 #: What each top-level config key but ``command`` must hold, and its check.
 _TOP_TYPES = {

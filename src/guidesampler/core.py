@@ -39,6 +39,11 @@ TABULAR_STATE_CAP = 1 << 24
 # ---------------------------------------------------------------------------
 
 
+#: Largest S whose letters chr(ord('A') + t) are all printable ASCII, so that
+#: rendered rows hold one row per line: token 61 is '~'.
+TEXT_S_LIMIT = ord("~") - ord("A") + 1
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Alphabet of ``size`` real symbols; index ``size`` is the mask sentinel."""
@@ -64,7 +69,12 @@ class Alphabet:
     def render_rows(self, rows: np.ndarray) -> list:
         """One string per row of a token matrix (n, D), each token rendered
         as :meth:`letter` renders it, from one lookup of all the rows in a
-        table of code points."""
+        table of code points. An alphabet larger than ``TEXT_S_LIMIT``
+        raises ValueError: its letters leave printable ASCII, and some of
+        them break lines."""
+        if self.size > TEXT_S_LIMIT:
+            raise ValueError(f"rows render as text only up to S = {TEXT_S_LIMIT} symbols, whose "
+                             f"letters are printable ASCII; this alphabet has {self.size}")
         if rows.size and (rows.min() < 0 or rows.max() > self.size):
             raise ValueError(f"tokens outside 0..{self.size} (the mask) of an alphabet of size "
                              f"{self.size}")

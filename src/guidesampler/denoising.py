@@ -107,8 +107,8 @@ class Denoiser:
     (context, position) pairs and the answer is their (P, S) rows, row j the
     posterior of context j at ``positions[j]``. Every answer is bit for bit
     the matching row of the single-row call (see :func:`pair_positions`).
-    The samplers call the pair form once per step on the pairs the step
-    draws, and the pattern losses the rows form once per mask pattern on its
+    The samplers call the pair form once per any-order step or Euler round
+    on the pairs it draws, and the pattern losses the rows form once per mask pattern on its
     distinct contexts; neither keeps a copy.
     """
 

@@ -115,9 +115,10 @@ class TimePredictor:
     surface answers ``gradient_surface_array`` on pairs the same way: the
     answer is (P, S+1), row j the surface of context j at ``positions[j]``.
     Every answer entry is bit for bit that of its one row (or pair) called
-    alone. The samplers make one pair-form call per step, likelihood or
-    gradient; an answer of any other shape raises CapabilityError there.
-    The campaign filter scores clean rows in the rows form.
+    alone. The samplers make one pair-form call per any-order step or
+    Euler round, likelihood or gradient; an answer of any other shape
+    raises CapabilityError there. The campaign filter scores clean rows in
+    the rows form.
     """
 
     def likelihood_array(self, tokens: np.ndarray, positions=None) -> np.ndarray:
@@ -215,6 +216,12 @@ def _upper_pairs(D: int, V: int):
 #: 1 MiB of float64: at D=12, S=20 the 64 pairs of a step fit in one chunk,
 #: and a call on many thousands of pairs keeps its buffers to a few MiB
 _PAIR_CHUNK_CELLS = 128 * 1024
+
+
+#: most (term, pair, symbol) entries of one chunk of ``_affine_part``'s term
+#: buffer, 256 KiB of float64: of 4 to 64 Ki cells the fastest per pair at
+#: D=12, S=20 and 24 to 384 pairs (timeit); larger buffers slowed down
+_AFFINE_CHUNK_CELLS = 32 * 1024
 
 
 @functools.lru_cache(maxsize=None)
@@ -382,16 +389,29 @@ class PairwiseInteractionPredictor(TimePredictor):
 
     def _affine_part(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """d score / d x_{d,c} at the one-hot of the pairs (``tokens[j]``,
-        ``positions[j]``), shape (P, S+1)."""
-        # terms[j, e, :] = pair[d, e, :, x_e] for d < e and pair[e, d, x_e, :]
-        # for e < d, d = positions[j]; summing them over e in order keeps the
-        # rounding of the position-by-position accumulation
-        d, e = positions[:, None], np.arange(self.D)
-        terms = np.where((d < e)[..., None], self.pair[d, e, :, tokens],
-                         self.pair[e, d, tokens, :])
-        terms[d == e] = 0.0
-        head = self.single[positions][:, None, :]
-        return np.concatenate([head, terms], axis=1).cumsum(axis=1)[:, -1, :]
+        ``positions[j]``), shape (P, S+1), in chunks of pairs whose term
+        buffer holds at most ``_AFFINE_CHUNK_CELLS`` entries."""
+        # terms[1 + e, j, :] = pair[d, e, :, x_e] for d < e,
+        # pair[e, d, x_e, :] for e < d and 0 for e = d, d = positions[j],
+        # from one flat gather; row 0 is the site term. One in-order
+        # np.add.reduce over axis 0 keeps the rounding of the
+        # position-by-position accumulation
+        D, V = self.D, self.S + 1
+        out = np.empty((positions.size, V))
+        e = np.arange(D)[:, None]
+        chunk = max(1, _AFFINE_CHUNK_CELLS // ((D + 1) * V))
+        for lo in range(0, positions.size, chunk):
+            pos, x = positions[lo:lo + chunk], tokens[lo:lo + chunk].T
+            after = pos < e
+            cells = (np.minimum(pos, e) * D + np.maximum(pos, e)) * (V * V)
+            cells += np.where(after, x, x * V)
+            cells = cells[:, :, None] + np.where(after, V, 1)[:, :, None] * np.arange(V)
+            terms = np.empty((D + 1, pos.size, V))
+            terms[0] = self.single.take(pos, axis=0)
+            self.pair.take(cells, out=terms[1:], mode="clip")  # "raise" would buffer out
+            terms[1 + pos, np.arange(pos.size)] = 0.0
+            np.add.reduce(terms, axis=0, out=out[lo:lo + chunk])
+        return out
 
     def gradient_surface_array(self, tokens: np.ndarray, positions: np.ndarray) -> np.ndarray:
         """d log p(y|x) / d x_{d,c} at the one-hot encoding of the pairs

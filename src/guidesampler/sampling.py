@@ -14,7 +14,15 @@ core that samples n chains at once over one context cache:
   reads the clock (it takes no time argument).
 * :func:`euler_sample_many`: numerical CTMC integration with step ``dt``.
   It carries an O(dt) bias and counts outflow renormalizations. Positions
-  still masked at the 1-dt horizon are force-completed at time 1.0.
+  still masked at the 1-dt horizon are force-completed at time 1.0. Its
+  law is one Bernoulli per masked position and step, but its core runs by
+  events: a chain's rates change only when it jumps, so each round draws
+  one uniform per still-masked position, in (chain, position) order, moves
+  each chain straight to the first step at which one of its positions'
+  survival falls below its uniform (inverse transform), and then draws one
+  symbol uniform per jumper. The steps are independent and memoryless, so
+  the uniforms of positions that did not jump can be dropped and drawn
+  again from the chain's next round without moving the law.
 
 A core's chain state is its token rows (mask = S), plus each chain's unmask
 order and jump times, which it returns. With ``paths=True`` the drivers turn
@@ -35,24 +43,25 @@ Guidance modes:
   conditional denoiser gives no weight gets weight 0.
 
 One kernel forms the guided weights of every mode for both routes, in one
-call per sampler step. :meth:`_ContextCache.pairs` turns a step's context
-rows and positions into its distinct (context, position) pairs, their own
-rows and positions in ascending (code, position) order; context codes are
-keys that exist only in that class, and no code is turned back into a row.
-:meth:`_ContextCache.guided_weights` returns the unnormalized rows of those
-pairs over the real symbols as one (P, S) matrix,
-:meth:`_ContextCache.step_tables` turns it into row totals and CDF rows, and
-:meth:`_ContextCache.pair_tables` hands each input pair of a step its total
+call per any-order step or Euler round. :meth:`_ContextCache.pairs` turns a
+call's context rows and positions into its distinct (context, position)
+pairs, their own rows and positions in ascending (code, position) order;
+context codes are keys that exist only in that class, and no code is turned
+back into a row. :meth:`_ContextCache.guided_weights` returns the
+unnormalized rows of those pairs over the real symbols as one (P, S)
+matrix, :meth:`_ContextCache.step_tables` turns it into row totals and CDF
+rows, and :meth:`_ContextCache.pair_tables` hands each input pair its total
 and CDF row. The any-order route draws from the CDF rows; the Euler route
-scales the totals by 1/(1-t) and, when guided, keeps each still-masked
-pair's total and CDF row across steps and at the horizon, and looks up
-again only the pairs of chains that jumped (all of them when the switch
-point flips); :func:`guide_rates` returns the weights of one
+scales the totals by 1/(1-t). A guided Euler round forms the rows of every
+still-masked pair of its chains, which hold until the chain's next jump,
+the horizon included; an unguided round forms only the jumpers' rows. A
+run makes about D rounds, plus one when the switch point passes and one
+per repeat of undone jumps. :func:`guide_rates` returns the weights of one
 context's masked positions, scaled the same way, as a (D, S) rate matrix.
 The n chains of a call share one context cache, which keeps nothing
-between kernel calls. A step makes one pair-form call to each model on
-the step's distinct (context, position) pairs: per denoiser a posterior
-call, which forms the rows of those pairs and no other position's, and a
+between kernel calls. A kernel call makes one pair-form call to each model
+on its distinct (context, position) pairs: per denoiser a posterior call,
+which forms the rows of those pairs and no other position's, and a
 likelihood call, which answers each pair's S children and its source, or
 a gradient-surface call. An answer of the wrong shape raises
 CapabilityError naming the model and the method. A child with zero
@@ -147,11 +156,14 @@ class SamplerDiagnostics:
     * ``sampler``: the route name, ``aoarm`` or ``euler``.
     * ``n_chains``: chains sampled.
     * ``n_steps``: chain-steps on the any-order route (D per chain);
-      integration steps on the Euler route.
+      integration steps reached on the Euler route.
     * ``overflow_renormalizations``: Euler outflows above 1, which jump
-      for sure, one per (chain, position, step).
+      for sure, one per (chain, position, step). An outflow reaches 1 only
+      at its chain's next jump, so the core counts them per round.
     * ``denoiser_evals``: distinct contexts of each kernel call, summed,
-      evaluated by either denoiser.
+      evaluated by either denoiser. The Euler route makes one kernel call
+      per round, so this count and ``step_weight_requests`` dedup per round:
+      a context that outlives a round is counted again in the next.
     * ``predictor_evals``: distinct contexts of each kernel call, summed:
       children and sources whose likelihood the kernel reads, plus
       contexts given the predictor's gradient surface.
@@ -454,11 +466,13 @@ class _ContextCache:
         tilt, src = self._tilts(rows, codes, positions, post > 0.0, mode == "exact")
         return post * (tilt / src) ** cfg.gamma
 
-    def step_tables(self, rows: np.ndarray, positions: np.ndarray, active: bool, step: int):
-        """(totals, CDF rows) of the guided weights of a step's pairs. The
-        first pair, in the order given, whose total is zero or not finite
-        raises DegenerateStepError naming the step and the pair's position;
-        the message tells the two cases apart."""
+    def step_tables(self, rows: np.ndarray, positions: np.ndarray, active: bool, step):
+        """(totals, CDF rows) of the guided weights of a step's pairs, formed
+        at ``step``, one step for all pairs or one per pair. A pair whose
+        total is zero or not finite raises DegenerateStepError naming its
+        step and position: of several, the one of the earliest step, then
+        the first in the order given. The message tells the two cases
+        apart."""
         weights = self.guided_weights(rows, positions, active)
         if self.S < 8:
             # numpy sums a last axis shorter than 8 left to right (see
@@ -473,8 +487,9 @@ class _ContextCache:
             totals, cums = weights.sum(axis=1), np.cumsum(weights, axis=1)
         bad = ~(np.isfinite(totals) & (totals > 0.0))
         if bad.any():
-            j = int(bad.argmax())
-            total, position = float(totals[j]), int(positions[j])
+            steps, bad = np.broadcast_to(step, totals.shape), np.flatnonzero(bad)
+            j = int(bad[steps[bad].argmin()])
+            step, total, position = int(steps[j]), float(totals[j]), int(positions[j])
             if math.isfinite(total):
                 raise DegenerateStepError(step, position)
             raise DegenerateStepError(
@@ -486,11 +501,17 @@ class _ContextCache:
         cums /= totals[:, None]
         return totals, cums
 
-    def pair_tables(self, rows: np.ndarray, positions: np.ndarray, active: bool, step: int):
+    def pair_tables(self, rows: np.ndarray, positions: np.ndarray, active: bool, step):
         """(totals, CDF rows) of the pairs (context ``rows[k]``,
         ``positions[k]``), one per input pair, from :meth:`step_tables` on
-        their distinct pairs."""
+        their distinct pairs. ``step`` is one step or the step of each input
+        pair; a distinct pair is formed at the earliest step of its input
+        pairs."""
         ctx, pos, inv = self.pairs(rows, positions)
+        if np.ndim(step):
+            first = np.full(pos.size, np.iinfo(np.int64).max)
+            np.minimum.at(first, inv, step)
+            step = first
         totals, cdfs = self.step_tables(ctx, pos, active, step)
         return totals.take(inv), cdfs.take(inv, axis=0)
 
@@ -586,14 +607,90 @@ def check_dt(dt: float) -> int:
     return max(1, int(math.floor((1.0 - 2.0 * dt) / dt + 1e-9)) + 1)
 
 
+#: (pair, step) cells of survival products one block of :func:`_first_jumps`
+#: holds at most
+_SURVIVAL_CELLS = 1 << 18
+
+
+def _first_jumps(coef_dt: np.ndarray, totals: np.ndarray, begin: np.ndarray,
+                 limit: np.ndarray, u: np.ndarray, chain: np.ndarray) -> np.ndarray:
+    """Jump steps of the guided pairs of one round of :func:`_euler_core`.
+
+    Pair j jumps at the first step k in [begin[j], limit[j]) at which its
+    survival, the product over steps i = begin[j]..k of
+    1 - min(1, coef_dt[i] * totals[j]), falls below ``u[j]``; a pair that
+    does not gets ``limit[j]``. The pairs of chain ``chain[j]`` (ascending)
+    share begin and limit and walk the steps side by side, in blocks that
+    double in width and hold at most ``_SURVIVAL_CELLS`` cells. A chain
+    stops at the block in which one of its pairs jumps, so a pair that
+    would jump only after its chain's first jump also gets its limit."""
+    out = limit.copy()
+    pair = np.arange(totals.size)
+    surv = np.ones(totals.size)
+    last = coef_dt.size - 1
+    width = 16
+    while pair.size:
+        width = max(1, min(width, _SURVIVAL_CELLS // pair.size))
+        steps = begin[:, None] + np.arange(width)
+        f = coef_dt.take(np.minimum(steps, last)) * totals[:, None]
+        np.minimum(f, 1.0, out=f)
+        np.subtract(1.0, f, out=f)
+        np.cumprod(f, axis=1, out=f)
+        f *= surv[:, None]
+        jump = (f < u[:, None]) & (steps < limit[:, None])
+        hit = jump.any(axis=1)
+        out[pair[hit]] = steps[hit, jump[hit].argmax(axis=1)]
+        stopped = np.zeros(chain[-1] + 1, dtype=bool)
+        stopped[chain[hit]] = True
+        keep = ~stopped[chain] & (begin + width < limit)
+        pair, chain, totals, limit, u = pair[keep], chain[keep], totals[keep], limit[keep], u[keep]
+        begin, surv = begin[keep] + width, f[keep, -1]
+        width *= 2
+    return out
+
+
+def _round_tables(cache: _ContextCache, rows: np.ndarray, positions: np.ndarray,
+                  active: np.ndarray, steps: np.ndarray):
+    """(totals, CDF rows) of a round's pairs (context ``rows[k]``,
+    ``positions[k]``), each formed at ``steps[k]`` with guidance
+    ``active[k]``: one :meth:`_ContextCache.pair_tables` call per flag, the
+    inactive pairs, of the earlier steps, first."""
+    totals, cdfs = np.empty(positions.size), np.empty((positions.size, cache.S))
+    for flag in np.unique(active):
+        sel = active == flag
+        totals[sel], cdfs[sel] = cache.pair_tables(rows[sel], positions[sel], bool(flag), steps[sel])
+    return totals, cdfs
+
+
 def _euler_core(cache: _ContextCache, n: int, gen, dt: float, n_int: int):
     """n Euler chains on one cache; returns (rows, order, jump times).
 
-    The still-masked (chain, position) pairs are flat arrays. Integration
-    step k draws one Bernoulli per pair and one symbol per jumper, which
+    The law is that of integration steps k = 0..n_int-1 at t = k*dt, where
+    each still-masked (chain, position) pair jumps with probability
+    o_k = min(1, dt/(1-t) * total) (total = 1 unguided, else the pair's
+    guided row total) and a jumper draws its symbol from its CDF row and
     jumps at time (k+1)*dt. Pairs still masked at the horizon (step
-    ``n_int``, switch read at 1-dt) all jump at time 1.0, with no Bernoulli
-    draw. A chain's order sorts its positions by jump time, ties by position.
+    ``n_int``, switch read at 1-dt) all jump at time 1.0. A chain's order
+    sorts its positions by jump time, ties by position.
+
+    The core runs it event by event. A chain's rows, and so each pair's
+    o_k, change only when the chain jumps or the switch point passes, and
+    the steps' Bernoullis are independent. So each round draws one uniform
+    u per pair of every live chain, in (chain, position) order, and a pair
+    jumps at the first step its survival prod_j (1 - o_j) since the
+    chain's last event falls below u. Each chain jumps at the least such
+    step of its pairs, with every pair that reaches that step, as pairs
+    jump together in one step; then one uniform per jumper, in the same
+    order, draws its symbol. The other pairs' uniforms are dropped, which
+    keeps the law because the steps are memoryless, and the chain's next
+    round starts at the step after its jump. A chain whose guidance
+    switches on before it jumps has an event with no jump at the switch
+    step, and its next round starts there. Pairs at the horizon draw no
+    uniform. Guided, a round forms the rows of all its pairs in one kernel
+    call (two when it spans the switch point), at the step the chain's
+    round starts. Unguided, o_k reads no row: each pair's step is one
+    ``searchsorted`` on the cumulative log-survival, and one kernel call
+    forms the jumpers' rows at their steps. A run makes about D rounds.
 
     A chain's jumps in one step are drawn independently from its context
     before the step, so together they can land on a context the denoisers
@@ -605,69 +702,69 @@ def _euler_core(cache: _ContextCache, n: int, gen, dt: float, n_int: int):
     D, S, cfg, diag = cache.D, cache.S, cache.cfg, cache.diag
     rows = np.full((n, D), S, dtype=np.int64)
     times = np.ones((n, D))
-    chain_idx = np.repeat(np.arange(n), D)
-    pos_idx = np.tile(np.arange(D), n)
-    unguided = not cfg.guided
+    guided = cfg.guided
+    clock = np.arange(n_int) * dt
+    coef_dt = 1.0 / (1.0 - clock) * dt
+    # guidance is on at step k; the horizon, step n_int, reads 1 - dt
+    active = np.append(clock >= cfg.t0, 1.0 - dt >= cfg.t0)
+    # a round that starts before the switch step ends there at the latest
+    switch = int(active.argmax()) if guided and not active[0] else 0
+    # -log of the unguided survival over steps 0..k-1, at index k
+    with np.errstate(divide="ignore"):
+        drop = np.concatenate([[0.0], np.cumsum(-np.log1p(-np.minimum(coef_dt, 1.0)))])
 
     def undo_unsupported(chains, positions):
         """Of jumps just drawn at pairs (chains[k], positions[k]), in
         (chain, position) order, mask again every jump but the first of each
-        chain whose new row has no mass; returns which were undone."""
-        undo = np.zeros(chains.size, dtype=bool)
+        chain whose new row has no mass."""
         later = chains[1:] == chains[:-1]
         if later.any():
             multi = np.unique(chains[1:][later])
             bad = multi[~cache.supported(rows[multi])]
             if bad.size:
+                undo = np.zeros(chains.size, dtype=bool)
                 undo[1:] = later & np.isin(chains[1:], bad)
                 rows[chains[undo], positions[undo]] = S
                 times[chains[undo], positions[undo]] = 1.0
-        return undo
 
-    # guided: each still-masked pair's jump weight sum and CDF row, kept
-    # across steps and at the horizon, since a chain that does not jump
-    # keeps its context. Only the pairs of chains that jumped (every pair
-    # when the switch point flips) are looked up again
-    sums, cdfs = np.empty(chain_idx.size), np.empty((chain_idx.size, S))
-    moved = np.ones(n, dtype=bool)
-    was_active = None
-    k = 0
-    while chain_idx.size:
-        # step n_int is the horizon, repeated while jumps are masked again
-        step = min(k, n_int)
-        k += 1
-        horizon = step == n_int
-        t = 1.0 - dt if horizon else step * dt
-        active = t >= cfg.t0
-        if not unguided:
-            if active != was_active:
-                moved[:], was_active = True, active
-            stale = moved[chain_idx]
-            if stale.any():
-                sums[stale], cdfs[stale] = cache.pair_tables(
-                    rows[chain_idx[stale]], pos_idx[stale], active, step)
-            moved[:] = False
-        if horizon:
-            jump = np.ones(chain_idx.size, dtype=bool)
+    chains, start = np.arange(n), np.zeros(n, dtype=np.int64)
+    while chains.size:
+        local, positions = np.nonzero(rows.take(chains, axis=0) == S)
+        pair_chains = chains.take(local)
+        begin = start.take(pair_chains)
+        limit = np.where(begin < switch, switch, n_int)
+        if guided:
+            totals, cdfs = _round_tables(cache, rows.take(pair_chains, axis=0), positions,
+                                         active.take(begin), begin)
+        timed = begin < n_int
+        u = 1.0 - gen.random(int(np.count_nonzero(timed)))  # in (0, 1]
+        steps = limit.copy()
+        if guided:
+            steps[timed] = _first_jumps(coef_dt, totals[timed], begin[timed], limit[timed], u,
+                                        local[timed])
         else:
-            coef_dt = rate_coefficient(t) * dt
-            diag.n_steps += 1
-            outflow = np.full(chain_idx.size, coef_dt) if unguided else coef_dt * sums
-            # a uniform draw lies below any outflow of 1 or more
-            diag.overflow_renormalizations += int((outflow > 1.0).sum())
-            jump = gen.random(chain_idx.size) < outflow
-            if not jump.any():
-                continue
-        jc, jp = chain_idx[jump], pos_idx[jump]
-        jump_cdfs = cache.pair_tables(rows[jc], jp, active, step)[1] if unguided else cdfs[jump]
+            steps[timed] = np.searchsorted(drop, drop.take(begin[timed]) - np.log(u),
+                                           side="right") - 1
+        event = np.minimum.reduceat(steps, np.flatnonzero(np.diff(local, prepend=-1)))
+        switched = (start.take(chains) < switch) & (event == switch)
+        at, idle = event.take(local), switched.take(local)
+        jump = (steps == at) & ~idle
+        # outflows above 1 jump for sure, so a pair meets one only at its
+        # chain's jump step
+        ticked = (at < n_int) & ~idle
+        outflow = coef_dt.take(at[ticked]) * (totals[ticked] if guided else 1.0)
+        diag.overflow_renormalizations += int(np.count_nonzero(outflow > 1.0))
+        jc, jp, js = pair_chains[jump], positions[jump], steps[jump]
+        if guided:
+            jump_cdfs = cdfs[jump]
+        else:  # unguided rows read no switch flag
+            jump_cdfs = cache.pair_tables(rows.take(jc, axis=0), jp, True, js)[1]
         rows[jc, jp] = _draw(jump_cdfs, gen.random(jc.size))
-        times[jc, jp] = 1.0 if horizon else t + dt
-        jump[np.flatnonzero(jump)[undo_unsupported(jc, jp)]] = False
-        keep = ~jump
-        chain_idx, pos_idx = chain_idx[keep], pos_idx[keep]
-        if not unguided:
-            moved[jc] = True
-            sums, cdfs = sums[keep], cdfs[keep]
+        times[jc, jp] = np.where(js == n_int, 1.0, js * dt + dt)
+        undo_unsupported(jc, jp)
+        diag.n_steps = max(diag.n_steps, min(n_int, int(event.max()) + 1))
+        start[chains] = np.where(switched, switch, np.minimum(event + 1, n_int))
+        chains = chains[(rows.take(chains, axis=0) == S).any(axis=1)]
     order = np.argsort(times, axis=1, kind="stable")
     return rows, order, np.take_along_axis(times, order, axis=1)
 

@@ -357,7 +357,8 @@ def loop_guided_row(mode, gamma, denoiser, predictor, second, tokens, d):
     row, tilted per mode (``mode`` 'none' or an inactive step gives the
     posterior row). Likelihoods are clamped to [1e-12, 1], each child scored
     by its own one-row ``likelihood_array`` call, and the surface row is the
-    one-pair ``gradient_surface_array`` call."""
+    one-pair ``gradient_surface_array`` call. A child the posterior gives no
+    weight is not scored: its weight is 0."""
     S = denoiser.S
     post = denoiser.posterior_array(tokens)[d]
     if mode == "none":
@@ -367,8 +368,8 @@ def loop_guided_row(mode, gamma, denoiser, predictor, second, tokens, d):
         return post * np.exp(gamma * (g[:S] - g[S]))
     if mode == "predictor_free":
         return second.posterior_array(tokens)[d] ** gamma * post ** (1.0 - gamma)
-    lik = np.empty(S)
-    for s in range(S):
+    lik = np.ones(S)
+    for s in np.flatnonzero(post > 0):
         child = tokens.copy()
         child[d] = s
         lik[s] = min(max(predictor.likelihood_array(child[None])[0], 1e-12), 1.0)
@@ -430,3 +431,100 @@ class Looped:
                                                                           positions.shape)
         return np.array([self.inner.gradient_surface_array(row[None], np.array([d]))[0]
                          for row, d in zip(tokens, positions)])
+
+
+def euler_rule_law(denoiser, cfg, dt):
+    """The exact law of the Euler route's step rule at step ``dt``, found by
+    carrying a law over the (S+1)**D contexts, with weights formed pair by
+    pair from the models' own answers (:func:`loop_guided_row`).
+
+    Step k (t = k*dt, guidance on when t >= t0) moves each masked position d
+    of a context independently: it stays masked with probability 1 - o_d, or
+    jumps to s with probability o_d * w_s / sum(w), where
+    o_d = min(1, dt/(1-t) * sum(w)), and sum(w) reads 1 unguided. Jumps that
+    land together on a context the denoisers give no mass keep only the
+    first (lowest) position. After the last step every masked position is
+    drawn at the horizon, with guidance on when 1 - dt >= t0, and again
+    from the new context when jumps were undone.
+
+    Returns (weights (S**D,) over the clean sequences in little-endian code
+    order, the probability mass whose jumps were undone)."""
+    D, S = denoiser.D, denoiser.S
+    n_ctx = (S + 1) ** D
+    contexts = np.array(list(itertools.product(range(S + 1), repeat=D)))[:, ::-1]
+    supported = denoiser.supported(contexts)
+    if cfg.mode == "predictor_free":
+        supported &= cfg.second_denoiser.supported(contexts)
+    pows = (S + 1) ** np.arange(D)
+
+    def tables(active):
+        """(totals (n_ctx, D), jump probabilities given a jump (n_ctx, D, S))
+        of every supported context's masked positions."""
+        total, share = np.ones((n_ctx, D)), np.zeros((n_ctx, D, S))
+        mode = cfg.mode if active else "none"
+        for c in np.flatnonzero(supported):
+            for d in np.flatnonzero(contexts[c] == S):
+                w = loop_guided_row(mode, cfg.gamma, denoiser, cfg.predictor,
+                                    cfg.second_denoiser, contexts[c], d)
+                total[c, d] = w.sum() if cfg.guided else 1.0
+                share[c, d] = w / w.sum()
+        return total, share
+
+    # every outcome of one step from each supported context: per position,
+    # -1 (not masked), S (stays masked) or the symbol it jumps to
+    source, choice, target, undone = [], [], [], []
+    for c in np.flatnonzero(supported):
+        masked = np.flatnonzero(contexts[c] == S)
+        for picks in itertools.product(range(S + 1), repeat=masked.size):
+            pick = np.full(D, -1)
+            pick[masked] = picks
+            land = contexts[c].copy()
+            jumped = masked[np.array(picks, dtype=int) < S]
+            land[jumped] = pick[jumped]
+            was_undone = jumped.size > 1 and not supported[land @ pows]
+            if was_undone:
+                land = contexts[c].copy()
+                land[jumped[0]] = pick[jumped[0]]
+            source.append(c)
+            choice.append(pick)
+            target.append(land @ pows)
+            undone.append(was_undone)
+    source, choice, target, undone = map(np.array, (source, choice, target, undone))
+    stays = choice == S
+    jumps = (choice >= 0) & ~stays
+    sym = np.where(jumps, choice, 0)
+    cols = np.arange(D)
+
+    def move(law, total, share, coef_dt):
+        """The law after one step with outflows coef_dt * total (inf: every
+        masked position jumps)."""
+        out = np.minimum(1.0, coef_dt * total)[source]
+        f = np.where(stays, 1.0 - out, 1.0)
+        f = np.where(jumps, out * share[source[:, None], cols, sym], f)
+        mass = law[source] * f.prod(axis=1)
+        return np.bincount(target, weights=mass, minlength=n_ctx), float(mass[undone].sum())
+
+    law = np.zeros(n_ctx)
+    law[-1] = 1.0  # the fully masked context
+    formed = {}  # the tables of each guidance flag
+    n_int = max(1, int(math.floor((1.0 - 2.0 * dt) / dt + 1e-9)) + 1)
+    undone_mass = 0.0
+    for k in range(n_int):
+        t = k * dt
+        active = t >= cfg.t0
+        if active not in formed:
+            formed[active] = tables(active)
+        law, lost = move(law, *formed[active], 1.0 / (1.0 - t) * dt)
+        undone_mass += lost
+    active = 1.0 - dt >= cfg.t0
+    if active not in formed:
+        formed[active] = tables(active)
+    for _ in range(D):
+        # at the horizon no position stays masked
+        law, lost = move(law, *formed[active], math.inf)
+        undone_mass += lost
+    clean = (contexts < S).all(axis=1)
+    assert abs(law[clean].sum() - 1.0) < 1e-12 and not law[~supported].any()
+    weights = np.zeros(S**D)
+    weights[contexts[clean] @ S ** np.arange(D)] = law[clean]
+    return weights, undone_mass

@@ -62,8 +62,8 @@ class TestSampleCommand:
         # once, however many chains reach it; step_weight_requests counts
         # the pairs evaluated and denoiser_evals the distinct contexts of
         # each call, summed. The any-order route never meets a pair or a
-        # context twice; the Euler route meets again the pairs of a context
-        # that outlives a step
+        # context twice; the Euler route can meet a pair again in a later
+        # round, when another chain reaches its context
         from guidesampler.denoising import ExactDenoiser
 
         calls = []

@@ -7,6 +7,7 @@ from scipy import stats
 
 from guidesampler.core import (
     TABULAR_STATE_CAP,
+    TEXT_S_LIMIT,
     Alphabet,
     RandomSource,
     TabularDistribution,
@@ -61,13 +62,20 @@ class TestAlphabetAndSequences:
         assert sequence_table(1, 2).tolist() == [[0], [1]]
         assert encode_rows(np.array([1]), 2) == 1
 
-    @pytest.mark.parametrize("S", [2, 20, 40, 200])
+    @pytest.mark.parametrize("S", [2, 20, 40, TEXT_S_LIMIT])
     def test_render_rows_matches_letter(self, S):
         alpha = Alphabet(S)
         rows = RandomSource(S).generator().integers(0, S + 1, (7, 5))
         rows[0] = S
         expected = ["".join(alpha.letter(int(t)) for t in row) for row in rows]
         assert alpha.render_rows(rows) == expected
+        assert "\n".join(expected).splitlines() == expected
+
+    def test_render_rows_refuses_alphabets_past_printable_letters(self):
+        # at S=100 token 68 is U+0085 and token 95 U+00A0: the joined text
+        # of these two rows read back as 3 lines
+        with pytest.raises(ValueError, match="up to S = 62"):
+            Alphabet(100).render_rows(np.array([[0, 68, 1], [95, 2, 3]]))
 
     @pytest.mark.parametrize("token", [-1, 3])
     def test_render_rows_refuses_tokens_outside_the_alphabet(self, token):

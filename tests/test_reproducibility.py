@@ -260,26 +260,28 @@ CASES = SAMPLER_CASES + CLI_CASES + TRAIN_CASES + CAMPAIGN_CASES + SWITCH_CASES
 #: digests whose counts moved were re-pinned again when the model-call counts
 #: became sums over kernel calls and the horizon reused the CDF rows the
 #: guided core holds: rows and paths held, denoiser_evals and predictor_evals
-#: grew and step_weight_requests fell or held. The switch digests were
-#: computed on the tree whose Euler core ran the 1 - dt horizon as a loop of
-#: its own after the integration steps
+#: grew and step_weight_requests fell or held. Every Euler digest (the
+#: */euler/* cases, cli/euler/exact and the switch cases) was re-pinned when
+#: the Euler core became event-driven: it draws one survival threshold per
+#: pair and round instead of one Bernoulli per pair and step, so RNG use
+#: moved, and the model-call counts became sums over rounds
 PINNED = {
     "tabular/aoarm/none/many": "a40eca8bef70e70f1d212517adf1a7afabb9b385f078f99af11d9c265618e4e3",
     "tabular/aoarm/deg/many": "0cb3ccf315debac13746dd9166427120a0e9a05c1af3d6c9bd07a33bef6dc3ac",
     "tabular/aoarm/tag/many": "372af3ccb074a6b17aefbf4a38c9ddb2ebcc1cde9dbd51a0f1a17c31308d8907",
     "tabular/aoarm/predictor_free/many": "49ad3046d0c3bc9d0c12d942ed3dc1b8e3c126df27ae1e740c07c8fd661e4920",
-    "tabular/euler/none/many": "0121d4ca2ac779f4baf859a3a2f61b1214b6958aa9c1aa57d59241f9303c2503",
-    "tabular/euler/exact/many": "2f85b3a69ddb7fa84db8b3867d88837fa6b32473b78337d29288f9f8d1a54835",
-    "tabular/euler/tag/many": "3a5521dfc33b9677cf1167927a112d19656afc98ae4fb05f50a1911a21d13e5a",
-    "tabular/euler/predictor_free/many": "fd81276d370d868a2cb76365400e556cc63fb7e98f5239e0a78c15a617022512",
+    "tabular/euler/none/many": "9902a9230e954cfe7399a73c6cb584713b0750b65154e6cac39a33e8f9ea6e12",
+    "tabular/euler/exact/many": "feac8e50ebf21bd6ee39ae4c208057fa56db5ba8e2cec700b260b4037fc8fdfa",
+    "tabular/euler/tag/many": "a4ea2f4d99e65e6666737fc94e502662b8b3d075dea9db24a194f691f2772c83",
+    "tabular/euler/predictor_free/many": "791156bb6376ce141d032efb907b94dff4c66b2e969bd9744dc9402618065545",
     "parametric/aoarm/none/many": "524879ef9ad197f5c0b278b8b95d04439b02932b34b35ce5d147184597502f4b",
     "parametric/aoarm/deg/many": "5face5cb1297a95de48f6c68f9b7931ba1ca5b8aaf3e061952989f7d2773ba4b",
     "parametric/aoarm/tag/many": "4c87993650377b4f2e06cb03327cecb863502cb3201b23ef08c045c5a2c8af57",
     "parametric/aoarm/predictor_free/many": "5901676241ad013e3d46837f769210b6d5de44dae01c1b5a03eec78e2fe11987",
-    "parametric/euler/none/many": "f0de2a9d9fb9cf56a49aa6605568ec6127300f3802392ff926e9b10fc8e123ff",
-    "parametric/euler/exact/many": "1c5e4a878d5665b279ab820a391ed5cc9d16bfe8f219cb63e161307ba1ab87d5",
-    "parametric/euler/tag/many": "c85bae5253f3763280fe522dfa8d0fc9266bcf9e4c811a9781f51d94e73583f5",
-    "parametric/euler/predictor_free/many": "fae2ecf96fdc3b8c2373acc8db359d0a3b273b9a599acede25a21af710fcf290",
+    "parametric/euler/none/many": "23eeb71d29af26ac5a25ebb12776b029fb07534d33921932df06a166bfbd7c7f",
+    "parametric/euler/exact/many": "5c267a1d4bc1bdb940008ee5087e70eb6e154ced7dcaf81090a3984bf43970b6",
+    "parametric/euler/tag/many": "f6e609ffcee9306c6c8067e19b96944d5d8c15cb97386437daabc88573b45f8a",
+    "parametric/euler/predictor_free/many": "5caf224a6473374a48ad22387fb74c7b4612abaee92a8a9d574aa4fc95c16b07",
     # re-pinned when single chains and `guidesampler sample` became calls of the
     # batched drivers, which moved RNG order: permutation(D) became
     # argsort(random((1, D))), per-position Euler draws became vector draws, and
@@ -288,30 +290,30 @@ PINNED = {
     "tabular/aoarm/deg/single": "68bd513726715a4acbc8a4623ba24c4d39936b04c74abfe08c72080d074dae29",
     "tabular/aoarm/tag/single": "062beabdfd924439e59384d3348b9092b800f50dc67834a1dfa4059414fefedc",
     "tabular/aoarm/predictor_free/single": "6717bf0e9082200d5889f01747e2fb298a1c0d170550500e11345928f136678b",
-    "tabular/euler/none/single": "0d6b5d1b9fad613e517a977b2d20b6a0e720cab537ff7e43e2d43f1363481ec6",
-    "tabular/euler/exact/single": "5dbb0638c27dbeaf7ad70d2a1f8b36d33749c519e3b9e052faea0595d29904a2",
-    "tabular/euler/tag/single": "be02ace45cd836ea73bedddb4cf900d528fa4fdf85083cd1260fbe3b358a8609",
-    "tabular/euler/predictor_free/single": "2e761fb437ef261733f0c4038ecbe48ccb3662f64efbf33e691a5a0b0165bf2c",
+    "tabular/euler/none/single": "f759e764baebefa5d3bdac3fa09aaa7eba07d37ab61ccd83b9e38c65b4724d33",
+    "tabular/euler/exact/single": "f3f37a0440e21c477d9976975cb757287481a2675f4691c5281d3d1fa4ef3f57",
+    "tabular/euler/tag/single": "e14b85401ac59a68cb5c7f9220dc8c46d8768e67895d38ee5a9f926de6007fc1",
+    "tabular/euler/predictor_free/single": "68265c97465e71600fa186346fe0ee7152bb4fd299171f3472a98a92e3fca29b",
     "parametric/aoarm/none/single": "716179e0ef746304542fa6e21386f8032d8083ae0124121d7a2f97e5bd4d6078",
     "parametric/aoarm/deg/single": "a01201171121bc7007fd50d74d4c52b3cb742d3fa199a8cf97b7d1d1c2de0b9e",
     "parametric/aoarm/tag/single": "c48d106703e003911f33021b8beeb581ef3cb0d47f5d380d512d619b1bd3e8d6",
     "parametric/aoarm/predictor_free/single": "f792ab89eb3fd304afafc76f7d98bf24de6d65028d5d74cb746b9bc09ae20e0b",
-    "parametric/euler/none/single": "d0912e060010caf0062136b1d2c0e3a01b5a1d4f714e5a7c06bc801f2863b764",
-    "parametric/euler/exact/single": "190e686ae108bd0ae7417d537ca76bbad50800a7e9a2d87c31f4463e0fc5de53",
-    "parametric/euler/tag/single": "07571ad27f0dd7cb4c8ab537a6bf76e56bdfb8198bb4b53dbd176ea230e92eb8",
-    "parametric/euler/predictor_free/single": "69a6efda4543df588cb6b65c04e9a62f7a6176689ddae0b042ea33c891fa7611",
+    "parametric/euler/none/single": "45a8e4e683a3f92e4c700048d849b628d8b071ff9f0f1c9ea6d2f57a7f04fa9e",
+    "parametric/euler/exact/single": "19722d647ea11fd4095d2e84983718b811d9a4280217ed13e7832257e5586877",
+    "parametric/euler/tag/single": "95e1ef2d6f6921fca6e40ef73d26cc7a7803343097538efb30f23317807dc27a",
+    "parametric/euler/predictor_free/single": "82ac1268b36f3107d5d2494fa4e562bb903df31d5eaf76351a35c8a5edf947b7",
     # re-pinned when the product stopped staging its parts: every part answers
     # every row. The staged product's code gives these with no switch fractions
     "product/aoarm/deg/single": "4710d10abcd4bb27267672686c50f27274120122c69025cb61af51e93fceab0c",
     "product/aoarm/deg/many": "ee4cbd8611203924ed0e1df739df1d941da0ee5ff59eaec1409fd4851ca7649d",
     "product/aoarm/tag/single": "e29b7bc34b82da3a20722c41cf490a7411da75339f000334c893647f3af885d0",
     "product/aoarm/tag/many": "55cee07b90e0cc6df908ddcefe493b856e2b0ea54e44e9cd9add9886a5c055f4",
-    "product/euler/exact/single": "335e6f34ec9ab754f54014210b667d36ec54cb79e0c15e764c8dafc31ff036ea",
-    "product/euler/exact/many": "d6b50a7f3451bc553b743b006de0cfe6ff663e220df7119910364d9e600fb01b",
-    "product/euler/tag/single": "ff8fa7117fc2a5d4c83fe011ed31193d55c521b6e1fa7563e70e32caf4ddd588",
-    "product/euler/tag/many": "26ede3094b273c660817dada10db38a546c532e6270708896cd20be00c1e9e5c",
+    "product/euler/exact/single": "d72399f2abfe5984bfeba8e80ae5c61bfab4368fb6ce793d2a3d7a173a11f1ac",
+    "product/euler/exact/many": "d29f25ed9997b6f170dbdf33f258f257acbc924519e370ab4e2e3400a5a0aa5a",
+    "product/euler/tag/single": "82a94ee747e8a87439b5b87967a075036a3b69982366eb3372f5d99e35d44063",
+    "product/euler/tag/many": "a57ea248879dd919b1630b5ea8198dba3b7ce1a732d90223141d6dd36b0d7091",
     "cli/aoarm/deg": "4b58e922e7196c4c1ceaeee6978b330418aab2e3e7988a60bbaa7da2cc28a792",
-    "cli/euler/exact": "3850489d32e486ca4505017baa4a5d38ad8437885bce538d6a3197154cc7252c",
+    "cli/euler/exact": "d80bceb7a02cc4b77e625d4959d2b328c7c49d4800db7836d8c84a92db65ab32",
     # computed on the tree before the bincount trainer updates, whose weights it keeps
     "denoiser/FM/uniform/D1": "dbd85ef3938b441f922f3619608aef3160b3d0e8e8d7200123dd48f2a730586d",
     "denoiser/FM/uniform/D4": "a416a020da56c20705ff840bbe4f5f52534cc30ecac04ba92f8b1d856c72d521",
@@ -320,38 +322,38 @@ PINNED = {
     "classifier/D1/one_stage": "a751f1182c767956e47dda18ee3c424dc512b80a31c018fe126ebc0a9ea62312",
     "classifier/D5/one_stage": "600799c4e7ca885ed7d3252180105b094697cfecacdd01d634755c1324926b58",
     "campaign/3": "37fa99dc82d60e1f79d31fe271c1148a7ac1f5ca110ebf59152ce76aa4446936",
-    "switch/tabular/exact/0.0": "33a7f9cb2fad2d22363aa748e78fe28d62d12eea274a14ff1157565f209bf49e",
-    "switch/tabular/exact/0.5": "cb829a54478504b25fb384bb1c3743f394597a22e0c669efc609aa1f40d93f1f",
-    "switch/tabular/exact/0.93": "262ddafbac2e9606c572b2b0327c12229e230d721293ecbf8bf734e73d99755a",
-    "switch/tabular/exact/0.97": "025d75b0cf403058a22b13483749f15582cc4777bd54539f3412e75a4ea6fc4b",
-    "switch/tabular/tag/0.0": "6cf1faa73bf344b527965bb639c341832c93ae5880f225f4f6fb3307dc81875e",
-    "switch/tabular/tag/0.5": "09cc35f5073b6f3b91b56da81e6b0320e970d9f2ebd15bd916cde58be184c16a",
-    "switch/tabular/tag/0.93": "3da80c0092aae2a3a54128480386b70c9366b2e51f951fde8b3cd21a32c4a7fd",
-    "switch/tabular/tag/0.97": "e1cb37662e5c46362bf61c6c28ce3cdd28c87977b780dbbc27f6e1d59c2842be",
-    "switch/tabular/predictor_free/0.0": "33a7f9cb2fad2d22363aa748e78fe28d62d12eea274a14ff1157565f209bf49e",
-    "switch/tabular/predictor_free/0.5": "cb829a54478504b25fb384bb1c3743f394597a22e0c669efc609aa1f40d93f1f",
-    "switch/tabular/predictor_free/0.93": "262ddafbac2e9606c572b2b0327c12229e230d721293ecbf8bf734e73d99755a",
-    "switch/tabular/predictor_free/0.97": "025d75b0cf403058a22b13483749f15582cc4777bd54539f3412e75a4ea6fc4b",
-    "switch/parametric/exact/0.0": "5a7cad6c2c6e734ba9d2ac085ab3c0811e20ba75e49dc28e7d8184d1fcc7856f",
-    "switch/parametric/exact/0.5": "d6b78b35b960eef872c91e2c5dc7effe7db682d80ad3eadc54d3c591eafb8ed1",
-    "switch/parametric/exact/0.93": "b521683492d413027fd94eac3b72e2564b67e7a97c957db345ce7740e2f877da",
-    "switch/parametric/exact/0.97": "8b7c3c1df2984204fa19c9c75ab09a2221b924e39bbffa06a63511971f54bef3",
-    "switch/parametric/tag/0.0": "a5c3e08004c470206e0d17edbae0225d361e2333c4d9df1c2dbf2b8b3e136648",
-    "switch/parametric/tag/0.5": "1de321e7438443cd55a5c1829ba45a4821c27954717e1258e511d2bcc8826b2c",
-    "switch/parametric/tag/0.93": "837342f386b4045058f4427aafdf6ca14642b9cb67ba4be6d5bb9b9bd233f734",
-    "switch/parametric/tag/0.97": "b06830e54ee1f4ed346930962cf8c03fbf362963e0feafe5fdc44c5fd7cdf19d",
-    "switch/parametric/predictor_free/0.0": "f3180702881150f79358437e5280420a4cf366ad791279b6988aa30ef1ccc707",
-    "switch/parametric/predictor_free/0.5": "cebdcda89c4489b803c67c0e2f4c58fedc5b944001a90efa08218eba243ccdfc",
-    "switch/parametric/predictor_free/0.93": "947708eec4ff9116e48c8db32bda2aeff44610b40893c6a0fec69eec7c5acee2",
-    "switch/parametric/predictor_free/0.97": "9508cae7b59ab23595e80e450af9f25f76508d93b556eeff686f90f3a17a04e1",
-    "switch/product/exact/0.0": "7d6ac85ae9d11b06bbb62bb95b61224fd2e5ac73a51433795244fa1ea39ca652",
-    "switch/product/exact/0.5": "5e386bc56a37d93bc12c234348563864f76f24b63b3231601a34927b024a04cf",
-    "switch/product/exact/0.93": "6f8dd7526ca7da6c6ff682c1110e5221e6c560b1a7cba6f3b3440a610c8f5bef",
-    "switch/product/exact/0.97": "50054828099b7615f94425fa749e0eea7c65b6d7552330b984d8f3390ade80bc",
-    "switch/product/tag/0.0": "a1936950053fa41f5b4f536e551ea8f42962610fc69a8fc8b833b8b3d8fd83d4",
-    "switch/product/tag/0.5": "f670671796e450dada5d2bd57d32551731e97adb171a23817bf2600f1d7bbb6c",
-    "switch/product/tag/0.93": "0b505d4aa05bef5dfc6d1203311057a339b0a0d77868aa0e0e6bfb5656286ac9",
-    "switch/product/tag/0.97": "4293810df86758ac355cdf2affac2baeb1a242d4511bbb80af366c3587ccc05b",
+    "switch/tabular/exact/0.0": "fd338bebda49f1eb862b447f1e9d87b44ab0f083281bce35e26d0f4f11ff8456",
+    "switch/tabular/exact/0.5": "fadf588e753f5e26d602115960e4177a0e3a201356b55c9d0a4cd609ff61b299",
+    "switch/tabular/exact/0.93": "e8aa086b4cabb56731c0e63dc9752e48828b5e54e8c29847d2da9ecb78915aee",
+    "switch/tabular/exact/0.97": "ce769e636e837dd71cb819805d99f0cf94047cb935c9749d715a6439a64610f9",
+    "switch/tabular/tag/0.0": "b1a4f9c02a3044ad9dc76b61c90b9e75db36c4a3e3041960fbba043982b0f25e",
+    "switch/tabular/tag/0.5": "4d50db4acdc167f34e10b657921548a9071f649ac5d3839a2f91d9d2113d319f",
+    "switch/tabular/tag/0.93": "9b5ae95f6f18b19fd958ee95d306b8ef74af215e433d65b353e6953975157f1c",
+    "switch/tabular/tag/0.97": "84ea89ace2e6661c4e00aacd6834b85cf9b6c46e2ac83a1814df767f92135d2f",
+    "switch/tabular/predictor_free/0.0": "fd338bebda49f1eb862b447f1e9d87b44ab0f083281bce35e26d0f4f11ff8456",
+    "switch/tabular/predictor_free/0.5": "fadf588e753f5e26d602115960e4177a0e3a201356b55c9d0a4cd609ff61b299",
+    "switch/tabular/predictor_free/0.93": "e8aa086b4cabb56731c0e63dc9752e48828b5e54e8c29847d2da9ecb78915aee",
+    "switch/tabular/predictor_free/0.97": "ce769e636e837dd71cb819805d99f0cf94047cb935c9749d715a6439a64610f9",
+    "switch/parametric/exact/0.0": "f6dfd791807650404dd823a73d1b3b9684b73aec14c026c78011ff5c5bb0625a",
+    "switch/parametric/exact/0.5": "a161da7e91ee46e9f9db52fd2a6984f69fd72bfa512f6cce26aa1ca770673ed6",
+    "switch/parametric/exact/0.93": "cdf7389aff389ed2adec1873d91c28ba3166fac78da1376a682778b25a22739c",
+    "switch/parametric/exact/0.97": "19ff93fc155481c05df422e440d0e47eafe5f7a0df3a8760a143512c43d3f687",
+    "switch/parametric/tag/0.0": "a399378f7d4f4c3920b680e3d90dd57e83ee556dc88d2fc553bf37da049d55ee",
+    "switch/parametric/tag/0.5": "c7263080e73b2430bf0d25170a292f7a27347043033fbe8fecb4b042ab3b347d",
+    "switch/parametric/tag/0.93": "b1afb9f239d482b34b1aebbd36cbd26e514135aeaf03117bf2fad388b88780da",
+    "switch/parametric/tag/0.97": "c43a5c8bd53cf308386e40c50ce62e5b68a3bf888fd52de874b71eeb2ce989ac",
+    "switch/parametric/predictor_free/0.0": "7e7f46bd7e27e86af3c92f1524b81b4e459fa1a717b956f0eb59a2a86f4f106d",
+    "switch/parametric/predictor_free/0.5": "e705254687bc771c59f0c2181a3813e578179a9d4bdb2de664aba3fd1e92d3c2",
+    "switch/parametric/predictor_free/0.93": "8c1790d511e29cf9f386de867cbb1ce4d68f6e0faaa5f2ad312d1a6fd859092b",
+    "switch/parametric/predictor_free/0.97": "57295cca9cfe93e01232c023045b10a9f111fe712b287609186dc936a5d41a64",
+    "switch/product/exact/0.0": "d7564da1f9eac13f4751868db37a12564beb9075c9e842949dd1371775deb78c",
+    "switch/product/exact/0.5": "54fad6500d817856e6e96394eb9bbdffc36aa3f864dde2584cedb05ae5a99aa1",
+    "switch/product/exact/0.93": "2b8a689e42eaf235881cc0ba7ae7de275fee1946bd98d536b20d9d86c3ad2b5b",
+    "switch/product/exact/0.97": "592339441f1ae1e98343e752c6b0b442f32024f6bbbfbc627089d76d2ec8a36a",
+    "switch/product/tag/0.0": "07ea3ec0a75a073dd69c24662e91049607550b26210f0865fe7456a52ebe43ff",
+    "switch/product/tag/0.5": "e9625f85d90879945235821a583096fa13a787ceb0efd3edc3bdbc7c3ef3c130",
+    "switch/product/tag/0.93": "68cfd39f3a0592d0265e25c0d90ab19c39fd6ac52d76013cd23ef560bcbfe78c",
+    "switch/product/tag/0.97": "592339441f1ae1e98343e752c6b0b442f32024f6bbbfbc627089d76d2ec8a36a",
 }
 
 

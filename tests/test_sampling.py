@@ -277,6 +277,17 @@ class TestLemma1Density:
             lemma1_density(4, 0.5, 0.2, 3)
 
 
+class Strong:
+    """Likelihood 0.95 on a clean row of S=2 symbols and 0.05 on a row with
+    a mask: at gamma=2 a chain's last unmask weighs 19**2 times its
+    posterior, and its Euler outflow at dt=0.1 passes 1."""
+
+    has_gradient_surface = False
+
+    def likelihood_array(self, tokens, positions):
+        return np.where((pair_rows(tokens, positions, 2) == 2).any(axis=-1), 0.05, 0.95)
+
+
 class TestEulerSampler:
     def test_delta_law_always_returned(self):
         p = TabularDistribution(4, 2, delta_weights("ABBA", 2))
@@ -294,18 +305,38 @@ class TestEulerSampler:
         assert diag.overflow_renormalizations == 0
 
         # ... while a strong likelihood ratio pushes guided outflow past 1
-        # from the first step, and every renormalization is counted
-        class Strong:
-            has_gradient_surface = False
-
-            def likelihood_array(self, tokens, positions):
-                return np.where((pair_rows(tokens, positions, 2) == 2).any(axis=-1), 0.05, 0.95)
-
+        # at a chain's last unmask, and every renormalization is counted
         cfg = GuidanceConfig(mode="exact", gamma=2.0, predictor=Strong())
         _, _, diag = euler_sample(den, cfg, 0.1, RandomSource(1))
         assert diag.overflow_renormalizations > 0
         rows, diag_many = euler_sample_many(den, cfg, 0.1, 50, RandomSource(2))
         assert diag_many.overflow_renormalizations > 0
+
+    def test_counts_equal_a_step_by_step_recount(self):
+        # the core counts overflows once per chain event; recount them from
+        # the returned paths over every (chain, position, step) a chain is
+        # masked at, with the kernel's own row totals, and recount the
+        # integration steps reached
+        den, dt = ExactDenoiser(random_dist(3, 2, 16)), 0.1
+        cfg = GuidanceConfig(mode="exact", gamma=2.0, predictor=Strong())
+        rows, paths, diag = euler_sample_many(den, cfg, dt, 50, RandomSource(2), paths=True)
+        n_int = check_dt(dt)
+        cache = _ContextCache(den, cfg, SamplerDiagnostics())
+        overflows, reached = 0, 0
+        for row, path in zip(rows, paths):
+            jump_step = np.full(3, n_int)
+            timed = path.jump_times < 1.0
+            jump_step[path.permutation[timed]] = np.round(path.jump_times[timed] / dt) - 1
+            for k in range(n_int):
+                masked = np.flatnonzero(jump_step >= k)
+                if not masked.size:
+                    break
+                reached = max(reached, k + 1)
+                context = np.where(jump_step < k, row, 2)
+                totals, _ = cache.step_tables(np.tile(context, (masked.size, 1)), masked, True, k)
+                overflows += int(np.count_nonzero(rate_coefficient(k * dt) * dt * totals > 1.0))
+        assert diag.overflow_renormalizations == overflows > 0
+        assert diag.n_steps == reached
 
     def test_path_records_one_unmask_per_step(self):
         p = random_dist(4, 2, 17)
@@ -360,32 +391,35 @@ class TestEulerSampler:
 
 class TestEulerHorizon:
     """Pairs still masked at the 1-dt horizon all jump at time 1.0, drawn
-    from the CDF rows the guided core holds: the first horizon kernel call
-    forms only the pairs of chains that jumped at the last integration
-    step, or all of them when the switch point flips at the horizon."""
+    from the CDF rows of their chain's last round: the kernel forms rows at
+    the horizon step only for the chains that jumped at the last
+    integration step, or for every chain still masked there when the
+    switch point flips at the horizon."""
 
     DT = 0.05  # 19 integration steps, the last at t = 0.9
-    #: rows and paths of the flip case, computed before the horizon reused
-    #: the core's CDF rows
-    FLIP_DIGEST = "9cf2d2b861c3b5e3bde0bf537ca17fc0f3746d6e9aa6c0fc5363e3bece63ba9c"
+    #: rows and paths of the flip case, computed on the event-driven core
+    FLIP_DIGEST = "8460cf675601549ec7e016308de98979b95fc4248a632a121632399e49284064"
 
     def run(self, monkeypatch, t0):
-        """(rows, paths, the pairs of the first horizon kernel call, the
+        """(rows, paths, the pairs the kernel formed at the horizon step, the
         still-masked pairs at the horizon, those of them whose chain jumped
-        at the last integration step); a pair is (context row, position)."""
-        calls = []
+        at the last integration step); a pair is (context row, position),
+        and each list is sorted."""
+        formed = []
         tables = _ContextCache.pair_tables
+        n_int = check_dt(self.DT)
 
         def spy(cache, rows, positions, active, step):
-            calls.append((step, [(tuple(r), int(d)) for r, d in zip(rows.tolist(), positions)]))
+            at = np.broadcast_to(step, positions.shape)
+            formed.extend((tuple(r), int(d)) for r, d, k in zip(rows.tolist(), positions, at)
+                          if k == n_int)
             return tables(cache, rows, positions, active, step)
 
         monkeypatch.setattr(_ContextCache, "pair_tables", spy)
         den, pred = looped_test_models()
         cfg = GuidanceConfig(mode="exact", gamma=1.5, predictor=pred, t0=t0)
-        rows, paths, _ = euler_sample_many(den, cfg, self.DT, 40, RandomSource(61),
+        rows, paths, _ = euler_sample_many(den, cfg, self.DT, 40, RandomSource(62),
                                            paths=True)
-        n_int = check_dt(self.DT)
         last = (n_int - 1) * self.DT + self.DT  # jump time of the last integration step
         masked, moved = [], []
         for row, path in zip(rows, paths):
@@ -396,19 +430,18 @@ class TestEulerHorizon:
             masked += pairs
             if (path.jump_times == last).any():
                 moved += pairs
-        first = next(pairs for step, pairs in calls if step == n_int)
-        return rows, paths, first, masked, moved
+        return rows, paths, sorted(formed), sorted(masked), sorted(moved)
 
     def test_only_moved_chains_formed_again(self, monkeypatch):
-        _, _, first, masked, moved = self.run(monkeypatch, t0=0.0)
+        _, _, formed, masked, moved = self.run(monkeypatch, t0=0.0)
         assert 0 < len(moved) < len(masked)
-        assert first == moved
+        assert formed == moved
 
     def test_switch_flip_forms_every_pair(self, monkeypatch):
         # t0 in (0.9, 0.95]: guidance is off at every integration step and
         # on at the horizon, whose clock reads 1 - dt
-        rows, paths, first, masked, moved = self.run(monkeypatch, t0=0.93)
-        assert len(moved) < len(masked) and first == masked
+        rows, paths, formed, masked, moved = self.run(monkeypatch, t0=0.93)
+        assert len(moved) < len(masked) and formed == masked
         digest = hashlib.sha256(rows.astype(np.int64).tobytes())
         for path in paths:
             digest.update(path.permutation.astype(np.int64).tobytes())
@@ -646,6 +679,19 @@ class TestDegenerateRowsInOneStep:
             cache.step_tables(ctx, pos, True, 4)
         assert (exc.value.step, exc.value.position) == (4, named)
         assert str(exc.value).startswith(kind)
+
+    def test_earliest_step_named_first(self):
+        # an Euler round forms each pair at its chain's step: of the two
+        # degenerate pairs above, the later one in code order is named when
+        # it was formed at the earlier step
+        den = ExactDenoiser(random_dist(3, 2, 52))
+        cfg = GuidanceConfig(mode="tag", gamma=1.0, predictor=Steep(2, (1, -1, 1)))
+        cache = _ContextCache(den, cfg, SamplerDiagnostics())
+        ctx, pos = np.array([[2, 2, 0], [0, 2, 2]]), np.array([0, 1])
+        with pytest.raises(DegenerateStepError) as exc:
+            cache.step_tables(ctx, pos, True, np.array([5, 2]))
+        assert (exc.value.step, exc.value.position) == (2, 1)
+        assert str(exc.value).startswith("all guided symbol weights vanished")
 
 
 class TestDecodePaths:
